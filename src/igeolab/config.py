@@ -3,19 +3,22 @@
 A config file has one [run] section, any number of [density <name>]
 sections (inline specs or pointers to density text files), and any number
 of [check <label>] sections.  Every value is parsed as JSON, so strings
-are quoted and vectors/matrices are plain JSON arrays.  Unknown check
-names and parameter maps violating a check's preconditions are rejected
-here, before any sampling happens.
+are quoted and vectors/matrices are plain JSON arrays.  INI syntax errors,
+unknown check names, unknown or malformed fields and parameter maps
+violating a check's preconditions are rejected here, before any sampling
+happens.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -53,13 +56,16 @@ class RunConfig:
     output_dir: str
     densities: dict[str, DensityModel]
     checks: list[CheckJob] = field(default_factory=list)
+    # parsed spec map per density; a file density's text under "text"
+    density_specs: dict[str, dict] = field(default_factory=dict)
 
     def resolved_hash(self) -> str:
         """Hash of the effective configuration (seed overrides included)."""
         payload = {
             "seed": self.seed,
             "substreams": self.substreams,
-            "densities": sorted(self.densities),
+            "densities": {name: self.density_specs.get(name)
+                          for name in self.densities},
             "checks": [[j.label, j.name,
                         json.dumps(j.params, sort_keys=True, default=str)]
                        for j in self.checks],
@@ -89,6 +95,13 @@ def _scaled(f: DensityModel, factor: float) -> DensityModel:
                       f"cannot rescale {type(f).__name__}")
 
 
+def _read_text(path: str, base_dir: str) -> str:
+    if not os.path.isabs(path):
+        path = os.path.join(base_dir, path)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
     """Build one density from a parsed spec map.
 
@@ -100,11 +113,7 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
     normalize = bool(spec.pop("normalize", False))
     try:
         if kind == "file":
-            path = spec.pop("path")
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            with open(path, encoding="utf-8") as fh:
-                f = read_density_text(fh.read())
+            f = read_density_text(_read_text(spec.pop("path"), base_dir))
         elif kind == "gaussian":
             if "mean" in spec:
                 mean = np.asarray(spec.pop("mean"), dtype=float)
@@ -167,75 +176,185 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
 
 
 # ---------------------------------------------------------------------------
-# Check registry: schema, precondition validation, invocation.
+# Check schema.  Each check is declared once: its fields in parse order, its
+# cross-field preconditions, and the verify function that receives the
+# parsed fields as keyword arguments.  load_config parses every map without
+# a generator (validation only); the run step parses it again with one.
 # ---------------------------------------------------------------------------
 
-def _dens(params, densities, key, section):
-    name = params.get(key)
-    if not isinstance(name, str) or name not in densities:
-        raise ConfigError(section, key,
-                          f"must name a configured density, got {name!r}")
-    return densities[name]
+_REQUIRED = object()
 
 
-def _dens_list(params, densities, section):
-    names = params.get("densities")
-    if not isinstance(names, list) or not names:
-        raise ConfigError(section, "densities",
-                          "must be a nonempty list of density names")
-    out = []
-    for name in names:
-        if name not in densities:
-            raise ConfigError(section, "densities",
-                              f"unknown density {name!r}")
-        out.append(densities[name])
+class _Values(dict):
+    """Verify keywords parsed so far, plus what field parsers need: the
+    configured densities and, at run time, the check's generator."""
+
+    def __init__(self, densities, rng):
+        super().__init__()
+        self.densities = densities
+        self.rng = rng
+        self._stream = None
+
+    @property
+    def n(self) -> int:
+        """Ambient dimension: the `n` field, else that of the densities."""
+        if "n" in self:
+            return self["n"]
+        return (self["f"] if "f" in self else self["f_list"][0]).n
+
+    def stream(self):
+        """Generator for drawn maps and shifts: spawned once from the
+        check's generator, before verify draws; None when validating."""
+        if self._stream is None and self.rng is not None:
+            self._stream = self.rng.spawn(1)[0]
+        return self._stream
+
+
+@dataclass(frozen=True)
+class _Field:
+    # (raw JSON value, _Values) -> value; ValueError, TypeError or
+    # ArithmeticError rejects the field
+    parse: Callable
+    # raw value parsed like a given one; None: optional, passed as None
+    default: object = _REQUIRED
+    # verify keyword when it is not the field name; a later field with the
+    # same keyword builds on the earlier field's value
+    arg: str | None = None
+
+
+class _Reject(Exception):
+    """A failed cross-field precondition: (field, message)."""
+
+
+def _require(ok: bool, field_name: str, message: str):
+    if not ok:
+        raise _Reject(field_name, message)
+
+
+class _Check:
+    """One check: doc line, verify function name, fields, preconditions.
+
+    The verify function is looked up by name at each call, and `run` is a
+    plain attribute holding one bound method, so a profiler can wrap
+    either and put back the very same object.
+    """
+
+    def __init__(self, doc, target, fields, pre=()):
+        self.doc = doc
+        self.target = target
+        self.fields = fields
+        self.pre = pre
+        self.substreams = "substreams" in inspect.signature(
+            getattr(verify, target)).parameters
+        self.run = self._run
+
+    def parse(self, params, densities, section, rng=None) -> dict:
+        """Verify keywords for one parameter map, or a ConfigError naming
+        the field.  Without rng, drawn maps and shifts are checked only."""
+        unknown = sorted(set(params) - set(self.fields))
+        if unknown:
+            raise ConfigError(section, ", ".join(unknown), "unknown field")
+        v = _Values(densities, rng)
+        for name, fld in self.fields.items():
+            raw = params.get(name, fld.default)
+            try:
+                if raw is _REQUIRED:
+                    raise ValueError("required")
+                if raw is None and fld.default is None:
+                    v[fld.arg or name] = None
+                else:
+                    v[fld.arg or name] = fld.parse(raw, v)
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise ConfigError(section, name, str(exc)) from exc
+        try:
+            for rule in self.pre:
+                rule(v)
+        except _Reject as exc:
+            raise ConfigError(section, *exc.args) from exc
+        return dict(v)
+
+    def _run(self, params, densities, rng, substreams, section):
+        kwargs = self.parse(params, densities, section, rng)
+        if self.substreams:
+            kwargs["substreams"] = substreams
+        return getattr(verify, self.target)(rng=rng, **kwargs)
+
+
+# Field parsers.
+
+def _number(raw, v, lo=None, hi=None, integer=False):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"must be a number, got {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ValueError(f"must be finite, got {raw!r}")
+    if integer and int(raw) != raw:
+        raise ValueError(f"must be an integer, got {raw!r}")
+    lo = lo(v) if callable(lo) else lo
+    hi = hi(v) if callable(hi) else hi
+    if lo is not None and raw < lo:
+        raise ValueError(f"must be >= {lo}, got {raw}")
+    if hi is not None and raw > hi:
+        raise ValueError(f"must be <= {hi}, got {raw}")
+    return int(raw) if integer else float(raw)
+
+
+def _int(lo, hi=None, default=_REQUIRED):
+    """Integer field; bounds are numbers or functions of the _Values."""
+    return _Field(lambda raw, v: _number(raw, v, lo, hi, integer=True),
+                  default)
+
+
+def _real(lo=None, hi=None, default=_REQUIRED):
+    return _Field(lambda raw, v: _number(raw, v, lo, hi), default)
+
+
+def _finite(raw) -> np.ndarray:
+    arr = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
+    return arr
+
+
+def _density(raw, v):
+    if not isinstance(raw, str) or raw not in v.densities:
+        raise ValueError(f"must name a configured density, got {raw!r}")
+    return v.densities[raw]
+
+
+def _densities(raw, v):
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("must be a nonempty list of density names")
+    out = [_density(name, v) for name in raw]
     dims = {f.n for f in out}
     if len(dims) != 1:
-        raise ConfigError(section, "densities",
-                          f"mixed ambient dimensions {sorted(dims)}")
+        raise ValueError(f"mixed ambient dimensions {sorted(dims)}")
     return out
 
 
-def _num(params, key, section, *, default=None, minimum=None,
-         integer=False, maximum=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError(section, key, "required")
-        return default
-    v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(section, key, f"must be a number, got {v!r}")
-    if integer and int(v) != v:
-        raise ConfigError(section, key, f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(section, key, f"must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(section, key, f"must be <= {maximum}, got {v}")
-    return int(v) if integer else float(v)
+def _powers(raw, v):
+    """spec_p: one integrability power per density, a number or "inf"."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("must be a nonempty list")
+    ps = tuple(math.inf if p == "inf" else _number(p, v) for p in raw)
+    if min(ps) <= 0.0:
+        raise ValueError(f"powers must be positive (or \"inf\"), got {raw}")
+    return ps
 
 
-def _exponent_spec(params, section):
-    ps = params.get("spec_p")
-    alphas = params.get("spec_alpha")
-    if not isinstance(ps, list) or not isinstance(alphas, list) \
-            or len(ps) != len(alphas) or not ps:
-        raise ConfigError(section, "spec_p/spec_alpha",
-                          "must be equal-length nonempty lists")
-    ps = [math.inf if p == "inf" else float(p) for p in ps]
-    try:
-        return ExponentSpec(tuple(ps), tuple(float(a) for a in alphas))
-    except ValueError as exc:
-        raise ConfigError(section, "spec_p", str(exc)) from exc
+def _exponent_spec(raw, v):
+    """spec_alpha: outer exponents, completing the spec_p powers."""
+    if not isinstance(raw, list) or len(raw) != len(v["spec"]):
+        raise ValueError("must be a list as long as spec_p")
+    return ExponentSpec(v["spec"], tuple(_number(a, v) for a in raw))
 
 
-def _map_spec(params, key, section, n, rng=None):
-    """Volume-preserving map: explicit matrix, or 'shear' / 'rotation'
-    drawn from the check's stream."""
-    raw = params.get(key, "rotation")
+def _map(raw, v):
+    """Volume-preserving matrix, or 'shear' / 'rotation' drawn per run."""
+    rng = v.stream()  # for a given matrix too: verify's draws stay put
+    n = v.n
     if isinstance(raw, str):
         if raw not in ("shear", "rotation"):
-            raise ConfigError(section, key,
-                              "must be 'shear', 'rotation', or a matrix")
+            raise ValueError("must be 'shear', 'rotation', or a matrix")
         if rng is None:
             return None
         if raw == "rotation":
@@ -251,348 +370,209 @@ def _map_spec(params, key, section, n, rng=None):
         m = len(iu[0])
         mat[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
         return mat
-    mat = np.asarray(raw, dtype=float)
+    mat = _finite(raw)
     if mat.shape != (n, n):
-        raise ConfigError(section, key, f"matrix must be {n}x{n}")
+        raise ValueError(f"matrix must be {n}x{n}")
     if abs(abs(np.linalg.det(mat)) - 1.0) > 1e-9:
-        raise ConfigError(section, key, "matrix must preserve volume")
+        raise ValueError("matrix must preserve volume")
     return mat
 
 
-def _shift_spec(params, section, n, rng=None):
-    raw = params.get("shift", "random")
+def _shift(raw, v):
+    """Translation, or 'random' drawn per run; completes g = (map, shift)."""
+    n = v.n
     if isinstance(raw, str):
         if raw != "random":
-            raise ConfigError(section, "shift",
-                              "must be 'random' or a vector")
-        return None if rng is None else 0.5 * rng.normal(size=n)
-    vec = np.asarray(raw, dtype=float)
-    if vec.shape != (n,):
-        raise ConfigError(section, "shift", f"vector must have length {n}")
-    return vec
+            raise ValueError("must be 'random' or a vector")
+        rng = v.stream()
+        vec = None if rng is None else 0.5 * rng.normal(size=n)
+    else:
+        vec = _finite(raw)
+        if vec.shape != (n,):
+            raise ValueError(f"vector must have length {n}")
+    return v["g"], vec
 
 
-def _subspace_spec(params, key, section, n, required=False):
-    raw = params.get(key)
-    if raw is None:
-        if required:
-            raise ConfigError(section, key, "required")
-        return None
-    arr = np.asarray(raw, dtype=float)
+def _subspace(raw, v):
+    """Axis list, or an n x k basis."""
+    n = v.n
+    arr = _finite(raw)
     if arr.ndim == 1:
         axes = arr.astype(int)
         if not np.all(arr == axes) or np.any(axes < 0) or np.any(axes >= n) \
                 or len(set(axes.tolist())) != len(axes):
-            raise ConfigError(section, key,
-                              f"axis list must be distinct ints in [0,{n})")
+            raise ValueError(f"axis list must be distinct ints in [0,{n})")
         basis = np.zeros((n, len(axes)))
         basis[axes, np.arange(len(axes))] = 1.0
         return Subspace(basis)
     if arr.ndim == 2 and arr.shape[0] == n:
-        try:
-            return Subspace(arr)
-        except ValueError as exc:
-            raise ConfigError(section, key, str(exc)) from exc
-    raise ConfigError(section, key, "must be an axis list or an n x k basis")
+        return Subspace(arr)
+    raise ValueError("must be an axis list or an n x k basis")
 
 
-class _CheckSpec:
-    def __init__(self, doc, validate, run):
-        self.doc = doc
-        self.validate = validate
-        self.run = run
+def _radii(raw, v):
+    radii = [_number(e, v) for e in raw] if isinstance(raw, list) else []
+    if not radii or min(radii) <= 0.0:
+        raise ValueError("must be a nonempty list of positive radii")
+    return radii
 
 
-def _v_bp_subspace(params, densities, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    k = _num(params, "k", section, minimum=1, maximum=n, integer=True)
-    if not 1 <= len(fl) <= k:
-        raise ConfigError(section, "densities",
-                          f"need 1 <= q <= k, got q={len(fl)} k={k}")
-    _num(params, "p", section, default=0.0, minimum=0.0)
-    _num(params, "n_direct", section, minimum=2, integer=True)
-    _num(params, "n_subspaces", section, minimum=2, integer=True)
-    _num(params, "inner", section, default=256, minimum=1, integer=True)
+def _flag(raw, v):
+    if not isinstance(raw, bool):
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return raw
 
 
-def _r_bp_subspace(params, densities, rng, substreams, section):
-    fl = _dens_list(params, densities, section)
-    return verify.check_bp_subspace(
-        fl, k=int(params["k"]), p=float(params.get("p", 0.0)),
-        n_direct=int(params["n_direct"]),
-        n_subspaces=int(params["n_subspaces"]), rng=rng,
-        inner=int(params.get("inner", 256)))
+def _case(raw, v):
+    if raw not in ("cone", "simplex"):
+        raise ValueError("must be 'cone' or 'simplex'")
+    return raw
 
 
-def _v_bp_flat(params, densities, section):
-    f = _dens(params, densities, "density", section)
-    n = f.n
-    k = _num(params, "k", section, minimum=1, maximum=n, integer=True)
-    p = _num(params, "p", section, default=0.0, minimum=0.0)
-    if p != 0.0 and p < 1.0:
-        raise ConfigError(section, "p", "offset exponent must be 0 or >= 1")
-    if k == n and p != 0.0:
-        raise ConfigError(section, "k", "offset exponents need k <= n-1")
-    r_win = _num(params, "R", section, minimum=0.0)
-    if f.support_radius > r_win + 1e-9:
-        raise ConfigError(section, "R",
-                          f"support radius {f.support_radius:.4g} exceeds "
-                          f"window {r_win}")
-    _num(params, "n_direct", section, default=0, minimum=0, integer=True)
-    _num(params, "n_flats", section, minimum=2, integer=True)
-    _num(params, "inner", section, default=256, minimum=1, integer=True)
+def _method(raw, v):
+    """'exact', or ['mc', N]: N >= 2 Monte Carlo points per section."""
+    if raw == "exact":
+        return raw
+    if isinstance(raw, list) and len(raw) == 2 and raw[0] == "mc":
+        return "mc", _number(raw[1], v, lo=2, integer=True)
+    raise ValueError(f'must be "exact" or ["mc", N], got {raw!r}')
 
 
-def _r_bp_flat(params, densities, rng, substreams, section):
-    f = _dens(params, densities, "density", section)
-    return verify.check_bp_flat(
-        f, k=int(params["k"]), n_direct=int(params.get("n_direct", 0)),
-        n_flats=int(params["n_flats"]), R=float(params["R"]), rng=rng,
-        p=float(params.get("p", 0.0)), inner=int(params.get("inner", 256)))
+# Cross-field preconditions.
+
+def _q_at_most_k(v):
+    q, k = len(v["f_list"]), v["k"]
+    _require(q <= k, "densities", f"need 1 <= q <= k, got q={q} k={k}")
 
 
-def _v_linear_invariance(params, densities, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    spec = _exponent_spec(params, section)
-    if len(spec) != len(fl):
-        raise ConfigError(section, "spec_p",
-                          "one exponent slot per density required")
-    _map_spec(params, "map", section, n)
-    _num(params, "n_subspaces", section, minimum=2, integer=True)
+def _slot_per_density(v):
+    _require(len(v["spec"]) == len(v["f_list"]), "spec_p",
+             "one exponent slot per density required")
 
 
-def _r_linear_invariance(params, densities, rng, substreams, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    map_rng = rng.spawn(1)[0]
-    g = _map_spec(params, "map", section, n, map_rng)
-    return verify.check_linear_invariance(
-        fl, _exponent_spec(params, section), k=int(params["k"]), g=g,
-        n_subspaces=int(params["n_subspaces"]), rng=rng,
-        method=_method(params), substreams=substreams)
+def _bounded(v):
+    name, fl = ("density", [v["f"]]) if "f" in v \
+        else ("densities", v["f_list"])
+    _require(all(np.isfinite(f.support_radius) for f in fl), name,
+             "flat averages need bounded supports")
 
 
-def _v_affine_invariance(params, densities, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    spec = _exponent_spec(params, section)
-    if len(spec) != len(fl):
-        raise ConfigError(section, "spec_p",
-                          "one exponent slot per density required")
-    if any(not np.isfinite(f.support_radius) for f in fl):
-        raise ConfigError(section, "densities",
-                          "flat averages need bounded supports")
-    _map_spec(params, "map", section, n)
-    _shift_spec(params, section, n)
-    _num(params, "R", section, minimum=0.0)
-    _num(params, "n_flats", section, minimum=2, integer=True)
+def _unit_mass(v):
+    _require(abs(v["f"].mass - 1.0) <= 1e-9, "density",
+             "must be a probability density (unit mass); "
+             "set normalize = true")
 
 
-def _r_affine_invariance(params, densities, rng, substreams, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    map_rng = rng.spawn(1)[0]
-    g = _map_spec(params, "map", section, n, map_rng)
-    shift = _shift_spec(params, section, n, map_rng)
-    return verify.check_affine_invariance(
-        fl, _exponent_spec(params, section), k=int(params["k"]),
-        g=(g, shift), R=float(params["R"]),
-        n_flats=int(params["n_flats"]), rng=rng, method=_method(params),
-        substreams=substreams)
+def _offset_exponent(v):
+    p = v["p"]
+    _require(p == 0.0 or p >= 1.0, "p", "offset exponent must be 0 or >= 1")
+    _require(v["k"] < v.n or p == 0.0, "k", "offset exponents need k <= n-1")
 
 
-def _v_rearrangement(params, densities, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    case = params.get("case", "cone")
-    if case not in ("cone", "simplex"):
-        raise ConfigError(section, "case", "must be 'cone' or 'simplex'")
-    limit = n if case == "cone" else n + 1
-    if len(fl) > limit:
-        raise ConfigError(section, "densities",
-                          f"at most {limit} densities for case {case!r}")
-    _num(params, "p", section, minimum=1.0)
-    _num(params, "n_samples", section, minimum=2, integer=True)
-    _num(params, "levels", section, default=1000, minimum=2, integer=True)
-    for f in fl:
-        if f.superlevel_volume(f.sup / 2) is None:
-            raise ConfigError(section, "densities",
-                              "rearrangement needs exact level profiles")
+def _window_covers_support(v):
+    radius = v["f"].support_radius
+    _require(radius <= v["R"] + 1e-9, "R",
+             f"support radius {radius:.4g} exceeds window {v['R']}")
 
 
-def _r_rearrangement(params, densities, rng, substreams, section):
-    fl = _dens_list(params, densities, section)
-    return verify.check_rearrangement_monotonicity(
-        fl, p=float(params["p"]), case=params.get("case", "cone"),
-        n_samples=int(params["n_samples"]), rng=rng,
-        levels=int(params.get("levels", 1000)), substreams=substreams)
+def _rearrangeable(v):
+    fl, case = v["f_list"], v["case"]
+    limit = v.n if case == "cone" else v.n + 1
+    _require(len(fl) <= limit, "densities",
+             f"at most {limit} densities for case {case!r}")
+    _require(all(f.superlevel_volume(f.sup / 2) is not None for f in fl),
+             "densities", "rearrangement needs exact level profiles")
 
 
-def _v_grinberg(params, densities, section):
-    fl = _dens_list(params, densities, section)
-    n = fl[0].n
-    q = len(fl)
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    if not q <= k:
-        raise ConfigError(section, "densities",
-                          f"need q <= k, got q={q} k={k}")
-    _num(params, "p", section, default=0.0, minimum=0.0, maximum=n - k)
-    _num(params, "n_subspaces", section, minimum=2, integer=True)
+def _subspace_has_dim_k(v):
+    dim, k = v["E"].k, v["k"]
+    _require(dim == k, "subspace", f"dimension {dim} does not match k={k}")
 
 
-def _r_grinberg(params, densities, rng, substreams, section):
-    fl = _dens_list(params, densities, section)
-    return verify.check_grinberg_functional(
-        fl, k=int(params["k"]), p=float(params.get("p", 0.0)),
-        n_subspaces=int(params["n_subspaces"]), rng=rng,
-        method=_method(params),
-        expect_equality=bool(params.get("expect_equality", False)),
-        substreams=substreams)
+_DENSITY = _Field(_density, arg="f")
+_DENSITIES = _Field(_densities, arg="f_list")
+_K_UP_TO_N = _int(1, lambda v: v.n)
+_K = _int(1, lambda v: v.n - 1)
+_BUDGET = _int(2)
+_SPEC_P = _Field(_powers, arg="spec")
+_SPEC_ALPHA = _Field(_exponent_spec, arg="spec")
+_MAP = _Field(_map, default="rotation", arg="g")
+_METHOD = _Field(_method, default="exact")
+_EQUALITY = _Field(_flag, default=False)
 
-
-def _v_schneider(params, densities, section):
-    f = _dens(params, densities, "density", section)
-    n = f.n
-    _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    if not np.isfinite(f.support_radius):
-        raise ConfigError(section, "density",
-                          "flat averages need bounded supports")
-    _num(params, "R", section, default=f.support_radius, minimum=0.0)
-    _num(params, "n_flats", section, minimum=2, integer=True)
-
-
-def _r_schneider(params, densities, rng, substreams, section):
-    f = _dens(params, densities, "density", section)
-    return verify.check_schneider_functional(
-        f, k=int(params["k"]), R=float(params.get("R", f.support_radius)),
-        n_flats=int(params["n_flats"]), rng=rng, method=_method(params),
-        expect_equality=bool(params.get("expect_equality", False)),
-        substreams=substreams)
-
-
-def _v_marginal_bound(params, densities, section):
-    f = _dens(params, densities, "density", section)
-    n = f.n
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    if abs(f.mass - 1.0) > 1e-9:
-        raise ConfigError(section, "density",
-                          "must be a probability density (unit mass); "
-                          "set normalize = true")
-    _num(params, "s", section, minimum=1.0 + 1e-9)
-    _num(params, "t", section, minimum=1.0 + 1e-9)
-    _num(params, "n_subspaces", section, minimum=2, integer=True)
-    _num(params, "n_x", section, minimum=2, integer=True)
-    _subspace_spec(params, "adversarial", section, n)
-
-
-def _r_marginal_bound(params, densities, rng, substreams, section):
-    f = _dens(params, densities, "density", section)
-    adv = _subspace_spec(params, "adversarial", section, f.n)
-    return verify.marginal_bound_experiment(
-        f, k=int(params["k"]), s=float(params["s"]), t=float(params["t"]),
-        n_subspaces=int(params["n_subspaces"]), n_x=int(params["n_x"]),
-        rng=rng, adversarial=adv)
-
-
-def _v_gaussian_sharpness(params, densities, section):
-    n = _num(params, "n", section, minimum=2, integer=True)
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    sigma_inv = (2 * math.pi) ** (n / (2.0 * k))
-    _num(params, "s", section, minimum=1.0, maximum=sigma_inv)
-    _num(params, "n_subspaces", section, minimum=2, integer=True)
-
-
-def _r_gaussian_sharpness(params, densities, rng, substreams, section):
-    return verify.gaussian_sharpness_experiment(
-        n=int(params["n"]), k=int(params["k"]), s=float(params["s"]),
-        n_subspaces=int(params["n_subspaces"]), rng=rng,
-        substreams=substreams)
-
-
-def _v_perturbation(params, densities, section):
-    f = _dens(params, densities, "density", section)
-    n = f.n
-    k = _num(params, "k", section, minimum=1, maximum=n - 1, integer=True)
-    if abs(f.mass - 1.0) > 1e-9:
-        raise ConfigError(section, "density",
-                          "must be a probability density (unit mass)")
-    sub = _subspace_spec(params, "subspace", section, n, required=True)
-    if sub.k != k:
-        raise ConfigError(section, "subspace",
-                          f"dimension {sub.k} does not match k={k}")
-    _num(params, "eta", section, minimum=1e-9)
-    grid = params.get("eps_grid")
-    if not isinstance(grid, list) or not grid \
-            or any(not isinstance(e, (int, float)) or e <= 0 for e in grid):
-        raise ConfigError(section, "eps_grid",
-                          "must be a nonempty list of positive radii")
-    _num(params, "n_samples", section, minimum=2, integer=True)
-    _num(params, "n_candidates", section, default=32, minimum=1,
-         integer=True)
-
-
-def _r_perturbation(params, densities, rng, substreams, section):
-    f = _dens(params, densities, "density", section)
-    sub = _subspace_spec(params, "subspace", section, f.n, required=True)
-    return verify.perturbation_experiment(
-        f, k=int(params["k"]), E=sub, eta=float(params["eta"]),
-        eps_grid=[float(e) for e in params["eps_grid"]],
-        n_samples=int(params["n_samples"]), rng=rng,
-        n_candidates=int(params.get("n_candidates", 32)))
-
-
-def _method(params):
-    m = params.get("method", "exact")
-    if isinstance(m, list):
-        return (m[0], int(m[1]))
-    return m
-
-
-CHECKS: dict[str, _CheckSpec] = {
-    "bp_subspace": _CheckSpec(
-        "simplex-moment decomposition over linear sections "
-        "(densities, k, p, n_direct, n_subspaces)",
-        _v_bp_subspace, _r_bp_subspace),
-    "bp_flat": _CheckSpec(
-        "simplex-moment decomposition over affine sections "
-        "(density, k, R, n_flats [, p, n_direct])",
-        _v_bp_flat, _r_bp_flat),
-    "linear_invariance": _CheckSpec(
-        "section-norm average under a volume-preserving linear map "
-        "(densities, spec_p, spec_alpha, k, map, n_subspaces)",
-        _v_linear_invariance, _r_linear_invariance),
-    "affine_invariance": _CheckSpec(
-        "section-norm flat average under a volume-preserving affine map "
-        "(densities, spec_p, spec_alpha, k, map, shift, R, n_flats)",
-        _v_affine_invariance, _r_affine_invariance),
-    "rearrangement_chain": _CheckSpec(
-        "simplex functional vs rearranged and ball inputs "
-        "(densities, p, case, n_samples [, levels])",
-        _v_rearrangement, _r_rearrangement),
-    "grinberg_functional": _CheckSpec(
-        "L1/sup section-norm average inequality "
-        "(densities, k, p, n_subspaces [, expect_equality])",
-        _v_grinberg, _r_grinberg),
-    "schneider_functional": _CheckSpec(
-        "flat-average mass/sup inequality "
-        "(density, k, n_flats [, R, expect_equality])",
-        _v_schneider, _r_schneider),
-    "marginal_bound": _CheckSpec(
-        "Markov-set marginal bound with fitted constants "
-        "(density, k, s, t, n_subspaces, n_x [, adversarial])",
-        _v_marginal_bound, _r_marginal_bound),
-    "gaussian_sharpness": _CheckSpec(
-        "skewed-Gaussian sharpness of the marginal sup bound "
-        "(n, k, s, n_subspaces)",
-        _v_gaussian_sharpness, _r_gaussian_sharpness),
-    "perturbation": _CheckSpec(
-        "nearby subspace with near-optimal small-ball mass "
-        "(density, k, subspace, eta, eps_grid, n_samples)",
-        _v_perturbation, _r_perturbation),
+CHECKS: dict[str, _Check] = {
+    "bp_subspace": _Check(
+        "simplex-moment decomposition over linear sections",
+        "check_bp_subspace",
+        {"densities": _DENSITIES, "k": _K_UP_TO_N,
+         "p": _real(0.0, default=0.0), "n_direct": _BUDGET,
+         "n_subspaces": _BUDGET, "inner": _int(1, default=256)},
+        [_q_at_most_k]),
+    "bp_flat": _Check(
+        "simplex-moment decomposition over affine sections",
+        "check_bp_flat",
+        {"density": _DENSITY, "k": _K_UP_TO_N, "p": _real(0.0, default=0.0),
+         "R": _real(0.0), "n_direct": _int(0, default=0),
+         "n_flats": _BUDGET, "inner": _int(1, default=256)},
+        [_offset_exponent, _window_covers_support]),
+    "linear_invariance": _Check(
+        "section-norm average under a volume-preserving linear map",
+        "check_linear_invariance",
+        {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
+         "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _BUDGET,
+         "method": _METHOD},
+        [_slot_per_density]),
+    "affine_invariance": _Check(
+        "section-norm flat average under a volume-preserving affine map",
+        "check_affine_invariance",
+        {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
+         "spec_alpha": _SPEC_ALPHA, "map": _MAP,
+         "shift": _Field(_shift, default="random", arg="g"),
+         "R": _real(0.0), "n_flats": _BUDGET, "method": _METHOD},
+        [_slot_per_density, _bounded]),
+    "rearrangement_chain": _Check(
+        "simplex functional vs rearranged and ball inputs",
+        "check_rearrangement_monotonicity",
+        {"densities": _DENSITIES, "p": _real(1.0),
+         "case": _Field(_case, default="cone"), "n_samples": _BUDGET,
+         "levels": _int(2, default=1000)},
+        [_rearrangeable]),
+    "grinberg_functional": _Check(
+        "L1/sup section-norm average inequality",
+        "check_grinberg_functional",
+        {"densities": _DENSITIES, "k": _K,
+         "p": _real(0.0, lambda v: v.n - v["k"], default=0.0),
+         "n_subspaces": _BUDGET, "method": _METHOD,
+         "expect_equality": _EQUALITY},
+        [_q_at_most_k]),
+    "schneider_functional": _Check(
+        "flat-average mass/sup inequality over a window of radius "
+        "max(R, support radius)",
+        "check_schneider_functional",
+        {"density": _DENSITY, "k": _K, "R": _real(0.0, default=0.0),
+         "n_flats": _BUDGET, "method": _METHOD,
+         "expect_equality": _EQUALITY},
+        [_bounded]),
+    "marginal_bound": _Check(
+        "Markov-set marginal bound with fitted constants",
+        "marginal_bound_experiment",
+        {"density": _DENSITY, "k": _K, "s": _real(1.0 + 1e-9),
+         "t": _real(1.0 + 1e-9), "n_subspaces": _BUDGET, "n_x": _BUDGET,
+         "adversarial": _Field(_subspace, default=None)},
+        [_unit_mass]),
+    "gaussian_sharpness": _Check(
+        "skewed-Gaussian sharpness of the marginal sup bound",
+        "gaussian_sharpness_experiment",
+        {"n": _int(2), "k": _K,
+         "s": _real(1.0, lambda v: (2 * math.pi) ** (v.n / (2.0 * v["k"]))),
+         "n_subspaces": _BUDGET}),
+    "perturbation": _Check(
+        "nearby subspace with near-optimal small-ball mass",
+        "perturbation_experiment",
+        {"density": _DENSITY, "k": _K, "subspace": _Field(_subspace, arg="E"),
+         "eta": _real(1e-9), "eps_grid": _Field(_radii),
+         "n_samples": _BUDGET, "n_candidates": _int(1, default=32)},
+        [_unit_mass, _subspace_has_dim_k]),
 }
 
 
@@ -601,7 +581,13 @@ def check_names() -> list[str]:
 
 
 def describe_check(name: str) -> str:
-    return CHECKS[name].doc
+    """Doc line and field list, read off the schema."""
+    fields = CHECKS[name].fields
+    required = [f for f, spec in fields.items() if spec.default is _REQUIRED]
+    optional = [f"{f}={json.dumps(spec.default)}"
+                for f, spec in fields.items() if spec.default is not _REQUIRED]
+    extra = f" [, {', '.join(optional)}]" if optional else ""
+    return f"{CHECKS[name].doc} ({', '.join(required)}{extra})"
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +606,12 @@ def load_config(path: str, *, seed_override: int | None = None,
                 output_override: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(getattr(exc, "section", None) or "run",
+                          getattr(exc, "option", None) or "section",
+                          exc.message) from exc
     if not read:
         raise ConfigError("run", "path", f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -648,6 +639,7 @@ def load_config(path: str, *, seed_override: int | None = None,
         output_dir = output_override
 
     densities: dict[str, DensityModel] = {}
+    density_specs: dict[str, dict] = {}
     checks: list[CheckJob] = []
     for section in parser.sections():
         if section == "run":
@@ -661,6 +653,9 @@ def load_config(path: str, *, seed_override: int | None = None,
                                   "density sections need a name")
             try:
                 densities[parts[1]] = build_density(items, base_dir)
+                if items.get("kind") == "file":
+                    items["text"] = _read_text(items["path"], base_dir)
+                density_specs[parts[1]] = items
             except ConfigError as exc:
                 raise ConfigError(section, exc.field, str(exc)) from exc
             except (ValueError, OSError) as exc:
@@ -685,13 +680,7 @@ def load_config(path: str, *, seed_override: int | None = None,
                               "or [check <label>]")
 
     for job in checks:
-        try:
-            CHECKS[job.name].validate(job.params, densities,
-                                      f"check {job.label}")
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"check {job.label}", "params", str(exc)) \
-                from exc
+        CHECKS[job.name].parse(job.params, densities, f"check {job.label}")
     return RunConfig(seed=seed, substreams=substreams, output_dir=output_dir,
-                     densities=densities, checks=checks)
+                     densities=densities, checks=checks,
+                     density_specs=density_specs)

@@ -8,7 +8,6 @@ ratio, a three-way verdict, and free-form diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -163,14 +162,3 @@ class CheckReport:
     def to_dict(self) -> dict:
         d = asdict(self)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")

@@ -10,7 +10,6 @@ position, so results are independent of worker count and execution order.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import re
@@ -169,17 +168,3 @@ def _consume(results, config, writer, handle, reports_dir, manifest_checks,
         echo(f"{report.verdict:>12}  {job.label}  "
              f"(ratio {report.ratio:.6g}, {wall:.2f}s)")
 
-
-def render_results(rows: list[dict]) -> str:
-    """Plain-text table for already-parsed CSV rows."""
-    buf = io.StringIO()
-    widths = {c: len(c) for c in CSV_COLUMNS}
-    for row in rows:
-        for c in CSV_COLUMNS:
-            widths[c] = max(widths[c], len(str(row.get(c, ""))))
-    line = "  ".join(f"{{:<{widths[c]}}}" for c in CSV_COLUMNS)
-    buf.write(line.format(*CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(line.format(*[str(row.get(c, "")) for c in CSV_COLUMNS])
-                  + "\n")
-    return buf.getvalue()

@@ -303,7 +303,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
         name="linear_invariance",
         parameters={"n": n, "k": k, "spec_p": _spec_params(spec.p_list),
                     "spec_alpha": list(spec.alpha_list),
-                    "n_subspaces": n_subspaces},
+                    "n_subspaces": n_subspaces, "method": method},
         lhs=after, rhs=before, ratio=ratio.value, verdict=verdict,
         diagnostics={"departure_sigma": sigma,
                      "exponent_sum": spec.constraint_sum,
@@ -337,7 +337,7 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
         name="affine_invariance",
         parameters={"n": n, "k": k, "spec_p": _spec_params(spec.p_list),
                     "spec_alpha": list(spec.alpha_list), "R": R,
-                    "n_flats": n_flats},
+                    "n_flats": n_flats, "method": method},
         lhs=after, rhs=before, ratio=ratio.value, verdict=verdict,
         diagnostics={"departure_sigma": sigma,
                      "exponent_sum": spec.constraint_sum,
@@ -472,7 +472,7 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     return CheckReport(
         name="grinberg_functional",
         parameters={"n": n, "k": k, "q": q, "p": p,
-                    "n_subspaces": n_subspaces},
+                    "n_subspaces": n_subspaces, "method": method},
         lhs=lhs, rhs=rhs,
         ratio=lhs.value / rhs.value if rhs.value else math.inf,
         verdict=verdict,
@@ -514,7 +514,8 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
         verdict = INCONCLUSIVE
     return CheckReport(
         name="schneider_functional",
-        parameters={"n": n, "k": k, "R": window, "n_flats": n_flats},
+        parameters={"n": n, "k": k, "R": window, "n_flats": n_flats,
+                    "method": method},
         lhs=lhs, rhs=rhs,
         ratio=lhs.value / rhs.value if rhs.value else math.inf,
         verdict=verdict,

@@ -260,3 +260,28 @@ def test_table_two_files_reports_drift(tmp_path, monkeypatch, capsys):
 def test_table_missing_file_errors(tmp_path, capsys):
     assert main(["table", str(tmp_path / "nope.csv")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "[run]\nseed = 1\n\n[run]\nseed = 2\n",
+    "[run]\nseed = 1\nseed = 2\n",
+    "seed = 1\n[run]\n",
+], ids=["duplicate-section", "duplicate-option", "missing-header"])
+def test_ini_syntax_error_prints_and_exits_one(tmp_path, capsys, body):
+    path = tmp_path / "suite.ini"
+    path.write_text(body)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: [run] " in capsys.readouterr().err
+
+
+def test_method_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    body = PASS_BODY.replace("expect_equality = true",
+                             'method = ["mc", 8]')
+    main(["run", "--config", write_suite(tmp_path, body)])
+    extra = json.loads(read_rows(tmp_path / "out" / "results.csv")[0]
+                       ["extra-params"])
+    assert extra["method"] == ["mc", 8]
+    report = json.loads(
+        (tmp_path / "out" / "reports" / "round.json").read_text())
+    assert report["parameters"]["method"] == ["mc", 8]

@@ -6,6 +6,7 @@ pin down.
 """
 
 import math
+import pathlib
 import textwrap
 
 import numpy as np
@@ -253,3 +254,66 @@ def test_config_error_formatting():
     err = ConfigError("check foo", "R", "required")
     assert "[check foo]" in str(err)
     assert "R" in str(err)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = sorted(str(p.relative_to(ROOT)) for pattern in
+                 ("configs/*.ini", "bench/workloads/*.ini")
+                 for p in ROOT.glob(pattern))
+
+GRINBERG = {"check": '"grinberg_functional"', "densities": '["ball"]',
+            "k": "1", "n_subspaces": "64"}
+
+
+def check_section(fields):
+    return MINIMAL + "\n    [check bad]\n" + "".join(
+        f"    {key} = {value}\n" for key, value in fields.items())
+
+
+@pytest.mark.parametrize("changes, field_name", [
+    ({"n_subspaces": "Infinity"}, "n_subspaces"),
+    ({"p": "NaN"}, "p"),
+    ({"expect_equality": '"no"'}, "expect_equality"),
+    ({"expect_equality": "1"}, "expect_equality"),
+    ({"method": '["mc", 1]'}, "method"),
+    ({"method": '["mc", 2.5]'}, "method"),
+    ({"method": '"bogus"'}, "method"),
+    ({"n_flatz": "9"}, "n_flatz"),
+    ({"check": '"bp_subspace"', "method": '"exact"'}, "method"),
+], ids=["infinite-count", "nan-p", "string-flag", "int-flag", "mc-one",
+        "mc-fraction", "unknown-method", "unknown-field",
+        "method-where-not-taken"])
+def test_malformed_fields_rejected(tmp_path, changes, field_name):
+    # the base section loads, so each change alone is what gets rejected
+    load_config(write_config(tmp_path, check_section(GRINBERG)))
+    body = check_section({**GRINBERG, **changes})
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, body))
+    assert (err.value.section, err.value.field) == ("check bad", field_name)
+
+
+def test_hash_covers_density_specs(tmp_path):
+    small = load_config(write_config(tmp_path, MINIMAL)).resolved_hash()
+    large = load_config(write_config(
+        tmp_path, MINIMAL.replace("radius = 1.0", "radius = 2.0")))
+    assert large.resolved_hash() != small
+
+
+def test_hash_covers_density_file_text(tmp_path):
+    body = MINIMAL + """
+    [density box]
+    kind = "file"
+    path = "box.txt"
+    """
+    path = write_config(tmp_path, body)
+    txt = tmp_path / "box.txt"
+    txt.write_text("product n=2\n1.0 2.0\n1.0\n")
+    before = load_config(path).resolved_hash()
+    txt.write_text("product n=2\n1.0 3.0\n1.0\n")
+    assert load_config(path).resolved_hash() != before
+
+
+@pytest.mark.parametrize("relpath", SHIPPED)
+def test_shipped_suites_load(relpath):
+    cfg = load_config(str(ROOT / relpath))
+    assert cfg.checks
