@@ -24,7 +24,7 @@ import numpy as np
 
 from . import verify
 from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
-                        Grid1D, ProductDensity, RadialGridDensity,
+                        ProductDensity, RadialGridDensity, Step1D,
                         TruncatedGaussian, read_density_text)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
@@ -39,6 +39,7 @@ class ConfigError(ValueError):
     def __init__(self, section: str, field_name: str, message: str):
         self.section = section
         self.field = field_name
+        self.message = message
         super().__init__(f"[{section}] {field_name}: {message}")
 
 
@@ -102,75 +103,96 @@ def _read_text(path: str, base_dir: str) -> str:
         return fh.read()
 
 
+def _positive(raw) -> float:
+    value = _number(raw)
+    if value <= 0.0:
+        raise ValueError(f"must be positive, got {raw}")
+    return value
+
+
+def _factor(raw) -> Step1D:
+    """One product factor: {"heights": [...]} with optional lo, hi."""
+    if not isinstance(raw, dict) or "heights" not in raw \
+            or set(raw) - {"lo", "hi", "heights"}:
+        raise ValueError('each factor must be {"heights": [...]} with '
+                         "optional lo and hi")
+    return Step1D.uniform(_number(raw.get("lo", -0.5)),
+                          _number(raw.get("hi", 0.5)), _finite(raw["heights"]))
+
+
 def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
     """Build one density from a parsed spec map.
 
     kinds: file, gaussian, ellipsoid, truncated_gaussian, radial, product.
-    normalize = true rescales to unit mass after construction.
+    normalize = true rescales to unit mass after construction.  Numbers
+    must be finite and dimensions n integers >= 1; a bad field, or an n
+    too large to allocate, is a ConfigError naming it.
     """
     spec = dict(spec)
+
+    def take(name, parse, default=_REQUIRED):
+        raw = spec.pop(name, default)
+        if raw is _REQUIRED:
+            raise ConfigError("density", name, "missing field")
+        try:
+            return parse(raw)
+        except (ValueError, TypeError, MemoryError) as exc:
+            raise ConfigError("density", name, str(exc)) from exc
+
+    def dim(raw):
+        return _number(raw, lo=1, integer=True)
+
+    def vector(name):
+        return take(name, _finite) if name in spec else None
+
     kind = spec.pop("kind", None)
-    normalize = bool(spec.pop("normalize", False))
-    try:
-        if kind == "file":
-            f = read_density_text(_read_text(spec.pop("path"), base_dir))
-        elif kind == "gaussian":
-            if "mean" in spec:
-                mean = np.asarray(spec.pop("mean"), dtype=float)
-            else:
-                mean = np.zeros(int(spec.pop("n")))
-            cov = spec.pop("cov", 1.0)
-            if np.isscalar(cov):
-                cov = float(cov) * np.eye(mean.size)
-            f = GaussianDensity(mean, np.asarray(cov, dtype=float),
-                                float(spec.pop("amplitude", 1.0)))
-        elif kind == "ellipsoid":
-            if "shape" in spec:
-                shape = np.asarray(spec.pop("shape"), dtype=float)
-                n = shape.shape[0]
-            else:
-                n = int(spec.pop("n"))
-                shape = np.eye(n) / float(spec.pop("radius", 1.0)) ** 2
-            center = spec.pop("center", None)
-            if center is not None:
-                center = np.asarray(center, dtype=float)
-            f = EllipsoidIndicator(shape, center,
-                                   float(spec.pop("amplitude", 1.0)))
-        elif kind == "truncated_gaussian":
-            if "center" in spec:
-                center = np.asarray(spec.pop("center"), dtype=float)
-            else:
-                center = np.zeros(int(spec.pop("n")))
-            f = TruncatedGaussian.normalized(center, float(spec.pop("tau")),
-                                             float(spec.pop("radius")))
-            if "amplitude" in spec:
-                f = _scaled(f, float(spec.pop("amplitude")) / f.amplitude)
-        elif kind == "radial":
-            n = int(spec.pop("n"))
-            heights = np.asarray(spec.pop("heights"), dtype=float)
-            if "edges" in spec:
-                f = RadialGridDensity(n, np.asarray(spec.pop("edges"),
-                                                    dtype=float), heights)
-            else:
-                f = RadialGridDensity.uniform(n, float(spec.pop("radius")),
-                                              heights)
-        elif kind == "product":
-            factors = []
-            for fac in spec.pop("factors"):
-                factors.append(Grid1D(float(fac.get("lo", -0.5)),
-                                      float(fac.get("hi", 0.5)),
-                                      np.asarray(fac["heights"],
-                                                 dtype=float)))
-            f = ProductDensity(factors, float(spec.pop("amplitude", 1.0)))
+    normalize = take("normalize", _flag, False)
+    if kind == "file":
+        f = read_density_text(_read_text(take("path", str), base_dir))
+    elif kind == "gaussian":
+        mean = vector("mean")
+        if mean is None:
+            mean = take("n", lambda raw: np.zeros(dim(raw)))
+        cov = take("cov", lambda raw: _number(raw) if np.isscalar(raw)
+                   else _finite(raw), 1.0)
+        if np.ndim(cov) == 0:
+            cov = cov * np.eye(mean.size)
+        f = GaussianDensity(mean, cov, take("amplitude", _number, 1.0))
+    elif kind == "ellipsoid":
+        shape = vector("shape")
+        if shape is None:
+            shape = take("n", lambda raw: np.eye(dim(raw))) \
+                / take("radius", _positive, 1.0) ** 2
+        f = EllipsoidIndicator(shape, vector("center"),
+                               take("amplitude", _number, 1.0))
+    elif kind == "truncated_gaussian":
+        center = vector("center")
+        if center is None:
+            center = take("n", lambda raw: np.zeros(dim(raw)))
+        f = TruncatedGaussian.normalized(center, take("tau", _positive),
+                                         take("radius", _positive))
+        if "amplitude" in spec:
+            f = _scaled(f, take("amplitude", _number) / f.amplitude)
+    elif kind == "radial":
+        n = take("n", dim)
+        heights = take("heights", _finite)
+        edges = vector("edges")
+        if edges is None:
+            f = RadialGridDensity.uniform(n, take("radius", _positive),
+                                          heights)
         else:
-            raise KeyError(f"unknown density kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError("density", str(exc), "missing or unknown field") \
-            from exc
+            f = RadialGridDensity(n, edges, heights)
+    elif kind == "product":
+        f = ProductDensity(take("factors", lambda raw: [
+            _factor(fac) for fac in raw]), take("amplitude", _number, 1.0))
+    else:
+        raise ConfigError("density", "kind", f"unknown density kind {kind!r}")
     if spec:
         raise ConfigError("density", ", ".join(sorted(spec)),
                           f"unused fields for kind {kind!r}")
     if normalize:
+        if not f.mass > 0.0:
+            raise ConfigError("density", "normalize", "needs a positive mass")
         f = _scaled(f, 1.0 / f.mass)
     return f
 
@@ -282,7 +304,7 @@ class _Check:
 
 # Field parsers.
 
-def _number(raw, v, lo=None, hi=None, integer=False):
+def _number(raw, v=None, lo=None, hi=None, integer=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"must be a number, got {raw!r}")
     if isinstance(raw, float) and not math.isfinite(raw):
@@ -417,7 +439,7 @@ def _radii(raw, v):
     return radii
 
 
-def _flag(raw, v):
+def _flag(raw, v=None):
     if not isinstance(raw, bool):
         raise ValueError(f"must be true or false, got {raw!r}")
     return raw
@@ -602,6 +624,13 @@ def _json_value(section: str, key: str, raw: str):
                           f"not valid JSON ({exc.msg}): {raw!r}") from exc
 
 
+def _seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) \
+            or not 0 <= seed < 2 ** 64:
+        raise ConfigError("run", "seed", "must be a 64-bit unsigned integer")
+    return seed
+
+
 def load_config(path: str, *, seed_override: int | None = None,
                 output_override: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
@@ -619,10 +648,7 @@ def load_config(path: str, *, seed_override: int | None = None,
     if not parser.has_section("run"):
         raise ConfigError("run", "section", "missing [run] section")
     run_raw = {k: _json_value("run", k, v) for k, v in parser.items("run")}
-    seed = run_raw.pop("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) \
-            or not 0 <= seed < 2 ** 64:
-        raise ConfigError("run", "seed", "must be a 64-bit unsigned integer")
+    seed = _seed(run_raw.pop("seed", 0))
     substreams = run_raw.pop("substreams", 1)
     if not isinstance(substreams, int) or isinstance(substreams, bool) \
             or substreams < 1:
@@ -634,7 +660,7 @@ def load_config(path: str, *, seed_override: int | None = None,
         raise ConfigError("run", ", ".join(sorted(run_raw)),
                           "unknown fields")
     if seed_override is not None:
-        seed = seed_override
+        seed = _seed(seed_override)
     if output_override is not None:
         output_dir = output_override
 
@@ -657,7 +683,7 @@ def load_config(path: str, *, seed_override: int | None = None,
                     items["text"] = _read_text(items["path"], base_dir)
                 density_specs[parts[1]] = items
             except ConfigError as exc:
-                raise ConfigError(section, exc.field, str(exc)) from exc
+                raise ConfigError(section, exc.field, exc.message) from exc
             except (ValueError, OSError) as exc:
                 raise ConfigError(section, "spec", str(exc)) from exc
         elif parts[0] == "check":

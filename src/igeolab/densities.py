@@ -5,10 +5,13 @@ and how to sample its normalized law.  Families that admit closed forms
 additionally expose three exact capabilities, and everything else in the
 package is built from them:
 
-* ``slice(S)``: the restriction of f to a subspace or flat, as a model on
-  the section's own coordinates.  The mass of the slice of the fiber
-  E-perp + x is exactly the marginal density of f at x, so marginals come
-  for free.
+* sections: each exact family has one batched formula, ``_sections(bases,
+  offsets)``, giving the section parameters for a stack of flats.
+  ``slice_stats_batch`` reads the section masses and sups off it, and
+  ``slice(S)`` builds the restriction of f to one subspace or flat as a
+  model on the section's own coordinates, from row 0 of it.  The mass of
+  the slice of the fiber E-perp + x is exactly the marginal density of f at
+  x, so marginals come for free.
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norm of
   a section is ``f.power(p).slice(S).mass ** (1/p)``.
 * ``superlevel_volume(t)``: |{f > t}|, which drives the layer-cake
@@ -21,11 +24,9 @@ estimates are flagged biased low.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import chi2
+from scipy.special import gammainc, gammaincinv
 
 from .geometry import unit_ball_volume
 from .grassmann import Flat, Subspace, uniform_ball
@@ -90,6 +91,11 @@ class DensityModel:
         coordinates, or None when no closed form exists."""
         return None
 
+    def slice_stats_batch(self, bases: np.ndarray, offsets: np.ndarray):
+        """(mass, sup) arrays of the sections through the flats
+        offsets[i] + span(bases[i]), or None when no closed form exists."""
+        return None
+
     def power(self, p: float):
         """The pointwise power f**p as a model, or None."""
         return None
@@ -106,21 +112,6 @@ class DensityModel:
                 return None
             out[i] = v
         return out
-
-    def slice_stats_batch(self, bases: np.ndarray, offsets: np.ndarray):
-        """(mass, sup) arrays for a stack of flats, exact families only."""
-        k = bases.shape[-1]
-        count = bases.shape[0]
-        masses = np.empty(count)
-        sups = np.empty(count)
-        for i in range(count):
-            sl = self.slice(Flat(Subspace(bases[i]), offsets[i])) if k < self.n \
-                else None
-            if sl is None:
-                return None
-            masses[i] = sl.mass
-            sups[i] = sl.sup
-        return masses, sups
 
     # -- shared plumbing ------------------------------------------------
     def eval(self, x: np.ndarray):
@@ -141,7 +132,27 @@ def _as_section(S) -> tuple[Subspace, np.ndarray]:
     raise TypeError(f"expected Subspace or Flat, got {type(S).__name__}")
 
 
-class EllipsoidIndicator(DensityModel):
+class _Sectioned(DensityModel):
+    """A family with one section formula.
+
+    ``_sections(bases, offsets)`` maps a stack of flats, bases (s, n, k)
+    and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays,
+    or None when some flat has no closed-form section.
+    ``_section_model(row, k)`` builds a section model from one row of it.
+    """
+
+    def slice_stats_batch(self, bases, offsets):
+        sections = self._sections(bases, offsets)
+        return None if sections is None else sections[:2]
+
+    def slice(self, S):
+        E, z = _as_section(S)
+        sections = self._sections(E.basis[None], z[None])
+        return None if sections is None \
+            else self._section_model([a[0] for a in sections], E.k)
+
+
+class EllipsoidIndicator(_Sectioned):
     """a * indicator((x-c)^T M (x-c) <= 1) for symmetric positive M."""
 
     def __init__(self, shape: np.ndarray, center=None, amplitude: float = 1.0):
@@ -191,24 +202,9 @@ class EllipsoidIndicator(DensityModel):
     def power(self, p):
         return EllipsoidIndicator(self.shape_matrix, self.center, self.amplitude ** p)
 
-    def slice(self, S):
-        E, z = _as_section(S)
-        b_mat = E.basis
-        d = z - self.center
-        g = b_mat.T @ self.shape_matrix @ b_mat
-        rhs = b_mat.T @ (self.shape_matrix @ d)
-        u0 = -np.linalg.solve(g, rhs)
-        rho = 1.0 - float(d @ self.shape_matrix @ d) - float(rhs @ u0)
-        if rho <= 0.0:
-            return EllipsoidIndicator(g, u0, 0.0)
-        return EllipsoidIndicator(g / rho, u0, self.amplitude)
-
-    def superlevel_volume(self, t):
-        if self.amplitude == 0.0 or t >= self.amplitude:
-            return 0.0
-        return unit_ball_volume(self.n) * math.exp(-0.5 * self._logdet)
-
-    def slice_stats_batch(self, bases, offsets):
+    def _sections(self, bases, offsets):
+        """Each section is {u : (u - u0)^T g (u - u0) <= rho}, empty unless
+        rho > 0; params (g, u0, rho)."""
         m_mat = self.shape_matrix
         k = bases.shape[-1]
         d = offsets - self.center
@@ -223,7 +219,19 @@ class EllipsoidIndicator(DensityModel):
         masses[live] = self.amplitude * unit_ball_volume(k) * np.exp(
             0.5 * k * np.log(rho[live]) - 0.5 * logdet[live])
         sups = np.where(live, self.amplitude, 0.0)
-        return masses, sups
+        return masses, sups, g, u0, rho
+
+    def _section_model(self, row, k):
+        _, _, g, u0, rho = row
+        g = 0.5 * (g + g.T)
+        if rho <= 0.0:
+            return EllipsoidIndicator(g, u0, 0.0)
+        return EllipsoidIndicator(g / rho, u0, self.amplitude)
+
+    def superlevel_volume(self, t):
+        if self.amplitude == 0.0 or t >= self.amplitude:
+            return 0.0
+        return unit_ball_volume(self.n) * math.exp(-0.5 * self._logdet)
 
     def describe(self):
         return {"kind": "ellipsoid_indicator", "n": self.n,
@@ -232,7 +240,7 @@ class EllipsoidIndicator(DensityModel):
                 "shape": self.shape_matrix.tolist()}
 
 
-class GaussianDensity(DensityModel):
+class GaussianDensity(_Sectioned):
     """a * N(mean, cov) density; full support, every section exact."""
 
     def __init__(self, mean, cov, amplitude: float = 1.0):
@@ -280,20 +288,26 @@ class GaussianDensity(DensityModel):
             - 0.5 * self.n * math.log(p)
         return GaussianDensity(self.mean, self.cov / p, math.exp(log_a))
 
-    def slice(self, S):
-        E, z = _as_section(S)
-        b_mat = E.basis
-        d = z - self.mean
-        h = b_mat.T @ self._prec @ b_mat
-        g = b_mat.T @ (self._prec @ d)
-        u_star = -np.linalg.solve(h, g)
-        m0 = float(d @ self._prec @ d) + float(g @ u_star)
-        k = b_mat.shape[1]
+    def _sections(self, bases, offsets):
+        """Each section is a Gaussian kernel with mean u_star and precision
+        h; params (u_star, h)."""
+        k = bases.shape[-1]
+        d = offsets - self.mean
+        pd = d @ self._prec
+        h = np.einsum("sji,jl,slm->sim", bases, self._prec, bases)
+        g = np.einsum("sji,sj->si", bases, pd)
+        u_star = -np.linalg.solve(h, g[..., None])[..., 0]
+        m0 = np.einsum("si,si->s", d, pd) + np.einsum("si,si->s", g, u_star)
         sign, logdet_h = np.linalg.slogdet(h)
         log_sup = math.log(self.amplitude) - 0.5 * (
             self.n * math.log(2 * math.pi) + self._logdet + m0)
-        log_amp = log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet_h)
-        return GaussianDensity(u_star, np.linalg.inv(h), math.exp(log_amp))
+        log_mass = log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet_h)
+        return np.exp(log_mass), np.exp(log_sup), u_star, h
+
+    def _section_model(self, row, k):
+        mass, _, u_star, h = row
+        cov = np.linalg.inv(h)
+        return GaussianDensity(u_star, 0.5 * (cov + cov.T), mass)
 
     def superlevel_volume(self, t):
         if t >= self.sup:
@@ -306,7 +320,12 @@ class GaussianDensity(DensityModel):
                 "mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
 
-class TruncatedGaussian(DensityModel):
+def _chi2_cdf(x, k: int):
+    """CDF at x of the chi-square law with k degrees of freedom."""
+    return gammainc(0.5 * k, 0.5 * x)
+
+
+class TruncatedGaussian(_Sectioned):
     """a * isotropic Gaussian kernel about c, cut at radius R.
 
     eval = a * (2 pi tau^2)^(-n/2) exp(-|x-c|^2 / (2 tau^2)) on |x-c| <= R.
@@ -329,8 +348,7 @@ class TruncatedGaussian(DensityModel):
         """Mass exactly one (a truncated Gaussian probability density)."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
         n = center.shape[0]
-        cut = chi2.cdf(radius ** 2 / tau ** 2, df=n)
-        return cls(center, tau, radius, 1.0 / cut)
+        return cls(center, tau, radius, 1.0 / _chi2_cdf(radius ** 2 / tau ** 2, n))
 
     def _kernel_height(self):
         return self.amplitude * (2 * math.pi * self.tau ** 2) ** (-0.5 * self.n)
@@ -343,7 +361,7 @@ class TruncatedGaussian(DensityModel):
 
     @property
     def mass(self):
-        return self.amplitude * float(chi2.cdf(self.radius ** 2 / self.tau ** 2, df=self.n))
+        return self.amplitude * float(_chi2_cdf(self.radius ** 2 / self.tau ** 2, self.n))
 
     @property
     def sup(self):
@@ -356,8 +374,8 @@ class TruncatedGaussian(DensityModel):
         return float(np.linalg.norm(self.center)) + self.radius
 
     def sample(self, size, rng):
-        cut = chi2.cdf(self.radius ** 2 / self.tau ** 2, df=self.n)
-        r = self.tau * np.sqrt(chi2.ppf(rng.random(size) * cut, df=self.n))
+        cut = _chi2_cdf(self.radius ** 2 / self.tau ** 2, self.n)
+        r = self.tau * np.sqrt(2.0 * gammaincinv(0.5 * self.n, rng.random(size) * cut))
         g = rng.standard_normal((size, self.n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         return self.center + g * r[:, None]
@@ -369,26 +387,15 @@ class TruncatedGaussian(DensityModel):
         amp = 0.0 if self.amplitude == 0.0 else math.exp(log_a)
         return TruncatedGaussian(self.center, self.tau / math.sqrt(p), self.radius, amp)
 
-    def slice(self, S):
-        E, z = _as_section(S)
-        d = z - self.center
-        w = E.basis.T @ d
-        v2 = float(d @ d) - float(w @ w)
-        rho2 = self.radius ** 2 - v2
-        k = E.k
-        scale = (2 * math.pi * self.tau ** 2) ** (-0.5 * (self.n - k)) \
-            * math.exp(-0.5 * v2 / self.tau ** 2)
-        if rho2 <= 0.0:
-            return TruncatedGaussian(-w, self.tau, self.radius, 0.0)
-        return TruncatedGaussian(-w, self.tau, math.sqrt(rho2), self.amplitude * scale)
-
     def superlevel_volume(self, t):
         if self.amplitude == 0.0 or t >= self.sup:
             return 0.0
         r = self.tau * math.sqrt(2.0 * math.log(self.sup / t))
         return unit_ball_volume(self.n) * min(r, self.radius) ** self.n
 
-    def slice_stats_batch(self, bases, offsets):
+    def _sections(self, bases, offsets):
+        """Each section is the kernel about -w cut at radius sqrt(rho2),
+        empty unless rho2 > 0, with amplitude amp; params (w, rho2, amp)."""
         k = bases.shape[-1]
         d = offsets - self.center
         w = np.einsum("snk,sn->sk", bases, d)
@@ -397,60 +404,23 @@ class TruncatedGaussian(DensityModel):
         live = rho2 > 0.0
         damp = np.exp(-0.5 * v2 / self.tau ** 2)
         scale = (2 * math.pi * self.tau ** 2) ** (-0.5 * (self.n - k))
+        amps = self.amplitude * scale * damp
         masses = np.zeros(len(bases))
-        masses[live] = self.amplitude * scale * damp[live] * chi2.cdf(
-            rho2[live] / self.tau ** 2, df=k)
+        masses[live] = amps[live] * _chi2_cdf(rho2[live] / self.tau ** 2, k)
         kernel = self.amplitude * (2 * math.pi * self.tau ** 2) ** (-0.5 * self.n)
         sups = np.where(live, kernel * damp, 0.0)
-        return masses, sups
+        return masses, sups, w, rho2, amps
+
+    def _section_model(self, row, k):
+        _, _, w, rho2, amp = row
+        if rho2 <= 0.0:
+            return TruncatedGaussian(-w, self.tau, self.radius, 0.0)
+        return TruncatedGaussian(-w, self.tau, math.sqrt(rho2), amp)
 
     def describe(self):
         return {"kind": "truncated_gaussian", "n": self.n,
                 "center": self.center.tolist(), "tau": self.tau,
                 "radius": self.radius, "amplitude": self.amplitude}
-
-
-class Grid1D:
-    """Piecewise-constant non-negative function on [lo, hi], uniform bins."""
-
-    def __init__(self, lo: float, hi: float, heights):
-        heights = np.asarray(heights, dtype=float)
-        if hi <= lo:
-            raise ValueError("need lo < hi")
-        if heights.ndim != 1 or heights.size == 0:
-            raise ValueError("heights must be a non-empty vector")
-        if np.any(~np.isfinite(heights)) or np.any(heights < 0):
-            raise ValueError("heights must be finite and non-negative")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.heights = heights
-        self.width = (hi - lo) / heights.size
-
-    @property
-    def mass(self):
-        return float(self.heights.sum() * self.width)
-
-    @property
-    def sup(self):
-        return float(self.heights.max())
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.lo) / self.width).astype(int)
-        inside = (x >= self.lo) & (x < self.hi)
-        idx = np.clip(idx, 0, self.heights.size - 1)
-        return np.where(inside, self.heights[idx], 0.0)
-
-    def sample(self, size, rng):
-        probs = self.heights / self.heights.sum()
-        bins = rng.choice(self.heights.size, size=size, p=probs)
-        return self.lo + (bins + rng.random(size)) * self.width
-
-    def power(self, p):
-        return Grid1D(self.lo, self.hi, self.heights ** p)
-
-    def flipped(self):
-        return Grid1D(-self.hi, -self.lo, self.heights[::-1])
 
 
 class Step1D(DensityModel):
@@ -463,6 +433,8 @@ class Step1D(DensityModel):
     def __init__(self, edges, heights):
         edges = np.asarray(edges, dtype=float)
         heights = np.asarray(heights, dtype=float)
+        if heights.ndim != 1 or heights.size == 0:
+            raise ValueError("heights must be a non-empty vector")
         if edges.ndim != 1 or edges.size != heights.size + 1:
             raise ValueError("need len(edges) == len(heights) + 1")
         if np.any(np.diff(edges) <= 0):
@@ -472,6 +444,15 @@ class Step1D(DensityModel):
         self.n = 1
         self.edges = edges
         self.heights = heights
+        self.lo, self.hi = float(edges[0]), float(edges[-1])
+
+    @classmethod
+    def uniform(cls, lo: float, hi: float, heights):
+        """Equal-width bins on [lo, hi]: the factors of product densities."""
+        if not hi > lo:
+            raise ValueError("need lo < hi")
+        heights = np.asarray(heights, dtype=float)
+        return cls(np.linspace(lo, hi, heights.size + 1), heights)
 
     @classmethod
     def zero(cls):
@@ -494,7 +475,7 @@ class Step1D(DensityModel):
 
     @property
     def support_radius(self):
-        return float(max(abs(self.edges[0]), abs(self.edges[-1])))
+        return max(abs(self.lo), abs(self.hi))
 
     def sample(self, size, rng):
         weights = self.heights * np.diff(self.edges)
@@ -508,6 +489,10 @@ class Step1D(DensityModel):
     def power(self, p):
         return Step1D(self.edges, self.heights ** p)
 
+    def flipped(self):
+        """The mirror image x -> f(-x)."""
+        return Step1D(-self.edges[::-1], self.heights[::-1])
+
     def superlevel_volume(self, t):
         return float(np.diff(self.edges)[self.heights > t].sum())
 
@@ -519,8 +504,16 @@ class Step1D(DensityModel):
         return {"kind": "step1d", "n": 1, "bins": self.heights.size}
 
 
-class ProductDensity(DensityModel):
-    """Product of one-dimensional piecewise-constant factors."""
+# Step1D with equal-width bins on [lo, hi], under its older name.
+Grid1D = Step1D.uniform
+
+
+class ProductDensity(_Sectioned):
+    """Product of one-dimensional step factors (Step1D).
+
+    Sections are exact along every line (box crossings) and on
+    coordinate-aligned flats (factor selection).
+    """
 
     def __init__(self, factors: list, amplitude: float = 1.0):
         if not factors:
@@ -532,7 +525,7 @@ class ProductDensity(DensityModel):
     def eval_many(self, x):
         vals = np.full(x.shape[0], self.amplitude)
         for i, f in enumerate(self.factors):
-            vals = vals * f.eval(x[:, i])
+            vals = vals * f.eval_many(x[:, i:i + 1])
         return vals
 
     @property
@@ -545,7 +538,7 @@ class ProductDensity(DensityModel):
 
     @property
     def support_radius(self):
-        return math.sqrt(sum(max(f.lo ** 2, f.hi ** 2) for f in self.factors))
+        return math.sqrt(sum(f.support_radius ** 2 for f in self.factors))
 
     def sample(self, size, rng):
         cols = [f.sample(size, rng) for f in self.factors]
@@ -554,65 +547,76 @@ class ProductDensity(DensityModel):
     def power(self, p):
         return ProductDensity([f.power(p) for f in self.factors], self.amplitude ** p)
 
-    def slice(self, S):
-        """Exact for coordinate-aligned sections (factor selection) and for
-        arbitrary one-dimensional sections (box crossings along the line)."""
-        E, z = _as_section(S)
-        aligned = self._aligned_slice(E, z)
-        if aligned is not None:
-            return aligned
-        if E.k == 1:
-            return self._line_slice(E.basis[:, 0], z)
-        return None
+    def _sections(self, bases, offsets):
+        """Lines (k = 1) in any direction; flats with k >= 2 only when
+        coordinate-aligned, else None."""
+        if bases.shape[-1] == 1:
+            return self._line_sections(bases[..., 0], offsets)
+        return self._aligned_sections(bases, offsets)
 
-    def _aligned_slice(self, E, z):
-        b_mat = E.basis
-        chosen = []
-        used = set()
-        for col in range(E.k):
-            column = b_mat[:, col]
-            axes = np.nonzero(np.abs(column) > AXIS_TOL)[0]
-            if len(axes) != 1 or abs(abs(column[axes[0]]) - 1.0) > AXIS_TOL:
-                return None
-            axis = int(axes[0])
-            if axis in used:
-                return None
-            used.add(axis)
-            factor = self.factors[axis]
-            chosen.append(factor if column[axis] > 0 else factor.flipped())
-        amp = self.amplitude
-        for axis in range(self.n):
-            if axis not in used:
-                amp *= float(self.factors[axis].eval(np.array([z[axis]]))[0])
-        return ProductDensity(chosen, amp)
-
-    def _line_slice(self, direction, z):
-        """Restriction to the line t -> z + t * direction as a step function.
-
-        Each factor contributes its bin edges as breakpoints in t; between
-        consecutive breakpoints the product is constant, so evaluating at
-        segment midpoints reproduces the restriction exactly.
+    def _line_sections(self, dirs, offsets):
+        """Restrictions to the lines t -> z + t * d as step functions;
+        params (t, heights): every factor's bin-edge crossings t, clipped to
+        the support box and sorted, so each line gets the same number of
+        segments (zero-width ones carry no mass), and the product at each
+        segment midpoint, exact since it is constant in between.  Factors
+        along which a line does not move (|d_i| <= AXIS_TOL) are read at z_i.
         """
-        lo_t, hi_t = -math.inf, math.inf
+        moving = np.abs(dirs) > AXIS_TOL
+        lo = np.full(len(dirs), -np.inf)
+        hi = np.full(len(dirs), np.inf)
         cuts = []
-        for i, fac in enumerate(self.factors):
-            d = float(direction[i])
-            if abs(d) <= AXIS_TOL:
-                if fac.eval(np.array([z[i]]))[0] == 0.0:
-                    return Step1D.zero()
-                continue
-            grid = (fac.lo + fac.width * np.arange(fac.heights.size + 1) - z[i]) / d
-            lo_t = max(lo_t, min(grid[0], grid[-1]))
-            hi_t = min(hi_t, max(grid[0], grid[-1]))
-            cuts.append(grid)
-        if not cuts or hi_t <= lo_t:
-            return Step1D.zero()
-        breaks = np.unique(np.concatenate(cuts))
-        breaks = breaks[(breaks > lo_t) & (breaks < hi_t)]
-        edges = np.concatenate([[lo_t], breaks, [hi_t]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pts = z[None, :] + mids[:, None] * direction[None, :]
-        return Step1D(edges, self.eval_many(pts))
+        for i, f in enumerate(self.factors):
+            step = np.where(moving[:, i], dirs[:, i], 1.0)[:, None]
+            grid = (f.edges - offsets[:, i, None]) / step
+            lo = np.where(moving[:, i],
+                          np.maximum(lo, np.minimum(grid[:, 0], grid[:, -1])), lo)
+            hi = np.where(moving[:, i],
+                          np.minimum(hi, np.maximum(grid[:, 0], grid[:, -1])), hi)
+            cuts.append(np.where(moving[:, i, None], grid, -np.inf))
+        hi = np.maximum(lo, hi)
+        t = np.sort(np.clip(np.concatenate(cuts, axis=1),
+                            lo[:, None], hi[:, None]), axis=1)
+        mids = 0.5 * (t[:, :-1] + t[:, 1:])
+        pts = offsets[:, None, :] \
+            + mids[..., None] * np.where(moving, dirs, 0.0)[:, None, :]
+        heights = self.eval_many(pts.reshape(-1, self.n)).reshape(mids.shape)
+        widths = np.diff(t, axis=1)
+        masses = np.einsum("sj,sj->s", heights, widths)
+        sups = np.where(widths > 0, heights, 0.0).max(axis=1)
+        return masses, sups, t, heights
+
+    def _aligned_sections(self, bases, offsets):
+        """Coordinate-aligned flats: each section coordinate runs along
+        one factor axis, in the sign's direction, and the other factors
+        are frozen at the offset into amp; params (axes, signs, amp)."""
+        axes = np.abs(bases).argmax(axis=1)
+        signs = np.take_along_axis(bases, axes[:, None, :], axis=1)[:, 0]
+        aligned = ((np.abs(bases) > AXIS_TOL).sum(axis=1) == 1).all(axis=1) \
+            & (np.abs(np.abs(signs) - 1.0) <= AXIS_TOL).all(axis=1) \
+            & (np.diff(np.sort(axes, axis=1), axis=1) > 0).all(axis=1)
+        if not aligned.all():
+            return None
+        free = np.ones(offsets.shape, dtype=bool)
+        np.put_along_axis(free, axes, False, axis=1)
+        amps = np.full(len(bases), self.amplitude)
+        for i, f in enumerate(self.factors):
+            amps = amps * np.where(free[:, i], f.eval_many(offsets[:, i:i + 1]), 1.0)
+        masses = np.array([f.mass for f in self.factors])[axes].prod(axis=1)
+        sups = np.array([f.sup for f in self.factors])[axes].prod(axis=1)
+        return amps * masses, amps * sups, axes, signs, amps
+
+    def _section_model(self, row, k):
+        if k == 1:
+            _, _, t, heights = row
+            keep = np.diff(t) > 0
+            if not keep.any():
+                return Step1D.zero()
+            return Step1D(np.append(t[0], t[1:][keep]), heights[keep])
+        _, _, axes, signs, amp = row
+        return ProductDensity([self.factors[a] if sign > 0
+                               else self.factors[a].flipped()
+                               for a, sign in zip(axes, signs)], amp)
 
     def _box_values(self):
         total = math.prod(f.heights.size for f in self.factors)
@@ -622,7 +626,7 @@ class ProductDensity(DensityModel):
         vols = np.array([1.0])
         for f in self.factors:
             vals = np.multiply.outer(vals, f.heights).ravel()
-            vols = np.multiply.outer(vols, np.full(f.heights.size, f.width)).ravel()
+            vols = np.multiply.outer(vols, np.diff(f.edges)).ravel()
         return vals, vols
 
     def superlevel_volume(self, t):
@@ -653,7 +657,7 @@ def _sorted_tail_volumes(vals: np.ndarray, vols: np.ndarray, ts: np.ndarray):
     return np.where(counts > 0, cum[np.maximum(counts - 1, 0)], 0.0)
 
 
-class RadialGridDensity(DensityModel):
+class RadialGridDensity(_Sectioned):
     """Radial piecewise-constant density: f(x) = heights[shell(|x|)]."""
 
     def __init__(self, n: int, edges, heights):
@@ -712,16 +716,24 @@ class RadialGridDensity(DensityModel):
     def power(self, p):
         return RadialGridDensity(self.n, self.edges, self.heights ** p)
 
-    def slice(self, S):
-        """Sections are radial about the foot point with shifted edges."""
-        E, z = _as_section(S)
-        dist2 = float(z @ z)
-        keep = self.edges[1:] ** 2 > dist2
-        if not np.any(keep):
-            return RadialGridDensity(E.k, [0.0, 1.0], [0.0])
-        new_edges = np.sqrt(np.maximum(self.edges ** 2 - dist2, 0.0))
-        first = int(np.argmax(keep))
-        return RadialGridDensity(E.k, new_edges[first:], self.heights[first:])
+    def _sections(self, bases, offsets):
+        """Each section is radial about the foot point, with shell edges
+        sqrt(edges^2 - |offset|^2) (0 inside the distance), and meets the
+        shells marked in hit; params (edges, hit)."""
+        k = bases.shape[-1]
+        dist2 = np.einsum("si,si->s", offsets, offsets)[:, None]
+        edges = np.sqrt(np.maximum(self.edges ** 2 - dist2, 0.0))
+        hit = self.edges[1:] ** 2 > dist2
+        masses = unit_ball_volume(k) * (np.diff(edges ** k, axis=1) @ self.heights)
+        sups = np.where(hit, self.heights, 0.0).max(axis=1)
+        return masses, sups, edges, hit
+
+    def _section_model(self, row, k):
+        _, _, edges, hit = row
+        if not np.any(hit):
+            return RadialGridDensity(k, [0.0, 1.0], [0.0])
+        first = int(np.argmax(hit))
+        return RadialGridDensity(k, edges[first:], self.heights[first:])
 
     def superlevel_volume(self, t):
         return float(self.shell_volumes()[self.heights > t].sum())
@@ -818,16 +830,6 @@ def sample_point(f: DensityModel, rng: np.random.Generator) -> np.ndarray:
     return f.sample(1, rng)[0]
 
 
-def _section_window(f: DensityModel, S) -> float:
-    """Radius of the section ball outside which f vanishes, 0 if disjoint."""
-    E, z = _as_section(S)
-    r = f.support_radius
-    if math.isinf(r):
-        raise ValueError("Monte Carlo section stats need a bounded support")
-    gap = r ** 2 - float(z @ z)
-    return math.sqrt(gap) if gap > 0 else 0.0
-
-
 def _stratified_ball(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit-ball sample stratified into equal-volume radial shells."""
     g = rng.standard_normal((size, dim))
@@ -844,19 +846,24 @@ def restriction_stats(f: DensityModel, S, method="exact",
     a sampled maximum and therefore biased low; it is flagged as such.
     """
     if method == "exact":
-        sl = f.slice(S)
-        if sl is None:
+        E, z = _as_section(S)
+        stats = f.slice_stats_batch(E.basis[None], z[None])
+        if stats is None:
             raise ValueError("no exact restriction for this family/section")
-        return Estimate.exact(sl.mass), Estimate.exact(sl.sup)
+        return tuple(Estimate.exact(float(a[0])) for a in stats)
     tag, count = method
     if tag != "mc" or count < 2:
         raise ValueError(f"method must be 'exact' or ('mc', N >= 2), got {method!r}")
     if rng is None:
         raise ValueError("Monte Carlo restriction stats need an rng")
-    E, _ = _as_section(S)
-    w = _section_window(f, S)
-    if w == 0.0:
+    E, z = _as_section(S)
+    if math.isinf(f.support_radius):
+        raise ValueError("Monte Carlo section stats need a bounded support")
+    # the section vanishes outside its ball of radius w about the foot point
+    gap = f.support_radius ** 2 - float(z @ z)
+    if gap <= 0:
         return Estimate.exact(0.0), Estimate.exact(0.0)
+    w = math.sqrt(gap)
     u = _stratified_ball(E.k, count, rng) * w
     pts = S.point(u) if isinstance(S, Flat) else E.point(u)
     vals = f.eval_many(pts)
@@ -918,7 +925,7 @@ def read_density_text(text: str) -> DensityModel:
         n = int(fields["n"])
         if len(lines) != n + 1:
             raise ValueError(f"product format wants {n} factor lines")
-        factors = [Grid1D(-0.5, 0.5, _parse_heights(ln, line_no=i + 2))
+        factors = [Step1D.uniform(-0.5, 0.5, _parse_heights(ln, line_no=i + 2))
                    for i, ln in enumerate(lines[1:])]
         return ProductDensity(factors)
     raise ValueError(f"unknown density kind {kind!r}")
@@ -948,8 +955,10 @@ def write_density_text(f: DensityModel) -> str:
             raise ValueError("fold the amplitude into a factor before writing")
         lines = [f"product n={f.n}"]
         for fac in f.factors:
-            if abs(fac.lo + 0.5) > 1e-12 or abs(fac.hi - 0.5) > 1e-12:
-                raise ValueError("text form fixes factors to [-1/2, 1/2]")
+            uniform = np.linspace(-0.5, 0.5, fac.heights.size + 1)
+            if np.abs(fac.edges - uniform).max() > 1e-12:
+                raise ValueError("text form fixes factors to uniform bins "
+                                 "on [-1/2, 1/2]")
             lines.append(" ".join(repr(h) for h in fac.heights.tolist()))
         return "\n".join(lines) + "\n"
     raise ValueError(f"no text form for {type(f).__name__}")

@@ -16,9 +16,7 @@ import numpy as np
 
 from .geometry import _tuple_volumes
 from .grassmann import Flat, Subspace, flat_frames, haar_bases
-from .densities import DensityModel, restriction_stats, _as_section, \
-    _section_window, _stratified_ball
-from .geometry import unit_ball_volume
+from .densities import DensityModel, restriction_stats, _as_section
 from .report import Estimate, mc_estimate
 
 SUM_TOL = 1e-10
@@ -95,61 +93,51 @@ def powz(values: np.ndarray, alpha: float) -> np.ndarray:
 
 def section_norm(f: DensityModel, S, p: float) -> float:
     """Exact L_p norm of f restricted to a subspace or flat (p may be inf)."""
-    if math.isinf(p):
-        sl = f.slice(S)
-        if sl is None:
-            raise ValueError("no exact section for this family")
-        return sl.sup
-    fp = f.power(p)
-    sl = fp.slice(S) if fp is not None else None
-    if sl is None:
-        raise ValueError("no exact section for this family")
-    return sl.mass ** (1.0 / p)
+    E, z = _as_section(S)
+    return float(_section_norms(_power_model(f, p), p, E.basis[None],
+                                z[None])[0])
 
 
-def _section_norms_batch(f: DensityModel, p: float, bases: np.ndarray,
-                         offsets: np.ndarray):
-    """Per-section L_p norms for a stack of flats, or None if not exact."""
+def _power_model(f: DensityModel, p: float) -> DensityModel:
+    """f**p, whose section masses are the p-th powers of the L_p norms of
+    f; f itself for a sup slot (p = inf)."""
     model = f if math.isinf(p) else f.power(p)
     if model is None:
-        return None
-    stats = model.slice_stats_batch(bases, offsets)
-    if stats is None:
-        return None
+        raise ValueError("no power model for this family")
+    return model
+
+
+def _section_norms(model: DensityModel, p: float, bases: np.ndarray,
+                   offsets: np.ndarray, method="exact",
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """L_p norms of f on a stack of flats, given model = _power_model(f, p):
+    exact from the batched section stats, or ("mc", m) from restriction_stats
+    flat by flat, whose sampled sup is biased low (conservative in a
+    denominator)."""
+    if method == "exact":
+        stats = model.slice_stats_batch(bases, offsets)
+        if stats is None:
+            raise ValueError("no exact section for this family")
+    else:
+        stats = np.array([[e.value for e in restriction_stats(
+            model, Flat(Subspace(b), z), method, rng)]
+            for b, z in zip(bases, offsets)]).reshape(-1, 2).T
     masses, sups = stats
-    if math.isinf(p):
-        return sups
-    return powz(masses, 1.0 / p)
+    return sups if math.isinf(p) else powz(masses, 1.0 / p)
 
 
-def _section_norm_mc(f: DensityModel, S, p: float, count: int,
-                     rng: np.random.Generator) -> float:
-    """Sampled section norm for families without a closed form.
-
-    The sup estimate is a sampled maximum (biased low); callers that place
-    it in a denominator therefore err on the conservative side.
-    """
-    E, _ = _as_section(S)
-    w = _section_window(f, S)
-    if w == 0.0:
-        return 0.0
-    u = _stratified_ball(E.k, count, rng) * w
-    pts = S.point(u) if isinstance(S, Flat) else E.point(u)
-    vals = f.eval_many(pts)
-    if math.isinf(p):
-        return float(vals.max())
-    box = unit_ball_volume(E.k) * w ** E.k
-    return float(box * np.mean(vals ** p)) ** (1.0 / p)
-
-
-def _norm_product(f_list, spec: ExponentSpec, S, method, rng) -> float:
-    total = 1.0
-    for f, p, a in zip(f_list, spec.p_list, spec.alpha_list):
-        if method == "exact":
-            norm = section_norm(f, S, p)
-        else:
-            norm = _section_norm_mc(f, S, p, method[1], rng)
-        total *= float(powz(np.array([norm]), a)[0])
+def _norm_products(models, spec: ExponentSpec, bases: np.ndarray,
+                   offsets: np.ndarray, method, rng) -> np.ndarray:
+    """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats, from
+    the power models of the f_i; Monte Carlo ones flat by flat, so each
+    flat's window samples are drawn together, density by density."""
+    if method != "exact" and len(bases) > 1:
+        return np.concatenate([
+            _norm_products(models, spec, bases[j:j + 1], offsets[j:j + 1],
+                           method, rng) for j in range(len(bases))])
+    total = np.ones(len(bases))
+    for model, p, a in zip(models, spec.p_list, spec.alpha_list):
+        total *= powz(_section_norms(model, p, bases, offsets, method, rng), a)
     return total
 
 
@@ -220,28 +208,16 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
     n = _common_dim(f_list)
+    models = [_power_model(f, p) for f, p in zip(f_list, spec.p_list)]
 
-    if method == "exact":
-        def draw(stream, m):
-            bases = haar_bases(n, k, m, stream)
-            offsets = np.zeros((m, n))
-            total = np.ones(m)
-            for f, p, a in zip(f_list, spec.p_list, spec.alpha_list):
-                norms = _section_norms_batch(f, p, bases, offsets)
-                if norms is None:
-                    total *= np.array([
-                        powz(np.array([section_norm(f, Subspace(b), p)]), a)[0]
-                        for b in bases])
-                else:
-                    total *= powz(norms, a)
-            return total
-    else:
-        def draw(stream, m):
-            out = np.empty(m)
-            for j in range(m):
-                E = Subspace(haar_bases(n, k, 1, stream)[0])
-                out[j] = _norm_product(f_list, spec, E, method, stream)
-            return out
+    def draw(stream, m):
+        # Monte Carlo subspaces are drawn one at a time, each right before
+        # its window samples
+        sizes = [m] if method == "exact" else [1] * m
+        return np.concatenate([
+            _norm_products(models, spec, haar_bases(n, k, size, stream),
+                           np.zeros((size, n)), method, stream)
+            for size in sizes])
 
     return mc_estimate(draw, n_subspaces, rng, substreams, keep_values=True)
 
@@ -263,27 +239,12 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
+    models = [_power_model(f, p) for f, p in zip(f_list, spec.p_list)]
 
-    if method == "exact":
-        def draw(stream, m):
-            bases, offsets, weight = flat_frames(n, k, R, m, stream)
-            total = np.full(m, weight)
-            for f, p, a in zip(f_list, spec.p_list, spec.alpha_list):
-                norms = _section_norms_batch(f, p, bases, offsets)
-                if norms is None:
-                    norms = np.array([
-                        section_norm(f, Flat(Subspace(b), off), p)
-                        for b, off in zip(bases, offsets)])
-                total *= powz(norms, a)
-            return total
-    else:
-        def draw(stream, m):
-            bases, offsets, weight = flat_frames(n, k, R, m, stream)
-            out = np.empty(m)
-            for j in range(m):
-                F = Flat(Subspace(bases[j]), offsets[j])
-                out[j] = weight * _norm_product(f_list, spec, F, method, stream)
-            return out
+    def draw(stream, m):
+        bases, offsets, weight = flat_frames(n, k, R, m, stream)
+        return weight * _norm_products(models, spec, bases, offsets, method,
+                                       stream)
 
     return mc_estimate(draw, n_flats, rng, substreams, keep_values=True)
 

@@ -532,29 +532,24 @@ def _fiber_statistics(f: DensityModel, E: Subspace, n_x: int,
                       rng: np.random.Generator):
     """Per-point fiber statistics for one subspace.
 
-    Returns (T, L1, r) over n_x draws x ~ projected law: the Markov
+    Returns (T, L1, r, T0) over n_x draws x ~ projected law: the Markov
     statistic T = (fiber mass)^n / (fiber sup)^k, the fiber masses
-    themselves (the marginal density at x), and |x|.
+    themselves (the marginal density at x), |x|, and T of the fiber
+    through the origin, which rides along as one more row.
     """
     n, k = E.n, E.k
     ys = f.sample(n_x, rng)
     feet = ys @ E.projector.T
     comp = E.complement
-    bases = np.broadcast_to(comp.basis, (n_x, n, n - k))
-    stats = f.slice_stats_batch(bases, feet)
+    bases = np.broadcast_to(comp.basis, (n_x + 1, n, n - k))
+    stats = f.slice_stats_batch(bases, np.vstack([feet, np.zeros(n)]))
     if stats is None:
         raise ValueError("marginal experiments need exact fiber stats")
     l1, sup = stats
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
-    return t_vals, l1, np.linalg.norm(feet, axis=1)
-
-
-def _origin_statistic(f: DensityModel, E: Subspace) -> float:
-    sl = f.slice(E.complement)
-    if sl is None:
-        raise ValueError("marginal experiments need exact fiber stats")
-    return sl.mass ** E.n / sl.sup ** E.k if sl.sup > 0 else 0.0
+    return (t_vals[:-1], l1[:-1], np.linalg.norm(feet, axis=1),
+            float(t_vals[-1]))
 
 
 def _fit_quantile_constant(values: np.ndarray, s: float, kn: int) -> float:
@@ -598,9 +593,9 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     r_all = np.empty((n_subspaces, n_x))
     for j in range(n_subspaces):
         E = Subspace(haar_bases(n, k, 1, streams[j])[0])
-        t_vals, l1, radii = _fiber_statistics(f, E, n_x, streams[j])
+        t_vals, l1, radii, origin_stats[j] = _fiber_statistics(
+            f, E, n_x, streams[j])
         averages[j] = t_vals.mean()
-        origin_stats[j] = _origin_statistic(f, E)
         t_all[j], l1_all[j], r_all[j] = t_vals, l1, radii
 
     c2 = max(_fit_quantile_constant(averages, s, kn),
@@ -651,10 +646,10 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
           and bad_frac <= envelope + bad_slack
           and worst_b_frac <= t ** (-kn) + 1e-12)
     if adversarial is not None:
-        t_vals, _, _ = _fiber_statistics(f, adversarial, n_x, streams[-1])
+        t_vals, _, _, adv_origin = _fiber_statistics(f, adversarial, n_x,
+                                                     streams[-1])
         adv_avg = float(t_vals.mean())
-        detected = adv_avg > threshold or \
-            _origin_statistic(f, adversarial) > threshold
+        detected = adv_avg > threshold or adv_origin > threshold
         diagnostics["adversarial_average"] = adv_avg
         diagnostics["adversarial_threshold"] = threshold
         diagnostics["adversarial_detected"] = detected

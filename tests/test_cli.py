@@ -285,3 +285,20 @@ def test_method_is_recorded(tmp_path, monkeypatch):
     report = json.loads(
         (tmp_path / "out" / "reports" / "round.json").read_text())
     assert report["parameters"]["method"] == ["mc", 8]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_flag_out_of_range_exits_one(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)
+    config = write_suite(tmp_path, PASS_BODY)
+    assert main(["run", "--config", config, "--seed", seed]) == 1
+    assert "config error: [run] seed: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_density_number_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    body = PASS_BODY.replace("radius = 1.0", "radius = NaN")
+    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    assert "config error: [density ball] radius: " \
+        in capsys.readouterr().err

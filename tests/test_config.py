@@ -292,6 +292,33 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
     assert (err.value.section, err.value.field) == ("check bad", field_name)
 
 
+@pytest.mark.parametrize("fields, field_name", [
+    ({"kind": '"gaussian"', "n": "3", "cov": "NaN"}, "cov"),
+    ({"kind": '"gaussian"', "cov": "[[1.0, 0.0], [0.0, Infinity]]",
+      "mean": "[0.0, 0.0]"}, "cov"),
+    ({"kind": '"ellipsoid"', "n": "2", "radius": "NaN"}, "radius"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "0.0",
+      "radius": "1.0"}, "tau"),
+    ({"kind": '"radial"', "n": "2.5", "radius": "1.0",
+      "heights": "[1.0]"}, "n"),
+    ({"kind": '"gaussian"', "n": "100000000000"}, "n"),
+    ({"kind": '"product"', "factors": '[{"heights": [1.0], "top": 2}]'},
+     "factors"),
+    ({"kind": '"ellipsoid"', "n": "2", "normalize": "1"}, "normalize"),
+    ({"kind": '"radial"', "n": "2", "radius": "1.0", "heights": "[0.0]",
+      "normalize": "true"}, "normalize"),
+], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
+        "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
+        "normalize-zero-mass"])
+def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
+    body = MINIMAL + "\n    [density bad]\n" + "".join(
+        f"    {key} = {value}\n" for key, value in fields.items())
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, body))
+    assert (err.value.section, err.value.field) == ("density bad", field_name)
+    assert str(err.value).startswith(f"[density bad] {field_name}: ")
+
+
 def test_hash_covers_density_specs(tmp_path):
     small = load_config(write_config(tmp_path, MINIMAL)).resolved_hash()
     large = load_config(write_config(

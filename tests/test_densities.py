@@ -375,3 +375,20 @@ def test_restriction_stats_method_validation(rng):
         restriction_stats(b, line(1, 0), method=("mc", 1), rng=rng)
     with pytest.raises(ValueError):
         restriction_stats(b, line(1, 0), method=("mc", 100))  # rng missing
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs a third of a second at import and nothing in the
+    # package needs it
+    import os
+    import subprocess
+    import sys
+
+    import igeolab
+    src = os.path.dirname(os.path.dirname(igeolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, igeolab; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

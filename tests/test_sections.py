@@ -1,0 +1,145 @@
+"""Property tests of the batched section stats of every exact family.
+
+Each example draws a density of one family, a dimension and a stack of
+flats from a numpy generator seeded by hypothesis, then checks the batched
+stats row by row against three references: the one-row section model
+``slice(S)``, trapezoid quadrature of ``eval_many`` along a line, and
+(Fubini) quadrature over the parallel lines inside a plane.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
+                               ProductDensity, RadialGridDensity,
+                               TruncatedGaussian)
+from igeolab.grassmann import Flat, Subspace, haar_frames
+
+FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def random_spd(n, rng):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + 0.3 * np.eye(n)
+
+
+def build(family, n, rng):
+    amp = float(rng.uniform(0.5, 2.0))
+    if family == "ellipsoid":
+        return EllipsoidIndicator(random_spd(n, rng), 0.3 * rng.normal(size=n),
+                                  amp)
+    if family == "gaussian":
+        return GaussianDensity(0.3 * rng.normal(size=n), random_spd(n, rng),
+                               amp)
+    if family == "truncated":
+        return TruncatedGaussian(0.3 * rng.normal(size=n),
+                                 float(rng.uniform(0.5, 1.2)),
+                                 float(rng.uniform(1.0, 2.0)), amp)
+    if family == "radial":
+        bins = int(rng.integers(1, 5))
+        inner = float(rng.choice([0.0, rng.uniform(0.1, 0.5)]))
+        edges = inner + np.concatenate([[0.0], np.cumsum(
+            rng.uniform(0.2, 0.6, bins))])
+        return RadialGridDensity(n, edges, rng.uniform(0.0, 2.0, bins))
+    factors = []
+    for _ in range(n):
+        bins = int(rng.integers(1, 5))
+        lo = float(rng.uniform(-0.8, 0.0))
+        factors.append(Grid1D(lo, lo + float(rng.uniform(0.6, 1.6)),
+                              rng.uniform(0.0, 2.0, bins)))
+    return ProductDensity(factors, amp)
+
+
+def flats(n, k, count, rng, aligned=False):
+    """Bases (count, n, k) and perpendicular offsets (count, n)."""
+    if aligned:
+        frames = np.stack([np.eye(n)[:, rng.permutation(n)]
+                           * rng.choice([-1.0, 1.0], n) for _ in range(count)])
+    else:
+        frames = haar_frames(n, k, count, rng)
+    coords = 0.6 * rng.normal(size=(count, n - k))
+    offsets = np.einsum("snj,sj->sn", frames[:, :, k:], coords)
+    return np.ascontiguousarray(frames[:, :, :k]), offsets
+
+
+def half_width(f):
+    """Half-length of a line segment through any flat that holds the mass."""
+    r = f.support_radius
+    if np.isfinite(r):
+        return r
+    return float(np.linalg.norm(f.mean)
+                 + 12.0 * np.sqrt(np.linalg.eigvalsh(f.cov).max()))
+
+
+def jump_count(f, family):
+    """Bound on the jumps of f along a line (and of its line masses
+    along a plane); each costs the trapezoid rule at most step * height."""
+    if family == "gaussian":
+        return 0
+    if family == "product":
+        return 2 * sum(fac.heights.size + 1 for fac in f.factors)
+    return 12       # shell, cutoff and boundary crossings
+
+
+def case(draw_seed, family, n, k, aligned):
+    rng = np.random.default_rng(draw_seed)
+    f = build(family, n, rng)
+    return f, flats(n, k, 6, rng, aligned)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
+       n=st.integers(2, 4), k=st.integers(1, 3), aligned=st.booleans())
+def test_batch_rows_match_section_models(seed, family, n, k, aligned):
+    k = min(k, n - 1)
+    f, (bases, offsets) = case(seed, family, n, k, aligned)
+    stats = f.slice_stats_batch(bases, offsets)
+    models = [f.slice(Flat(Subspace(b), z)) for b, z in zip(bases, offsets)]
+    if family == "product" and k >= 2 and not aligned:
+        # only coordinate-aligned product sections have a closed form
+        assert stats is None and all(m is None for m in models)
+        return
+    masses, sups = stats
+    assert masses.shape == sups.shape == (len(bases),)
+    for mass, sup, model in zip(masses, sups, models):
+        assert model.n == k
+        assert mass == pytest.approx(model.mass, rel=1e-9, abs=1e-300)
+        assert sup == pytest.approx(model.sup, rel=1e-9, abs=1e-300)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
+       n=st.integers(2, 4), aligned=st.booleans())
+def test_line_mass_matches_quadrature(seed, family, n, aligned):
+    f, (bases, offsets) = case(seed, family, n, 1, aligned)
+    masses, sups = f.slice_stats_batch(bases, offsets)
+    width = half_width(f)
+    ts = np.linspace(-width, width, 40_001)
+    step = ts[1] - ts[0]
+    for b, z, mass, sup in zip(bases, offsets, masses, sups):
+        vals = f.eval_many(z[None, :] + ts[:, None] * b[:, 0][None, :])
+        assert mass == pytest.approx(np.trapezoid(vals, ts), rel=1e-6,
+                                     abs=jump_count(f, family) * step * f.sup)
+        assert sup >= vals.max() * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
+       n=st.integers(3, 4), aligned=st.booleans())
+def test_plane_mass_is_integral_of_line_masses(seed, family, n, aligned):
+    if family == "product" and not aligned:
+        return      # no closed form for tilted product planes
+    f, (bases, offsets) = case(seed, family, n, 2, aligned)
+    masses, _ = f.slice_stats_batch(bases, offsets)
+    width = half_width(f)
+    ss = np.linspace(-width, width, 4_001)
+    for b, z, mass in zip(bases, offsets, masses):
+        # lines along b[:, 0], stacked along b[:, 1] inside the plane
+        line_bases = np.broadcast_to(b[:, :1], (ss.size, n, 1))
+        line_offsets = z[None, :] + ss[:, None] * b[:, 1][None, :]
+        line_masses, _ = f.slice_stats_batch(line_bases, line_offsets)
+        quad = np.trapezoid(line_masses, ss)
+        assert mass == pytest.approx(quad, rel=1e-4, abs=jump_count(
+            f, family) * (ss[1] - ss[0]) * line_masses.max())
