@@ -51,6 +51,7 @@ __all__ = [
     "Step1D",
     "affine_image",
     "sample_point",
+    "section_stats",
     "restriction_stats",
     "marginal_density",
     "read_density_text",
@@ -830,48 +831,60 @@ def sample_point(f: DensityModel, rng: np.random.Generator) -> np.ndarray:
     return f.sample(1, rng)[0]
 
 
-def _stratified_ball(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit-ball sample stratified into equal-volume radial shells."""
-    g = rng.standard_normal((size, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    strata = (np.arange(size) + rng.random(size)) / size
-    return g * strata[:, None] ** (1.0 / dim)
+def _stratified_ball(dim: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Uniform unit-ball points, shape + (dim,), stratified along the last
+    axis of shape into equal-volume radial shells."""
+    g = rng.standard_normal(shape + (dim,))
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
+    return g * strata[..., None] ** (1.0 / dim)
 
 
-def restriction_stats(f: DensityModel, S, method="exact",
-                      rng: np.random.Generator | None = None):
-    """L1 and sup of f restricted to a subspace or flat.
+def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
+                  method="exact", rng: np.random.Generator | None = None):
+    """(mass, sup, mass_stderr) arrays of the sections of f through the
+    flats offsets[i] + span(bases[i]).
 
-    method is "exact" (closed form required) or ("mc", N).  The MC sup is
-    a sampled maximum and therefore biased low; it is flagged as such.
+    method "exact" reads the closed form (stderr 0); ("mc", N) averages f
+    over N stratified points of each section's support window, one draw
+    for the whole stack, and its sup is a sampled maximum, biased low.
     """
     if method == "exact":
-        E, z = _as_section(S)
-        stats = f.slice_stats_batch(E.basis[None], z[None])
+        stats = f.slice_stats_batch(bases, offsets)
         if stats is None:
             raise ValueError("no exact restriction for this family/section")
-        return tuple(Estimate.exact(float(a[0])) for a in stats)
+        return stats[0], stats[1], np.zeros(len(stats[0]))
     tag, count = method
     if tag != "mc" or count < 2:
         raise ValueError(f"method must be 'exact' or ('mc', N >= 2), got {method!r}")
     if rng is None:
         raise ValueError("Monte Carlo restriction stats need an rng")
-    E, z = _as_section(S)
     if math.isinf(f.support_radius):
         raise ValueError("Monte Carlo section stats need a bounded support")
-    # the section vanishes outside its ball of radius w about the foot point
-    gap = f.support_radius ** 2 - float(z @ z)
-    if gap <= 0:
-        return Estimate.exact(0.0), Estimate.exact(0.0)
-    w = math.sqrt(gap)
-    u = _stratified_ball(E.k, count, rng) * w
-    pts = S.point(u) if isinstance(S, Flat) else E.point(u)
-    vals = f.eval_many(pts)
-    vol = unit_ball_volume(E.k) * w ** E.k
-    sd = float(vals.std(ddof=1))
-    l1 = Estimate(vol * float(vals.mean()), vol * sd / math.sqrt(count), count)
-    linf = Estimate(float(vals.max()), 0.0, count, biased_low=True)
-    return l1, linf
+    s, n, k = bases.shape
+    # each section vanishes outside its ball of radius w about the foot point
+    gap = f.support_radius ** 2 - np.einsum("si,si->s", offsets, offsets)
+    w = np.sqrt(np.maximum(gap, 0.0))
+    u = _stratified_ball(k, (s, count), rng) * w[:, None, None]
+    pts = offsets[:, None, :] + u @ np.swapaxes(bases, 1, 2)
+    vals = f.eval_many(pts.reshape(-1, n)).reshape(s, count)
+    vals[gap <= 0] = 0.0
+    vol = unit_ball_volume(k) * w ** k
+    return (vol * vals.mean(axis=1), vals.max(axis=1),
+            vol * vals.std(axis=1, ddof=1) / math.sqrt(count))
+
+
+def restriction_stats(f: DensityModel, S, method="exact",
+                      rng: np.random.Generator | None = None):
+    """L1 and sup Estimates of f restricted to a subspace or flat: the
+    one-row case of section_stats, the MC sup flagged biased low."""
+    E, z = _as_section(S)
+    mass, sup, stderr = section_stats(f, E.basis[None], z[None], method, rng)
+    if method == "exact":
+        return Estimate.exact(mass[0]), Estimate.exact(sup[0])
+    count = method[1]
+    return (Estimate(float(mass[0]), float(stderr[0]), count),
+            Estimate(float(sup[0]), 0.0, count, biased_low=True))
 
 
 def marginal_density(f: DensityModel, E: Subspace, x, method="exact",

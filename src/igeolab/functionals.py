@@ -16,7 +16,8 @@ import numpy as np
 
 from .geometry import _tuple_volumes
 from .grassmann import Flat, Subspace, flat_frames, haar_bases
-from .densities import DensityModel, restriction_stats, _as_section
+from .densities import DensityModel, restriction_stats, section_stats, \
+    _as_section
 from .report import Estimate, mc_estimate
 
 SUM_TOL = 1e-10
@@ -110,31 +111,18 @@ def _power_model(f: DensityModel, p: float) -> DensityModel:
 def _section_norms(model: DensityModel, p: float, bases: np.ndarray,
                    offsets: np.ndarray, method="exact",
                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """L_p norms of f on a stack of flats, given model = _power_model(f, p):
-    exact from the batched section stats, or ("mc", m) from restriction_stats
-    flat by flat, whose sampled sup is biased low (conservative in a
+    """L_p norms of f on a stack of flats, given model = _power_model(f, p),
+    from section_stats; a Monte Carlo sup is biased low (conservative in a
     denominator)."""
-    if method == "exact":
-        stats = model.slice_stats_batch(bases, offsets)
-        if stats is None:
-            raise ValueError("no exact section for this family")
-    else:
-        stats = np.array([[e.value for e in restriction_stats(
-            model, Flat(Subspace(b), z), method, rng)]
-            for b, z in zip(bases, offsets)]).reshape(-1, 2).T
-    masses, sups = stats
+    masses, sups, _ = section_stats(model, bases, offsets, method, rng)
     return sups if math.isinf(p) else powz(masses, 1.0 / p)
 
 
 def _norm_products(models, spec: ExponentSpec, bases: np.ndarray,
                    offsets: np.ndarray, method, rng) -> np.ndarray:
     """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats, from
-    the power models of the f_i; Monte Carlo ones flat by flat, so each
-    flat's window samples are drawn together, density by density."""
-    if method != "exact" and len(bases) > 1:
-        return np.concatenate([
-            _norm_products(models, spec, bases[j:j + 1], offsets[j:j + 1],
-                           method, rng) for j in range(len(bases))])
+    the power models of the f_i; Monte Carlo window points are drawn
+    density by density, each for the whole stack."""
     total = np.ones(len(bases))
     for model, p, a in zip(models, spec.p_list, spec.alpha_list):
         total *= powz(_section_norms(model, p, bases, offsets, method, rng), a)
@@ -201,9 +189,9 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     """Average over random k-subspaces of prod_i ||f_i restricted||_{p_i}^{alpha_i}.
 
     method "exact" uses closed-form section norms (available for the
-    ellipsoid/Gaussian families everywhere and for products on lines and
-    coordinate sections); ("mc", m) estimates each section norm from m
-    window samples instead.
+    ellipsoid, Gaussian, truncated-Gaussian and radial families everywhere
+    and for products on lines and coordinate sections); ("mc", m)
+    estimates each section norm from m window samples instead.
     """
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
@@ -211,13 +199,8 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     models = [_power_model(f, p) for f, p in zip(f_list, spec.p_list)]
 
     def draw(stream, m):
-        # Monte Carlo subspaces are drawn one at a time, each right before
-        # its window samples
-        sizes = [m] if method == "exact" else [1] * m
-        return np.concatenate([
-            _norm_products(models, spec, haar_bases(n, k, size, stream),
-                           np.zeros((size, n)), method, stream)
-            for size in sizes])
+        return _norm_products(models, spec, haar_bases(n, k, m, stream),
+                              np.zeros((m, n)), method, stream)
 
     return mc_estimate(draw, n_subspaces, rng, substreams, keep_values=True)
 

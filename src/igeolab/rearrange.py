@@ -18,7 +18,8 @@ from scipy.integrate import quad
 
 from .geometry import unit_ball_volume, unit_volume_radius
 from .densities import DensityModel, RadialGridDensity, _sorted_tail_volumes
-from .report import PASS, FAIL, CheckReport
+from .grassmann import uniform_ball
+from .report import PASS, FAIL, CheckReport, Estimate
 
 LEVEL_FLOOR = 1e-6       # bottom of the level grid, relative to sup f
 QUAD_REL_TOL = 1e-6
@@ -74,10 +75,7 @@ def level_profile(f: DensityModel, levels: int = 1000,
         raise ValueError("unbounded support with no exact superlevel volumes")
     total = levels * samples_per_level
     box = unit_ball_volume(f.n) * radius ** f.n
-    g = rng.standard_normal((total, f.n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = g * (radius * rng.random(total) ** (1.0 / f.n))[:, None]
-    vals = f.eval_many(pts)
+    vals = f.eval_many(uniform_ball(f.n, total, rng) * radius)
     weights = np.full(total, box / total)
     vols = _sorted_tail_volumes(vals, weights, ts)
     frac = vols / box
@@ -138,7 +136,7 @@ def bathtub_check(profile, n: int, phi, upper: float = math.inf,
     return CheckReport(
         name=name,
         parameters={"n": n, "upper": upper},
-        lhs=lhs, rhs=rhs,
+        lhs=Estimate.exact(lhs), rhs=Estimate.exact(rhs),
         ratio=lhs / rhs if rhs != 0 else math.inf,
         verdict=verdict,
         diagnostics={"moment": moment, "moment_target": target,

@@ -26,7 +26,8 @@ from .geometry import Dimensions, bp_constant, unit_ball_volume, \
     unit_volume_radius, _tuple_volumes
 from .grassmann import Flat, Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to
-from .densities import DensityModel, EllipsoidIndicator, affine_image
+from .densities import DensityModel, EllipsoidIndicator, affine_image, \
+    section_stats
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
     affine_average_I, delta0_p, delta_p
 from .rearrange import rearrangement
@@ -117,6 +118,38 @@ def _bp_subspace_replica(f_list, k, p, n_direct, n_subspaces, inner, rng):
     return lhs, grass
 
 
+def _decomposition_report(name: str, parameters: dict, printed: float,
+                          sides, lhs_all: Estimate) -> CheckReport:
+    """Verdict shared by the two section decompositions.
+
+    sides holds one (ambient side, section route) pair per replica; each
+    replica fits the constant as their ratio, and the verdict asks the two
+    fits to agree within 3 combined stderr unless a route is heavy-tailed.
+    lhs_all is the pooled ambient side.
+    """
+    fits = [ratio_estimate(lhs, route) for lhs, route in sides]
+    gap = abs(fits[0].value - fits[1].value)
+    tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
+    route_all = merge_estimates([s[1] for s in sides])
+    fitted = ratio_estimate(lhs_all, route_all)
+    rhs_all = route_all.scaled(printed)
+    heavy = _heavy_tailed(*[s[1] for s in sides])
+    return CheckReport(
+        name=name, parameters=parameters, lhs=lhs_all, rhs=rhs_all,
+        ratio=lhs_all.value / rhs_all.value if rhs_all.value else math.inf,
+        verdict=INCONCLUSIVE if heavy else (PASS if gap <= tol else FAIL),
+        diagnostics={
+            "printed_constant": printed,
+            "fitted_constant": fitted.value,
+            "fitted_stderr": fitted.stderr,
+            "fitted_over_printed": fitted.value / printed,
+            "replica_fits": [e.value for e in fits],
+            "replica_gap": gap,
+            "replica_tolerance": tol,
+            "tail_shares": [s[1].tail_share for s in sides],
+        })
+
+
 def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
                       n_subspaces: int, rng: np.random.Generator,
                       inner: int = 256) -> CheckReport:
@@ -132,41 +165,14 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     """
     n = f_list[0].n
     q = len(f_list)
-    dims = Dimensions(n, k, q)
-    printed = bp_constant(dims)
-    halves = rng.spawn(2)
-    fits = []
-    sides = []
-    for half in halves:
-        lhs, grass = _bp_subspace_replica(
-            f_list, k, p, n_direct // 2, n_subspaces // 2, inner, half)
-        fits.append(ratio_estimate(lhs, grass))
-        sides.append((lhs, grass))
-    gap = abs(fits[0].value - fits[1].value)
-    tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
-    lhs_all = merge_estimates([s[0] for s in sides])
-    grass_all = merge_estimates([s[1] for s in sides])
-    fitted = ratio_estimate(lhs_all, grass_all)
-    rhs_all = grass_all.scaled(printed)
-    heavy = _heavy_tailed(lhs_all, *[s[1] for s in sides])
-    verdict = INCONCLUSIVE if heavy else (PASS if gap <= tol else FAIL)
-    return CheckReport(
-        name="bp_subspace",
-        parameters={"n": n, "k": k, "q": q, "p": p,
-                    "n_direct": n_direct, "n_subspaces": n_subspaces},
-        lhs=lhs_all, rhs=rhs_all,
-        ratio=lhs_all.value / rhs_all.value if rhs_all.value else math.inf,
-        verdict=verdict,
-        diagnostics={
-            "printed_constant": printed,
-            "fitted_constant": fitted.value,
-            "fitted_stderr": fitted.stderr,
-            "fitted_over_printed": fitted.value / printed,
-            "replica_fits": [e.value for e in fits],
-            "replica_gap": gap,
-            "replica_tolerance": tol,
-            "tail_shares": [s[1].tail_share for s in sides],
-        })
+    printed = bp_constant(Dimensions(n, k, q))
+    sides = [_bp_subspace_replica(f_list, k, p, n_direct // 2,
+                                  n_subspaces // 2, inner, half)
+             for half in rng.spawn(2)]
+    return _decomposition_report(
+        "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
+                        "n_subspaces": n_subspaces},
+        printed, sides, merge_estimates([s[0] for s in sides]))
 
 
 def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
@@ -187,15 +193,15 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     if p != 0.0 and p < 1.0:
         raise ValueError("offset exponent must be 0 or >= 1")
     printed = bp_constant(Dimensions(n, k, k))
+    parameters = {"n": n, "k": k, "q": k, "p": p, "R": R,
+                  "n_direct": n_direct, "n_flats": n_flats}
     if k == n and p == 0.0:
         # single degenerate flat (the whole space), zero exponent, unit
         # constant: both sides are the exact power of the mass
         lhs = Estimate.exact(f.mass ** (k + 1))
         return CheckReport(
-            name="bp_flat",
-            parameters={"n": n, "k": k, "q": k, "p": p, "R": R,
-                        "n_direct": n_direct, "n_flats": n_flats},
-            lhs=lhs, rhs=lhs, ratio=1.0, verdict=PASS,
+            name="bp_flat", parameters=parameters, lhs=lhs, rhs=lhs,
+            ratio=1.0, verdict=PASS,
             diagnostics={"printed_constant": printed,
                          "fitted_constant": 1.0,
                          "fitted_over_printed": 1.0 / printed,
@@ -232,34 +238,10 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
                             keep_values=True)
         return lhs, flats
 
-    halves = rng.spawn(2)
-    sides = [replica(h) for h in halves]
-    fits = [ratio_estimate(lhs, fl) for lhs, fl in sides]
-    gap = abs(fits[0].value - fits[1].value)
-    tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
-    lhs_all = sides[0][0] if p == 0.0 else merge_estimates([s[0] for s in sides])
-    flats_all = merge_estimates([s[1] for s in sides])
-    fitted = ratio_estimate(lhs_all, flats_all)
-    rhs_all = flats_all.scaled(printed)
-    heavy = _heavy_tailed(*[s[1] for s in sides])
-    verdict = INCONCLUSIVE if heavy else (PASS if gap <= tol else FAIL)
-    return CheckReport(
-        name="bp_flat",
-        parameters={"n": n, "k": k, "q": k, "p": p, "R": R,
-                    "n_direct": n_direct, "n_flats": n_flats},
-        lhs=lhs_all, rhs=rhs_all,
-        ratio=lhs_all.value / rhs_all.value if rhs_all.value else math.inf,
-        verdict=verdict,
-        diagnostics={
-            "printed_constant": printed,
-            "fitted_constant": fitted.value,
-            "fitted_stderr": fitted.stderr,
-            "fitted_over_printed": fitted.value / printed,
-            "replica_fits": [e.value for e in fits],
-            "replica_gap": gap,
-            "replica_tolerance": tol,
-            "tail_shares": [s[1].tail_share for s in sides],
-        })
+    sides = [replica(h) for h in rng.spawn(2)]
+    return _decomposition_report(
+        "bp_flat", parameters, printed, sides,
+        sides[0][0] if p == 0.0 else merge_estimates([s[0] for s in sides]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +415,26 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
 # The two functional section inequalities.
 # ---------------------------------------------------------------------------
 
+def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
+                  expect_equality: bool) -> CheckReport:
+    """Verdict shared by the two functional section inequalities: one-sided,
+    or the equality band in equality mode; a heavy-tailed LHS turns a
+    non-failing verdict inconclusive."""
+    if expect_equality:
+        verdict, band = _equality_verdict(lhs, rhs)
+    else:
+        verdict, band = _one_sided_verdict(lhs, rhs), None
+    if verdict != FAIL and _heavy_tailed(lhs):
+        verdict = INCONCLUSIVE
+    return CheckReport(
+        name=name, parameters=parameters, lhs=lhs, rhs=rhs,
+        ratio=lhs.value / rhs.value if rhs.value else math.inf,
+        verdict=verdict,
+        diagnostics={"expect_equality": expect_equality,
+                     "equality_band": band,
+                     "tail_share": lhs.tail_share})
+
+
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
                               rng: np.random.Generator, method="exact",
                               expect_equality: bool = False,
@@ -462,23 +464,10 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     for f in f_list:
         log_rhs += (k + p) / n * math.log(f.mass) \
             + (n - k - p) / n * math.log(f.sup)
-    rhs = Estimate.exact(math.exp(log_rhs))
-    if expect_equality:
-        verdict, band = _equality_verdict(lhs, rhs)
-    else:
-        verdict, band = _one_sided_verdict(lhs, rhs), None
-    if verdict != FAIL and _heavy_tailed(lhs):
-        verdict = INCONCLUSIVE
-    return CheckReport(
-        name="grinberg_functional",
-        parameters={"n": n, "k": k, "q": q, "p": p,
-                    "n_subspaces": n_subspaces, "method": method},
-        lhs=lhs, rhs=rhs,
-        ratio=lhs.value / rhs.value if rhs.value else math.inf,
-        verdict=verdict,
-        diagnostics={"expect_equality": expect_equality,
-                     "equality_band": band,
-                     "tail_share": lhs.tail_share})
+    return _bound_report(
+        "grinberg_functional", {"n": n, "k": k, "q": q, "p": p,
+                                "n_subspaces": n_subspaces, "method": method},
+        lhs, Estimate.exact(math.exp(log_rhs)), expect_equality)
 
 
 def check_schneider_functional(f: DensityModel, k: int, R: float,
@@ -505,23 +494,11 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
         + math.log(unit_ball_volume(n * (k + 1))) \
         - (k + 1) * math.log(unit_ball_volume(n)) \
         - math.log(unit_ball_volume(k * (n + 1)))
-    rhs = Estimate.exact(math.exp(log_c) * f.mass ** (k + 1))
-    if expect_equality:
-        verdict, band = _equality_verdict(lhs, rhs)
-    else:
-        verdict, band = _one_sided_verdict(lhs, rhs), None
-    if verdict != FAIL and _heavy_tailed(lhs):
-        verdict = INCONCLUSIVE
-    return CheckReport(
-        name="schneider_functional",
-        parameters={"n": n, "k": k, "R": window, "n_flats": n_flats,
-                    "method": method},
-        lhs=lhs, rhs=rhs,
-        ratio=lhs.value / rhs.value if rhs.value else math.inf,
-        verdict=verdict,
-        diagnostics={"expect_equality": expect_equality,
-                     "equality_band": band,
-                     "tail_share": lhs.tail_share})
+    return _bound_report(
+        "schneider_functional", {"n": n, "k": k, "R": window,
+                                 "n_flats": n_flats, "method": method},
+        lhs, Estimate.exact(math.exp(log_c) * f.mass ** (k + 1)),
+        expect_equality)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +519,7 @@ def _fiber_statistics(f: DensityModel, E: Subspace, n_x: int,
     feet = ys @ E.projector.T
     comp = E.complement
     bases = np.broadcast_to(comp.basis, (n_x + 1, n, n - k))
-    stats = f.slice_stats_batch(bases, np.vstack([feet, np.zeros(n)]))
-    if stats is None:
-        raise ValueError("marginal experiments need exact fiber stats")
-    l1, sup = stats
+    l1, sup, _ = section_stats(f, bases, np.vstack([feet, np.zeros(n)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
     return (t_vals[:-1], l1[:-1], np.linalg.norm(feet, axis=1),

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Step1D,
-                               TruncatedGaussian)
+from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
+                               ProductDensity, Step1D, TruncatedGaussian)
 from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
                                  delta_p, grassmann_average_I,
                                  kplane_transform, powz, section_norm,
@@ -175,6 +175,35 @@ def test_affine_average_mc_route_agrees(rng):
                                method=("mc", 400))
     gap = abs(exact.value - sampled.value)
     assert gap <= 3.0 * math.hypot(exact.stderr, sampled.stderr) + 0.05 * exact.value
+
+
+def test_grassmann_average_mc_route_agrees(rng):
+    box = ProductDensity([segment(), unit_interval(),
+                          Step1D(np.array([-0.5, 0.0, 0.5]),
+                                 np.array([1.0, 2.0]))])
+    spec = ExponentSpec((1.0,), (3.0,))
+    exact = grassmann_average_I([box], spec, 1, 4_000, rng)
+    sampled = grassmann_average_I([box], spec, 1, 4_000, rng,
+                                  method=("mc", 400))
+    gap = abs(exact.value - sampled.value)
+    assert gap <= 3.0 * math.hypot(exact.stderr, sampled.stderr) + 0.05 * exact.value
+
+
+def test_mc_average_evaluates_each_density_once_per_draw(rng, monkeypatch):
+    # a per-flat loop would evaluate each density once per subspace
+    sizes = []
+    original = ProductDensity.eval_many
+
+    def counted(self, x):
+        sizes.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ProductDensity, "eval_many", counted)
+    box = ProductDensity([segment(), unit_interval()])
+    spec = ExponentSpec((1.0, INF), (2.0, -1.0))
+    grassmann_average_I([box, box], spec, 1, 60, rng, method=("mc", 16),
+                        substreams=3)
+    assert sizes == [20 * 16] * (2 * 3)
 
 
 def test_kplane_transform_gaussian(rng):

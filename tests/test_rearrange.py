@@ -11,6 +11,7 @@ from igeolab.geometry import unit_volume_radius
 from igeolab.rearrange import (LevelProfile, bathtub_check, level_profile,
                                rearrangement)
 from igeolab.report import FAIL, PASS
+from igeolab.runner import report_row
 
 
 def bimodal(n=2):
@@ -136,7 +137,18 @@ def test_bathtub_strict_for_spread_profile():
     rep = bathtub_check(lambda r: 0.5 * (r <= r_wide), n, lambda r: r,
                         upper=2.0 * r_wide)
     assert rep.verdict == PASS
-    assert rep.lhs > rep.rhs * 1.01
+    assert rep.lhs.value > rep.rhs.value * 1.01
+
+
+def test_bathtub_report_is_a_results_row():
+    n = 2
+    rn = r_star(n)
+    rep = bathtub_check(lambda r: 0.5 * (r <= rn * 2.0 ** 0.5), n,
+                        lambda r: r, upper=2.0 * rn)
+    row = report_row("bathtub", rep)
+    assert float(row["lhs"]) == rep.lhs.value > float(row["rhs"]) > 0.0
+    assert row["lhs_stderr"] == row["rhs_stderr"] == "0.0"
+    assert row["verdict"] == PASS
 
 
 def test_bathtub_fails_for_decreasing_weight():
