@@ -1,12 +1,20 @@
 """Subspaces and flats: invariant sampling and geometry.
 
 Haar measure on the set of k-dimensional linear subspaces of R^n is realized
-by QR factorization of Gaussian matrices (sign-fixed so the factorization is
-unique).  The invariant measure on affine k-flats is infinite; flats are
-sampled inside a window of radius R around the origin and carry the
-importance weight that makes window-supported integrands unbiased, with the
-normalization fixed so that the measure of flats meeting the unit ball is
-the unit-ball volume of the orthogonal dimension.
+by orthonormalizing the columns of Gaussian n x k matrices.  haar_bases does
+this with Gram-Schmidt vectorized over the whole stack, each column cleared
+of its predecessors twice ("twice is enough" reorthogonalization), which
+keeps |B^T B - I| at a few ulps for every shape.  The result is the Q of the
+QR factorization whose R has a positive diagonal, so it is a function of the
+Gaussian draw alone, and the draw is the same one rng.standard_normal call
+for any stack size.  Full frames (a basis plus its complement) come from the
+complete LAPACK QR, sign-fixed the same way.
+
+The invariant measure on affine k-flats is infinite; flats are sampled inside
+a window of radius R around the origin and carry the importance weight that
+makes window-supported integrands unbiased, with the normalization fixed so
+that the measure of flats meeting the unit ball is the unit-ball volume of
+the orthogonal dimension.
 """
 
 from __future__ import annotations
@@ -135,11 +143,14 @@ def sample_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
 
 
 def haar_bases(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar orthonormal bases, shape (size, n, k)."""
+    """Stack of Haar orthonormal bases, shape (size, n, k).
+
+    Consumes exactly one rng.standard_normal((size, n, k)) call and returns
+    the Q factor of each drawn matrix whose R has a positive diagonal (the
+    sign-fixed QR), computed by _orthonormalize in place on the draw.
+    """
     _check_nk(n, k)
-    a = rng.standard_normal((size, n, k))
-    q, r = np.linalg.qr(a)
-    return q * _diag_signs(r)[..., None, :]
+    return _orthonormalize(rng.standard_normal((size, n, k)))
 
 
 def haar_frames(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,6 +161,23 @@ def haar_frames(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarr
     q, r = np.linalg.qr(a, mode="complete")
     q[..., :k] *= _diag_signs(r[..., :k, :])[..., None, :]
     return q
+
+
+def _orthonormalize(a: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt over a stack (size, n, k) of full-rank matrices, in place.
+
+    Column j is cleared of its projections onto columns 0..j-1 twice, then
+    normalized.  One pass leaves |Q^T Q - I| near 1e-12 on unlucky draws;
+    the second brings it to rounding level.  Equals the QR factor Q whose R
+    has a positive diagonal, up to rounding.
+    """
+    for j in range(a.shape[-1]):
+        v = a[..., j]
+        for _ in range(2):
+            for i in range(j):
+                v -= np.einsum("sn,sn->s", a[..., i], v)[:, None] * a[..., i]
+        v /= np.sqrt(np.einsum("sn,sn->s", v, v))[:, None]
+    return a
 
 
 def _diag_signs(r: np.ndarray) -> np.ndarray:
@@ -233,8 +261,7 @@ def perturb_subspace(E: Subspace, eta: float, rng: np.random.Generator) -> Subsp
     tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
     for _ in range(PERTURB_MAX_TRIES):
         g = rng.standard_normal((n, k))
-        q, r = np.linalg.qr(E.basis + tau * g)
-        candidate = Subspace(q * _diag_signs(r))
+        candidate = Subspace(_orthonormalize((E.basis + tau * g)[None])[0])
         if grassmann_distance(E, candidate) <= eta:
             return candidate
     raise RuntimeError(f"no draw within eta={eta} after {PERTURB_MAX_TRIES} tries")

@@ -2,7 +2,10 @@
 
 Artifacts per run: results.csv (one row per check, shortest round-trip
 number formatting so reruns diff cleanly), reports/<label>.json with the
-full diagnostics, and manifest.json with the reproducibility metadata.
+full diagnostics, and manifest.json with the reproducibility metadata,
+including the Python, numpy and scipy versions and the platform that the
+byte-identity of results.csv rests on (numpy elementwise arithmetic, the
+generator streams, and LAPACK where frames or determinants are factored).
 Per-check generators are derived from the master seed by the check's
 position, so results are independent of worker count and execution order.
 """
@@ -12,11 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import CHECKS, RunConfig
@@ -132,6 +137,9 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         "seed": config.seed,
         "substreams": config.substreams,
         "interrupted": interrupted,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "platform": platform.platform()},
         "checks": manifest_checks,
         "totals": {
             "checks": len(manifest_checks),

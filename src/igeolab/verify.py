@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc
 
 from .geometry import Dimensions, bp_constant, unit_ball_volume, \
     unit_volume_radius, _tuple_volumes
@@ -38,6 +39,8 @@ EQUALITY_BAND = 0.02
 TAIL_LIMIT = 0.5
 CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
+# Subspaces per block of the sharpness draw: keeps its arrays a few MB.
+SHARPNESS_BLOCK = 1 << 16
 
 __all__ = [
     "check_bp_subspace",
@@ -653,6 +656,13 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     section from det of the projected covariance; the claimed lower bound
     is (2s)^(-k(n-k)).  The verdict states the claim as printed; the fitted
     scale factor that would make the bound tight is reported either way.
+    Each substream draws its subspaces in blocks of SHARPNESS_BLOCK, which
+    consumes the stream exactly as one draw of all of them would.
+
+    For k = 1 the event is u_1^2 >= x for a uniform direction u, with
+    x = (1 - 1/(2 pi s^2)) / (1 - sigma^2), and u_1^2 ~ Beta(1/2, (n-1)/2),
+    so its measure is I_{1-x}((n-1)/2, 1/2); the diagnostics carry it as
+    exact_measure (None for k > 1).
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
@@ -664,17 +674,23 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     log_cut = -k * math.log(2 * math.pi) - 2 * k * math.log(s)
 
     def draw(stream, m):
-        bases = haar_bases(n, k, m, stream)
-        scaled = bases * diag[None, :, None]
-        gram = np.einsum("sji,sjl->sil", bases, scaled)
-        sign, logdet = np.linalg.slogdet(gram)
-        return (logdet <= log_cut).astype(float)
+        hits = np.empty(m)
+        for start in range(0, m, SHARPNESS_BLOCK):
+            b = haar_bases(n, k, min(SHARPNESS_BLOCK, m - start), stream)
+            gram = np.matmul(b.transpose(0, 2, 1), b * diag[:, None])
+            _, logdet = np.linalg.slogdet(gram)
+            hits[start:start + len(b)] = logdet <= log_cut
+        return hits
 
     emp = mc_estimate(draw, n_subspaces, rng, substreams)
     bound = (2.0 * s) ** (-k * (n - k))
     passed = emp.value >= bound - 3.0 * emp.stderr
     fitted_factor = (emp.value ** (-1.0 / (k * (n - k))) / s
                      if emp.value > 0 else math.inf)
+    exact = None
+    if k == 1:
+        x = (1.0 - 1.0 / (2 * math.pi * s * s)) / (1.0 - sigma2)
+        exact = float(betainc((n - 1) / 2, 0.5, 1.0 - min(max(x, 0.0), 1.0)))
     return CheckReport(
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
@@ -683,6 +699,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         verdict=PASS if passed else FAIL,
         diagnostics={
             "empirical_measure": emp.value,
+            "exact_measure": exact,
             "claimed_bound": bound,
             "binomial_stderr": emp.stderr,
             "sigma": math.sqrt(sigma2),

@@ -9,10 +9,13 @@ so starved sampling budgets keep the file fast.
 import csv
 import json
 import os
+import platform
 import re
 import textwrap
 
+import numpy as np
 import pytest
+import scipy
 
 from igeolab.cli import main
 from igeolab.config import check_names
@@ -114,6 +117,16 @@ def test_run_pass_exit_zero_and_artifacts(tmp_path, monkeypatch):
         (tmp_path / "out" / "reports" / "round.json").read_text())
     assert report["label"] == "round"
     assert report["verdict"] == "pass"
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_suite(tmp_path, PASS_BODY)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "platform": platform.platform()}
 
 
 def test_run_any_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -27,6 +27,32 @@ def test_haar_bases_orthonormal(rng):
     assert np.allclose(gram, np.eye(3), atol=1e-10)
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (6, 5)])
+def test_haar_bases_orthonormal_to_rounding(n, k):
+    # the second Gram-Schmidt pass is what holds this: with one pass every
+    # shape here exceeds the bound at this many draws
+    bases = haar_bases(n, k, 200_000, np.random.default_rng(n * 10 + k))
+    gram = np.matmul(bases.transpose(0, 2, 1), bases)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 5)])
+def test_haar_bases_is_sign_fixed_qr_of_the_draw(n, k):
+    bases = haar_bases(n, k, 500, np.random.default_rng(5))
+    a = np.random.default_rng(5).standard_normal((500, n, k))
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    assert np.abs(bases - q * signs[:, None, :]).max() <= 1e-10
+
+
+def test_haar_bases_consumes_one_gaussian_draw():
+    g = np.random.default_rng(9)
+    haar_bases(4, 2, 300, g)
+    ref = np.random.default_rng(9)
+    ref.standard_normal((300, 4, 2))
+    assert g.random() == ref.random()
+
+
 def test_haar_frames_complete(rng):
     frames = haar_frames(4, 2, 16, rng)
     assert frames.shape == (16, 4, 4)

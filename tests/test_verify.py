@@ -15,7 +15,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
                                ProductDensity, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_volume_radius
-from igeolab.grassmann import Subspace
+from igeolab.grassmann import Subspace, haar_bases
 from igeolab.report import FAIL, INCONCLUSIVE, PASS
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
                             check_bp_subspace, check_grinberg_functional,
@@ -319,6 +319,36 @@ def test_sharpness_honest_shortfall(rng):
     assert rep.verdict == FAIL
     assert d["claimed_bound"] == pytest.approx(1.0 / 16.0)
     assert 3.3 <= d["fitted_factor"] <= 4.2
+
+
+def test_sharpness_blocks_match_one_shot_draw():
+    # one substream of 2^16 + 3 subspaces spans a block boundary; the
+    # block-streamed hits must equal those of one haar_bases call
+    n, k, s, m = 4, 2, 1.5, (1 << 16) + 3
+    rep = gaussian_sharpness_experiment(n, k, s, m, np.random.default_rng(3))
+    sigma2 = (2 * math.pi) ** (-n / k)
+    diag = np.array([sigma2] * k + [1.0] * (n - k))
+    b = haar_bases(n, k, m, np.random.default_rng(3))
+    gram = np.einsum("sji,sjl->sil", b, b * diag[None, :, None])
+    _, logdet = np.linalg.slogdet(gram)
+    hits = int(np.count_nonzero(
+        logdet <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)))
+    assert hits > 0
+    assert round(rep.diagnostics["empirical_measure"] * m) == hits
+
+
+@pytest.mark.parametrize("s,exact", [(1.5, 0.034067), (2.0, 0.018115),
+                                     (3.0, 0.0068775)])
+def test_sharpness_exact_measure_matches_mc(s, exact, rng):
+    d = gaussian_sharpness_experiment(3, 1, s, 100_000, rng).diagnostics
+    assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
+    assert abs(d["empirical_measure"] - d["exact_measure"]) \
+        <= 4.0 * d["binomial_stderr"]
+
+
+def test_sharpness_exact_measure_only_for_lines(rng):
+    rep = gaussian_sharpness_experiment(4, 2, 1.5, 100, rng)
+    assert rep.diagnostics["exact_measure"] is None
 
 
 def test_sharpness_validation(rng):
