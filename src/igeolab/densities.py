@@ -7,8 +7,9 @@ package is built from them:
 
 * sections: each exact family has one batched formula, ``_sections(bases,
   offsets)``, giving the section parameters for a stack of flats.
-  ``slice_stats_batch`` reads the section masses and sups off it, and
-  ``slice(S)`` builds the restriction of f to one subspace or flat as a
+  ``slice_stats_batch`` reads the section masses and sups off it,
+  ``section_points`` samples every section of the stack from it at once,
+  and ``slice(S)`` builds the restriction of f to one subspace or flat as a
   model on the section's own coordinates, from row 0 of it.  The mass of
   the slice of the fiber E-perp + x is exactly the marginal density of f at
   x, so marginals come for free.
@@ -52,6 +53,7 @@ __all__ = [
     "affine_image",
     "sample_point",
     "section_stats",
+    "section_points",
     "restriction_stats",
     "marginal_density",
     "read_density_text",
@@ -139,7 +141,10 @@ class _Sectioned(DensityModel):
     ``_sections(bases, offsets)`` maps a stack of flats, bases (s, n, k)
     and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays,
     or None when some flat has no closed-form section.
-    ``_section_model(row, k)`` builds a section model from one row of it.
+    ``_section_model(row, k)`` builds a section model from one row of it,
+    and ``_section_points(sections, k, size, rng)`` draws size points from
+    every row's normalized law at once, shape (s, size, k); rows of zero
+    mass get finite points.
     """
 
     def slice_stats_batch(self, bases, offsets):
@@ -229,6 +234,12 @@ class EllipsoidIndicator(_Sectioned):
             return EllipsoidIndicator(g, u0, 0.0)
         return EllipsoidIndicator(g / rho, u0, self.amplitude)
 
+    def _section_points(self, sections, k, size, rng):
+        _, _, g, u0, rho = sections
+        y = uniform_ball(k, len(g) * size, rng).reshape(len(g), size, k)
+        scale = np.sqrt(np.maximum(rho, 0.0))[:, None, None]
+        return u0[:, None, :] + scale * _inverse_root(g, y)
+
     def superlevel_volume(self, t):
         if self.amplitude == 0.0 or t >= self.amplitude:
             return 0.0
@@ -309,6 +320,11 @@ class GaussianDensity(_Sectioned):
         mass, _, u_star, h = row
         cov = np.linalg.inv(h)
         return GaussianDensity(u_star, 0.5 * (cov + cov.T), mass)
+
+    def _section_points(self, sections, k, size, rng):
+        _, _, u_star, h = sections
+        z = rng.standard_normal((len(h), size, k))
+        return u_star[:, None, :] + _inverse_root(h, z)
 
     def superlevel_volume(self, t):
         if t >= self.sup:
@@ -417,6 +433,14 @@ class TruncatedGaussian(_Sectioned):
         if rho2 <= 0.0:
             return TruncatedGaussian(-w, self.tau, self.radius, 0.0)
         return TruncatedGaussian(-w, self.tau, math.sqrt(rho2), amp)
+
+    def _section_points(self, sections, k, size, rng):
+        _, _, w, rho2, _ = sections
+        cut = _chi2_cdf(np.maximum(rho2, 0.0) / self.tau ** 2, k)[:, None]
+        u = rng.random((len(w), size))
+        r = self.tau * np.sqrt(2.0 * gammaincinv(0.5 * k, u * cut))
+        return _directions((len(w), size), k, rng) * r[..., None] \
+            - w[:, None, :]
 
     def describe(self):
         return {"kind": "truncated_gaussian", "n": self.n,
@@ -619,6 +643,26 @@ class ProductDensity(_Sectioned):
                                else self.factors[a].flipped()
                                for a, sign in zip(axes, signs)], amp)
 
+    def _section_points(self, sections, k, size, rng):
+        if k == 1:
+            _, _, t, heights = sections
+            u = rng.random((len(t), size))
+            return _step_quantiles(t, heights * np.diff(t, axis=1),
+                                   u)[..., None]
+        # aligned flats: coordinate j follows factor axes[:, j], times its
+        # sign; factors are padded to one width with zero-weight bins
+        _, _, axes, signs, _ = sections
+        width = max(f.heights.size for f in self.factors)
+        edges = np.array([np.pad(f.edges, (0, width - f.heights.size), "edge")
+                          for f in self.factors])
+        weights = np.array([np.pad(f.heights * np.diff(f.edges),
+                                   (0, width - f.heights.size))
+                            for f in self.factors])
+        u = rng.random((len(axes), size, k))
+        return np.stack([signs[:, j, None] * _step_quantiles(
+            edges[axes[:, j]], weights[axes[:, j]], u[..., j])
+            for j in range(k)], axis=-1)
+
     def _box_values(self):
         total = math.prod(f.heights.size for f in self.factors)
         if total > PRODUCT_ENUM_CAP:
@@ -736,6 +780,15 @@ class RadialGridDensity(_Sectioned):
         first = int(np.argmax(hit))
         return RadialGridDensity(k, edges[first:], self.heights[first:])
 
+    def _section_points(self, sections, k, size, rng):
+        # shells are uniform in r^k: invert the CDF of r^k, then take roots
+        _, _, edges, _ = sections
+        powers = edges ** k
+        u = rng.random((len(edges), size))
+        r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
+                            u) ** (1.0 / k)
+        return _directions((len(edges), size), k, rng) * r[..., None]
+
     def superlevel_volume(self, t):
         return float(self.shell_volumes()[self.heights > t].sum())
 
@@ -745,6 +798,39 @@ class RadialGridDensity(_Sectioned):
     def describe(self):
         return {"kind": "radial_grid", "n": self.n,
                 "radius": float(self.edges[-1]), "bins": self.heights.size}
+
+
+def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """points (s, size, k) mapped row by row by L^-T, L the Cholesky factor
+    of matrix[i] (s, k, k): standard normal points become N(0, matrix^-1),
+    unit-ball points fill the ellipsoid u^T matrix u <= 1.  Points are rows,
+    so L^-T acts as a right product with L^-1."""
+    return points @ np.linalg.inv(np.linalg.cholesky(matrix))
+
+
+def _directions(shape: tuple, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform unit vectors of R^k, shape + (k,)."""
+    g = rng.standard_normal(shape + (k,))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Quantiles at u (s, size) of per-row piecewise-uniform laws: row i
+    spreads weights[i, j] evenly over [edges[i, j], edges[i, j + 1]].
+    Zero-weight bins are never hit; a row of zero weight gives edges[i, 0]."""
+    below = np.concatenate([np.zeros((len(weights), 1)),
+                            np.cumsum(weights, axis=1)], axis=1)
+    target = u * below[:, -1:]
+    idx = np.minimum((below[:, None, 1:] <= target[..., None]).sum(axis=-1),
+                     weights.shape[1] - 1)
+    w = np.take_along_axis(weights, idx, axis=1)
+    start = np.take_along_axis(below, idx, axis=1)
+    lo = np.take_along_axis(edges, idx, axis=1)
+    hi = np.take_along_axis(edges, idx + 1, axis=1)
+    frac = np.divide(target - start, w, out=np.zeros_like(target),
+                     where=w > 0)
+    return lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
 
 
 class PushforwardDensity(DensityModel):
@@ -872,6 +958,23 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     vol = unit_ball_volume(k) * w ** k
     return (vol * vals.mean(axis=1), vals.max(axis=1),
             vol * vals.std(axis=1, ddof=1) / math.sqrt(count))
+
+
+def section_points(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
+                   size: int, rng: np.random.Generator):
+    """(mass, points) of the sections of f through the flats offsets[i] +
+    span(bases[i]), the sampling twin of section_stats: mass[i] is the
+    exact section mass and points[i], shape (size, k), holds size draws
+    from the section's normalized law in its own coordinates, one draw per
+    family for the whole stack.  Rows of zero mass carry finite points.
+    Raises ValueError unless every section has a closed form.
+    """
+    sections = f._sections(bases, offsets) \
+        if isinstance(f, _Sectioned) else None
+    if sections is None:
+        raise ValueError("section identity checks need exact slice models")
+    return sections[0], f._section_points(sections, bases.shape[-1], size,
+                                          rng)
 
 
 def restriction_stats(f: DensityModel, S, method="exact",

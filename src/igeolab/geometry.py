@@ -7,6 +7,7 @@ up to floating point; Monte Carlo lives elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "unit_ball_volume",
     "unit_volume_radius",
     "bp_constant",
+    "bp_exact_constant",
     "simplex0_volume",
     "simplex_volume",
 ]
@@ -84,23 +86,56 @@ def bp_constant(dims: Dimensions) -> float:
     return float(np.exp(log_c))
 
 
+def bp_exact_constant(dims: Dimensions) -> float:
+    """The constant of the linear and affine Blaschke-Petkantschin formulas
+    (Schneider-Weil, Stochastic and Integral Geometry, Thms 7.2.1 and 7.2.7).
+
+    bp_constant with every unit-ball volume kappa_j replaced by the sphere
+    area omega_j = j kappa_j, i.e. bp_constant times
+    prod_{j<q} (n - j) / (k - j).  The section routes of the bp_* checks
+    estimate this value; equals 1 when n == k.
+    """
+    n, k, q = dims.n, dims.k, dims.q
+    return bp_constant(dims) * math.prod((n - j) / (k - j) for j in range(q))
+
+
 def _tuple_volumes(x: np.ndarray) -> np.ndarray:
     """Volumes of conv{0, rows of x[i]} for a stack x of shape (..., q, n).
 
-    Uses singular values of each q x n matrix: the q-volume of the spanned
-    parallelepiped is the product of singular values, divided by q!.
+    The q-volume of the spanned parallelepiped is the product of the
+    r = min(q, n) singular values of each q x n matrix, divided by q!.
     Tuples whose smallest singular value falls below SV_RELATIVE_CUTOFF
-    relative to the largest are reported as exactly zero.
+    relative to the largest are reported as exactly zero.  For r <= 2 the
+    product has a closed form, vectorized over the stack: the Frobenius
+    norm for r = 1, and for r = 2 the root of the sum of the squared 2 x 2
+    minors (Cauchy-Binet), which keeps its relative error near
+    eps * s_max / s_min where the Gram determinant a c - b^2 loses
+    accuracy to cancellation.  r >= 3 goes through the SVD.
     """
     x = np.asarray(x, dtype=float)
-    q = x.shape[-2]
-    sv = np.linalg.svd(x, compute_uv=False)
-    top = sv[..., 0]
-    degenerate = sv[..., -1] <= SV_RELATIVE_CUTOFF * top
-    with np.errstate(divide="ignore"):
-        logvol = np.sum(np.log(sv), axis=-1) - float(gammaln(q + 1.0))
-    vol = np.exp(logvol)
-    return np.where(degenerate | (top == 0.0), 0.0, vol)
+    q, n = x.shape[-2:]
+    if min(q, n) >= 3:
+        sv = np.linalg.svd(x, compute_uv=False)
+        top = sv[..., 0]
+        degenerate = sv[..., -1] <= SV_RELATIVE_CUTOFF * top
+        with np.errstate(divide="ignore"):
+            logvol = np.sum(np.log(sv), axis=-1) - float(gammaln(q + 1.0))
+        return np.where(degenerate | (top == 0.0), 0.0, np.exp(logvol))
+    frob2 = np.einsum("...ij,...ij->...", x, x)
+    if min(q, n) == 1:
+        # one singular value: zero only for the zero tuple
+        return np.sqrt(frob2) / math.factorial(q)
+    rows = x if q == 2 else np.swapaxes(x, -1, -2)
+    i, j = np.triu_indices(rows.shape[-1], 1)
+    a, b = rows[..., 0, :], rows[..., 1, :]
+    minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    prod = np.sqrt(np.einsum("...m,...m->...", minors, minors))
+    # s_min <= c s_max  <=>  s_min s_max <= c s_max^2, with s_max^2 the
+    # larger root of s^4 - |x|_F^2 s^2 + prod^2
+    top2 = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 ** 2 - 4.0 * prod ** 2,
+                                             0.0)))
+    return np.where(prod <= SV_RELATIVE_CUTOFF * top2, 0.0,
+                    prod / math.factorial(q))
 
 
 def simplex0_volume(pts: np.ndarray) -> float:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import unit_ball_volume, unit_volume_radius
 from .densities import DensityModel, RadialGridDensity, _sorted_tail_volumes
@@ -116,6 +115,9 @@ def bathtub_check(profile, n: int, phi, upper: float = math.inf,
     integral of phi(r) r^(n-1) dr over [0, r_n].  Deterministic quadrature,
     no randomness involved.
     """
+    # imported here, its only use: scipy.integrate doubles the import time
+    from scipy.integrate import quad
+
     r_n = unit_volume_radius(n)
     target = r_n ** n / n
     quad_opts = dict(limit=200, epsabs=1e-12, epsrel=1e-10)

@@ -9,7 +9,8 @@ across the module:
 * identity checks (the two section decompositions) carry an unspecified
   normalization: the constant is *fitted* from the data and its ratio to
   the printed closed form is reported, and the verdict asks only that two
-  independent replicas agree on the fit;
+  independent replicas agree on the fit (its distance to the exact
+  Blaschke-Petkantschin constant is reported alongside);
 * unspecified O(1) constants are fitted and compared against a ceiling
   of 10;
 * estimates whose top percentile carries half the total are flagged
@@ -23,12 +24,12 @@ import math
 import numpy as np
 from scipy.special import betainc
 
-from .geometry import Dimensions, bp_constant, unit_ball_volume, \
-    unit_volume_radius, _tuple_volumes
-from .grassmann import Flat, Subspace, flat_frames, haar_bases, \
+from .geometry import Dimensions, bp_constant, bp_exact_constant, \
+    unit_ball_volume, unit_volume_radius, _tuple_volumes
+from .grassmann import Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to
 from .densities import DensityModel, EllipsoidIndicator, affine_image, \
-    section_stats
+    section_points, section_stats
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
     affine_average_I, delta0_p, delta_p
 from .rearrange import rearrangement
@@ -41,6 +42,9 @@ CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # Subspaces per block of the sharpness draw: keeps its arrays a few MB.
 SHARPNESS_BLOCK = 1 << 16
+# Sampled section points per block of the bp_* section draws: keeps the
+# peak memory of a draw flat in the number of flats.
+SECTION_BLOCK = 1 << 16
 
 __all__ = [
     "check_bp_subspace",
@@ -80,14 +84,23 @@ def _heavy_tailed(*ests: Estimate) -> bool:
 # Section decompositions of simplex moments (subspace and flat versions).
 # ---------------------------------------------------------------------------
 
-def _slice_tuple_moment(slices, exponent, inner, rng) -> float:
-    """One inner estimate: product of slice masses times the simplex-moment
-    mean under the normalized slice laws, vertices at the origin."""
-    mass = math.prod(s.mass for s in slices)
-    if mass <= 0.0:
-        return 0.0
-    pts = np.stack([s.sample(inner, rng) for s in slices], axis=1)
-    return mass * float(np.mean(powz(_tuple_volumes(pts), exponent)))
+def _section_moments(f_list, bases, offsets, inner, exponent, origin,
+                     rng) -> np.ndarray:
+    """Per flat of the stack: the product of the section masses of f_list
+    times the mean of |conv|^exponent over inner tuples, one point of each
+    density's section law per tuple.  The tuple spans a simplex with the
+    origin as extra vertex when origin is set, else by its points alone.
+    """
+    mass = np.ones(len(bases))
+    pts = []
+    for f in f_list:
+        m, p = section_points(f, bases, offsets, inner, rng)
+        mass *= m
+        pts.append(p)
+    pts = np.stack(pts, axis=2)
+    if not origin:
+        pts = pts[..., 1:, :] - pts[..., :1, :]
+    return mass * powz(_tuple_volumes(pts), exponent).mean(axis=1)
 
 
 def _bp_subspace_replica(f_list, k, p, n_direct, n_subspaces, inner, rng):
@@ -101,35 +114,33 @@ def _bp_subspace_replica(f_list, k, p, n_direct, n_subspaces, inner, rng):
                          rng.spawn(1)[0])
         return lhs, grass
     exponent = p + (n - k)
+    rows = max(1, SECTION_BLOCK // (q * inner))
 
     def draw(stream, m):
-        bases = haar_bases(n, k, m, stream)
         out = np.empty(m)
-        for j in range(m):
-            E = Subspace(bases[j])
-            slices = []
-            for f in f_list:
-                sl = f.slice(E)
-                if sl is None:
-                    raise ValueError(
-                        "section identity checks need exact slice models")
-                slices.append(sl)
-            out[j] = _slice_tuple_moment(slices, exponent, inner, stream)
+        for start in range(0, m, rows):
+            bases = haar_bases(n, k, min(rows, m - start), stream)
+            out[start:start + len(bases)] = _section_moments(
+                f_list, bases, np.zeros((len(bases), n)), inner, exponent,
+                True, stream)
         return out
 
     grass = mc_estimate(draw, n_subspaces, rng.spawn(1)[0], keep_values=True)
     return lhs, grass
 
 
-def _decomposition_report(name: str, parameters: dict, printed: float,
+def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
                           sides, lhs_all: Estimate) -> CheckReport:
     """Verdict shared by the two section decompositions.
 
     sides holds one (ambient side, section route) pair per replica; each
     replica fits the constant as their ratio, and the verdict asks the two
     fits to agree within 3 combined stderr unless a route is heavy-tailed.
-    lhs_all is the pooled ambient side.
+    lhs_all is the pooled ambient side.  The pooled fit's distance to the
+    exact constant, in its stderr, rides along as exact_z (diagnostic only).
     """
+    printed = bp_constant(dims)
+    exact = bp_exact_constant(dims)
     fits = [ratio_estimate(lhs, route) for lhs, route in sides]
     gap = abs(fits[0].value - fits[1].value)
     tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
@@ -146,6 +157,9 @@ def _decomposition_report(name: str, parameters: dict, printed: float,
             "fitted_constant": fitted.value,
             "fitted_stderr": fitted.stderr,
             "fitted_over_printed": fitted.value / printed,
+            "exact_constant": exact,
+            "exact_z": ((fitted.value - exact) / fitted.stderr
+                        if fitted.stderr > 0 else math.inf),
             "replica_fits": [e.value for e in fits],
             "replica_gap": gap,
             "replica_tolerance": tol,
@@ -168,14 +182,14 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     """
     n = f_list[0].n
     q = len(f_list)
-    printed = bp_constant(Dimensions(n, k, q))
+    dims = Dimensions(n, k, q)
     sides = [_bp_subspace_replica(f_list, k, p, n_direct // 2,
                                   n_subspaces // 2, inner, half)
              for half in rng.spawn(2)]
     return _decomposition_report(
         "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
                         "n_subspaces": n_subspaces},
-        printed, sides, merge_estimates([s[0] for s in sides]))
+        dims, sides, merge_estimates([s[0] for s in sides]))
 
 
 def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
@@ -195,7 +209,8 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
         raise ValueError("support must fit inside the flat window")
     if p != 0.0 and p < 1.0:
         raise ValueError("offset exponent must be 0 or >= 1")
-    printed = bp_constant(Dimensions(n, k, k))
+    dims = Dimensions(n, k, k)
+    printed = bp_constant(dims)
     parameters = {"n": n, "k": k, "q": k, "p": p, "R": R,
                   "n_direct": n_direct, "n_flats": n_flats}
     if k == n and p == 0.0:
@@ -212,6 +227,7 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     if k == n:
         raise ValueError("offset exponents need k <= n-1")
     exponent = p + (n - k)
+    rows = max(1, SECTION_BLOCK // ((k + 1) * inner))
 
     def replica(stream):
         if p == 0.0:
@@ -220,21 +236,13 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
             lhs = delta_p(f, k, p, n_direct // 2, stream.spawn(1)[0])
 
         def draw(sub, m):
-            bases, offsets, weight = flat_frames(n, k, R, m, sub)
             out = np.empty(m)
-            for j in range(m):
-                sl = f.slice(Flat(Subspace(bases[j]), offsets[j]))
-                if sl is None:
-                    raise ValueError(
-                        "section identity checks need exact slice models")
-                mass = sl.mass
-                if mass <= 0.0:
-                    out[j] = 0.0
-                    continue
-                pts = sl.sample((k + 1) * inner, sub).reshape(inner, k + 1, k)
-                vols = _tuple_volumes(pts[:, 1:, :] - pts[:, :1, :])
-                out[j] = weight * mass ** (k + 1) * float(
-                    np.mean(powz(vols, exponent)))
+            for start in range(0, m, rows):
+                bases, offsets, weight = flat_frames(
+                    n, k, R, min(rows, m - start), sub)
+                out[start:start + len(bases)] = weight * _section_moments(
+                    [f] * (k + 1), bases, offsets, inner, exponent, False,
+                    sub)
             return out
 
         flats = mc_estimate(draw, n_flats // 2, stream.spawn(1)[0],
@@ -243,7 +251,7 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 
     sides = [replica(h) for h in rng.spawn(2)]
     return _decomposition_report(
-        "bp_flat", parameters, printed, sides,
+        "bp_flat", parameters, dims, sides,
         sides[0][0] if p == 0.0 else merge_estimates([s[0] for s in sides]))
 
 
@@ -645,6 +653,20 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         diagnostics=diagnostics)
 
 
+def _logdet_spd(gram: np.ndarray) -> np.ndarray:
+    """log det of a stack of symmetric positive definite k x k matrices, in
+    closed form for k <= 2 and by LU factorization beyond.  The 2 x 2 form
+    a c - b^2 cancels in proportion to the condition number, which is at
+    most sigma^-2 for the sharpness Gram matrices."""
+    k = gram.shape[-1]
+    if k == 1:
+        return np.log(gram[:, 0, 0])
+    if k == 2:
+        return np.log(gram[:, 0, 0] * gram[:, 1, 1]
+                      - gram[:, 0, 1] * gram[:, 1, 0])
+    return np.linalg.slogdet(gram)[1]
+
+
 def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
                                   rng: np.random.Generator,
                                   substreams: int = 1) -> CheckReport:
@@ -678,8 +700,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         for start in range(0, m, SHARPNESS_BLOCK):
             b = haar_bases(n, k, min(SHARPNESS_BLOCK, m - start), stream)
             gram = np.matmul(b.transpose(0, 2, 1), b * diag[:, None])
-            _, logdet = np.linalg.slogdet(gram)
-            hits[start:start + len(b)] = logdet <= log_cut
+            hits[start:start + len(b)] = _logdet_spd(gram) <= log_cut
         return hits
 
     emp = mc_estimate(draw, n_subspaces, rng, substreams)

@@ -377,9 +377,8 @@ def test_restriction_stats_method_validation(rng):
         restriction_stats(b, line(1, 0), method=("mc", 100))  # rng missing
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs a third of a second at import and nothing in the
-    # package needs it
+def _loaded_by_import(module):
+    """Whether a fresh `import igeolab` loads module, in a subprocess."""
     import os
     import subprocess
     import sys
@@ -389,6 +388,18 @@ def test_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, igeolab; print('scipy.stats' in sys.modules)"],
+         f"import sys, igeolab; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs a third of a second at import and nothing in the
+    # package needs it
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.2 s at import; bathtub_check, its only
+    # user, imports it on call
+    assert not _loaded_by_import("scipy.integrate")

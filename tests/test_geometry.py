@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeolab.geometry import (Dimensions, bp_constant, simplex0_volume,
+from igeolab.geometry import (SV_RELATIVE_CUTOFF, Dimensions, bp_constant,
+                              bp_exact_constant, simplex0_volume,
                               simplex_volume, unit_ball_volume,
-                              unit_volume_radius)
+                              unit_volume_radius, _tuple_volumes)
 
 
 def test_unit_ball_volumes():
@@ -45,6 +46,21 @@ def test_bp_constant_small_cases():
     for n in range(1, 5):
         for q in range(1, n + 1):
             assert bp_constant(Dimensions(n, n, q)) == pytest.approx(1.0)
+
+
+def test_bp_exact_constant_uses_sphere_areas():
+    # kappa_j -> omega_j = j kappa_j turns the printed constant into the
+    # Blaschke-Petkantschin one; n == k stays at 1
+    assert bp_exact_constant(Dimensions(2, 1, 1)) == pytest.approx(math.pi)
+    assert bp_exact_constant(Dimensions(3, 2, 2)) == pytest.approx(
+        bp_constant(Dimensions(3, 2, 2)) * 3.0)
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            for q in range(1, k + 1):
+                dims = Dimensions(n, k, q)
+                factor = math.comb(n, q) / math.comb(k, q)
+                assert bp_exact_constant(dims) == pytest.approx(
+                    bp_constant(dims) * factor, rel=1e-13)
 
 
 def test_dimensions_validation():
@@ -99,3 +115,49 @@ def test_simplex0_volume_scaling_and_rotation(q, n, c, seed):
     # invariant under a Haar-ish rotation
     rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
     assert simplex0_volume(pts @ rot.T) == pytest.approx(vol, rel=1e-8, abs=1e-12)
+
+
+def _svd_volume(x):
+    """Reference: product of the singular values over q!, zero below the
+    cutoff; also returns s_max / s_min."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= SV_RELATIVE_CUTOFF * sv[0]:
+        return 0.0, math.inf
+    return float(np.prod(sv)) / math.factorial(x.shape[0]), sv[0] / sv[-1]
+
+
+def _tuple_stack(q, n, rng):
+    """Random tuples at scales 1e-3..1e3, tuples of prescribed singular
+    values (moderately and badly conditioned, just either side of the
+    cutoff), and exactly degenerate ones (zero, a row or column doubled)."""
+    r = min(q, n)
+    stack = [rng.standard_normal((q, n)) * 10.0 ** rng.uniform(-3, 3)
+             for _ in range(12)]
+    for s_min in (0.3, 1e-6, 2.0 * SV_RELATIVE_CUTOFF,
+                  0.5 * SV_RELATIVE_CUTOFF):
+        u = np.linalg.qr(rng.standard_normal((q, q)))[0][:, :r]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :r]
+        sv = np.geomspace(1.0, s_min, r) if r > 1 else np.ones(1)
+        stack.append((u * sv) @ v.T * 10.0 ** rng.uniform(-3, 3))
+    stack.append(np.zeros((q, n)))
+    if r > 1:
+        x = rng.standard_normal((q, n))
+        if q <= n:
+            x[1] = 2.0 * x[0]
+        else:
+            x[:, 1] = 2.0 * x[:, 0]
+        stack.append(x)
+    return np.stack(stack)
+
+
+@settings(max_examples=64, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_tuple_volumes_match_svd_reference(q, n, seed):
+    x = _tuple_stack(q, n, np.random.default_rng(seed))
+    # stacks of any leading shape
+    got = _tuple_volumes(x[:, None]).ravel()
+    for xi, vol in zip(x, got):
+        ref, cond = _svd_volume(xi)
+        assert (vol == 0.0) == (ref == 0.0)
+        if ref:
+            assert abs(vol - ref) <= 1e-14 * cond * ref

@@ -5,8 +5,11 @@ flats from a numpy generator seeded by hypothesis, then checks the batched
 stats row by row against three references: the one-row section model
 ``slice(S)``, trapezoid quadrature of ``eval_many`` along a line, and
 (Fubini) quadrature over the parallel lines inside a plane.  The Monte
-Carlo route of ``section_stats`` is checked against the exact rows.
+Carlo route of ``section_stats`` is checked against the exact rows, and the
+batched sampler ``section_points`` against draws of the section models.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
                                ProductDensity, RadialGridDensity,
                                TruncatedGaussian, restriction_stats,
-                               section_stats)
+                               section_points, section_stats)
 from igeolab.grassmann import Flat, Subspace, haar_frames
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
@@ -171,3 +174,35 @@ def test_mc_section_stats_agree_with_exact_rows(seed, family, n, k, aligned):
     assert (l1.value, l1.stderr, linf.value) == (one[0][0], one[2][0],
                                                  one[1][0])
     assert linf.biased_low and not l1.biased_low
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       k=st.integers(1, 3), aligned=st.booleans())
+def test_section_points_follow_section_models(family, seed, n, k, aligned):
+    k = min(k, n - 1)
+    f, (bases, offsets) = case(seed, family, n, k, aligned)
+    rng = np.random.default_rng(seed)
+    if family == "product" and k >= 2 and not aligned:
+        with pytest.raises(ValueError, match="exact slice models"):
+            section_points(f, bases, offsets, 10, rng)
+        return
+    size = 4_000
+    masses, pts = section_points(f, bases, offsets, size, rng)
+    assert pts.shape == (len(bases), size, k)
+    assert np.all(np.isfinite(pts))
+    for mass, row, b, z in zip(masses, pts, bases, offsets):
+        model = f.slice(Flat(Subspace(b), z))
+        assert mass == pytest.approx(model.mass, rel=1e-12, abs=1e-300)
+        if model.mass <= 0.0:
+            continue
+        # every point lies in the section's support
+        assert np.all(model.eval_many(row) > 0.0)
+        # mass-weighted second moment against a large draw of the model
+        ours = mass * np.einsum("si,si->s", row, row)
+        ref_pts = model.sample(40_000, rng)
+        ref = model.mass * np.einsum("si,si->s", ref_pts, ref_pts)
+        stderr = math.hypot(ours.std() / math.sqrt(ours.size),
+                            ref.std() / math.sqrt(ref.size))
+        assert abs(ours.mean() - ref.mean()) <= 4.0 * stderr

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
-                               ProductDensity, TruncatedGaussian)
+                               ProductDensity, PushforwardDensity,
+                               RadialGridDensity, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_volume_radius
 from igeolab.grassmann import Subspace, haar_bases
@@ -100,6 +101,55 @@ def test_bp_flat_positive_power(rng):
                         rng=rng, p=1.0)
     assert rep.verdict == PASS
     assert rep.diagnostics["fitted_constant"] > 0
+
+
+EXACT_FAMILIES = {
+    "ellipsoid": lambda: EllipsoidIndicator(
+        np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.1]]),
+        [0.1, -0.1, 0.0]),
+    "gaussian": lambda: GaussianDensity(np.zeros(3), np.diag([1.0, 0.7, 1.3])),
+    "truncated": lambda: TruncatedGaussian(np.zeros(3), 0.8, 1.5),
+    "radial": lambda: RadialGridDensity.uniform(3, 1.2, [1.0, 0.6, 0.3]),
+    "product": lambda: ProductDensity([Grid1D(-0.5, 0.5, [1.0, 2.0, 1.0]),
+                                       Grid1D(-0.4, 0.6, [0.5, 1.5]),
+                                       Grid1D(-0.5, 0.5, [1.0, 0.2, 2.0])]),
+}
+
+
+@pytest.mark.parametrize("check,family", [
+    ("subspace", family) for family in EXACT_FAMILIES] + [
+    ("flat", family) for family in EXACT_FAMILIES if family != "gaussian"])
+def test_bp_fit_matches_exact_constant(check, family, rng):
+    # k = 1 sections in R^3: the batched section sampler must reproduce
+    # the Blaschke-Petkantschin constant printed * C(3, 1) to 4 stderr
+    f = EXACT_FAMILIES[family]()
+    if check == "subspace":
+        rep = check_bp_subspace([f], k=1, p=1.0, n_direct=20_000,
+                                n_subspaces=2_000, rng=rng, inner=100)
+    else:
+        rep = check_bp_flat(f, k=1, n_direct=0, n_flats=4_000,
+                            R=f.support_radius, rng=rng, inner=100)
+    d = rep.diagnostics
+    assert d["exact_constant"] == pytest.approx(3.0 * d["printed_constant"])
+    assert abs(d["fitted_constant"] - d["exact_constant"]) \
+        <= 4.0 * d["fitted_stderr"]
+    assert d["exact_z"] == pytest.approx(
+        (d["fitted_constant"] - d["exact_constant"]) / d["fitted_stderr"])
+    # the stderr is small enough to tell the printed constant apart
+    assert abs(d["fitted_constant"] - d["printed_constant"]) \
+        > 10.0 * d["fitted_stderr"]
+
+
+def test_bp_checks_reject_sections_without_closed_form(rng):
+    box = EXACT_FAMILIES["product"]()
+    with pytest.raises(ValueError, match="exact slice models"):
+        check_bp_subspace([box], k=2, p=1.0, n_direct=100, n_subspaces=8,
+                          rng=rng, inner=4)
+    skew = PushforwardDensity(EllipsoidIndicator.ball(2),
+                              np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="exact slice models"):
+        check_bp_flat(skew, k=1, n_direct=100, n_flats=8, R=2.0, rng=rng,
+                      inner=4)
 
 
 # ---------------------------------------------------------------------------
