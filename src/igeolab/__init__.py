@@ -15,8 +15,8 @@ from .grassmann import Flat, Subspace, WeightedFlat, flat_frames, \
     sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     Grid1D, ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
-    affine_image, marginal_density, read_density_text, restriction_stats, \
-    sample_point, write_density_text
+    affine_image, marginal_density, restriction_stats, sample_point, \
+    write_density_text
 from .rearrange import LevelProfile, bathtub_check, level_profile, \
     rearrangement
 from .functionals import ExponentSpec, affine_average_I, delta0_p, delta_p, \
@@ -29,7 +29,7 @@ from .verify import check_affine_invariance, check_bp_flat, \
     gaussian_sharpness_experiment, marginal_bound_experiment, \
     perturbation_experiment
 from .config import CheckJob, ConfigError, RunConfig, build_density, \
-    check_names, load_config
+    check_names, load_config, read_density_text
 from .runner import run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -25,12 +24,13 @@ import numpy as np
 from . import verify
 from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
                         ProductDensity, RadialGridDensity, Step1D,
-                        TruncatedGaussian, read_density_text)
+                        TruncatedGaussian)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
 
 __all__ = ["ConfigError", "CheckJob", "RunConfig", "load_config",
-           "build_density", "CHECKS", "check_names", "describe_check"]
+           "build_density", "read_density_text", "CHECKS", "check_names",
+           "describe_check"]
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,6 @@ class CheckJob:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
-    substreams: int
     output_dir: str
     densities: dict[str, DensityModel]
     checks: list[CheckJob] = field(default_factory=list)
@@ -64,7 +63,6 @@ class RunConfig:
         """Hash of the effective configuration (seed overrides included)."""
         payload = {
             "seed": self.seed,
-            "substreams": self.substreams,
             "densities": {name: self.density_specs.get(name)
                           for name in self.densities},
             "checks": [[j.label, j.name,
@@ -110,6 +108,13 @@ def _positive(raw) -> float:
     return value
 
 
+def _heights(raw) -> np.ndarray:
+    heights = _finite(raw)
+    if heights.ndim != 1 or heights.size == 0 or np.any(heights < 0.0):
+        raise ValueError("must be a nonempty list of non-negative numbers")
+    return heights
+
+
 def _factor(raw) -> Step1D:
     """One product factor: {"heights": [...]} with optional lo, hi."""
     if not isinstance(raw, dict) or "heights" not in raw \
@@ -117,7 +122,8 @@ def _factor(raw) -> Step1D:
         raise ValueError('each factor must be {"heights": [...]} with '
                          "optional lo and hi")
     return Step1D.uniform(_number(raw.get("lo", -0.5)),
-                          _number(raw.get("hi", 0.5)), _finite(raw["heights"]))
+                          _number(raw.get("hi", 0.5)),
+                          _heights(raw["heights"]))
 
 
 def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
@@ -175,7 +181,7 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
             f = _scaled(f, take("amplitude", _number) / f.amplitude)
     elif kind == "radial":
         n = take("n", dim)
-        heights = take("heights", _finite)
+        heights = take("heights", _heights)
         edges = vector("edges")
         if edges is None:
             f = RadialGridDensity.uniform(n, take("radius", _positive),
@@ -195,6 +201,70 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
             raise ConfigError("density", "normalize", "needs a positive mass")
         f = _scaled(f, 1.0 / f.mass)
     return f
+
+
+# Density text files, as densities.write_density_text writes them:
+#
+#   radial n=<n> R=<R> bins=<m>
+#   h_1 ... h_m                      (shell heights on [0, R])
+#
+#   product n=<n>
+#   h_1 ... h_m1                     (factor 1 heights on [-1/2, 1/2])
+#   ...                              (one line per factor)
+#
+# A text is another way to write a radial or product spec map, and
+# build_density checks its numbers.  bins (radial) and n (product) restate
+# the number of heights and of factor lines.
+
+_TEXT_HEADERS = {"radial": ("n", "R", "bins"), "product": ("n",)}
+
+
+def _text_value(token: str):
+    """int, else float, else the token itself for a field parser to reject."""
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
+
+
+def read_density_text(text: str) -> DensityModel:
+    """Density from its text form.  A malformed text is a ConfigError
+    naming the field as the text spells it."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    kind = lines[0][0] if lines else None
+    if kind not in _TEXT_HEADERS:
+        raise ConfigError("density", "kind", "density text must start with "
+                          f"radial or product, got {kind!r}")
+    head = {}
+    for key, _, raw in (part.partition("=") for part in lines[0][1:]):
+        if key not in _TEXT_HEADERS[kind] or key in head:
+            raise ConfigError("density", key, "unknown or repeated field")
+        head[key] = _text_value(raw)
+    for key in _TEXT_HEADERS[kind]:
+        if key not in head:
+            raise ConfigError("density", key, "missing field")
+    rows = [[_text_value(tok) for tok in ln] for ln in lines[1:]]
+    if kind == "radial":
+        if len(rows) != 1:
+            raise ConfigError("density", "heights",
+                              "radial text has one line of heights")
+        spec = {"n": head["n"], "radius": head["R"], "heights": rows[0]}
+        count, given = "bins", len(rows[0])
+    else:
+        spec = {"factors": [{"heights": row} for row in rows]}
+        count, given = "n", len(rows)
+    try:
+        if _number(head[count], lo=1, integer=True) != given:
+            raise ValueError(f"is {head[count]}, but {given} are given")
+    except ValueError as exc:
+        raise ConfigError("density", count, str(exc)) from exc
+    try:
+        return build_density({"kind": kind, **spec})
+    except ConfigError as exc:
+        raise ConfigError("density", "R" if exc.field == "radius"
+                          else exc.field, exc.message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +336,6 @@ class _Check:
         self.target = target
         self.fields = fields
         self.pre = pre
-        self.substreams = "substreams" in inspect.signature(
-            getattr(verify, target)).parameters
         self.run = self._run
 
     def parse(self, params, densities, section, rng=None) -> dict:
@@ -295,10 +363,8 @@ class _Check:
             raise ConfigError(section, *exc.args) from exc
         return dict(v)
 
-    def _run(self, params, densities, rng, substreams, section):
+    def _run(self, params, densities, rng, section):
         kwargs = self.parse(params, densities, section, rng)
-        if self.substreams:
-            kwargs["substreams"] = substreams
         return getattr(verify, self.target)(rng=rng, **kwargs)
 
 
@@ -649,10 +715,12 @@ def load_config(path: str, *, seed_override: int | None = None,
         raise ConfigError("run", "section", "missing [run] section")
     run_raw = {k: _json_value("run", k, v) for k, v in parser.items("run")}
     seed = _seed(run_raw.pop("seed", 0))
+    # accepted for older configs, which all pin the one-stream draw that
+    # every check now makes; true and 1.0 compare equal to 1, so check type
     substreams = run_raw.pop("substreams", 1)
-    if not isinstance(substreams, int) or isinstance(substreams, bool) \
-            or substreams < 1:
-        raise ConfigError("run", "substreams", "must be a positive integer")
+    if type(substreams) is not int or substreams != 1:
+        raise ConfigError("run", "substreams", "only the integer 1 is "
+                          f"accepted, got {substreams!r}")
     output_dir = run_raw.pop("output_dir", "igeolab-out")
     if not isinstance(output_dir, str):
         raise ConfigError("run", "output_dir", "must be a string path")
@@ -707,6 +775,5 @@ def load_config(path: str, *, seed_override: int | None = None,
 
     for job in checks:
         CHECKS[job.name].parse(job.params, densities, f"check {job.label}")
-    return RunConfig(seed=seed, substreams=substreams, output_dir=output_dir,
-                     densities=densities, checks=checks,
-                     density_specs=density_specs)
+    return RunConfig(seed=seed, output_dir=output_dir, densities=densities,
+                     checks=checks, density_specs=density_specs)

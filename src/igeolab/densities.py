@@ -56,7 +56,6 @@ __all__ = [
     "section_points",
     "restriction_stats",
     "marginal_density",
-    "read_density_text",
     "write_density_text",
 ]
 
@@ -1006,58 +1005,8 @@ def marginal_density(f: DensityModel, E: Subspace, x, method="exact",
 
 
 # ---------------------------------------------------------------------------
-# Text interchange format.
-#
-#   radial n=<n> R=<R> bins=<m>
-#   h_1 ... h_m                      (shell heights on [0, R])
-#
-#   product n=<n>
-#   h_1 ... h_m1                     (factor 1 heights on [-1/2, 1/2])
-#   ...                              (one line per factor)
-#
-# Heights are non-negative reals; negatives and NaN are rejected.
+# Text interchange format (read back by config.read_density_text).
 # ---------------------------------------------------------------------------
-
-def read_density_text(text: str) -> DensityModel:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty density text")
-    header = lines[0].split()
-    kind = header[0]
-    fields = dict(part.split("=", 1) for part in header[1:])
-    if kind == "radial":
-        n = int(fields["n"])
-        radius = float(fields["R"])
-        bins = int(fields["bins"])
-        if len(lines) != 2:
-            raise ValueError("radial format wants exactly one height line")
-        heights = _parse_heights(lines[1], line_no=2)
-        if heights.size != bins:
-            raise ValueError(f"expected {bins} heights, got {heights.size}")
-        if radius <= 0:
-            raise ValueError("R must be positive")
-        return RadialGridDensity.uniform(n, radius, heights)
-    if kind == "product":
-        n = int(fields["n"])
-        if len(lines) != n + 1:
-            raise ValueError(f"product format wants {n} factor lines")
-        factors = [Step1D.uniform(-0.5, 0.5, _parse_heights(ln, line_no=i + 2))
-                   for i, ln in enumerate(lines[1:])]
-        return ProductDensity(factors)
-    raise ValueError(f"unknown density kind {kind!r}")
-
-
-def _parse_heights(line: str, line_no: int) -> np.ndarray:
-    try:
-        vals = np.array([float(tok) for tok in line.split()])
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: {exc}") from None
-    if vals.size == 0:
-        raise ValueError(f"line {line_no}: no values")
-    if np.any(np.isnan(vals)) or np.any(vals < 0):
-        raise ValueError(f"line {line_no}: heights must be non-negative and not NaN")
-    return vals
-
 
 def write_density_text(f: DensityModel) -> str:
     if isinstance(f, RadialGridDensity):

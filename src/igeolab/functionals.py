@@ -4,7 +4,7 @@ Covers the two simplex-moment functionals (with and without the origin as
 a vertex), the Grassmannian and affine-Grassmannian averages of section
 norms, the k-plane transform, and projected small-ball probabilities.
 Every estimator returns an Estimate and is bit-reproducible given the
-generator seed and substream count.
+generator's seed path.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def _common_dim(f_list) -> int:
     return dims.pop()
 
 
-def delta0_p(f_list, p: float, n_samples: int, rng: np.random.Generator,
-             substreams: int = 1) -> Estimate:
+def delta0_p(f_list, p: float, n_samples: int,
+             rng: np.random.Generator) -> Estimate:
     """Simplex moment with the origin as a vertex.
 
     Estimates the integral over q-tuples of |conv{0, x_1, ..., x_q}|^p
@@ -157,13 +157,13 @@ def delta0_p(f_list, p: float, n_samples: int, rng: np.random.Generator,
         pts = np.stack([f.sample(m, stream) for f in f_list], axis=1)
         return powz(_tuple_volumes(pts), p)
 
-    est = mc_estimate(draw, n_samples, rng, substreams, keep_values=(p < 0))
+    est = mc_estimate(draw, n_samples, rng, keep_values=(p < 0))
     scale = math.prod(f.mass for f in f_list)
     return est.scaled(scale)
 
 
 def delta_p(f: DensityModel, k: int, p: float, n_samples: int,
-            rng: np.random.Generator, substreams: int = 1) -> Estimate:
+            rng: np.random.Generator) -> Estimate:
     """Simplex moment over k+1 free vertices, all drawn from the same f.
 
     Only p >= 1 is accepted: below that the rearrangement machinery the
@@ -179,13 +179,12 @@ def delta_p(f: DensityModel, k: int, p: float, n_samples: int,
         pts = f.sample(m * (k + 1), stream).reshape(m, k + 1, f.n)
         return _tuple_volumes(pts[:, 1:, :] - pts[:, :1, :]) ** p
 
-    est = mc_estimate(draw, n_samples, rng, substreams)
+    est = mc_estimate(draw, n_samples, rng)
     return est.scaled(f.mass ** (k + 1))
 
 
 def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
-                        rng: np.random.Generator, method="exact",
-                        substreams: int = 1) -> Estimate:
+                        rng: np.random.Generator, method="exact") -> Estimate:
     """Average over random k-subspaces of prod_i ||f_i restricted||_{p_i}^{alpha_i}.
 
     method "exact" uses closed-form section norms (available for the
@@ -202,12 +201,12 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
         return _norm_products(models, spec, haar_bases(n, k, m, stream),
                               np.zeros((m, n)), method, stream)
 
-    return mc_estimate(draw, n_subspaces, rng, substreams, keep_values=True)
+    return mc_estimate(draw, n_subspaces, rng, keep_values=True)
 
 
 def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
-                     n_flats: int, rng: np.random.Generator, method="exact",
-                     substreams: int = 1) -> Estimate:
+                     n_flats: int, rng: np.random.Generator, method="exact"
+                     ) -> Estimate:
     """Invariant-measure average over k-flats of the section-norm product.
 
     Flats are drawn uniformly among those within distance R of the origin
@@ -229,7 +228,7 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         return weight * _norm_products(models, spec, bases, offsets, method,
                                        stream)
 
-    return mc_estimate(draw, n_flats, rng, substreams, keep_values=True)
+    return mc_estimate(draw, n_flats, rng, keep_values=True)
 
 
 def kplane_transform(f: DensityModel, F: Flat, method="exact",
@@ -239,8 +238,8 @@ def kplane_transform(f: DensityModel, F: Flat, method="exact",
 
 
 def small_ball_probability(f: DensityModel, E: Subspace, z, eps: float,
-                           n_samples: int, rng: np.random.Generator,
-                           substreams: int = 1) -> Estimate:
+                           n_samples: int, rng: np.random.Generator
+                           ) -> Estimate:
     """P(|P_E X - z| <= eps * sqrt(k)) for X distributed as f normalized.
 
     z is a point of E in ambient coordinates.  Empirical fraction of draws,
@@ -259,4 +258,4 @@ def small_ball_probability(f: DensityModel, E: Subspace, z, eps: float,
         dist = np.linalg.norm(pts @ E.basis - z_coords, axis=1)
         return (dist <= threshold).astype(float)
 
-    return mc_estimate(draw, n_samples, rng, substreams)
+    return mc_estimate(draw, n_samples, rng)

@@ -139,7 +139,6 @@ def bathtub_check(profile, n: int, phi, upper: float = math.inf,
         name=name,
         parameters={"n": n, "upper": upper},
         lhs=Estimate.exact(lhs), rhs=Estimate.exact(rhs),
-        ratio=lhs / rhs if rhs != 0 else math.inf,
         verdict=verdict,
         diagnostics={"moment": moment, "moment_target": target,
                      "quad_error": lhs_err + rhs_err, "slack": slack})

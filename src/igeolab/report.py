@@ -88,34 +88,28 @@ def merge_estimates(parts: list[Estimate]) -> Estimate:
 def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
                 n_total: int,
                 rng: np.random.Generator,
-                substreams: int = 1,
                 keep_values: bool = False) -> Estimate:
-    """Monte Carlo mean of draw(rng, m) over n_total samples.
+    """Monte Carlo mean of one draw(rng, n_total) call.
 
-    Splits the budget over independent substreams (deterministic given the
-    generator's seed path) and pools with a parallel variance merge.  With
-    keep_values the raw draws are retained to attach the 99th-percentile
-    contribution share.
+    The whole budget comes from rng in a single draw, so the estimate is
+    bit-reproducible given the generator's seed path.  With keep_values
+    the share of the total carried by the top 1% of contributions is
+    attached as tail_share.
     """
     if n_total < 2:
         raise ValueError("need at least 2 samples")
-    substreams = max(1, min(substreams, n_total // 2))
-    streams = rng.spawn(substreams) if substreams > 1 else [rng]
-    sizes = [n_total // substreams] * substreams
-    sizes[-1] += n_total - sum(sizes)
-    parts = []
-    kept = []
-    for stream, m in zip(streams, sizes):
-        vals = np.asarray(draw(stream, m), dtype=float)
-        if vals.shape != (m,):
-            raise ValueError(f"draw returned shape {vals.shape}, wanted ({m},)")
-        if keep_values:
-            kept.append(vals)
-        sd = vals.std(ddof=1) if m > 1 else 0.0
-        parts.append(Estimate(float(vals.mean()), float(sd / math.sqrt(m)), m))
-    est = merge_estimates(parts)
+    vals = np.asarray(draw(rng, n_total), dtype=float)
+    if vals.shape != (n_total,):
+        raise ValueError(f"draw returned shape {vals.shape}, "
+                         f"wanted ({n_total},)")
+    sd = vals.std(ddof=1)
+    part = Estimate(float(vals.mean()), float(sd / math.sqrt(n_total)),
+                    n_total)
+    # the Welford merge rounds value and stderr in its own way; passing the
+    # one part through it keeps every published MC figure bit-stable
+    est = merge_estimates([part])
     if keep_values:
-        est.tail_share = _tail_share(np.concatenate(kept))
+        est.tail_share = _tail_share(vals)
     return est
 
 
@@ -155,9 +149,14 @@ class CheckReport:
     parameters: dict
     lhs: Estimate
     rhs: Estimate
-    ratio: float
+    # lhs / rhs, inf when rhs is 0; a field here keeps the reports' key order
+    ratio: float = field(init=False)
     verdict: str
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.ratio = (self.lhs.value / self.rhs.value if self.rhs.value
+                      else math.inf)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -79,10 +79,10 @@ def _safe_name(label: str) -> str:
 
 
 def _execute(args):
-    idx, job, densities, seed, substreams = args
+    idx, job, densities, seed = args
     rng = substream(seed, idx)
     started = time.perf_counter()
-    report = CHECKS[job.name].run(job.params, densities, rng, substreams,
+    report = CHECKS[job.name].run(job.params, densities, rng,
                                   f"check {job.label}")
     return report, time.perf_counter() - started
 
@@ -106,7 +106,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
 
-    tasks = [(idx, job, config.densities, config.seed, config.substreams)
+    tasks = [(idx, job, config.densities, config.seed)
              for idx, job in enumerate(config.checks)]
 
     manifest_checks = []
@@ -120,7 +120,8 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         handle.flush()
         try:
             if jobs > 1 and len(tasks) > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                # the pool forks all its workers at the first submit
+                with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
                     results = pool.map(_execute, tasks)
                     _consume(results, config, writer, handle, reports_dir,
                              manifest_checks, verdicts, echo)
@@ -135,7 +136,6 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         "artifact_version": __version__,
         "config_hash": config.resolved_hash(),
         "seed": config.seed,
-        "substreams": config.substreams,
         "interrupted": interrupted,
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,

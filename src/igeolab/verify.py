@@ -150,7 +150,6 @@ def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
     heavy = _heavy_tailed(*[s[1] for s in sides])
     return CheckReport(
         name=name, parameters=parameters, lhs=lhs_all, rhs=rhs_all,
-        ratio=lhs_all.value / rhs_all.value if rhs_all.value else math.inf,
         verdict=INCONCLUSIVE if heavy else (PASS if gap <= tol else FAIL),
         diagnostics={
             "printed_constant": printed,
@@ -219,7 +218,7 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
         lhs = Estimate.exact(f.mass ** (k + 1))
         return CheckReport(
             name="bp_flat", parameters=parameters, lhs=lhs, rhs=lhs,
-            ratio=1.0, verdict=PASS,
+            verdict=PASS,
             diagnostics={"printed_constant": printed,
                          "fitted_constant": 1.0,
                          "fitted_over_printed": 1.0 / printed,
@@ -269,13 +268,12 @@ def _invariance_verdict(before: Estimate, after: Estimate):
     else:
         verdict = PASS
     sigma = dev / ratio.stderr if ratio.stderr > 0 else math.inf
-    return ratio, sigma, verdict
+    return sigma, verdict
 
 
 def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
                             n_subspaces: int, rng: np.random.Generator,
-                            method="exact", substreams: int = 1
-                            ) -> CheckReport:
+                            method="exact") -> CheckReport:
     """Subspace average of section norms before and after a volume-preserving
     linear map.
 
@@ -287,17 +285,17 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     g = np.asarray(g, dtype=float)
     streams = rng.spawn(2)
     before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
-                                 method, substreams)
+                                 method)
     images = [affine_image(f, (g, None)) for f in f_list]
     after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
-                                method, substreams)
-    ratio, sigma, verdict = _invariance_verdict(before, after)
+                                method)
+    sigma, verdict = _invariance_verdict(before, after)
     return CheckReport(
         name="linear_invariance",
         parameters={"n": n, "k": k, "spec_p": _spec_params(spec.p_list),
                     "spec_alpha": list(spec.alpha_list),
                     "n_subspaces": n_subspaces, "method": method},
-        lhs=after, rhs=before, ratio=ratio.value, verdict=verdict,
+        lhs=after, rhs=before, verdict=verdict,
         diagnostics={"departure_sigma": sigma,
                      "exponent_sum": spec.constraint_sum,
                      "invariant_sum": float(n),
@@ -307,8 +305,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
 
 def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
                             n_flats: int, rng: np.random.Generator,
-                            method="exact", substreams: int = 1
-                            ) -> CheckReport:
+                            method="exact") -> CheckReport:
     """Flat average of section norms before and after a volume-preserving
     affine map; invariance requires sum(alpha_i / p_i) = n + 1.
 
@@ -320,18 +317,18 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     streams = rng.spawn(2)
     r_before = max(R, max(f.support_radius for f in f_list))
     before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0],
-                              method, substreams)
+                              method)
     images = [affine_image(f, (a_mat, shift)) for f in f_list]
     r_after = max(R, max(f.support_radius for f in images))
     after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
-                             method, substreams)
-    ratio, sigma, verdict = _invariance_verdict(before, after)
+                             method)
+    sigma, verdict = _invariance_verdict(before, after)
     return CheckReport(
         name="affine_invariance",
         parameters={"n": n, "k": k, "spec_p": _spec_params(spec.p_list),
                     "spec_alpha": list(spec.alpha_list), "R": R,
                     "n_flats": n_flats, "method": method},
-        lhs=after, rhs=before, ratio=ratio.value, verdict=verdict,
+        lhs=after, rhs=before, verdict=verdict,
         diagnostics={"departure_sigma": sigma,
                      "exponent_sum": spec.constraint_sum,
                      "invariant_sum": float(n + 1),
@@ -345,8 +342,7 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
 # ---------------------------------------------------------------------------
 
 def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
-                        rng: np.random.Generator,
-                        substreams: int = 1) -> Estimate:
+                        rng: np.random.Generator) -> Estimate:
     """Normalized p-th-moment functional of the random simplex spanned by
     one draw from each density (with the origin as an extra vertex in the
     cone case), raised to 1/p."""
@@ -357,15 +353,14 @@ def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
             pts = pts[:, 1:, :] - pts[:, :1, :]
         return _tuple_volumes(pts) ** p
 
-    est = mc_estimate(draw, n_samples, rng, substreams)
+    est = mc_estimate(draw, n_samples, rng)
     return power_estimate(est, 1.0 / p)
 
 
 def check_rearrangement_monotonicity(f_list, p: float, case: str,
                                      n_samples: int,
                                      rng: np.random.Generator,
-                                     levels: int = 1000,
-                                     substreams: int = 1) -> CheckReport:
+                                     levels: int = 1000) -> CheckReport:
     """The two-step monotonicity chain of the simplex functionals.
 
     The functional may only drop when every input is replaced by its
@@ -388,11 +383,9 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     normalized = all(abs(f.mass - 1.0) <= 1e-9 and f.sup <= 1.0 + 1e-9
                      for f in f_list)
     streams = rng.spawn(3)
-    value_f = _simplex_functional(f_list, p, origin, n_samples, streams[0],
-                                  substreams)
+    value_f = _simplex_functional(f_list, p, origin, n_samples, streams[0])
     stars = [rearrangement(f, levels) for f in f_list]
-    value_star = _simplex_functional(stars, p, origin, n_samples, streams[1],
-                                     substreams)
+    value_star = _simplex_functional(stars, p, origin, n_samples, streams[1])
     first = value_f.value >= value_star.value \
         - 3.0 * math.hypot(value_f.stderr, value_star.stderr)
     diagnostics = {"value": value_f.value, "value_rearranged": value_star.value,
@@ -403,7 +396,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     if normalized:
         ball = EllipsoidIndicator.ball(n, radius=unit_volume_radius(n))
         value_ball = _simplex_functional([ball] * q, p, origin, n_samples,
-                                         streams[2], substreams)
+                                         streams[2])
         second = value_star.value >= value_ball.value \
             - 3.0 * math.hypot(value_star.stderr, value_ball.stderr)
         diagnostics["value_ball"] = value_ball.value
@@ -417,9 +410,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
         name="rearrangement_chain",
         parameters={"n": n, "q": q, "p": p, "case": case,
                     "n_samples": n_samples, "levels": levels},
-        lhs=value_f, rhs=rhs,
-        ratio=value_f.value / rhs.value if rhs.value else math.inf,
-        verdict=verdict, diagnostics=diagnostics)
+        lhs=value_f, rhs=rhs, verdict=verdict, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +429,7 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
     if verdict != FAIL and _heavy_tailed(lhs):
         verdict = INCONCLUSIVE
     return CheckReport(
-        name=name, parameters=parameters, lhs=lhs, rhs=rhs,
-        ratio=lhs.value / rhs.value if rhs.value else math.inf,
-        verdict=verdict,
+        name=name, parameters=parameters, lhs=lhs, rhs=rhs, verdict=verdict,
         diagnostics={"expect_equality": expect_equality,
                      "equality_band": band,
                      "tail_share": lhs.tail_share})
@@ -448,8 +437,7 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
 
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
                               rng: np.random.Generator, method="exact",
-                              expect_equality: bool = False,
-                              substreams: int = 1) -> CheckReport:
+                              expect_equality: bool = False) -> CheckReport:
     """Subspace average of L1-over-sup section-norm ratios against its
     closed-form bound.
 
@@ -468,8 +456,7 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
-    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method,
-                              substreams)
+    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method)
     log_rhs = q * (k + p) / k * math.log(unit_ball_volume(k)) \
         - q * (k + p) / n * math.log(unit_ball_volume(n))
     for f in f_list:
@@ -484,8 +471,7 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
 def check_schneider_functional(f: DensityModel, k: int, R: float,
                                n_flats: int, rng: np.random.Generator,
                                method="exact",
-                               expect_equality: bool = False,
-                               substreams: int = 1) -> CheckReport:
+                               expect_equality: bool = False) -> CheckReport:
     """Flat average of section mass powers over section sups against its
     closed-form bound.
 
@@ -499,8 +485,7 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
     window = max(R, f.support_radius)
-    lhs = affine_average_I([f, f], spec, k, window, n_flats, rng, method,
-                           substreams)
+    lhs = affine_average_I([f, f], spec, k, window, n_flats, rng, method)
     log_c = (n + 1) * math.log(unit_ball_volume(k)) \
         + math.log(unit_ball_volume(n * (k + 1))) \
         - (k + 1) * math.log(unit_ball_volume(n)) \
@@ -647,9 +632,7 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         name="marginal_bound",
         parameters={"n": n, "k": k, "s": s, "t": t,
                     "n_subspaces": n_subspaces, "n_x": n_x},
-        lhs=lhs, rhs=rhs,
-        ratio=lhs.value / rhs.value if rhs.value else math.inf,
-        verdict=PASS if ok else FAIL,
+        lhs=lhs, rhs=rhs, verdict=PASS if ok else FAIL,
         diagnostics=diagnostics)
 
 
@@ -668,8 +651,7 @@ def _logdet_spd(gram: np.ndarray) -> np.ndarray:
 
 
 def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
-                                  rng: np.random.Generator,
-                                  substreams: int = 1) -> CheckReport:
+                                  rng: np.random.Generator) -> CheckReport:
     """Measure of sections where the skewed Gaussian marginal sup is large.
 
     The law has k variances sigma^2 = (2pi)^(-n/k) and n-k unit variances,
@@ -678,8 +660,8 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     section from det of the projected covariance; the claimed lower bound
     is (2s)^(-k(n-k)).  The verdict states the claim as printed; the fitted
     scale factor that would make the bound tight is reported either way.
-    Each substream draws its subspaces in blocks of SHARPNESS_BLOCK, which
-    consumes the stream exactly as one draw of all of them would.
+    The subspaces are drawn in blocks of SHARPNESS_BLOCK, which consumes
+    the generator exactly as one draw of all of them would.
 
     For k = 1 the event is u_1^2 >= x for a uniform direction u, with
     x = (1 - 1/(2 pi s^2)) / (1 - sigma^2), and u_1^2 ~ Beta(1/2, (n-1)/2),
@@ -703,7 +685,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
             hits[start:start + len(b)] = _logdet_spd(gram) <= log_cut
         return hits
 
-    emp = mc_estimate(draw, n_subspaces, rng, substreams)
+    emp = mc_estimate(draw, n_subspaces, rng)
     bound = (2.0 * s) ** (-k * (n - k))
     passed = emp.value >= bound - 3.0 * emp.stderr
     fitted_factor = (emp.value ** (-1.0 / (k * (n - k))) / s
@@ -716,7 +698,6 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
         lhs=Estimate.exact(bound), rhs=emp,
-        ratio=bound / emp.value if emp.value else math.inf,
         verdict=PASS if passed else FAIL,
         diagnostics={
             "empirical_measure": emp.value,
@@ -782,7 +763,6 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
                     "n_samples": n_samples, "n_candidates": n_candidates},
         lhs=Estimate.exact(fitted),
         rhs=Estimate.exact(CONSTANT_CEILING),
-        ratio=fitted / CONSTANT_CEILING,
         verdict=PASS if fitted <= CONSTANT_CEILING else FAIL,
         diagnostics={
             "fitted_constant": fitted,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy
 
+from igeolab import runner
 from igeolab.cli import main
 from igeolab.config import check_names
 from igeolab.runner import CSV_COLUMNS
@@ -315,3 +316,39 @@ def test_malformed_density_number_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
     assert "config error: [density ball] radius: " \
         in capsys.readouterr().err
+
+
+def test_malformed_density_text_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shells.txt").write_text("radial n=3 R=1\n1.0\n")
+    body = PASS_BODY.replace('kind = "ellipsoid"\nn = 2\nradius = 1.0',
+                             'kind = "file"\npath = "shells.txt"')
+    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [density ball] bins: missing field" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
+    # a stand-in pool records the size asked for and starts no process
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY),
+                 "--jobs", "64"]) == 2
+    assert asked == [2]

@@ -39,7 +39,6 @@ MINIMAL = """
 def test_minimal_roundtrip(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     assert cfg.seed == 42
-    assert cfg.substreams == 1
     assert isinstance(cfg.densities["ball"], EllipsoidIndicator)
     assert cfg.checks == []
     assert len(cfg.resolved_hash()) == 64
@@ -307,16 +306,50 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
     ({"kind": '"ellipsoid"', "n": "2", "normalize": "1"}, "normalize"),
     ({"kind": '"radial"', "n": "2", "radius": "1.0", "heights": "[0.0]",
       "normalize": "true"}, "normalize"),
+    ({"kind": '"radial"', "n": "2", "radius": "1.0",
+      "heights": "[1.0, -0.5]"}, "heights"),
+    ({"kind": '"radial"', "n": "2", "radius": "1.0", "heights": "[]"},
+     "heights"),
+    ({"text": "radial n=3 R=1\n1.0\n"}, "bins"),
+    ({"text": "radial n=3 R=1 bins=2\n1.0\n"}, "bins"),
+    ({"text": "radial n=3 R=nan bins=1\n1.0\n"}, "R"),
+    ({"text": "radial n=3 R=inf bins=1\n1.0\n"}, "R"),
+    ({"text": "radial n=0 R=1 bins=1\n1.0\n"}, "n"),
+    ({"text": "radial n=-1 R=1 bins=1\n1.0\n"}, "n"),
+    ({"text": "radial n=3 R=1 bins=1 x=4\n1.0\n"}, "x"),
+    ({"text": "radial n=2 R=1 bins=2\n1.0 -0.5\n"}, "heights"),
+    ({"text": "product n=3\n1.0 2.0\n1.0\n"}, "n"),
+    ({"text": "product n=2\n1.0 x\n1.0\n"}, "factors"),
+    ({"text": "sphere n=2\n1.0\n"}, "kind"),
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
-        "normalize-zero-mass"])
+        "normalize-zero-mass", "negative-height", "no-heights",
+        "text-missing-bins", "text-bins-mismatch", "text-nan-radius",
+        "text-infinite-radius", "text-zero-n", "text-negative-n",
+        "text-unknown-key", "text-negative-height", "text-factor-count",
+        "text-bad-height", "text-unknown-kind"])
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
+    if "text" in fields:  # a density text file in place of inline fields
+        (tmp_path / "bad.txt").write_text(fields["text"])
+        fields = {"kind": '"file"', "path": '"bad.txt"'}
     body = MINIMAL + "\n    [density bad]\n" + "".join(
         f"    {key} = {value}\n" for key, value in fields.items())
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert (err.value.section, err.value.field) == ("density bad", field_name)
     assert str(err.value).startswith(f"[density bad] {field_name}: ")
+
+
+@pytest.mark.parametrize("value", ["2", "0", "true", "1.0", '"1"'])
+def test_run_substreams_only_one(tmp_path, value):
+    # older configs say substreams = 1: it and an absent field both load
+    load_config(write_config(tmp_path, MINIMAL))
+    one = MINIMAL.replace("seed = 42", "seed = 42\n    substreams = 1")
+    load_config(write_config(tmp_path, one))
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, one.replace(
+            "substreams = 1", f"substreams = {value}")))
+    assert (err.value.section, err.value.field) == ("run", "substreams")
 
 
 def test_hash_covers_density_specs(tmp_path):

@@ -16,8 +16,9 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
                                ProductDensity, PushforwardDensity,
                                RadialGridDensity, Step1D, TruncatedGaussian,
                                affine_image, marginal_density,
-                               read_density_text, restriction_stats,
-                               sample_point, write_density_text)
+                               restriction_stats, sample_point,
+                               write_density_text)
+from igeolab.config import read_density_text
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import Flat, Subspace, sample_subspace
 

@@ -28,8 +28,8 @@ from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
                                  kplane_transform, powz, section_norm,
                                  small_ball_probability)
 from igeolab.grassmann import Flat, Subspace, sample_flat, sample_subspace
-from igeolab.report import (Estimate, merge_estimates, power_estimate,
-                            ratio_estimate)
+from igeolab.report import (CheckReport, Estimate, mc_estimate,
+                            merge_estimates, power_estimate, ratio_estimate)
 
 INF = math.inf
 
@@ -201,9 +201,8 @@ def test_mc_average_evaluates_each_density_once_per_draw(rng, monkeypatch):
     monkeypatch.setattr(ProductDensity, "eval_many", counted)
     box = ProductDensity([segment(), unit_interval()])
     spec = ExponentSpec((1.0, INF), (2.0, -1.0))
-    grassmann_average_I([box, box], spec, 1, 60, rng, method=("mc", 16),
-                        substreams=3)
-    assert sizes == [20 * 16] * (2 * 3)
+    grassmann_average_I([box, box], spec, 1, 60, rng, method=("mc", 16))
+    assert sizes == [60 * 16] * 2
 
 
 def test_kplane_transform_gaussian(rng):
@@ -251,6 +250,31 @@ def test_merge_estimates():
     assert merged.value == pytest.approx(1.5)
     assert merged.samples == 200
     assert merged.stderr > 0
+
+
+def test_mc_estimate_draws_budget_once(rng):
+    calls = []
+
+    def draw(stream, m):
+        calls.append((stream, m))
+        return stream.random(m)
+
+    est = mc_estimate(draw, 1000, rng, keep_values=True)
+    assert len(calls) == 1
+    assert calls[0][0] is rng and calls[0][1] == 1000
+    assert est.samples == 1000 and est.tail_share is not None
+
+
+def test_check_report_computes_ratio():
+    report = CheckReport("c", {}, Estimate.exact(3.0), Estimate.exact(2.0),
+                         "pass")
+    assert report.ratio == 1.5
+    # the key order of reports/<label>.json
+    assert list(report.to_dict()) == ["name", "parameters", "lhs", "rhs",
+                                      "ratio", "verdict", "diagnostics"]
+    zero = CheckReport("c", {}, Estimate.exact(3.0), Estimate.exact(0.0),
+                       "pass")
+    assert zero.ratio == math.inf
 
 
 def test_ratio_and_power_estimates():
