@@ -14,9 +14,8 @@ from .grassmann import Flat, Subspace, WeightedFlat, flat_frames, \
     grassmann_distance, haar_bases, perturb_subspace, sample_flat, \
     sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
-    Grid1D, ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
-    affine_image, marginal_density, restriction_stats, sample_point, \
-    write_density_text
+    ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
+    affine_image, marginal_density, restriction_stats, write_density_text
 from .rearrange import LevelProfile, bathtub_check, level_profile, \
     rearrangement
 from .functionals import ExponentSpec, affine_average_I, delta0_p, delta_p, \

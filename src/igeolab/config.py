@@ -108,6 +108,31 @@ def _positive(raw) -> float:
     return value
 
 
+def _vector(raw, n=None) -> np.ndarray:
+    """Nonempty vector, of length n when n is given."""
+    vec = _finite(raw)
+    if vec.ndim != 1 or vec.size == 0 or n not in (None, vec.size):
+        raise ValueError(f"must be a vector of length {n or '>= 1'}, "
+                         f"got shape {vec.shape}")
+    return vec
+
+
+def _spd(raw, n=None) -> np.ndarray:
+    """Symmetric positive definite matrix, n x n when n is given."""
+    mat = _finite(raw)
+    size = n or (mat.shape[0] if mat.ndim == 2 else 0)
+    if size == 0 or mat.shape != (size, size):
+        raise ValueError(f"must be a square {f'{n} x {n} ' if n else ''}"
+                         f"matrix, got shape {mat.shape}")
+    if np.abs(mat - mat.T).max() > 1e-12:
+        raise ValueError("must be symmetric")
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise ValueError("must be positive definite") from None
+    return mat
+
+
 def _heights(raw) -> np.ndarray:
     heights = _finite(raw)
     if heights.ndim != 1 or heights.size == 0 or np.any(heights < 0.0):
@@ -131,10 +156,24 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
 
     kinds: file, gaussian, ellipsoid, truncated_gaussian, radial, product.
     normalize = true rescales to unit mass after construction.  Numbers
-    must be finite and dimensions n integers >= 1; a bad field, or an n
-    too large to allocate, is a ConfigError naming it.
+    must be finite, dimensions n integers >= 1, amplitudes positive,
+    vectors nonempty and matrices symmetric positive definite, and the
+    mass positive; a bad field, or an n too large to allocate, is a
+    ConfigError naming it.
     """
+    return _build_density(spec, base_dir)[0]
+
+
+# The field that sets the mass of a density of this kind, blamed when the
+# mass is zero; extreme shapes or radii can also under- or overflow it.
+_MASS_FIELD = {"radial": "heights", "product": "factors"}
+
+
+def _build_density(spec: dict, base_dir: str):
+    """build_density's model, and the text of a file density (else None),
+    read once so that the config hash covers the text that was parsed."""
     spec = dict(spec)
+    text = None
 
     def take(name, parse, default=_REQUIRED):
         raw = spec.pop(name, default)
@@ -142,47 +181,48 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
             raise ConfigError("density", name, "missing field")
         try:
             return parse(raw)
-        except (ValueError, TypeError, MemoryError) as exc:
+        except (ValueError, TypeError, ArithmeticError, MemoryError,
+                OSError) as exc:
             raise ConfigError("density", name, str(exc)) from exc
 
     def dim(raw):
         return _number(raw, lo=1, integer=True)
 
-    def vector(name):
-        return take(name, _finite) if name in spec else None
+    def optional(name, parse=_vector):
+        return take(name, parse) if name in spec else None
 
     kind = spec.pop("kind", None)
     normalize = take("normalize", _flag, False)
     if kind == "file":
-        f = read_density_text(_read_text(take("path", str), base_dir))
+        text = take("path", lambda raw: _read_text(raw, base_dir))
+        f = read_density_text(text)
     elif kind == "gaussian":
-        mean = vector("mean")
+        mean = optional("mean")
         if mean is None:
             mean = take("n", lambda raw: np.zeros(dim(raw)))
-        cov = take("cov", lambda raw: _number(raw) if np.isscalar(raw)
-                   else _finite(raw), 1.0)
-        if np.ndim(cov) == 0:
-            cov = cov * np.eye(mean.size)
-        f = GaussianDensity(mean, cov, take("amplitude", _number, 1.0))
+        cov = take("cov", lambda raw: _positive(raw) * np.eye(mean.size)
+                   if np.isscalar(raw) else _spd(raw, mean.size), 1.0)
+        f = GaussianDensity(mean, cov, take("amplitude", _positive, 1.0))
     elif kind == "ellipsoid":
-        shape = vector("shape")
+        shape = optional("shape", _spd)
         if shape is None:
             shape = take("n", lambda raw: np.eye(dim(raw))) \
-                / take("radius", _positive, 1.0) ** 2
-        f = EllipsoidIndicator(shape, vector("center"),
-                               take("amplitude", _number, 1.0))
+                / take("radius", lambda raw: _positive(raw) ** 2, 1.0)
+        center = optional("center", lambda raw: _vector(raw, len(shape)))
+        f = EllipsoidIndicator(shape, center,
+                               take("amplitude", _positive, 1.0))
     elif kind == "truncated_gaussian":
-        center = vector("center")
+        center = optional("center")
         if center is None:
             center = take("n", lambda raw: np.zeros(dim(raw)))
         f = TruncatedGaussian.normalized(center, take("tau", _positive),
                                          take("radius", _positive))
         if "amplitude" in spec:
-            f = _scaled(f, take("amplitude", _number) / f.amplitude)
+            f = _scaled(f, take("amplitude", _positive) / f.amplitude)
     elif kind == "radial":
         n = take("n", dim)
         heights = take("heights", _heights)
-        edges = vector("edges")
+        edges = optional("edges", _finite)
         if edges is None:
             f = RadialGridDensity.uniform(n, take("radius", _positive),
                                           heights)
@@ -190,17 +230,24 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
             f = RadialGridDensity(n, edges, heights)
     elif kind == "product":
         f = ProductDensity(take("factors", lambda raw: [
-            _factor(fac) for fac in raw]), take("amplitude", _number, 1.0))
+            _factor(fac) for fac in raw]), take("amplitude", _positive, 1.0))
     else:
         raise ConfigError("density", "kind", f"unknown density kind {kind!r}")
     if spec:
         raise ConfigError("density", ", ".join(sorted(spec)),
                           f"unused fields for kind {kind!r}")
+    try:
+        mass = f.mass
+    except OverflowError:
+        mass = math.inf
+    if not 0.0 < mass < math.inf:
+        raise ConfigError("density", "normalize" if normalize
+                          else _MASS_FIELD.get(kind, "spec"),
+                          f"the density's mass is {mass:g}; it must be "
+                          "positive and finite")
     if normalize:
-        if not f.mass > 0.0:
-            raise ConfigError("density", "normalize", "needs a positive mass")
         f = _scaled(f, 1.0 / f.mass)
-    return f
+    return f, text
 
 
 # Density text files, as densities.write_density_text writes them:
@@ -568,7 +615,7 @@ def _rearrangeable(v):
     limit = v.n if case == "cone" else v.n + 1
     _require(len(fl) <= limit, "densities",
              f"at most {limit} densities for case {case!r}")
-    _require(all(f.superlevel_volume(f.sup / 2) is not None for f in fl),
+    _require(all(f.superlevel_volumes([f.sup / 2]) is not None for f in fl),
              "densities", "rearrangement needs exact level profiles")
 
 
@@ -746,13 +793,13 @@ def load_config(path: str, *, seed_override: int | None = None,
                 raise ConfigError(section, "section",
                                   "density sections need a name")
             try:
-                densities[parts[1]] = build_density(items, base_dir)
-                if items.get("kind") == "file":
-                    items["text"] = _read_text(items["path"], base_dir)
+                densities[parts[1]], text = _build_density(items, base_dir)
+                if text is not None:
+                    items["text"] = text
                 density_specs[parts[1]] = items
             except ConfigError as exc:
                 raise ConfigError(section, exc.field, exc.message) from exc
-            except (ValueError, OSError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(section, "spec", str(exc)) from exc
         elif parts[0] == "check":
             if len(parts) != 2:

@@ -15,8 +15,8 @@ package is built from them:
   x, so marginals come for free.
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norm of
   a section is ``f.power(p).slice(S).mass ** (1/p)``.
-* ``superlevel_volume(t)``: |{f > t}|, which drives the layer-cake
-  rearrangement.
+* ``superlevel_volumes(ts)``: |{f > t}| at every level of an array, which
+  drives the layer-cake rearrangement.
 
 Monte Carlo fallbacks cover models without a closed form; sampled sup
 estimates are flagged biased low.
@@ -48,10 +48,8 @@ __all__ = [
     "TruncatedGaussian",
     "ProductDensity",
     "RadialGridDensity",
-    "Grid1D",
     "Step1D",
     "affine_image",
-    "sample_point",
     "section_stats",
     "section_points",
     "restriction_stats",
@@ -102,28 +100,10 @@ class DensityModel:
         """The pointwise power f**p as a model, or None."""
         return None
 
-    def superlevel_volume(self, t: float):
-        """|{f > t}| for t > 0, or None."""
+    def superlevel_volumes(self, ts):
+        """|{f > t}| at each level t > 0 of ts, an array shaped like ts
+        (0 for t >= sup), or None when no closed form exists."""
         return None
-
-    def superlevel_volumes(self, ts: np.ndarray):
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            v = self.superlevel_volume(float(t))
-            if v is None:
-                return None
-            out[i] = v
-        return out
-
-    # -- shared plumbing ------------------------------------------------
-    def eval(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(self.eval_many(x[None, :])[0])
-        return self.eval_many(x)
-
-    def describe(self) -> dict:
-        return {"kind": type(self).__name__, "n": self.n}
 
 
 def _as_section(S) -> tuple[Subspace, np.ndarray]:
@@ -239,16 +219,9 @@ class EllipsoidIndicator(_Sectioned):
         scale = np.sqrt(np.maximum(rho, 0.0))[:, None, None]
         return u0[:, None, :] + scale * _inverse_root(g, y)
 
-    def superlevel_volume(self, t):
-        if self.amplitude == 0.0 or t >= self.amplitude:
-            return 0.0
-        return unit_ball_volume(self.n) * math.exp(-0.5 * self._logdet)
-
-    def describe(self):
-        return {"kind": "ellipsoid_indicator", "n": self.n,
-                "amplitude": self.amplitude,
-                "center": self.center.tolist(),
-                "shape": self.shape_matrix.tolist()}
+    def superlevel_volumes(self, ts):
+        vol = unit_ball_volume(self.n) * math.exp(-0.5 * self._logdet)
+        return np.where(np.asarray(ts, dtype=float) < self.amplitude, vol, 0.0)
 
 
 class GaussianDensity(_Sectioned):
@@ -294,6 +267,8 @@ class GaussianDensity(_Sectioned):
         return self.mean + g @ self._chol.T
 
     def power(self, p):
+        if self.amplitude == 0.0:
+            return GaussianDensity(self.mean, self.cov / p, 0.0)
         log_a = (p * math.log(self.amplitude) if self.amplitude != 1.0 else 0.0) \
             + 0.5 * (1.0 - p) * (self.n * math.log(2 * math.pi) + self._logdet) \
             - 0.5 * self.n * math.log(p)
@@ -325,15 +300,17 @@ class GaussianDensity(_Sectioned):
         z = rng.standard_normal((len(h), size, k))
         return u_star[:, None, :] + _inverse_root(h, z)
 
-    def superlevel_volume(self, t):
-        if t >= self.sup:
-            return 0.0
-        rho = 2.0 * math.log(self.sup / t)
-        return unit_ball_volume(self.n) * rho ** (0.5 * self.n) * math.exp(0.5 * self._logdet)
+    def superlevel_volumes(self, ts):
+        # {f > t} is the ellipsoid d^T cov^-1 d < rho, empty at rho = 0
+        rho = 2.0 * _log_ratio(self.sup, ts)
+        return unit_ball_volume(self.n) * rho ** (0.5 * self.n) \
+            * math.exp(0.5 * self._logdet)
 
-    def describe(self):
-        return {"kind": "gaussian", "n": self.n, "amplitude": self.amplitude,
-                "mean": self.mean.tolist(), "cov": self.cov.tolist()}
+
+def _log_ratio(sup: float, ts) -> np.ndarray:
+    """log(sup / t) at each level t > 0 below sup, 0 at the rest."""
+    ratio = sup / np.asarray(ts, dtype=float)
+    return np.log(ratio, where=ratio > 1.0, out=np.zeros(ratio.shape))
 
 
 def _chi2_cdf(x, k: int):
@@ -403,11 +380,9 @@ class TruncatedGaussian(_Sectioned):
         amp = 0.0 if self.amplitude == 0.0 else math.exp(log_a)
         return TruncatedGaussian(self.center, self.tau / math.sqrt(p), self.radius, amp)
 
-    def superlevel_volume(self, t):
-        if self.amplitude == 0.0 or t >= self.sup:
-            return 0.0
-        r = self.tau * math.sqrt(2.0 * math.log(self.sup / t))
-        return unit_ball_volume(self.n) * min(r, self.radius) ** self.n
+    def superlevel_volumes(self, ts):
+        r = self.tau * np.sqrt(2.0 * _log_ratio(self.sup, ts))
+        return unit_ball_volume(self.n) * np.minimum(r, self.radius) ** self.n
 
     def _sections(self, bases, offsets):
         """Each section is the kernel about -w cut at radius sqrt(rho2),
@@ -440,11 +415,6 @@ class TruncatedGaussian(_Sectioned):
         r = self.tau * np.sqrt(2.0 * gammaincinv(0.5 * k, u * cut))
         return _directions((len(w), size), k, rng) * r[..., None] \
             - w[:, None, :]
-
-    def describe(self):
-        return {"kind": "truncated_gaussian", "n": self.n,
-                "center": self.center.tolist(), "tau": self.tau,
-                "radius": self.radius, "amplitude": self.amplitude}
 
 
 class Step1D(DensityModel):
@@ -517,19 +487,9 @@ class Step1D(DensityModel):
         """The mirror image x -> f(-x)."""
         return Step1D(-self.edges[::-1], self.heights[::-1])
 
-    def superlevel_volume(self, t):
-        return float(np.diff(self.edges)[self.heights > t].sum())
-
     def superlevel_volumes(self, ts):
         return _sorted_tail_volumes(self.heights, np.diff(self.edges),
                                     np.asarray(ts))
-
-    def describe(self):
-        return {"kind": "step1d", "n": 1, "bins": self.heights.size}
-
-
-# Step1D with equal-width bins on [lo, hi], under its older name.
-Grid1D = Step1D.uniform
 
 
 class ProductDensity(_Sectioned):
@@ -673,24 +633,12 @@ class ProductDensity(_Sectioned):
             vols = np.multiply.outer(vols, np.diff(f.edges)).ravel()
         return vals, vols
 
-    def superlevel_volume(self, t):
-        boxes = self._box_values()
-        if boxes is None:
-            return None
-        vals, vols = boxes
-        return float(vols[vals > t].sum())
-
     def superlevel_volumes(self, ts):
         boxes = self._box_values()
         if boxes is None:
             return None
         vals, vols = boxes
         return _sorted_tail_volumes(vals, vols, np.asarray(ts))
-
-    def describe(self):
-        return {"kind": "product", "n": self.n, "amplitude": self.amplitude,
-                "factors": [{"lo": f.lo, "hi": f.hi, "bins": f.heights.size}
-                            for f in self.factors]}
 
 
 def _sorted_tail_volumes(vals: np.ndarray, vols: np.ndarray, ts: np.ndarray):
@@ -788,15 +736,8 @@ class RadialGridDensity(_Sectioned):
                             u) ** (1.0 / k)
         return _directions((len(edges), size), k, rng) * r[..., None]
 
-    def superlevel_volume(self, t):
-        return float(self.shell_volumes()[self.heights > t].sum())
-
     def superlevel_volumes(self, ts):
         return _sorted_tail_volumes(self.heights, self.shell_volumes(), np.asarray(ts))
-
-    def describe(self):
-        return {"kind": "radial_grid", "n": self.n,
-                "radius": float(self.edges[-1]), "bins": self.heights.size}
 
 
 def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -868,14 +809,8 @@ class PushforwardDensity(DensityModel):
         base_p = self.base.power(p)
         return None if base_p is None else PushforwardDensity(base_p, self.matrix, self.shift)
 
-    def superlevel_volume(self, t):
-        return self.base.superlevel_volume(t)     # volume preserving
-
     def superlevel_volumes(self, ts):
-        return self.base.superlevel_volumes(ts)
-
-    def describe(self):
-        return {"kind": "pushforward", "n": self.n, "base": self.base.describe()}
+        return self.base.superlevel_volumes(ts)     # volume preserving
 
 
 def affine_image(f: DensityModel, g) -> DensityModel:
@@ -909,11 +844,6 @@ def affine_image(f: DensityModel, g) -> DensityModel:
 
 def _is_orthogonal(a_mat):
     return np.abs(a_mat.T @ a_mat - np.eye(a_mat.shape[0])).max() <= DET_TOL
-
-
-def sample_point(f: DensityModel, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the mass-normalized law of f."""
-    return f.sample(1, rng)[0]
 
 
 def _stratified_ball(dim: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:

@@ -330,6 +330,21 @@ def test_malformed_density_text_exits_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields, field_name", [
+    ("n = 2\namplitude = 0.0", "amplitude"),
+    ("shape = [[1.0, 0.0], [0.0, -1.0]]", "shape"),
+], ids=["zero-mass", "indefinite-shape"])
+def test_degenerate_density_exits_one(tmp_path, monkeypatch, capsys, fields,
+                                      field_name):
+    monkeypatch.chdir(tmp_path)
+    body = PASS_BODY.replace("n = 2\nradius = 1.0", fields)
+    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: [density ball] {field_name}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
     # a stand-in pool records the size asked for and starts no process
     asked = []

@@ -12,6 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from igeolab import config
 from igeolab.config import ConfigError, build_density, load_config
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity,
@@ -321,13 +322,53 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
     ({"text": "product n=3\n1.0 2.0\n1.0\n"}, "n"),
     ({"text": "product n=2\n1.0 x\n1.0\n"}, "factors"),
     ({"text": "sphere n=2\n1.0\n"}, "kind"),
+    ({"kind": '"gaussian"', "n": "2", "amplitude": "-1.0"}, "amplitude"),
+    ({"kind": '"gaussian"', "n": "2", "amplitude": "0.0"}, "amplitude"),
+    ({"kind": '"product"', "factors": '[{"heights": [1.0]}]',
+      "amplitude": "-1.0"}, "amplitude"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1.0",
+      "radius": "1.0", "amplitude": "-1.0"}, "amplitude"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1.0",
+      "radius": "1.0", "amplitude": "0.0"}, "amplitude"),
+    ({"kind": '"ellipsoid"', "n": "2", "amplitude": "0.0"}, "amplitude"),
+    ({"kind": '"radial"', "n": "2", "radius": "1.0",
+      "heights": "[0.0, 0.0]"}, "heights"),
+    ({"kind": '"product"',
+      "factors": '[{"heights": [1.0]}, {"heights": [0.0, 0.0]}]'},
+     "factors"),
+    ({"text": "product n=2\n1.0\n0.0 0.0\n"}, "factors"),
+    ({"kind": '"gaussian"', "mean": "[]"}, "mean"),
+    ({"kind": '"truncated_gaussian"', "center": "[[0.0]]", "tau": "1.0",
+      "radius": "1.0"}, "center"),
+    ({"kind": '"ellipsoid"', "shape": "[[1.0, 0.0], [0.0, -1.0]]"}, "shape"),
+    ({"kind": '"ellipsoid"', "shape": "[[1.0, 0.5], [0.0, 1.0]]"}, "shape"),
+    ({"kind": '"ellipsoid"', "shape": "[[1.0, 0.0], [0.0, 1.0]]",
+      "center": "[0.0]"}, "center"),
+    ({"kind": '"gaussian"', "mean": "[0.0, 0.0]",
+      "cov": "[[1.0, 0.0], [0.0, -1.0]]"}, "cov"),
+    ({"kind": '"gaussian"', "mean": "[0.0, 0.0]", "cov": "[[1.0]]"}, "cov"),
+    ({"kind": '"gaussian"', "n": "2", "cov": "-1.0"}, "cov"),
+    ({"kind": '"file"', "path": '"missing.txt"'}, "path"),
+    ({"kind": '"ellipsoid"', "n": "2", "radius": "1e200"}, "radius"),
+    ({"kind": '"ellipsoid"', "shape": "[[1e-310, 0.0], [0.0, 1e-310]]"},
+     "spec"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e200",
+      "radius": "1.0"}, "spec"),
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
         "normalize-zero-mass", "negative-height", "no-heights",
         "text-missing-bins", "text-bins-mismatch", "text-nan-radius",
         "text-infinite-radius", "text-zero-n", "text-negative-n",
         "text-unknown-key", "text-negative-height", "text-factor-count",
-        "text-bad-height", "text-unknown-kind"])
+        "text-bad-height", "text-unknown-kind", "negative-amplitude",
+        "zero-amplitude", "product-negative-amplitude",
+        "truncated-negative-amplitude", "truncated-zero-amplitude",
+        "ellipsoid-zero-amplitude", "radial-zero-heights",
+        "product-zero-factor", "text-product-zero-factor", "empty-mean",
+        "matrix-center", "indefinite-shape", "asymmetric-shape",
+        "short-center", "indefinite-cov", "cov-size-mismatch",
+        "negative-scalar-cov", "missing-file", "overflowing-radius",
+        "infinite-mass", "overflowing-tau"])
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
     if "text" in fields:  # a density text file in place of inline fields
         (tmp_path / "bad.txt").write_text(fields["text"])
@@ -371,6 +412,25 @@ def test_hash_covers_density_file_text(tmp_path):
     before = load_config(path).resolved_hash()
     txt.write_text("product n=2\n1.0 3.0\n1.0\n")
     assert load_config(path).resolved_hash() != before
+
+
+def test_density_file_read_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_read(path, base_dir):
+        reads.append(path)
+        return read_text(path, base_dir)
+
+    read_text = config._read_text
+    monkeypatch.setattr(config, "_read_text", counting_read)
+    (tmp_path / "box.txt").write_text("product n=2\n1.0 2.0\n1.0\n")
+    cfg = load_config(write_config(tmp_path, MINIMAL + """
+    [density box]
+    kind = "file"
+    path = "box.txt"
+    """))
+    assert reads == ["box.txt"]
+    assert cfg.density_specs["box"]["text"] == "product n=2\n1.0 2.0\n1.0\n"
 
 
 @pytest.mark.parametrize("relpath", SHIPPED)

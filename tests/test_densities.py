@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
-                               ProductDensity, PushforwardDensity,
-                               RadialGridDensity, Step1D, TruncatedGaussian,
-                               affine_image, marginal_density,
-                               restriction_stats, sample_point,
+from igeolab.densities import (DensityModel, EllipsoidIndicator,
+                               GaussianDensity, ProductDensity,
+                               PushforwardDensity, RadialGridDensity, Step1D,
+                               TruncatedGaussian, affine_image,
+                               marginal_density, restriction_stats,
                                write_density_text)
 from igeolab.config import read_density_text
 from igeolab.geometry import unit_ball_volume
@@ -48,8 +48,8 @@ def test_ellipsoid_mass_and_eval():
     e = EllipsoidIndicator(np.diag([1 / a ** 2, 1 / b ** 2]), amplitude=0.7)
     assert e.mass == pytest.approx(0.7 * math.pi * a * b, rel=1e-12)
     assert e.sup == 0.7
-    assert e.eval(np.array([1.9, 0.0])) == 0.7
-    assert e.eval(np.array([2.1, 0.0])) == 0.0
+    assert e.eval_many(np.array([[1.9, 0.0], [2.1, 0.0]])).tolist() \
+        == [0.7, 0.0]
     assert e.support_radius == pytest.approx(2.0)
 
 
@@ -92,9 +92,9 @@ def test_truncated_gaussian_section_vs_mc(rng):
 
 
 def test_product_line_section_exact(rng):
-    f = ProductDensity([Grid1D(-0.5, 0.5, [1.0, 3.0, 0.5]),
-                        Grid1D(-1.0, 1.0, [0.2, 2.0]),
-                        Grid1D(-0.5, 0.5, [1.0])])
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0, 0.5]),
+                        Step1D.uniform(-1.0, 1.0, [0.2, 2.0]),
+                        Step1D.uniform(-0.5, 0.5, [1.0])])
     E = sample_subspace(3, 1, rng)
     z = E.complement.point(np.array([0.05, -0.1]))
     sl = f.slice(Flat(E, z))
@@ -107,9 +107,9 @@ def test_product_line_section_exact(rng):
 
 
 def test_product_aligned_plane_section():
-    fx = Grid1D(-0.5, 0.5, [1.0, 2.0])
-    fy = Grid1D(-0.5, 0.5, [3.0, 1.0])
-    fz = Grid1D(-1.0, 1.0, [0.5, 1.5])
+    fx = Step1D.uniform(-0.5, 0.5, [1.0, 2.0])
+    fy = Step1D.uniform(-0.5, 0.5, [3.0, 1.0])
+    fz = Step1D.uniform(-1.0, 1.0, [0.5, 1.5])
     f = ProductDensity([fx, fy, fz])
     E = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     z = np.array([0.0, 0.2, 0.0])
@@ -161,22 +161,22 @@ def test_gaussian_superlevel_volume():
     g = GaussianDensity(np.zeros(2), cov, amplitude=2.0)
     for frac in (0.9, 0.5, 0.1):
         t = frac * g.sup
-        vol = g.superlevel_volume(t)
+        vol = g.superlevel_volumes(t)
         expected = (unit_ball_volume(2) * math.sqrt(np.linalg.det(cov))
                     * (2 * math.log(g.sup / t)))
         assert vol == pytest.approx(expected, rel=1e-12)
-    assert g.superlevel_volume(g.sup) == 0.0
+    assert g.superlevel_volumes(g.sup) == 0.0
 
 
 def test_indicator_superlevel_volume():
     e = EllipsoidIndicator(np.diag([1.0, 4.0]), amplitude=0.5)
-    assert e.superlevel_volume(0.1) == pytest.approx(e.mass / 0.5)
-    assert e.superlevel_volume(0.5) == 0.0
+    assert e.superlevel_volumes(0.1) == pytest.approx(e.mass / 0.5)
+    assert e.superlevel_volumes(0.5) == 0.0
 
 
 def test_product_superlevel_volumes_match_boxes():
-    f = ProductDensity([Grid1D(-0.5, 0.5, [1.0, 3.0]),
-                        Grid1D(-0.5, 0.5, [2.0, 0.5])])
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0]),
+                        Step1D.uniform(-0.5, 0.5, [2.0, 0.5])])
     ts = np.array([0.4, 0.9, 1.9, 2.5, 5.9, 6.1])
     vols = f.superlevel_volumes(ts)
     # box values: 2, .5, 6, 1.5 each of volume 1/4
@@ -186,9 +186,58 @@ def test_product_superlevel_volumes_match_boxes():
 
 def test_step1d_superlevel():
     s = Step1D(np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.5]))
-    assert s.superlevel_volume(1.0) == 1.0
-    assert s.superlevel_volume(0.4) == 3.0
-    assert s.superlevel_volume(2.5) == 0.0
+    assert s.superlevel_volumes(1.0) == 1.0
+    assert s.superlevel_volumes(0.4) == 3.0
+    assert s.superlevel_volumes(2.5) == 0.0
+
+
+SUPERLEVEL_FAMILIES = {
+    "ellipsoid": lambda: EllipsoidIndicator(np.diag([1.0, 4.0]), [0.2, 0.0],
+                                            0.5),
+    "gaussian": lambda: GaussianDensity(
+        np.zeros(2), np.array([[1.5, 0.3], [0.3, 0.8]]), 2.0),
+    "truncated": lambda: TruncatedGaussian(np.zeros(2), 0.7, 1.1, 1.5),
+    "step": lambda: Step1D(np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.5])),
+    "product": lambda: ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0]),
+                                       Step1D.uniform(-0.5, 0.5, [2.0, 0.5])]),
+    "radial": lambda: RadialGridDensity.uniform(2, 1.0, [2.0, 1.0]),
+    "pushforward": lambda: PushforwardDensity(
+        RadialGridDensity.uniform(2, 1.0, [2.0, 1.0]),
+        np.array([[2.0, 0.0], [0.0, 0.5]]), np.array([0.3, 0.0])),
+}
+
+
+@pytest.mark.parametrize("family", SUPERLEVEL_FAMILIES)
+def test_superlevel_volumes_batched(family):
+    f = SUPERLEVEL_FAMILIES[family]()
+    ts = f.sup * np.array([[0.05, 0.3, 0.5, 0.9, 0.999],
+                           [0.2, 0.6, 1.0, 1.5, 3.0]])
+    vols = f.superlevel_volumes(ts)
+    assert isinstance(vols, np.ndarray) and vols.shape == ts.shape
+    order = np.argsort(ts, axis=None)
+    assert np.all(np.diff(vols.ravel()[order]) <= 0.0)
+    assert np.all(vols[ts >= f.sup] == 0.0)
+    assert np.all(vols[ts < f.sup] > 0.0)
+
+
+def test_superlevel_volumes_closed_forms():
+    ts = np.array([0.05, 0.3, 0.5, 0.9])
+    g = SUPERLEVEL_FAMILIES["gaussian"]()
+    # {g > t} is the ellipsoid x^T cov^-1 x < 2 log(sup / t)
+    rho = 2.0 * np.log(1.0 / ts)
+    expected = unit_ball_volume(2) * math.sqrt(np.linalg.det(g.cov)) * rho
+    assert np.allclose(g.superlevel_volumes(ts * g.sup), expected,
+                       rtol=1e-12)
+    h = SUPERLEVEL_FAMILIES["truncated"]()
+    # a disk of radius tau sqrt(rho), cut at the truncation radius
+    expected = math.pi * np.minimum(0.7 ** 2 * rho, 1.1 ** 2)
+    assert np.allclose(h.superlevel_volumes(ts * h.sup), expected,
+                       rtol=1e-12)
+    assert expected[0] == pytest.approx(math.pi * 1.1 ** 2)
+
+
+def test_superlevel_volumes_default_is_none():
+    assert DensityModel().superlevel_volumes(np.array([0.5, 1.0])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +274,8 @@ def test_affine_image_ellipsoid(rng):
 
 
 def test_affine_image_fallback_pushforward(rng):
-    f = ProductDensity([Grid1D(-0.5, 0.5, [1.0, 2.0]),
-                        Grid1D(-0.5, 0.5, [1.0])])
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0]),
+                        Step1D.uniform(-0.5, 0.5, [1.0])])
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
@@ -275,14 +324,14 @@ def test_truncated_gaussian_sampler(rng):
 
 
 def test_product_sampler_marginal(rng):
-    fac = Grid1D(-0.5, 0.5, [1.0, 3.0])
-    f = ProductDensity([fac, Grid1D(-0.5, 0.5, [1.0])])
+    fac = Step1D.uniform(-0.5, 0.5, [1.0, 3.0])
+    f = ProductDensity([fac, Step1D.uniform(-0.5, 0.5, [1.0])])
     x = f.sample(40_000, rng)
     assert np.all((x >= -0.5) & (x <= 0.5))
     # first coordinate lands in the right-hand bin with probability 3/4
     frac = float(np.mean(x[:, 0] > 0.0))
     assert abs(frac - 0.75) < 4.0 * math.sqrt(0.75 * 0.25 / 40_000)
-    pt = sample_point(f, rng)
+    pt = f.sample(1, rng)[0]
     assert pt.shape == (2,)
 
 
@@ -291,7 +340,7 @@ def test_radial_grid_density(rng):
     # mass = 2 * pi (1/2)^2 + 1 * pi (1 - 1/4)
     assert f.mass == pytest.approx(2 * math.pi / 4 + math.pi * 0.75, rel=1e-12)
     assert f.sup == 2.0
-    assert f.superlevel_volume(1.5) == pytest.approx(math.pi / 4)
+    assert f.superlevel_volumes(1.5) == pytest.approx(math.pi / 4)
     x = f.sample(20_000, rng)
     inner = float(np.mean(np.linalg.norm(x, axis=1) <= 0.5))
     expected = (2 * math.pi / 4) / f.mass
@@ -299,7 +348,7 @@ def test_radial_grid_density(rng):
 
 
 # ---------------------------------------------------------------------------
-# power, eval plumbing
+# power
 
 
 def test_power_pointwise(rng):
@@ -312,10 +361,12 @@ def test_power_pointwise(rng):
     assert np.allclose(e3.eval_many(pts), e.eval_many(pts) ** 3.0, rtol=1e-12)
 
 
-def test_eval_single_point_matches_batch():
-    f = TruncatedGaussian(np.zeros(2), tau=1.0, radius=2.0)
-    p = np.array([0.3, 0.4])
-    assert f.eval(p) == pytest.approx(float(f.eval_many(p[None, :])[0]))
+def test_power_of_zero_amplitude():
+    for f in (GaussianDensity(np.zeros(2), np.eye(2), 0.0),
+              TruncatedGaussian(np.zeros(2), 1.0, 1.0, 0.0)):
+        g = f.power(2.0)
+        assert type(g) is type(f)
+        assert g.amplitude == 0.0 and g.mass == 0.0 and g.sup == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +377,16 @@ def test_text_roundtrip_radial():
     f = RadialGridDensity(3, np.linspace(0.0, 1.5, 4), np.array([2.0, 1.0, 0.25]))
     g = read_density_text(write_density_text(f))
     assert isinstance(g, RadialGridDensity)
-    assert g.describe() == f.describe()
+    assert g.n == f.n
+    assert np.array_equal(g.edges, f.edges)
+    assert np.array_equal(g.heights, f.heights)
     pts = np.array([[0.1, 0, 0], [0.7, 0, 0], [1.4, 0, 0], [2.0, 0, 0]])
     assert np.allclose(g.eval_many(pts), f.eval_many(pts))
 
 
 def test_text_roundtrip_product():
-    f = ProductDensity([Grid1D(-0.5, 0.5, [1.0, 2.0, 1.0]),
-                        Grid1D(-0.5, 0.5, [0.5, 1.5])])
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0, 1.0]),
+                        Step1D.uniform(-0.5, 0.5, [0.5, 1.5])])
     g = read_density_text(write_density_text(f))
     assert isinstance(g, ProductDensity)
     pts = np.array([[0.1, -0.2], [-0.4, 0.3], [0.9, 0.0]])
@@ -363,7 +416,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         TruncatedGaussian(np.zeros(2), tau=-1.0, radius=1.0)
     with pytest.raises(ValueError):
-        Grid1D(0.0, 0.0, [1.0])
+        Step1D.uniform(0.0, 0.0, [1.0])
     with pytest.raises(ValueError):
         Step1D(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

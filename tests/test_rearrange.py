@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from igeolab.densities import (EllipsoidIndicator, Grid1D, ProductDensity,
-                               RadialGridDensity)
+from igeolab.densities import (EllipsoidIndicator, ProductDensity,
+                               RadialGridDensity, Step1D)
 from igeolab.geometry import unit_volume_radius
 from igeolab.rearrange import (LevelProfile, bathtub_check, level_profile,
                                rearrangement)
@@ -16,9 +16,9 @@ from igeolab.runner import report_row
 
 def bimodal(n=2):
     # two unequal bumps per axis; nothing radial about it
-    fx = Grid1D(-0.5, 0.5, [2.0, 0.2, 1.4, 0.4])
-    fy = Grid1D(-0.5, 0.5, [0.5, 1.5])
-    factors = [fx, fy] + [Grid1D(-0.5, 0.5, [1.0])] * (n - 2)
+    fx = Step1D.uniform(-0.5, 0.5, [2.0, 0.2, 1.4, 0.4])
+    fy = Step1D.uniform(-0.5, 0.5, [0.5, 1.5])
+    factors = [fx, fy] + [Step1D.uniform(-0.5, 0.5, [1.0])] * (n - 2)
     return ProductDensity(factors)
 
 
@@ -58,7 +58,7 @@ def test_rearrangement_equimeasurable():
     g = rearrangement(f, levels=1000)
     ts = np.geomspace(0.05 * f.sup, 0.999 * f.sup, 37)
     vf = f.superlevel_volumes(ts)    # exact box enumeration
-    vg = np.array([g.superlevel_volume(t) for t in ts])
+    vg = g.superlevel_volumes(ts)
     # grid snap: each level lands within one grid step of its target volume
     assert np.allclose(vf, vg, rtol=0.02, atol=1e-3)
 
@@ -67,7 +67,8 @@ def over_cap_product(rng):
     # enough bins that box enumeration refuses and Monte Carlo levels kick in
     h1 = 0.5 + rng.random(700)
     h2 = 0.5 + rng.random(600)
-    f = ProductDensity([Grid1D(-0.5, 0.5, h1), Grid1D(-0.5, 0.5, h2)])
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, h1),
+                        Step1D.uniform(-0.5, 0.5, h2)])
     assert f.superlevel_volumes(np.array([0.5, 1.0])) is None
     return f, h1, h2
 

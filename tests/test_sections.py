@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
-                               ProductDensity, RadialGridDensity,
+from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
+                               ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, restriction_stats,
                                section_points, section_stats)
 from igeolab.grassmann import Flat, Subspace, haar_frames
@@ -53,8 +53,8 @@ def build(family, n, rng):
     for _ in range(n):
         bins = int(rng.integers(1, 5))
         lo = float(rng.uniform(-0.8, 0.0))
-        factors.append(Grid1D(lo, lo + float(rng.uniform(0.6, 1.6)),
-                              rng.uniform(0.0, 2.0, bins)))
+        factors.append(Step1D.uniform(lo, lo + float(rng.uniform(0.6, 1.6)),
+                                      rng.uniform(0.0, 2.0, bins)))
     return ProductDensity(factors, amp)
 
 

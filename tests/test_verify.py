@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from igeolab.densities import (EllipsoidIndicator, GaussianDensity, Grid1D,
+from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, PushforwardDensity,
-                               RadialGridDensity, TruncatedGaussian)
+                               RadialGridDensity, Step1D, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_volume_radius
 from igeolab.grassmann import Subspace, haar_bases
@@ -35,8 +35,8 @@ def axis_subspace(n, cols):
 
 def normalized_box(shift=0.0):
     # mass one, sup below one, visibly off-center when shift > 0
-    fx = Grid1D(shift, shift + 1.5, [0.9, 0.7, 0.4])
-    fy = Grid1D(-0.75, 0.75, [0.3, 0.9, 0.8])
+    fx = Step1D.uniform(shift, shift + 1.5, [0.9, 0.7, 0.4])
+    fy = Step1D.uniform(-0.75, 0.75, [0.3, 0.9, 0.8])
     return ProductDensity([fx, fy])
 
 
@@ -110,9 +110,10 @@ EXACT_FAMILIES = {
     "gaussian": lambda: GaussianDensity(np.zeros(3), np.diag([1.0, 0.7, 1.3])),
     "truncated": lambda: TruncatedGaussian(np.zeros(3), 0.8, 1.5),
     "radial": lambda: RadialGridDensity.uniform(3, 1.2, [1.0, 0.6, 0.3]),
-    "product": lambda: ProductDensity([Grid1D(-0.5, 0.5, [1.0, 2.0, 1.0]),
-                                       Grid1D(-0.4, 0.6, [0.5, 1.5]),
-                                       Grid1D(-0.5, 0.5, [1.0, 0.2, 2.0])]),
+    "product": lambda: ProductDensity([
+        Step1D.uniform(-0.5, 0.5, [1.0, 2.0, 1.0]),
+        Step1D.uniform(-0.4, 0.6, [0.5, 1.5]),
+        Step1D.uniform(-0.5, 0.5, [1.0, 0.2, 2.0])]),
 }
 
 
