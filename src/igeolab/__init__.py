@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .geometry import Dimensions, bp_constant, simplex0_volume, \
     simplex_volume, unit_ball_volume, unit_volume_radius
-from .grassmann import Flat, Subspace, WeightedFlat, flat_frames, \
-    grassmann_distance, haar_bases, perturb_subspace, sample_flat, \
-    sample_subspace
+from .grassmann import Flat, Subspace, flat_frames, grassmann_distance, \
+    haar_bases, perturb_subspace, sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
     affine_image, marginal_density, restriction_stats, write_density_text

@@ -228,6 +228,12 @@ def _build_density(spec: dict, base_dir: str):
                                           heights)
         else:
             f = RadialGridDensity(n, edges, heights)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vols = f.shell_volumes()
+        if not np.all((vols > 0.0) & (vols < math.inf)):
+            raise ConfigError("density", "radius" if edges is None
+                              else "edges", "the shell volumes under- or "
+                              f"overflow in dimension n = {n}")
     elif kind == "product":
         f = ProductDensity(take("factors", lambda raw: [
             _factor(fac) for fac in raw]), take("amplitude", _positive, 1.0))
@@ -246,7 +252,12 @@ def _build_density(spec: dict, base_dir: str):
                           f"the density's mass is {mass:g}; it must be "
                           "positive and finite")
     if normalize:
-        f = _scaled(f, 1.0 / f.mass)
+        try:
+            f = _scaled(f, 1.0 / mass)
+        except ValueError as exc:
+            raise ConfigError("density", "normalize", f"the density's mass "
+                              f"is {mass:g}, too small to rescale to 1: "
+                              f"{exc}") from exc
     return f, text
 
 

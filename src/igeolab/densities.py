@@ -106,6 +106,15 @@ class DensityModel:
         return None
 
 
+def _amplitude(a) -> float:
+    """a as a float, unless it is negative or not finite.  Zero is legal:
+    empty sections and zero powers build zero-amplitude models."""
+    a = float(a)
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"amplitude must be finite and non-negative, got {a}")
+    return a
+
+
 def _as_section(S) -> tuple[Subspace, np.ndarray]:
     if isinstance(S, Subspace):
         return S, np.zeros(S.n)
@@ -145,12 +154,10 @@ class EllipsoidIndicator(_Sectioned):
         n = m.shape[0]
         if m.shape != (n, n) or np.abs(m - m.T).max() > 1e-12:
             raise ValueError("shape must be a symmetric (n, n) matrix")
-        if amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
         self.n = n
         self.shape_matrix = m
         self.center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        self.amplitude = float(amplitude)
+        self.amplitude = _amplitude(amplitude)
         self._chol = np.linalg.cholesky(m)       # raises unless positive definite
         eigvals = np.linalg.eigvalsh(m)
         self._semiaxis_max = 1.0 / math.sqrt(float(eigvals[0]))
@@ -236,7 +243,7 @@ class GaussianDensity(_Sectioned):
         self.n = n
         self.mean = mean
         self.cov = cov
-        self.amplitude = float(amplitude)
+        self.amplitude = _amplitude(amplitude)
         self._chol = np.linalg.cholesky(cov)
         self._prec = np.linalg.inv(cov)
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
@@ -334,7 +341,7 @@ class TruncatedGaussian(_Sectioned):
         self.center = center
         self.tau = float(tau)
         self.radius = float(radius)
-        self.amplitude = float(amplitude)
+        self.amplitude = _amplitude(amplitude)
 
     @classmethod
     def normalized(cls, center, tau, radius):

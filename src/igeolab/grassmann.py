@@ -34,11 +34,9 @@ PERTURB_MAX_TRIES = 10_000
 __all__ = [
     "Subspace",
     "Flat",
-    "WeightedFlat",
     "sample_subspace",
     "project",
     "grassmann_distance",
-    "sample_flat",
     "perturb_subspace",
     "haar_bases",
     "haar_frames",
@@ -120,21 +118,9 @@ class Flat:
     def k(self) -> int:
         return self.subspace.k
 
-    @property
-    def distance_to_origin(self) -> float:
-        return float(np.linalg.norm(self.offset))
-
     def point(self, u: np.ndarray) -> np.ndarray:
         """Ambient point at flat coordinates u, shape (..., n)."""
         return self.subspace.point(u) + self.offset
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedFlat:
-    """A sampled flat with its importance weight for windowed integration."""
-
-    flat: Flat
-    weight: float
 
 
 def sample_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
@@ -240,12 +226,6 @@ def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):
     offsets = np.einsum("sij,sj->si", frames[..., k:], v)
     weight = unit_ball_volume(n - k) * R ** (n - k)
     return frames[..., :k], offsets, weight
-
-
-def sample_flat(n: int, k: int, R: float, rng: np.random.Generator) -> WeightedFlat:
-    """One windowed invariant flat with its importance weight."""
-    bases, offsets, weight = flat_frames(n, k, R, 1, rng)
-    return WeightedFlat(Flat(Subspace(bases[0]), offsets[0]), weight)
 
 
 def perturb_subspace(E: Subspace, eta: float, rng: np.random.Generator) -> Subspace:

@@ -12,6 +12,7 @@ import os
 import platform
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -331,14 +332,26 @@ def test_malformed_density_text_exits_one(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fields, field_name", [
-    ("n = 2\namplitude = 0.0", "amplitude"),
-    ("shape = [[1.0, 0.0], [0.0, -1.0]]", "shape"),
-], ids=["zero-mass", "indefinite-shape"])
+    ('kind = "ellipsoid"\nn = 2\namplitude = 0.0', "amplitude"),
+    ('kind = "ellipsoid"\nshape = [[1.0, 0.0], [0.0, -1.0]]', "shape"),
+    ('kind = "radial"\nn = 2\nheights = [1.0]\nradius = 1e200', "radius"),
+    ('kind = "radial"\nn = 2\nheights = [1.0, 0.5]\nradius = 1e200',
+     "radius"),
+    ('kind = "radial"\nn = 2\nheights = [1.0]\nedges = [0.0, 1e200]',
+     "edges"),
+    ('kind = "file"\npath = "shells.txt"', "R"),
+], ids=["zero-mass", "indefinite-shape", "radial-overflow",
+        "radial-overflow-nan-mass", "radial-overflow-edges",
+        "radial-overflow-text"])
 def test_degenerate_density_exits_one(tmp_path, monkeypatch, capsys, fields,
                                       field_name):
     monkeypatch.chdir(tmp_path)
-    body = PASS_BODY.replace("n = 2\nradius = 1.0", fields)
-    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    (tmp_path / "shells.txt").write_text("radial n=2 R=1e200 bins=1\n1.0\n")
+    body = PASS_BODY.replace('kind = "ellipsoid"\nn = 2\nradius = 1.0',
+                             fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
     err = capsys.readouterr().err
     assert f"config error: [density ball] {field_name}: " in err
     assert "Traceback" not in err

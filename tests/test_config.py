@@ -354,6 +354,17 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
      "spec"),
     ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e200",
       "radius": "1.0"}, "spec"),
+    ({"kind": '"radial"', "n": "2", "radius": "1e200", "heights": "[1.0]"},
+     "radius"),
+    ({"kind": '"radial"', "n": "2", "radius": "1e200",
+      "heights": "[1.0, 0.5]"}, "radius"),
+    ({"kind": '"radial"', "n": "2", "edges": "[0.0, 1e200]",
+      "heights": "[1.0]"}, "edges"),
+    ({"text": "radial n=2 R=1e200 bins=1\n1.0\n"}, "R"),
+    ({"kind": '"radial"', "n": "2", "radius": "1e-200", "heights": "[1.0]"},
+     "radius"),
+    ({"kind": '"ellipsoid"', "n": "2", "amplitude": "1e-310",
+      "normalize": "true"}, "normalize"),
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
         "normalize-zero-mass", "negative-height", "no-heights",
@@ -368,7 +379,10 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
         "matrix-center", "indefinite-shape", "asymmetric-shape",
         "short-center", "indefinite-cov", "cov-size-mismatch",
         "negative-scalar-cov", "missing-file", "overflowing-radius",
-        "infinite-mass", "overflowing-tau"])
+        "infinite-mass", "overflowing-tau", "radial-overflowing-radius",
+        "radial-overflowing-radius-nan", "radial-overflowing-edges",
+        "text-overflowing-radius", "radial-underflowing-radius",
+        "normalize-overflow"])
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
     if "text" in fields:  # a density text file in place of inline fields
         (tmp_path / "bad.txt").write_text(fields["text"])

@@ -421,6 +421,17 @@ def test_constructor_validation():
         Step1D(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         RadialGridDensity(2, np.array([0.0, 1.0]), np.array([-1.0]))
+    # amplitudes must be finite and non-negative; zero stays legal
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            TruncatedGaussian(np.zeros(2), 1.0, 1.0, bad)
+        with pytest.raises(ValueError, match="amplitude"):
+            GaussianDensity(np.zeros(2), np.eye(2), bad)
+        with pytest.raises(ValueError, match="amplitude"):
+            EllipsoidIndicator(np.eye(2), None, bad)
+    assert TruncatedGaussian(np.zeros(2), 1.0, 1.0, 0.0).mass == 0.0
+    assert GaussianDensity(np.zeros(2), np.eye(2), 0.0).mass == 0.0
+    assert EllipsoidIndicator(np.eye(2), None, 0.0).mass == 0.0
 
 
 def test_restriction_stats_method_validation(rng):

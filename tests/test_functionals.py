@@ -27,7 +27,7 @@ from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
                                  delta_p, grassmann_average_I,
                                  kplane_transform, powz, section_norm,
                                  small_ball_probability)
-from igeolab.grassmann import Flat, Subspace, sample_flat, sample_subspace
+from igeolab.grassmann import Flat, Subspace, flat_frames, sample_subspace
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
 
@@ -207,10 +207,11 @@ def test_mc_average_evaluates_each_density_once_per_draw(rng, monkeypatch):
 
 def test_kplane_transform_gaussian(rng):
     g = GaussianDensity.standard(3)
-    wf = sample_flat(3, 1, 1.0, rng)
-    d2 = wf.flat.distance_to_origin ** 2
+    bases, offsets, _ = flat_frames(3, 1, 1.0, 1, rng)
+    d2 = float(offsets[0] @ offsets[0])
     expected = (2 * math.pi) ** -1.0 * math.exp(-0.5 * d2)
-    assert kplane_transform(g, wf.flat).value == pytest.approx(expected, rel=1e-10)
+    F = Flat(Subspace(bases[0]), offsets[0])
+    assert kplane_transform(g, F).value == pytest.approx(expected, rel=1e-10)
 
 
 def test_small_ball_chi2(rng):

@@ -14,10 +14,10 @@ import pytest
 from scipy import stats
 
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import (Flat, Subspace, distances_to, flat_frames,
+from igeolab.grassmann import (Subspace, distances_to, flat_frames,
                                grassmann_distance, haar_bases, haar_frames,
-                               perturb_subspace, project, sample_flat,
-                               sample_subspace, uniform_ball)
+                               perturb_subspace, project, sample_subspace,
+                               uniform_ball)
 
 
 def test_haar_bases_orthonormal(rng):
@@ -174,14 +174,6 @@ def test_flat_hitting_mass_window_two(rng):
     stderr = weight * hit.std(ddof=1) / math.sqrt(hit.size)
     target = unit_ball_volume(n - k)
     assert abs(est - target) <= 3.0 * stderr, (est, target, stderr)
-
-
-def test_sample_flat_fields(rng):
-    wf = sample_flat(3, 2, 1.5, rng)
-    assert isinstance(wf.flat, Flat)
-    assert wf.flat.k == 2
-    assert wf.flat.distance_to_origin <= 1.5 + 1e-12
-    assert wf.weight == pytest.approx(unit_ball_volume(1) * 1.5)
 
 
 def test_cap_measure_scaling(rng):

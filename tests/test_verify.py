@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from igeolab import verify
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, PushforwardDensity,
                                RadialGridDensity, Step1D, TruncatedGaussian)
@@ -72,6 +73,27 @@ def test_bp_subspace_degenerate(rng):
     assert rep.verdict == PASS
     assert rep.diagnostics["printed_constant"] == pytest.approx(1.0)
     assert rep.diagnostics["fitted_over_printed"] == pytest.approx(1.0, rel=0.08)
+
+
+def test_bp_subspace_short_last_block(monkeypatch, rng):
+    # DRAW_BLOCK = 7 with one density and inner = 2 leaves room for 3
+    # sections a block, so each replica's 10 sections run in blocks of
+    # 3, 3, 3 and 1
+    sizes = []
+
+    def counted(n, k, size, stream):
+        sizes.append(size)
+        return haar_bases(n, k, size, stream)
+
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
+    monkeypatch.setattr(verify, "haar_bases", counted)
+    rep = check_bp_subspace([GaussianDensity.standard(2)], k=1, p=1.0,
+                            n_direct=200, n_subspaces=20, rng=rng, inner=2)
+    assert sizes == [3, 3, 3, 1] * 2
+    assert rep.rhs.samples == 20
+    assert all(math.isfinite(v) for v in (rep.lhs.value, rep.rhs.value,
+                                          rep.rhs.stderr, rep.ratio))
+    assert all(math.isfinite(v) for v in rep.diagnostics["replica_fits"])
 
 
 def test_bp_flat_disk_mass_squared(rng):
@@ -386,6 +408,17 @@ def test_sharpness_blocks_match_one_shot_draw():
         logdet <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)))
     assert hits > 0
     assert round(rep.diagnostics["empirical_measure"] * m) == hits
+
+
+def test_sharpness_small_blocks_match_default(monkeypatch):
+    # blocks of 7 subspaces, the last one short, draw from the generator in
+    # turn as the default block does: the same report, bit for bit
+    args = (4, 2, 1.5, 4000)
+    ref = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
+    small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
+    assert ref.diagnostics["empirical_measure"] > 0
+    assert small.to_dict() == ref.to_dict()
 
 
 @pytest.mark.parametrize("s,exact", [(1.5, 0.034067), (2.0, 0.018115),
