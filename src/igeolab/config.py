@@ -108,6 +108,19 @@ def _positive(raw) -> float:
     return value
 
 
+def _scale(raw, n: int) -> float:
+    """A positive length r whose powers r^2, r^-2, r^n and r^-n are positive
+    and finite, so that a ball or kernel of width r in dimension n has a
+    shape, volume and height that neither over- nor underflow."""
+    r = _positive(raw)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        powers = np.float64(r) ** np.array([2.0, -2.0, n, -n])
+    if not np.all((powers > 0.0) & (powers < math.inf)):
+        raise ValueError(f"{r:g} under- or overflows when raised to the "
+                         f"powers +-2 and +-n in dimension n = {n}")
+    return r
+
+
 def _vector(raw, n=None) -> np.ndarray:
     """Nonempty vector, of length n when n is given."""
     vec = _finite(raw)
@@ -206,8 +219,9 @@ def _build_density(spec: dict, base_dir: str):
     elif kind == "ellipsoid":
         shape = optional("shape", _spd)
         if shape is None:
-            shape = take("n", lambda raw: np.eye(dim(raw))) \
-                / take("radius", lambda raw: _positive(raw) ** 2, 1.0)
+            eye = take("n", lambda raw: np.eye(dim(raw)))
+            shape = eye / take("radius", lambda raw: _scale(raw, len(eye)),
+                               1.0) ** 2
         center = optional("center", lambda raw: _vector(raw, len(shape)))
         f = EllipsoidIndicator(shape, center,
                                take("amplitude", _positive, 1.0))
@@ -215,8 +229,9 @@ def _build_density(spec: dict, base_dir: str):
         center = optional("center")
         if center is None:
             center = take("n", lambda raw: np.zeros(dim(raw)))
-        f = TruncatedGaussian.normalized(center, take("tau", _positive),
-                                         take("radius", _positive))
+        tau = take("tau", lambda raw: _scale(raw, center.size))
+        f = take("radius", lambda raw: TruncatedGaussian.normalized(
+            center, tau, _scale(raw, center.size)))
         if "amplitude" in spec:
             f = _scaled(f, take("amplitude", _positive) / f.amplitude)
     elif kind == "radial":

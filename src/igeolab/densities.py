@@ -12,7 +12,10 @@ package is built from them:
   and ``slice(S)`` builds the restriction of f to one subspace or flat as a
   model on the section's own coordinates, from row 0 of it.  The mass of
   the slice of the fiber E-perp + x is exactly the marginal density of f at
-  x, so marginals come for free.
+  x, so marginals come for free.  Ellipsoid and Gaussian sections solve
+  one k x k system per flat, in closed form for k <= 2
+  (``geometry._spd_solve``), and truncated-Gaussian sections sample their
+  chi radius in closed form for k <= 2.
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norm of
   a section is ``f.power(p).slice(S).mass ** (1/p)``.
 * ``superlevel_volumes(ts)``: |{f > t}| at every level of an array, which
@@ -27,9 +30,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.special import erfinv, gammainc, gammaincinv
 
-from .geometry import unit_ball_volume
+from .geometry import _spd_solve, unit_ball_volume
 from .grassmann import Flat, Subspace, uniform_ball
 from .report import Estimate
 
@@ -197,16 +200,14 @@ class EllipsoidIndicator(_Sectioned):
     def _sections(self, bases, offsets):
         """Each section is {u : (u - u0)^T g (u - u0) <= rho}, empty unless
         rho > 0; params (g, u0, rho)."""
-        m_mat = self.shape_matrix
         k = bases.shape[-1]
         d = offsets - self.center
-        md = d @ m_mat
-        g = np.einsum("sji,jl,slm->sim", bases, m_mat, bases)
+        md = d @ self.shape_matrix
+        g = bases.transpose(0, 2, 1) @ (self.shape_matrix @ bases)
         rhs = np.einsum("sji,sj->si", bases, md)
-        u0 = -np.linalg.solve(g, rhs[..., None])[..., 0]
+        logdet, u0 = _spd_solve(g, -rhs)
         rho = 1.0 - np.einsum("si,si->s", d, md) - np.einsum("si,si->s", rhs, u0)
         live = rho > 0.0
-        sign, logdet = np.linalg.slogdet(g)
         masses = np.zeros(len(bases))
         masses[live] = self.amplitude * unit_ball_volume(k) * np.exp(
             0.5 * k * np.log(rho[live]) - 0.5 * logdet[live])
@@ -287,11 +288,10 @@ class GaussianDensity(_Sectioned):
         k = bases.shape[-1]
         d = offsets - self.mean
         pd = d @ self._prec
-        h = np.einsum("sji,jl,slm->sim", bases, self._prec, bases)
+        h = bases.transpose(0, 2, 1) @ (self._prec @ bases)
         g = np.einsum("sji,sj->si", bases, pd)
-        u_star = -np.linalg.solve(h, g[..., None])[..., 0]
+        logdet_h, u_star = _spd_solve(h, -g)
         m0 = np.einsum("si,si->s", d, pd) + np.einsum("si,si->s", g, u_star)
-        sign, logdet_h = np.linalg.slogdet(h)
         log_sup = math.log(self.amplitude) - 0.5 * (
             self.n * math.log(2 * math.pi) + self._logdet + m0)
         log_mass = log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet_h)
@@ -325,6 +325,17 @@ def _chi2_cdf(x, k: int):
     return gammainc(0.5 * k, 0.5 * x)
 
 
+def _chi2_ppf(y, k: int):
+    """Quantile at y of the chi-square law with k degrees of freedom, in
+    closed form for k <= 2: 2 erfinv(y)^2 for k = 1 and -2 log(1 - y) for
+    k = 2, the inverses of erf(sqrt(x/2)) and 1 - exp(-x/2)."""
+    if k == 1:
+        return 2.0 * erfinv(y) ** 2
+    if k == 2:
+        return -2.0 * np.log1p(-y)
+    return 2.0 * gammaincinv(0.5 * k, y)
+
+
 class TruncatedGaussian(_Sectioned):
     """a * isotropic Gaussian kernel about c, cut at radius R.
 
@@ -347,8 +358,11 @@ class TruncatedGaussian(_Sectioned):
     def normalized(cls, center, tau, radius):
         """Mass exactly one (a truncated Gaussian probability density)."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        n = center.shape[0]
-        return cls(center, tau, radius, 1.0 / _chi2_cdf(radius ** 2 / tau ** 2, n))
+        cut = float(_chi2_cdf(radius ** 2 / tau ** 2, center.shape[0]))
+        if cut == 0.0:
+            raise ValueError(f"the kernel of width tau = {tau:g} has no "
+                             f"mass within radius {radius:g}")
+        return cls(center, tau, radius, 1.0 / cut)
 
     def _kernel_height(self):
         return self.amplitude * (2 * math.pi * self.tau ** 2) ** (-0.5 * self.n)
@@ -419,7 +433,7 @@ class TruncatedGaussian(_Sectioned):
         _, _, w, rho2, _ = sections
         cut = _chi2_cdf(np.maximum(rho2, 0.0) / self.tau ** 2, k)[:, None]
         u = rng.random((len(w), size))
-        r = self.tau * np.sqrt(2.0 * gammaincinv(0.5 * k, u * cut))
+        r = self.tau * np.sqrt(_chi2_ppf(u * cut, k))
         return _directions((len(w), size), k, rng) * r[..., None] \
             - w[:, None, :]
 

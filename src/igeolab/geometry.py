@@ -1,8 +1,10 @@
 """Shared geometric quantities.
 
 Unit-ball volumes, the constant of the linear/affine section identities,
-and volumes of simplices spanned by point tuples.  Everything here is exact
-up to floating point; Monte Carlo lives elsewhere.
+volumes of simplices spanned by point tuples, and log-determinants and
+solves of stacks of small symmetric positive definite matrices.
+Everything here is exact up to floating point; Monte Carlo lives
+elsewhere.
 """
 
 from __future__ import annotations
@@ -136,6 +138,33 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
                                              0.0)))
     return np.where(prod <= SV_RELATIVE_CUTOFF * top2, 0.0,
                     prod / math.factorial(q))
+
+
+def _spd_solve(g: np.ndarray, rhs: np.ndarray | None = None):
+    """(log det g, g^-1 rhs) for a stack g (s, k, k) of symmetric positive
+    definite matrices and right-hand sides rhs (s, k); the solve is None
+    when rhs is.
+
+    Closed form, vectorized over the stack, for k <= 2: a division for
+    k = 1, and for k = 2 Cramer's rule on det = a c - b b', which is
+    forward stable for 2 x 2 systems (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 1.10); det cancels in proportion to the
+    condition number.  k >= 3 goes through LAPACK.
+    """
+    k = g.shape[-1]
+    if k == 1:
+        a = g[:, 0, 0]
+        return np.log(a), None if rhs is None else rhs / a[:, None]
+    if k == 2:
+        a, b, b2, c = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+        det = a * c - b * b2
+        x = None if rhs is None else np.stack(
+            [c * rhs[:, 0] - b * rhs[:, 1], a * rhs[:, 1] - b2 * rhs[:, 0]],
+            axis=-1) / det[:, None]
+        return np.log(det), x
+    logdet = np.linalg.slogdet(g)[1]
+    return logdet, None if rhs is None \
+        else np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
 def simplex0_volume(pts: np.ndarray) -> float:

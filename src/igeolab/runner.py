@@ -3,9 +3,10 @@
 Artifacts per run: results.csv (one row per check, shortest round-trip
 number formatting so reruns diff cleanly), reports/<label>.json with the
 full diagnostics, and manifest.json with the reproducibility metadata,
-including the Python, numpy and scipy versions and the platform that the
-byte-identity of results.csv rests on (numpy elementwise arithmetic, the
-generator streams, and LAPACK where frames or determinants are factored).
+including the Python, numpy and scipy versions, the BLAS build and its
+thread caps, and the platform that the byte-identity of results.csv rests
+on (numpy elementwise arithmetic, the generator streams, and LAPACK where
+frames or determinants are factored).
 Per-check generators are derived from the master seed by the check's
 position, so results are independent of worker count and execution order.
 """
@@ -137,9 +138,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         "config_hash": config.resolved_hash(),
         "seed": config.seed,
         "interrupted": interrupted,
-        "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__, "scipy": scipy.__version__,
-                        "platform": platform.platform()},
+        "environment": _environment(),
         "checks": manifest_checks,
         "totals": {
             "checks": len(manifest_checks),
@@ -156,6 +155,21 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         echo("interrupted; partial results flushed")
         return 130
     return _exit_code(verdicts)
+
+
+def _environment() -> dict:
+    """The versions, BLAS build and BLAS thread caps (null when unset) that
+    the byte-identity of results.csv rests on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = {}
+    return {"python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "thread_caps": {name: os.environ.get(name) for name in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "platform": platform.platform()}
 
 
 def _consume(results, config, writer, handle, reports_dir, manifest_checks,

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .geometry import Dimensions, bp_constant, bp_exact_constant, \
-    unit_ball_volume, unit_volume_radius, _tuple_volumes
+    unit_ball_volume, unit_volume_radius, _spd_solve, _tuple_volumes
 from .grassmann import Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to, sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, affine_image, \
@@ -618,20 +618,6 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         diagnostics=diagnostics)
 
 
-def _logdet_spd(gram: np.ndarray) -> np.ndarray:
-    """log det of a stack of symmetric positive definite k x k matrices, in
-    closed form for k <= 2 and by LU factorization beyond.  The 2 x 2 form
-    a c - b^2 cancels in proportion to the condition number, which is at
-    most sigma^-2 for the sharpness Gram matrices."""
-    k = gram.shape[-1]
-    if k == 1:
-        return np.log(gram[:, 0, 0])
-    if k == 2:
-        return np.log(gram[:, 0, 0] * gram[:, 1, 1]
-                      - gram[:, 0, 1] * gram[:, 1, 0])
-    return np.linalg.slogdet(gram)[1]
-
-
 def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
                                   rng: np.random.Generator) -> CheckReport:
     """Measure of sections where the skewed Gaussian marginal sup is large.
@@ -661,8 +647,10 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     def draw(stream, m):
         def hits(size):
             b = haar_bases(n, k, size, stream)
+            # condition number at most sigma^-2, where the closed-form
+            # determinant of _spd_solve keeps its accuracy
             gram = np.matmul(b.transpose(0, 2, 1), b * diag[:, None])
-            return _logdet_spd(gram) <= log_cut
+            return _spd_solve(gram)[0] <= log_cut
         return _blocked(m, DRAW_BLOCK, hits)
 
     emp = mc_estimate(draw, n_subspaces, rng)

@@ -126,9 +126,35 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert main(["run", "--config", write_suite(tmp_path, PASS_BODY)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     env = manifest["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    caps = {name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__, "scipy": scipy.__version__,
-                   "platform": platform.platform()}
+                   "blas": blas["name"], "blas_version": blas["version"],
+                   "thread_caps": caps, "platform": platform.platform()}
+
+
+def test_manifest_records_blas_and_thread_caps(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    runs = []
+    for caps in ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+                 {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}):
+        for name, value in caps.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert main(["run", "--config",
+                     write_suite(tmp_path, PASS_BODY)]) == 0
+        out = tmp_path / "out"
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["blas"] == blas["name"]
+        assert env["blas_version"] == blas["version"]
+        assert env["thread_caps"] == caps
+        runs.append((out / "results.csv").read_bytes())
+    assert runs[0] == runs[1]  # the caps go to the manifest only
 
 
 def test_run_any_failure_exits_two(tmp_path, monkeypatch, capsys):
@@ -340,9 +366,14 @@ def test_malformed_density_text_exits_one(tmp_path, monkeypatch, capsys):
     ('kind = "radial"\nn = 2\nheights = [1.0]\nedges = [0.0, 1e200]',
      "edges"),
     ('kind = "file"\npath = "shells.txt"', "R"),
+    ('kind = "ellipsoid"\nn = 2\nradius = 1e-160\nnormalize = true',
+     "radius"),
+    ('kind = "truncated_gaussian"\nn = 2\ntau = 1e200\nradius = 1.0',
+     "tau"),
 ], ids=["zero-mass", "indefinite-shape", "radial-overflow",
         "radial-overflow-nan-mass", "radial-overflow-edges",
-        "radial-overflow-text"])
+        "radial-overflow-text", "ellipsoid-underflow-radius",
+        "truncated-overflow-tau"])
 def test_degenerate_density_exits_one(tmp_path, monkeypatch, capsys, fields,
                                       field_name):
     monkeypatch.chdir(tmp_path)

@@ -353,7 +353,7 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
     ({"kind": '"ellipsoid"', "shape": "[[1e-310, 0.0], [0.0, 1e-310]]"},
      "spec"),
     ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e200",
-      "radius": "1.0"}, "spec"),
+      "radius": "1.0"}, "tau"),
     ({"kind": '"radial"', "n": "2", "radius": "1e200", "heights": "[1.0]"},
      "radius"),
     ({"kind": '"radial"', "n": "2", "radius": "1e200",
@@ -365,6 +365,13 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
      "radius"),
     ({"kind": '"ellipsoid"', "n": "2", "amplitude": "1e-310",
       "normalize": "true"}, "normalize"),
+    ({"kind": '"ellipsoid"', "n": "3", "radius": "1e-120"}, "radius"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e-200",
+      "radius": "1.0"}, "tau"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1.0",
+      "radius": "1e200"}, "radius"),
+    ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e150",
+      "radius": "1e-150"}, "radius"),
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
         "normalize-zero-mass", "negative-height", "no-heights",
@@ -382,7 +389,8 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
         "infinite-mass", "overflowing-tau", "radial-overflowing-radius",
         "radial-overflowing-radius-nan", "radial-overflowing-edges",
         "text-overflowing-radius", "radial-underflowing-radius",
-        "normalize-overflow"])
+        "normalize-overflow", "underflowing-ball-volume", "underflowing-tau",
+        "truncated-overflowing-radius", "truncated-empty-cut"])
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
     if "text" in fields:  # a density text file in place of inline fields
         (tmp_path / "bad.txt").write_text(fields["text"])

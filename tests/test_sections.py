@@ -7,6 +7,8 @@ stats row by row against three references: the one-row section model
 (Fubini) quadrature over the parallel lines inside a plane.  The Monte
 Carlo route of ``section_stats`` is checked against the exact rows, and the
 batched sampler ``section_points`` against draws of the section models.
+The closed-form section algebra of ellipsoids and Gaussians is checked
+against an einsum and LAPACK reference on ill-conditioned shapes.
 """
 
 import math
@@ -19,6 +21,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, restriction_stats,
                                section_points, section_stats)
+from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import Flat, Subspace, haar_frames
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
@@ -206,3 +209,85 @@ def test_section_points_follow_section_models(family, seed, n, k, aligned):
         stderr = math.hypot(ours.std() / math.sqrt(ours.size),
                             ref.std() / math.sqrt(ref.size))
         assert abs(ours.mean() - ref.mean()) <= 4.0 * stderr
+
+
+def conditioned_spd(n, cond, rng):
+    """Random symmetric positive definite n x n matrix of condition number
+    cond, at a random overall scale."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = (q * np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-2, 2)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def reference_sections(f, bases, offsets):
+    """(mass, sup, centre) of ellipsoid or Gaussian sections from the
+    three-operand einsum Gram matrix and LAPACK solve and slogdet."""
+    k = bases.shape[-1]
+    ellipsoid = isinstance(f, EllipsoidIndicator)
+    m, c = (f.shape_matrix, f.center) if ellipsoid else (f._prec, f.mean)
+    d = offsets - c
+    md = d @ m
+    g = np.einsum("sji,jl,slm->sim", bases, m, bases)
+    rhs = np.einsum("sji,sj->si", bases, md)
+    centre = -np.linalg.solve(g, rhs[..., None])[..., 0]
+    # the least value of (x - c)^T m (x - c) on each flat
+    least = np.einsum("si,si->s", d, md) + np.einsum("si,si->s", rhs, centre)
+    logdet = np.linalg.slogdet(g)[1]
+    if ellipsoid:
+        rho = 1.0 - least
+        mass = f.amplitude * unit_ball_volume(k) \
+            * np.exp(0.5 * k * np.log(rho) - 0.5 * logdet)
+        return mass, np.full(len(rho), f.amplitude), centre
+    log_sup = math.log(f.amplitude) - 0.5 * (
+        f.n * math.log(2 * math.pi) + np.linalg.slogdet(f.cov)[1] + least)
+    return (np.exp(log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet)),
+            np.exp(log_sup), centre)
+
+
+def conditioned_case(seed, family, n, k):
+    """An ellipsoid or Gaussian of condition number up to 1e6, and flats
+    through points of its bulk: half a draw about the centre keeps every
+    ellipsoid section's rho >= 0.75 and Gaussian flats within about three
+    standard deviations, where the sections are well conditioned."""
+    rng = np.random.default_rng(seed)
+    m = conditioned_spd(n, 10.0 ** rng.uniform(0, 6), rng)
+    c = rng.normal(size=n)
+    f = EllipsoidIndicator(m, c, 1.5) if family == "ellipsoid" \
+        else GaussianDensity(c, m, 1.5)
+    bases = haar_frames(n, k, 40, rng)[..., :k]
+    offsets = c + 0.5 * (f.sample(40, rng) - c)
+    return f, bases, offsets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       family=st.sampled_from(["ellipsoid", "gaussian"]),
+       n=st.integers(2, 5), k=st.integers(1, 3))
+def test_closed_form_sections_match_lapack_reference(seed, family, n, k):
+    k = min(k, n - 1)
+    f, bases, offsets = conditioned_case(seed, family, n, k)
+    mass, sup, centre = reference_sections(f, bases, offsets)
+    sections = f._sections(bases, offsets)
+    np.testing.assert_allclose(sections[0], mass, rtol=1e-10)
+    np.testing.assert_allclose(sections[1], sup, rtol=1e-10)
+    ours = sections[3] if family == "ellipsoid" else sections[2]
+    assert np.all(np.linalg.norm(ours - centre, axis=1)
+                  <= 1e-10 * np.linalg.norm(centre, axis=1))
+
+
+@pytest.mark.parametrize("family", ["ellipsoid", "gaussian"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_small_sections_skip_lapack(monkeypatch, family, k):
+    # k <= 2 sections run on the closed-form kernel, never on a LAPACK
+    # solve or determinant
+    f, bases, offsets = conditioned_case(7, family, 4, k)
+    mass, sup, _ = reference_sections(f, bases, offsets)
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a k <= 2 section stack")
+
+    monkeypatch.setattr(np.linalg, "solve", lapack)
+    monkeypatch.setattr(np.linalg, "slogdet", lapack)
+    ours = f.slice_stats_batch(bases, offsets)
+    np.testing.assert_allclose(ours[0], mass, rtol=1e-10)
+    np.testing.assert_allclose(ours[1], sup, rtol=1e-10)
