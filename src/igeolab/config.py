@@ -121,6 +121,20 @@ def _scale(raw, n: int) -> float:
     return r
 
 
+def _axes(mat: np.ndarray, power: float) -> np.ndarray:
+    """mat, once the length eigenvalue^power of each of its principal axes
+    passes _scale: power 1/2 for a covariance, -1/2 for an ellipsoid's
+    shape matrix."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lengths = np.linalg.eigvalsh(mat) ** power
+    for length in lengths:
+        try:
+            _scale(float(length), len(mat))
+        except ValueError as exc:
+            raise ValueError(f"principal axis length {exc}") from None
+    return mat
+
+
 def _vector(raw, n=None) -> np.ndarray:
     """Nonempty vector, of length n when n is given."""
     vec = _finite(raw)
@@ -178,8 +192,10 @@ def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
 
 
 # The field that sets the mass of a density of this kind, blamed when the
-# mass is zero; extreme shapes or radii can also under- or overflow it.
-_MASS_FIELD = {"radial": "heights", "product": "factors"}
+# mass is zero; extreme shapes or radii can also under- or overflow it.  An
+# ellipsoid given by n and radius blames radius instead of shape.
+_MASS_FIELD = {"radial": "heights", "product": "factors", "gaussian": "cov",
+               "ellipsoid": "shape"}
 
 
 def _build_density(spec: dict, base_dir: str):
@@ -205,6 +221,7 @@ def _build_density(spec: dict, base_dir: str):
         return take(name, parse) if name in spec else None
 
     kind = spec.pop("kind", None)
+    mass_field = _MASS_FIELD.get(kind, "spec")
     normalize = take("normalize", _flag, False)
     if kind == "file":
         text = take("path", lambda raw: _read_text(raw, base_dir))
@@ -213,12 +230,14 @@ def _build_density(spec: dict, base_dir: str):
         mean = optional("mean")
         if mean is None:
             mean = take("n", lambda raw: np.zeros(dim(raw)))
-        cov = take("cov", lambda raw: _positive(raw) * np.eye(mean.size)
-                   if np.isscalar(raw) else _spd(raw, mean.size), 1.0)
+        cov = take("cov", lambda raw: _axes(
+            _positive(raw) * np.eye(mean.size) if np.isscalar(raw)
+            else _spd(raw, mean.size), 0.5), 1.0)
         f = GaussianDensity(mean, cov, take("amplitude", _positive, 1.0))
     elif kind == "ellipsoid":
-        shape = optional("shape", _spd)
+        shape = optional("shape", lambda raw: _axes(_spd(raw), -0.5))
         if shape is None:
+            mass_field = "radius"
             eye = take("n", lambda raw: np.eye(dim(raw)))
             shape = eye / take("radius", lambda raw: _scale(raw, len(eye)),
                                1.0) ** 2
@@ -263,7 +282,7 @@ def _build_density(spec: dict, base_dir: str):
         mass = math.inf
     if not 0.0 < mass < math.inf:
         raise ConfigError("density", "normalize" if normalize
-                          else _MASS_FIELD.get(kind, "spec"),
+                          else mass_field,
                           f"the density's mass is {mass:g}; it must be "
                           "positive and finite")
     if normalize:

@@ -7,14 +7,16 @@ of its predecessors twice ("twice is enough" reorthogonalization), which
 keeps |B^T B - I| at a few ulps for every shape.  The result is the Q of the
 QR factorization whose R has a positive diagonal, so it is a function of the
 Gaussian draw alone, and the draw is the same one rng.standard_normal call
-for any stack size.  Full frames (a basis plus its complement) come from the
-complete LAPACK QR, sign-fixed the same way.
+for any stack size.
 
 The invariant measure on affine k-flats is infinite; flats are sampled inside
 a window of radius R around the origin and carry the importance weight that
 makes window-supported integrands unbiased, with the normalization fixed so
 that the measure of flats meeting the unit ball is the unit-ball volume of
-the orthogonal dimension.
+the orthogonal dimension.  A flat's offset needs no basis of the complement:
+a Gaussian n-vector cleared of the flat's basis (twice, as in Gram-Schmidt)
+is isotropic in the complement, so its direction is uniform there, and a
+radius R U^(1/(n-k)) makes the offset uniform in the complement's R-ball.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "grassmann_distance",
     "perturb_subspace",
     "haar_bases",
-    "haar_frames",
     "flat_frames",
     "uniform_ball",
 ]
@@ -139,16 +140,6 @@ def haar_bases(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarra
     return _orthonormalize(rng.standard_normal((size, n, k)))
 
 
-def haar_frames(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of full frames (size, n, n): columns [:k] span a Haar subspace,
-    columns [k:] its orthogonal complement."""
-    _check_nk(n, k)
-    a = rng.standard_normal((size, n, k))
-    q, r = np.linalg.qr(a, mode="complete")
-    q[..., :k] *= _diag_signs(r[..., :k, :])[..., None, :]
-    return q
-
-
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
     """Gram-Schmidt over a stack (size, n, k) of full-rank matrices, in place.
 
@@ -158,18 +149,18 @@ def _orthonormalize(a: np.ndarray) -> np.ndarray:
     has a positive diagonal, up to rounding.
     """
     for j in range(a.shape[-1]):
-        v = a[..., j]
-        for _ in range(2):
-            for i in range(j):
-                v -= np.einsum("sn,sn->s", a[..., i], v)[:, None] * a[..., i]
+        v = _clear(a[..., j], a[..., :j])
         v /= np.sqrt(np.einsum("sn,sn->s", v, v))[:, None]
     return a
 
 
-def _diag_signs(r: np.ndarray) -> np.ndarray:
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
-    d[d == 0.0] = 1.0
-    return d
+def _clear(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Clear each row of v (size, n) of its projections onto the
+    orthonormal columns of a (size, n, j), twice, in place."""
+    for _ in range(2):
+        for i in range(a.shape[-1]):
+            v -= np.einsum("sn,sn->s", a[..., i], v)[:, None] * a[..., i]
+    return v
 
 
 def _check_nk(n: int, k: int):
@@ -218,14 +209,19 @@ def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):
     unit_ball_volume(n-k) * R^(n-k).  Estimators weight * mean(g) are
     unbiased for invariant-measure integrands vanishing on flats farther
     than R from the origin.
+
+    Stream layout: haar_bases's rng.standard_normal((size, n, k)), then
+    rng.standard_normal((size, n)) for the offset directions, cleared of
+    each basis, then rng.random(size) for their radii.
     """
     if R <= 0:
         raise ValueError("window radius must be positive")
-    frames = haar_frames(n, k, size, rng)
-    v = uniform_ball(n - k, size, rng) * R
-    offsets = np.einsum("sij,sj->si", frames[..., k:], v)
+    bases = haar_bases(n, k, size, rng)
+    z = _clear(rng.standard_normal((size, n)), bases)
+    radii = R * rng.random(size) ** (1.0 / (n - k))
+    z *= (radii / np.sqrt(np.einsum("sn,sn->s", z, z)))[:, None]
     weight = unit_ball_volume(n - k) * R ** (n - k)
-    return frames[..., :k], offsets, weight
+    return bases, z, weight
 
 
 def perturb_subspace(E: Subspace, eta: float, rng: np.random.Generator) -> Subspace:

@@ -630,6 +630,12 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     scale factor that would make the bound tight is reported either way.
     The subspaces are drawn in blocks of DRAW_BLOCK (see _blocked).
 
+    The event needs no orthonormal basis: for the span of a Gaussian n x k
+    draw G and any orthonormal basis B of it (B = G R^-1, R the QR factor),
+    det(B^T D B) = det(G^T D G) / det(G^T G) with D = diag(variances), so
+    each block is one Gaussian draw, two Gram stacks and their log dets;
+    the subspaces are those haar_bases would return for the same stream.
+
     For k = 1 the event is u_1^2 >= x for a uniform direction u, with
     x = (1 - 1/(2 pi s^2)) / (1 - sigma^2), and u_1^2 ~ Beta(1/2, (n-1)/2),
     so its measure is I_{1-x}((n-1)/2, 1/2); the diagnostics carry it as
@@ -644,13 +650,21 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     # event: (2 pi)^(-1/2) det(B^T D B)^(-1/(2k)) >= s
     log_cut = -k * math.log(2 * math.pi) - 2 * k * math.log(s)
 
+    # column products of the draw against [1, diag] give both Grams at once;
+    # G^T G is ill-conditioned only on rare draws, and the log det ratio
+    # matches log det(B^T D B) to about 1e-11
+    w = np.stack([np.ones(n), diag], axis=1)
+
     def draw(stream, m):
         def hits(size):
-            b = haar_bases(n, k, size, stream)
-            # condition number at most sigma^-2, where the closed-form
-            # determinant of _spd_solve keeps its accuracy
-            gram = np.matmul(b.transpose(0, 2, 1), b * diag[:, None])
-            return _spd_solve(gram)[0] <= log_cut
+            g = stream.standard_normal((size, n, k))
+            grams = np.empty((size, 2, k, k))
+            for i in range(k):
+                for j in range(i, k):
+                    np.matmul(g[..., i] * g[..., j], w, out=grams[:, :, i, j])
+                    grams[:, :, j, i] = grams[:, :, i, j]
+            return _spd_solve(grams[:, 1])[0] - _spd_solve(grams[:, 0])[0] \
+                <= log_cut
         return _blocked(m, DRAW_BLOCK, hits)
 
     emp = mc_estimate(draw, n_subspaces, rng)

@@ -351,7 +351,17 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
     ({"kind": '"file"', "path": '"missing.txt"'}, "path"),
     ({"kind": '"ellipsoid"', "n": "2", "radius": "1e200"}, "radius"),
     ({"kind": '"ellipsoid"', "shape": "[[1e-310, 0.0], [0.0, 1e-310]]"},
-     "spec"),
+     "shape"),
+    ({"kind": '"ellipsoid"', "shape": str(np.diag([1e-210] * 3).tolist())},
+     "shape"),
+    # every axis passes the scale check, but the volume overflows
+    ({"kind": '"ellipsoid"', "n": "5", "radius": "4e61"}, "radius"),
+    ({"kind": '"ellipsoid"', "shape": str(np.diag([6.25e-124] * 5).tolist())},
+     "shape"),
+    ({"kind": '"gaussian"', "n": "2", "cov": "1e-320"}, "cov"),
+    ({"kind": '"gaussian"', "mean": "[0.0, 0.0]",
+      "cov": "[[1e-320, 0.0], [0.0, 1.0]]"}, "cov"),
+    ({"kind": '"gaussian"', "n": "3", "cov": "1e250"}, "cov"),
     ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e200",
       "radius": "1.0"}, "tau"),
     ({"kind": '"radial"', "n": "2", "radius": "1e200", "heights": "[1.0]"},
@@ -386,11 +396,16 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
         "matrix-center", "indefinite-shape", "asymmetric-shape",
         "short-center", "indefinite-cov", "cov-size-mismatch",
         "negative-scalar-cov", "missing-file", "overflowing-radius",
-        "infinite-mass", "overflowing-tau", "radial-overflowing-radius",
-        "radial-overflowing-radius-nan", "radial-overflowing-edges",
+        "infinite-mass", "ellipsoid-overflowing-axis",
+        "ellipsoid-infinite-mass-radius", "ellipsoid-infinite-mass-shape",
+        "underflowing-scalar-cov", "underflowing-cov-axis",
+        "overflowing-scalar-cov", "overflowing-tau",
+        "radial-overflowing-radius", "radial-overflowing-radius-nan",
+        "radial-overflowing-edges",
         "text-overflowing-radius", "radial-underflowing-radius",
         "normalize-overflow", "underflowing-ball-volume", "underflowing-tau",
         "truncated-overflowing-radius", "truncated-empty-cut"])
+@pytest.mark.filterwarnings("error")
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
     if "text" in fields:  # a density text file in place of inline fields
         (tmp_path / "bad.txt").write_text(fields["text"])

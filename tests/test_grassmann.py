@@ -15,7 +15,7 @@ from scipy import stats
 
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import (Subspace, distances_to, flat_frames,
-                               grassmann_distance, haar_bases, haar_frames,
+                               grassmann_distance, haar_bases,
                                perturb_subspace, project, sample_subspace,
                                uniform_ball)
 
@@ -53,14 +53,37 @@ def test_haar_bases_consumes_one_gaussian_draw():
     assert g.random() == ref.random()
 
 
-def test_haar_frames_complete(rng):
-    frames = haar_frames(4, 2, 16, rng)
-    assert frames.shape == (16, 4, 4)
-    gram = np.einsum("sij,sil->sjl", frames, frames)
-    assert np.allclose(gram, np.eye(4), atol=1e-10)
-    # leading columns match what haar_bases would give: orthonormal and
-    # usable as a subspace basis directly
-    Subspace(frames[0][:, :2])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_flat_offsets_uniform_in_complement_ball(n, k):
+    # offsets are perpendicular to their basis, |z|/R follows the radial
+    # law U^(1/(n-k)) of the complement's ball, and the second moment
+    # E[z z^T] = R^2/(n-k+2) (I - B B^T) holds within 4 sigma entrywise
+    R, m = 1.5, 100_000
+    bases, offsets, _ = flat_frames(n, k, R, m, np.random.default_rng(n + k))
+    inner = np.einsum("snk,sn->sk", bases, offsets)
+    assert np.abs(inner).max() <= 1e-14 * R
+    r = np.linalg.norm(offsets, axis=1) / R
+    assert r.max() <= 1.0 + 1e-12
+    res = stats.kstest(r ** (n - k), "uniform")
+    assert res.pvalue > 1e-3, f"radial law off, KS p={res.pvalue}"
+    terms = np.einsum("si,sj->sij", offsets, offsets) - R ** 2 / (
+        n - k + 2) * (np.eye(n) - np.einsum("sik,sjk->sij", bases, bases))
+    stderr = terms.std(axis=0, ddof=1) / math.sqrt(m)
+    assert np.all(np.abs(terms.mean(axis=0)) <= 4.0 * stderr)
+
+
+def test_flat_frames_stream_layout():
+    # a basis draw, an offset-direction draw, a radius draw, in that order
+    g = np.random.default_rng(9)
+    bases, offsets, _ = flat_frames(4, 2, 2.0, 300, g)
+    ref = np.random.default_rng(9)
+    assert np.array_equal(bases, haar_bases(4, 2, 300, ref))
+    z = ref.standard_normal((300, 4))
+    z -= np.einsum("snk,sk->sn", bases, np.einsum("snk,sn->sk", bases, z))
+    radii = 2.0 * ref.random(300) ** 0.5
+    assert np.allclose(offsets, z / np.linalg.norm(z, axis=1)[:, None]
+                       * radii[:, None], rtol=1e-12, atol=1e-15)
+    assert g.random() == ref.random()
 
 
 def test_subspace_projector(rng):

@@ -22,7 +22,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                TruncatedGaussian, restriction_stats,
                                section_points, section_stats)
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Flat, Subspace, haar_frames
+from igeolab.grassmann import Flat, Subspace, haar_bases
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -61,13 +61,21 @@ def build(family, n, rng):
     return ProductDensity(factors, amp)
 
 
+def full_frames(n, k, count, rng):
+    """Full frames (count, n, n): columns [:k] a Haar basis, the rest its
+    orthogonal complement, from a complete QR of the basis."""
+    bases = haar_bases(n, k, count, rng)
+    q = np.linalg.qr(bases, mode="complete")[0]
+    return np.concatenate([bases, q[..., k:]], axis=-1)
+
+
 def flats(n, k, count, rng, aligned=False):
     """Bases (count, n, k) and perpendicular offsets (count, n)."""
     if aligned:
         frames = np.stack([np.eye(n)[:, rng.permutation(n)]
                            * rng.choice([-1.0, 1.0], n) for _ in range(count)])
     else:
-        frames = haar_frames(n, k, count, rng)
+        frames = full_frames(n, k, count, rng)
     coords = 0.6 * rng.normal(size=(count, n - k))
     offsets = np.einsum("snj,sj->sn", frames[:, :, k:], coords)
     return np.ascontiguousarray(frames[:, :, :k]), offsets
@@ -254,7 +262,7 @@ def conditioned_case(seed, family, n, k):
     c = rng.normal(size=n)
     f = EllipsoidIndicator(m, c, 1.5) if family == "ellipsoid" \
         else GaussianDensity(c, m, 1.5)
-    bases = haar_frames(n, k, 40, rng)[..., :k]
+    bases = full_frames(n, k, 40, rng)[..., :k]
     offsets = c + 0.5 * (f.sample(40, rng) - c)
     return f, bases, offsets
 

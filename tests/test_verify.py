@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from igeolab import verify
+from igeolab import grassmann, verify
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, PushforwardDensity,
                                RadialGridDensity, Step1D, TruncatedGaussian)
@@ -394,10 +394,11 @@ def test_sharpness_honest_shortfall(rng):
     assert 3.3 <= d["fitted_factor"] <= 4.2
 
 
-def test_sharpness_blocks_match_one_shot_draw():
+@pytest.mark.parametrize("n,k,s", [(3, 1, 1.5), (4, 2, 1.5), (6, 3, 1.0)])
+def test_sharpness_blocks_match_one_shot_draw(n, k, s):
     # one substream of 2^16 + 3 subspaces spans a block boundary; the
     # block-streamed hits must equal those of one haar_bases call
-    n, k, s, m = 4, 2, 1.5, (1 << 16) + 3
+    m = (1 << 16) + 3
     rep = gaussian_sharpness_experiment(n, k, s, m, np.random.default_rng(3))
     sigma2 = (2 * math.pi) ** (-n / k)
     diag = np.array([sigma2] * k + [1.0] * (n - k))
@@ -408,6 +409,18 @@ def test_sharpness_blocks_match_one_shot_draw():
         logdet <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)))
     assert hits > 0
     assert round(rep.diagnostics["empirical_measure"] * m) == hits
+
+
+def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
+    # the event depends on the span alone, through det(G^T D G) / det(G^T G)
+    def orthonormalize(*args):
+        raise AssertionError("sharpness draw orthonormalized a basis")
+
+    monkeypatch.setattr(verify, "haar_bases", orthonormalize)
+    monkeypatch.setattr(grassmann, "_orthonormalize", orthonormalize)
+    rep = gaussian_sharpness_experiment(4, 2, 1.5, 4000,
+                                        np.random.default_rng(5))
+    assert rep.diagnostics["empirical_measure"] > 0
 
 
 def test_sharpness_small_blocks_match_default(monkeypatch):
