@@ -525,7 +525,7 @@ class ProductDensity(_Sectioned):
             raise ValueError("need at least one factor")
         self.n = len(factors)
         self.factors = list(factors)
-        self.amplitude = float(amplitude)
+        self.amplitude = _amplitude(amplitude)
 
     def eval_many(self, x):
         vals = np.full(x.shape[0], self.amplitude)
@@ -779,19 +779,31 @@ def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
     """Quantiles at u (s, size) of per-row piecewise-uniform laws: row i
     spreads weights[i, j] evenly over [edges[i, j], edges[i, j + 1]].
-    Zero-weight bins are never hit; a row of zero weight gives edges[i, 0]."""
-    below = np.concatenate([np.zeros((len(weights), 1)),
-                            np.cumsum(weights, axis=1)], axis=1)
+    Zero-weight bins are never hit; a row of zero weight gives the finite
+    point edges[i, -2]."""
+    s, bins = weights.shape
+    below = np.concatenate([np.zeros((s, 1)), np.cumsum(weights, axis=1)],
+                           axis=1)
     target = u * below[:, -1:]
-    idx = np.minimum((below[:, None, 1:] <= target[..., None]).sum(axis=-1),
-                     weights.shape[1] - 1)
-    w = np.take_along_axis(weights, idx, axis=1)
-    start = np.take_along_axis(below, idx, axis=1)
-    lo = np.take_along_axis(edges, idx, axis=1)
-    hi = np.take_along_axis(edges, idx + 1, axis=1)
-    frac = np.divide(target - start, w, out=np.zeros_like(target),
-                     where=w > 0)
-    return lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    # the bin is the count of inner cumulative weights at or below target:
+    # the comparisons of a count over all of them, capped at bins - 1
+    idx = np.zeros(target.shape, dtype=np.intp)
+    for j in range(1, bins):
+        idx += below[:, j, None] <= target
+    rows = np.arange(s)[:, None]
+    w = np.take(weights, idx + rows * bins)
+    idx += rows * (bins + 1)
+    frac = target - np.take(below, idx)
+    # a zero-weight bin is only hit at its own start (frac = 0 already)
+    np.divide(frac, w, out=frac, where=w > 0)
+    lo = np.take(edges, idx)
+    idx += 1
+    span = np.take(edges, idx)
+    span -= lo
+    frac.clip(0.0, 1.0, out=frac)
+    frac *= span
+    frac += lo
+    return frac
 
 
 class PushforwardDensity(DensityModel):

@@ -95,37 +95,54 @@ def powz(values: np.ndarray, alpha: float) -> np.ndarray:
 def section_norm(f: DensityModel, S, p: float) -> float:
     """Exact L_p norm of f restricted to a subspace or flat (p may be inf)."""
     E, z = _as_section(S)
-    return float(_section_norms(_power_model(f, p), p, E.basis[None],
-                                z[None])[0])
+    masses, sups, _ = section_stats(_power_model(f, p), E.basis[None], z[None])
+    return float(_lp_norms(masses, sups, p)[0])
 
 
 def _power_model(f: DensityModel, p: float) -> DensityModel:
     """f**p, whose section masses are the p-th powers of the L_p norms of
-    f; f itself for a sup slot (p = inf)."""
-    model = f if math.isinf(p) else f.power(p)
+    f; f itself for p = 1 and for a sup slot (p = inf)."""
+    model = f if p == 1.0 or math.isinf(p) else f.power(p)
     if model is None:
         raise ValueError("no power model for this family")
     return model
 
 
-def _section_norms(model: DensityModel, p: float, bases: np.ndarray,
-                   offsets: np.ndarray, method="exact",
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """L_p norms of f on a stack of flats, given model = _power_model(f, p),
-    from section_stats; a Monte Carlo sup is biased low (conservative in a
-    denominator)."""
-    masses, sups, _ = section_stats(model, bases, offsets, method, rng)
+def _slot_models(f_list, spec: ExponentSpec) -> list:
+    """The power model of every slot, built once per distinct (f, p), f
+    keyed by identity, so that repeated slots share one model object."""
+    if len(spec) != len(f_list):
+        raise ValueError("one (p, alpha) slot per density required")
+    built = {}
+    for f, p in zip(f_list, spec.p_list):
+        if (id(f), p) not in built:
+            built[id(f), p] = _power_model(f, p)
+    return [built[id(f), p] for f, p in zip(f_list, spec.p_list)]
+
+
+def _lp_norms(masses: np.ndarray, sups: np.ndarray, p: float) -> np.ndarray:
+    """L_p norms of f on a stack of flats from the section masses and sups
+    of _power_model(f, p); a Monte Carlo sup is biased low (conservative in
+    a denominator)."""
     return sups if math.isinf(p) else powz(masses, 1.0 / p)
 
 
 def _norm_products(models, spec: ExponentSpec, bases: np.ndarray,
                    offsets: np.ndarray, method, rng) -> np.ndarray:
     """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats, from
-    the power models of the f_i; Monte Carlo window points are drawn
-    density by density, each for the whole stack."""
+    the slot models of _slot_models.  Exact section stats are read once per
+    distinct model object and shared by every slot that holds it; Monte
+    Carlo window points are drawn slot by slot, each for the whole stack,
+    so the generator is consumed once per slot in slot order."""
+    read = {}
     total = np.ones(len(bases))
     for model, p, a in zip(models, spec.p_list, spec.alpha_list):
-        total *= powz(_section_norms(model, p, bases, offsets, method, rng), a)
+        if method == "exact" and id(model) in read:
+            masses, sups, _ = read[id(model)]
+        else:
+            masses, sups, _ = read[id(model)] = section_stats(
+                model, bases, offsets, method, rng)
+        total *= powz(_lp_norms(masses, sups, p), a)
     return total
 
 
@@ -189,13 +206,12 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
 
     method "exact" uses closed-form section norms (available for the
     ellipsoid, Gaussian, truncated-Gaussian and radial families everywhere
-    and for products on lines and coordinate sections); ("mc", m)
-    estimates each section norm from m window samples instead.
+    and for products on lines and coordinate sections), once per distinct
+    (density, power) per stack of subspaces; ("mc", m) estimates each
+    slot's section norm from its own m window samples instead.
     """
-    if len(spec) != len(f_list):
-        raise ValueError("one (p, alpha) slot per density required")
+    models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
-    models = [_power_model(f, p) for f, p in zip(f_list, spec.p_list)]
 
     def draw(stream, m):
         return _norm_products(models, spec, haar_bases(n, k, m, stream),
@@ -213,15 +229,15 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     and reweighted by the window mass, so the estimate targets the infinite
     invariant measure directly.  All supports must fit in the R-window:
     flats outside it carry zero integrand only if every f_i vanishes there.
+    Section norms are read as in grassmann_average_I: exact stats once per
+    distinct (density, power) per stack of flats, MC draws slot by slot.
     """
-    if len(spec) != len(f_list):
-        raise ValueError("one (p, alpha) slot per density required")
+    models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     for f in f_list:
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-    models = [_power_model(f, p) for f, p in zip(f_list, spec.p_list)]
 
     def draw(stream, m):
         bases, offsets, weight = flat_frames(n, k, R, m, stream)

@@ -283,6 +283,17 @@ def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
                      "tail_shares": [before.tail_share, after.tail_share]})
 
 
+def _images(f_list, g) -> list:
+    """The affine image of every density, mapped once per distinct density
+    (by identity), so the images repeat objects as f_list does and the
+    averages share their section evaluations alike."""
+    mapped = {}
+    for f in f_list:
+        if id(f) not in mapped:
+            mapped[id(f)] = affine_image(f, g)
+    return [mapped[id(f)] for f in f_list]
+
+
 def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
                             n_subspaces: int, rng: np.random.Generator,
                             method="exact") -> CheckReport:
@@ -298,7 +309,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     streams = rng.spawn(2)
     before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
                                  method)
-    images = [affine_image(f, (g, None)) for f in f_list]
+    images = _images(f_list, (g, None))
     after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
                                 method)
     return _invariance_report(
@@ -323,7 +334,7 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     r_before = max(R, max(f.support_radius for f in f_list))
     before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0],
                               method)
-    images = [affine_image(f, (a_mat, shift)) for f in f_list]
+    images = _images(f_list, (a_mat, shift))
     r_after = max(R, max(f.support_radius for f in images))
     after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
                              method)

@@ -382,6 +382,8 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
       "radius": "1e200"}, "radius"),
     ({"kind": '"truncated_gaussian"', "n": "2", "tau": "1e150",
       "radius": "1e-150"}, "radius"),
+    ({"kind": '"product"', "factors": '[{"heights": [1e-320]}, '
+      '{"heights": [1.0]}]', "normalize": "true"}, "normalize"),
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
         "normalize-zero-mass", "negative-height", "no-heights",
@@ -404,7 +406,8 @@ def test_malformed_fields_rejected(tmp_path, changes, field_name):
         "radial-overflowing-edges",
         "text-overflowing-radius", "radial-underflowing-radius",
         "normalize-overflow", "underflowing-ball-volume", "underflowing-tau",
-        "truncated-overflowing-radius", "truncated-empty-cut"])
+        "truncated-overflowing-radius", "truncated-empty-cut",
+        "product-normalize-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
     if "text" in fields:  # a density text file in place of inline fields

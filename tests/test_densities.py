@@ -429,9 +429,12 @@ def test_constructor_validation():
             GaussianDensity(np.zeros(2), np.eye(2), bad)
         with pytest.raises(ValueError, match="amplitude"):
             EllipsoidIndicator(np.eye(2), None, bad)
+        with pytest.raises(ValueError, match="amplitude"):
+            ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])], bad)
     assert TruncatedGaussian(np.zeros(2), 1.0, 1.0, 0.0).mass == 0.0
     assert GaussianDensity(np.zeros(2), np.eye(2), 0.0).mass == 0.0
     assert EllipsoidIndicator(np.eye(2), None, 0.0).mass == 0.0
+    assert ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])], 0.0).mass == 0.0
 
 
 def test_restriction_stats_method_validation(rng):

@@ -21,12 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from igeolab import functionals
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ProductDensity, Step1D, TruncatedGaussian)
+                               ProductDensity, Step1D, TruncatedGaussian,
+                               section_stats)
 from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
                                  delta_p, grassmann_average_I,
                                  kplane_transform, powz, section_norm,
-                                 small_ball_probability)
+                                 small_ball_probability, _norm_products,
+                                 _power_model, _slot_models)
 from igeolab.grassmann import Flat, Subspace, flat_frames, sample_subspace
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
@@ -203,6 +206,102 @@ def test_mc_average_evaluates_each_density_once_per_draw(rng, monkeypatch):
     spec = ExponentSpec((1.0, INF), (2.0, -1.0))
     grassmann_average_I([box, box], spec, 1, 60, rng, method=("mc", 16))
     assert sizes == [60 * 16] * 2
+
+
+def mixed_slots():
+    """Slots [f, f, g, f] at powers [1, inf, 2, 1]: f's L1 and sup slots
+    share f itself, and (f, 1) repeats."""
+    f = EllipsoidIndicator(np.diag([1.0, 2.0, 0.5]), center=[0.3, -0.2, 0.1],
+                           amplitude=0.8)
+    g = TruncatedGaussian(np.array([0.1, 0.0, -0.2]), tau=0.7, radius=1.5)
+    spec = ExponentSpec((1.0, INF, 2.0, 1.0), (1.5, -0.5, 2.0, 0.5))
+    return [f, f, g, f], spec
+
+
+def per_slot_products(f_list, spec, bases, offsets, method, rng):
+    """Reference: one power model and one section_stats call per slot, in
+    slot order, with no sharing between slots."""
+    total = np.ones(len(bases))
+    for f, p, a in zip(f_list, spec.p_list, spec.alpha_list):
+        masses, sups, _ = section_stats(_power_model(f, p), bases, offsets,
+                                        method, rng)
+        norms = sups if math.isinf(p) else powz(masses, 1.0 / p)
+        total *= powz(norms, a)
+    return total
+
+
+def test_power_model_of_power_one_is_the_density():
+    f, _, g, _ = mixed_slots()[0]
+    assert _power_model(f, 1.0) is f
+    assert _power_model(g, INF) is g
+    assert _power_model(g, 2.0) is not g
+
+
+def test_slot_models_share_one_model_per_density_and_power():
+    f_list, spec = mixed_slots()
+    models = _slot_models(f_list, spec)
+    f, g = f_list[0], f_list[2]
+    assert models[0] is models[1] is models[3] is f
+    assert models[2] is not g
+    pair = _slot_models([g, g], ExponentSpec((2.0, 2.0), (1.0, 1.0)))
+    assert pair[0] is pair[1]
+    with pytest.raises(ValueError, match="slot"):
+        _slot_models(f_list, ExponentSpec((1.0,), (1.0,)))
+
+
+def counting_section_stats(monkeypatch):
+    calls = []
+
+    def spy(model, bases, offsets, method="exact", rng=None):
+        calls.append(id(model))
+        return section_stats(model, bases, offsets, method, rng)
+
+    monkeypatch.setattr(functionals, "section_stats", spy)
+    return calls
+
+
+def test_exact_products_read_each_model_once(rng, monkeypatch):
+    f_list, spec = mixed_slots()
+    bases, offsets, _ = flat_frames(3, 1, 1.5, 300, rng)
+    expected = per_slot_products(f_list, spec, bases, offsets, "exact", None)
+    calls = counting_section_stats(monkeypatch)
+    got = _norm_products(_slot_models(f_list, spec), spec, bases, offsets,
+                         "exact", None)
+    assert np.array_equal(got, expected)      # bit for bit
+    assert len(calls) == len(set(calls)) == 2   # f (p = 1 and inf), g**2
+    assert np.count_nonzero(got) > 100
+
+
+def test_mc_products_draw_every_slot_in_order(monkeypatch):
+    f_list, spec = mixed_slots()
+    bases, offsets, _ = flat_frames(3, 2, 1.5, 40,
+                                    np.random.default_rng(7))
+    method = ("mc", 32)
+    reference = np.random.default_rng(11)
+    expected = per_slot_products(f_list, spec, bases, offsets, method,
+                                 reference)
+    calls = counting_section_stats(monkeypatch)
+    stream = np.random.default_rng(11)
+    got = _norm_products(_slot_models(f_list, spec), spec, bases, offsets,
+                         method, stream)
+    assert np.array_equal(got, expected)
+    assert len(calls) == len(f_list)           # one draw per slot
+    # the stream ends where the per-slot reference left it
+    assert stream.random() == reference.random()
+
+
+def test_averages_share_section_evaluations(rng, monkeypatch):
+    # Grinberg-type slots (f, 1), (f, inf) repeat one density: one
+    # section_stats call per stack of subspaces, not two
+    b2 = EllipsoidIndicator.ball(2)
+    spec = ExponentSpec((1.0, INF), (3.0, -2.0))
+    calls = counting_section_stats(monkeypatch)
+    grassmann_average_I([b2, b2], spec, 1, 500, rng)
+    assert calls and set(calls) == {id(b2)}
+    blocks = len(calls)
+    calls.clear()
+    grassmann_average_I([b2, b2], spec, 1, 500, rng, method=("mc", 8))
+    assert len(calls) == 2 * blocks
 
 
 def test_kplane_transform_gaussian(rng):

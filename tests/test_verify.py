@@ -14,7 +14,8 @@ import pytest
 from igeolab import grassmann, verify
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, PushforwardDensity,
-                               RadialGridDensity, Step1D, TruncatedGaussian)
+                               RadialGridDensity, Step1D, TruncatedGaussian,
+                               affine_image)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_volume_radius
 from igeolab.grassmann import Subspace, haar_bases
@@ -246,6 +247,32 @@ def test_affine_anisotropy_wrong_sum_fails(rng):
                                   R=2.0, n_flats=12_000, rng=rng)
     assert rep.verdict == FAIL
     assert rep.diagnostics["departure_sigma"] > 5.0
+
+
+def counting_affine_image(monkeypatch):
+    mapped = []
+
+    def spy(f, g):
+        mapped.append(id(f))
+        return affine_image(f, g)
+
+    monkeypatch.setattr(verify, "affine_image", spy)
+    return mapped
+
+
+def test_invariance_checks_map_each_density_once(rng, monkeypatch):
+    e = EllipsoidIndicator(np.diag([1.0, 2.0, 0.5]), center=[0.3, -0.2, 0.1])
+    g = GaussianDensity(np.zeros(3), np.diag([1.0, 0.7, 1.3]))
+    shear = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]])
+    mapped = counting_affine_image(monkeypatch)
+    check_linear_invariance([g, e, g, g], ExponentSpec(
+        (1.0, 1.0, 1.0, 1.0), (0.75,) * 4), 1, shear, 200, rng)
+    assert sorted(mapped) == sorted([id(g), id(e)])
+    mapped.clear()
+    check_affine_invariance([e, e, e, e], ExponentSpec(
+        (1.0, 1.0, 1.0, 1.0), (1.0,) * 4), 2, (shear, np.array([0.4, 0.0, 0.1])),
+        R=3.0, n_flats=200, rng=rng)
+    assert mapped == [id(e)]
 
 
 # ---------------------------------------------------------------------------
