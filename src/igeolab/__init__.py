@@ -8,6 +8,8 @@ checks with explicit Monte Carlo error control.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .geometry import Dimensions, bp_constant, simplex0_volume, \
     simplex_volume, unit_ball_volume, unit_volume_radius
 from .grassmann import Flat, Subspace, flat_frames, grassmann_distance, \
@@ -18,8 +20,7 @@ from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
 from .rearrange import LevelProfile, bathtub_check, level_profile, \
     rearrangement
 from .functionals import ExponentSpec, affine_average_I, delta0_p, delta_p, \
-    grassmann_average_I, kplane_transform, section_norm, \
-    small_ball_probability
+    grassmann_average_I, section_norm, small_ball_probability
 from .report import CheckReport, Estimate, mc_estimate, merge_estimates
 from .verify import check_affine_invariance, check_bp_flat, \
     check_bp_subspace, check_grinberg_functional, check_linear_invariance, \
@@ -30,4 +31,6 @@ from .config import CheckJob, ConfigError, RunConfig, build_density, \
     check_names, load_config, read_density_text
 from .runner import run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -6,18 +6,18 @@ additionally expose three exact capabilities, and everything else in the
 package is built from them:
 
 * sections: each exact family has one batched formula, ``_sections(bases,
-  offsets)``, giving the section parameters for a stack of flats.
-  ``slice_stats_batch`` reads the section masses and sups off it,
-  ``section_points`` samples every section of the stack from it at once,
-  and ``slice(S)`` builds the restriction of f to one subspace or flat as a
-  model on the section's own coordinates, from row 0 of it.  The mass of
-  the slice of the fiber E-perp + x is exactly the marginal density of f at
-  x, so marginals come for free.  Ellipsoid and Gaussian sections solve
-  one k x k system per flat, in closed form for k <= 2
+  offsets)``, giving the section parameters for a stack of flats, and no
+  other section route.  ``slice_stats_batch`` reads the section masses and
+  sups off it, and ``section_points`` samples every section of the stack
+  from it at once; a single flat is a stack of one.  The mass of the
+  section through the fiber E-perp + x is exactly the marginal density of
+  f at x, so marginals come for free.  Ellipsoid and Gaussian sections
+  solve one k x k system per flat, in closed form for k <= 2
   (``geometry._spd_solve``), and truncated-Gaussian sections sample their
   chi radius in closed form for k <= 2.
-* ``power(p)``: the pointwise power f^p as a model, so that the Lp norm of
-  a section is ``f.power(p).slice(S).mass ** (1/p)``.
+* ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
+  of a stack of sections are ``section_stats(f.power(p), bases,
+  offsets)[0] ** (1/p)``.
 * ``superlevel_volumes(ts)``: |{f > t}| at every level of an array, which
   drives the layer-cake rearrangement.
 
@@ -89,11 +89,6 @@ class DensityModel:
         raise NotImplementedError
 
     # -- optional exact capabilities -----------------------------------
-    def slice(self, S):
-        """Restriction to a Subspace or Flat as a model on the section
-        coordinates, or None when no closed form exists."""
-        return None
-
     def slice_stats_batch(self, bases: np.ndarray, offsets: np.ndarray):
         """(mass, sup) arrays of the sections through the flats
         offsets[i] + span(bases[i]), or None when no closed form exists."""
@@ -118,6 +113,42 @@ def _amplitude(a) -> float:
     return a
 
 
+def _vector(x, name: str, n: int | None = None) -> np.ndarray:
+    """x as a non-empty finite float vector, of length n when n is given."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all() \
+            or n is not None and x.size != n:
+        raise ValueError(f"{name} must be a non-empty finite vector of "
+                         f"length {'n' if n is None else n}")
+    return x
+
+
+def _symmetric(m, name: str, n: int | None = None) -> np.ndarray:
+    """m as a finite symmetric float matrix, n x n when n is given."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    n = m.shape[0] if n is None else n
+    if m.shape != (n, n) or not np.isfinite(m).all() \
+            or np.abs(m - m.T).max() > 1e-12:
+        raise ValueError(f"{name} must be a finite symmetric (n, n) matrix")
+    return m
+
+
+def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
+    """Finite increasing edges and finite non-negative heights of a step
+    function, one more edge than heights, as float arrays."""
+    edges = np.asarray(edges, dtype=float)
+    heights = np.asarray(heights, dtype=float)
+    if heights.ndim != 1 or heights.size == 0:
+        raise ValueError("heights must be a non-empty vector")
+    if edges.ndim != 1 or edges.size != heights.size + 1:
+        raise ValueError("need len(edges) == len(heights) + 1")
+    if not np.isfinite(edges).all() or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be finite and increasing")
+    if not np.isfinite(heights).all() or np.any(heights < 0):
+        raise ValueError("heights must be finite and non-negative")
+    return edges, heights
+
+
 def _as_section(S) -> tuple[Subspace, np.ndarray]:
     if isinstance(S, Subspace):
         return S, np.zeros(S.n)
@@ -131,9 +162,9 @@ class _Sectioned(DensityModel):
 
     ``_sections(bases, offsets)`` maps a stack of flats, bases (s, n, k)
     and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays,
-    or None when some flat has no closed-form section.
-    ``_section_model(row, k)`` builds a section model from one row of it,
-    and ``_section_points(sections, k, size, rng)`` draws size points from
+    or None when some flat has no closed-form section.  Section
+    coordinates are u in x = offsets[i] + bases[i] @ u.
+    ``_section_points(sections, k, size, rng)`` draws size points from
     every row's normalized law at once, shape (s, size, k); rows of zero
     mass get finite points.
     """
@@ -142,24 +173,17 @@ class _Sectioned(DensityModel):
         sections = self._sections(bases, offsets)
         return None if sections is None else sections[:2]
 
-    def slice(self, S):
-        E, z = _as_section(S)
-        sections = self._sections(E.basis[None], z[None])
-        return None if sections is None \
-            else self._section_model([a[0] for a in sections], E.k)
-
 
 class EllipsoidIndicator(_Sectioned):
     """a * indicator((x-c)^T M (x-c) <= 1) for symmetric positive M."""
 
     def __init__(self, shape: np.ndarray, center=None, amplitude: float = 1.0):
-        m = np.atleast_2d(np.asarray(shape, dtype=float))
+        m = _symmetric(shape, "shape")
         n = m.shape[0]
-        if m.shape != (n, n) or np.abs(m - m.T).max() > 1e-12:
-            raise ValueError("shape must be a symmetric (n, n) matrix")
         self.n = n
         self.shape_matrix = m
-        self.center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+        self.center = np.zeros(n) if center is None \
+            else _vector(center, "center", n)
         self.amplitude = _amplitude(amplitude)
         self._chol = np.linalg.cholesky(m)       # raises unless positive definite
         eigvals = np.linalg.eigvalsh(m)
@@ -214,13 +238,6 @@ class EllipsoidIndicator(_Sectioned):
         sups = np.where(live, self.amplitude, 0.0)
         return masses, sups, g, u0, rho
 
-    def _section_model(self, row, k):
-        _, _, g, u0, rho = row
-        g = 0.5 * (g + g.T)
-        if rho <= 0.0:
-            return EllipsoidIndicator(g, u0, 0.0)
-        return EllipsoidIndicator(g / rho, u0, self.amplitude)
-
     def _section_points(self, sections, k, size, rng):
         _, _, g, u0, rho = sections
         y = uniform_ball(k, len(g) * size, rng).reshape(len(g), size, k)
@@ -236,17 +253,12 @@ class GaussianDensity(_Sectioned):
     """a * N(mean, cov) density; full support, every section exact."""
 
     def __init__(self, mean, cov, amplitude: float = 1.0):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        n = mean.shape[0]
-        if cov.shape != (n, n) or np.abs(cov - cov.T).max() > 1e-12:
-            raise ValueError("cov must be a symmetric (n, n) matrix")
-        self.n = n
-        self.mean = mean
-        self.cov = cov
+        self.mean = _vector(mean, "mean")
+        self.n = self.mean.size
+        self.cov = _symmetric(cov, "cov", self.n)
         self.amplitude = _amplitude(amplitude)
-        self._chol = np.linalg.cholesky(cov)
-        self._prec = np.linalg.inv(cov)
+        self._chol = np.linalg.cholesky(self.cov)
+        self._prec = np.linalg.inv(self.cov)
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     @classmethod
@@ -297,11 +309,6 @@ class GaussianDensity(_Sectioned):
         log_mass = log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet_h)
         return np.exp(log_mass), np.exp(log_sup), u_star, h
 
-    def _section_model(self, row, k):
-        mass, _, u_star, h = row
-        cov = np.linalg.inv(h)
-        return GaussianDensity(u_star, 0.5 * (cov + cov.T), mass)
-
     def _section_points(self, sections, k, size, rng):
         _, _, u_star, h = sections
         z = rng.standard_normal((len(h), size, k))
@@ -345,11 +352,12 @@ class TruncatedGaussian(_Sectioned):
     """
 
     def __init__(self, center, tau: float, radius: float, amplitude: float = 1.0):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if tau <= 0 or radius <= 0:
-            raise ValueError("tau and radius must be positive")
-        self.n = center.shape[0]
-        self.center = center
+        # an infinite radius is the untruncated kernel
+        if not (0 < tau < math.inf and radius > 0):
+            raise ValueError("tau must be positive and finite and radius "
+                             f"positive, got tau = {tau}, radius = {radius}")
+        self.center = _vector(center, "center")
+        self.n = self.center.size
         self.tau = float(tau)
         self.radius = float(radius)
         self.amplitude = _amplitude(amplitude)
@@ -390,9 +398,7 @@ class TruncatedGaussian(_Sectioned):
     def sample(self, size, rng):
         cut = _chi2_cdf(self.radius ** 2 / self.tau ** 2, self.n)
         r = self.tau * np.sqrt(2.0 * gammaincinv(0.5 * self.n, rng.random(size) * cut))
-        g = rng.standard_normal((size, self.n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return self.center + g * r[:, None]
+        return self.center + _directions((size,), self.n, rng) * r[:, None]
 
     def power(self, p):
         log_a = (p * math.log(self.amplitude) if self.amplitude > 0 else -math.inf) \
@@ -423,12 +429,6 @@ class TruncatedGaussian(_Sectioned):
         sups = np.where(live, kernel * damp, 0.0)
         return masses, sups, w, rho2, amps
 
-    def _section_model(self, row, k):
-        _, _, w, rho2, amp = row
-        if rho2 <= 0.0:
-            return TruncatedGaussian(-w, self.tau, self.radius, 0.0)
-        return TruncatedGaussian(-w, self.tau, math.sqrt(rho2), amp)
-
     def _section_points(self, sections, k, size, rng):
         _, _, w, rho2, _ = sections
         cut = _chi2_cdf(np.maximum(rho2, 0.0) / self.tau ** 2, k)[:, None]
@@ -446,20 +446,9 @@ class Step1D(DensityModel):
     """
 
     def __init__(self, edges, heights):
-        edges = np.asarray(edges, dtype=float)
-        heights = np.asarray(heights, dtype=float)
-        if heights.ndim != 1 or heights.size == 0:
-            raise ValueError("heights must be a non-empty vector")
-        if edges.ndim != 1 or edges.size != heights.size + 1:
-            raise ValueError("need len(edges) == len(heights) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be increasing")
-        if np.any(~np.isfinite(heights)) or np.any(heights < 0):
-            raise ValueError("heights must be finite and non-negative")
         self.n = 1
-        self.edges = edges
-        self.heights = heights
-        self.lo, self.hi = float(edges[0]), float(edges[-1])
+        self.edges, self.heights = _steps(edges, heights)
+        self.lo, self.hi = float(self.edges[0]), float(self.edges[-1])
 
     @classmethod
     def uniform(cls, lo: float, hi: float, heights):
@@ -468,10 +457,6 @@ class Step1D(DensityModel):
             raise ValueError("need lo < hi")
         heights = np.asarray(heights, dtype=float)
         return cls(np.linspace(lo, hi, heights.size + 1), heights)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.array([0.0, 1.0]), np.array([0.0]))
 
     def eval_many(self, x):
         r = x[:, 0]
@@ -503,10 +488,6 @@ class Step1D(DensityModel):
 
     def power(self, p):
         return Step1D(self.edges, self.heights ** p)
-
-    def flipped(self):
-        """The mirror image x -> f(-x)."""
-        return Step1D(-self.edges[::-1], self.heights[::-1])
 
     def superlevel_volumes(self, ts):
         return _sorted_tail_volumes(self.heights, np.diff(self.edges),
@@ -611,18 +592,6 @@ class ProductDensity(_Sectioned):
         sups = np.array([f.sup for f in self.factors])[axes].prod(axis=1)
         return amps * masses, amps * sups, axes, signs, amps
 
-    def _section_model(self, row, k):
-        if k == 1:
-            _, _, t, heights = row
-            keep = np.diff(t) > 0
-            if not keep.any():
-                return Step1D.zero()
-            return Step1D(np.append(t[0], t[1:][keep]), heights[keep])
-        _, _, axes, signs, amp = row
-        return ProductDensity([self.factors[a] if sign > 0
-                               else self.factors[a].flipped()
-                               for a, sign in zip(axes, signs)], amp)
-
     def _section_points(self, sections, k, size, rng):
         if k == 1:
             _, _, t, heights = sections
@@ -674,17 +643,12 @@ class RadialGridDensity(_Sectioned):
     """Radial piecewise-constant density: f(x) = heights[shell(|x|)]."""
 
     def __init__(self, n: int, edges, heights):
-        edges = np.asarray(edges, dtype=float)
-        heights = np.asarray(heights, dtype=float)
-        if edges.ndim != 1 or edges.size != heights.size + 1:
-            raise ValueError("need len(edges) == len(heights) + 1")
-        if edges[0] < 0 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be non-negative and increasing")
-        if np.any(~np.isfinite(heights)) or np.any(heights < 0):
-            raise ValueError("heights must be finite and non-negative")
+        if n != int(n) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
         self.n = int(n)
-        self.edges = edges
-        self.heights = heights
+        self.edges, self.heights = _steps(edges, heights)
+        if self.edges[0] < 0:
+            raise ValueError("edges must be non-negative")
 
     @classmethod
     def uniform(cls, n: int, radius: float, heights):
@@ -722,9 +686,7 @@ class RadialGridDensity(_Sectioned):
         lo = self.edges[shells] ** self.n
         hi = self.edges[shells + 1] ** self.n
         r = (lo + rng.random(size) * (hi - lo)) ** (1.0 / self.n)
-        g = rng.standard_normal((size, self.n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g * r[:, None]
+        return _directions((size,), self.n, rng) * r[:, None]
 
     def power(self, p):
         return RadialGridDensity(self.n, self.edges, self.heights ** p)
@@ -740,13 +702,6 @@ class RadialGridDensity(_Sectioned):
         masses = unit_ball_volume(k) * (np.diff(edges ** k, axis=1) @ self.heights)
         sups = np.where(hit, self.heights, 0.0).max(axis=1)
         return masses, sups, edges, hit
-
-    def _section_model(self, row, k):
-        _, _, edges, hit = row
-        if not np.any(hit):
-            return RadialGridDensity(k, [0.0, 1.0], [0.0])
-        first = int(np.argmax(hit))
-        return RadialGridDensity(k, edges[first:], self.heights[first:])
 
     def _section_points(self, sections, k, size, rng):
         # shells are uniform in r^k: invert the CDF of r^k, then take roots
@@ -772,7 +727,8 @@ def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _directions(shape: tuple, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit vectors of R^k, shape + (k,)."""
     g = rng.standard_normal(shape + (k,))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    return g
 
 
 def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
@@ -882,8 +838,7 @@ def _is_orthogonal(a_mat):
 def _stratified_ball(dim: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit-ball points, shape + (dim,), stratified along the last
     axis of shape into equal-volume radial shells."""
-    g = rng.standard_normal(shape + (dim,))
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    g = _directions(shape, dim, rng)
     strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
     return g * strata[..., None] ** (1.0 / dim)
 
@@ -934,7 +889,7 @@ def section_points(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     sections = f._sections(bases, offsets) \
         if isinstance(f, _Sectioned) else None
     if sections is None:
-        raise ValueError("section identity checks need exact slice models")
+        raise ValueError("section identity checks need exact sections")
     return sections[0], f._section_points(sections, bases.shape[-1], size,
                                           rng)
 

@@ -2,7 +2,7 @@
 
 Covers the two simplex-moment functionals (with and without the origin as
 a vertex), the Grassmannian and affine-Grassmannian averages of section
-norms, the k-plane transform, and projected small-ball probabilities.
+norms, and projected small-ball probabilities.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.
 """
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _tuple_volumes
-from .grassmann import Flat, Subspace, flat_frames, haar_bases
-from .densities import DensityModel, restriction_stats, section_stats, \
-    _as_section
+from .grassmann import Subspace, flat_frames, haar_bases
+from .densities import DensityModel, section_stats, _as_section
 from .report import Estimate, mc_estimate
 
 SUM_TOL = 1e-10
@@ -28,7 +27,6 @@ __all__ = [
     "delta_p",
     "grassmann_average_I",
     "affine_average_I",
-    "kplane_transform",
     "small_ball_probability",
     "powz",
     "section_norm",
@@ -245,12 +243,6 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
                                        stream)
 
     return mc_estimate(draw, n_flats, rng, keep_values=True)
-
-
-def kplane_transform(f: DensityModel, F: Flat, method="exact",
-                     rng: np.random.Generator | None = None) -> Estimate:
-    """Integral of f over the flat F (exact when the slice oracle exists)."""
-    return restriction_stats(f, F, method, rng)[0]
 
 
 def small_ball_probability(f: DensityModel, E: Subspace, z, eps: float,

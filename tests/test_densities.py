@@ -36,11 +36,11 @@ def test_ball_chord():
     b2 = EllipsoidIndicator.ball(2)
     for t in (0.0, 0.3, 0.99):
         F = Flat(line(1, 0), np.array([0.0, t]))
-        sl = b2.slice(F)
-        assert sl.mass == pytest.approx(2.0 * math.sqrt(1.0 - t * t), rel=1e-12)
-        assert sl.sup == pytest.approx(1.0)
+        l1, sup = restriction_stats(b2, F)
+        assert l1.value == pytest.approx(2.0 * math.sqrt(1.0 - t * t), rel=1e-12)
+        assert sup.value == pytest.approx(1.0)
     F = Flat(line(1, 0), np.array([0.0, 1.5]))
-    assert b2.slice(F).mass == 0.0
+    assert restriction_stats(b2, F)[0].value == 0.0
 
 
 def test_ellipsoid_mass_and_eval():
@@ -56,11 +56,11 @@ def test_ellipsoid_mass_and_eval():
 def test_gaussian_section_closed_form():
     g = GaussianDensity.standard(3)
     z = np.array([0.0, 0.8, -0.3])          # perpendicular to e1
-    sl = g.slice(Flat(line(1, 0, 0), z))
+    l1, sup = restriction_stats(g, Flat(line(1, 0, 0), z))
     d2 = float(z @ z)
-    assert sl.mass == pytest.approx(
+    assert l1.value == pytest.approx(
         (2 * math.pi) ** -1.0 * math.exp(-0.5 * d2), rel=1e-12)
-    assert sl.sup == pytest.approx(
+    assert sup.value == pytest.approx(
         (2 * math.pi) ** -1.5 * math.exp(-0.5 * d2), rel=1e-12)
 
 
@@ -71,12 +71,12 @@ def test_gaussian_section_correlated(rng):
     g = GaussianDensity(np.array([0.3, -0.2]), cov)
     E = sample_subspace(2, 1, rng)
     z = E.complement.point(np.array([0.7]))
-    sl = g.slice(Flat(E, z))
+    l1, sup = restriction_stats(g, Flat(E, z))
     ts = np.linspace(-12, 12, 20001)
     pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
     quad = np.trapezoid(g.eval_many(pts), ts)
-    assert sl.mass == pytest.approx(quad, rel=1e-8)
-    assert sl.sup == pytest.approx(g.eval_many(pts).max(), rel=1e-4)
+    assert l1.value == pytest.approx(quad, rel=1e-8)
+    assert sup.value == pytest.approx(g.eval_many(pts).max(), rel=1e-4)
 
 
 def test_truncated_gaussian_section_vs_mc(rng):
@@ -97,13 +97,13 @@ def test_product_line_section_exact(rng):
                         Step1D.uniform(-0.5, 0.5, [1.0])])
     E = sample_subspace(3, 1, rng)
     z = E.complement.point(np.array([0.05, -0.1]))
-    sl = f.slice(Flat(E, z))
+    l1, sup = restriction_stats(f, Flat(E, z))
     ts = np.linspace(-2.5, 2.5, 100_001)
     pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
     vals = f.eval_many(pts)
     riemann = vals.sum() * (ts[1] - ts[0])
-    assert sl.mass == pytest.approx(riemann, rel=2e-3)
-    assert sl.sup == pytest.approx(vals.max(), rel=1e-9)
+    assert l1.value == pytest.approx(riemann, rel=2e-3)
+    assert sup.value == pytest.approx(vals.max(), rel=1e-9)
 
 
 def test_product_aligned_plane_section():
@@ -113,13 +113,13 @@ def test_product_aligned_plane_section():
     f = ProductDensity([fx, fy, fz])
     E = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     z = np.array([0.0, 0.2, 0.0])
-    sl = f.slice(Flat(E, z))
+    l1, sup = restriction_stats(f, Flat(E, z))
     # the middle factor is frozen at y = 0.2, where fy = 1.0
-    assert sl.mass == pytest.approx(fx.mass * fz.mass * 1.0, rel=1e-12)
-    assert sl.sup == pytest.approx(fx.sup * fz.sup * 1.0, rel=1e-12)
+    assert l1.value == pytest.approx(fx.mass * fz.mass * 1.0, rel=1e-12)
+    assert sup.value == pytest.approx(fx.sup * fz.sup * 1.0, rel=1e-12)
     # plane sections in a generic direction have no closed form
     tilted = Subspace(np.linalg.qr(np.array([[1.0, 0.2], [0.4, 1.0], [0.1, 0.3]]))[0])
-    assert f.slice(tilted) is None
+    assert f.slice_stats_batch(tilted.basis[None], np.zeros((1, 3))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,19 @@ def test_affine_image_ellipsoid(rng):
     img = affine_image(e, (a_mat, np.array([1.0, 0.0, -0.5])))
     assert isinstance(img, EllipsoidIndicator)
     assert img.mass == pytest.approx(e.mass, rel=1e-10)
-    # sections of the image still exact
-    assert img.slice(line(1, 1, 0)) is not None
+    # sections of the image are still exact: the chord through its centre
+    # along (1, 1, 0) against trapezoid quadrature of eval_many, which
+    # errs by at most a step at each of the two boundary jumps
+    E = line(1, 1, 0)
+    z = img.center - E.point(E.coords(img.center))
+    l1, sup = restriction_stats(img, Flat(E, z))
+    ts = np.linspace(-img.support_radius, img.support_radius, 200_001)
+    pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
+    vals = img.eval_many(pts)
+    assert l1.value > 0.0
+    assert l1.value == pytest.approx(np.trapezoid(vals, ts),
+                                     abs=2.0 * (ts[1] - ts[0]) * 2.0)
+    assert sup.value == vals.max() == 2.0
 
 
 def test_affine_image_fallback_pushforward(rng):
@@ -431,6 +442,29 @@ def test_constructor_validation():
             EllipsoidIndicator(np.eye(2), None, bad)
         with pytest.raises(ValueError, match="amplitude"):
             ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])], bad)
+    # degenerate scales, edges, grids, centres and means
+    for tau, radius in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="tau"):
+            TruncatedGaussian(np.zeros(2), tau, radius)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="edges"):
+            Step1D([0.0, bad], [1.0])
+        with pytest.raises(ValueError, match="edges"):
+            RadialGridDensity(2, [0.0, bad], [1.0])
+        with pytest.raises(ValueError, match="center"):
+            TruncatedGaussian([bad, 0.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="cov"):
+            GaussianDensity(np.zeros(2), np.diag([bad, 1.0]))
+    with pytest.raises(ValueError, match="heights"):
+        RadialGridDensity(2, [0.0], [])
+    with pytest.raises(ValueError, match="n must"):
+        RadialGridDensity(0, [0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="center"):
+        EllipsoidIndicator(np.eye(2), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="mean"):
+        GaussianDensity([math.nan, 0.0], np.eye(2))
+    # an infinite truncation radius is the untruncated Gaussian
+    assert TruncatedGaussian(np.zeros(2), 1.0, math.inf).mass == 1.0
     assert TruncatedGaussian(np.zeros(2), 1.0, 1.0, 0.0).mass == 0.0
     assert GaussianDensity(np.zeros(2), np.eye(2), 0.0).mass == 0.0
     assert EllipsoidIndicator(np.eye(2), None, 0.0).mass == 0.0
@@ -471,3 +505,17 @@ def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs about 0.2 s at import; bathtub_check, its only
     # user, imports it on call
     assert not _loaded_by_import("scipy.integrate")
+
+
+def test_package_all_names_no_modules():
+    # `from igeolab import *` must not bind submodules such as
+    # igeolab.rng over the name every example gives its generator
+    import types
+
+    import igeolab
+    assert not [name for name in igeolab.__all__
+                if isinstance(getattr(igeolab, name), types.ModuleType)]
+    assert "kplane_transform" not in igeolab.__all__
+    scope = {}
+    exec("from igeolab import *", scope)
+    assert "rng" not in scope and "GaussianDensity" in scope

@@ -24,12 +24,11 @@ from scipy import stats
 from igeolab import functionals
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, Step1D, TruncatedGaussian,
-                               section_stats)
+                               restriction_stats, section_stats)
 from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
-                                 delta_p, grassmann_average_I,
-                                 kplane_transform, powz, section_norm,
-                                 small_ball_probability, _norm_products,
-                                 _power_model, _slot_models)
+                                 delta_p, grassmann_average_I, powz,
+                                 section_norm, small_ball_probability,
+                                 _norm_products, _power_model, _slot_models)
 from igeolab.grassmann import Flat, Subspace, flat_frames, sample_subspace
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
@@ -309,8 +308,10 @@ def test_kplane_transform_gaussian(rng):
     bases, offsets, _ = flat_frames(3, 1, 1.0, 1, rng)
     d2 = float(offsets[0] @ offsets[0])
     expected = (2 * math.pi) ** -1.0 * math.exp(-0.5 * d2)
+    # the k-plane transform of f at F is the mass of its section through F
     F = Flat(Subspace(bases[0]), offsets[0])
-    assert kplane_transform(g, F).value == pytest.approx(expected, rel=1e-10)
+    assert restriction_stats(g, F)[0].value == pytest.approx(expected,
+                                                             rel=1e-10)
 
 
 def test_small_ball_chi2(rng):

@@ -2,13 +2,14 @@
 
 Each example draws a density of one family, a dimension and a stack of
 flats from a numpy generator seeded by hypothesis, then checks the batched
-stats row by row against three references: the one-row section model
-``slice(S)``, trapezoid quadrature of ``eval_many`` along a line, and
-(Fubini) quadrature over the parallel lines inside a plane.  The Monte
-Carlo route of ``section_stats`` is checked against the exact rows, and the
-batched sampler ``section_points`` against draws of the section models.
-The closed-form section algebra of ellipsoids and Gaussians is checked
-against an einsum and LAPACK reference on ill-conditioned shapes.
+stats row by row against references built only from ``eval_many``:
+trapezoid quadrature along a line, and (Fubini) quadrature over the
+parallel lines inside a plane.  The Monte Carlo route of ``section_stats``
+is checked against the exact rows, and the batched sampler
+``section_points`` against an importance estimate of each section's
+moments from uniform window points weighted by f.  The closed-form section
+algebra of ellipsoids and Gaussians is checked against an einsum and
+LAPACK reference on ill-conditioned shapes.
 """
 
 import math
@@ -23,7 +24,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                restriction_stats, section_points,
                                section_stats)
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Flat, Subspace, haar_bases
+from igeolab.grassmann import Flat, Subspace, haar_bases, uniform_ball
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -109,30 +110,21 @@ def case(draw_seed, family, n, k, aligned):
 
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
-       n=st.integers(2, 4), k=st.integers(1, 3), aligned=st.booleans())
-def test_batch_rows_match_section_models(seed, family, n, k, aligned):
-    k = min(k, n - 1)
-    f, (bases, offsets) = case(seed, family, n, k, aligned)
-    stats = f.slice_stats_batch(bases, offsets)
-    models = [f.slice(Flat(Subspace(b), z)) for b, z in zip(bases, offsets)]
-    if family == "product" and k >= 2 and not aligned:
-        # only coordinate-aligned product sections have a closed form
-        assert stats is None and all(m is None for m in models)
-        return
-    masses, sups = stats
-    assert masses.shape == sups.shape == (len(bases),)
-    for mass, sup, model in zip(masses, sups, models):
-        assert model.n == k
-        assert mass == pytest.approx(model.mass, rel=1e-9, abs=1e-300)
-        assert sup == pytest.approx(model.sup, rel=1e-9, abs=1e-300)
-
-
-@PROPERTY
-@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
        n=st.integers(2, 4), aligned=st.booleans())
 def test_line_mass_matches_quadrature(seed, family, n, aligned):
     f, (bases, offsets) = case(seed, family, n, 1, aligned)
     masses, sups = f.slice_stats_batch(bases, offsets)
+    assert masses.shape == sups.shape == (len(bases),)
+    if n >= 3:
+        # hyperplanes: only coordinate-aligned product sections with
+        # k >= 2 have a closed form
+        stats = f.slice_stats_batch(*flats(n, n - 1, len(bases),
+                                           np.random.default_rng(seed),
+                                           aligned))
+        if family == "product" and not aligned:
+            assert stats is None
+        else:
+            assert stats[0].shape == stats[1].shape == (len(bases),)
     width = half_width(f)
     ts = np.linspace(-width, width, 40_001)
     step = ts[1] - ts[0]
@@ -188,6 +180,45 @@ def test_mc_section_stats_agree_with_exact_rows(seed, family, n, k, aligned):
     assert linf.biased_low and not l1.biased_low
 
 
+# uniform window points of the sampler oracle, shared by a stack's rows
+WINDOW = 100_000
+
+
+def section_moments(pts):
+    """Each point's coordinates and squared norm, shape (..., k + 1)."""
+    return np.concatenate([pts, np.einsum("...i,...i->...", pts, pts)[
+        ..., None]], axis=-1)
+
+
+def moment_z(f, bases, offsets, masses, pts, rng):
+    """z-scores (s, k + 1) of the mass-weighted mean vector and second
+    moment of each row's points against the importance estimate
+    vol(W) * mean(g(u) f(z + B u)), u uniform in the k-ball W of radius
+    half_width(f), 0 on rows of zero mass.  Section coordinates u sit at
+    x = z + B u with z perpendicular to B, so |u| <= |x| and W covers
+    every section.  Asserts that every point of a row of positive mass
+    lies in the support of f, in ambient coordinates."""
+    s, size, k = pts.shape
+    width = half_width(f)
+    u = uniform_ball(k, WINDOW, rng) * width
+    g = unit_ball_volume(k) * width ** k * section_moments(u)
+    z = np.zeros((s, k + 1))
+    for i, (mass, row, b, offset) in enumerate(zip(masses, pts, bases,
+                                                    offsets)):
+        if mass <= 0.0:
+            continue
+        assert np.all(f.eval_many(offset + row @ b.T) > 0.0)
+        ours = mass * section_moments(row)
+        # mean and variance of the window terms g(u) f(z + B u), from
+        # two matrix-vector products over the window
+        weights = f.eval_many(offset + u @ b.T)
+        ref = g.T @ weights / WINDOW
+        ref_var = (g * g).T @ (weights * weights) / WINDOW - ref * ref
+        stderr = np.sqrt(ours.var(axis=0) / size + ref_var / WINDOW)
+        z[i] = (ours.mean(axis=0) - ref) / stderr
+    return z
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
@@ -197,27 +228,15 @@ def test_section_points_follow_section_models(family, seed, n, k, aligned):
     f, (bases, offsets) = case(seed, family, n, k, aligned)
     rng = np.random.default_rng(seed)
     if family == "product" and k >= 2 and not aligned:
-        with pytest.raises(ValueError, match="exact slice models"):
+        with pytest.raises(ValueError, match="exact sections"):
             section_points(f, bases, offsets, 10, rng)
         return
-    size = 4_000
-    masses, pts = section_points(f, bases, offsets, size, rng)
-    assert pts.shape == (len(bases), size, k)
+    masses, pts = section_points(f, bases, offsets, 4_000, rng)
+    assert pts.shape == (len(bases), 4_000, k)
     assert np.all(np.isfinite(pts))
-    for mass, row, b, z in zip(masses, pts, bases, offsets):
-        model = f.slice(Flat(Subspace(b), z))
-        assert mass == pytest.approx(model.mass, rel=1e-12, abs=1e-300)
-        if model.mass <= 0.0:
-            continue
-        # every point lies in the section's support
-        assert np.all(model.eval_many(row) > 0.0)
-        # mass-weighted second moment against a large draw of the model
-        ours = mass * np.einsum("si,si->s", row, row)
-        ref_pts = model.sample(40_000, rng)
-        ref = model.mass * np.einsum("si,si->s", ref_pts, ref_pts)
-        stderr = math.hypot(ours.std() / math.sqrt(ours.size),
-                            ref.std() / math.sqrt(ref.size))
-        assert abs(ours.mean() - ref.mean()) <= 4.0 * stderr
+    assert np.array_equal(masses, section_stats(f, bases, offsets)[0])
+    assert np.all(np.abs(moment_z(f, bases, offsets, masses, pts, rng))
+                  <= 4.0)
 
 
 def reference_step_quantiles(edges, weights, u):

@@ -166,12 +166,12 @@ def test_bp_fit_matches_exact_constant(check, family, rng):
 
 def test_bp_checks_reject_sections_without_closed_form(rng):
     box = EXACT_FAMILIES["product"]()
-    with pytest.raises(ValueError, match="exact slice models"):
+    with pytest.raises(ValueError, match="exact sections"):
         check_bp_subspace([box], k=2, p=1.0, n_direct=100, n_subspaces=8,
                           rng=rng, inner=4)
     skew = PushforwardDensity(EllipsoidIndicator.ball(2),
                               np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError, match="exact slice models"):
+    with pytest.raises(ValueError, match="exact sections"):
         check_bp_flat(skew, k=1, n_direct=100, n_flats=8, R=2.0, rng=rng,
                       inner=4)
 
