@@ -629,6 +629,31 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         diagnostics=diagnostics)
 
 
+def _axis_measure(n: int, k: int, s: float, normal: bool) -> float:
+    """Exact sharpness event measure of a line (k = 1) or, with normal set,
+    of a hyperplane (k = n - 1), read off one uniform unit vector u of R^n:
+    the line's direction or the hyperplane's normal.  Let t be the square of
+    u's coordinate along the axis alone in its variance (u_1^2 for a line,
+    u_n^2 for a normal); t ~ Beta(1/2, (n-1)/2) and det(B^T D B) is affine
+    in t:
+
+    * line: det = 1 - t (1 - sigma^2), so the event is t >= x with
+      x = (1 - 1/(2 pi s^2)) / (1 - sigma^2);
+    * hyperplane: det = det(D) u^T D^-1 u = sigma^(2k) ((1 - t)/sigma^2 + t),
+      so the event is t >= x with x = (1/sigma^2 - 2 pi s^(-2k)) /
+      (1/sigma^2 - 1).
+
+    The measure is P(t >= x) = I_{1-x}((n-1)/2, 1/2), x clipped to [0, 1];
+    at n = 2 the two forms describe one event.
+    """
+    sigma2 = (2 * math.pi) ** (-n / k)
+    if normal:
+        x = (1.0 / sigma2 - 2 * math.pi * s ** (-2 * k)) / (1.0 / sigma2 - 1.0)
+    else:
+        x = (1.0 - 1.0 / (2 * math.pi * s * s)) / (1.0 - sigma2)
+    return float(betainc((n - 1) / 2, 0.5, 1.0 - min(max(x, 0.0), 1.0)))
+
+
 def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
                                   rng: np.random.Generator) -> CheckReport:
     """Measure of sections where the skewed Gaussian marginal sup is large.
@@ -641,16 +666,21 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     scale factor that would make the bound tight is reported either way.
     The subspaces are drawn in blocks of DRAW_BLOCK (see _blocked).
 
-    The event needs no orthonormal basis: for the span of a Gaussian n x k
-    draw G and any orthonormal basis B of it (B = G R^-1, R the QR factor),
-    det(B^T D B) = det(G^T D G) / det(G^T G) with D = diag(variances), so
-    each block is one Gaussian draw, two Gram stacks and their log dets;
-    the subspaces are those haar_bases would return for the same stream.
+    The event is det(B^T D B) <= cut = (2 pi s^2)^(-k), D = diag(variances),
+    and needs no orthonormal basis: for the span of a Gaussian n x k draw G
+    and any orthonormal basis B of it (B = G R^-1, R the QR factor),
+    det(B^T D B) = det(G^T D G) / det(G^T G), so each draw is tested as
+    det(G^T D G) <= cut det(G^T G) with no log: one quadratic form for
+    k = 1, the 2 x 2 determinants a c - b^2 for k = 2, and the log dets of
+    _spd_solve for k >= 3.  The subspaces are those haar_bases would return
+    for the same stream.
 
-    For k = 1 the event is u_1^2 >= x for a uniform direction u, with
-    x = (1 - 1/(2 pi s^2)) / (1 - sigma^2), and u_1^2 ~ Beta(1/2, (n-1)/2),
-    so its measure is I_{1-x}((n-1)/2, 1/2); the diagnostics carry it as
-    exact_measure (None for k > 1).
+    Since min det(B^T D B) = sigma^(2k) (the span of the first k axes), the
+    event is empty exactly when s > (2 pi)^((n-k)/(2k)), reported as
+    empty_above; such a check draws nothing and its measure is an exact 0
+    (method "exact"; "mc" otherwise).  For lines and hyperplanes the
+    diagnostics carry the exact measure as exact_measure (see
+    _axis_measure; None for 1 < k < n-1 unless the event is empty).
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
@@ -660,15 +690,23 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     diag = np.concatenate([np.full(k, sigma2), np.ones(n - k)])
     # event: (2 pi)^(-1/2) det(B^T D B)^(-1/(2k)) >= s
     log_cut = -k * math.log(2 * math.pi) - 2 * k * math.log(s)
+    cut = math.exp(log_cut)
 
     # column products of the draw against [1, diag] give both Grams at once;
-    # G^T G is ill-conditioned only on rare draws, and the log det ratio
-    # matches log det(B^T D B) to about 1e-11
+    # G^T G is ill-conditioned only on rare draws, and the det ratio
+    # matches det(B^T D B) to about 1e-11 relative
     w = np.stack([np.ones(n), diag], axis=1)
 
     def draw(stream, m):
         def hits(size):
             g = stream.standard_normal((size, n, k))
+            if k == 1:
+                return np.square(g[..., 0]) @ (diag - cut) <= 0.0
+            if k == 2:
+                a, b, c = ((g[..., i] * g[..., j]) @ w
+                           for i, j in ((0, 0), (0, 1), (1, 1)))
+                det = a * c - b * b
+                return det[:, 1] <= cut * det[:, 0]
             grams = np.empty((size, 2, k, k))
             for i in range(k):
                 for j in range(i, k):
@@ -678,15 +716,23 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
                 <= log_cut
         return _blocked(m, DRAW_BLOCK, hits)
 
-    emp = mc_estimate(draw, n_subspaces, rng)
+    # cut < min det(B^T D B) = sigma^(2k): no subspace can hit
+    empty = log_cut < k * math.log(sigma2)
+    if empty:
+        if n_subspaces < 2:
+            raise ValueError("need at least 2 samples")
+        emp = Estimate.exact(0.0)
+    else:
+        emp = mc_estimate(draw, n_subspaces, rng)
     bound = (2.0 * s) ** (-k * (n - k))
     passed = emp.value >= bound - 3.0 * emp.stderr
     fitted_factor = (emp.value ** (-1.0 / (k * (n - k))) / s
                      if emp.value > 0 else math.inf)
     exact = None
-    if k == 1:
-        x = (1.0 - 1.0 / (2 * math.pi * s * s)) / (1.0 - sigma2)
-        exact = float(betainc((n - 1) / 2, 0.5, 1.0 - min(max(x, 0.0), 1.0)))
+    if empty:
+        exact = 0.0
+    elif k == 1 or k == n - 1:
+        exact = _axis_measure(n, k, s, normal=k > 1)
     return CheckReport(
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
@@ -701,6 +747,8 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
             # the factor a for which empirical = (a s)^(-k(n-k)); the
             # claim corresponds to a = 2
             "fitted_factor": fitted_factor,
+            "method": "exact" if empty else "mc",
+            "empty_above": (2 * math.pi) ** ((n - k) / (2 * k)),
         })
 
 

@@ -475,6 +475,77 @@ def test_sharpness_exact_measure_only_for_lines(rng):
     assert rep.diagnostics["exact_measure"] is None
 
 
+@pytest.mark.parametrize("n,k,s", [(3, 1, 1.5), (3, 1, 6.1),
+                                   (4, 2, 1.5), (4, 2, 2.2),
+                                   (5, 3, 1.2), (5, 3, 1.6),
+                                   (3, 2, 1.2), (3, 2, 1.57)])
+def test_sharpness_det_test_matches_slogdet_draw_for_draw(monkeypatch,
+                                                          n, k, s):
+    # the log-free det comparison flags the same draws as the log det ratio
+    # of the same Gaussian draw; the second s of each pair sits just below
+    # the empty bound (2 pi)^((n-k)/(2k)), where hits are rare
+    m = 50_000
+    seen = []
+    real = verify.mc_estimate
+
+    def spy(draw, n_total, rng):
+        def keep(stream, size):
+            seen.append(draw(stream, size))
+            return seen[-1]
+        return real(keep, n_total, rng)
+
+    monkeypatch.setattr(verify, "mc_estimate", spy)
+    gaussian_sharpness_experiment(n, k, s, m, np.random.default_rng(11))
+    g = np.random.default_rng(11).standard_normal((m, n, k))
+    diag = np.array([(2 * math.pi) ** (-n / k)] * k + [1.0] * (n - k))
+    gram_d = np.einsum("sji,j,sjl->sil", g, diag, g)
+    gram = np.einsum("sji,sjl->sil", g, g)
+    log_ratio = np.linalg.slogdet(gram_d)[1] - np.linalg.slogdet(gram)[1]
+    ref = log_ratio <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)
+    assert ref.any()
+    np.testing.assert_array_equal(seen[0], ref)
+
+
+class _NoDrawGenerator(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("an empty sharpness event drew subspaces")
+
+
+@pytest.mark.parametrize("n,k,s", [(4, 2, 3.0), (5, 4, 1.3)])
+def test_sharpness_empty_event_draws_nothing(n, k, s):
+    # min det(B^T D B) = sigma^(2k): above (2 pi)^((n-k)/(2k)) no subspace
+    # can hit, so the check reports an exact 0 without touching the stream
+    gen = _NoDrawGenerator(np.random.PCG64(7))
+    state = gen.bit_generator.state
+    rep = gaussian_sharpness_experiment(n, k, s, 1000, gen)
+    d = rep.diagnostics
+    assert s > d["empty_above"] == (2 * math.pi) ** ((n - k) / (2 * k))
+    assert d["exact_measure"] == 0.0 and d["method"] == "exact"
+    assert rep.rhs.samples == 0 and rep.rhs.value == 0.0
+    assert rep.verdict == FAIL
+    assert gen.bit_generator.state == state
+    with pytest.raises(ValueError):
+        gaussian_sharpness_experiment(n, k, s, 1, gen)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 2.4])
+def test_sharpness_hyperplane_form_matches_line_form_in_the_plane(s):
+    # at n = 2 a line is a hyperplane: both closed forms give one event
+    line = verify._axis_measure(2, 1, s, normal=False)
+    assert line > 0.0
+    assert verify._axis_measure(2, 1, s, normal=True) \
+        == pytest.approx(line, rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("n,s,exact", [(3, 1.2, 0.071365), (4, 1.1, 0.054181)])
+def test_sharpness_hyperplane_exact_measure_matches_mc(n, s, exact, rng):
+    d = gaussian_sharpness_experiment(n, n - 1, s, 100_000, rng).diagnostics
+    assert d["method"] == "mc"
+    assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
+    assert abs(d["empirical_measure"] - d["exact_measure"]) \
+        <= 4.0 * d["binomial_stderr"]
+
+
 def test_sharpness_validation(rng):
     with pytest.raises(ValueError):
         gaussian_sharpness_experiment(3, 1, 0.5, 100, rng)
