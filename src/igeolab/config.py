@@ -7,6 +7,11 @@ are quoted and vectors/matrices are plain JSON arrays.  INI syntax errors,
 unknown check names, unknown or malformed fields and parameter maps
 violating a check's preconditions are rejected here, before any sampling
 happens.
+
+Each check map is parsed once, by load_config, into the keyword arguments
+of its verify function (CheckJob.kwargs); running a check only calls it.
+Nothing here draws: a named map or a 'random' shift stays a name, and the
+invariance check draws it from its own generator.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import verify
-from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
-                        ProductDensity, RadialGridDensity, Step1D,
-                        TruncatedGaussian)
+from .densities import (DET_TOL, DensityModel, EllipsoidIndicator,
+                        GaussianDensity, ProductDensity, RadialGridDensity,
+                        Step1D, TruncatedGaussian)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
 
@@ -47,7 +52,9 @@ class ConfigError(ValueError):
 class CheckJob:
     label: str
     name: str
-    params: dict
+    params: dict  # the raw JSON map, read by the config hash
+    # verify keywords parsed from params; verify must not mutate them
+    kwargs: dict = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -362,22 +369,20 @@ def read_density_text(text: str) -> DensityModel:
 # ---------------------------------------------------------------------------
 # Check schema.  Each check is declared once: its fields in parse order, its
 # cross-field preconditions, and the verify function that receives the
-# parsed fields as keyword arguments.  load_config parses every map without
-# a generator (validation only); the run step parses it again with one.
+# parsed fields as keyword arguments.  load_config parses every map once and
+# keeps the keywords on its CheckJob; run only calls the verify function.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
 class _Values(dict):
-    """Verify keywords parsed so far, plus what field parsers need: the
-    configured densities and, at run time, the check's generator."""
+    """Verify keywords parsed so far, plus the configured densities that
+    field parsers look names up in."""
 
-    def __init__(self, densities, rng):
+    def __init__(self, densities):
         super().__init__()
         self.densities = densities
-        self.rng = rng
-        self._stream = None
 
     @property
     def n(self) -> int:
@@ -385,13 +390,6 @@ class _Values(dict):
         if "n" in self:
             return self["n"]
         return (self["f"] if "f" in self else self["f_list"][0]).n
-
-    def stream(self):
-        """Generator for drawn maps and shifts: spawned once from the
-        check's generator, before verify draws; None when validating."""
-        if self._stream is None and self.rng is not None:
-            self._stream = self.rng.spawn(1)[0]
-        return self._stream
 
 
 @dataclass(frozen=True)
@@ -430,13 +428,13 @@ class _Check:
         self.pre = pre
         self.run = self._run
 
-    def parse(self, params, densities, section, rng=None) -> dict:
+    def parse(self, params, densities, section) -> dict:
         """Verify keywords for one parameter map, or a ConfigError naming
-        the field.  Without rng, drawn maps and shifts are checked only."""
+        the field."""
         unknown = sorted(set(params) - set(self.fields))
         if unknown:
             raise ConfigError(section, ", ".join(unknown), "unknown field")
-        v = _Values(densities, rng)
+        v = _Values(densities)
         for name, fld in self.fields.items():
             raw = params.get(name, fld.default)
             try:
@@ -455,8 +453,7 @@ class _Check:
             raise ConfigError(section, *exc.args) from exc
         return dict(v)
 
-    def _run(self, params, densities, rng, section):
-        kwargs = self.parse(params, densities, section, rng)
+    def _run(self, kwargs, rng):
         return getattr(verify, self.target)(rng=rng, **kwargs)
 
 
@@ -529,47 +526,25 @@ def _exponent_spec(raw, v):
 
 
 def _map(raw, v):
-    """Volume-preserving matrix, or 'shear' / 'rotation' drawn per run."""
-    rng = v.stream()  # for a given matrix too: verify's draws stay put
+    """'shear', 'rotation', or a matrix with |det| = 1 within DET_TOL."""
+    if raw in ("shear", "rotation"):
+        return raw
     n = v.n
-    if isinstance(raw, str):
-        if raw not in ("shear", "rotation"):
-            raise ValueError("must be 'shear', 'rotation', or a matrix")
-        if rng is None:
-            return None
-        if raw == "rotation":
-            q_mat, r_mat = np.linalg.qr(rng.normal(size=(n, n)))
-            q_mat *= np.sign(np.diagonal(r_mat))
-            if np.linalg.det(q_mat) < 0:
-                q_mat[:, 0] = -q_mat[:, 0]
-            return q_mat
-        # entries bounded away from zero so non-invariance controls keep
-        # their detection power
-        mat = np.eye(n)
-        iu = np.triu_indices(n, k=1)
-        m = len(iu[0])
-        mat[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
-        return mat
-    mat = _finite(raw)
+    mat = _finite([] if isinstance(raw, str) else raw)
     if mat.shape != (n, n):
-        raise ValueError(f"matrix must be {n}x{n}")
-    if abs(abs(np.linalg.det(mat)) - 1.0) > 1e-9:
+        raise ValueError(f"must be 'shear', 'rotation', or a {n}x{n} matrix")
+    if abs(abs(np.linalg.det(mat)) - 1.0) > DET_TOL:
         raise ValueError("matrix must preserve volume")
     return mat
 
 
 def _shift(raw, v):
-    """Translation, or 'random' drawn per run; completes g = (map, shift)."""
-    n = v.n
-    if isinstance(raw, str):
-        if raw != "random":
-            raise ValueError("must be 'random' or a vector")
-        rng = v.stream()
-        vec = None if rng is None else 0.5 * rng.normal(size=n)
-    else:
-        vec = _finite(raw)
-        if vec.shape != (n,):
-            raise ValueError(f"vector must have length {n}")
+    """'random', or a translation vector; completes g = (map, shift)."""
+    if raw == "random":
+        return v["g"], raw
+    vec = _finite([] if isinstance(raw, str) else raw)
+    if vec.shape != (v.n,):
+        raise ValueError(f"must be 'random' or a vector of length {v.n}")
     return v["g"], vec
 
 
@@ -588,6 +563,14 @@ def _subspace(raw, v):
     if arr.ndim == 2 and arr.shape[0] == n:
         return Subspace(arr)
     raise ValueError("must be an axis list or an n x k basis")
+
+
+def _eta(raw, v):
+    """Perturbation radius in (0, 2), the range perturb_subspace draws in."""
+    eta = _number(raw, v)
+    if not 0.0 < eta < 2.0:
+        raise ValueError(f"must lie in (0, 2), got {raw}")
+    return eta
 
 
 def _radii(raw, v):
@@ -637,6 +620,17 @@ def _bounded(v):
              "flat averages need bounded supports")
 
 
+def _mc_bounded(v):
+    _require(v["method"] == "exact" or all(
+        np.isfinite(f.support_radius) for f in v["f_list"]), "method",
+        "Monte Carlo section stats need bounded supports")
+
+
+def _direct_budget(v):
+    _require(v["p"] == 0.0 or v["n_direct"] >= 4, "n_direct",
+             "offset exponents need n_direct >= 4 (two replicas of >= 2)")
+
+
 def _unit_mass(v):
     _require(abs(v["f"].mass - 1.0) <= 1e-9, "density",
              "must be a probability density (unit mass); "
@@ -664,9 +658,15 @@ def _rearrangeable(v):
              "densities", "rearrangement needs exact level profiles")
 
 
-def _subspace_has_dim_k(v):
-    dim, k = v["E"].k, v["k"]
-    _require(dim == k, "subspace", f"dimension {dim} does not match k={k}")
+def _dim_k(arg, field_name):
+    """Precondition: the subspace under verify keyword arg, when given, has
+    dimension k."""
+    def rule(v):
+        sub, k = v[arg], v["k"]
+        if sub is not None:
+            _require(sub.k == k, field_name,
+                     f"dimension {sub.k} does not match k={k}")
+    return rule
 
 
 _DENSITY = _Field(_density, arg="f")
@@ -674,6 +674,8 @@ _DENSITIES = _Field(_densities, arg="f_list")
 _K_UP_TO_N = _int(1, lambda v: v.n)
 _K = _int(1, lambda v: v.n - 1)
 _BUDGET = _int(2)
+# a budget split into two replicas of at least 2 samples each
+_SPLIT_BUDGET = _int(4)
 _SPEC_P = _Field(_powers, arg="spec")
 _SPEC_ALPHA = _Field(_exponent_spec, arg="spec")
 _MAP = _Field(_map, default="rotation", arg="g")
@@ -685,23 +687,23 @@ CHECKS: dict[str, _Check] = {
         "simplex-moment decomposition over linear sections",
         "check_bp_subspace",
         {"densities": _DENSITIES, "k": _K_UP_TO_N,
-         "p": _real(0.0, default=0.0), "n_direct": _BUDGET,
-         "n_subspaces": _BUDGET, "inner": _int(1, default=256)},
+         "p": _real(0.0, default=0.0), "n_direct": _SPLIT_BUDGET,
+         "n_subspaces": _SPLIT_BUDGET, "inner": _int(1, default=256)},
         [_q_at_most_k]),
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
         "check_bp_flat",
         {"density": _DENSITY, "k": _K_UP_TO_N, "p": _real(0.0, default=0.0),
          "R": _real(0.0), "n_direct": _int(0, default=0),
-         "n_flats": _BUDGET, "inner": _int(1, default=256)},
-        [_offset_exponent, _window_covers_support]),
+         "n_flats": _SPLIT_BUDGET, "inner": _int(1, default=256)},
+        [_offset_exponent, _direct_budget, _window_covers_support]),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
         "check_linear_invariance",
         {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _BUDGET,
          "method": _METHOD},
-        [_slot_per_density]),
+        [_slot_per_density, _mc_bounded]),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
         "check_affine_invariance",
@@ -724,7 +726,7 @@ CHECKS: dict[str, _Check] = {
          "p": _real(0.0, lambda v: v.n - v["k"], default=0.0),
          "n_subspaces": _BUDGET, "method": _METHOD,
          "expect_equality": _EQUALITY},
-        [_q_at_most_k]),
+        [_q_at_most_k, _mc_bounded]),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of radius "
         "max(R, support radius)",
@@ -739,7 +741,7 @@ CHECKS: dict[str, _Check] = {
         {"density": _DENSITY, "k": _K, "s": _real(1.0 + 1e-9),
          "t": _real(1.0 + 1e-9), "n_subspaces": _BUDGET, "n_x": _BUDGET,
          "adversarial": _Field(_subspace, default=None)},
-        [_unit_mass]),
+        [_unit_mass, _dim_k("adversarial", "adversarial")]),
     "gaussian_sharpness": _Check(
         "skewed-Gaussian sharpness of the marginal sup bound",
         "gaussian_sharpness_experiment",
@@ -750,9 +752,9 @@ CHECKS: dict[str, _Check] = {
         "nearby subspace with near-optimal small-ball mass",
         "perturbation_experiment",
         {"density": _DENSITY, "k": _K, "subspace": _Field(_subspace, arg="E"),
-         "eta": _real(1e-9), "eps_grid": _Field(_radii),
+         "eta": _Field(_eta), "eps_grid": _Field(_radii),
          "n_samples": _BUDGET, "n_candidates": _int(1, default=32)},
-        [_unit_mass, _subspace_has_dim_k]),
+        [_unit_mass, _dim_k("E", "subspace")]),
 }
 
 
@@ -826,7 +828,7 @@ def load_config(path: str, *, seed_override: int | None = None,
 
     densities: dict[str, DensityModel] = {}
     density_specs: dict[str, dict] = {}
-    checks: list[CheckJob] = []
+    checks: dict[str, tuple] = {}  # label -> (name, params)
     for section in parser.sections():
         if section == "run":
             continue
@@ -856,16 +858,17 @@ def load_config(path: str, *, seed_override: int | None = None,
                                   f"unknown check {name!r}; known: "
                                   f"{', '.join(check_names())}")
             label = parts[1]
-            if any(j.label == label for j in checks):
+            if label in checks:
                 raise ConfigError(section, "section",
                                   f"duplicate check label {label!r}")
-            checks.append(CheckJob(label, name, items))
+            checks[label] = name, items
         else:
             raise ConfigError(section, "section",
                               "sections must be [run], [density <name>], "
                               "or [check <label>]")
 
-    for job in checks:
-        CHECKS[job.name].parse(job.params, densities, f"check {job.label}")
+    jobs = [CheckJob(label, name, params, CHECKS[name].parse(
+        params, densities, f"check {label}"))
+        for label, (name, params) in checks.items()]
     return RunConfig(seed=seed, output_dir=output_dir, densities=densities,
-                     checks=checks, density_specs=density_specs)
+                     checks=jobs, density_specs=density_specs)

@@ -80,11 +80,9 @@ def _safe_name(label: str) -> str:
 
 
 def _execute(args):
-    idx, job, densities, seed = args
-    rng = substream(seed, idx)
+    idx, job, seed = args
     started = time.perf_counter()
-    report = CHECKS[job.name].run(job.params, densities, rng,
-                                  f"check {job.label}")
+    report = CHECKS[job.name].run(job.kwargs, substream(seed, idx))
     return report, time.perf_counter() - started
 
 
@@ -107,8 +105,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
 
-    tasks = [(idx, job, config.densities, config.seed)
-             for idx, job in enumerate(config.checks)]
+    tasks = [(idx, job, config.seed) for idx, job in enumerate(config.checks)]
 
     manifest_checks = []
     verdicts = []

@@ -294,6 +294,26 @@ def _images(f_list, g) -> list:
     return [mapped[id(f)] for f in f_list]
 
 
+def _drawn_map(a, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrix a, or 'rotation' (Haar on SO(n)) or 'shear' (unit upper
+    triangular, off-diagonal entries of size 0.5 to 1.5, bounded away from
+    zero so the non-invariance controls keep their power) drawn from rng."""
+    name = a if isinstance(a, str) else None
+    if name == "rotation":
+        q_mat, r_mat = np.linalg.qr(rng.normal(size=(n, n)))
+        q_mat *= np.sign(np.diagonal(r_mat))
+        if np.linalg.det(q_mat) < 0:
+            q_mat[:, 0] = -q_mat[:, 0]
+        return q_mat
+    if name == "shear":
+        mat = np.eye(n)
+        iu = np.triu_indices(n, k=1)
+        m = len(iu[0])
+        mat[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
+        return mat
+    return np.asarray(a, dtype=float)
+
+
 def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
                             n_subspaces: int, rng: np.random.Generator,
                             method="exact") -> CheckReport:
@@ -302,11 +322,13 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
 
     The average is invariant when sum(alpha_i / p_i) = n; with any other
     exponent sum a departure is expected and the verdict turns FAIL, which
-    negative-control tests assert as detection power.
+    negative-control tests assert as detection power.  g is a matrix, or
+    'shear' / 'rotation' drawn from child 0 of rng; the two averages draw
+    from children 1 and 2.
     """
     n = f_list[0].n
-    g = np.asarray(g, dtype=float)
-    streams = rng.spawn(2)
+    maps, *streams = rng.spawn(3)
+    g = _drawn_map(g, n, maps)
     before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
                                  method)
     images = _images(f_list, (g, None))
@@ -326,11 +348,17 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     affine map; invariance requires sum(alpha_i / p_i) = n + 1.
 
     Each side gets its own sampling window just covering its support, so
-    translations do not force a common oversized window.
+    translations do not force a common oversized window.  g = (map, shift):
+    the map as in check_linear_invariance, the shift a vector or 'random'
+    (normal with scale 1/2); child 0 of rng draws the map, then the
+    shift, and the two averages draw from children 1 and 2.
     """
     n = f_list[0].n
     a_mat, shift = g
-    streams = rng.spawn(2)
+    maps, *streams = rng.spawn(3)
+    a_mat = _drawn_map(a_mat, n, maps)
+    if isinstance(shift, str) and shift == "random":
+        shift = 0.5 * maps.normal(size=n)
     r_before = max(R, max(f.support_radius for f in f_list))
     before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0],
                               method)

@@ -7,6 +7,8 @@ so starved sampling budgets keep the file fast.
 """
 
 import csv
+import dataclasses
+import io
 import json
 import os
 import platform
@@ -18,10 +20,14 @@ import numpy as np
 import pytest
 import scipy
 
-from igeolab import runner
+from igeolab import config, runner
 from igeolab.cli import main
-from igeolab.config import check_names
-from igeolab.runner import CSV_COLUMNS
+from igeolab.config import check_names, load_config
+from igeolab.densities import EllipsoidIndicator
+from igeolab.functionals import ExponentSpec
+from igeolab.rng import substream
+from igeolab.runner import CSV_COLUMNS, report_row, run_suite
+from igeolab.verify import check_affine_invariance, check_linear_invariance
 
 ALL_CHECKS = [
     "affine_invariance", "bp_flat", "bp_subspace", "gaussian_sharpness",
@@ -85,6 +91,64 @@ spec_p = [2.0]
 spec_alpha = [6.0]
 map = "rotation"
 n_subspaces = 4
+"""
+
+
+# a named map, a named map with a random shift, and given arrays: every
+# kind of map the invariance checks take, plus a given subspace
+INVARIANCE_BODY = """
+[run]
+seed = 5
+output_dir = "{out}"
+
+[density ball]
+kind = "ellipsoid"
+n = 2
+radius = 1.0
+
+[density unit]
+kind = "ellipsoid"
+n = 2
+normalize = true
+
+[check linear]
+check = "linear_invariance"
+densities = ["ball"]
+k = 1
+spec_p = [1.0]
+spec_alpha = [2.0]
+map = "shear"
+n_subspaces = 64
+
+[check affine]
+check = "affine_invariance"
+densities = ["ball"]
+k = 1
+spec_p = [1.0]
+spec_alpha = [3.0]
+R = 2.0
+n_flats = 64
+
+[check affine given]
+check = "affine_invariance"
+densities = ["ball", "ball"]
+k = 1
+spec_p = [1.0, 1.0]
+spec_alpha = [1.0, 1.0]
+map = [[3.0, 0.3], [0.0, 0.3333333333333333]]
+shift = [0.4, -0.2]
+R = 2.0
+n_flats = 64
+
+[check nearby]
+check = "perturbation"
+density = "unit"
+k = 1
+subspace = [[0.6], [0.8]]
+eta = 0.5
+eps_grid = [0.1, 0.2]
+n_samples = 200
+n_candidates = 4
 """
 
 
@@ -411,3 +475,74 @@ def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY),
                  "--jobs", "64"]) == 2
     assert asked == [2]
+
+
+def test_split_budget_below_four_exits_one(tmp_path, monkeypatch, capsys):
+    # n_direct = 3 splits into replicas of 1 sample; the parse says so
+    # rather than the estimator, twenty minutes in
+    monkeypatch.chdir(tmp_path)
+    body = PASS_BODY + """
+[check halves]
+check = "bp_subspace"
+densities = ["ball"]
+k = 1
+p = 1.0
+n_direct = 3
+n_subspaces = 8
+inner = 4
+"""
+    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [check halves] n_direct: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def run_invariance_suite(tmp_path, name="out"):
+    cfg = load_config(write_suite(tmp_path, INVARIANCE_BODY,
+                                  out=str(tmp_path / name)))
+    run_suite(cfg, echo=lambda line: None)
+    return cfg, (tmp_path / name / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_suite_never_parses(tmp_path, monkeypatch, jobs):
+    # load_config parses each check once; running only dispatches
+    cfg = load_config(write_suite(tmp_path, INVARIANCE_BODY,
+                                  out=str(tmp_path / "out")))
+
+    def parse(*args, **kwargs):
+        raise AssertionError("a check map was parsed at run time")
+
+    monkeypatch.setattr(config._Check, "parse", parse)
+    run_suite(cfg, jobs=jobs, echo=lambda line: None)
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    assert len(rows) == len(cfg.checks) == 4
+
+
+def test_direct_invariance_calls_reproduce_config_rows(tmp_path):
+    # the check at position i runs on substream(seed, i), and child 0 of it
+    # draws a named map (then a random shift) whoever calls the check
+    cfg, csv_bytes = run_invariance_suite(tmp_path)
+    ball = EllipsoidIndicator.ball(2)
+    direct = [
+        ("linear", check_linear_invariance(
+            [ball], ExponentSpec((1.0,), (2.0,)), 1, "shear", 64,
+            rng=substream(cfg.seed, 0))),
+        ("affine", check_affine_invariance(
+            [ball], ExponentSpec((1.0,), (3.0,)), 1, ("rotation", "random"),
+            2.0, 64, rng=substream(cfg.seed, 1)))]
+    rows = csv_bytes.splitlines(keepends=True)
+    for idx, (label, report) in enumerate(direct):
+        line = io.StringIO()
+        csv.DictWriter(line, fieldnames=CSV_COLUMNS).writerow(
+            report_row(label, report))
+        assert rows[idx + 1] == line.getvalue().encode()
+
+
+def test_one_config_runs_twice_identically(tmp_path):
+    # every run shares the parsed keywords, so verify must not mutate them
+    cfg, first = run_invariance_suite(tmp_path, "first")
+    again = dataclasses.replace(cfg, output_dir=str(tmp_path / "second"))
+    run_suite(again, echo=lambda line: None)
+    assert (tmp_path / "second" / "results.csv").read_bytes() == first

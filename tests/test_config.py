@@ -263,30 +263,71 @@ SHIPPED = sorted(str(p.relative_to(ROOT)) for pattern in
 
 GRINBERG = {"check": '"grinberg_functional"', "densities": '["ball"]',
             "k": "1", "n_subspaces": "64"}
+BP_SUBSPACE = {"check": '"bp_subspace"', "densities": '["ball"]', "k": "1",
+               "p": "1.0", "n_direct": "8", "n_subspaces": "8",
+               "inner": "4"}
+BP_FLAT = {"check": '"bp_flat"', "density": '"ball"', "k": "1", "R": "1.0",
+           "n_flats": "8", "inner": "4"}
+LINEAR = {"check": '"linear_invariance"', "densities": '["ball"]',
+          "k": "1", "spec_p": "[1.0]", "spec_alpha": "[2.0]",
+          "map": '"shear"', "n_subspaces": "8"}
+MARGINAL = {"check": '"marginal_bound"', "density": '"unit"', "k": "1",
+            "s": "2.0", "t": "2.0", "n_subspaces": "8", "n_x": "20",
+            "adversarial": "[0]"}
+PERTURBATION = {"check": '"perturbation"', "density": '"unit"', "k": "1",
+                "subspace": "[0]", "eta": "0.5", "eps_grid": "[0.1]",
+                "n_samples": "100"}
 
 
 def check_section(fields):
-    return MINIMAL + "\n    [check bad]\n" + "".join(
-        f"    {key} = {value}\n" for key, value in fields.items())
+    return MINIMAL + """
+    [density unit]
+    kind = "ellipsoid"
+    n = 2
+    normalize = true
+
+    [density gauss]
+    kind = "gaussian"
+    n = 2
+
+    [check bad]
+""" + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
 
-@pytest.mark.parametrize("changes, field_name", [
-    ({"n_subspaces": "Infinity"}, "n_subspaces"),
-    ({"p": "NaN"}, "p"),
-    ({"expect_equality": '"no"'}, "expect_equality"),
-    ({"expect_equality": "1"}, "expect_equality"),
-    ({"method": '["mc", 1]'}, "method"),
-    ({"method": '["mc", 2.5]'}, "method"),
-    ({"method": '"bogus"'}, "method"),
-    ({"n_flatz": "9"}, "n_flatz"),
-    ({"check": '"bp_subspace"', "method": '"exact"'}, "method"),
+@pytest.mark.parametrize("base, changes, field_name", [
+    (GRINBERG, {"n_subspaces": "Infinity"}, "n_subspaces"),
+    (GRINBERG, {"p": "NaN"}, "p"),
+    (GRINBERG, {"expect_equality": '"no"'}, "expect_equality"),
+    (GRINBERG, {"expect_equality": "1"}, "expect_equality"),
+    (GRINBERG, {"method": '["mc", 1]'}, "method"),
+    (GRINBERG, {"method": '["mc", 2.5]'}, "method"),
+    (GRINBERG, {"method": '"bogus"'}, "method"),
+    (GRINBERG, {"n_flatz": "9"}, "n_flatz"),
+    (GRINBERG, {"check": '"bp_subspace"', "method": '"exact"'}, "method"),
+    # budgets split into two replicas of >= 2 samples each
+    (BP_SUBSPACE, {"n_direct": "3"}, "n_direct"),
+    (BP_SUBSPACE, {"n_subspaces": "3"}, "n_subspaces"),
+    (BP_FLAT, {"n_flats": "3"}, "n_flats"),
+    (BP_FLAT, {"p": "1.0"}, "n_direct"),
+    # affine_image's determinant tolerance, not a looser one
+    (LINEAR, {"map": "[[1.0000000005, 0.0], [0.0, 1.0]]"}, "map"),
+    (LINEAR, {"map": '"reflection"'}, "map"),
+    (PERTURBATION, {"eta": "2.5"}, "eta"),
+    (MARGINAL, {"adversarial": "[0, 1]"}, "adversarial"),
+    # Monte Carlo section stats sample a window around a bounded support
+    (LINEAR, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
+    (GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
 ], ids=["infinite-count", "nan-p", "string-flag", "int-flag", "mc-one",
         "mc-fraction", "unknown-method", "unknown-field",
-        "method-where-not-taken"])
-def test_malformed_fields_rejected(tmp_path, changes, field_name):
+        "method-where-not-taken", "bp-subspace-direct-3",
+        "bp-subspace-subspaces-3", "bp-flat-flats-3",
+        "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
+        "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
+        "linear-mc-unbounded", "grinberg-mc-unbounded"])
+def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     # the base section loads, so each change alone is what gets rejected
-    load_config(write_config(tmp_path, check_section(GRINBERG)))
-    body = check_section({**GRINBERG, **changes})
+    load_config(write_config(tmp_path, check_section(base)))
+    body = check_section({**base, **changes})
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert (err.value.section, err.value.field) == ("check bad", field_name)

@@ -470,7 +470,8 @@ def test_sharpness_exact_measure_matches_mc(s, exact, rng):
         <= 4.0 * d["binomial_stderr"]
 
 
-def test_sharpness_exact_measure_only_for_lines(rng):
+def test_sharpness_no_exact_measure_between_lines_and_hyperplanes(rng):
+    # lines (k = 1) and hyperplanes (k = n - 1) have one; (4, 2) has none
     rep = gaussian_sharpness_experiment(4, 2, 1.5, 100, rng)
     assert rep.diagnostics["exact_measure"] is None
 
