@@ -17,8 +17,7 @@ from .grassmann import Flat, Subspace, flat_frames, grassmann_distance, \
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
     affine_image, marginal_density, restriction_stats, write_density_text
-from .rearrange import LevelProfile, bathtub_check, level_profile, \
-    rearrangement
+from .rearrange import LevelProfile, level_profile, rearrangement
 from .functionals import ExponentSpec, affine_average_I, delta0_p, delta_p, \
     grassmann_average_I, section_norm, small_ball_probability
 from .report import CheckReport, Estimate, mc_estimate, merge_estimates

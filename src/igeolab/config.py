@@ -8,6 +8,12 @@ unknown check names, unknown or malformed fields and parameter maps
 violating a check's preconditions are rejected here, before any sampling
 happens.
 
+A density section is read as the spec map it stands for: each field in
+the JSON shape it takes, handed to the family's constructor, which owns
+every rule on the parameters and names a broken one in a ParameterError.
+Config maps parameter names to fields and keeps two rules of its own:
+amplitudes are positive and the mass is positive and finite.
+
 Each check map is parsed once, by load_config, into the keyword arguments
 of its verify function (CheckJob.kwargs); running a check only calls it.
 Nothing here draws: a named map or a 'random' shift stays a name, and the
@@ -27,9 +33,10 @@ from typing import Callable
 import numpy as np
 
 from . import verify
-from .densities import (DET_TOL, DensityModel, EllipsoidIndicator,
-                        GaussianDensity, ProductDensity, RadialGridDensity,
-                        Step1D, TruncatedGaussian)
+from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
+                        ParameterError, ProductDensity, RadialGridDensity,
+                        Step1D, TruncatedGaussian, _volume_preserving,
+                        affine_image)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
 
@@ -84,23 +91,6 @@ class RunConfig:
 # Density specs.
 # ---------------------------------------------------------------------------
 
-def _scaled(f: DensityModel, factor: float) -> DensityModel:
-    if isinstance(f, EllipsoidIndicator):
-        return EllipsoidIndicator(f.shape_matrix, f.center,
-                                  f.amplitude * factor)
-    if isinstance(f, GaussianDensity):
-        return GaussianDensity(f.mean, f.cov, f.amplitude * factor)
-    if isinstance(f, TruncatedGaussian):
-        return TruncatedGaussian(f.center, f.tau, f.radius,
-                                 f.amplitude * factor)
-    if isinstance(f, ProductDensity):
-        return ProductDensity(f.factors, f.amplitude * factor)
-    if isinstance(f, RadialGridDensity):
-        return RadialGridDensity(f.n, f.edges, f.heights * factor)
-    raise ConfigError("density", "normalize",
-                      f"cannot rescale {type(f).__name__}")
-
-
 def _read_text(path: str, base_dir: str) -> str:
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -115,63 +105,16 @@ def _positive(raw) -> float:
     return value
 
 
-def _scale(raw, n: int) -> float:
-    """A positive length r whose powers r^2, r^-2, r^n and r^-n are positive
-    and finite, so that a ball or kernel of width r in dimension n has a
-    shape, volume and height that neither over- nor underflow."""
-    r = _positive(raw)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        powers = np.float64(r) ** np.array([2.0, -2.0, n, -n])
-    if not np.all((powers > 0.0) & (powers < math.inf)):
-        raise ValueError(f"{r:g} under- or overflows when raised to the "
-                         f"powers +-2 and +-n in dimension n = {n}")
-    return r
-
-
-def _axes(mat: np.ndarray, power: float) -> np.ndarray:
-    """mat, once the length eigenvalue^power of each of its principal axes
-    passes _scale: power 1/2 for a covariance, -1/2 for an ellipsoid's
-    shape matrix."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lengths = np.linalg.eigvalsh(mat) ** power
-    for length in lengths:
-        try:
-            _scale(float(length), len(mat))
-        except ValueError as exc:
-            raise ValueError(f"principal axis length {exc}") from None
-    return mat
-
-
-def _vector(raw, n=None) -> np.ndarray:
-    """Nonempty vector, of length n when n is given."""
-    vec = _finite(raw)
-    if vec.ndim != 1 or vec.size == 0 or n not in (None, vec.size):
-        raise ValueError(f"must be a vector of length {n or '>= 1'}, "
-                         f"got shape {vec.shape}")
-    return vec
-
-
-def _spd(raw, n=None) -> np.ndarray:
-    """Symmetric positive definite matrix, n x n when n is given."""
-    mat = _finite(raw)
-    size = n or (mat.shape[0] if mat.ndim == 2 else 0)
-    if size == 0 or mat.shape != (size, size):
-        raise ValueError(f"must be a square {f'{n} x {n} ' if n else ''}"
-                         f"matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.T).max() > 1e-12:
-        raise ValueError("must be symmetric")
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise ValueError("must be positive definite") from None
-    return mat
-
-
-def _heights(raw) -> np.ndarray:
-    heights = _finite(raw)
-    if heights.ndim != 1 or heights.size == 0 or np.any(heights < 0.0):
-        raise ValueError("must be a nonempty list of non-negative numbers")
-    return heights
+def _array(depth: int):
+    """Parser of a JSON array of numbers nested depth deep (1: a vector,
+    2: a matrix) into a float array."""
+    def parse(raw) -> np.ndarray:
+        arr = np.asarray(raw, dtype=float)
+        if arr.ndim != depth:
+            raise ValueError(f"must be a {('vector', 'matrix')[depth - 1]} "
+                             f"(JSON array of depth {depth})")
+        return arr
+    return parse
 
 
 def _factor(raw) -> Step1D:
@@ -182,119 +125,114 @@ def _factor(raw) -> Step1D:
                          "optional lo and hi")
     return Step1D.uniform(_number(raw.get("lo", -0.5)),
                           _number(raw.get("hi", 0.5)),
-                          _heights(raw["heights"]))
+                          _array(1)(raw["heights"]))
 
 
 def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
     """Build one density from a parsed spec map.
 
     kinds: file, gaussian, ellipsoid, truncated_gaussian, radial, product.
-    normalize = true rescales to unit mass after construction.  Numbers
-    must be finite, dimensions n integers >= 1, amplitudes positive,
-    vectors nonempty and matrices symmetric positive definite, and the
-    mass positive; a bad field, or an n too large to allocate, is a
-    ConfigError naming it.
+    normalize = true rescales to unit mass after construction.  Each field
+    is read as the JSON shape it takes (a number, an integer n >= 1, an
+    array) and passed to the family's constructor, which owns every rule
+    on its parameters; a broken rule is a ConfigError naming the field the
+    parameter came from.  Two rules are the config file's own: amplitudes
+    are positive, and the mass is positive and finite.
     """
     return _build_density(spec, base_dir)[0]
 
 
+# A constructor parameter that config builds from another field when the
+# spec does not give it, and that field: a ball's shape matrix and a
+# uniform grid's edges come from its radius.
+_SOURCE_FIELD = {"shape": "radius", "edges": "radius"}
 # The field that sets the mass of a density of this kind, blamed when the
-# mass is zero; extreme shapes or radii can also under- or overflow it.  An
-# ellipsoid given by n and radius blames radius instead of shape.
-_MASS_FIELD = {"radial": "heights", "product": "factors", "gaussian": "cov",
-               "ellipsoid": "shape"}
+# mass is zero, or under- or overflows; else the amplitude.
+_MASS_FIELD = {"radial": "heights", "product": "factors"}
 
 
 def _build_density(spec: dict, base_dir: str):
     """build_density's model, and the text of a file density (else None),
     read once so that the config hash covers the text that was parsed."""
+    given = set(spec)
     spec = dict(spec)
     text = None
 
-    def take(name, parse, default=_REQUIRED):
-        raw = spec.pop(name, default)
-        if raw is _REQUIRED:
-            raise ConfigError("density", name, "missing field")
+    def take(name, parse=_array(1), default=_REQUIRED):
+        if name not in spec:
+            if default is _REQUIRED:
+                raise ConfigError("density", name, "missing field")
+            return default
         try:
-            return parse(raw)
-        except (ValueError, TypeError, ArithmeticError, MemoryError,
-                OSError) as exc:
+            return parse(spec.pop(name))
+        except (ValueError, TypeError, ArithmeticError, OSError) as exc:
             raise ConfigError("density", name, str(exc)) from exc
 
     def dim(raw):
-        return _number(raw, lo=1, integer=True)
-
-    def optional(name, parse=_vector):
-        return take(name, parse) if name in spec else None
+        # n x n float matrices must be addressable; MemoryError says the rest
+        return _number(raw, lo=1, hi=math.isqrt(np.iinfo(np.intp).max // 8),
+                       integer=True)
 
     kind = spec.pop("kind", None)
-    mass_field = _MASS_FIELD.get(kind, "spec")
     normalize = take("normalize", _flag, False)
-    if kind == "file":
-        text = take("path", lambda raw: _read_text(raw, base_dir))
-        f = read_density_text(text)
-    elif kind == "gaussian":
-        mean = optional("mean")
-        if mean is None:
-            mean = take("n", lambda raw: np.zeros(dim(raw)))
-        cov = take("cov", lambda raw: _axes(
-            _positive(raw) * np.eye(mean.size) if np.isscalar(raw)
-            else _spd(raw, mean.size), 0.5), 1.0)
-        f = GaussianDensity(mean, cov, take("amplitude", _positive, 1.0))
-    elif kind == "ellipsoid":
-        shape = optional("shape", lambda raw: _axes(_spd(raw), -0.5))
-        if shape is None:
-            mass_field = "radius"
-            eye = take("n", lambda raw: np.eye(dim(raw)))
-            shape = eye / take("radius", lambda raw: _scale(raw, len(eye)),
-                               1.0) ** 2
-        center = optional("center", lambda raw: _vector(raw, len(shape)))
-        f = EllipsoidIndicator(shape, center,
-                               take("amplitude", _positive, 1.0))
-    elif kind == "truncated_gaussian":
-        center = optional("center")
-        if center is None:
-            center = take("n", lambda raw: np.zeros(dim(raw)))
-        tau = take("tau", lambda raw: _scale(raw, center.size))
-        f = take("radius", lambda raw: TruncatedGaussian.normalized(
-            center, tau, _scale(raw, center.size)))
-        if "amplitude" in spec:
-            f = _scaled(f, take("amplitude", _positive) / f.amplitude)
-    elif kind == "radial":
-        n = take("n", dim)
-        heights = take("heights", _heights)
-        edges = optional("edges", _finite)
-        if edges is None:
-            f = RadialGridDensity.uniform(n, take("radius", _positive),
-                                          heights)
+    try:
+        if kind == "file":
+            text = take("path", lambda raw: _read_text(raw, base_dir))
+            f = read_density_text(text)
+        elif kind == "gaussian":
+            mean = take("mean") if "mean" in spec else np.zeros(take("n", dim))
+            eye = np.eye(mean.size)  # a number is a multiple of the identity
+            cov = take("cov", lambda raw: _array(2)(raw) if np.ndim(raw)
+                       else _number(raw) * eye, eye)
+            f = GaussianDensity(mean, cov, take("amplitude", _positive, 1.0))
+        elif kind == "ellipsoid":
+            center = take("center", default=None)
+            amplitude = take("amplitude", _positive, 1.0)
+            if "shape" in spec:
+                f = EllipsoidIndicator(take("shape", _array(2)), center,
+                                       amplitude)
+            else:
+                f = EllipsoidIndicator.ball(take("n", dim), take(
+                    "radius", _number, 1.0), center, amplitude)
+        elif kind == "truncated_gaussian":
+            center = take("center") if "center" in spec \
+                else np.zeros(take("n", dim))
+            f = TruncatedGaussian.normalized(center, take("tau", _number),
+                                             take("radius", _number))
+            if "amplitude" in spec:
+                f = f.scaled(take("amplitude", _positive) / f.amplitude)
+        elif kind == "radial":
+            n, heights = take("n", dim), take("heights")
+            if "edges" in spec:
+                f = RadialGridDensity(n, take("edges"), heights)
+            else:
+                f = RadialGridDensity.uniform(n, take("radius", _number),
+                                              heights)
+        elif kind == "product":
+            f = ProductDensity(take("factors", lambda raw: [
+                _factor(fac) for fac in raw]),
+                take("amplitude", _positive, 1.0))
         else:
-            f = RadialGridDensity(n, edges, heights)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            vols = f.shell_volumes()
-        if not np.all((vols > 0.0) & (vols < math.inf)):
-            raise ConfigError("density", "radius" if edges is None
-                              else "edges", "the shell volumes under- or "
-                              f"overflow in dimension n = {n}")
-    elif kind == "product":
-        f = ProductDensity(take("factors", lambda raw: [
-            _factor(fac) for fac in raw]), take("amplitude", _positive, 1.0))
-    else:
-        raise ConfigError("density", "kind", f"unknown density kind {kind!r}")
+            raise ConfigError("density", "kind",
+                              f"unknown density kind {kind!r}")
+    except ParameterError as exc:
+        raise ConfigError("density", exc.param if exc.param in given
+                          else _SOURCE_FIELD.get(exc.param, exc.param),
+                          exc.message) from exc
+    except MemoryError as exc:
+        raise ConfigError("density", "n", "too large to allocate") from exc
     if spec:
         raise ConfigError("density", ", ".join(sorted(spec)),
                           f"unused fields for kind {kind!r}")
-    try:
-        mass = f.mass
-    except OverflowError:
-        mass = math.inf
+    mass = f.mass
     if not 0.0 < mass < math.inf:
         raise ConfigError("density", "normalize" if normalize
-                          else mass_field,
+                          else _MASS_FIELD.get(kind, "amplitude"),
                           f"the density's mass is {mass:g}; it must be "
                           "positive and finite")
     if normalize:
         try:
-            f = _scaled(f, 1.0 / mass)
+            f = f.scaled(1.0 / mass)
         except ValueError as exc:
             raise ConfigError("density", "normalize", f"the density's mass "
                               f"is {mass:g}, too small to rescale to 1: "
@@ -526,16 +464,14 @@ def _exponent_spec(raw, v):
 
 
 def _map(raw, v):
-    """'shear', 'rotation', or a matrix with |det| = 1 within DET_TOL."""
+    """'shear', 'rotation', or a volume-preserving n x n matrix."""
     if raw in ("shear", "rotation"):
         return raw
     n = v.n
     mat = _finite([] if isinstance(raw, str) else raw)
     if mat.shape != (n, n):
         raise ValueError(f"must be 'shear', 'rotation', or a {n}x{n} matrix")
-    if abs(abs(np.linalg.det(mat)) - 1.0) > DET_TOL:
-        raise ValueError("matrix must preserve volume")
-    return mat
+    return _volume_preserving(mat)
 
 
 def _shift(raw, v):
@@ -620,12 +556,6 @@ def _bounded(v):
              "flat averages need bounded supports")
 
 
-def _mc_bounded(v):
-    _require(v["method"] == "exact" or all(
-        np.isfinite(f.support_radius) for f in v["f_list"]), "method",
-        "Monte Carlo section stats need bounded supports")
-
-
 def _direct_budget(v):
     _require(v["p"] == 0.0 or v["n_direct"] >= 4, "n_direct",
              "offset exponents need n_direct >= 4 (two replicas of >= 2)")
@@ -656,6 +586,37 @@ def _rearrangeable(v):
              f"at most {limit} densities for case {case!r}")
     _require(all(f.superlevel_volumes([f.sup / 2]) is not None for f in fl),
              "densities", "rearrangement needs exact level profiles")
+
+
+def _stand_in(g, n: int):
+    """A map of the kind g names, for affine_image to tell the family of an
+    image by without drawing g: the identity for 'rotation', a unit upper
+    triangular shear for 'shear', and a nonzero shift for 'random'."""
+    a_mat, shift = g if isinstance(g, tuple) else (g, None)
+    if isinstance(a_mat, str):
+        a_mat = np.eye(n) if a_mat == "rotation" \
+            else np.eye(n) + np.triu(np.ones((n, n)), 1)
+    return a_mat, np.ones(n) if isinstance(shift, str) else shift
+
+
+def _readable(field_name, dim=lambda v: v["k"]):
+    """Precondition: the check can read the sections of dimension dim(v)
+    it asks for.  Monte Carlo ones (method ["mc", N]) sample a window about
+    a bounded support; exact ones need a closed form for every density and
+    for its image under the check's map."""
+    def rule(v):
+        hint = '; use method ["mc", N]' if "method" in v else ""
+        for f in [v["f"]] if "f" in v else v["f_list"]:
+            if v.get("method", "exact") != "exact":
+                _require(np.isfinite(f.support_radius), "method",
+                         "Monte Carlo section stats need bounded supports")
+                continue
+            image = affine_image(f, _stand_in(v["g"], v.n)) if "g" in v else f
+            for model, where in ((f, ""), (image, " under this map")):
+                _require(model.exact_sections(dim(v)), field_name,
+                         f"{type(f).__name__}{where} has no closed-form "
+                         f"sections of dimension {dim(v)}{hint}")
+    return rule
 
 
 def _dim_k(arg, field_name):
@@ -689,21 +650,22 @@ CHECKS: dict[str, _Check] = {
         {"densities": _DENSITIES, "k": _K_UP_TO_N,
          "p": _real(0.0, default=0.0), "n_direct": _SPLIT_BUDGET,
          "n_subspaces": _SPLIT_BUDGET, "inner": _int(1, default=256)},
-        [_q_at_most_k]),
+        [_q_at_most_k, _readable("densities")]),
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
         "check_bp_flat",
         {"density": _DENSITY, "k": _K_UP_TO_N, "p": _real(0.0, default=0.0),
          "R": _real(0.0), "n_direct": _int(0, default=0),
          "n_flats": _SPLIT_BUDGET, "inner": _int(1, default=256)},
-        [_offset_exponent, _direct_budget, _window_covers_support]),
+        [_offset_exponent, _direct_budget, _window_covers_support,
+         _readable("density")]),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
         "check_linear_invariance",
         {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _BUDGET,
          "method": _METHOD},
-        [_slot_per_density, _mc_bounded]),
+        [_slot_per_density, _readable("method")]),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
         "check_affine_invariance",
@@ -711,7 +673,7 @@ CHECKS: dict[str, _Check] = {
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
          "shift": _Field(_shift, default="random", arg="g"),
          "R": _real(0.0), "n_flats": _BUDGET, "method": _METHOD},
-        [_slot_per_density, _bounded]),
+        [_slot_per_density, _bounded, _readable("method")]),
     "rearrangement_chain": _Check(
         "simplex functional vs rearranged and ball inputs",
         "check_rearrangement_monotonicity",
@@ -726,7 +688,7 @@ CHECKS: dict[str, _Check] = {
          "p": _real(0.0, lambda v: v.n - v["k"], default=0.0),
          "n_subspaces": _BUDGET, "method": _METHOD,
          "expect_equality": _EQUALITY},
-        [_q_at_most_k, _mc_bounded]),
+        [_q_at_most_k, _readable("method")]),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of radius "
         "max(R, support radius)",
@@ -734,14 +696,15 @@ CHECKS: dict[str, _Check] = {
         {"density": _DENSITY, "k": _K, "R": _real(0.0, default=0.0),
          "n_flats": _BUDGET, "method": _METHOD,
          "expect_equality": _EQUALITY},
-        [_bounded]),
+        [_bounded, _readable("method")]),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",
         "marginal_bound_experiment",
         {"density": _DENSITY, "k": _K, "s": _real(1.0 + 1e-9),
          "t": _real(1.0 + 1e-9), "n_subspaces": _BUDGET, "n_x": _BUDGET,
          "adversarial": _Field(_subspace, default=None)},
-        [_unit_mass, _dim_k("adversarial", "adversarial")]),
+        [_unit_mass, _dim_k("adversarial", "adversarial"),
+         _readable("density", lambda v: v.n - v["k"])]),
     "gaussian_sharpness": _Check(
         "skewed-Gaussian sharpness of the marginal sup bound",
         "gaussian_sharpness_experiment",

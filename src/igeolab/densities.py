@@ -22,7 +22,10 @@ package is built from them:
   drives the layer-cake rearrangement.
 
 Monte Carlo fallbacks cover models without a closed form; sampled sup
-estimates are flagged biased low.
+estimates are flagged biased low.  ``exact_sections(k)`` says whether every
+k-dimensional section of a family has a closed form.  Each constructor
+checks every rule on its parameters and raises ParameterError naming the
+one broken.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ AXIS_TOL = 1e-12
 PRODUCT_ENUM_CAP = 300_000
 
 __all__ = [
+    "ParameterError",
     "DensityModel",
     "EllipsoidIndicator",
     "GaussianDensity",
@@ -94,6 +98,10 @@ class DensityModel:
         offsets[i] + span(bases[i]), or None when no closed form exists."""
         return None
 
+    def exact_sections(self, k: int) -> bool:
+        """Whether every section of dimension k has a closed form."""
+        return False
+
     def power(self, p: float):
         """The pointwise power f**p as a model, or None."""
         return None
@@ -104,13 +112,36 @@ class DensityModel:
         return None
 
 
+class ParameterError(ValueError):
+    """A constructor parameter, named as the caller passed it, that breaks
+    a rule of its family; message says which."""
+
+    def __init__(self, param: str, message: str):
+        self.param, self.message = param, message
+        super().__init__(f"{param} {message}")
+
+
 def _amplitude(a) -> float:
     """a as a float, unless it is negative or not finite.  Zero is legal:
     empty sections and zero powers build zero-amplitude models."""
     a = float(a)
     if not 0.0 <= a < math.inf:
-        raise ValueError(f"amplitude must be finite and non-negative, got {a}")
+        raise ParameterError("amplitude", "must be finite and non-negative, "
+                             f"got {a}")
     return a
+
+
+def _scale(r, name: str, n: int, what: str = "") -> float:
+    """r as a positive length whose powers r^2, r^-2, r^n and r^-n are
+    positive and finite, so that a ball or kernel of width r in dimension n
+    has a shape, volume and height that neither over- nor underflow."""
+    r = float(r)
+    with np.errstate(all="ignore"):
+        powers = np.float64(r) ** np.array([2.0, -2.0, n, -n])
+    if not (r > 0.0 and np.all((powers > 0.0) & (powers < math.inf))):
+        raise ParameterError(name, f"{what}{r:g} must be positive, with "
+                             f"powers +-2 and +-{n} finite and nonzero")
+    return r
 
 
 def _vector(x, name: str, n: int | None = None) -> np.ndarray:
@@ -118,19 +149,29 @@ def _vector(x, name: str, n: int | None = None) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all() \
             or n is not None and x.size != n:
-        raise ValueError(f"{name} must be a non-empty finite vector of "
-                         f"length {'n' if n is None else n}")
+        raise ParameterError(name, "must be a non-empty finite vector of "
+                             f"length {'n' if n is None else n}")
     return x
 
 
-def _symmetric(m, name: str, n: int | None = None) -> np.ndarray:
-    """m as a finite symmetric float matrix, n x n when n is given."""
+def _spd(m, name: str, power: float, n: int | None = None):
+    """m as a symmetric positive definite float matrix, n x n when n is
+    given, and its Cholesky factor; each principal axis length eigenvalue **
+    power (1/2 for a covariance, -1/2 for a shape matrix) passes _scale."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     n = m.shape[0] if n is None else n
-    if m.shape != (n, n) or not np.isfinite(m).all() \
-            or np.abs(m - m.T).max() > 1e-12:
-        raise ValueError(f"{name} must be a finite symmetric (n, n) matrix")
-    return m
+    try:
+        if m.shape != (n, n) or not np.isfinite(m).all() \
+                or np.abs(m - m.T).max() > 1e-12:
+            raise np.linalg.LinAlgError
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ParameterError(name, "must be a finite symmetric positive "
+                             "definite (n, n) matrix") from None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for length in np.linalg.eigvalsh(m) ** power:
+            _scale(length, name, n, "principal axis length ")
+    return m, chol
 
 
 def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +179,14 @@ def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
     function, one more edge than heights, as float arrays."""
     edges = np.asarray(edges, dtype=float)
     heights = np.asarray(heights, dtype=float)
-    if heights.ndim != 1 or heights.size == 0:
-        raise ValueError("heights must be a non-empty vector")
-    if edges.ndim != 1 or edges.size != heights.size + 1:
-        raise ValueError("need len(edges) == len(heights) + 1")
-    if not np.isfinite(edges).all() or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be finite and increasing")
-    if not np.isfinite(heights).all() or np.any(heights < 0):
-        raise ValueError("heights must be finite and non-negative")
+    if heights.ndim != 1 or heights.size == 0 \
+            or not np.isfinite(heights).all() or np.any(heights < 0):
+        raise ParameterError("heights", "must be a non-empty vector of "
+                             "finite non-negative numbers")
+    if edges.ndim != 1 or edges.size != heights.size + 1 \
+            or not np.isfinite(edges).all() or np.any(np.diff(edges) <= 0):
+        raise ParameterError("edges", "must be finite and increasing, one "
+                             "more than the heights")
     return edges, heights
 
 
@@ -163,7 +204,8 @@ class _Sectioned(DensityModel):
     ``_sections(bases, offsets)`` maps a stack of flats, bases (s, n, k)
     and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays,
     or None when some flat has no closed-form section.  Section
-    coordinates are u in x = offsets[i] + bases[i] @ u.
+    coordinates are u in x = offsets[i] + bases[i] @ u.  ``scaled(c)`` is
+    c * f in the same family.
     ``_section_points(sections, k, size, rng)`` draws size points from
     every row's normalized law at once, shape (s, size, k); rows of zero
     mass get finite points.
@@ -173,26 +215,38 @@ class _Sectioned(DensityModel):
         sections = self._sections(bases, offsets)
         return None if sections is None else sections[:2]
 
+    def exact_sections(self, k):
+        return True
+
 
 class EllipsoidIndicator(_Sectioned):
     """a * indicator((x-c)^T M (x-c) <= 1) for symmetric positive M."""
 
     def __init__(self, shape: np.ndarray, center=None, amplitude: float = 1.0):
-        m = _symmetric(shape, "shape")
+        m, self._chol = _spd(shape, "shape", -0.5)
         n = m.shape[0]
         self.n = n
         self.shape_matrix = m
         self.center = np.zeros(n) if center is None \
             else _vector(center, "center", n)
         self.amplitude = _amplitude(amplitude)
-        self._chol = np.linalg.cholesky(m)       # raises unless positive definite
         eigvals = np.linalg.eigvalsh(m)
         self._semiaxis_max = 1.0 / math.sqrt(float(eigvals[0]))
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        with np.errstate(over="ignore"):
+            volume = unit_ball_volume(n) * np.exp(-0.5 * self._logdet)
+        if not 0.0 < volume < math.inf:
+            raise ParameterError("shape", f"gives volume {volume:g}; it must "
+                                 "be positive and finite")
 
     @classmethod
     def ball(cls, n: int, radius: float = 1.0, center=None, amplitude: float = 1.0):
-        return cls(np.eye(n) / radius ** 2, center, amplitude)
+        return cls(np.eye(n) / _scale(radius, "radius", n) ** 2, center,
+                   amplitude)
+
+    def scaled(self, c):
+        return EllipsoidIndicator(self.shape_matrix, self.center,
+                                  self.amplitude * c)
 
     def eval_many(self, x):
         d = x - self.center
@@ -255,15 +309,17 @@ class GaussianDensity(_Sectioned):
     def __init__(self, mean, cov, amplitude: float = 1.0):
         self.mean = _vector(mean, "mean")
         self.n = self.mean.size
-        self.cov = _symmetric(cov, "cov", self.n)
+        self.cov, self._chol = _spd(cov, "cov", 0.5, self.n)
         self.amplitude = _amplitude(amplitude)
-        self._chol = np.linalg.cholesky(self.cov)
         self._prec = np.linalg.inv(self.cov)
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     @classmethod
     def standard(cls, n: int):
         return cls(np.zeros(n), np.eye(n))
+
+    def scaled(self, c):
+        return GaussianDensity(self.mean, self.cov, self.amplitude * c)
 
     def eval_many(self, x):
         d = x - self.mean
@@ -352,25 +408,26 @@ class TruncatedGaussian(_Sectioned):
     """
 
     def __init__(self, center, tau: float, radius: float, amplitude: float = 1.0):
-        # an infinite radius is the untruncated kernel
-        if not (0 < tau < math.inf and radius > 0):
-            raise ValueError("tau must be positive and finite and radius "
-                             f"positive, got tau = {tau}, radius = {radius}")
         self.center = _vector(center, "center")
         self.n = self.center.size
-        self.tau = float(tau)
-        self.radius = float(radius)
+        self.tau = _scale(tau, "tau", self.n)
+        # an infinite radius is the untruncated kernel
+        self.radius = math.inf if radius == math.inf \
+            else _scale(radius, "radius", self.n)
         self.amplitude = _amplitude(amplitude)
 
     @classmethod
     def normalized(cls, center, tau, radius):
         """Mass exactly one (a truncated Gaussian probability density)."""
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        cut = float(_chi2_cdf(radius ** 2 / tau ** 2, center.shape[0]))
-        if cut == 0.0:
-            raise ValueError(f"the kernel of width tau = {tau:g} has no "
-                             f"mass within radius {radius:g}")
-        return cls(center, tau, radius, 1.0 / cut)
+        f = cls(center, tau, radius)
+        if f.mass == 0.0:
+            raise ParameterError("radius", f"{radius:g} holds no mass of the "
+                                 f"kernel of width tau = {tau:g}")
+        return f.scaled(1.0 / f.mass)
+
+    def scaled(self, c):
+        return TruncatedGaussian(self.center, self.tau, self.radius,
+                                 self.amplitude * c)
 
     def _kernel_height(self):
         return self.amplitude * (2 * math.pi * self.tau ** 2) ** (-0.5 * self.n)
@@ -425,8 +482,7 @@ class TruncatedGaussian(_Sectioned):
         amps = self.amplitude * scale * damp
         masses = np.zeros(len(bases))
         masses[live] = amps[live] * _chi2_cdf(rho2[live] / self.tau ** 2, k)
-        kernel = self.amplitude * (2 * math.pi * self.tau ** 2) ** (-0.5 * self.n)
-        sups = np.where(live, kernel * damp, 0.0)
+        sups = np.where(live, self._kernel_height() * damp, 0.0)
         return masses, sups, w, rho2, amps
 
     def _section_points(self, sections, k, size, rng):
@@ -453,8 +509,6 @@ class Step1D(DensityModel):
     @classmethod
     def uniform(cls, lo: float, hi: float, heights):
         """Equal-width bins on [lo, hi]: the factors of product densities."""
-        if not hi > lo:
-            raise ValueError("need lo < hi")
         heights = np.asarray(heights, dtype=float)
         return cls(np.linspace(lo, hi, heights.size + 1), heights)
 
@@ -503,10 +557,16 @@ class ProductDensity(_Sectioned):
 
     def __init__(self, factors: list, amplitude: float = 1.0):
         if not factors:
-            raise ValueError("need at least one factor")
+            raise ParameterError("factors", "must hold at least one factor")
         self.n = len(factors)
         self.factors = list(factors)
         self.amplitude = _amplitude(amplitude)
+
+    def scaled(self, c):
+        return ProductDensity(self.factors, self.amplitude * c)
+
+    def exact_sections(self, k):
+        return k == 1       # and axis-aligned flats, for any k
 
     def eval_many(self, x):
         vals = np.full(x.shape[0], self.amplitude)
@@ -644,16 +704,24 @@ class RadialGridDensity(_Sectioned):
 
     def __init__(self, n: int, edges, heights):
         if n != int(n) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
+            raise ParameterError("n", f"must be a positive integer, got {n}")
         self.n = int(n)
         self.edges, self.heights = _steps(edges, heights)
-        if self.edges[0] < 0:
-            raise ValueError("edges must be non-negative")
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vols = self.shell_volumes()
+        if self.edges[0] < 0 or not np.all((vols > 0.0) & (vols < math.inf)):
+            raise ParameterError("edges", "must be non-negative, with shell "
+                                 "volumes positive and finite in dimension "
+                                 f"n = {self.n}")
 
     @classmethod
     def uniform(cls, n: int, radius: float, heights):
         heights = np.asarray(heights, dtype=float)
-        return cls(n, np.linspace(0.0, radius, heights.size + 1), heights)
+        return cls(n, np.linspace(0.0, _scale(radius, "radius", n),
+                                  heights.size + 1), heights)
+
+    def scaled(self, c):
+        return RadialGridDensity(self.n, self.edges, self.heights * c)
 
     def shell_volumes(self):
         return unit_ball_volume(self.n) * np.diff(self.edges ** self.n)
@@ -768,7 +836,7 @@ class PushforwardDensity(DensityModel):
     def __init__(self, base: DensityModel, matrix: np.ndarray, shift: np.ndarray):
         self.n = base.n
         self.base = base
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = _volume_preserving(matrix)
         self.shift = np.asarray(shift, dtype=float)
         self._inv = np.linalg.inv(self.matrix)
         self._op_norm = float(np.linalg.norm(self.matrix, 2))
@@ -810,11 +878,8 @@ def affine_image(f: DensityModel, g) -> DensityModel:
     with identical mass and sup and a pushforward sampler.
     """
     a_mat, b_vec = g
-    a_mat = np.asarray(a_mat, dtype=float)
+    a_mat = _volume_preserving(a_mat)
     b_vec = np.zeros(f.n) if b_vec is None else np.asarray(b_vec, dtype=float)
-    det = np.linalg.det(a_mat)
-    if abs(abs(det) - 1.0) > DET_TOL:
-        raise ValueError(f"map must be volume preserving, |det A| = {abs(det)}")
     if isinstance(f, EllipsoidIndicator):
         inv = np.linalg.inv(a_mat)
         shape = inv.T @ f.shape_matrix @ inv
@@ -829,6 +894,15 @@ def affine_image(f: DensityModel, g) -> DensityModel:
             and np.allclose(b_vec, 0.0):
         return f
     return PushforwardDensity(f, a_mat, b_vec)
+
+
+def _volume_preserving(matrix) -> np.ndarray:
+    """matrix as a float array, unless |det| is off 1 by more than DET_TOL."""
+    matrix = np.asarray(matrix, dtype=float)
+    det = abs(np.linalg.det(matrix))
+    if abs(det - 1.0) > DET_TOL:
+        raise ParameterError("matrix", f"must preserve volume, |det| = {det}")
+    return matrix
 
 
 def _is_orthogonal(a_mat):

@@ -1,4 +1,4 @@
-"""Symmetric decreasing rearrangement and the 1-D bathtub inequality.
+"""Symmetric decreasing rearrangement of a density.
 
 The rearrangement f* replaces each superlevel set {f > t} by the centered
 open ball of the same volume and stacks the layers back up.  We discretize
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import unit_ball_volume, unit_volume_radius
+from .geometry import unit_ball_volume
 from .densities import DensityModel, RadialGridDensity, _sorted_tail_volumes
 from .grassmann import uniform_ball
-from .report import PASS, FAIL, CheckReport, Estimate
 
 LEVEL_FLOOR = 1e-6       # bottom of the level grid, relative to sup f
-QUAD_REL_TOL = 1e-6
 
-__all__ = ["LevelProfile", "level_profile", "rearrangement", "bathtub_check"]
+__all__ = ["LevelProfile", "level_profile", "rearrangement"]
 
 
 @dataclass(frozen=True)
@@ -103,42 +101,3 @@ def rearrangement(f: DensityModel, levels: int = 1000,
         raise ValueError("degenerate profile: all superlevel sets are null")
     edges = np.concatenate([[0.0], edges[1:][keep]])
     return RadialGridDensity(f.n, edges, heights[keep])
-
-
-def bathtub_check(profile, n: int, phi, upper: float = math.inf,
-                  name: str = "bathtub") -> CheckReport:
-    """Bathtub inequality for a [0, 1]-valued radial profile.
-
-    Given profile g with the same n-th moment mass as the unit-volume ball,
-    i.e. integral of g(r) r^(n-1) dr equal to r_n^n / n, checks that for an
-    increasing phi the integral of phi(r) g(r) r^(n-1) dr dominates the
-    integral of phi(r) r^(n-1) dr over [0, r_n].  Deterministic quadrature,
-    no randomness involved.
-    """
-    # imported here, its only use: scipy.integrate doubles the import time
-    from scipy.integrate import quad
-
-    r_n = unit_volume_radius(n)
-    target = r_n ** n / n
-    quad_opts = dict(limit=200, epsabs=1e-12, epsrel=1e-10)
-    moment, moment_err = quad(lambda r: profile(r) * r ** (n - 1), 0.0, upper,
-                              points=[r_n] if math.isfinite(upper) else None,
-                              **quad_opts)
-    tol = max(QUAD_REL_TOL * target, 10.0 * moment_err, 1e-12)
-    if abs(moment - target) > tol:
-        raise ValueError(
-            f"profile is not normalized: moment {moment!r} vs target {target!r}; "
-            "scale the profile so both superlevel masses agree")
-    lhs, lhs_err = quad(lambda r: phi(r) * profile(r) * r ** (n - 1), 0.0, upper,
-                        points=[r_n] if math.isfinite(upper) else None,
-                        **quad_opts)
-    rhs, rhs_err = quad(lambda r: phi(r) * r ** (n - 1), 0.0, r_n, **quad_opts)
-    slack = max(QUAD_REL_TOL * max(abs(lhs), abs(rhs)), 10.0 * (lhs_err + rhs_err))
-    verdict = PASS if lhs >= rhs - slack else FAIL
-    return CheckReport(
-        name=name,
-        parameters={"n": n, "upper": upper},
-        lhs=Estimate.exact(lhs), rhs=Estimate.exact(rhs),
-        verdict=verdict,
-        diagnostics={"moment": moment, "moment_target": target,
-                     "quad_error": lhs_err + rhs_err, "slack": slack})

@@ -15,8 +15,8 @@ import pytest
 from igeolab import config
 from igeolab.config import ConfigError, build_density, load_config
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ProductDensity, RadialGridDensity,
-                               TruncatedGaussian)
+                               ParameterError, ProductDensity,
+                               RadialGridDensity, TruncatedGaussian)
 
 
 def write_config(tmp_path, body):
@@ -290,6 +290,16 @@ def check_section(fields):
     kind = "gaussian"
     n = 2
 
+    [density box]
+    kind = "product"
+    factors = [{"heights": [1.0]}, {"heights": [1.0]}, {"heights": [1.0]}]
+
+    [density trunc]
+    kind = "truncated_gaussian"
+    n = 2
+    tau = 1.0
+    radius = 1.0
+
     [check bad]
 """ + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
@@ -317,13 +327,19 @@ def check_section(fields):
     # Monte Carlo section stats sample a window around a bounded support
     (LINEAR, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
     (GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
+    # method "exact" needs closed-form sections of the density and its image
+    (LINEAR, {"densities": '["box"]', "k": "2"}, "method"),
+    (LINEAR, {"densities": '["trunc"]'}, "method"),
+    (BP_SUBSPACE, {"densities": '["box"]', "k": "2"}, "densities"),
 ], ids=["infinite-count", "nan-p", "string-flag", "int-flag", "mc-one",
         "mc-fraction", "unknown-method", "unknown-field",
         "method-where-not-taken", "bp-subspace-direct-3",
         "bp-subspace-subspaces-3", "bp-flat-flats-3",
         "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
-        "linear-mc-unbounded", "grinberg-mc-unbounded"])
+        "linear-mc-unbounded", "grinberg-mc-unbounded",
+        "linear-exact-product-plane", "linear-exact-truncated-shear",
+        "bp-subspace-product-plane"])
 def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     # the base section loads, so each change alone is what gets rejected
     load_config(write_config(tmp_path, check_section(base)))
@@ -460,6 +476,114 @@ def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
         load_config(write_config(tmp_path, body))
     assert (err.value.section, err.value.field) == ("density bad", field_name)
     assert str(err.value).startswith(f"[density bad] {field_name}: ")
+
+
+# Degenerate inputs, each checked through both entry points: the Python
+# constructor call, the parameter its ParameterError names, the spec map
+# that asks build_density for the same density, and the field its
+# ConfigError names.
+DEGENERATE = {
+    "indefinite-cov": (
+        lambda: GaussianDensity([0.0, 0.0], np.diag([1.0, -1.0])), "cov",
+        {"kind": "gaussian", "mean": [0.0, 0.0],
+         "cov": [[1.0, 0.0], [0.0, -1.0]]}, "cov"),
+    "underflowing-cov-axis": (
+        lambda: GaussianDensity([0.0, 0.0], np.diag([1e-320, 1.0])), "cov",
+        {"kind": "gaussian", "n": 2, "cov": 1e-320}, "cov"),
+    "overflowing-cov-axis": (
+        lambda: GaussianDensity(np.zeros(3), np.diag([1.0, 1.0, 1e250])),
+        "cov", {"kind": "gaussian", "mean": [0.0, 0.0, 0.0],
+                "cov": np.diag([1.0, 1.0, 1e250]).tolist()}, "cov"),
+    "empty-mean": (
+        lambda: GaussianDensity([], np.eye(1)), "mean",
+        {"kind": "gaussian", "mean": []}, "mean"),
+    "indefinite-shape": (
+        lambda: EllipsoidIndicator(np.diag([1.0, -1.0])), "shape",
+        {"kind": "ellipsoid", "shape": [[1.0, 0.0], [0.0, -1.0]]}, "shape"),
+    "asymmetric-shape": (
+        lambda: EllipsoidIndicator([[1.0, 0.5], [0.0, 1.0]]), "shape",
+        {"kind": "ellipsoid", "shape": [[1.0, 0.5], [0.0, 1.0]]}, "shape"),
+    "overflowing-shape-axis": (
+        lambda: EllipsoidIndicator(np.diag([1e-210] * 3)), "shape",
+        {"kind": "ellipsoid", "shape": np.diag([1e-210] * 3).tolist()},
+        "shape"),
+    "underflowing-shape-axis": (
+        lambda: EllipsoidIndicator(np.diag([1.0, 1.0, 1e250])), "shape",
+        {"kind": "ellipsoid", "shape": np.diag([1.0, 1.0, 1e250]).tolist()},
+        "shape"),
+    "infinite-ellipsoid-volume": (
+        lambda: EllipsoidIndicator(np.diag([6.25e-124] * 5)), "shape",
+        {"kind": "ellipsoid", "shape": np.diag([6.25e-124] * 5).tolist()},
+        "shape"),
+    "short-center": (
+        lambda: EllipsoidIndicator(np.eye(2), [0.0]), "center",
+        {"kind": "ellipsoid", "n": 2, "center": [0.0]}, "center"),
+    "underflowing-ball-radius": (
+        lambda: EllipsoidIndicator.ball(3, 1e-120), "radius",
+        {"kind": "ellipsoid", "n": 3, "radius": 1e-120}, "radius"),
+    # radius^5 is finite, but the volume of the ball, a rule on the shape
+    # matrix the constructor receives, overflows
+    "infinite-ball-volume": (
+        lambda: EllipsoidIndicator.ball(5, 4e61), "shape",
+        {"kind": "ellipsoid", "n": 5, "radius": 4e61}, "radius"),
+    "overflowing-tau": (
+        lambda: TruncatedGaussian([0.0, 0.0], 1e200, 1.0), "tau",
+        {"kind": "truncated_gaussian", "n": 2, "tau": 1e200,
+         "radius": 1.0}, "tau"),
+    "underflowing-tau": (
+        lambda: TruncatedGaussian([0.0, 0.0], 1e-200, 1.0), "tau",
+        {"kind": "truncated_gaussian", "n": 2, "tau": 1e-200,
+         "radius": 1.0}, "tau"),
+    "overflowing-truncation": (
+        lambda: TruncatedGaussian([0.0, 0.0], 1.0, 1e200), "radius",
+        {"kind": "truncated_gaussian", "n": 2, "tau": 1.0,
+         "radius": 1e200}, "radius"),
+    "empty-truncation": (
+        lambda: TruncatedGaussian.normalized([0.0, 0.0], 1e150, 1e-150),
+        "radius", {"kind": "truncated_gaussian", "n": 2, "tau": 1e150,
+                   "radius": 1e-150}, "radius"),
+    "negative-amplitude": (
+        lambda: TruncatedGaussian([0.0, 0.0], 1.0, 1.0, -1.0), "amplitude",
+        {"kind": "truncated_gaussian", "n": 2, "tau": 1.0, "radius": 1.0,
+         "amplitude": -1.0}, "amplitude"),
+    "overflowing-grid-radius": (
+        lambda: RadialGridDensity.uniform(2, 1e200, [1.0]), "radius",
+        {"kind": "radial", "n": 2, "radius": 1e200, "heights": [1.0]},
+        "radius"),
+    # the radius passes, but the innermost of ten shells underflows
+    "underflowing-grid-shell": (
+        lambda: RadialGridDensity.uniform(30, 1e-10, [1.0] * 10), "edges",
+        {"kind": "radial", "n": 30, "radius": 1e-10, "heights": [1.0] * 10},
+        "radius"),
+    "underflowing-shell": (
+        lambda: RadialGridDensity(3, [0.0, 1e-110, 1.0], [1.0, 1.0]),
+        "edges", {"kind": "radial", "n": 3, "edges": [0.0, 1e-110, 1.0],
+                  "heights": [1.0, 1.0]}, "edges"),
+    "negative-height": (
+        lambda: RadialGridDensity.uniform(2, 1.0, [1.0, -0.5]), "heights",
+        {"kind": "radial", "n": 2, "radius": 1.0, "heights": [1.0, -0.5]},
+        "heights"),
+    "no-heights": (
+        lambda: RadialGridDensity.uniform(2, 1.0, []), "heights",
+        {"kind": "radial", "n": 2, "radius": 1.0, "heights": []},
+        "heights"),
+    "no-factors": (
+        lambda: ProductDensity([]), "factors",
+        {"kind": "product", "factors": []}, "factors"),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+@pytest.mark.filterwarnings("error")
+def test_degenerate_inputs_rejected_by_both_entry_points(name):
+    build, param, spec, field_name = DEGENERATE[name]
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert err.value.param == param
+    assert str(err.value).startswith(f"{param} ")
+    with pytest.raises(ConfigError) as err:
+        build_density(spec)
+    assert (err.value.section, err.value.field) == ("density", field_name)
 
 
 @pytest.mark.parametrize("value", ["2", "0", "true", "1.0", '"1"'])

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from igeolab.densities import (DensityModel, EllipsoidIndicator,
-                               GaussianDensity, ProductDensity,
+                               GaussianDensity, ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, affine_image,
                                marginal_density, restriction_stats,
@@ -262,6 +262,14 @@ def test_affine_image_rejects_volume_change():
         affine_image(g, (np.diag([2.0, 1.0]), None))
 
 
+def test_pushforward_rejects_volume_change():
+    # a pushforward reports its base's mass, so |det A| = 1 is a rule of
+    # its constructor, not only of affine_image
+    with pytest.raises(ParameterError, match="matrix"):
+        PushforwardDensity(EllipsoidIndicator.ball(2), 2.0 * np.eye(2),
+                           np.zeros(2))
+
+
 def test_affine_image_ellipsoid(rng):
     e = EllipsoidIndicator.ball(3, radius=0.8, amplitude=2.0)
     a_mat = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
@@ -422,7 +430,7 @@ def test_text_rejects_bad_input():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         EllipsoidIndicator(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-    with pytest.raises(Exception):
+    with pytest.raises(ParameterError, match="shape"):
         EllipsoidIndicator(np.diag([1.0, -1.0]))                # not pd
     with pytest.raises(ValueError):
         TruncatedGaussian(np.zeros(2), tau=-1.0, radius=1.0)
@@ -443,8 +451,10 @@ def test_constructor_validation():
         with pytest.raises(ValueError, match="amplitude"):
             ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])], bad)
     # degenerate scales, edges, grids, centres and means
-    for tau, radius in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
-        with pytest.raises(ValueError, match="tau"):
+    for tau, radius, name in ((math.nan, 1.0, "tau"),
+                              (1.0, math.nan, "radius"),
+                              (math.inf, 1.0, "tau")):
+        with pytest.raises(ValueError, match=name):
             TruncatedGaussian(np.zeros(2), tau, radius)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="edges"):
@@ -502,8 +512,8 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs about 0.2 s at import; bathtub_check, its only
-    # user, imports it on call
+    # scipy.integrate costs about 0.2 s at import and nothing in the
+    # package needs it
     assert not _loaded_by_import("scipy.integrate")
 
 

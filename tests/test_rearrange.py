@@ -1,17 +1,11 @@
-"""Symmetric decreasing rearrangement and the bathtub comparison."""
-
-import math
+"""Symmetric decreasing rearrangement."""
 
 import numpy as np
 import pytest
 
 from igeolab.densities import (EllipsoidIndicator, ProductDensity,
                                RadialGridDensity, Step1D)
-from igeolab.geometry import unit_volume_radius
-from igeolab.rearrange import (LevelProfile, bathtub_check, level_profile,
-                               rearrangement)
-from igeolab.report import FAIL, PASS
-from igeolab.runner import report_row
+from igeolab.rearrange import LevelProfile, level_profile, rearrangement
 
 
 def bimodal(n=2):
@@ -112,55 +106,3 @@ def test_levelprofile_constructor_guards():
         LevelProfile(np.array([0.5, 1.0]), np.array([1.0, 2.0]))   # vols increasing
     with pytest.raises(ValueError):
         LevelProfile(np.array([0.5]), np.array([1.0]))             # too short
-
-
-# ---------------------------------------------------------------------------
-# bathtub comparison: profiles with the ball's moment spread mass outward
-
-
-def r_star(n):
-    return unit_volume_radius(n)
-
-
-def test_bathtub_equality_case():
-    n = 2
-    rn = r_star(n)
-    rep = bathtub_check(lambda r: 1.0 * (r <= rn), n, lambda r: r ** 2,
-                        upper=2.0 * rn)
-    assert rep.verdict == PASS
-    assert rep.ratio == pytest.approx(1.0, abs=1e-6)
-
-
-def test_bathtub_strict_for_spread_profile():
-    n = 2
-    rn = r_star(n)
-    r_wide = rn * 2.0 ** (1.0 / n)   # g = 1/2 on [0, r_wide] has the same moment
-    rep = bathtub_check(lambda r: 0.5 * (r <= r_wide), n, lambda r: r,
-                        upper=2.0 * r_wide)
-    assert rep.verdict == PASS
-    assert rep.lhs.value > rep.rhs.value * 1.01
-
-
-def test_bathtub_report_is_a_results_row():
-    n = 2
-    rn = r_star(n)
-    rep = bathtub_check(lambda r: 0.5 * (r <= rn * 2.0 ** 0.5), n,
-                        lambda r: r, upper=2.0 * rn)
-    row = report_row("bathtub", rep)
-    assert float(row["lhs"]) == rep.lhs.value > float(row["rhs"]) > 0.0
-    assert row["lhs_stderr"] == row["rhs_stderr"] == "0.0"
-    assert row["verdict"] == PASS
-
-
-def test_bathtub_fails_for_decreasing_weight():
-    n = 2
-    rn = r_star(n)
-    r_wide = rn * 2.0 ** (1.0 / n)
-    rep = bathtub_check(lambda r: 0.5 * (r <= r_wide), n,
-                        lambda r: 1.0 / (1.0 + r * r), upper=2.0 * r_wide)
-    assert rep.verdict == FAIL
-
-
-def test_bathtub_rejects_unnormalized_profile():
-    with pytest.raises(ValueError):
-        bathtub_check(lambda r: 1.0 * (r <= 0.1), 2, lambda r: r, upper=1.0)
