@@ -3,21 +3,20 @@
 A config file has one [run] section, any number of [density <name>]
 sections (inline specs or pointers to density text files), and any number
 of [check <label>] sections.  Every value is parsed as JSON, so strings
-are quoted and vectors/matrices are plain JSON arrays.  INI syntax errors,
-unknown check names, unknown or malformed fields and parameter maps
-violating a check's preconditions are rejected here, before any sampling
-happens.
+are quoted and vectors/matrices are plain JSON arrays.  Every problem is a
+ConfigError naming the section and field, raised before any sampling.
 
-A density section is read as the spec map it stands for: each field in
-the JSON shape it takes, handed to the family's constructor, which owns
-every rule on the parameters and names a broken one in a ParameterError.
-Config maps parameter names to fields and keeps two rules of its own:
-amplitudes are positive and the mass is positive and finite.
-
-Each check map is parsed once, by load_config, into the keyword arguments
-of its verify function (CheckJob.kwargs); running a check only calls it.
-Nothing here draws: a named map or a 'random' shift stays a name, and the
-invariance check draws it from its own generator.
+Config reads each field in the JSON shape it takes and names the field of
+every error; the rules on the values live with the code they guard.  A
+density section is read as the spec map it stands for and handed to the
+family's constructor; config keeps two rules of its own: amplitudes are
+positive and the mass is positive and finite.  A check map is parsed once,
+by load_config, into the keyword arguments of its verify function
+(CheckJob.kwargs) and handed to the check's rules function in verify.py.
+A ParameterError from either is a ConfigError on the field the parameter
+came from.  Running a check only calls it.  Nothing here draws: a named
+map or a 'random' shift stays a name, and the invariance check draws it
+from its own generator.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ import numpy as np
 from . import verify
 from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
                         ParameterError, ProductDensity, RadialGridDensity,
-                        Step1D, TruncatedGaussian, _volume_preserving,
-                        affine_image)
+                        Step1D, TruncatedGaussian, _volume_preserving)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
 
@@ -305,18 +303,17 @@ def read_density_text(text: str) -> DensityModel:
 
 
 # ---------------------------------------------------------------------------
-# Check schema.  Each check is declared once: its fields in parse order, its
-# cross-field preconditions, and the verify function that receives the
-# parsed fields as keyword arguments.  load_config parses every map once and
-# keeps the keywords on its CheckJob; run only calls the verify function.
+# Check schema.  Each check is declared once: its fields in parse order, each
+# read in its JSON shape, the verify function that receives them as keyword
+# arguments, and the rules function in verify.py that load_config calls on
+# them.  load_config keeps the keywords on its CheckJob; run only calls.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
 class _Values(dict):
-    """Verify keywords parsed so far, plus the configured densities that
-    field parsers look names up in."""
+    """Verify keywords parsed so far, and the configured densities."""
 
     def __init__(self, densities):
         super().__init__()
@@ -324,9 +321,7 @@ class _Values(dict):
 
     @property
     def n(self) -> int:
-        """Ambient dimension: the `n` field, else that of the densities."""
-        if "n" in self:
-            return self["n"]
+        """Ambient dimension of the densities."""
         return (self["f"] if "f" in self else self["f_list"][0]).n
 
 
@@ -342,28 +337,19 @@ class _Field:
     arg: str | None = None
 
 
-class _Reject(Exception):
-    """A failed cross-field precondition: (field, message)."""
-
-
-def _require(ok: bool, field_name: str, message: str):
-    if not ok:
-        raise _Reject(field_name, message)
-
-
 class _Check:
-    """One check: doc line, verify function name, fields, preconditions.
+    """One check: doc line, verify function name, fields, rules function.
 
     The verify function is looked up by name at each call, and `run` is a
     plain attribute holding one bound method, so a profiler can wrap
     either and put back the very same object.
     """
 
-    def __init__(self, doc, target, fields, pre=()):
+    def __init__(self, doc, target, fields, rules):
         self.doc = doc
         self.target = target
         self.fields = fields
-        self.pre = pre
+        self.rules = rules
         self.run = self._run
 
     def parse(self, params, densities, section) -> dict:
@@ -385,10 +371,13 @@ class _Check:
             except (ValueError, TypeError, ArithmeticError) as exc:
                 raise ConfigError(section, name, str(exc)) from exc
         try:
-            for rule in self.pre:
-                rule(v)
-        except _Reject as exc:
-            raise ConfigError(section, *exc.args) from exc
+            self.rules(**v)
+        except ParameterError as exc:
+            # the first field that sets the keyword
+            raise ConfigError(section, next(
+                (name for name, fld in self.fields.items()
+                 if (fld.arg or name) == exc.param), exc.param),
+                exc.message) from exc
         return dict(v)
 
     def _run(self, kwargs, rng):
@@ -397,15 +386,13 @@ class _Check:
 
 # Field parsers.
 
-def _number(raw, v=None, lo=None, hi=None, integer=False):
+def _number(raw, lo=None, hi=None, integer=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"must be a number, got {raw!r}")
     if isinstance(raw, float) and not math.isfinite(raw):
         raise ValueError(f"must be finite, got {raw!r}")
     if integer and int(raw) != raw:
         raise ValueError(f"must be an integer, got {raw!r}")
-    lo = lo(v) if callable(lo) else lo
-    hi = hi(v) if callable(hi) else hi
     if lo is not None and raw < lo:
         raise ValueError(f"must be >= {lo}, got {raw}")
     if hi is not None and raw > hi:
@@ -413,14 +400,12 @@ def _number(raw, v=None, lo=None, hi=None, integer=False):
     return int(raw) if integer else float(raw)
 
 
-def _int(lo, hi=None, default=_REQUIRED):
-    """Integer field; bounds are numbers or functions of the _Values."""
-    return _Field(lambda raw, v: _number(raw, v, lo, hi, integer=True),
-                  default)
+def _int(default=_REQUIRED):
+    return _Field(lambda raw, v: _number(raw, integer=True), default)
 
 
-def _real(lo=None, hi=None, default=_REQUIRED):
-    return _Field(lambda raw, v: _number(raw, v, lo, hi), default)
+def _real(default=_REQUIRED):
+    return _Field(lambda raw, v: _number(raw), default)
 
 
 def _finite(raw) -> np.ndarray:
@@ -446,11 +431,17 @@ def _densities(raw, v):
     return out
 
 
+def _numbers(raw, v):
+    if not isinstance(raw, list):
+        raise ValueError("must be a list of numbers")
+    return [_number(x) for x in raw]
+
+
 def _powers(raw, v):
     """spec_p: one integrability power per density, a number or "inf"."""
     if not isinstance(raw, list) or not raw:
         raise ValueError("must be a nonempty list")
-    ps = tuple(math.inf if p == "inf" else _number(p, v) for p in raw)
+    ps = tuple(math.inf if p == "inf" else _number(p) for p in raw)
     if min(ps) <= 0.0:
         raise ValueError(f"powers must be positive (or \"inf\"), got {raw}")
     return ps
@@ -460,7 +451,7 @@ def _exponent_spec(raw, v):
     """spec_alpha: outer exponents, completing the spec_p powers."""
     if not isinstance(raw, list) or len(raw) != len(v["spec"]):
         raise ValueError("must be a list as long as spec_p")
-    return ExponentSpec(v["spec"], tuple(_number(a, v) for a in raw))
+    return ExponentSpec(v["spec"], tuple(_number(a) for a in raw))
 
 
 def _map(raw, v):
@@ -501,30 +492,9 @@ def _subspace(raw, v):
     raise ValueError("must be an axis list or an n x k basis")
 
 
-def _eta(raw, v):
-    """Perturbation radius in (0, 2), the range perturb_subspace draws in."""
-    eta = _number(raw, v)
-    if not 0.0 < eta < 2.0:
-        raise ValueError(f"must lie in (0, 2), got {raw}")
-    return eta
-
-
-def _radii(raw, v):
-    radii = [_number(e, v) for e in raw] if isinstance(raw, list) else []
-    if not radii or min(radii) <= 0.0:
-        raise ValueError("must be a nonempty list of positive radii")
-    return radii
-
-
 def _flag(raw, v=None):
     if not isinstance(raw, bool):
         raise ValueError(f"must be true or false, got {raw!r}")
-    return raw
-
-
-def _case(raw, v):
-    if raw not in ("cone", "simplex"):
-        raise ValueError("must be 'cone' or 'simplex'")
     return raw
 
 
@@ -533,110 +503,12 @@ def _method(raw, v):
     if raw == "exact":
         return raw
     if isinstance(raw, list) and len(raw) == 2 and raw[0] == "mc":
-        return "mc", _number(raw[1], v, lo=2, integer=True)
+        return "mc", _number(raw[1], lo=2, integer=True)
     raise ValueError(f'must be "exact" or ["mc", N], got {raw!r}')
-
-
-# Cross-field preconditions.
-
-def _q_at_most_k(v):
-    q, k = len(v["f_list"]), v["k"]
-    _require(q <= k, "densities", f"need 1 <= q <= k, got q={q} k={k}")
-
-
-def _slot_per_density(v):
-    _require(len(v["spec"]) == len(v["f_list"]), "spec_p",
-             "one exponent slot per density required")
-
-
-def _bounded(v):
-    name, fl = ("density", [v["f"]]) if "f" in v \
-        else ("densities", v["f_list"])
-    _require(all(np.isfinite(f.support_radius) for f in fl), name,
-             "flat averages need bounded supports")
-
-
-def _direct_budget(v):
-    _require(v["p"] == 0.0 or v["n_direct"] >= 4, "n_direct",
-             "offset exponents need n_direct >= 4 (two replicas of >= 2)")
-
-
-def _unit_mass(v):
-    _require(abs(v["f"].mass - 1.0) <= 1e-9, "density",
-             "must be a probability density (unit mass); "
-             "set normalize = true")
-
-
-def _offset_exponent(v):
-    p = v["p"]
-    _require(p == 0.0 or p >= 1.0, "p", "offset exponent must be 0 or >= 1")
-    _require(v["k"] < v.n or p == 0.0, "k", "offset exponents need k <= n-1")
-
-
-def _window_covers_support(v):
-    radius = v["f"].support_radius
-    _require(radius <= v["R"] + 1e-9, "R",
-             f"support radius {radius:.4g} exceeds window {v['R']}")
-
-
-def _rearrangeable(v):
-    fl, case = v["f_list"], v["case"]
-    limit = v.n if case == "cone" else v.n + 1
-    _require(len(fl) <= limit, "densities",
-             f"at most {limit} densities for case {case!r}")
-    _require(all(f.superlevel_volumes([f.sup / 2]) is not None for f in fl),
-             "densities", "rearrangement needs exact level profiles")
-
-
-def _stand_in(g, n: int):
-    """A map of the kind g names, for affine_image to tell the family of an
-    image by without drawing g: the identity for 'rotation', a unit upper
-    triangular shear for 'shear', and a nonzero shift for 'random'."""
-    a_mat, shift = g if isinstance(g, tuple) else (g, None)
-    if isinstance(a_mat, str):
-        a_mat = np.eye(n) if a_mat == "rotation" \
-            else np.eye(n) + np.triu(np.ones((n, n)), 1)
-    return a_mat, np.ones(n) if isinstance(shift, str) else shift
-
-
-def _readable(field_name, dim=lambda v: v["k"]):
-    """Precondition: the check can read the sections of dimension dim(v)
-    it asks for.  Monte Carlo ones (method ["mc", N]) sample a window about
-    a bounded support; exact ones need a closed form for every density and
-    for its image under the check's map."""
-    def rule(v):
-        hint = '; use method ["mc", N]' if "method" in v else ""
-        for f in [v["f"]] if "f" in v else v["f_list"]:
-            if v.get("method", "exact") != "exact":
-                _require(np.isfinite(f.support_radius), "method",
-                         "Monte Carlo section stats need bounded supports")
-                continue
-            image = affine_image(f, _stand_in(v["g"], v.n)) if "g" in v else f
-            for model, where in ((f, ""), (image, " under this map")):
-                _require(model.exact_sections(dim(v)), field_name,
-                         f"{type(f).__name__}{where} has no closed-form "
-                         f"sections of dimension {dim(v)}{hint}")
-    return rule
-
-
-def _dim_k(arg, field_name):
-    """Precondition: the subspace under verify keyword arg, when given, has
-    dimension k."""
-    def rule(v):
-        sub, k = v[arg], v["k"]
-        if sub is not None:
-            _require(sub.k == k, field_name,
-                     f"dimension {sub.k} does not match k={k}")
-    return rule
 
 
 _DENSITY = _Field(_density, arg="f")
 _DENSITIES = _Field(_densities, arg="f_list")
-_K_UP_TO_N = _int(1, lambda v: v.n)
-_K = _int(1, lambda v: v.n - 1)
-_BUDGET = _int(2)
-# a budget split into two replicas of at least 2 samples each
-_SPLIT_BUDGET = _int(4)
 _SPEC_P = _Field(_powers, arg="spec")
 _SPEC_ALPHA = _Field(_exponent_spec, arg="spec")
 _MAP = _Field(_map, default="rotation", arg="g")
@@ -647,77 +519,72 @@ CHECKS: dict[str, _Check] = {
     "bp_subspace": _Check(
         "simplex-moment decomposition over linear sections",
         "check_bp_subspace",
-        {"densities": _DENSITIES, "k": _K_UP_TO_N,
-         "p": _real(0.0, default=0.0), "n_direct": _SPLIT_BUDGET,
-         "n_subspaces": _SPLIT_BUDGET, "inner": _int(1, default=256)},
-        [_q_at_most_k, _readable("densities")]),
+        {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
+         "n_direct": _int(), "n_subspaces": _int(), "inner": _int(256)},
+        verify._bp_subspace_rules),
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
         "check_bp_flat",
-        {"density": _DENSITY, "k": _K_UP_TO_N, "p": _real(0.0, default=0.0),
-         "R": _real(0.0), "n_direct": _int(0, default=0),
-         "n_flats": _SPLIT_BUDGET, "inner": _int(1, default=256)},
-        [_offset_exponent, _direct_budget, _window_covers_support,
-         _readable("density")]),
+        {"density": _DENSITY, "k": _int(), "p": _real(0.0), "R": _real(),
+         "n_direct": _int(0), "n_flats": _int(), "inner": _int(256)},
+        verify._bp_flat_rules),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
         "check_linear_invariance",
-        {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
-         "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _BUDGET,
+        {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
+         "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _int(),
          "method": _METHOD},
-        [_slot_per_density, _readable("method")]),
+        verify._linear_invariance_rules),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
         "check_affine_invariance",
-        {"densities": _DENSITIES, "k": _K, "spec_p": _SPEC_P,
+        {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
          "shift": _Field(_shift, default="random", arg="g"),
-         "R": _real(0.0), "n_flats": _BUDGET, "method": _METHOD},
-        [_slot_per_density, _bounded, _readable("method")]),
+         "R": _real(), "n_flats": _int(), "method": _METHOD},
+        verify._affine_invariance_rules),
     "rearrangement_chain": _Check(
         "simplex functional vs rearranged and ball inputs",
         "check_rearrangement_monotonicity",
-        {"densities": _DENSITIES, "p": _real(1.0),
-         "case": _Field(_case, default="cone"), "n_samples": _BUDGET,
-         "levels": _int(2, default=1000)},
-        [_rearrangeable]),
+        {"densities": _DENSITIES, "p": _real(),
+         "case": _Field(lambda raw, v: raw, default="cone"),
+         "n_samples": _int(), "levels": _int(1000)},
+        verify._rearrangement_rules),
     "grinberg_functional": _Check(
         "L1/sup section-norm average inequality",
         "check_grinberg_functional",
-        {"densities": _DENSITIES, "k": _K,
-         "p": _real(0.0, lambda v: v.n - v["k"], default=0.0),
-         "n_subspaces": _BUDGET, "method": _METHOD,
+        {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
+         "n_subspaces": _int(), "method": _METHOD,
          "expect_equality": _EQUALITY},
-        [_q_at_most_k, _readable("method")]),
+        verify._grinberg_rules),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of radius "
         "max(R, support radius)",
         "check_schneider_functional",
-        {"density": _DENSITY, "k": _K, "R": _real(0.0, default=0.0),
-         "n_flats": _BUDGET, "method": _METHOD,
+        {"density": _DENSITY, "k": _int(), "R": _real(0.0),
+         "n_flats": _int(), "method": _METHOD,
          "expect_equality": _EQUALITY},
-        [_bounded, _readable("method")]),
+        verify._schneider_rules),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",
         "marginal_bound_experiment",
-        {"density": _DENSITY, "k": _K, "s": _real(1.0 + 1e-9),
-         "t": _real(1.0 + 1e-9), "n_subspaces": _BUDGET, "n_x": _BUDGET,
+        {"density": _DENSITY, "k": _int(), "s": _real(), "t": _real(),
+         "n_subspaces": _int(), "n_x": _int(),
          "adversarial": _Field(_subspace, default=None)},
-        [_unit_mass, _dim_k("adversarial", "adversarial"),
-         _readable("density", lambda v: v.n - v["k"])]),
+        verify._marginal_bound_rules),
     "gaussian_sharpness": _Check(
         "skewed-Gaussian sharpness of the marginal sup bound",
         "gaussian_sharpness_experiment",
-        {"n": _int(2), "k": _K,
-         "s": _real(1.0, lambda v: (2 * math.pi) ** (v.n / (2.0 * v["k"]))),
-         "n_subspaces": _BUDGET}),
+        {"n": _int(), "k": _int(), "s": _real(), "n_subspaces": _int()},
+        verify._sharpness_rules),
     "perturbation": _Check(
         "nearby subspace with near-optimal small-ball mass",
         "perturbation_experiment",
-        {"density": _DENSITY, "k": _K, "subspace": _Field(_subspace, arg="E"),
-         "eta": _Field(_eta), "eps_grid": _Field(_radii),
-         "n_samples": _BUDGET, "n_candidates": _int(1, default=32)},
-        [_unit_mass, _dim_k("E", "subspace")]),
+        {"density": _DENSITY, "k": _int(),
+         "subspace": _Field(_subspace, arg="E"), "eta": _real(),
+         "eps_grid": _Field(_numbers), "n_samples": _int(),
+         "n_candidates": _int(32)},
+        verify._perturbation_rules),
 }
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "RadialGridDensity",
     "Step1D",
     "affine_image",
+    "closed_form_image",
     "section_stats",
     "section_points",
     "restriction_stats",
@@ -113,8 +114,9 @@ class DensityModel:
 
 
 class ParameterError(ValueError):
-    """A constructor parameter, named as the caller passed it, that breaks
-    a rule of its family; message says which."""
+    """A parameter, named as the caller passed it, that breaks a rule: of
+    a density family (constructor parameters) or of a check (verify
+    keywords); message says which."""
 
     def __init__(self, param: str, message: str):
         self.param, self.message = param, message
@@ -874,9 +876,16 @@ def affine_image(f: DensityModel, g) -> DensityModel:
     """Image density of f under the volume-preserving affine map (A, b).
 
     Requires |det A| = 1 within DET_TOL.  Families closed under the map are
-    transformed in closed form; everything else gets a pushforward wrapper
-    with identical mass and sup and a pushforward sampler.
+    transformed in closed form (closed_form_image); everything else gets a
+    pushforward wrapper with identical mass and sup and a pushforward sampler.
     """
+    image = closed_form_image(f, g)
+    return image if image is not None else PushforwardDensity(
+        f, g[0], np.zeros(f.n) if g[1] is None else g[1])
+
+
+def closed_form_image(f: DensityModel, g) -> DensityModel | None:
+    """affine_image(f, g) when f's family is closed under g, else None."""
     a_mat, b_vec = g
     a_mat = _volume_preserving(a_mat)
     b_vec = np.zeros(f.n) if b_vec is None else np.asarray(b_vec, dtype=float)
@@ -893,7 +902,7 @@ def affine_image(f: DensityModel, g) -> DensityModel:
     if isinstance(f, RadialGridDensity) and _is_orthogonal(a_mat) \
             and np.allclose(b_vec, 0.0):
         return f
-    return PushforwardDensity(f, a_mat, b_vec)
+    return None
 
 
 def _volume_preserving(matrix) -> np.ndarray:

@@ -4,7 +4,10 @@ Each function turns one statement into a reproducible experiment with an
 explicit decision rule and returns a CheckReport.  The statements come in
 linear/affine pairs, and each pair shares one driver (_decomposition_report,
 _invariance_report, _bound_report); a check states only its frame sampler,
-its ambient side and its parameters.  Conventions, fixed across the module:
+its ambient side and its parameters.  Every rule on a check's parameters
+lives in one rules function beside it, which raises ParameterError naming
+the keyword; the check calls it before it draws anything, and load_config
+calls it on each parsed check map.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
@@ -29,8 +32,8 @@ from .geometry import Dimensions, bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _spd_solve, _tuple_volumes
 from .grassmann import Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to, sample_subspace
-from .densities import DensityModel, EllipsoidIndicator, affine_image, \
-    section_points, section_stats
+from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
+    affine_image, closed_form_image, section_points, section_stats
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
     affine_average_I, delta0_p, delta_p
 from .rearrange import rearrangement
@@ -78,6 +81,43 @@ def _spec_params(spec: ExponentSpec) -> dict:
 def _heavy_tailed(*ests: Estimate) -> bool:
     return any(e.tail_share is not None and e.tail_share >= TAIL_LIMIT
                for e in ests)
+
+
+def _need(ok: bool, param: str, message: str):
+    """A rule of a check: ParameterError(param, message) unless ok."""
+    if not ok:
+        raise ParameterError(param, message)
+
+
+def _at_least(lo: int, **counts):
+    for param, count in counts.items():
+        _need(count >= lo, param, f"must be >= {lo}, got {count}")
+
+
+def _k_up_to(k: int, top: int):
+    _need(1 <= k <= top, "k", f"must lie in [1, {top}], got {k}")
+
+
+def _unit_mass(f: DensityModel):
+    _need(abs(f.mass - 1.0) <= 1e-9, "f",
+          "must be a probability density (unit mass); set normalize = true")
+
+
+def _readable(f_list, dim: int, param: str, method="exact", g=None):
+    """Rule: the check can read its sections of dimension dim.  Monte Carlo
+    ones sample a window about a bounded support; exact ones need a closed
+    form for every density and its image under g = (map, shift), if any."""
+    hint = '; use method ["mc", N]' if param == "method" else ""
+    for f in f_list:
+        if method != "exact":
+            _need(np.isfinite(f.support_radius), "method",
+                  "Monte Carlo section stats need bounded supports")
+            continue
+        image = f if g is None else closed_form_image(f, _stand_in(g, f.n))
+        for model, where in ((f, ""), (image, " under this map")):
+            _need(model is not None and model.exact_sections(dim), param,
+                  f"{type(f).__name__}{where} has no exact sections of "
+                  f"dimension {dim}{hint}")
 
 
 def _blocked(m: int, rows: int, fill) -> np.ndarray:
@@ -168,6 +208,17 @@ def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
         })
 
 
+def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
+    _k_up_to(k, f_list[0].n)
+    _need(p >= 0.0, "p", f"must be >= 0, got {p}")
+    # each budget splits into two replicas of at least 2 samples
+    _at_least(4, n_direct=n_direct, n_subspaces=n_subspaces)
+    _at_least(1, inner=inner)
+    _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
+    if k < f_list[0].n:     # the one section at k = n is never read
+        _readable(f_list, k, "f_list")
+
+
 def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
                       n_subspaces: int, rng: np.random.Generator,
                       inner: int = 256) -> CheckReport:
@@ -181,6 +232,7 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     verdict requires two independent replicas to agree on the fit within
     3 combined stderr.
     """
+    _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner)
     n = f_list[0].n
     q = len(f_list)
     count = n_subspaces // 2
@@ -192,7 +244,7 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
         if k == n:
             # single degenerate section: the decomposition collapses to the
             # direct integral itself
-            return delta0_p(f_list, p, count * max(inner, 1), stream)
+            return delta0_p(f_list, p, count * inner, stream)
         return _section_route(f_list, subspaces, count, inner, p + (n - k),
                               True, stream)
 
@@ -202,6 +254,20 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
         Dimensions(n, k, q),
         lambda half: delta0_p(f_list, p, n_direct // 2, half.spawn(1)[0]),
         route, rng)
+
+
+def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
+    _k_up_to(k, f.n)
+    _need(p == 0.0 or p >= 1.0, "p", f"must be 0 or >= 1, got {p}")
+    _need(k < f.n or p == 0.0, "k", "offset exponents need k <= n-1")
+    _need(0.0 <= R and f.support_radius <= R + 1e-9, "R", f"must cover "
+          f"the support radius {f.support_radius:.4g}, got {R}")
+    _need(n_direct >= (4 if p else 0), "n_direct", "must be >= 0, and >= 4 "
+          f"(two replicas of >= 2) with an offset exponent; got {n_direct}")
+    _at_least(4, n_flats=n_flats)
+    _at_least(1, inner=inner)
+    if k < f.n:             # the one flat at k = n is never read
+        _readable([f], k, "f")
 
 
 def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
@@ -214,13 +280,8 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     the invariant flat measure; positive offsets exercise the weighted
     version.  Constant handling as in check_bp_subspace.
     """
+    _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
     n = f.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
-    if f.support_radius > R + 1e-9:
-        raise ValueError("support must fit inside the flat window")
-    if p != 0.0 and p < 1.0:
-        raise ValueError("offset exponent must be 0 or >= 1")
     dims = Dimensions(n, k, k)
     printed = bp_constant(dims)
     parameters = {"n": n, "k": k, "q": k, "p": p, "R": R,
@@ -236,8 +297,6 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
                          "fitted_constant": 1.0,
                          "fitted_over_printed": 1.0 / printed,
                          "degenerate": True})
-    if k == n:
-        raise ValueError("offset exponents need k <= n-1")
 
     def ambient(half):
         if p == 0.0:
@@ -294,24 +353,44 @@ def _images(f_list, g) -> list:
     return [mapped[id(f)] for f in f_list]
 
 
-def _drawn_map(a, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The matrix a, or 'rotation' (Haar on SO(n)) or 'shear' (unit upper
-    triangular, off-diagonal entries of size 0.5 to 1.5, bounded away from
-    zero so the non-invariance controls keep their power) drawn from rng."""
+def _drawn_map(g, n: int, rng: np.random.Generator):
+    """The map (A, b) of g = (map, shift) drawn from rng: the map first, a
+    matrix, 'rotation' (Haar on SO(n)) or 'shear' (unit upper triangular,
+    off-diagonal entries of size 0.5 to 1.5, bounded away from zero so the
+    non-invariance controls keep their power), then a 'random' shift."""
+    a, shift = g
     name = a if isinstance(a, str) else None
     if name == "rotation":
         q_mat, r_mat = np.linalg.qr(rng.normal(size=(n, n)))
         q_mat *= np.sign(np.diagonal(r_mat))
         if np.linalg.det(q_mat) < 0:
             q_mat[:, 0] = -q_mat[:, 0]
-        return q_mat
-    if name == "shear":
-        mat = np.eye(n)
+        a = q_mat
+    elif name == "shear":
+        a = np.eye(n)
         iu = np.triu_indices(n, k=1)
         m = len(iu[0])
-        mat[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
-        return mat
-    return np.asarray(a, dtype=float)
+        a[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
+    if isinstance(shift, str):
+        shift = 0.5 * rng.normal(size=n)
+    return np.asarray(a, dtype=float), shift
+
+
+def _stand_in(g, n: int):
+    """A map of the kind g names, whose images are of the families of
+    _drawn_map's, drawing nothing: the identity for 'rotation', a unit upper
+    triangular shear for 'shear', and a nonzero shift for 'random'."""
+    a, shift = g
+    if isinstance(a, str):
+        a = np.eye(n) + np.triu(np.ones((n, n)), 1) * (a == "shear")
+    return a, np.ones(n) if isinstance(shift, str) else shift
+
+
+def _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method):
+    _k_up_to(k, f_list[0].n - 1)
+    _need(len(spec) == len(f_list), "spec", "needs one slot per density")
+    _at_least(2, n_subspaces=n_subspaces)
+    _readable(f_list, k, "method", method, (g, None))
 
 
 def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
@@ -326,12 +405,13 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     'shear' / 'rotation' drawn from child 0 of rng; the two averages draw
     from children 1 and 2.
     """
+    _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method)
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
-    g = _drawn_map(g, n, maps)
+    g = _drawn_map((g, None), n, maps)
     before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
                                  method)
-    images = _images(f_list, (g, None))
+    images = _images(f_list, g)
     after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
                                 method)
     return _invariance_report(
@@ -339,6 +419,16 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
         {"n": n, "k": k, **_spec_params(spec), "n_subspaces": n_subspaces,
          "method": method},
         spec, n, before, after)
+
+
+def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
+    _k_up_to(k, f_list[0].n - 1)
+    _need(len(spec) == len(f_list), "spec", "needs one slot per density")
+    _need(R >= 0.0, "R", f"must be >= 0, got {R}")
+    _at_least(2, n_flats=n_flats)
+    _need(all(np.isfinite(f.support_radius) for f in f_list), "f_list",
+          "flat averages need bounded supports")
+    _readable(f_list, k, "method", method, g)
 
 
 def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
@@ -353,16 +443,14 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     (normal with scale 1/2); child 0 of rng draws the map, then the
     shift, and the two averages draw from children 1 and 2.
     """
+    _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method)
     n = f_list[0].n
-    a_mat, shift = g
     maps, *streams = rng.spawn(3)
-    a_mat = _drawn_map(a_mat, n, maps)
-    if isinstance(shift, str) and shift == "random":
-        shift = 0.5 * maps.normal(size=n)
+    g = _drawn_map(g, n, maps)
     r_before = max(R, max(f.support_radius for f in f_list))
     before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0],
                               method)
-    images = _images(f_list, (a_mat, shift))
+    images = _images(f_list, g)
     r_after = max(R, max(f.support_radius for f in images))
     after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
                              method)
@@ -393,6 +481,18 @@ def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
     return power_estimate(est, 1.0 / p)
 
 
+def _rearrangement_rules(f_list, p, case, n_samples, levels):
+    _need(p >= 1.0, "p", f"must be >= 1, got {p}")
+    _need(case in ("cone", "simplex"), "case",
+          f"must be 'cone' or 'simplex', got {case!r}")
+    _at_least(2, n_samples=n_samples, levels=levels)
+    limit = f_list[0].n + (case == "simplex")
+    _need(len(f_list) <= limit, "f_list",
+          f"at most {limit} densities for case {case!r}")
+    _need(all(f.superlevel_volumes([f.sup / 2]) is not None for f in f_list),
+          "f_list", "rearrangement needs exact level profiles")
+
+
 def check_rearrangement_monotonicity(f_list, p: float, case: str,
                                      n_samples: int,
                                      rng: np.random.Generator,
@@ -405,17 +505,10 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     value.  case "cone" spans the simplex by q draws and the origin; case
     "simplex" uses the drawn points alone.
     """
-    if case not in ("cone", "simplex"):
-        raise ValueError(f"case must be 'cone' or 'simplex', got {case!r}")
-    if p < 1.0:
-        raise ValueError("need p >= 1")
+    _rearrangement_rules(f_list, p, case, n_samples, levels)
     origin = case == "cone"
     n = f_list[0].n
     q = len(f_list)
-    if origin and q > n:
-        raise ValueError("cone case needs at most n densities")
-    if not origin and q > n + 1:
-        raise ValueError("simplex case needs at most n+1 densities")
     normalized = all(abs(f.mass - 1.0) <= 1e-9 and f.sup <= 1.0 + 1e-9
                      for f in f_list)
     streams = rng.spawn(3)
@@ -468,6 +561,15 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
                      "tail_share": lhs.tail_share})
 
 
+def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
+    n = f_list[0].n
+    _k_up_to(k, n - 1)
+    _need(0.0 <= p <= n - k, "p", f"must lie in [0, {n - k}], got {p}")
+    _at_least(2, n_subspaces=n_subspaces)
+    _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
+    _readable(f_list, k, "method", method)
+
+
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
                               rng: np.random.Generator, method="exact",
                               expect_equality: bool = False) -> CheckReport:
@@ -480,12 +582,9 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     verdict to the two-sided band (indicator-of-ball and common-ellipsoid
     tuples).
     """
+    _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality)
     n = f_list[0].n
     q = len(f_list)
-    if not 1 <= q <= k <= n - 1:
-        raise ValueError(f"need 1 <= q <= k <= n-1, got q={q} k={k} n={n}")
-    if not 0 <= p <= n - k:
-        raise ValueError(f"need 0 <= p <= n-k, got p={p}")
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
@@ -501,6 +600,14 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
         lhs, Estimate.exact(math.exp(log_rhs)), expect_equality)
 
 
+def _schneider_rules(f, k, R, n_flats, method, expect_equality):
+    _k_up_to(k, f.n - 1)
+    _need(R >= 0.0, "R", f"must be >= 0, got {R}")
+    _at_least(2, n_flats=n_flats)
+    _need(np.isfinite(f.support_radius), "f", "needs a bounded support")
+    _readable([f], k, "method", method)
+
+
 def check_schneider_functional(f: DensityModel, k: int, R: float,
                                n_flats: int, rng: np.random.Generator,
                                method="exact",
@@ -513,9 +620,8 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
     mass^(k+1).  Ball and shifted-ellipsoid indicators sit in the equality
     case.
     """
+    _schneider_rules(f, k, R, n_flats, method, expect_equality)
     n = f.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
     window = max(R, f.support_radius)
     lhs = affine_average_I([f, f], spec, k, window, n_flats, rng, method)
@@ -562,6 +668,19 @@ def _fit_quantile_constant(values: np.ndarray, s: float, kn: int) -> float:
     return max(q, 0.0) ** (1.0 / kn) / s
 
 
+def _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial):
+    n = f.n
+    _k_up_to(k, n - 1)
+    _need(s > 1.0, "s", f"must be > 1, got {s}")
+    _need(t > 1.0, "t", f"must be > 1, got {t}")
+    _at_least(2, n_subspaces=n_subspaces, n_x=n_x)
+    _unit_mass(f)
+    if adversarial is not None:
+        _need((adversarial.n, adversarial.k) == (n, k), "adversarial", f"is "
+              f"{adversarial.k}-dimensional in R^{adversarial.n}, not k={k}")
+    _readable([f], n - k, "f")
+
+
 def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
                               n_subspaces: int, n_x: int,
                               rng: np.random.Generator,
@@ -579,13 +698,8 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     envelopes; an adversarial subspace, when supplied, must land in the
     exceptional set.
     """
+    _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial)
     n = f.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
-    if s <= 1.0 or t <= 1.0:
-        raise ValueError("need s > 1 and t > 1")
-    if abs(f.mass - 1.0) > 1e-9:
-        raise ValueError("f must be a probability density (unit mass)")
     kn = k * n
     sup_root = f.sup ** (1.0 / n)
     streams = rng.spawn(n_subspaces + 1)
@@ -682,6 +796,14 @@ def _axis_measure(n: int, k: int, s: float, normal: bool) -> float:
     return float(betainc((n - 1) / 2, 0.5, 1.0 - min(max(x, 0.0), 1.0)))
 
 
+def _sharpness_rules(n, k, s, n_subspaces):
+    _need(n >= 2, "n", f"must be >= 2, got {n}")
+    _k_up_to(k, n - 1)
+    top = (2 * math.pi) ** (n / (2.0 * k))   # sigma^-1
+    _need(1.0 <= s <= top, "s", f"must lie in [1, {top:.6g}], got {s}")
+    _at_least(2, n_subspaces=n_subspaces)
+
+
 def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
                                   rng: np.random.Generator) -> CheckReport:
     """Measure of sections where the skewed Gaussian marginal sup is large.
@@ -710,11 +832,8 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     diagnostics carry the exact measure as exact_measure (see
     _axis_measure; None for 1 < k < n-1 unless the event is empty).
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
+    _sharpness_rules(n, k, s, n_subspaces)
     sigma2 = (2 * math.pi) ** (-n / k)
-    if not 1.0 <= s <= sigma2 ** -0.5:
-        raise ValueError(f"need 1 <= s <= sigma^-1 = {sigma2 ** -0.5:.4g}")
     diag = np.concatenate([np.full(k, sigma2), np.ones(n - k)])
     # event: (2 pi)^(-1/2) det(B^T D B)^(-1/(2k)) >= s
     log_cut = -k * math.log(2 * math.pi) - 2 * k * math.log(s)
@@ -746,21 +865,13 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
 
     # cut < min det(B^T D B) = sigma^(2k): no subspace can hit
     empty = log_cut < k * math.log(sigma2)
-    if empty:
-        if n_subspaces < 2:
-            raise ValueError("need at least 2 samples")
-        emp = Estimate.exact(0.0)
-    else:
-        emp = mc_estimate(draw, n_subspaces, rng)
+    emp = Estimate.exact(0.0) if empty else mc_estimate(draw, n_subspaces, rng)
     bound = (2.0 * s) ** (-k * (n - k))
     passed = emp.value >= bound - 3.0 * emp.stderr
     fitted_factor = (emp.value ** (-1.0 / (k * (n - k))) / s
                      if emp.value > 0 else math.inf)
-    exact = None
-    if empty:
-        exact = 0.0
-    elif k == 1 or k == n - 1:
-        exact = _axis_measure(n, k, s, normal=k > 1)
+    exact = 0.0 if empty else _axis_measure(n, k, s, normal=k > 1) \
+        if k in (1, n - 1) else None
     return CheckReport(
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
@@ -780,6 +891,19 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         })
 
 
+def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):
+    n = f.n
+    _k_up_to(k, n - 1)
+    _need((E.n, E.k) == (n, k), "E",
+          f"is {E.k}-dimensional in R^{E.n}, not k={k}")
+    _need(0.0 < eta < 2.0, "eta", f"must lie in (0, 2), got {eta}")
+    _need(len(eps_grid) > 0 and min(eps_grid) > 0, "eps_grid",
+          "must be a nonempty list of positive radii")
+    _at_least(2, n_samples=n_samples)
+    _at_least(1, n_candidates=n_candidates)
+    _unit_mass(f)
+
+
 def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
                             eps_grid, n_samples: int,
                             rng: np.random.Generator,
@@ -792,12 +916,9 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
     the origin and at one sampled center.  Passes when the best candidate's
     fitted c is O(1), i.e. at most 10.
     """
+    _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates)
     n = f.n
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise ValueError("eps_grid must be positive")
-    if abs(f.mass - 1.0) > 1e-9:
-        raise ValueError("f must be a probability density (unit mass)")
     draws = f.sample(n_samples, rng)
     exponent = (n + 1) / (k * n)
     sup_root = f.sup ** (1.0 / n)

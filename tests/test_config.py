@@ -12,11 +12,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from igeolab import config
+from igeolab import config, verify
 from igeolab.config import ConfigError, build_density, load_config
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
-                               RadialGridDensity, TruncatedGaussian)
+                               RadialGridDensity, Step1D, TruncatedGaussian)
+from igeolab.functionals import ExponentSpec
+from igeolab.grassmann import Subspace
 
 
 def write_config(tmp_path, body):
@@ -277,6 +279,15 @@ MARGINAL = {"check": '"marginal_bound"', "density": '"unit"', "k": "1",
 PERTURBATION = {"check": '"perturbation"', "density": '"unit"', "k": "1",
                 "subspace": "[0]", "eta": "0.5", "eps_grid": "[0.1]",
                 "n_samples": "100"}
+AFFINE = {"check": '"affine_invariance"', "densities": '["ball"]', "k": "1",
+          "spec_p": "[1.0]", "spec_alpha": "[3.0]", "map": '"shear"',
+          "R": "1.0", "n_flats": "8"}
+REARRANGEMENT = {"check": '"rearrangement_chain"', "densities": '["unit"]',
+                 "p": "1.0", "n_samples": "100"}
+SCHNEIDER = {"check": '"schneider_functional"', "density": '"ball"',
+             "k": "1", "n_flats": "8"}
+SHARPNESS = {"check": '"gaussian_sharpness"', "n": "3", "k": "1", "s": "1.5",
+             "n_subspaces": "8"}
 
 
 def check_section(fields):
@@ -347,6 +358,15 @@ def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert (err.value.section, err.value.field) == ("check bad", field_name)
+
+
+@pytest.mark.parametrize("base, key", [(BP_SUBSPACE, "densities"),
+                                       (BP_FLAT, "density")])
+def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
+    # at k = n no section is read, so no exact sections are asked for
+    box = '["box"]' if key == "densities" else '"box"'
+    load_config(write_config(tmp_path, check_section(
+        {**base, key: box, "k": "3"})))
 
 
 @pytest.mark.parametrize("fields, field_name", [
@@ -584,6 +604,208 @@ def test_degenerate_inputs_rejected_by_both_entry_points(name):
     with pytest.raises(ConfigError) as err:
         build_density(spec)
     assert (err.value.section, err.value.field) == ("density", field_name)
+
+
+# The densities of check_section, built in Python.
+BALL = EllipsoidIndicator.ball(2)
+UNIT = BALL.scaled(1.0 / BALL.mass)
+GAUSS = GaussianDensity(np.zeros(2), np.eye(2))
+BOX = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0])] * 3)
+TRUNC = TruncatedGaussian.normalized(np.zeros(2), 1.0, 1.0)
+SPEC = ExponentSpec((1.0,), (2.0,))
+LINE = Subspace(np.eye(2)[:, :1])
+
+# Check rules, each checked through both entry points: the verify call
+# (rng last), the keyword its ParameterError names, the base map and the
+# change to it that asks load_config for the same check, and the field its
+# ConfigError names, whose message must be the ParameterError's.
+RULES = {
+    "bp-subspace-zero-inner": (
+        lambda r: verify.check_bp_subspace([BALL], 1, 1.0, 8, 8, r, 0),
+        "inner", BP_SUBSPACE, {"inner": "0"}, "inner"),
+    "bp-subspace-negative-p": (
+        lambda r: verify.check_bp_subspace([BALL], 1, -0.5, 8, 8, r, 4),
+        "p", BP_SUBSPACE, {"p": "-0.5"}, "p"),
+    "bp-subspace-k-above-n": (
+        lambda r: verify.check_bp_subspace([BALL], 3, 1.0, 8, 8, r, 4),
+        "k", BP_SUBSPACE, {"k": "3"}, "k"),
+    "bp-subspace-direct-3": (
+        lambda r: verify.check_bp_subspace([BALL], 1, 1.0, 3, 8, r, 4),
+        "n_direct", BP_SUBSPACE, {"n_direct": "3"}, "n_direct"),
+    "bp-subspace-q-above-k": (
+        lambda r: verify.check_bp_subspace([BALL, BALL], 1, 1.0, 8, 8, r, 4),
+        "f_list", BP_SUBSPACE, {"densities": '["ball", "ball"]'},
+        "densities"),
+    "bp-subspace-product-plane": (
+        lambda r: verify.check_bp_subspace([BOX], 2, 1.0, 8, 8, r, 4),
+        "f_list", BP_SUBSPACE, {"densities": '["box"]', "k": "2"},
+        "densities"),
+    "bp-flat-zero-inner": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1.0, r, inner=0),
+        "inner", BP_FLAT, {"inner": "0"}, "inner"),
+    "bp-flat-flats-3": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 3, 1.0, r, inner=4),
+        "n_flats", BP_FLAT, {"n_flats": "3"}, "n_flats"),
+    "bp-flat-offset-at-full-dimension": (
+        lambda r: verify.check_bp_flat(BALL, 2, 8, 8, 1.0, r, 1.0, 4),
+        "k", BP_FLAT, {"k": "2", "p": "1.0", "n_direct": "8"}, "k"),
+    "bp-flat-offset-below-1": (
+        lambda r: verify.check_bp_flat(BALL, 1, 8, 8, 1.0, r, 0.5, 4),
+        "p", BP_FLAT, {"p": "0.5", "n_direct": "8"}, "p"),
+    "bp-flat-offset-without-direct": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1.0, r, 1.0, 4),
+        "n_direct", BP_FLAT, {"p": "1.0"}, "n_direct"),
+    "bp-flat-window-inside-support": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 0.5, r, inner=4),
+        "R", BP_FLAT, {"R": "0.5"}, "R"),
+    "linear-k-at-n": (
+        lambda r: verify.check_linear_invariance([BALL], SPEC, 2, "shear", 8,
+                                                 r),
+        "k", LINEAR, {"k": "2"}, "k"),
+    "linear-slots": (
+        lambda r: verify.check_linear_invariance(
+            [BALL], ExponentSpec((1.0, 1.0), (1.0, 1.0)), 1, "shear", 8, r),
+        "spec", LINEAR, {"spec_p": "[1.0, 1.0]", "spec_alpha": "[1.0, 1.0]"},
+        "spec_p"),
+    "linear-one-subspace": (
+        lambda r: verify.check_linear_invariance([BALL], SPEC, 1, "shear", 1,
+                                                 r),
+        "n_subspaces", LINEAR, {"n_subspaces": "1"}, "n_subspaces"),
+    "linear-exact-truncated-shear": (
+        lambda r: verify.check_linear_invariance([TRUNC], SPEC, 1, "shear", 8,
+                                                 r),
+        "method", LINEAR, {"densities": '["trunc"]'}, "method"),
+    "linear-mc-unbounded": (
+        lambda r: verify.check_linear_invariance([GAUSS], SPEC, 1, "shear", 8,
+                                                 r, ("mc", 8)),
+        "method", LINEAR, {"densities": '["gauss"]', "method": '["mc", 8]'},
+        "method"),
+    "affine-unbounded": (
+        lambda r: verify.check_affine_invariance(
+            [GAUSS], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            1.0, 8, r),
+        "f_list", AFFINE, {"densities": '["gauss"]'}, "densities"),
+    "affine-negative-window": (
+        lambda r: verify.check_affine_invariance(
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            -1.0, 8, r),
+        "R", AFFINE, {"R": "-1.0"}, "R"),
+    "affine-one-flat": (
+        lambda r: verify.check_affine_invariance(
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            1.0, 1, r),
+        "n_flats", AFFINE, {"n_flats": "1"}, "n_flats"),
+    "rearrangement-p-below-1": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT], 0.5, "cone",
+                                                          100, r),
+        "p", REARRANGEMENT, {"p": "0.5"}, "p"),
+    "rearrangement-unknown-case": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0,
+                                                          "pyramid", 100, r),
+        "case", REARRANGEMENT, {"case": '"pyramid"'}, "case"),
+    "rearrangement-cone-too-many": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT] * 3, 1.0,
+                                                          "cone", 100, r),
+        "f_list", REARRANGEMENT, {"densities": '["unit", "unit", "unit"]'},
+        "densities"),
+    "rearrangement-one-level": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0, "cone",
+                                                          100, r, 1),
+        "levels", REARRANGEMENT, {"levels": "1"}, "levels"),
+    "grinberg-p-above-n-minus-k": (
+        lambda r: verify.check_grinberg_functional([BALL], 1, 1.5, 64, r),
+        "p", GRINBERG, {"p": "1.5"}, "p"),
+    "grinberg-q-above-k": (
+        lambda r: verify.check_grinberg_functional([BALL, BALL], 1, 0.0, 64,
+                                                   r),
+        "f_list", GRINBERG, {"densities": '["ball", "ball"]'}, "densities"),
+    "grinberg-mc-unbounded": (
+        lambda r: verify.check_grinberg_functional([GAUSS], 1, 0.0, 64, r,
+                                                   ("mc", 8)),
+        "method", GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'},
+        "method"),
+    "schneider-negative-window": (
+        lambda r: verify.check_schneider_functional(BALL, 1, -1.0, 8, r),
+        "R", SCHNEIDER, {"R": "-1.0"}, "R"),
+    "schneider-unbounded": (
+        lambda r: verify.check_schneider_functional(GAUSS, 1, 0.0, 8, r),
+        "f", SCHNEIDER, {"density": '"gauss"'}, "density"),
+    "marginal-s-at-1": (
+        lambda r: verify.marginal_bound_experiment(UNIT, 1, 1.0, 2.0, 8, 20,
+                                                   r),
+        "s", MARGINAL, {"s": "1.0"}, "s"),
+    "marginal-t-below-1": (
+        lambda r: verify.marginal_bound_experiment(UNIT, 1, 2.0, 0.5, 8, 20,
+                                                   r),
+        "t", MARGINAL, {"t": "0.5"}, "t"),
+    "marginal-not-unit-mass": (
+        lambda r: verify.marginal_bound_experiment(BALL, 1, 2.0, 2.0, 8, 20,
+                                                   r),
+        "f", MARGINAL, {"density": '"ball"'}, "density"),
+    "marginal-adversarial-plane": (
+        lambda r: verify.marginal_bound_experiment(
+            UNIT, 1, 2.0, 2.0, 8, 20, r, Subspace(np.eye(2))),
+        "adversarial", MARGINAL, {"adversarial": "[0, 1]"}, "adversarial"),
+    "sharpness-one-subspace": (
+        lambda r: verify.gaussian_sharpness_experiment(3, 1, 1.5, 1, r),
+        "n_subspaces", SHARPNESS, {"n_subspaces": "1"}, "n_subspaces"),
+    "sharpness-s-above-sigma-inverse": (
+        lambda r: verify.gaussian_sharpness_experiment(3, 1, 16.0, 8, r),
+        "s", SHARPNESS, {"s": "16.0"}, "s"),
+    "sharpness-k-at-n": (
+        lambda r: verify.gaussian_sharpness_experiment(3, 3, 1.5, 8, r),
+        "k", SHARPNESS, {"k": "3"}, "k"),
+    "perturbation-line-for-planes": (
+        lambda r: verify.perturbation_experiment(
+            BOX, 2, Subspace(np.eye(3)[:, :1]), 0.5, [0.1], 100, r),
+        "E", PERTURBATION, {"density": '"box"', "k": "2"}, "subspace"),
+    "perturbation-eta-above-2": (
+        lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 2.5, [0.1],
+                                                 100, r),
+        "eta", PERTURBATION, {"eta": "2.5"}, "eta"),
+    "perturbation-zero-radius": (
+        lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 0.5, [0.0],
+                                                 100, r),
+        "eps_grid", PERTURBATION, {"eps_grid": "[0.0]"}, "eps_grid"),
+    "perturbation-no-radii": (
+        lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 0.5, [], 100,
+                                                 r),
+        "eps_grid", PERTURBATION, {"eps_grid": "[]"}, "eps_grid"),
+    "perturbation-no-candidates": (
+        lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 0.5, [0.1],
+                                                 100, r, 0),
+        "n_candidates", PERTURBATION, {"n_candidates": "0"}, "n_candidates"),
+    "perturbation-not-unit-mass": (
+        lambda r: verify.perturbation_experiment(BALL, 1, LINE, 0.5, [0.1],
+                                                 100, r),
+        "f", PERTURBATION, {"density": '"ball"'}, "density"),
+}
+
+
+def test_rules_table_covers_every_check():
+    assert {base["check"].strip('"') for _, _, base, _, _ in RULES.values()} \
+        == set(config.CHECKS)
+
+
+@pytest.mark.parametrize("name", RULES)
+@pytest.mark.filterwarnings("error")
+def test_check_rules_rejected_by_both_entry_points(tmp_path, name):
+    call, param, base, changes, field_name = RULES[name]
+    rng = np.random.default_rng(0)
+    gen = rng.bit_generator
+    before = gen.state, gen.seed_seq.n_children_spawned
+    with pytest.raises(ParameterError) as err:
+        call(rng)
+    assert err.value.param == param
+    assert str(err.value).startswith(f"{param} ")
+    # rejected before the check draws from its generator or spawns from it
+    assert (gen.state, gen.seed_seq.n_children_spawned) == before
+    message = err.value.message
+    load_config(write_config(tmp_path, check_section(base)))
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, check_section({**base, **changes})))
+    assert (err.value.section, err.value.field) == ("check bad", field_name)
+    assert err.value.message == message
 
 
 @pytest.mark.parametrize("value", ["2", "0", "true", "1.0", '"1"'])

@@ -13,9 +13,9 @@ import pytest
 
 from igeolab import grassmann, verify
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ProductDensity, PushforwardDensity,
-                               RadialGridDensity, Step1D, TruncatedGaussian,
-                               affine_image)
+                               ParameterError, ProductDensity,
+                               PushforwardDensity, RadialGridDensity, Step1D,
+                               TruncatedGaussian, affine_image)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_volume_radius
 from igeolab.grassmann import Subspace, haar_bases
@@ -33,6 +33,13 @@ INF = math.inf
 
 def axis_subspace(n, cols):
     return Subspace(np.eye(n)[:, list(cols)])
+
+
+def untouched(rng):
+    """What a check changes in rng when it draws from it (the bit generator
+    state, whose Philox counter is an array) or spawns from it."""
+    return (repr(rng.bit_generator.state),
+            rng.bit_generator.seed_seq.n_children_spawned)
 
 
 def normalized_box(shift=0.0):
@@ -74,6 +81,16 @@ def test_bp_subspace_degenerate(rng):
     assert rep.verdict == PASS
     assert rep.diagnostics["printed_constant"] == pytest.approx(1.0)
     assert rep.diagnostics["fitted_over_printed"] == pytest.approx(1.0, rel=0.08)
+
+
+def test_bp_checks_at_full_dimension_ask_no_exact_sections(rng):
+    # at k = n the one section is the whole space and is never read, so a
+    # product, with no exact plane sections, still runs
+    box = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])] * 2)
+    assert check_bp_subspace([box], k=2, p=1.0, n_direct=400, n_subspaces=400,
+                             rng=rng, inner=8).verdict == PASS
+    rep = check_bp_flat(box, k=2, n_direct=0, n_flats=8, R=1.0, rng=rng)
+    assert rep.diagnostics["degenerate"] is True
 
 
 def test_bp_subspace_short_last_block(monkeypatch, rng):
@@ -176,6 +193,22 @@ def test_bp_checks_reject_sections_without_closed_form(rng):
                       inner=4)
 
 
+@pytest.mark.parametrize("check", ["subspace", "flat"])
+def test_bp_checks_reject_zero_inner_before_drawing(check, rng):
+    # inner = 0 points per section used to die in a ZeroDivisionError
+    ball = EllipsoidIndicator.ball(2)
+    before = untouched(rng)
+    with pytest.raises(ParameterError) as err:
+        if check == "subspace":
+            check_bp_subspace([ball], k=1, p=1.0, n_direct=8, n_subspaces=8,
+                              rng=rng, inner=0)
+        else:
+            check_bp_flat(ball, k=1, n_direct=0, n_flats=8, R=1.0, rng=rng,
+                          inner=0)
+    assert err.value.param == "inner"
+    assert untouched(rng) == before
+
+
 # ---------------------------------------------------------------------------
 # invariance
 
@@ -273,6 +306,27 @@ def test_invariance_checks_map_each_density_once(rng, monkeypatch):
         (1.0, 1.0, 1.0, 1.0), (1.0,) * 4), 2, (shear, np.array([0.4, 0.0, 0.1])),
         R=3.0, n_flats=200, rng=rng)
     assert mapped == [id(e)]
+
+
+STAND_IN_FAMILIES = {**EXACT_FAMILIES,
+                     "pushforward": lambda: PushforwardDensity(
+                         EllipsoidIndicator.ball(3), np.triu(np.ones((3, 3))),
+                         np.zeros(3))}
+
+
+@pytest.mark.parametrize("family", STAND_IN_FAMILIES)
+@pytest.mark.parametrize("name", ["rotation", "shear"])
+@pytest.mark.parametrize("shift", [None, "random"])
+def test_stand_in_image_is_of_the_drawn_image_family(family, name, shift,
+                                                     rng):
+    # config asks a stand-in map whether an image has exact sections, and
+    # the check maps by the drawn one: both must give the same family
+    f = STAND_IN_FAMILIES[family]()
+    g = (name, shift)
+    family_at_load = type(affine_image(f, verify._stand_in(g, f.n)))
+    for _ in range(5):
+        drawn = verify._drawn_map(g, f.n, rng)
+        assert type(affine_image(f, drawn)) is family_at_load
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +446,18 @@ def test_marginal_bound_flags_skewed_direction(rng):
                                     adversarial=axis_subspace(3, [0]))
     assert rep.diagnostics["adversarial_detected"] is True
     assert rep.diagnostics["adversarial_average"] > rep.diagnostics["adversarial_threshold"]
+
+
+def test_marginal_bound_rejects_adversarial_of_wrong_dimension(rng):
+    # a plane planted where k = 1 asks for lines used to run to a verdict
+    ball = EllipsoidIndicator.ball(3, radius=unit_volume_radius(3))
+    before = untouched(rng)
+    with pytest.raises(ParameterError) as err:
+        marginal_bound_experiment(ball, k=1, s=2.0, t=2.0, n_subspaces=4,
+                                  n_x=10, rng=rng,
+                                  adversarial=axis_subspace(3, [0, 1]))
+    assert err.value.param == "adversarial"
+    assert untouched(rng) == before
 
 
 def test_marginal_bound_requires_probability_density(rng):
@@ -568,6 +634,18 @@ def test_perturbation_finds_good_neighbors(rng):
     assert d["fitted_constant"] <= 10.0
     assert 0.0 <= d["best_candidate_distance"] <= 0.5 + 1e-9
     assert d["success_fraction"] > 0.0
+
+
+def test_perturbation_rejects_subspace_of_wrong_dimension(rng):
+    # a line E where k = 2 asks for planes used to pass on numpy
+    # broadcasting of its one coordinate against two
+    ball = EllipsoidIndicator.ball(3, radius=unit_volume_radius(3))
+    before = untouched(rng)
+    with pytest.raises(ParameterError) as err:
+        perturbation_experiment(ball, k=2, E=axis_subspace(3, [0]), eta=0.5,
+                                eps_grid=[0.1], n_samples=100, rng=rng)
+    assert err.value.param == "E"
+    assert untouched(rng) == before
 
 
 def test_perturbation_huge_ball_is_trivial(rng):
