@@ -34,7 +34,7 @@ import numpy as np
 from . import verify
 from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
                         ParameterError, ProductDensity, RadialGridDensity,
-                        Step1D, TruncatedGaussian, _volume_preserving)
+                        Step1D, TruncatedGaussian)
 from .functionals import ExponentSpec
 from .grassmann import Subspace
 
@@ -319,11 +319,6 @@ class _Values(dict):
         super().__init__()
         self.densities = densities
 
-    @property
-    def n(self) -> int:
-        """Ambient dimension of the densities."""
-        return (self["f"] if "f" in self else self["f_list"][0]).n
-
 
 @dataclass(frozen=True)
 class _Field:
@@ -373,11 +368,12 @@ class _Check:
         try:
             self.rules(**v)
         except ParameterError as exc:
-            # the first field that sets the keyword
-            raise ConfigError(section, next(
-                (name for name, fld in self.fields.items()
-                 if (fld.arg or name) == exc.param), exc.param),
-                exc.message) from exc
+            # the first field that sets the keyword, the i-th for keyword[i]
+            key, _, index = exc.param.partition("[")
+            setters = [name for name, fld in self.fields.items()
+                       if (fld.arg or name) == key] or [exc.param]
+            raise ConfigError(section, setters[int(index[:-1] or 0)],
+                              exc.message) from exc
         return dict(v)
 
     def _run(self, kwargs, rng):
@@ -408,13 +404,6 @@ def _real(default=_REQUIRED):
     return _Field(lambda raw, v: _number(raw), default)
 
 
-def _finite(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
-    return arr
-
-
 def _density(raw, v):
     if not isinstance(raw, str) or raw not in v.densities:
         raise ValueError(f"must name a configured density, got {raw!r}")
@@ -424,11 +413,7 @@ def _density(raw, v):
 def _densities(raw, v):
     if not isinstance(raw, list) or not raw:
         raise ValueError("must be a nonempty list of density names")
-    out = [_density(name, v) for name in raw]
-    dims = {f.n for f in out}
-    if len(dims) != 1:
-        raise ValueError(f"mixed ambient dimensions {sorted(dims)}")
-    return out
+    return [_density(name, v) for name in raw]
 
 
 def _numbers(raw, v):
@@ -455,37 +440,25 @@ def _exponent_spec(raw, v):
 
 
 def _map(raw, v):
-    """'shear', 'rotation', or a volume-preserving n x n matrix."""
-    if raw in ("shear", "rotation"):
-        return raw
-    n = v.n
-    mat = _finite([] if isinstance(raw, str) else raw)
-    if mat.shape != (n, n):
-        raise ValueError(f"must be 'shear', 'rotation', or a {n}x{n} matrix")
-    return _volume_preserving(mat)
+    """A map name ('shear', 'rotation') or a matrix."""
+    return raw if isinstance(raw, str) else _array(2)(raw)
 
 
 def _shift(raw, v):
-    """'random', or a translation vector; completes g = (map, shift)."""
-    if raw == "random":
-        return v["g"], raw
-    vec = _finite([] if isinstance(raw, str) else raw)
-    if vec.shape != (v.n,):
-        raise ValueError(f"must be 'random' or a vector of length {v.n}")
-    return v["g"], vec
+    """A shift name ('random') or a vector; completes g = (map, shift)."""
+    return v["g"], raw if isinstance(raw, str) else _array(1)(raw)
 
 
 def _subspace(raw, v):
-    """Axis list, or an n x k basis."""
-    n = v.n
-    arr = _finite(raw)
+    """Axis list, or an n x k basis, n the dimension of the density f."""
+    n = v["f"].n
+    arr = np.asarray(raw, dtype=float)
     if arr.ndim == 1:
-        axes = arr.astype(int)
-        if not np.all(arr == axes) or np.any(axes < 0) or np.any(axes >= n) \
-                or len(set(axes.tolist())) != len(axes):
+        axes = arr.tolist()
+        if not all(a in range(n) for a in axes) or len(set(axes)) != len(axes):
             raise ValueError(f"axis list must be distinct ints in [0,{n})")
         basis = np.zeros((n, len(axes)))
-        basis[axes, np.arange(len(axes))] = 1.0
+        basis[arr.astype(int), np.arange(len(axes))] = 1.0
         return Subspace(basis)
     if arr.ndim == 2 and arr.shape[0] == n:
         return Subspace(arr)
@@ -499,12 +472,10 @@ def _flag(raw, v=None):
 
 
 def _method(raw, v):
-    """'exact', or ['mc', N]: N >= 2 Monte Carlo points per section."""
-    if raw == "exact":
-        return raw
-    if isinstance(raw, list) and len(raw) == 2 and raw[0] == "mc":
-        return "mc", _number(raw[1], lo=2, integer=True)
-    raise ValueError(f'must be "exact" or ["mc", N], got {raw!r}')
+    """A method name ('exact'), or a name and a point count (['mc', N])."""
+    if isinstance(raw, list) and len(raw) == 2:
+        return raw[0], _number(raw[1], integer=True)
+    return raw
 
 
 _DENSITY = _Field(_density, arg="f")

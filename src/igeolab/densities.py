@@ -1,29 +1,31 @@
 """Density models with exact section and marginal capabilities.
 
 Every model knows its ambient dimension, total mass, sup, a support radius,
-and how to sample its normalized law.  Families that admit closed forms
-additionally expose three exact capabilities, and everything else in the
-package is built from them:
+its pointwise power, and how to sample its normalized law.  Families that
+admit closed forms additionally expose exact capabilities, and everything
+else in the package is built from them:
 
-* sections: each exact family has one batched formula, ``_sections(bases,
-  offsets)``, giving the section parameters for a stack of flats, and no
-  other section route.  ``slice_stats_batch`` reads the section masses and
-  sups off it, and ``section_points`` samples every section of the stack
-  from it at once; a single flat is a stack of one.  The mass of the
-  section through the fiber E-perp + x is exactly the marginal density of
-  f at x, so marginals come for free.  Ellipsoid and Gaussian sections
-  solve one k x k system per flat, in closed form for k <= 2
-  (``geometry._spd_solve``), and truncated-Gaussian sections sample their
-  chi radius in closed form for k <= 2.
+* sections: ``exact_sections(k)`` says whether every k-dimensional section
+  of a family has a closed form, and is the only such test.  Each exact
+  family has one batched formula, ``_sections(bases, offsets)``, giving
+  the section parameters for a stack of flats.  ``slice_stats_batch``
+  reads the section masses and sups off it, and ``section_points`` samples
+  every section of the stack from it at once; a single flat is a stack of
+  one.  Both, and ``section_stats``, ask the predicate first and raise
+  ValueError naming the family and k, before any formula or draw.  The
+  mass of the section through the fiber E-perp + x is exactly the
+  marginal density of f at x, so marginals come for free.  Ellipsoid and
+  Gaussian sections solve one k x k system per flat, in closed form for
+  k <= 2 (``geometry._spd_solve``), and truncated-Gaussian sections sample
+  their chi radius in closed form for k <= 2.
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
   of a stack of sections are ``section_stats(f.power(p), bases,
   offsets)[0] ** (1/p)``.
 * ``superlevel_volumes(ts)``: |{f > t}| at every level of an array, which
   drives the layer-cake rearrangement.
 
-Monte Carlo fallbacks cover models without a closed form; sampled sup
-estimates are flagged biased low.  ``exact_sections(k)`` says whether every
-k-dimensional section of a family has a closed form.  Each constructor
+Monte Carlo section stats are a method of ``section_stats``, not a
+fallback; their sampled sups are flagged biased low.  Each constructor
 checks every rule on its parameters and raises ParameterError naming the
 one broken.
 """
@@ -41,8 +43,8 @@ from .report import Estimate
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
-# Basis entries below this are treated as exact zeros when recognizing
-# coordinate-aligned sections of product densities.
+# Direction entries below this are treated as exact zeros: a line section
+# of a product density reads such a factor at the line's offset.
 AXIS_TOL = 1e-12
 # Box-enumeration cap for exact product superlevel volumes.
 PRODUCT_ENUM_CAP = 300_000
@@ -93,19 +95,14 @@ class DensityModel:
         """Draw from the mass-normalized law of f, shape (size, n)."""
         raise NotImplementedError
 
-    # -- optional exact capabilities -----------------------------------
-    def slice_stats_batch(self, bases: np.ndarray, offsets: np.ndarray):
-        """(mass, sup) arrays of the sections through the flats
-        offsets[i] + span(bases[i]), or None when no closed form exists."""
-        return None
+    def power(self, p: float) -> DensityModel:
+        """The pointwise power f**p as a model."""
+        raise NotImplementedError
 
+    # -- optional exact capabilities -----------------------------------
     def exact_sections(self, k: int) -> bool:
         """Whether every section of dimension k has a closed form."""
         return False
-
-    def power(self, p: float):
-        """The pointwise power f**p as a model, or None."""
-        return None
 
     def superlevel_volumes(self, ts):
         """|{f > t}| at each level t > 0 of ts, an array shaped like ts
@@ -116,7 +113,7 @@ class DensityModel:
 class ParameterError(ValueError):
     """A parameter, named as the caller passed it, that breaks a rule: of
     a density family (constructor parameters) or of a check (verify
-    keywords); message says which."""
+    keywords; keyword[i] for entry i of a tuple); message says which."""
 
     def __init__(self, param: str, message: str):
         self.param, self.message = param, message
@@ -204,18 +201,20 @@ class _Sectioned(DensityModel):
     """A family with one section formula.
 
     ``_sections(bases, offsets)`` maps a stack of flats, bases (s, n, k)
-    and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays,
-    or None when some flat has no closed-form section.  Section
-    coordinates are u in x = offsets[i] + bases[i] @ u.  ``scaled(c)`` is
-    c * f in the same family.
+    and offsets (s, n), to a tuple (mass, sup, *params) of per-flat arrays;
+    it runs only where ``exact_sections(k)`` holds.  Section coordinates
+    are u in x = offsets[i] + bases[i] @ u.  ``scaled(c)`` is c * f in the
+    same family.
     ``_section_points(sections, k, size, rng)`` draws size points from
     every row's normalized law at once, shape (s, size, k); rows of zero
     mass get finite points.
     """
 
     def slice_stats_batch(self, bases, offsets):
-        sections = self._sections(bases, offsets)
-        return None if sections is None else sections[:2]
+        """(mass, sup) arrays of the sections through the flats
+        offsets[i] + span(bases[i]); ValueError unless they are exact."""
+        _require_exact(self, bases.shape[-1])
+        return self._sections(bases, offsets)[:2]
 
     def exact_sections(self, k):
         return True
@@ -553,8 +552,7 @@ class Step1D(DensityModel):
 class ProductDensity(_Sectioned):
     """Product of one-dimensional step factors (Step1D).
 
-    Sections are exact along every line (box crossings) and on
-    coordinate-aligned flats (factor selection).
+    Sections are exact along every line (box crossings).
     """
 
     def __init__(self, factors: list, amplitude: float = 1.0):
@@ -568,7 +566,7 @@ class ProductDensity(_Sectioned):
         return ProductDensity(self.factors, self.amplitude * c)
 
     def exact_sections(self, k):
-        return k == 1       # and axis-aligned flats, for any k
+        return k == 1
 
     def eval_many(self, x):
         vals = np.full(x.shape[0], self.amplitude)
@@ -596,20 +594,14 @@ class ProductDensity(_Sectioned):
         return ProductDensity([f.power(p) for f in self.factors], self.amplitude ** p)
 
     def _sections(self, bases, offsets):
-        """Lines (k = 1) in any direction; flats with k >= 2 only when
-        coordinate-aligned, else None."""
-        if bases.shape[-1] == 1:
-            return self._line_sections(bases[..., 0], offsets)
-        return self._aligned_sections(bases, offsets)
-
-    def _line_sections(self, dirs, offsets):
-        """Restrictions to the lines t -> z + t * d as step functions;
-        params (t, heights): every factor's bin-edge crossings t, clipped to
-        the support box and sorted, so each line gets the same number of
-        segments (zero-width ones carry no mass), and the product at each
-        segment midpoint, exact since it is constant in between.  Factors
-        along which a line does not move (|d_i| <= AXIS_TOL) are read at z_i.
-        """
+        """Restrictions to the lines t -> z + t * d (d = bases[i, :, 0],
+        z = offsets[i]) as step functions; params (t, heights): every
+        factor's bin-edge crossings t, clipped to the support box and
+        sorted, so each line gets the same number of segments (zero-width
+        ones carry no mass), and the product at each segment midpoint, exact
+        since it is constant in between.  Factors along which a line does
+        not move (|d_i| <= AXIS_TOL) are read at z_i."""
+        dirs = bases[..., 0]
         moving = np.abs(dirs) > AXIS_TOL
         lo = np.full(len(dirs), -np.inf)
         hi = np.full(len(dirs), np.inf)
@@ -634,45 +626,10 @@ class ProductDensity(_Sectioned):
         sups = np.where(widths > 0, heights, 0.0).max(axis=1)
         return masses, sups, t, heights
 
-    def _aligned_sections(self, bases, offsets):
-        """Coordinate-aligned flats: each section coordinate runs along
-        one factor axis, in the sign's direction, and the other factors
-        are frozen at the offset into amp; params (axes, signs, amp)."""
-        axes = np.abs(bases).argmax(axis=1)
-        signs = np.take_along_axis(bases, axes[:, None, :], axis=1)[:, 0]
-        aligned = ((np.abs(bases) > AXIS_TOL).sum(axis=1) == 1).all(axis=1) \
-            & (np.abs(np.abs(signs) - 1.0) <= AXIS_TOL).all(axis=1) \
-            & (np.diff(np.sort(axes, axis=1), axis=1) > 0).all(axis=1)
-        if not aligned.all():
-            return None
-        free = np.ones(offsets.shape, dtype=bool)
-        np.put_along_axis(free, axes, False, axis=1)
-        amps = np.full(len(bases), self.amplitude)
-        for i, f in enumerate(self.factors):
-            amps = amps * np.where(free[:, i], f.eval_many(offsets[:, i:i + 1]), 1.0)
-        masses = np.array([f.mass for f in self.factors])[axes].prod(axis=1)
-        sups = np.array([f.sup for f in self.factors])[axes].prod(axis=1)
-        return amps * masses, amps * sups, axes, signs, amps
-
     def _section_points(self, sections, k, size, rng):
-        if k == 1:
-            _, _, t, heights = sections
-            u = rng.random((len(t), size))
-            return _step_quantiles(t, heights * np.diff(t, axis=1),
-                                   u)[..., None]
-        # aligned flats: coordinate j follows factor axes[:, j], times its
-        # sign; factors are padded to one width with zero-weight bins
-        _, _, axes, signs, _ = sections
-        width = max(f.heights.size for f in self.factors)
-        edges = np.array([np.pad(f.edges, (0, width - f.heights.size), "edge")
-                          for f in self.factors])
-        weights = np.array([np.pad(f.heights * np.diff(f.edges),
-                                   (0, width - f.heights.size))
-                            for f in self.factors])
-        u = rng.random((len(axes), size, k))
-        return np.stack([signs[:, j, None] * _step_quantiles(
-            edges[axes[:, j]], weights[axes[:, j]], u[..., j])
-            for j in range(k)], axis=-1)
+        _, _, t, heights = sections
+        u = rng.random((len(t), size))
+        return _step_quantiles(t, heights * np.diff(t, axis=1), u)[..., None]
 
     def _box_values(self):
         total = math.prod(f.heights.size for f in self.factors)
@@ -865,8 +822,7 @@ class PushforwardDensity(DensityModel):
         return self.base.sample(size, rng) @ self.matrix.T + self.shift
 
     def power(self, p):
-        base_p = self.base.power(p)
-        return None if base_p is None else PushforwardDensity(base_p, self.matrix, self.shift)
+        return PushforwardDensity(self.base.power(p), self.matrix, self.shift)
 
     def superlevel_volumes(self, ts):
         return self.base.superlevel_volumes(ts)     # volume preserving
@@ -905,12 +861,12 @@ def closed_form_image(f: DensityModel, g) -> DensityModel | None:
     return None
 
 
-def _volume_preserving(matrix) -> np.ndarray:
+def _volume_preserving(matrix, name: str = "matrix") -> np.ndarray:
     """matrix as a float array, unless |det| is off 1 by more than DET_TOL."""
     matrix = np.asarray(matrix, dtype=float)
     det = abs(np.linalg.det(matrix))
     if abs(det - 1.0) > DET_TOL:
-        raise ParameterError("matrix", f"must preserve volume, |det| = {det}")
+        raise ParameterError(name, f"must preserve volume, |det| = {det}")
     return matrix
 
 
@@ -931,15 +887,15 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     """(mass, sup, mass_stderr) arrays of the sections of f through the
     flats offsets[i] + span(bases[i]).
 
-    method "exact" reads the closed form (stderr 0); ("mc", N) averages f
-    over N stratified points of each section's support window, one draw
-    for the whole stack, and its sup is a sampled maximum, biased low.
+    method "exact" reads the closed form (stderr 0), and raises ValueError
+    unless f.exact_sections(k); ("mc", N) averages f over N stratified
+    points of each section's support window, one draw for the whole stack,
+    and its sup is a sampled maximum, biased low.
     """
     if method == "exact":
-        stats = f.slice_stats_batch(bases, offsets)
-        if stats is None:
-            raise ValueError("no exact restriction for this family/section")
-        return stats[0], stats[1], np.zeros(len(stats[0]))
+        _require_exact(f, bases.shape[-1])
+        mass, sup = f.slice_stats_batch(bases, offsets)
+        return mass, sup, np.zeros(len(mass))
     tag, count = method
     if tag != "mc" or count < 2:
         raise ValueError(f"method must be 'exact' or ('mc', N >= 2), got {method!r}")
@@ -967,14 +923,19 @@ def section_points(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     exact section mass and points[i], shape (size, k), holds size draws
     from the section's normalized law in its own coordinates, one draw per
     family for the whole stack.  Rows of zero mass carry finite points.
-    Raises ValueError unless every section has a closed form.
+    Raises ValueError, drawing nothing, unless f.exact_sections(k).
     """
-    sections = f._sections(bases, offsets) \
-        if isinstance(f, _Sectioned) else None
-    if sections is None:
-        raise ValueError("section identity checks need exact sections")
-    return sections[0], f._section_points(sections, bases.shape[-1], size,
-                                          rng)
+    k = bases.shape[-1]
+    _require_exact(f, k)
+    sections = f._sections(bases, offsets)
+    return sections[0], f._section_points(sections, k, size, rng)
+
+
+def _require_exact(f: DensityModel, k: int):
+    """ValueError naming f's family and k unless f.exact_sections(k)."""
+    if not f.exact_sections(k):
+        raise ValueError(f"{type(f).__name__} has no exact sections of "
+                         f"dimension {k}")
 
 
 def restriction_stats(f: DensityModel, S, method="exact",

@@ -100,10 +100,7 @@ def section_norm(f: DensityModel, S, p: float) -> float:
 def _power_model(f: DensityModel, p: float) -> DensityModel:
     """f**p, whose section masses are the p-th powers of the L_p norms of
     f; f itself for p = 1 and for a sup slot (p = inf)."""
-    model = f if p == 1.0 or math.isinf(p) else f.power(p)
-    if model is None:
-        raise ValueError("no power model for this family")
-    return model
+    return f if p == 1.0 or math.isinf(p) else f.power(p)
 
 
 def _slot_models(f_list, spec: ExponentSpec) -> list:
@@ -204,7 +201,7 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
 
     method "exact" uses closed-form section norms (available for the
     ellipsoid, Gaussian, truncated-Gaussian and radial families everywhere
-    and for products on lines and coordinate sections), once per distinct
+    and for products on lines), once per distinct
     (density, power) per stack of subspaces; ("mc", m) estimates each
     slot's section norm from its own m window samples instead.
     """

@@ -61,7 +61,7 @@ class Subspace:
         if b.ndim != 2 or b.shape[0] < b.shape[1] or b.shape[1] < 1:
             raise ValueError(f"basis must be (n, k) with 1 <= k <= n, got {b.shape}")
         gram = b.T @ b
-        if np.abs(gram - np.eye(b.shape[1])).max() > FRAME_TOL:
+        if not np.abs(gram - np.eye(b.shape[1])).max() <= FRAME_TOL:
             raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)

@@ -33,7 +33,8 @@ from .geometry import Dimensions, bp_constant, bp_exact_constant, \
 from .grassmann import Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to, sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
-    affine_image, closed_form_image, section_points, section_stats
+    affine_image, closed_form_image, section_points, section_stats, \
+    _volume_preserving
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
     affine_average_I, delta0_p, delta_p
 from .rearrange import rearrangement
@@ -103,10 +104,38 @@ def _unit_mass(f: DensityModel):
           "must be a probability density (unit mass); set normalize = true")
 
 
+def _one_dimension(f_list):
+    dims = sorted({f.n for f in f_list})
+    _need(len(dims) == 1, "f_list", "must be nonempty, in one ambient "
+          f"dimension; got dimensions {dims}")
+
+
+def _name_or_array(value, names: tuple, shape: tuple, param: str):
+    """Rule: value is one of the names or a finite array of the shape."""
+    ok = value in names if isinstance(value, str) \
+        else np.shape(value) == shape and bool(np.isfinite(value).all())
+    _need(ok, param, f"must be {' or '.join(map(repr, names))} or a finite "
+          f"array of shape {shape}")
+
+
+def _volume_map(a, n: int, param: str):
+    """Rule: the map a is 'shear', 'rotation' or a volume-preserving
+    n x n matrix."""
+    _name_or_array(a, ("shear", "rotation"), (n, n), param)
+    if not isinstance(a, str):
+        _volume_preserving(a, param)
+
+
 def _readable(f_list, dim: int, param: str, method="exact", g=None):
-    """Rule: the check can read its sections of dimension dim.  Monte Carlo
-    ones sample a window about a bounded support; exact ones need a closed
-    form for every density and its image under g = (map, shift), if any."""
+    """Rule: the check can read its sections of dimension dim, by method
+    "exact" or ("mc", N) with an integer N >= 2.  Monte Carlo ones sample a
+    window about a bounded support; exact ones need a closed form for every
+    density and its image under g = (map, shift), if any."""
+    mc = isinstance(method, tuple) and len(method) == 2 \
+        and method[0] == "mc" and isinstance(method[1], (int, np.integer)) \
+        and method[1] >= 2
+    _need(mc or method == "exact", "method", 'must be "exact" or ("mc", N) '
+          f"with an integer N >= 2, got {method!r}")
     hint = '; use method ["mc", N]' if param == "method" else ""
     for f in f_list:
         if method != "exact":
@@ -209,6 +238,7 @@ def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
 
 
 def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
+    _one_dimension(f_list)
     _k_up_to(k, f_list[0].n)
     _need(p >= 0.0, "p", f"must be >= 0, got {p}")
     # each budget splits into two replicas of at least 2 samples
@@ -387,9 +417,11 @@ def _stand_in(g, n: int):
 
 
 def _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method):
+    _one_dimension(f_list)
     _k_up_to(k, f_list[0].n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
     _at_least(2, n_subspaces=n_subspaces)
+    _volume_map(g, f_list[0].n, "g")
     _readable(f_list, k, "method", method, (g, None))
 
 
@@ -422,12 +454,17 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
 
 
 def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
-    _k_up_to(k, f_list[0].n - 1)
+    _one_dimension(f_list)
+    n = f_list[0].n
+    _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
     _need(R >= 0.0, "R", f"must be >= 0, got {R}")
     _at_least(2, n_flats=n_flats)
     _need(all(np.isfinite(f.support_radius) for f in f_list), "f_list",
           "flat averages need bounded supports")
+    # g[i] names the i-th entry of the pair: config's map and shift fields
+    _volume_map(g[0], n, "g[0]")
+    _name_or_array(g[1], ("random",), (n,), "g[1]")
     _readable(f_list, k, "method", method, g)
 
 
@@ -482,6 +519,7 @@ def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
 
 
 def _rearrangement_rules(f_list, p, case, n_samples, levels):
+    _one_dimension(f_list)
     _need(p >= 1.0, "p", f"must be >= 1, got {p}")
     _need(case in ("cone", "simplex"), "case",
           f"must be 'cone' or 'simplex', got {case!r}")
@@ -489,6 +527,8 @@ def _rearrangement_rules(f_list, p, case, n_samples, levels):
     limit = f_list[0].n + (case == "simplex")
     _need(len(f_list) <= limit, "f_list",
           f"at most {limit} densities for case {case!r}")
+    _need(all(f.sup > 0.0 for f in f_list), "f_list",
+          "must hold densities of positive sup")
     _need(all(f.superlevel_volumes([f.sup / 2]) is not None for f in f_list),
           "f_list", "rearrangement needs exact level profiles")
 
@@ -562,6 +602,7 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
 
 
 def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
+    _one_dimension(f_list)
     n = f_list[0].n
     _k_up_to(k, n - 1)
     _need(0.0 <= p <= n - k, "p", f"must lie in [0, {n - k}], got {p}")

@@ -311,6 +311,11 @@ def check_section(fields):
     tau = 1.0
     radius = 1.0
 
+    [density tiny]
+    kind = "product"
+    factors = [{"lo": -2.0, "hi": 2.0, "heights": [1e-162]},
+               {"lo": -2.0, "hi": 2.0, "heights": [1e-162]}]
+
     [check bad]
 """ + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
@@ -612,6 +617,8 @@ UNIT = BALL.scaled(1.0 / BALL.mass)
 GAUSS = GaussianDensity(np.zeros(2), np.eye(2))
 BOX = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0])] * 3)
 TRUNC = TruncatedGaussian.normalized(np.zeros(2), 1.0, 1.0)
+# sup 1e-324 underflows to 0, while the mass 1.6e-323 stays positive
+TINY = ProductDensity([Step1D.uniform(-2.0, 2.0, [1e-162])] * 2)
 SPEC = ExponentSpec((1.0,), (2.0,))
 LINE = Subspace(np.eye(2)[:, :1])
 
@@ -675,6 +682,26 @@ RULES = {
         lambda r: verify.check_linear_invariance([TRUNC], SPEC, 1, "shear", 8,
                                                  r),
         "method", LINEAR, {"densities": '["trunc"]'}, "method"),
+    "linear-map-stretches": (
+        lambda r: verify.check_linear_invariance(
+            [BALL], SPEC, 1, np.diag([2.0, 1.0]), 8, r, ("mc", 8)),
+        "g", LINEAR, {"map": "[[2.0, 0.0], [0.0, 1.0]]",
+                      "method": '["mc", 8]'}, "map"),
+    "linear-unknown-map": (
+        lambda r: verify.check_linear_invariance([BALL], SPEC, 1,
+                                                 "reflection", 8, r),
+        "g", LINEAR, {"map": '"reflection"'}, "map"),
+    "linear-method-capitalized": (
+        lambda r: verify.check_linear_invariance([BALL], SPEC, 1, "shear", 8,
+                                                 r, "Exact"),
+        "method", LINEAR, {"method": '"Exact"'}, "method"),
+    "linear-mixed-dimensions": (
+        lambda r: verify.check_linear_invariance(
+            [BALL, BOX], ExponentSpec((1.0, 1.0), (1.0, 1.0)), 1, "shear", 8,
+            r, ("mc", 8)),
+        "f_list", LINEAR, {"densities": '["ball", "box"]',
+                           "spec_p": "[1.0, 1.0]", "spec_alpha": "[1.0, 1.0]",
+                           "method": '["mc", 8]'}, "densities"),
     "linear-mc-unbounded": (
         lambda r: verify.check_linear_invariance([GAUSS], SPEC, 1, "shear", 8,
                                                  r, ("mc", 8)),
@@ -690,6 +717,16 @@ RULES = {
             [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
             -1.0, 8, r),
         "R", AFFINE, {"R": "-1.0"}, "R"),
+    "affine-unknown-shift": (
+        lambda r: verify.check_affine_invariance(
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("rotation", "none"),
+            1.0, 8, r),
+        "g[1]", AFFINE, {"map": '"rotation"', "shift": '"none"'}, "shift"),
+    "affine-shift-wrong-length": (
+        lambda r: verify.check_affine_invariance(
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", np.zeros(3)),
+            1.0, 8, r),
+        "g[1]", AFFINE, {"shift": "[0.0, 0.0, 0.0]"}, "shift"),
     "affine-one-flat": (
         lambda r: verify.check_affine_invariance(
             [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
@@ -712,6 +749,19 @@ RULES = {
         lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0, "cone",
                                                           100, r, 1),
         "levels", REARRANGEMENT, {"levels": "1"}, "levels"),
+    "rearrangement-mixed-dimensions": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT, BOX], 1.0,
+                                                          "cone", 100, r),
+        "f_list", REARRANGEMENT, {"densities": '["unit", "box"]'},
+        "densities"),
+    "rearrangement-zero-sup": (
+        lambda r: verify.check_rearrangement_monotonicity([TINY], 1.0, "cone",
+                                                          100, r),
+        "f_list", REARRANGEMENT, {"densities": '["tiny"]'}, "densities"),
+    "grinberg-mc-one": (
+        lambda r: verify.check_grinberg_functional([BALL], 1, 0.0, 64, r,
+                                                   ("mc", 1)),
+        "method", GRINBERG, {"method": '["mc", 1]'}, "method"),
     "grinberg-p-above-n-minus-k": (
         lambda r: verify.check_grinberg_functional([BALL], 1, 1.5, 64, r),
         "p", GRINBERG, {"p": "1.5"}, "p"),

@@ -107,19 +107,20 @@ def test_product_line_section_exact(rng):
 
 
 def test_product_aligned_plane_section():
-    fx = Step1D.uniform(-0.5, 0.5, [1.0, 2.0])
-    fy = Step1D.uniform(-0.5, 0.5, [3.0, 1.0])
-    fz = Step1D.uniform(-1.0, 1.0, [0.5, 1.5])
-    f = ProductDensity([fx, fy, fz])
-    E = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-    z = np.array([0.0, 0.2, 0.0])
-    l1, sup = restriction_stats(f, Flat(E, z))
-    # the middle factor is frozen at y = 0.2, where fy = 1.0
-    assert l1.value == pytest.approx(fx.mass * fz.mass * 1.0, rel=1e-12)
-    assert sup.value == pytest.approx(fx.sup * fz.sup * 1.0, rel=1e-12)
-    # plane sections in a generic direction have no closed form
-    tilted = Subspace(np.linalg.qr(np.array([[1.0, 0.2], [0.4, 1.0], [0.1, 0.3]]))[0])
-    assert f.slice_stats_batch(tilted.basis[None], np.zeros((1, 3))) is None
+    # product sections are exact on lines only: a plane section raises,
+    # coordinate-aligned or tilted, and names the family and dimension
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0]),
+                        Step1D.uniform(-0.5, 0.5, [3.0, 1.0]),
+                        Step1D.uniform(-1.0, 1.0, [0.5, 1.5])])
+    aligned = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    tilted = Subspace(np.linalg.qr(np.array([[1.0, 0.2], [0.4, 1.0],
+                                             [0.1, 0.3]]))[0])
+    for E in (aligned, tilted):
+        with pytest.raises(ValueError, match="ProductDensity has no exact "
+                           "sections of dimension 2"):
+            restriction_stats(f, E)
+        with pytest.raises(ValueError, match="dimension 2"):
+            f.slice_stats_batch(E.basis[None], np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------

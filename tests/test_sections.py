@@ -4,7 +4,9 @@ Each example draws a density of one family, a dimension and a stack of
 flats from a numpy generator seeded by hypothesis, then checks the batched
 stats row by row against references built only from ``eval_many``:
 trapezoid quadrature along a line, and (Fubini) quadrature over the
-parallel lines inside a plane.  The Monte Carlo route of ``section_stats``
+parallel lines inside a plane.  Each family's ``exact_sections(k)`` is
+checked to agree with its formula: every exact route returns finite rows
+where it holds and raises, drawing nothing, where it does not.  The Monte Carlo route of ``section_stats``
 is checked against the exact rows, and the batched sampler
 ``section_points`` against an importance estimate of each section's
 moments from uniform window points weighted by f.  The closed-form section
@@ -21,13 +23,15 @@ from hypothesis import given, settings, strategies as st
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _step_quantiles,
-                               restriction_stats, section_points,
-                               section_stats)
+                               affine_image, restriction_stats,
+                               section_points, section_stats)
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import Flat, Subspace, haar_bases, uniform_ball
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
+# the families with exact sections of every dimension (products: lines only)
+PLANES = [f for f in FAMILIES if f != "product"]
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
 
 
@@ -115,16 +119,6 @@ def test_line_mass_matches_quadrature(seed, family, n, aligned):
     f, (bases, offsets) = case(seed, family, n, 1, aligned)
     masses, sups = f.slice_stats_batch(bases, offsets)
     assert masses.shape == sups.shape == (len(bases),)
-    if n >= 3:
-        # hyperplanes: only coordinate-aligned product sections with
-        # k >= 2 have a closed form
-        stats = f.slice_stats_batch(*flats(n, n - 1, len(bases),
-                                           np.random.default_rng(seed),
-                                           aligned))
-        if family == "product" and not aligned:
-            assert stats is None
-        else:
-            assert stats[0].shape == stats[1].shape == (len(bases),)
     width = half_width(f)
     ts = np.linspace(-width, width, 40_001)
     step = ts[1] - ts[0]
@@ -136,11 +130,9 @@ def test_line_mass_matches_quadrature(seed, family, n, aligned):
 
 
 @PROPERTY
-@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(PLANES),
        n=st.integers(3, 4), aligned=st.booleans())
 def test_plane_mass_is_integral_of_line_masses(seed, family, n, aligned):
-    if family == "product" and not aligned:
-        return      # no closed form for tilted product planes
     f, (bases, offsets) = case(seed, family, n, 2, aligned)
     masses, _ = f.slice_stats_batch(bases, offsets)
     width = half_width(f)
@@ -160,8 +152,8 @@ def test_plane_mass_is_integral_of_line_masses(seed, family, n, aligned):
        n=st.integers(2, 4), k=st.integers(1, 3), aligned=st.booleans())
 def test_mc_section_stats_agree_with_exact_rows(seed, family, n, k, aligned):
     k = min(k, n - 1)
-    if family == "product" and k >= 2 and not aligned:
-        return      # no exact reference for tilted product flats
+    if family == "product" and k >= 2:
+        return      # no exact reference for product flats beyond lines
     f, (bases, offsets) = case(seed, family, n, k, aligned)
     mass, sup, exact_err = section_stats(f, bases, offsets)
     assert not exact_err.any()
@@ -227,9 +219,12 @@ def test_section_points_follow_section_models(family, seed, n, k, aligned):
     k = min(k, n - 1)
     f, (bases, offsets) = case(seed, family, n, k, aligned)
     rng = np.random.default_rng(seed)
-    if family == "product" and k >= 2 and not aligned:
-        with pytest.raises(ValueError, match="exact sections"):
+    if family == "product" and k >= 2:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="ProductDensity has no exact "
+                           f"sections of dimension {k}"):
             section_points(f, bases, offsets, 10, rng)
+        assert rng.bit_generator.state == state
         return
     masses, pts = section_points(f, bases, offsets, 4_000, rng)
     assert pts.shape == (len(bases), 4_000, k)
@@ -237,6 +232,47 @@ def test_section_points_follow_section_models(family, seed, n, k, aligned):
     assert np.array_equal(masses, section_stats(f, bases, offsets)[0])
     assert np.all(np.abs(moment_z(f, bases, offsets, masses, pts, rng))
                   <= 4.0)
+
+
+@pytest.mark.parametrize("aligned", [False, True], ids=["haar", "aligned"])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4)
+                                  for k in range(1, n)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_predicate_and_formula_agree(family, n, k, aligned):
+    # exact_sections(k) is the one answer: where it holds, every exact
+    # section route returns finite rows; where it fails, each raises
+    # ValueError naming the family and k, and section_points draws nothing
+    f, (bases, offsets) = case(n * 10 + k, family, n, k, aligned)
+    rng = np.random.default_rng(0)
+    routes = [lambda: section_stats(f, bases, offsets),
+              lambda: f.slice_stats_batch(bases, offsets),
+              lambda: section_points(f, bases, offsets, 10, rng)]
+    if f.exact_sections(k):
+        for route in routes:
+            arrays = route()
+            assert all(np.isfinite(a).all() for a in arrays)
+        return
+    state = rng.bit_generator.state
+    for route in routes:
+        with pytest.raises(ValueError, match=f"{type(f).__name__} has no "
+                           f"exact sections of dimension {k}"):
+            route()
+    assert rng.bit_generator.state == state
+
+
+def test_pushforward_sections_raise_before_drawing():
+    # a pushforward has no exact sections of any dimension
+    f = affine_image(TruncatedGaussian(np.zeros(2), 1.0, 1.0),
+                     (np.array([[1.0, 1.0], [0.0, 1.0]]), None))
+    bases, offsets = flats(2, 1, 3, np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for route in (lambda: section_stats(f, bases, offsets),
+                  lambda: section_points(f, bases, offsets, 10, rng)):
+        with pytest.raises(ValueError, match="PushforwardDensity has no "
+                           "exact sections of dimension 1"):
+            route()
+    assert rng.bit_generator.state == state
 
 
 def reference_step_quantiles(edges, weights, u):
