@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Relative singular-value cutoff below which a point tuple is treated as
 # rank deficient and its simplex volume reported as exactly zero.
@@ -52,14 +51,22 @@ class Dimensions:
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit euclidean ball in dimension n (1.0 for n = 0)."""
+    """Volume of the unit euclidean ball in dimension n (1.0 for n = 0).
+
+    By the recursion kappa_n = kappa_{n-2} 2 pi / n from kappa_0 = 1 and
+    kappa_1 = 2, which keeps the small cases exact (kappa_1 is 2.0, where
+    a gamma function lands one ulp off).
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {n!r}")
-    return float(np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)))
+    volume = 2.0 if n % 2 else 1.0
+    for m in range(2 + n % 2, n + 1, 2):
+        volume *= 2.0 * math.pi / m
+    return volume
 
 
 def _log_unit_ball_volume(n: int) -> float:
-    return 0.5 * n * np.log(np.pi) - float(gammaln(0.5 * n + 1.0))
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
 def unit_volume_radius(n: int) -> float:
@@ -80,7 +87,7 @@ def bp_constant(dims: Dimensions) -> float:
     n, k, q = dims.n, dims.k, dims.q
     if q > k or k > n:
         raise ValueError(f"need q <= k <= n, got n={n} k={k} q={q}")
-    log_c = (n - k) * float(gammaln(q + 1.0))
+    log_c = (n - k) * math.lgamma(q + 1.0)
     for m in range(n - q + 1, n + 1):
         log_c += _log_unit_ball_volume(m)
     for j in range(k - q + 1, k + 1):
@@ -121,7 +128,7 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
         top = sv[..., 0]
         degenerate = sv[..., -1] <= SV_RELATIVE_CUTOFF * top
         with np.errstate(divide="ignore"):
-            logvol = np.sum(np.log(sv), axis=-1) - float(gammaln(q + 1.0))
+            logvol = np.sum(np.log(sv), axis=-1) - math.lgamma(q + 1.0)
         return np.where(degenerate | (top == 0.0), 0.0, np.exp(logvol))
     frob2 = np.einsum("...ij,...ij->...", x, x)
     if min(q, n) == 1:

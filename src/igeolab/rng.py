@@ -9,6 +9,9 @@ scheduling order.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads these lazily; np.quantile reaches numpy.ma through np.unique
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = ["master_rng", "substream"]
 

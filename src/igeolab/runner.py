@@ -3,7 +3,7 @@
 Artifacts per run: results.csv (one row per check, shortest round-trip
 number formatting so reruns diff cleanly), reports/<label>.json with the
 full diagnostics, and manifest.json with the reproducibility metadata,
-including the Python, numpy and scipy versions, the BLAS build and its
+including the Python and numpy versions, the BLAS build and its
 thread caps, and the platform that the byte-identity of results.csv rests
 on (numpy elementwise arithmetic, the generator streams, and LAPACK where
 frames or determinants are factored).
@@ -22,7 +22,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import CHECKS, RunConfig
@@ -162,7 +161,7 @@ def _environment() -> dict:
     except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
         blas = {}
     return {"python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "thread_caps": {name: os.environ.get(name) for name in
                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

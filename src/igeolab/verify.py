@@ -26,7 +26,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import betainc
 
 from .geometry import Dimensions, bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _spd_solve, _tuple_volumes
@@ -102,6 +101,14 @@ def _k_up_to(k: int, top: int):
 def _unit_mass(f: DensityModel):
     _need(abs(f.mass - 1.0) <= 1e-9, "f",
           "must be a probability density (unit mass); set normalize = true")
+
+
+def _positive_sup(f_list, param: str):
+    """Rule: every sup is positive.  A tiny sup can underflow to 0 while the
+    mass stays positive, and the bounds take a log or a root of it."""
+    _need(all(f.sup > 0.0 for f in f_list), param,
+          "must hold densities of positive sup" if param == "f_list"
+          else "must have a positive sup")
 
 
 def _one_dimension(f_list):
@@ -527,8 +534,7 @@ def _rearrangement_rules(f_list, p, case, n_samples, levels):
     limit = f_list[0].n + (case == "simplex")
     _need(len(f_list) <= limit, "f_list",
           f"at most {limit} densities for case {case!r}")
-    _need(all(f.sup > 0.0 for f in f_list), "f_list",
-          "must hold densities of positive sup")
+    _positive_sup(f_list, "f_list")
     _need(all(f.superlevel_volumes([f.sup / 2]) is not None for f in f_list),
           "f_list", "rearrangement needs exact level profiles")
 
@@ -608,6 +614,7 @@ def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
     _need(0.0 <= p <= n - k, "p", f"must lie in [0, {n - k}], got {p}")
     _at_least(2, n_subspaces=n_subspaces)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
+    _positive_sup(f_list, "f_list")
     _readable(f_list, k, "method", method)
 
 
@@ -716,6 +723,7 @@ def _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial):
     _need(t > 1.0, "t", f"must be > 1, got {t}")
     _at_least(2, n_subspaces=n_subspaces, n_x=n_x)
     _unit_mass(f)
+    _positive_sup([f], "f")
     if adversarial is not None:
         _need((adversarial.n, adversarial.k) == (n, k), "adversarial", f"is "
               f"{adversarial.k}-dimensional in R^{adversarial.n}, not k={k}")
@@ -826,15 +834,31 @@ def _axis_measure(n: int, k: int, s: float, normal: bool) -> float:
       so the event is t >= x with x = (1/sigma^2 - 2 pi s^(-2k)) /
       (1/sigma^2 - 1).
 
-    The measure is P(t >= x) = I_{1-x}((n-1)/2, 1/2), x clipped to [0, 1];
-    at n = 2 the two forms describe one event.
+    The measure is P(t >= x) = I_{1-x}((n-1)/2, 1/2), x clipped to [0, 1]
+    (_beta_half); at n = 2 the two forms describe one event.
     """
     sigma2 = (2 * math.pi) ** (-n / k)
     if normal:
         x = (1.0 / sigma2 - 2 * math.pi * s ** (-2 * k)) / (1.0 / sigma2 - 1.0)
     else:
         x = (1.0 - 1.0 / (2 * math.pi * s * s)) / (1.0 - sigma2)
-    return float(betainc((n - 1) / 2, 0.5, 1.0 - min(max(x, 0.0), 1.0)))
+    return _beta_half((n - 1) / 2, 1.0 - min(max(x, 0.0), 1.0))
+
+
+def _beta_half(a: float, w: float) -> float:
+    """Regularized incomplete beta I_w(a, 1/2) for a a positive multiple
+    of 1/2 and w in [0, 1], by finite sums (A&S 26.5): from
+    I_w(1/2, 1/2) = (2/pi) asin(sqrt w) or I_w(1, 1/2) = 1 - sqrt(1 - w),
+    step the first parameter up by I_w(b+1, 1/2) = I_w(b, 1/2)
+    - w^b sqrt(1 - w) / (b B(b, 1/2))."""
+    b = 0.5 if a % 1 else 1.0
+    value = 2.0 / math.pi * math.asin(math.sqrt(w)) if b == 0.5 \
+        else 1.0 - math.sqrt(1.0 - w)
+    while b < a:
+        value -= w ** b * math.sqrt(1.0 - w) * math.exp(
+            math.lgamma(b + 0.5) - math.lgamma(b + 1.0) - math.lgamma(0.5))
+        b += 1.0
+    return value
 
 
 def _sharpness_rules(n, k, s, n_subspaces):
@@ -943,6 +967,7 @@ def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):
     _at_least(2, n_samples=n_samples)
     _at_least(1, n_candidates=n_candidates)
     _unit_mass(f)
+    _positive_sup([f], "f")
 
 
 def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,

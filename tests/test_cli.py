@@ -18,7 +18,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy
 
 from igeolab import config, runner
 from igeolab.cli import main
@@ -194,7 +193,7 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     caps = {name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     assert env == {"python": platform.python_version(),
-                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "numpy": np.__version__,
                    "blas": blas["name"], "blas_version": blas["version"],
                    "thread_caps": caps, "platform": platform.platform()}
 

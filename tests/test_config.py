@@ -316,6 +316,11 @@ def check_section(fields):
     factors = [{"lo": -2.0, "hi": 2.0, "heights": [1e-162]},
                {"lo": -2.0, "hi": 2.0, "heights": [1e-162]}]
 
+    [density wide]
+    kind = "product"
+    factors = [{"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]},
+               {"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]}]
+
     [check bad]
 """ + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
@@ -619,6 +624,8 @@ BOX = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0])] * 3)
 TRUNC = TruncatedGaussian.normalized(np.zeros(2), 1.0, 1.0)
 # sup 1e-324 underflows to 0, while the mass 1.6e-323 stays positive
 TINY = ProductDensity([Step1D.uniform(-2.0, 2.0, [1e-162])] * 2)
+# unit mass, with a sup of 6.25e-326 that underflows to 0
+WIDE = ProductDensity([Step1D.uniform(-2e162, 2e162, [2.5e-163])] * 2)
 SPEC = ExponentSpec((1.0,), (2.0,))
 LINE = Subspace(np.eye(2)[:, :1])
 
@@ -769,6 +776,10 @@ RULES = {
         lambda r: verify.check_grinberg_functional([BALL, BALL], 1, 0.0, 64,
                                                    r),
         "f_list", GRINBERG, {"densities": '["ball", "ball"]'}, "densities"),
+    "grinberg-zero-sup": (
+        lambda r: verify.check_grinberg_functional([TINY], 1, 0.5, 64, r),
+        "f_list", GRINBERG, {"densities": '["tiny"]', "p": "0.5"},
+        "densities"),
     "grinberg-mc-unbounded": (
         lambda r: verify.check_grinberg_functional([GAUSS], 1, 0.0, 64, r,
                                                    ("mc", 8)),
@@ -792,6 +803,10 @@ RULES = {
         lambda r: verify.marginal_bound_experiment(BALL, 1, 2.0, 2.0, 8, 20,
                                                    r),
         "f", MARGINAL, {"density": '"ball"'}, "density"),
+    "marginal-zero-sup": (
+        lambda r: verify.marginal_bound_experiment(WIDE, 1, 2.0, 2.0, 8, 20,
+                                                   r),
+        "f", MARGINAL, {"density": '"wide"'}, "density"),
     "marginal-adversarial-plane": (
         lambda r: verify.marginal_bound_experiment(
             UNIT, 1, 2.0, 2.0, 8, 20, r, Subspace(np.eye(2))),
@@ -825,6 +840,10 @@ RULES = {
         lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 0.5, [0.1],
                                                  100, r, 0),
         "n_candidates", PERTURBATION, {"n_candidates": "0"}, "n_candidates"),
+    "perturbation-zero-sup": (
+        lambda r: verify.perturbation_experiment(WIDE, 1, LINE, 0.5, [0.1],
+                                                 100, r),
+        "f", PERTURBATION, {"density": '"wide"'}, "density"),
     "perturbation-not-unit-mass": (
         lambda r: verify.perturbation_experiment(BALL, 1, LINE, 0.5, [0.1],
                                                  100, r),
