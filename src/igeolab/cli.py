@@ -21,6 +21,18 @@ from .runner import run_suite
 __all__ = ["main"]
 
 _KEY_COLUMNS = ["check", "n", "k", "q", "p", "extra-params"]
+_TABLE_COLUMNS = _KEY_COLUMNS + ["ratio", "verdict"]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_args(argv):
@@ -33,7 +45,7 @@ def _parse_args(argv):
     run_p.add_argument("--config", required=True, help="suite config file")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the configured master seed")
-    run_p.add_argument("--jobs", type=int, default=None,
+    run_p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default 1)")
 
     table_p = sub.add_parser("table",
@@ -46,13 +58,13 @@ def _parse_args(argv):
 
 def _jobs_from(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
+        return args.jobs
     env = os.environ.get("IGEOLAB_JOBS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer IGEOLAB_JOBS={env!r}",
+            return _positive_int(env)
+        except argparse.ArgumentTypeError:
+            print(f"ignoring IGEOLAB_JOBS={env!r}: not a positive integer",
                   file=sys.stderr)
     return 1
 
@@ -69,8 +81,23 @@ def _cmd_run(args) -> int:
 
 
 def _read_rows(path):
+    """The rows of a results.csv, none for an empty file; ValueError naming
+    the columns that the table reads and the header lacks, or the first
+    line short of them."""
     with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            return []
+        missing = [c for c in _TABLE_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"missing column {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if any(row[c] is None for c in _TABLE_COLUMNS):
+                raise ValueError(f"line {reader.line_num} has fewer fields "
+                                 "than the header")
+            rows.append(row)
+        return rows
 
 
 def _cmd_table(paths) -> int:
@@ -79,7 +106,7 @@ def _cmd_table(paths) -> int:
         try:
             per_file.append({tuple(r[c] for c in _KEY_COLUMNS): r
                              for r in _read_rows(path)})
-        except (OSError, KeyError) as exc:
+        except (OSError, ValueError, csv.Error) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1
     order: list[tuple] = []

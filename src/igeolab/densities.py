@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .geometry import _spd_solve, unit_ball_volume
+from .geometry import _row_norms, _spd_solve, unit_ball_volume
 from .grassmann import Flat, Subspace, uniform_ball
 from .report import Estimate
 
@@ -633,11 +633,7 @@ class Step1D(DensityModel):
         return cls(np.linspace(lo, hi, heights.size + 1), heights)
 
     def eval_many(self, x):
-        r = x[:, 0]
-        idx = np.searchsorted(self.edges, r, side="right") - 1
-        inside = (r >= self.edges[0]) & (r < self.edges[-1])
-        idx = np.clip(idx, 0, self.heights.size - 1)
-        return np.where(inside, self.heights[idx], 0.0)
+        return _step_values(self.edges, self.heights, x[:, 0])
 
     @property
     def mass(self):
@@ -652,13 +648,12 @@ class Step1D(DensityModel):
         return max(abs(self.lo), abs(self.hi))
 
     def sample(self, size, rng):
-        weights = self.heights * np.diff(self.edges)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("cannot sample from a zero density")
-        bins = rng.choice(self.heights.size, size=size, p=weights / total)
-        lo = self.edges[bins]
-        return (lo + rng.random(size) * (self.edges[bins + 1] - lo))[:, None]
+        widths = np.diff(self.edges)
+        bins = _choose_bins(self.heights * widths, size, rng)
+        x = rng.random(size)
+        x *= widths.take(bins)
+        x += self.edges.take(bins)
+        return x[:, None]
 
     def power(self, p):
         return Step1D(self.edges, self.heights ** p)
@@ -805,11 +800,7 @@ class RadialGridDensity(_Sectioned):
         return unit_ball_volume(self.n) * np.diff(self.edges ** self.n)
 
     def eval_many(self, x):
-        r = np.linalg.norm(x, axis=1)
-        idx = np.searchsorted(self.edges, r, side="right") - 1
-        inside = (r >= self.edges[0]) & (r < self.edges[-1]) & (idx >= 0)
-        idx = np.clip(idx, 0, self.heights.size - 1)
-        return np.where(inside, self.heights[idx], 0.0)
+        return _step_values(self.edges, self.heights, _row_norms(x))
 
     @property
     def mass(self):
@@ -824,15 +815,16 @@ class RadialGridDensity(_Sectioned):
         return float(self.edges[-1])
 
     def sample(self, size, rng):
-        weights = self.heights * self.shell_volumes()
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("cannot sample from a zero density")
-        shells = rng.choice(self.heights.size, size=size, p=weights / total)
-        lo = self.edges[shells] ** self.n
-        hi = self.edges[shells + 1] ** self.n
-        r = (lo + rng.random(size) * (hi - lo)) ** (1.0 / self.n)
-        return _directions((size,), self.n, rng) * r[:, None]
+        # shells are uniform in r^n: draw r^n in the shell, then take roots
+        shells = _choose_bins(self.heights * self.shell_volumes(), size, rng)
+        powers = self.edges ** self.n
+        r = rng.random(size)
+        r *= np.diff(powers).take(shells)
+        r += powers.take(shells)
+        r **= 1.0 / self.n
+        g = _directions((size,), self.n, rng)
+        g *= r[:, None]
+        return g
 
     def power(self, p):
         return RadialGridDensity(self.n, self.edges, self.heights ** p)
@@ -873,8 +865,44 @@ def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _directions(shape: tuple, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit vectors of R^k, shape + (k,)."""
     g = rng.standard_normal(shape + (k,))
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    g /= _row_norms(g)[..., None]
     return g
+
+
+def _bin_count(edges, x) -> np.ndarray:
+    """The number of edges at or below x, elementwise, as intp: one
+    comparison per edge, each edges[j] broadcasting to x's shape, so for
+    increasing 1-d edges it is np.searchsorted(edges, x, side="right"),
+    ties included, and NaN counts no edge.  Meant for the handful of edges
+    of a step density."""
+    count = np.zeros(np.shape(x), dtype=np.intp)
+    for edge in edges:
+        count += edge <= x
+    return count
+
+
+def _step_values(edges: np.ndarray, heights: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """heights[j] at each x in [edges[j], edges[j + 1]), 0.0 outside
+    [edges[0], edges[-1]) and at NaN: the bin count indexes the heights
+    padded with one 0.0 on each side."""
+    table = np.concatenate(([0.0], heights, [0.0]))
+    return table.take(_bin_count(edges, x))
+
+
+def _choose_bins(weights: np.ndarray, size: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """size bin indices drawn with probabilities proportional to weights,
+    the same indices, from the same one rng.random(size) call, as
+    rng.choice(weights.size, size, p=weights / weights.sum()): that is
+    what choice does with p, without its validation and binary search.
+    ValueError unless the weights sum to a positive finite total."""
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"cannot sample from a density of mass {total}")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return _bin_count(cdf[:-1], rng.random(size))
 
 
 def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
@@ -887,11 +915,9 @@ def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
     below = np.concatenate([np.zeros((s, 1)), np.cumsum(weights, axis=1)],
                            axis=1)
     target = u * below[:, -1:]
-    # the bin is the count of inner cumulative weights at or below target:
-    # the comparisons of a count over all of them, capped at bins - 1
-    idx = np.zeros(target.shape, dtype=np.intp)
-    for j in range(1, bins):
-        idx += below[:, j, None] <= target
+    # the bin is the count of inner cumulative weights at or below target,
+    # capped at bins - 1
+    idx = _bin_count(below[:, 1:-1].T[..., None], target)
     rows = np.arange(s)[:, None]
     w = np.take(weights, idx + rows * bins)
     idx += rows * (bins + 1)

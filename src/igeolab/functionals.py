@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _tuple_volumes
+from .geometry import _row_norms, _tuple_volumes
 from .grassmann import Subspace, flat_frames, haar_bases
 from .densities import DensityModel, section_stats, _as_section
 from .report import Estimate, mc_estimate
@@ -260,7 +260,7 @@ def small_ball_probability(f: DensityModel, E: Subspace, z, eps: float,
 
     def draw(stream, m):
         pts = f.sample(m, stream)
-        dist = np.linalg.norm(pts @ E.basis - z_coords, axis=1)
+        dist = _row_norms(pts @ E.basis - z_coords)
         return (dist <= threshold).astype(float)
 
     return mc_estimate(draw, n_samples, rng)

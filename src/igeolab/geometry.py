@@ -174,6 +174,25 @@ def _spd_solve(g: np.ndarray, rhs: np.ndarray | None = None):
         else np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of x, bit for bit those of
+    np.linalg.norm(x, axis=-1).
+
+    For k <= 7 columns the squares are summed left to right, as numpy's
+    reduction does below its 8-term pairwise blocks, into one array of the
+    leading shape instead of a squared copy of x; k >= 8 goes through
+    np.linalg.norm.
+    """
+    k = x.shape[-1]
+    if k >= 8:
+        return np.linalg.norm(x, axis=-1)
+    total = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
+    square = np.empty_like(total)
+    for j in range(1, k):
+        total += np.square(x[..., j], out=square)
+    return np.sqrt(total, out=total)
+
+
 def simplex0_volume(pts: np.ndarray) -> float:
     """q-volume of the simplex conv{0, x_1, ..., x_q}, points as rows."""
     pts = np.asarray(pts, dtype=float)

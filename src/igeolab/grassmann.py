@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import unit_ball_volume
+from .geometry import _row_norms, unit_ball_volume
 
 # Orthonormality and perpendicularity tolerance for constructed frames.
 FRAME_TOL = 1e-10
@@ -194,10 +194,12 @@ def distances_to(E: Subspace, bases: np.ndarray) -> np.ndarray:
 def uniform_ball(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points in the unit ball of R^dim, shape (size, dim)."""
     g = rng.standard_normal((size, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_norms(g)
     norms[norms == 0.0] = 1.0
     radii = rng.random(size) ** (1.0 / dim)
-    return g / norms * radii[:, None]
+    g /= norms[:, None]
+    g *= radii[:, None]
+    return g
 
 
 def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):

@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from .geometry import Dimensions, bp_constant, bp_exact_constant, \
-    unit_ball_volume, unit_volume_radius, _spd_solve, _tuple_volumes
+    unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
+    _tuple_volumes
 from .grassmann import Subspace, flat_frames, haar_bases, \
     perturb_subspace, distances_to, sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
@@ -516,7 +517,9 @@ def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
     cone case), raised to 1/p."""
 
     def draw(stream, m):
-        pts = np.stack([f.sample(m, stream) for f in f_list], axis=1)
+        pts = np.empty((m, len(f_list), f_list[0].n))
+        for i, f in enumerate(f_list):
+            pts[:, i] = f.sample(m, stream)
         if not origin:
             pts = pts[:, 1:, :] - pts[:, :1, :]
         return _tuple_volumes(pts) ** p
@@ -705,7 +708,7 @@ def _fiber_statistics(f: DensityModel, E: Subspace, n_x: int,
     l1, sup, _ = section_stats(f, bases, np.vstack([feet, np.zeros(n)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
-    return (t_vals[:-1], l1[:-1], np.linalg.norm(feet, axis=1),
+    return (t_vals[:-1], l1[:-1], _row_norms(feet),
             float(t_vals[-1]))
 
 
@@ -1001,7 +1004,7 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
         for eps in eps_grid:
             fracs = []
             for z in centers:
-                frac = float((np.linalg.norm(coords - z, axis=1)
+                frac = float((_row_norms(coords - z)
                               <= eps * math.sqrt(k)).mean())
                 c_here = frac ** exponent * eta / (eps * sup_root)
                 worst = max(worst, c_here)

@@ -545,3 +545,46 @@ def test_one_config_runs_twice_identically(tmp_path):
     again = dataclasses.replace(cfg, output_dir=str(tmp_path / "second"))
     run_suite(again, echo=lambda line: None)
     assert (tmp_path / "second" / "results.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("text, named", [
+    ("check,n,k,q,p,extra-params\nround,2,1,,1.0,{}\n", "ratio, verdict"),
+    ("check,n,k,q,p,extra-params,ratio,verdict\nround,2,1,,1.0,{}\n",
+     "line 2"),
+], ids=["no-result-columns", "short-row"])
+def test_table_missing_result_fields_errors(tmp_path, capsys, text, named):
+    path = tmp_path / "partial.csv"
+    path.write_text(text)
+    assert main(["table", str(path), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {path}: " in err
+    assert named in err
+
+
+def test_table_of_empty_file_is_empty(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["table", str(path)]) == 0
+    assert "cannot read" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_non_positive_jobs_flag_is_a_usage_error(tmp_path, capsys, jobs):
+    config = write_suite(tmp_path, PASS_BODY)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("env", ["0", "-2"])
+def test_non_positive_jobs_env_is_ignored(tmp_path, monkeypatch, capsys, env):
+    asked = []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                        lambda max_workers: asked.append(max_workers))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IGEOLAB_JOBS", env)
+    assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY)]) == 2
+    assert f"IGEOLAB_JOBS={env!r}" in capsys.readouterr().err
+    assert asked == []      # one worker: the suite runs in process
