@@ -9,8 +9,7 @@ scheduling order.
 from __future__ import annotations
 
 import numpy as np
-# numpy loads these lazily; np.quantile reaches numpy.ma through np.unique
-import numpy.ma  # noqa: F401
+# numpy loads it lazily
 import numpy.random  # noqa: F401
 
 __all__ = ["master_rng", "substream"]

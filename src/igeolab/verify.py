@@ -712,10 +712,34 @@ def _fiber_statistics(f: DensityModel, E: Subspace, n_x: int,
             float(t_vals[-1]))
 
 
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(values, qs), method "linear", bit for bit, without the
+    np.unique through which numpy's own version imports numpy.ma.
+
+    Like numpy it partitions at the index set {0, n - 1, lo, hi} (which
+    decides where tied -0.0 and 0.0 land), sends a virtual index
+    h = (n - 1) q at or past n - 1 to the last element with weight h + 1,
+    interpolates by numpy's lerp rule, and answers NaN for NaN input.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    n = arr.size
+    h = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(h).astype(np.intp)
+    hi = lo + 1
+    top = h >= n - 1
+    lo[top] = hi[top] = -1
+    arr = np.partition(arr, sorted({0, n - 1, *lo, *hi} - {-1}))
+    if np.isnan(arr[-1]):
+        return np.full(h.shape, arr[-1])
+    a, b, t = arr[lo], arr[hi], h - lo
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _fit_quantile_constant(values: np.ndarray, s: float, kn: int) -> float:
     """Smallest c with empirical frac(values > (c s)^kn) <= s^-kn."""
     level = min(1.0 - s ** (-kn), 1.0)
-    q = float(np.quantile(values, level))
+    q = float(_quantiles(values, [level])[0])
     return max(q, 0.0) ** (1.0 / kn) / s
 
 
@@ -783,7 +807,7 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     c3 = 0.0
     eps_grid = []
     if radii.size:
-        qs = np.quantile(radii[radii > 0], [0.001, 0.01, 0.05, 0.2])
+        qs = _quantiles(radii[radii > 0], [0.001, 0.01, 0.05, 0.2])
         eps_grid = sorted(set(float(v) / math.sqrt(k) for v in qs if v > 0))
         fracs = (radii[..., None] <= np.array(eps_grid) * math.sqrt(k)) \
             .mean(axis=1).max(axis=0)

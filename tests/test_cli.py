@@ -7,13 +7,19 @@ so starved sampling budgets keep the file fast.
 """
 
 import csv
+import ctypes
 import dataclasses
+import functools
 import io
 import json
+import multiprocessing
 import os
 import platform
 import re
+import subprocess
+import sys
 import textwrap
+import types
 import warnings
 
 import numpy as np
@@ -195,7 +201,8 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__,
                    "blas": blas["name"], "blas_version": blas["version"],
-                   "thread_caps": caps, "platform": platform.platform()}
+                   "thread_caps": caps, "platform": platform.platform(),
+                   "malloc": env["malloc"]}
 
 
 def test_manifest_records_blas_and_thread_caps(tmp_path, monkeypatch):
@@ -218,6 +225,129 @@ def test_manifest_records_blas_and_thread_caps(tmp_path, monkeypatch):
         assert env["thread_caps"] == caps
         runs.append((out / "results.csv").read_bytes())
     assert runs[0] == runs[1]  # the caps go to the manifest only
+
+
+POLICY = {"mmap_threshold": 33554432, "trim_threshold": 67108864}
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="libc has no mallopt")
+def test_manifest_records_malloc_policy_and_minor_faults(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY)]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["environment"]["malloc"] == POLICY
+    faults = [check["minor_faults"] for check in manifest["checks"]]
+    assert len(faults) == 2
+    assert all(isinstance(f, int) and f >= 0 for f in faults)
+
+
+def recording_libc(monkeypatch, log, refuse=False):
+    """Stand in for ctypes.CDLL: every mallopt call appends
+    "pid param value" to the file log."""
+    def mallopt(param, value):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {param} {value}\n")
+        return 0 if refuse else 1
+
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return opened
+
+
+def read_calls(log):
+    return [tuple(int(v) for v in line.split())
+            for line in log.read_text().splitlines()]
+
+
+def test_run_suite_sets_the_malloc_policy(tmp_path, monkeypatch):
+    log = tmp_path / "mallopt.log"
+    opened = recording_libc(monkeypatch, log)
+    cfg = load_config(write_suite(tmp_path, FAIL_BODY,
+                                  out=str(tmp_path / "out")))
+    run_suite(cfg, echo=lambda line: None)
+    assert opened == [None]
+    assert (runner.MMAP_THRESHOLD, runner.TRIM_THRESHOLD) == \
+        (32 * 2 ** 20, 64 * 2 ** 20)
+    pid = os.getpid()
+    assert read_calls(log) == [(pid, -3, runner.MMAP_THRESHOLD),
+                               (pid, -1, runner.TRIM_THRESHOLD)]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["environment"]["malloc"] == POLICY
+
+
+def test_pool_workers_set_the_malloc_policy(tmp_path, monkeypatch):
+    # fork, so that the workers inherit the stand-in libc whatever the
+    # platform's default start method
+    log = tmp_path / "mallopt.log"
+    recording_libc(monkeypatch, log)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("fork")))
+    cfg = load_config(write_suite(tmp_path, FAIL_BODY,
+                                  out=str(tmp_path / "out")))
+    run_suite(cfg, jobs=2, echo=lambda line: None)
+    calls = read_calls(log)
+    workers = {pid for pid, _, _ in calls} - {os.getpid()}
+    assert len(workers) == 2
+    for pid in workers:
+        assert [c[1:] for c in calls if c[0] == pid] == \
+            [(-3, runner.MMAP_THRESHOLD), (-1, runner.TRIM_THRESHOLD)]
+
+
+def no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def no_libc(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("libc", [no_mallopt, no_libc, "refuses"])
+def test_suite_runs_unchanged_without_the_malloc_policy(tmp_path, monkeypatch,
+                                                        libc):
+    cfg = load_config(write_suite(tmp_path, PASS_BODY,
+                                  out=str(tmp_path / "normal")))
+    assert run_suite(cfg, echo=lambda line: None) == 0
+    if libc == "refuses":
+        recording_libc(monkeypatch, tmp_path / "mallopt.log", refuse=True)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+    cfg = load_config(write_suite(tmp_path, PASS_BODY,
+                                  out=str(tmp_path / "bare")))
+    assert run_suite(cfg, echo=lambda line: None) == 0
+    assert (tmp_path / "bare" / "results.csv").read_bytes() == \
+        (tmp_path / "normal" / "results.csv").read_bytes()
+    manifest = json.loads((tmp_path / "bare" / "manifest.json").read_text())
+    assert manifest["environment"]["malloc"] is None
+
+
+def test_paper_core_run_never_imports_numpy_ma(tmp_path):
+    # np.quantile would import it through np.unique; the marginal-bound
+    # check uses verify._quantiles instead
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        runner.__file__)))
+    script = ("import sys\n"
+              "from igeolab.cli import main\n"
+              "code = main(['run', '--config', sys.argv[1], '--jobs', '1'])\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, IGEOLAB_OUTPUT_DIR=str(tmp_path / "out"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         os.path.join(root, "configs", "paper-core.ini")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "results.csv").exists()
 
 
 def test_run_any_failure_exits_two(tmp_path, monkeypatch, capsys):
@@ -457,7 +587,7 @@ def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
     asked = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             asked.append(max_workers)
 
         def __enter__(self):

@@ -467,6 +467,41 @@ def test_marginal_bound_requires_probability_density(rng):
                                   n_x=10, rng=rng)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_quantiles_match_numpy_bit_for_bit():
+    # ties, signed zeros, infinities and NaN; q at 0, 1, on the grid
+    # (n - 1) q integer, and the marginal-bound levels 1 - s^-kn
+    gen = np.random.default_rng(20261018)
+    pools = [np.array([-0.0, 0.0]), np.array([-0.0, 0.0, 1.0, -2.5, 3.0]),
+             np.array([0.0, 1.0, INF, -INF]), np.array([1.0, np.nan, -0.0])]
+    for case in range(10_000):
+        n = int(gen.integers(1, 4)) if case % 4 == 0 else \
+            int(gen.integers(1, 60))
+        kind = case % 5
+        if kind < len(pools) and (kind < 3 or case % 20 == 3):
+            values = gen.choice(pools[kind], size=n)
+        else:
+            values = gen.standard_normal(n) * 10.0 ** gen.integers(-3, 4)
+        qs = [0.0, 1.0, float(gen.random()),
+              float(gen.integers(0, n)) / max(n - 1, 1),
+              1.0 - float(gen.choice([1.5, 2.0, 3.0])) ** -int(
+                  gen.integers(1, 9))]
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own
+            ours = verify._quantiles(values, qs)
+            theirs = np.quantile(values, qs)
+            q = qs[case % len(qs)]
+            one, scalar = verify._quantiles(values, [q])[0], \
+                np.quantile(values, q)
+        assert np.array_equal(_bits(ours), _bits(theirs)), (values, qs)
+        assert _bits(one) == _bits(scalar), (values, q)
+    values = np.array([3.0, 1.0, 2.0])
+    verify._quantiles(values, [0.5])
+    assert np.array_equal(values, [3.0, 1.0, 2.0])  # input left in place
+
+
 # ---------------------------------------------------------------------------
 # sharpness of the small-sup event
 
