@@ -138,9 +138,12 @@ def _cmd_table(paths) -> int:
                     ratios.append(float(hit["ratio"]))
                 except ValueError:
                     pass
-        if n_files > 1:
-            delta = max(ratios) - min(ratios) if len(ratios) > 1 else ""
-            row.append(repr(delta) if delta != "" else "")
+        if n_files > 1 and len(ratios) > 1:
+            # equal ratios differ by 0, infinite ones too (inf - inf is nan)
+            low, high = min(ratios), max(ratios)
+            row.append(repr(0.0 if low == high else high - low))
+        elif n_files > 1:
+            row.append("")
         table.append([str(c) for c in row])
 
     widths = [len(h) for h in headers]

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,7 +41,7 @@ from .grassmann import Subspace
 
 __all__ = ["ConfigError", "CheckJob", "RunConfig", "load_config",
            "build_density", "read_density_text", "CHECKS", "check_names",
-           "describe_check"]
+           "describe_check", "report_name"]
 
 
 class ConfigError(ValueError):
@@ -585,6 +586,12 @@ def _json_value(section: str, key: str, raw: str):
                           f"not valid JSON ({exc.msg}): {raw!r}") from exc
 
 
+def report_name(label: str) -> str:
+    """File name stem of a check's report: each run of characters other
+    than letters, digits, '-', '.' and '_' in the label becomes one '-'."""
+    return re.sub(r"[^-._a-zA-Z0-9]+", "-", label)
+
+
 def _seed(seed) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) \
             or not 0 <= seed < 2 ** 64:
@@ -629,7 +636,8 @@ def load_config(path: str, *, seed_override: int | None = None,
 
     densities: dict[str, DensityModel] = {}
     density_specs: dict[str, dict] = {}
-    checks: dict[str, tuple] = {}  # label -> (name, params)
+    # report_name(label) -> (label, check name, params)
+    checks: dict[str, tuple] = {}
     for section in parser.sections():
         if section == "run":
             continue
@@ -658,11 +666,12 @@ def load_config(path: str, *, seed_override: int | None = None,
                 raise ConfigError(section, "check",
                                   f"unknown check {name!r}; known: "
                                   f"{', '.join(check_names())}")
-            label = parts[1]
-            if label in checks:
+            label, stem = parts[1], report_name(parts[1])
+            if stem in checks:
                 raise ConfigError(section, "section",
-                                  f"duplicate check label {label!r}")
-            checks[label] = name, items
+                                  f"label {label!r} shares the report file "
+                                  f"{stem}.json with {checks[stem][0]!r}")
+            checks[stem] = label, name, items
         else:
             raise ConfigError(section, "section",
                               "sections must be [run], [density <name>], "
@@ -670,6 +679,6 @@ def load_config(path: str, *, seed_override: int | None = None,
 
     jobs = [CheckJob(label, name, params, CHECKS[name].parse(
         params, densities, f"check {label}"))
-        for label, (name, params) in checks.items()]
+        for label, name, params in checks.values()]
     return RunConfig(seed=seed, output_dir=output_dir, densities=densities,
                      checks=jobs, density_specs=density_specs)

@@ -37,8 +37,7 @@ import math
 import numpy as np
 
 from .geometry import _row_norms, _spd_solve, unit_ball_volume
-from .grassmann import Flat, Subspace, uniform_ball
-from .report import Estimate
+from .grassmann import uniform_ball
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
@@ -61,8 +60,6 @@ __all__ = [
     "closed_form_image",
     "section_stats",
     "section_points",
-    "restriction_stats",
-    "marginal_density",
     "write_density_text",
 ]
 
@@ -186,14 +183,6 @@ def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("edges", "must be finite and increasing, one "
                              "more than the heights")
     return edges, heights
-
-
-def _as_section(S) -> tuple[Subspace, np.ndarray]:
-    if isinstance(S, Subspace):
-        return S, np.zeros(S.n)
-    if isinstance(S, Flat):
-        return S.subspace, np.asarray(S.offset)
-    raise TypeError(f"expected Subspace or Flat, got {type(S).__name__}")
 
 
 class _Sectioned(DensityModel):
@@ -1045,7 +1034,7 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     if tag != "mc" or count < 2:
         raise ValueError(f"method must be 'exact' or ('mc', N >= 2), got {method!r}")
     if rng is None:
-        raise ValueError("Monte Carlo restriction stats need an rng")
+        raise ValueError("Monte Carlo section stats need an rng")
     if math.isinf(f.support_radius):
         raise ValueError("Monte Carlo section stats need a bounded support")
     s, n, k = bases.shape
@@ -1081,34 +1070,6 @@ def _require_exact(f: DensityModel, k: int):
     if not f.exact_sections(k):
         raise ValueError(f"{type(f).__name__} has no exact sections of "
                          f"dimension {k}")
-
-
-def restriction_stats(f: DensityModel, S, method="exact",
-                      rng: np.random.Generator | None = None):
-    """L1 and sup Estimates of f restricted to a subspace or flat: the
-    one-row case of section_stats, the MC sup flagged biased low."""
-    E, z = _as_section(S)
-    mass, sup, stderr = section_stats(f, E.basis[None], z[None], method, rng)
-    if method == "exact":
-        return Estimate.exact(mass[0]), Estimate.exact(sup[0])
-    count = method[1]
-    return (Estimate(float(mass[0]), float(stderr[0]), count),
-            Estimate(float(sup[0]), 0.0, count, biased_low=True))
-
-
-def marginal_density(f: DensityModel, E: Subspace, x, method="exact",
-                     rng: np.random.Generator | None = None) -> Estimate:
-    """Marginal density of f on E at the point x of E.
-
-    The marginal at x is the integral of f over the fiber x + E-perp, i.e.
-    the mass of the restriction of f to that flat.
-    """
-    x = np.asarray(x, dtype=float)
-    foot = E.point(E.coords(x))
-    if np.linalg.norm(x - foot) > 1e-8 * max(1.0, np.linalg.norm(x)):
-        raise ValueError("x must lie on E")
-    fiber = Flat(E.complement, foot)
-    return restriction_stats(f, fiber, method, rng)[0]
 
 
 # ---------------------------------------------------------------------------

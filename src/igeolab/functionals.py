@@ -1,8 +1,8 @@
 """Monte Carlo estimators for the integral functionals under study.
 
 Covers the two simplex-moment functionals (with and without the origin as
-a vertex), the Grassmannian and affine-Grassmannian averages of section
-norms, and projected small-ball probabilities.
+a vertex) and the Grassmannian and affine-Grassmannian averages of section
+norms.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.
 """
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _row_norms, _tuple_volumes
-from .grassmann import Subspace, flat_frames, haar_bases
-from .densities import DensityModel, section_stats, _as_section
+from .geometry import _tuple_volumes
+from .grassmann import flat_frames, haar_bases
+from .densities import DensityModel, section_stats
 from .report import Estimate, mc_estimate
-
-SUM_TOL = 1e-10
 
 __all__ = [
     "ExponentSpec",
@@ -27,9 +25,7 @@ __all__ = [
     "delta_p",
     "grassmann_average_I",
     "affine_average_I",
-    "small_ball_probability",
     "powz",
-    "section_norm",
 ]
 
 
@@ -40,8 +36,7 @@ class ExponentSpec:
     p_i may be math.inf for a sup-norm slot (it contributes nothing to the
     constraint sum).  The averages are invariant under volume-preserving
     maps exactly when sum(alpha_i / p_i) equals the ambient dimension
-    (linear averages) or dimension + 1 (affine averages); require_sum
-    asserts that before an invariance claim.
+    (linear averages) or dimension + 1 (affine averages).
     """
 
     p_list: tuple
@@ -63,12 +58,6 @@ class ExponentSpec:
         return sum(a / p for p, a in zip(self.p_list, self.alpha_list)
                    if math.isfinite(p))
 
-    def require_sum(self, target: float):
-        if abs(self.constraint_sum - target) > SUM_TOL:
-            raise ValueError(
-                f"exponent sum {self.constraint_sum!r} != required {target!r}")
-        return self
-
     def __len__(self):
         return len(self.p_list)
 
@@ -88,13 +77,6 @@ def powz(values: np.ndarray, alpha: float) -> np.ndarray:
     else:
         out[pos] = values[pos] ** alpha
     return out
-
-
-def section_norm(f: DensityModel, S, p: float) -> float:
-    """Exact L_p norm of f restricted to a subspace or flat (p may be inf)."""
-    E, z = _as_section(S)
-    masses, sups, _ = section_stats(_power_model(f, p), E.basis[None], z[None])
-    return float(_lp_norms(masses, sups, p)[0])
 
 
 def _power_model(f: DensityModel, p: float) -> DensityModel:
@@ -240,27 +222,3 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
                                        stream)
 
     return mc_estimate(draw, n_flats, rng, keep_values=True)
-
-
-def small_ball_probability(f: DensityModel, E: Subspace, z, eps: float,
-                           n_samples: int, rng: np.random.Generator
-                           ) -> Estimate:
-    """P(|P_E X - z| <= eps * sqrt(k)) for X distributed as f normalized.
-
-    z is a point of E in ambient coordinates.  Empirical fraction of draws,
-    binomial standard error.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    z = np.asarray(z, dtype=float)
-    z_coords = E.coords(z)
-    if np.linalg.norm(z - E.point(z_coords)) > 1e-8 * max(1.0, np.linalg.norm(z)):
-        raise ValueError("z must lie on E")
-    threshold = eps * math.sqrt(E.k)
-
-    def draw(stream, m):
-        pts = f.sample(m, stream)
-        dist = _row_norms(pts @ E.basis - z_coords)
-        return (dist <= threshold).astype(float)
-
-    return mc_estimate(draw, n_samples, rng)

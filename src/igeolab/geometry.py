@@ -24,8 +24,6 @@ __all__ = [
     "unit_volume_radius",
     "bp_constant",
     "bp_exact_constant",
-    "simplex0_volume",
-    "simplex_volume",
 ]
 
 
@@ -191,22 +189,3 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         total += np.square(x[..., j], out=square)
     return np.sqrt(total, out=total)
-
-
-def simplex0_volume(pts: np.ndarray) -> float:
-    """q-volume of the simplex conv{0, x_1, ..., x_q}, points as rows."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("expected a (q, n) array of points")
-    q, n = pts.shape
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q} n={n}")
-    return float(_tuple_volumes(pts))
-
-
-def simplex_volume(pts: np.ndarray) -> float:
-    """q-volume of the simplex conv{x_1, ..., x_{q+1}}, points as rows."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("expected a (q+1, n) array with q >= 1")
-    return simplex0_volume(pts[1:] - pts[0])

@@ -35,9 +35,7 @@ PERTURB_MAX_TRIES = 10_000
 
 __all__ = [
     "Subspace",
-    "Flat",
     "sample_subspace",
-    "project",
     "grassmann_distance",
     "perturb_subspace",
     "haar_bases",
@@ -95,35 +93,6 @@ class Subspace:
         return np.asarray(u, dtype=float) @ self.basis.T
 
 
-@dataclass(frozen=True, eq=False)
-class Flat:
-    """An affine k-flat offset + E, with the offset perpendicular to E."""
-
-    subspace: Subspace
-    offset: np.ndarray
-
-    def __post_init__(self):
-        z = np.array(self.offset, dtype=float)
-        if z.shape != (self.subspace.n,):
-            raise ValueError(f"offset must be an {self.subspace.n}-vector")
-        if np.abs(self.subspace.coords(z)).max() > FRAME_TOL:
-            raise ValueError("offset must be perpendicular to the subspace")
-        z.setflags(write=False)
-        object.__setattr__(self, "offset", z)
-
-    @property
-    def n(self) -> int:
-        return self.subspace.n
-
-    @property
-    def k(self) -> int:
-        return self.subspace.k
-
-    def point(self, u: np.ndarray) -> np.ndarray:
-        """Ambient point at flat coordinates u, shape (..., n)."""
-        return self.subspace.point(u) + self.offset
-
-
 def sample_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Haar-distributed k-dimensional subspace of R^n."""
     return Subspace(haar_bases(n, k, 1, rng)[0])
@@ -166,11 +135,6 @@ def _clear(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _check_nk(n: int, k: int):
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n} k={k}")
-
-
-def project(E: Subspace, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto E, as an ambient vector."""
-    return E.point(E.coords(x))
 
 
 def grassmann_distance(E: Subspace, F: Subspace) -> float:

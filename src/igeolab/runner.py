@@ -1,12 +1,13 @@
 """Suite execution and artifact persistence.
 
 Artifacts per run: results.csv (one row per check, shortest round-trip
-number formatting so reruns diff cleanly), reports/<label>.json with the
-full diagnostics, and manifest.json with the reproducibility metadata,
-including the Python and numpy versions, the BLAS build and its
-thread caps, and the platform that the byte-identity of results.csv rests
-on (numpy elementwise arithmetic, the generator streams, and LAPACK where
-frames or determinants are factored).
+number formatting so reruns diff cleanly), reports/<name>.json with the
+full diagnostics (name = config.report_name(label), unique per config), and
+manifest.json with the reproducibility metadata, including the Python and
+numpy versions, the BLAS build and its thread caps, and the platform that
+the byte-identity of results.csv rests on (numpy elementwise arithmetic,
+the generator streams, and LAPACK where frames or determinants are
+factored).
 Per-check generators are derived from the master seed by the check's
 position, so results are independent of worker count and execution order.
 
@@ -29,7 +30,6 @@ import ctypes
 import json
 import os
 import platform
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -41,7 +41,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import __version__
-from .config import CHECKS, RunConfig
+from .config import CHECKS, RunConfig, report_name
 from .report import FAIL, INCONCLUSIVE
 from .rng import substream
 
@@ -96,10 +96,6 @@ def report_row(label: str, report) -> dict:
     row["ratio"] = _fmt(report.ratio)
     row["verdict"] = report.verdict
     return row
-
-
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^-._a-zA-Z0-9]+", "-", label)
 
 
 def _set_malloc_policy():
@@ -230,7 +226,7 @@ def _consume(results, config, writer, handle, reports_dir, manifest_checks,
     for job, (report, wall, faults) in zip(config.checks, results):
         writer.writerow(report_row(job.label, report))
         handle.flush()
-        path = os.path.join(reports_dir, _safe_name(job.label) + ".json")
+        path = os.path.join(reports_dir, report_name(job.label) + ".json")
         with open(path, "w") as rh:
             payload = {"label": job.label}
             payload.update(report.to_dict())

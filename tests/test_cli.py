@@ -491,6 +491,20 @@ def test_table_two_files_reports_drift(tmp_path, monkeypatch, capsys):
     assert float(get["ratio_delta"]) == pytest.approx(delta, rel=1e-12)
 
 
+def test_table_equal_ratios_have_zero_delta(tmp_path, capsys):
+    # the (4,2), s = 3 sharpness event is provably empty: its ratio is inf
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "check,n,k,q,p,extra-params,ratio,verdict\n"
+        'gaussian_sharpness,4,2,,,"{""s"":3.0}",inf,fail\n'
+        'gaussian_sharpness,3,1,,,"{""s"":3.0}",3.758833258156668,fail\n')
+    assert main(["table", str(path), str(path)]) == 0
+    tsv = capsys.readouterr().out.split("\n\n", 1)[1]
+    lines = [line.split("\t") for line in tsv.strip().splitlines()]
+    deltas = [dict(zip(lines[0], row))["ratio_delta"] for row in lines[1:]]
+    assert deltas == ["0.0", "0.0"]
+
+
 def test_table_missing_file_errors(tmp_path, capsys):
     assert main(["table", str(tmp_path / "nope.csv")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -133,6 +133,24 @@ def test_duplicate_labels_rejected(tmp_path):
     assert "twin" in str(err.value)
 
 
+def test_labels_sharing_a_report_file_rejected(tmp_path):
+    # both labels name the report file reports/grinberg-a-b.json
+    check = """
+    check = "schneider_functional"
+    density = "ball"
+    k = 1
+    R = 1.5
+    n_flats = 100
+    """
+    body = MINIMAL + "\n    [check grinberg a/b]" + check \
+        + "\n    [check grinberg a:b]" + check
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, body))
+    assert err.value.section == "check grinberg a:b"
+    assert "grinberg-a-b.json" in err.value.message
+    assert config.report_name("grinberg a/b") == "grinberg-a-b"
+
+
 def test_precondition_violations_rejected_at_parse(tmp_path):
     # k out of range for the density dimension
     body = MINIMAL + """

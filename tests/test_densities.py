@@ -16,16 +16,23 @@ from igeolab.densities import (DensityModel, EllipsoidIndicator,
                                GaussianDensity, ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, affine_image,
-                               marginal_density, restriction_stats,
-                               write_density_text)
+                               section_stats, write_density_text)
 from igeolab.config import read_density_text
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Flat, Subspace, sample_subspace
+from igeolab.grassmann import Subspace, sample_subspace
 
 
 def line(*direction):
     v = np.asarray(direction, dtype=float)
     return Subspace((v / np.linalg.norm(v))[:, None])
+
+
+def one_section(f, E, z=None, method="exact", rng=None):
+    """(mass, sup, mass_stderr) of f on the flat z + E (z = 0 by default),
+    the one-row stack of section_stats."""
+    z = np.zeros(E.n) if z is None else z
+    return [a[0] for a in section_stats(f, E.basis[None], z[None], method,
+                                        rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +42,10 @@ def line(*direction):
 def test_ball_chord():
     b2 = EllipsoidIndicator.ball(2)
     for t in (0.0, 0.3, 0.99):
-        F = Flat(line(1, 0), np.array([0.0, t]))
-        l1, sup = restriction_stats(b2, F)
-        assert l1.value == pytest.approx(2.0 * math.sqrt(1.0 - t * t), rel=1e-12)
-        assert sup.value == pytest.approx(1.0)
-    F = Flat(line(1, 0), np.array([0.0, 1.5]))
-    assert restriction_stats(b2, F)[0].value == 0.0
+        l1, sup, _ = one_section(b2, line(1, 0), np.array([0.0, t]))
+        assert l1 == pytest.approx(2.0 * math.sqrt(1.0 - t * t), rel=1e-12)
+        assert sup == pytest.approx(1.0)
+    assert one_section(b2, line(1, 0), np.array([0.0, 1.5]))[0] == 0.0
 
 
 def test_ellipsoid_mass_and_eval():
@@ -56,11 +61,11 @@ def test_ellipsoid_mass_and_eval():
 def test_gaussian_section_closed_form():
     g = GaussianDensity.standard(3)
     z = np.array([0.0, 0.8, -0.3])          # perpendicular to e1
-    l1, sup = restriction_stats(g, Flat(line(1, 0, 0), z))
+    l1, sup, _ = one_section(g, line(1, 0, 0), z)
     d2 = float(z @ z)
-    assert l1.value == pytest.approx(
+    assert l1 == pytest.approx(
         (2 * math.pi) ** -1.0 * math.exp(-0.5 * d2), rel=1e-12)
-    assert sup.value == pytest.approx(
+    assert sup == pytest.approx(
         (2 * math.pi) ** -1.5 * math.exp(-0.5 * d2), rel=1e-12)
 
 
@@ -71,24 +76,23 @@ def test_gaussian_section_correlated(rng):
     g = GaussianDensity(np.array([0.3, -0.2]), cov)
     E = sample_subspace(2, 1, rng)
     z = E.complement.point(np.array([0.7]))
-    l1, sup = restriction_stats(g, Flat(E, z))
+    l1, sup, _ = one_section(g, E, z)
     ts = np.linspace(-12, 12, 20001)
     pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
     quad = np.trapezoid(g.eval_many(pts), ts)
-    assert l1.value == pytest.approx(quad, rel=1e-8)
-    assert sup.value == pytest.approx(g.eval_many(pts).max(), rel=1e-4)
+    assert l1 == pytest.approx(quad, rel=1e-8)
+    assert sup == pytest.approx(g.eval_many(pts).max(), rel=1e-4)
 
 
 def test_truncated_gaussian_section_vs_mc(rng):
     f = TruncatedGaussian(np.array([0.2, -0.1, 0.4]), tau=0.8, radius=2.0)
     E = sample_subspace(3, 2, rng)
     z = E.complement.point(np.array([0.5]))
-    F = Flat(E, z)
-    l1, sup = restriction_stats(f, F, method="exact")
-    l1_mc, sup_mc = restriction_stats(f, F, method=("mc", 60_000), rng=rng)
-    assert abs(l1.value - l1_mc.value) <= 3.0 * l1_mc.stderr
-    assert sup_mc.value <= sup.value * (1 + 1e-9)  # sampled max is biased low
-    assert sup_mc.value >= 0.9 * sup.value
+    l1, sup, _ = one_section(f, E, z, method="exact")
+    l1_mc, sup_mc, l1_mc_err = one_section(f, E, z, ("mc", 60_000), rng)
+    assert abs(l1 - l1_mc) <= 3.0 * l1_mc_err
+    assert sup_mc <= sup * (1 + 1e-9)  # sampled max is biased low
+    assert sup_mc >= 0.9 * sup
 
 
 def test_product_line_section_exact(rng):
@@ -97,13 +101,13 @@ def test_product_line_section_exact(rng):
                         Step1D.uniform(-0.5, 0.5, [1.0])])
     E = sample_subspace(3, 1, rng)
     z = E.complement.point(np.array([0.05, -0.1]))
-    l1, sup = restriction_stats(f, Flat(E, z))
+    l1, sup, _ = one_section(f, E, z)
     ts = np.linspace(-2.5, 2.5, 100_001)
     pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
     vals = f.eval_many(pts)
     riemann = vals.sum() * (ts[1] - ts[0])
-    assert l1.value == pytest.approx(riemann, rel=2e-3)
-    assert sup.value == pytest.approx(vals.max(), rel=1e-9)
+    assert l1 == pytest.approx(riemann, rel=2e-3)
+    assert sup == pytest.approx(vals.max(), rel=1e-9)
 
 
 def test_product_aligned_plane_section():
@@ -118,22 +122,23 @@ def test_product_aligned_plane_section():
     for E in (aligned, tilted):
         with pytest.raises(ValueError, match="ProductDensity has no exact "
                            "sections of dimension 2"):
-            restriction_stats(f, E)
+            one_section(f, E)
         with pytest.raises(ValueError, match="dimension 2"):
             f.slice_stats_batch(E.basis[None], np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
-# marginals
+# marginals: the marginal of f on E at x is the mass of its fiber x + E-perp
 
 
 def test_ball_marginal_is_disk_area(rng):
     b3 = EllipsoidIndicator.ball(3)
     E = line(1, 0, 0)
     for t in (0.0, 0.4, 0.9):
-        est = marginal_density(b3, E, np.array([t, 0.0, 0.0]))
-        assert est.value == pytest.approx(math.pi * (1 - t * t), rel=1e-12)
-        assert est.stderr == 0.0
+        x = E.point(E.coords(np.array([t, 0.0, 0.0])))
+        mass, _, stderr = one_section(b3, E.complement, x)
+        assert mass == pytest.approx(math.pi * (1 - t * t), rel=1e-12)
+        assert stderr == 0.0
 
 
 def test_gaussian_marginal_is_gaussian(rng):
@@ -141,16 +146,9 @@ def test_gaussian_marginal_is_gaussian(rng):
     E = sample_subspace(4, 2, rng)
     u = np.array([0.3, -1.1])
     x = E.point(u)
-    est = marginal_density(g, E, x)
-    assert est.value == pytest.approx(
+    foot = E.point(E.coords(x))
+    assert one_section(g, E.complement, foot)[0] == pytest.approx(
         (2 * math.pi) ** -1.0 * math.exp(-0.5 * float(u @ u)), rel=1e-10)
-
-
-def test_marginal_rejects_points_off_subspace():
-    g = GaussianDensity.standard(3)
-    E = line(1, 0, 0)
-    with pytest.raises(ValueError):
-        marginal_density(g, E, np.array([0.5, 0.2, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +281,14 @@ def test_affine_image_ellipsoid(rng):
     # errs by at most a step at each of the two boundary jumps
     E = line(1, 1, 0)
     z = img.center - E.point(E.coords(img.center))
-    l1, sup = restriction_stats(img, Flat(E, z))
+    l1, sup, _ = one_section(img, E, z)
     ts = np.linspace(-img.support_radius, img.support_radius, 200_001)
     pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
     vals = img.eval_many(pts)
-    assert l1.value > 0.0
-    assert l1.value == pytest.approx(np.trapezoid(vals, ts),
-                                     abs=2.0 * (ts[1] - ts[0]) * 2.0)
-    assert sup.value == vals.max() == 2.0
+    assert l1 > 0.0
+    assert l1 == pytest.approx(np.trapezoid(vals, ts),
+                               abs=2.0 * (ts[1] - ts[0]) * 2.0)
+    assert sup == vals.max() == 2.0
 
 
 def test_affine_image_fallback_pushforward(rng):
@@ -305,9 +303,9 @@ def test_affine_image_fallback_pushforward(rng):
     assert np.allclose(img.eval_many(pts), f.eval_many(pts @ rot), atol=1e-12)
     assert img.mass == pytest.approx(f.mass, rel=1e-12)
     # no closed-form sections through a rotated box
-    assert restriction_stats(f, line(1, 1), method="exact")[0].value >= 0  # line ok
+    assert one_section(f, line(1, 1), method="exact")[0] >= 0  # line ok
     with pytest.raises(ValueError):
-        restriction_stats(img, Subspace(np.eye(2)[:, :1]), method="exact")
+        one_section(img, Subspace(np.eye(2)[:, :1]), method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +483,9 @@ def test_constructor_validation():
 def test_restriction_stats_method_validation(rng):
     b = EllipsoidIndicator.ball(2)
     with pytest.raises(ValueError):
-        restriction_stats(b, line(1, 0), method=("mc", 1), rng=rng)
+        one_section(b, line(1, 0), method=("mc", 1), rng=rng)
     with pytest.raises(ValueError):
-        restriction_stats(b, line(1, 0), method=("mc", 100))  # rng missing
+        one_section(b, line(1, 0), method=("mc", 100))  # rng missing
 
 
 def _loaded_by_import(module):
@@ -527,6 +525,10 @@ def test_package_all_names_no_modules():
     assert not [name for name in igeolab.__all__
                 if isinstance(getattr(igeolab, name), types.ModuleType)]
     assert "kplane_transform" not in igeolab.__all__
+    # the one-flat API beside section_stats is gone
+    assert not {"Flat", "marginal_density", "restriction_stats",
+                "section_norm", "simplex0_volume", "simplex_volume",
+                "small_ball_probability"} & set(igeolab.__all__)
     scope = {}
     exec("from igeolab import *", scope)
     assert "rng" not in scope and "GaussianDensity" in scope

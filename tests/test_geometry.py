@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeolab.geometry import (SV_RELATIVE_CUTOFF, Dimensions, bp_constant,
-                              bp_exact_constant, simplex0_volume,
-                              simplex_volume, unit_ball_volume,
+                              bp_exact_constant, unit_ball_volume,
                               unit_volume_radius, _tuple_volumes)
 
 
@@ -74,15 +73,21 @@ def test_dimensions_validation():
         Dimensions(0, 0, 0)
 
 
+def simplex_volume(pts):
+    """Volume of conv{rows of pts}: the tuple of edges from the first
+    vertex, as delta_p reads it."""
+    return _tuple_volumes(pts[1:] - pts[0])
+
+
 def test_simplex0_volume_right_simplices():
     # edges e1 and 2 e2: area = |det| / 2! = 1
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert simplex0_volume(pts) == pytest.approx(1.0)
+    assert _tuple_volumes(pts) == pytest.approx(1.0)
     # single vector: length
-    assert simplex0_volume(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+    assert _tuple_volumes(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
     # full-dimensional: |det| / n!
     m = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
-    assert simplex0_volume(m) == pytest.approx(abs(np.linalg.det(m)) / 6.0)
+    assert _tuple_volumes(m) == pytest.approx(abs(np.linalg.det(m)) / 6.0)
 
 
 def test_simplex_volume_translation():
@@ -91,14 +96,15 @@ def test_simplex_volume_translation():
     shift = rng.standard_normal(3)
     assert simplex_volume(pts + shift) == pytest.approx(
         simplex_volume(pts), rel=1e-10)
+    # nor does it depend on which vertex the edges start from
     assert simplex_volume(pts) == pytest.approx(
-        simplex0_volume(pts[1:] - pts[0]), rel=1e-12)
+        simplex_volume(pts[::-1]), rel=1e-12)
 
 
 def test_simplex0_volume_degenerate():
     pts = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])  # collinear
-    assert simplex0_volume(pts) == pytest.approx(0.0, abs=1e-12)
-    assert simplex0_volume(np.zeros((2, 3))) == 0.0
+    assert _tuple_volumes(pts) == pytest.approx(0.0, abs=1e-12)
+    assert _tuple_volumes(np.zeros((2, 3))) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,12 +115,13 @@ def test_simplex0_volume_scaling_and_rotation(q, n, c, seed):
         q = n
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((q, n))
-    vol = simplex0_volume(pts)
+    vol = _tuple_volumes(pts)
     # homogeneous of degree q
-    assert simplex0_volume(c * pts) == pytest.approx(c ** q * vol, rel=1e-8)
+    assert _tuple_volumes(c * pts) == pytest.approx(c ** q * vol, rel=1e-8)
     # invariant under a Haar-ish rotation
     rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    assert simplex0_volume(pts @ rot.T) == pytest.approx(vol, rel=1e-8, abs=1e-12)
+    assert _tuple_volumes(pts @ rot.T) == pytest.approx(vol, rel=1e-8,
+                                                        abs=1e-12)
 
 
 def _svd_volume(x):

@@ -16,7 +16,7 @@ from scipy import stats
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import (Subspace, distances_to, flat_frames,
                                grassmann_distance, haar_bases,
-                               perturb_subspace, project, sample_subspace,
+                               perturb_subspace, sample_subspace,
                                uniform_ball)
 
 
@@ -95,7 +95,7 @@ def test_subspace_projector(rng):
     Q = E.complement.projector
     assert np.allclose(P + Q, np.eye(4), atol=1e-10)
     x = rng.standard_normal(4)
-    assert np.allclose(project(E, x), P @ x, atol=1e-12)
+    assert np.allclose(E.point(E.coords(x)), P @ x, atol=1e-12)
 
 
 def test_subspace_coords_point_roundtrip(rng):

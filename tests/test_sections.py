@@ -23,10 +23,9 @@ from hypothesis import given, settings, strategies as st
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _step_quantiles,
-                               affine_image, restriction_stats,
-                               section_points, section_stats)
+                               affine_image, section_points, section_stats)
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Flat, Subspace, haar_bases, uniform_ball
+from igeolab.grassmann import Subspace, haar_bases, uniform_ball
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -162,14 +161,13 @@ def test_mc_section_stats_agree_with_exact_rows(seed, family, n, k, aligned):
                                             np.random.default_rng(seed))
     assert np.all(np.abs(mc_mass - mass) <= 4.0 * mc_err + 1e-9 * (1 + mass))
     assert np.all(mc_sup <= sup * (1 + 1e-9))
-    # the one-row stack is restriction_stats, draw for draw
-    l1, linf = restriction_stats(f, Flat(Subspace(bases[0]), offsets[0]),
-                                 method, np.random.default_rng(seed))
+    # a single flat is the one-row stack, draw for draw
+    E = Subspace(bases[0])
+    l1, linf, l1_err = section_stats(f, E.basis[None], offsets[0][None],
+                                     method, np.random.default_rng(seed))
     one = section_stats(f, bases[:1], offsets[:1], method,
                         np.random.default_rng(seed))
-    assert (l1.value, l1.stderr, linf.value) == (one[0][0], one[2][0],
-                                                 one[1][0])
-    assert linf.biased_low and not l1.biased_low
+    assert (l1[0], l1_err[0], linf[0]) == (one[0][0], one[2][0], one[1][0])
 
 
 # uniform window points of the sampler oracle, shared by a stack's rows
