@@ -13,13 +13,13 @@ from types import ModuleType as _ModuleType
 from .geometry import Dimensions, bp_constant, unit_ball_volume, \
     unit_volume_radius
 from .grassmann import Subspace, flat_frames, grassmann_distance, \
-    haar_bases, perturb_subspace, sample_subspace
+    haar_bases, perturb_subspace, sample_subspace, subspace_frames
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
     affine_image, write_density_text
 from .rearrange import LevelProfile, level_profile, rearrangement
-from .functionals import ExponentSpec, affine_average_I, delta0_p, delta_p, \
-    grassmann_average_I
+from .functionals import ExponentSpec, affine_average_I, \
+    grassmann_average_I, simplex_moment
 from .report import CheckReport, Estimate, mc_estimate, merge_estimates
 from .verify import check_affine_invariance, check_bp_flat, \
     check_bp_subspace, check_grinberg_functional, check_linear_invariance, \

@@ -77,7 +77,12 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run_suite(config, jobs=_jobs_from(args))
+    try:
+        return run_suite(config, jobs=_jobs_from(args))
+    except OSError as exc:
+        print(f"cannot write results to {config.output_dir}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 def _read_rows(path):

@@ -398,7 +398,9 @@ def _number(raw, lo=None, hi=None, integer=False):
 
 
 def _int(default=_REQUIRED):
-    return _Field(lambda raw, v: _number(raw, integer=True), default)
+    # counts must fit numpy's index type; MemoryError says the rest
+    return _Field(lambda raw, v: _number(raw, hi=np.iinfo(np.intp).max,
+                                         integer=True), default)
 
 
 def _real(default=_REQUIRED):
@@ -604,7 +606,10 @@ def load_config(path: str, *, seed_override: int | None = None,
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("run", "path", f"config file {path!r} is not "
+                          f"valid UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(getattr(exc, "section", None) or "run",
                           getattr(exc, "option", None) or "section",

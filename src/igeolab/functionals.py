@@ -1,28 +1,28 @@
 """Monte Carlo estimators for the integral functionals under study.
 
-Covers the two simplex-moment functionals (with and without the origin as
-a vertex) and the Grassmannian and affine-Grassmannian averages of section
-norms.
+Covers the simplex moment (with and without the origin as a vertex) and
+the frame mean behind the Grassmannian and affine-Grassmannian averages of
+section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import _tuple_volumes
-from .grassmann import flat_frames, haar_bases
+from .grassmann import flat_frames, subspace_frames
 from .densities import DensityModel, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
     "ExponentSpec",
-    "delta0_p",
-    "delta_p",
+    "simplex_moment",
     "grassmann_average_I",
     "affine_average_I",
     "powz",
@@ -104,8 +104,8 @@ def _lp_norms(masses: np.ndarray, sups: np.ndarray, p: float) -> np.ndarray:
     return sups if math.isinf(p) else powz(masses, 1.0 / p)
 
 
-def _norm_products(models, spec: ExponentSpec, bases: np.ndarray,
-                   offsets: np.ndarray, method, rng) -> np.ndarray:
+def _norm_products(models, spec: ExponentSpec, method, bases: np.ndarray,
+                   offsets: np.ndarray, rng) -> np.ndarray:
     """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats, from
     the slot models of _slot_models.  Exact section stats are read once per
     distinct model object and shared by every slot that holds it; Monte
@@ -130,51 +130,68 @@ def _common_dim(f_list) -> int:
     return dims.pop()
 
 
-def delta0_p(f_list, p: float, n_samples: int,
-             rng: np.random.Generator) -> Estimate:
-    """Simplex moment with the origin as a vertex.
+def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
+                   rng: np.random.Generator) -> Estimate:
+    """Mean of |conv{0?, x_1, ..., x_q}|^p over one draw x_i from each f_i
+    normalized; callers scale by the product of the masses.
 
-    Estimates the integral over q-tuples of |conv{0, x_1, ..., x_q}|^p
-    weighted by the product density: each x_i is drawn from f_i normalized,
-    and the mean is rescaled by the product of masses.  Requires
-    p > -(n - q + 1); for negative p the heavy-tail share of the estimate
-    is attached as a diagnostic.
+    With origin set the origin is an extra vertex, q <= n and
+    p > -(n - q + 1) are required, and negative p attaches the tail share;
+    without it the points span the simplex alone and q <= n + 1, p >= 1
+    are required (below 1 the rearrangement machinery breaks down).
     """
     q = len(f_list)
     n = _common_dim(f_list)
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q} n={n}")
-    if p <= -(n - q + 1):
+    top = n if origin else n + 1
+    if not 1 <= q <= top:
+        raise ValueError(f"need 1 <= q <= {top}, got q={q} n={n}")
+    if origin and p <= -(n - q + 1):
         raise ValueError(f"p must exceed -(n - q + 1) = {-(n - q + 1)}")
+    if not origin and p < 1.0:
+        raise ValueError(f"need p >= 1, got {p}")
 
     def draw(stream, m):
-        pts = np.stack([f.sample(m, stream) for f in f_list], axis=1)
+        pts = np.empty((m, q, n))
+        for i, f in enumerate(f_list):
+            pts[:, i] = f.sample(m, stream)
+        if not origin:
+            # rebinding frees the drawn stack before the volumes are taken
+            pts = pts[:, 1:, :] - pts[:, :1, :]
         return powz(_tuple_volumes(pts), p)
 
-    est = mc_estimate(draw, n_samples, rng, keep_values=(p < 0))
-    scale = math.prod(f.mass for f in f_list)
-    return est.scaled(scale)
+    return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
 
 
-def delta_p(f: DensityModel, k: int, p: float, n_samples: int,
-            rng: np.random.Generator) -> Estimate:
-    """Simplex moment over k+1 free vertices, all drawn from the same f.
+def _blocked(m: int, rows: int, fill) -> np.ndarray:
+    """m values from fill(size) on consecutive blocks of at most rows rows;
+    a single block is fill(m) itself, not a copy of it.
 
-    Only p >= 1 is accepted: below that the rearrangement machinery the
-    downstream inequalities rely on breaks down, so smaller exponents are
-    rejected rather than silently extrapolated.
-    """
-    if p < 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
-    if not 1 <= k <= f.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={f.n}")
+    A fill that makes one draw per block, as the sharpness check's single
+    standard_normal does, consumes a generator as one draw of all m would;
+    a fill that makes several (flat_frames, section_points) interleaves
+    them block by block, so there the block size is part of the stream
+    layout."""
+    if m <= rows:
+        return fill(m)
+    out = np.empty(m)
+    for start in range(0, m, rows):
+        out[start:start + rows] = fill(min(rows, m - start))
+    return out
+
+
+def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
+                rows: int) -> Estimate:
+    """Monte Carlo mean of weight * integrand(bases, offsets, stream) over
+    count frames drawn by frames(size, stream) -> (bases, offsets, weight),
+    in _blocked blocks of rows frames, with the tail share attached."""
 
     def draw(stream, m):
-        pts = f.sample(m * (k + 1), stream).reshape(m, k + 1, f.n)
-        return _tuple_volumes(pts[:, 1:, :] - pts[:, :1, :]) ** p
+        def fill(size):
+            bases, offsets, weight = frames(size, stream)
+            return weight * integrand(bases, offsets, stream)
+        return _blocked(m, rows, fill)
 
-    est = mc_estimate(draw, n_samples, rng)
-    return est.scaled(f.mass ** (k + 1))
+    return mc_estimate(draw, count, rng, keep_values=True)
 
 
 def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
@@ -189,12 +206,9 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     """
     models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
-
-    def draw(stream, m):
-        return _norm_products(models, spec, haar_bases(n, k, m, stream),
-                              np.zeros((m, n)), method, stream)
-
-    return mc_estimate(draw, n_subspaces, rng, keep_values=True)
+    return _frame_mean(functools.partial(subspace_frames, n, k),
+                       functools.partial(_norm_products, models, spec, method),
+                       n_subspaces, rng, n_subspaces)
 
 
 def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
@@ -215,10 +229,6 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-
-    def draw(stream, m):
-        bases, offsets, weight = flat_frames(n, k, R, m, stream)
-        return weight * _norm_products(models, spec, bases, offsets, method,
-                                       stream)
-
-    return mc_estimate(draw, n_flats, rng, keep_values=True)
+    return _frame_mean(functools.partial(flat_frames, n, k, R),
+                       functools.partial(_norm_products, models, spec, method),
+                       n_flats, rng, n_flats)

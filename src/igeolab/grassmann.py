@@ -39,6 +39,7 @@ __all__ = [
     "grassmann_distance",
     "perturb_subspace",
     "haar_bases",
+    "subspace_frames",
     "flat_frames",
     "uniform_ball",
 ]
@@ -164,6 +165,12 @@ def uniform_ball(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
     g /= norms[:, None]
     g *= radii[:, None]
     return g
+
+
+def subspace_frames(n: int, k: int, size: int, rng: np.random.Generator):
+    """Haar subspaces as frames (bases, offsets, weight), the linear twin
+    of flat_frames: haar_bases(n, k, size, rng), zero offsets, weight 1."""
+    return haar_bases(n, k, size, rng), np.zeros((size, n)), 1.0
 
 
 def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):

@@ -4,10 +4,11 @@ Each function turns one statement into a reproducible experiment with an
 explicit decision rule and returns a CheckReport.  The statements come in
 linear/affine pairs, and each pair shares one driver (_decomposition_report,
 _invariance_report, _bound_report); a check states only its frame sampler,
-its ambient side and its parameters.  Every rule on a check's parameters
-lives in one rules function beside it, which raises ParameterError naming
-the keyword; the check calls it before it draws anything, and load_config
-calls it on each parsed check map.  Conventions, fixed across the module:
+its ambient side and its parameters, and draws through simplex_moment or
+functionals' frame mean.  Every rule on a check's parameters lives in one
+rules function beside it, which raises ParameterError naming the keyword;
+the check calls it before it draws anything, and load_config calls it on
+each parsed check map.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
@@ -30,13 +31,13 @@ import numpy as np
 from .geometry import Dimensions, bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
-from .grassmann import Subspace, flat_frames, haar_bases, \
+from .grassmann import Subspace, flat_frames, subspace_frames, \
     perturb_subspace, distances_to, sample_subspace
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
     affine_image, closed_form_image, section_points, section_stats, \
     _volume_preserving
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
-    affine_average_I, delta0_p, delta_p
+    affine_average_I, simplex_moment, _blocked, _frame_mean
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
     mc_estimate, merge_estimates, ratio_estimate, power_estimate
@@ -47,6 +48,8 @@ CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # Rows (sharpness subspaces, or bp_* section points) per block of a
 # blocked draw: keeps the peak memory of a draw flat in its sample count.
+# The bp_* routes make several draws per block, so their streams, and with
+# them their results, depend on this value (see functionals._blocked).
 DRAW_BLOCK = 1 << 16
 
 __all__ = [
@@ -157,20 +160,11 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
                   f"dimension {dim}{hint}")
 
 
-def _blocked(m: int, rows: int, fill) -> np.ndarray:
-    """m values from fill(size) on consecutive blocks of at most rows rows;
-    blocks drawing in turn consume a generator as one draw of all m would."""
-    out = np.empty(m)
-    for start in range(0, m, rows):
-        out[start:start + rows] = fill(min(rows, m - start))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Section decompositions of simplex moments (subspace and flat versions).
 # ---------------------------------------------------------------------------
 
-def _section_moments(f_list, bases, offsets, inner, exponent, origin,
+def _section_moments(f_list, inner, exponent, origin, bases, offsets,
                      rng) -> np.ndarray:
     """Per flat of the stack: the product of the section masses of f_list
     times the mean of |conv|^exponent over inner tuples, one point of each
@@ -188,19 +182,12 @@ def _section_moments(f_list, bases, offsets, inner, exponent, origin,
 
 def _section_route(f_list, frames, count, inner, exponent, origin,
                    rng) -> Estimate:
-    """Mean of weight * _section_moments over count flats drawn by
-    frames(size, stream) -> (bases, offsets, weight), in blocks of about
-    DRAW_BLOCK section points."""
-    rows = max(1, DRAW_BLOCK // (len(f_list) * inner))
-
-    def draw(stream, m):
-        def fill(size):
-            bases, offsets, weight = frames(size, stream)
-            return weight * _section_moments(f_list, bases, offsets, inner,
-                                             exponent, origin, stream)
-        return _blocked(m, rows, fill)
-
-    return mc_estimate(draw, count, rng, keep_values=True)
+    """_frame_mean of _section_moments over count frames, in blocks of
+    about DRAW_BLOCK section points."""
+    return _frame_mean(
+        frames, functools.partial(_section_moments, f_list, inner, exponent,
+                                  origin),
+        count, rng, max(1, DRAW_BLOCK // (len(f_list) * inner)))
 
 
 def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
@@ -274,24 +261,24 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     n = f_list[0].n
     q = len(f_list)
     count = n_subspaces // 2
+    mass = math.prod(f.mass for f in f_list)
 
-    def subspaces(size, stream):
-        return haar_bases(n, k, size, stream), np.zeros((size, n)), 1.0
+    def direct(samples, stream):
+        return simplex_moment(f_list, p, True, samples, stream).scaled(mass)
 
     def route(stream):
         if k == n:
             # single degenerate section: the decomposition collapses to the
             # direct integral itself
-            return delta0_p(f_list, p, count * inner, stream)
-        return _section_route(f_list, subspaces, count, inner, p + (n - k),
-                              True, stream)
+            return direct(count * inner, stream)
+        return _section_route(f_list, functools.partial(subspace_frames, n, k),
+                              count, inner, p + (n - k), True, stream)
 
     return _decomposition_report(
         "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
                         "n_subspaces": n_subspaces},
         Dimensions(n, k, q),
-        lambda half: delta0_p(f_list, p, n_direct // 2, half.spawn(1)[0]),
-        route, rng)
+        lambda half: direct(n_direct // 2, half.spawn(1)[0]), route, rng)
 
 
 def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
@@ -339,7 +326,8 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     def ambient(half):
         if p == 0.0:
             return Estimate.exact(f.mass ** (k + 1))
-        return delta_p(f, k, p, n_direct // 2, half.spawn(1)[0])
+        return simplex_moment([f] * (k + 1), p, False, n_direct // 2,
+                              half.spawn(1)[0]).scaled(f.mass ** (k + 1))
 
     frames = functools.partial(flat_frames, n, k, R)
     return _decomposition_report(
@@ -510,24 +498,6 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
 # Rearrangement monotonicity of the normalized simplex functionals.
 # ---------------------------------------------------------------------------
 
-def _simplex_functional(f_list, p: float, origin: bool, n_samples: int,
-                        rng: np.random.Generator) -> Estimate:
-    """Normalized p-th-moment functional of the random simplex spanned by
-    one draw from each density (with the origin as an extra vertex in the
-    cone case), raised to 1/p."""
-
-    def draw(stream, m):
-        pts = np.empty((m, len(f_list), f_list[0].n))
-        for i, f in enumerate(f_list):
-            pts[:, i] = f.sample(m, stream)
-        if not origin:
-            pts = pts[:, 1:, :] - pts[:, :1, :]
-        return _tuple_volumes(pts) ** p
-
-    est = mc_estimate(draw, n_samples, rng)
-    return power_estimate(est, 1.0 / p)
-
-
 def _rearrangement_rules(f_list, p, case, n_samples, levels):
     _one_dimension(f_list)
     _need(p >= 1.0, "p", f"must be >= 1, got {p}")
@@ -561,9 +531,14 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     normalized = all(abs(f.mass - 1.0) <= 1e-9 and f.sup <= 1.0 + 1e-9
                      for f in f_list)
     streams = rng.spawn(3)
-    value_f = _simplex_functional(f_list, p, origin, n_samples, streams[0])
+
+    def functional(densities, stream):
+        return power_estimate(
+            simplex_moment(densities, p, origin, n_samples, stream), 1.0 / p)
+
+    value_f = functional(f_list, streams[0])
     stars = [rearrangement(f, levels) for f in f_list]
-    value_star = _simplex_functional(stars, p, origin, n_samples, streams[1])
+    value_star = functional(stars, streams[1])
     steps = [_one_sided_verdict(value_star, value_f)]
     diagnostics = {"value": value_f.value, "value_rearranged": value_star.value,
                    "normalized_inputs": normalized,
@@ -571,8 +546,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     rhs = value_star
     if normalized:
         ball = EllipsoidIndicator.ball(n, radius=unit_volume_radius(n))
-        value_ball = _simplex_functional([ball] * q, p, origin, n_samples,
-                                         streams[2])
+        value_ball = functional([ball] * q, streams[2])
         steps.append(_one_sided_verdict(value_ball, value_star))
         diagnostics["value_ball"] = value_ball.value
         diagnostics["stderr"].append(value_ball.stderr)
@@ -1018,24 +992,21 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
     candidates = [E]
     for _ in range(n_candidates - 1):
         candidates.append(perturb_subspace(E, eta, rng))
+    radii = np.multiply(eps_grid, math.sqrt(k))
     needed = np.empty(len(candidates))
     tables = []
     for idx, cand in enumerate(candidates):
         coords = draws @ cand.basis
-        centers = [np.zeros(k), coords[0]]
-        worst = 0.0
-        table = []
-        for eps in eps_grid:
-            fracs = []
-            for z in centers:
-                frac = float((_row_norms(coords - z)
-                              <= eps * math.sqrt(k)).mean())
-                c_here = frac ** exponent * eta / (eps * sup_root)
-                worst = max(worst, c_here)
-                fracs.append(frac)
-            table.append(max(fracs))
-        needed[idx] = worst
-        tables.append(table)
+        # distances to the two centres, the origin and one sample, sorted
+        norms = np.array([_row_norms(coords), _row_norms(coords - coords[0])])
+        norms.sort()
+        fracs = np.array([np.searchsorted(row, radii, side="right")
+                          for row in norms]) / n_samples
+        # Python floats: numpy's array ** can differ from libm pow by 1 ulp
+        needed[idx] = max(frac ** exponent * eta / (eps * sup_root)
+                          for row in fracs.tolist()
+                          for frac, eps in zip(row, eps_grid))
+        tables.append(fracs.max(axis=0).tolist())
     best = int(np.argmin(needed))
     fitted = float(needed[best])
     dists = distances_to(E, np.stack([c.basis for c in candidates]))

@@ -439,6 +439,23 @@ def test_config_error_prints_and_exits_one(tmp_path, capsys):
     assert "quantum_leap" in err
 
 
+def test_config_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "suite.ini"
+    path.write_bytes(b"[run]\nseed = 1\n# \xff\xfe not UTF-8\n")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [run] path: " in err and "UTF-8" in err
+
+
+def test_unwritable_output_dir_exits_one(tmp_path, monkeypatch, capsys):
+    # output_dir runs through a regular file, so no directory can be made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    config = write_suite(tmp_path, PASS_BODY, out="afile/out")
+    assert main(["run", "--config", config]) == 1
+    assert "cannot write results to afile/out: " in capsys.readouterr().err
+
+
 def test_invalid_jobs_env_is_ignored(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("IGEOLAB_JOBS", "banana")

@@ -345,6 +345,9 @@ def check_section(fields):
 
 @pytest.mark.parametrize("base, changes, field_name", [
     (GRINBERG, {"n_subspaces": "Infinity"}, "n_subspaces"),
+    # counts must fit numpy's index type
+    (GRINBERG, {"n_subspaces": "1e30"}, "n_subspaces"),
+    (GRINBERG, {"n_subspaces": "9223372036854775808"}, "n_subspaces"),
     (GRINBERG, {"p": "NaN"}, "p"),
     (GRINBERG, {"expect_equality": '"no"'}, "expect_equality"),
     (GRINBERG, {"expect_equality": "1"}, "expect_equality"),
@@ -370,8 +373,9 @@ def check_section(fields):
     (LINEAR, {"densities": '["box"]', "k": "2"}, "method"),
     (LINEAR, {"densities": '["trunc"]'}, "method"),
     (BP_SUBSPACE, {"densities": '["box"]', "k": "2"}, "densities"),
-], ids=["infinite-count", "nan-p", "string-flag", "int-flag", "mc-one",
-        "mc-fraction", "unknown-method", "unknown-field",
+], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
+        "string-flag", "int-flag", "mc-one", "mc-fraction", "unknown-method",
+        "unknown-field",
         "method-where-not-taken", "bp-subspace-direct-3",
         "bp-subspace-subspaces-3", "bp-flat-flats-3",
         "bp-flat-offset-without-direct", "map-det-off-by-5e-10",

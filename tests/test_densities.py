@@ -529,6 +529,10 @@ def test_package_all_names_no_modules():
     assert not {"Flat", "marginal_density", "restriction_stats",
                 "section_norm", "simplex0_volume", "simplex_volume",
                 "small_ball_probability"} & set(igeolab.__all__)
+    # one simplex-moment function and the linear frame sampler replace
+    # the two moment functions
+    assert not {"delta0_p", "delta_p"} & set(igeolab.__all__)
+    assert {"simplex_moment", "subspace_frames"} <= set(igeolab.__all__)
     scope = {}
     exec("from igeolab import *", scope)
     assert "rng" not in scope and "GaussianDensity" in scope

@@ -23,10 +23,11 @@ from igeolab import functionals
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, Step1D, TruncatedGaussian,
                                section_stats)
-from igeolab.functionals import (ExponentSpec, affine_average_I, delta0_p,
-                                 delta_p, grassmann_average_I, powz,
+from igeolab.functionals import (ExponentSpec, affine_average_I,
+                                 grassmann_average_I, powz, simplex_moment,
                                  _lp_norms, _norm_products, _power_model,
                                  _slot_models)
+from igeolab.geometry import _tuple_volumes
 from igeolab.grassmann import Subspace, flat_frames, sample_subspace
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
@@ -116,41 +117,68 @@ def test_section_norm_needs_exact_family(rng):
 # simplex moments against the classic integrals
 
 
+def cone_moment(f_list, p, n_samples, rng):
+    """The simplex moment with the origin, scaled by the product of masses."""
+    return simplex_moment(f_list, p, True, n_samples, rng).scaled(
+        math.prod(f.mass for f in f_list))
+
+
+def free_moment(f, k, p, n_samples, rng):
+    """The simplex moment over k + 1 free vertices drawn from f, scaled by
+    mass^(k+1)."""
+    return simplex_moment([f] * (k + 1), p, False, n_samples, rng).scaled(
+        f.mass ** (k + 1))
+
+
 def test_cone_moment_unit_interval(rng):
-    est = delta0_p([unit_interval()], 1.0, 40_000, rng)
+    est = cone_moment([unit_interval()], 1.0, 40_000, rng)
     assert abs(est.value - 0.5) <= 3.0 * est.stderr
 
 
 def test_pair_moment_unit_interval(rng):
-    est = delta_p(unit_interval(), 1, 1.0, 60_000, rng)
+    est = free_moment(unit_interval(), 1, 1.0, 60_000, rng)
     assert abs(est.value - 1.0 / 3.0) <= 3.0 * est.stderr
 
 
 def test_pair_moment_segment(rng):
-    est = delta_p(segment(), 1, 1.0, 60_000, rng)
+    est = free_moment(segment(), 1, 1.0, 60_000, rng)
     assert abs(est.value - 8.0 / 3.0) <= 3.0 * est.stderr
 
 
 def test_cone_moment_disk(rng):
     b2 = EllipsoidIndicator.ball(2)
-    est = delta0_p([b2], 1.0, 60_000, rng)
+    est = cone_moment([b2], 1.0, 60_000, rng)
     assert abs(est.value - 2 * math.pi / 3) <= 3.0 * est.stderr
 
 
 def test_triangle_moment_disk(rng):
     b2 = EllipsoidIndicator.ball(2)
-    est = delta_p(b2, 2, 1.0, 200_000, rng)
+    est = free_moment(b2, 2, 1.0, 200_000, rng)
     target = 35.0 * math.pi ** 2 / 48.0
     assert abs(est.value - target) <= 3.0 * est.stderr, (est.value, target)
 
 
+def test_simplex_moment_draws_each_density_in_turn():
+    # one sample call of n_samples per density, in list order; without the
+    # origin the volumes are those of the edges from the first point
+    f, g = EllipsoidIndicator.ball(2), GaussianDensity.standard(2)
+    stream = np.random.default_rng(4)
+    est = simplex_moment([f, g, f], 1.5, False, 500, stream)
+    ref = np.random.default_rng(4)
+    pts = np.stack([h.sample(500, ref) for h in (f, g, f)], axis=1)
+    vols = _tuple_volumes(pts[:, 1:] - pts[:, :1]) ** 1.5
+    assert est.value == pytest.approx(vols.mean(), rel=1e-12)
+    assert est.samples == 500 and est.tail_share is None
+    assert stream.random() == ref.random()
+
+
 def test_moment_validation(rng):
     with pytest.raises(ValueError):
-        delta0_p([unit_interval(), unit_interval()], 1.0, 100, rng)  # q > n
+        cone_moment([unit_interval(), unit_interval()], 1.0, 100, rng)  # q > n
     with pytest.raises(ValueError):
-        delta0_p([EllipsoidIndicator.ball(2)], -2.5, 100, rng)       # p too low
+        cone_moment([EllipsoidIndicator.ball(2)], -2.5, 100, rng)  # p too low
     with pytest.raises(ValueError):
-        delta_p(EllipsoidIndicator.ball(2), 2, 0.5, 100, rng)        # p < 1
+        free_moment(EllipsoidIndicator.ball(2), 2, 0.5, 100, rng)  # p < 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +297,8 @@ def test_exact_products_read_each_model_once(rng, monkeypatch):
     bases, offsets, _ = flat_frames(3, 1, 1.5, 300, rng)
     expected = per_slot_products(f_list, spec, bases, offsets, "exact", None)
     calls = counting_section_stats(monkeypatch)
-    got = _norm_products(_slot_models(f_list, spec), spec, bases, offsets,
-                         "exact", None)
+    got = _norm_products(_slot_models(f_list, spec), spec, "exact", bases,
+                         offsets, None)
     assert np.array_equal(got, expected)      # bit for bit
     assert len(calls) == len(set(calls)) == 2   # f (p = 1 and inf), g**2
     assert np.count_nonzero(got) > 100
@@ -286,8 +314,8 @@ def test_mc_products_draw_every_slot_in_order(monkeypatch):
                                  reference)
     calls = counting_section_stats(monkeypatch)
     stream = np.random.default_rng(11)
-    got = _norm_products(_slot_models(f_list, spec), spec, bases, offsets,
-                         method, stream)
+    got = _norm_products(_slot_models(f_list, spec), spec, method, bases,
+                         offsets, stream)
     assert np.array_equal(got, expected)
     assert len(calls) == len(f_list)           # one draw per slot
     # the stream ends where the per-slot reference left it
@@ -377,8 +405,8 @@ def test_ratio_and_power_estimates():
 
 def test_stderr_shrinks_with_budget(rng):
     b2 = EllipsoidIndicator.ball(2)
-    small = delta0_p([b2], 1.0, 10_000, rng)
-    large = delta0_p([b2], 1.0, 160_000, rng)
+    small = cone_moment([b2], 1.0, 10_000, rng)
+    large = cone_moment([b2], 1.0, 160_000, rng)
     # 16x the samples should cut the standard error by about 4
     ratio = small.stderr / large.stderr
     assert 2.5 < ratio < 6.5, ratio

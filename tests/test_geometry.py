@@ -75,7 +75,7 @@ def test_dimensions_validation():
 
 def simplex_volume(pts):
     """Volume of conv{rows of pts}: the tuple of edges from the first
-    vertex, as delta_p reads it."""
+    vertex, as simplex_moment reads it without the origin."""
     return _tuple_volumes(pts[1:] - pts[0])
 
 

@@ -17,7 +17,7 @@ from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import (Subspace, distances_to, flat_frames,
                                grassmann_distance, haar_bases,
                                perturb_subspace, sample_subspace,
-                               uniform_ball)
+                               subspace_frames, uniform_ball)
 
 
 def test_haar_bases_orthonormal(rng):
@@ -70,6 +70,18 @@ def test_flat_offsets_uniform_in_complement_ball(n, k):
         n - k + 2) * (np.eye(n) - np.einsum("sik,sjk->sij", bases, bases))
     stderr = terms.std(axis=0, ddof=1) / math.sqrt(m)
     assert np.all(np.abs(terms.mean(axis=0)) <= 4.0 * stderr)
+
+
+def test_subspace_frames_are_haar_bases_at_the_origin():
+    # the linear twin of flat_frames: haar_bases's one draw, zero offsets,
+    # unit weight
+    g = np.random.default_rng(9)
+    bases, offsets, weight = subspace_frames(4, 2, 300, g)
+    ref = np.random.default_rng(9)
+    assert np.array_equal(bases, haar_bases(4, 2, 300, ref))
+    assert offsets.shape == (300, 4) and not offsets.any()
+    assert weight == 1.0
+    assert g.random() == ref.random()
 
 
 def test_flat_frames_stream_layout():

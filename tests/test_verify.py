@@ -104,7 +104,7 @@ def test_bp_subspace_short_last_block(monkeypatch, rng):
         return haar_bases(n, k, size, stream)
 
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
-    monkeypatch.setattr(verify, "haar_bases", counted)
+    monkeypatch.setattr(grassmann, "haar_bases", counted)
     rep = check_bp_subspace([GaussianDensity.standard(2)], k=1, p=1.0,
                             n_direct=200, n_subspaces=20, rng=rng, inner=2)
     assert sizes == [3, 3, 3, 1] * 2
@@ -544,7 +544,7 @@ def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
     def orthonormalize(*args):
         raise AssertionError("sharpness draw orthonormalized a basis")
 
-    monkeypatch.setattr(verify, "haar_bases", orthonormalize)
+    monkeypatch.setattr(grassmann, "haar_bases", orthonormalize)
     monkeypatch.setattr(grassmann, "_orthonormalize", orthonormalize)
     rep = gaussian_sharpness_experiment(4, 2, 1.5, 4000,
                                         np.random.default_rng(5))
