@@ -135,29 +135,34 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     """Mean of |conv{0?, x_1, ..., x_q}|^p over one draw x_i from each f_i
     normalized; callers scale by the product of the masses.
 
-    With origin set the origin is an extra vertex, q <= n and
+    With origin set the origin is an extra vertex, 1 <= q <= n and
     p > -(n - q + 1) are required, and negative p attaches the tail share;
-    without it the points span the simplex alone and q <= n + 1, p >= 1
-    are required (below 1 the rearrangement machinery breaks down).
+    without it the points span the simplex alone and 2 <= q <= n + 1,
+    p >= 1 are required (one point spans no simplex; below p = 1 the
+    rearrangement machinery breaks down).  The points are drawn slot by
+    slot into a (q, m, n) stack; without the origin the first slot is
+    subtracted from the others into a (q - 1, m, n) stack, which replaces
+    the drawn one before the volumes are taken.
     """
     q = len(f_list)
     n = _common_dim(f_list)
-    top = n if origin else n + 1
-    if not 1 <= q <= top:
-        raise ValueError(f"need 1 <= q <= {top}, got q={q} n={n}")
+    low, top = (1, n) if origin else (2, n + 1)
+    if not low <= q <= top:
+        raise ValueError(f"need {low} <= q <= {top}, got q={q} n={n}")
     if origin and p <= -(n - q + 1):
         raise ValueError(f"p must exceed -(n - q + 1) = {-(n - q + 1)}")
     if not origin and p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
 
     def draw(stream, m):
-        pts = np.empty((m, q, n))
+        # slot-major: each slot's sample fills a contiguous (m, n) plane
+        pts = np.empty((q, m, n))
         for i, f in enumerate(f_list):
-            pts[:, i] = f.sample(m, stream)
+            pts[i] = f.sample(m, stream)
         if not origin:
             # rebinding frees the drawn stack before the volumes are taken
-            pts = pts[:, 1:, :] - pts[:, :1, :]
-        return powz(_tuple_volumes(pts), p)
+            pts = pts[1:] - pts[0]
+        return powz(_tuple_volumes(pts.transpose(1, 0, 2)), p)
 
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
 

@@ -30,8 +30,10 @@ from .geometry import _row_norms, unit_ball_volume
 
 # Orthonormality and perpendicularity tolerance for constructed frames.
 FRAME_TOL = 1e-10
-# Rejection budget for conditioned perturbation draws.
+# Rejection budget for conditioned perturbation draws, in proposals per
+# subspace sought, and the number of proposals drawn and tested at once.
 PERTURB_MAX_TRIES = 10_000
+PERTURB_BLOCK = 64
 
 __all__ = [
     "Subspace",
@@ -197,20 +199,37 @@ def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):
     return bases, z, weight
 
 
-def perturb_subspace(E: Subspace, eta: float, rng: np.random.Generator) -> Subspace:
-    """Draw a subspace conditioned to lie within eta of E.
+def perturb_subspace(E: Subspace, eta: float, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Bases (count, n, k) of subspaces drawn conditioned to lie within eta
+    of E, in the order they were accepted.
 
     Proposal: orthonormalize E's basis plus a Gaussian matrix scaled so the
-    typical displacement sits inside eta, then reject until
-    grassmann_distance(E, draw) <= eta.  Raises after PERTURB_MAX_TRIES.
+    typical displacement sits inside eta; accept when the operator norm of
+    the difference of the orthogonal projectors is at most eta.  Proposals
+    are drawn and tested in blocks of PERTURB_BLOCK (64), one
+    rng.standard_normal((PERTURB_BLOCK, n, k)) per block, which gives the
+    same numbers as that many (n, k) draws; the last block draws more than
+    it uses.  Raises RuntimeError after count * PERTURB_MAX_TRIES proposals.
     """
     if not 0.0 < eta < 2.0:
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
     n, k = E.n, E.k
     tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
-    for _ in range(PERTURB_MAX_TRIES):
-        g = rng.standard_normal((n, k))
-        candidate = Subspace(_orthonormalize((E.basis + tau * g)[None])[0])
-        if grassmann_distance(E, candidate) <= eta:
-            return candidate
-    raise RuntimeError(f"no draw within eta={eta} after {PERTURB_MAX_TRIES} tries")
+    out = np.empty((count, n, k))
+    found, budget = 0, count * PERTURB_MAX_TRIES
+    while found < count:
+        if budget == 0:
+            raise RuntimeError(f"only {found} of {count} draws within "
+                               f"eta={eta} after {count * PERTURB_MAX_TRIES} "
+                               "proposals")
+        size = min(PERTURB_BLOCK, budget)
+        budget -= size
+        block = _orthonormalize(
+            E.basis + tau * rng.standard_normal((size, n, k)))
+        diff = E.projector - block @ np.swapaxes(block, 1, 2)
+        near = block[np.linalg.norm(diff, 2, axis=(1, 2)) <= eta]
+        near = near[:count - found]
+        out[found:found + len(near)] = near
+        found += len(near)
+    return out

@@ -32,7 +32,7 @@ from .geometry import Dimensions, bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
 from .grassmann import Subspace, flat_frames, subspace_frames, \
-    perturb_subspace, distances_to, sample_subspace
+    perturb_subspace, distances_to, haar_bases
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
     affine_image, closed_form_image, section_points, section_stats, \
     _volume_preserving
@@ -51,6 +51,9 @@ NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # The bp_* routes make several draws per block, so their streams, and with
 # them their results, depend on this value (see functionals._blocked).
 DRAW_BLOCK = 1 << 16
+# Fiber rows (n_x + 1 per subspace) per section_stats call of
+# marginal_bound_experiment: 20 subspaces a block at n_x = 400.
+FIBER_ROWS = 8192
 
 __all__ = [
     "check_bp_subspace",
@@ -173,11 +176,12 @@ def _section_moments(f_list, inner, exponent, origin, bases, offsets,
     """
     masses, pts = zip(*[section_points(f, bases, offsets, inner, rng)
                         for f in f_list])
-    pts = np.stack(pts, axis=2)
+    # slot-major (q, flats, inner, k), handed over as a transposed view
+    pts = np.stack(pts)
     if not origin:
-        pts = pts[..., 1:, :] - pts[..., :1, :]
+        pts = pts[1:] - pts[0]
     return np.prod(masses, axis=0) \
-        * powz(_tuple_volumes(pts), exponent).mean(axis=1)
+        * powz(_tuple_volumes(np.moveaxis(pts, 0, -2)), exponent).mean(axis=1)
 
 
 def _section_route(f_list, frames, count, inner, exponent, origin,
@@ -504,9 +508,9 @@ def _rearrangement_rules(f_list, p, case, n_samples, levels):
     _need(case in ("cone", "simplex"), "case",
           f"must be 'cone' or 'simplex', got {case!r}")
     _at_least(2, n_samples=n_samples, levels=levels)
-    limit = f_list[0].n + (case == "simplex")
-    _need(len(f_list) <= limit, "f_list",
-          f"at most {limit} densities for case {case!r}")
+    low, top = (1, f_list[0].n) if case == "cone" else (2, f_list[0].n + 1)
+    _need(low <= len(f_list) <= top, "f_list",
+          f"{low} to {top} densities for case {case!r}")
     _positive_sup(f_list, "f_list")
     _need(all(f.superlevel_volumes([f.sup / 2]) is not None for f in f_list),
           "f_list", "rearrangement needs exact level profiles")
@@ -665,25 +669,53 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
 # Marginal bounds: Markov filtering, sharpness, perturbation.
 # ---------------------------------------------------------------------------
 
-def _fiber_statistics(f: DensityModel, E: Subspace, n_x: int,
-                      rng: np.random.Generator):
-    """Per-point fiber statistics for one subspace.
+def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
+    """Per-point fiber statistics for a block of subspaces, read by one
+    section_stats call.
 
-    Returns (T, L1, r, T0) over n_x draws x ~ projected law: the Markov
-    statistic T = (fiber mass)^n / (fiber sup)^k, the fiber masses
-    themselves (the marginal density at x), |x|, and T of the fiber
-    through the origin, which rides along as one more row.
+    bases (m, n, k) holds the subspaces' orthonormal bases and ys
+    (m, n_x, n) draws of f for each.  The fibers of a subspace are the
+    flats spanned by its complement through the feet (the projections of
+    its draws) and through the origin, n_x + 1 rows.  Returns (T, L1, r,
+    T0): the Markov statistic T = (fiber mass)^n / (fiber sup)^k and the
+    fiber masses themselves (the marginal density at the feet), each
+    (m, n_x), the feet's norms |x|, and T of the fiber through the origin,
+    shape (m,).
     """
-    n, k = E.n, E.k
-    ys = f.sample(n_x, rng)
-    feet = ys @ E.projector.T
-    comp = E.complement
-    bases = np.broadcast_to(comp.basis, (n_x + 1, n, n - k))
-    l1, sup, _ = section_stats(f, bases, np.vstack([feet, np.zeros(n)]))
+    m, n_x, n = ys.shape
+    k = bases.shape[-1]
+    feet = ys @ np.swapaxes(bases @ np.swapaxes(bases, 1, 2), 1, 2)
+    comp = np.linalg.qr(bases, mode="complete")[0][..., k:]
+    offsets = np.zeros((m, n_x + 1, n))
+    offsets[:, :n_x] = feet
+    l1, sup, _ = section_stats(f, np.repeat(comp, n_x + 1, axis=0),
+                               offsets.reshape(-1, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
-    return (t_vals[:-1], l1[:-1], _row_norms(feet),
-            float(t_vals[-1]))
+    t_vals = t_vals.reshape(m, n_x + 1)
+    return (t_vals[:, :-1], l1.reshape(m, n_x + 1)[:, :-1], _row_norms(feet),
+            t_vals[:, -1])
+
+
+def _haar_fibers(f: DensityModel, k: int, n_x: int, streams):
+    """_fiber_statistics of one Haar k-subspace per stream, stacked over the
+    streams.  Each stream draws its subspace, as sample_subspace would,
+    then its n_x points of f; the fibers are read in blocks of
+    FIBER_ROWS // (n_x + 1) subspaces, the last one shorter."""
+    n, m = f.n, len(streams)
+    stats = (np.empty((m, n_x)), np.empty((m, n_x)), np.empty((m, n_x)),
+             np.empty(m))
+    per_block = max(1, FIBER_ROWS // (n_x + 1))
+    for start in range(0, m, per_block):
+        block = streams[start:start + per_block]
+        bases = np.empty((len(block), n, k))
+        ys = np.empty((len(block), n_x, n))
+        for i, stream in enumerate(block):
+            bases[i] = haar_bases(n, k, 1, stream)[0]
+            ys[i] = f.sample(n_x, stream)
+        for out, value in zip(stats, _fiber_statistics(f, bases, ys)):
+            out[start:start + len(block)] = value
+    return stats
 
 
 def _quantiles(values: np.ndarray, qs) -> np.ndarray:
@@ -747,15 +779,19 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     constants at most 10 and the exceptional fractions inside their
     envelopes; an adversarial subspace, when supplied, must land in the
     exceptional set.
+
+    rng spawns n_subspaces + 1 streams: one per sampled subspace, for its
+    Haar draw and then its n_x points, and the last for the adversarial
+    subspace's n_x points.  The fibers are read by one section_stats call
+    per block of FIBER_ROWS rows (see _haar_fibers); the adversarial
+    subspace is a block of its own.
     """
     _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial)
     n = f.n
     kn = k * n
     sup_root = f.sup ** (1.0 / n)
     streams = rng.spawn(n_subspaces + 1)
-    t_all, l1_all, r_all, origin_stats = map(np.array, zip(*[
-        _fiber_statistics(f, sample_subspace(n, k, stream), n_x, stream)
-        for stream in streams[:-1]]))
+    t_all, l1_all, r_all, origin_stats = _haar_fibers(f, k, n_x, streams[:-1])
     averages = t_all.mean(axis=1)
 
     c2 = max(_fit_quantile_constant(averages, s, kn),
@@ -801,10 +837,10 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
           and bad_frac <= envelope + bad_slack
           and worst_b_frac <= t ** (-kn) + 1e-12)
     if adversarial is not None:
-        t_vals, _, _, adv_origin = _fiber_statistics(f, adversarial, n_x,
-                                                     streams[-1])
+        t_vals, _, _, adv_origin = _fiber_statistics(
+            f, adversarial.basis[None], f.sample(n_x, streams[-1])[None])
         adv_avg = float(t_vals.mean())
-        detected = adv_avg > threshold or adv_origin > threshold
+        detected = adv_avg > threshold or float(adv_origin[0]) > threshold
         diagnostics["adversarial_average"] = adv_avg
         diagnostics["adversarial_threshold"] = threshold
         diagnostics["adversarial_detected"] = detected
@@ -971,6 +1007,17 @@ def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):
     _positive_sup([f], "f")
 
 
+def _small_ball_fractions(coords: np.ndarray, radii) -> np.ndarray:
+    """Share of the rows of coords in the closed balls of each radius about
+    the two centres, the origin and the first row, shape (2, len(radii)).
+    Counted radius by radius, exactly as a sort and a right-sided
+    searchsorted would count them."""
+    return np.array([[np.count_nonzero(dist <= r) for r in radii]
+                     for dist in (_row_norms(coords),
+                                  _row_norms(coords - coords[0]))]) \
+        / len(coords)
+
+
 def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
                             eps_grid, n_samples: int,
                             rng: np.random.Generator,
@@ -982,6 +1029,10 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
     mass obey (c (eps/eta) sup^(1/n))^(kn/(n+1)) across the radius grid at
     the origin and at one sampled center.  Passes when the best candidate's
     fitted c is O(1), i.e. at most 10.
+
+    rng gives the n_samples draws of f, then perturb_subspace's proposal
+    blocks of 64 (grassmann.PERTURB_BLOCK); the last block draws more than
+    it uses, and nothing reads rng after it.
     """
     _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates)
     n = f.n
@@ -989,19 +1040,13 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
     draws = f.sample(n_samples, rng)
     exponent = (n + 1) / (k * n)
     sup_root = f.sup ** (1.0 / n)
-    candidates = [E]
-    for _ in range(n_candidates - 1):
-        candidates.append(perturb_subspace(E, eta, rng))
+    candidates = np.concatenate(
+        [E.basis[None], perturb_subspace(E, eta, n_candidates - 1, rng)])
     radii = np.multiply(eps_grid, math.sqrt(k))
     needed = np.empty(len(candidates))
     tables = []
-    for idx, cand in enumerate(candidates):
-        coords = draws @ cand.basis
-        # distances to the two centres, the origin and one sample, sorted
-        norms = np.array([_row_norms(coords), _row_norms(coords - coords[0])])
-        norms.sort()
-        fracs = np.array([np.searchsorted(row, radii, side="right")
-                          for row in norms]) / n_samples
+    for idx, basis in enumerate(candidates):
+        fracs = _small_ball_fractions(draws @ basis, radii)
         # Python floats: numpy's array ** can differ from libm pow by 1 ulp
         needed[idx] = max(frac ** exponent * eta / (eps * sup_root)
                           for row in fracs.tolist()
@@ -1009,7 +1054,7 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
         tables.append(fracs.max(axis=0).tolist())
     best = int(np.argmin(needed))
     fitted = float(needed[best])
-    dists = distances_to(E, np.stack([c.basis for c in candidates]))
+    dists = distances_to(E, candidates)
     success = float((needed <= CONSTANT_CEILING).mean())
     return CheckReport(
         name="perturbation",

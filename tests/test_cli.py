@@ -439,6 +439,33 @@ def test_config_error_prints_and_exits_one(tmp_path, capsys):
     assert "quantum_leap" in err
 
 
+def test_simplex_chain_of_one_density_exits_one(tmp_path, monkeypatch,
+                                                capsys):
+    # one point spans no simplex: the chain would read lhs 0 and pass
+    monkeypatch.chdir(tmp_path)
+    body = """
+    [run]
+    seed = 1
+    output_dir = "{out}"
+
+    [density ball]
+    kind = "ellipsoid"
+    n = 2
+    radius = 1.0
+
+    [check lonely]
+    check = "rearrangement_chain"
+    densities = ["ball"]
+    p = 1.0
+    case = "simplex"
+    n_samples = 100
+    """
+    assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [check lonely] densities: " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_not_utf8_exits_one(tmp_path, capsys):
     path = tmp_path / "suite.ini"
     path.write_bytes(b"[run]\nseed = 1\n# \xff\xfe not UTF-8\n")

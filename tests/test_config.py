@@ -774,6 +774,10 @@ RULES = {
                                                           "cone", 100, r),
         "f_list", REARRANGEMENT, {"densities": '["unit", "unit", "unit"]'},
         "densities"),
+    "rearrangement-simplex-one-density": (
+        lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0,
+                                                          "simplex", 100, r),
+        "f_list", REARRANGEMENT, {"case": '"simplex"'}, "densities"),
     "rearrangement-one-level": (
         lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0, "cone",
                                                           100, r, 1),

@@ -179,6 +179,9 @@ def test_moment_validation(rng):
         cone_moment([EllipsoidIndicator.ball(2)], -2.5, 100, rng)  # p too low
     with pytest.raises(ValueError):
         free_moment(EllipsoidIndicator.ball(2), 2, 0.5, 100, rng)  # p < 1
+    with pytest.raises(ValueError, match="2 <= q"):
+        # one free point spans no simplex
+        simplex_moment([EllipsoidIndicator.ball(2)], 1.0, False, 100, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from igeolab import grassmann
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import (Subspace, distances_to, flat_frames,
                                grassmann_distance, haar_bases,
                                perturb_subspace, sample_subspace,
-                               subspace_frames, uniform_ball)
+                               subspace_frames, uniform_ball,
+                               _orthonormalize)
 
 
 def test_haar_bases_orthonormal(rng):
@@ -165,14 +167,55 @@ def test_distances_to_matches_pairwise(rng):
 def test_perturb_subspace_stays_close(rng):
     E = sample_subspace(4, 2, rng)
     for eta in (0.05, 0.3, 1.0):
-        for _ in range(10):
-            F = perturb_subspace(E, eta, rng)
-            d = grassmann_distance(E, F)
+        bases = perturb_subspace(E, eta, 10, rng)
+        assert bases.shape == (10, 4, 2)
+        for basis in bases:
+            d = grassmann_distance(E, Subspace(basis))
             assert d <= eta + 1e-8, f"perturbation overshoots: {d} > {eta}"
     # and it actually moves
-    far = [grassmann_distance(E, perturb_subspace(E, 0.3, rng))
-           for _ in range(10)]
+    far = [grassmann_distance(E, Subspace(basis))
+           for basis in perturb_subspace(E, 0.3, 10, rng)]
     assert max(far) > 0.01
+
+
+def _perturb_one_at_a_time(E, eta, rng):
+    """The one-proposal-at-a-time rejection loop the block proposer
+    replaces: one rng.standard_normal((n, k)) per proposal."""
+    n, k = E.n, E.k
+    tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
+    for _ in range(10_000):
+        g = rng.standard_normal((n, k))
+        candidate = Subspace(_orthonormalize((E.basis + tau * g)[None])[0])
+        if grassmann_distance(E, candidate) <= eta:
+            return candidate
+    raise RuntimeError("no draw within eta")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
+def test_perturb_subspace_blocks_match_one_at_a_time(seed, n, k):
+    E = sample_subspace(n, k, np.random.default_rng(100 + seed))
+    for eta, count in ((0.5, 31), (0.05, 100)):
+        got = perturb_subspace(E, eta, count, np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        want = [_perturb_one_at_a_time(E, eta, ref).basis
+                for _ in range(count)]
+        assert np.array_equal(got, np.stack(want))
+
+
+def test_perturb_subspace_zero_count_draws_nothing(rng):
+    E = sample_subspace(3, 1, np.random.default_rng(0))
+    state = repr(rng.bit_generator.state)
+    assert perturb_subspace(E, 0.5, 0, rng).shape == (0, 3, 1)
+    assert repr(rng.bit_generator.state) == state
+
+
+def test_perturb_subspace_raises_when_proposals_run_out(monkeypatch):
+    E = sample_subspace(3, 1, np.random.default_rng(0))
+    # one proposal per subspace sought: the first rejection is fatal
+    monkeypatch.setattr(grassmann, "PERTURB_MAX_TRIES", 1)
+    with pytest.raises(RuntimeError, match="after 200 proposals"):
+        perturb_subspace(E, 0.5, 200, np.random.default_rng(0))
 
 
 def test_uniform_ball_radial_law(rng):

@@ -17,8 +17,9 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, affine_image)
 from igeolab.functionals import ExponentSpec
-from igeolab.geometry import unit_volume_radius
-from igeolab.grassmann import Subspace, haar_bases
+from igeolab.densities import section_stats
+from igeolab.geometry import unit_volume_radius, _row_norms
+from igeolab.grassmann import Subspace, haar_bases, sample_subspace
 from igeolab.report import FAIL, INCONCLUSIVE, PASS
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
                             check_bp_subspace, check_grinberg_functional,
@@ -465,6 +466,74 @@ def test_marginal_bound_requires_probability_density(rng):
     with pytest.raises(ValueError):
         marginal_bound_experiment(b, k=1, s=2.0, t=2.0, n_subspaces=4,
                                   n_x=10, rng=rng)
+
+
+def _fibers_one_subspace_at_a_time(f, k, n_x, streams):
+    """The per-subspace loop the block fiber statistics replace: per
+    stream, one sample_subspace, n_x points and one section_stats call over
+    n_x + 1 fibers spanned by the broadcast complement."""
+    n = f.n
+    rows = []
+    for stream in streams:
+        E = sample_subspace(n, k, stream)
+        feet = f.sample(n_x, stream) @ E.projector.T
+        l1, sup, _ = section_stats(
+            f, np.broadcast_to(E.complement.basis, (n_x + 1, n, n - k)),
+            np.vstack([feet, np.zeros(n)]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
+        rows.append((t[:-1], l1[:-1], np.linalg.norm(feet, axis=1), t[-1]))
+    return [np.array(column) for column in zip(*rows)]
+
+
+FIBER_FAMILIES = {
+    "gaussian": GaussianDensity([0.2, 0.0, -0.1], np.diag([1e-2, 1.0, 2.0])),
+    "ellipsoid": EllipsoidIndicator(np.diag([1.0, 4.0, 0.5]),
+                                    center=[0.1, 0.0, 0.2]),
+    # a product in the plane: its fibers at k = 1 are lines
+    "product": normalized_box(0.3),
+}
+
+
+@pytest.mark.parametrize("family", FIBER_FAMILIES)
+@pytest.mark.parametrize("per_block", [3, None])
+def test_fiber_blocks_match_one_subspace_at_a_time(monkeypatch, family,
+                                                   per_block):
+    f = FIBER_FAMILIES[family]
+    n_x = 30
+    if per_block:
+        # 7 subspaces in blocks of 3, 3 and 1
+        monkeypatch.setattr(verify, "FIBER_ROWS", per_block * (n_x + 1) + 2)
+    got = verify._haar_fibers(f, 1, n_x, np.random.default_rng(5).spawn(7))
+    want = _fibers_one_subspace_at_a_time(f, 1, n_x,
+                                          np.random.default_rng(5).spawn(7))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # the adversarial subspace's one-subspace block
+    E = axis_subspace(f.n, [0])
+    t, l1, r, t0 = verify._fiber_statistics(
+        f, E.basis[None], f.sample(n_x, np.random.default_rng(6))[None])
+    feet = f.sample(n_x, np.random.default_rng(6)) @ E.projector.T
+    mass, sup, _ = section_stats(
+        f, np.broadcast_to(E.complement.basis, (n_x + 1, f.n, f.n - 1)),
+        np.vstack([feet, np.zeros(f.n)]))
+    assert np.array_equal(l1[0], mass[:-1])
+    assert np.array_equal(r[0], np.linalg.norm(feet, axis=1))
+
+
+def test_small_ball_fractions_count_like_a_sorted_search():
+    coords = np.random.default_rng(3).standard_normal((1000, 2))
+    coords[0] = [0.25, -0.5]
+    # exactly on a radius: 0.5 from the origin, 1.0 from coords[0]
+    coords[7] = [0.5, 0.0]
+    coords[8] = [0.25, 0.5]
+    radii = np.array([0.1, 0.5, 1.0, 3.0])
+    norms = np.array([_row_norms(coords), _row_norms(coords - coords[0])])
+    assert norms[0, 7] == 0.5 and norms[1, 8] == 1.0
+    norms.sort()
+    want = np.array([np.searchsorted(row, radii, side="right")
+                     for row in norms]) / len(coords)
+    assert np.array_equal(verify._small_ball_fractions(coords, radii), want)
 
 
 def _bits(x):
