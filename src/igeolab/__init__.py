@@ -16,8 +16,8 @@ from .grassmann import Subspace, flat_frames, grassmann_distance, \
     haar_bases, perturb_subspace, sample_subspace, subspace_frames
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
-    affine_image, write_density_text
-from .rearrange import LevelProfile, level_profile, rearrangement
+    affine_image
+from .rearrange import rearrangement
 from .functionals import ExponentSpec, affine_average_I, \
     grassmann_average_I, simplex_moment
 from .report import CheckReport, Estimate, mc_estimate, merge_estimates

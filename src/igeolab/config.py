@@ -239,7 +239,7 @@ def _build_density(spec: dict, base_dir: str):
     return f, text
 
 
-# Density text files, as densities.write_density_text writes them:
+# Density text files:
 #
 #   radial n=<n> R=<R> bins=<m>
 #   h_1 ... h_m                      (shell heights on [0, R])
@@ -522,7 +522,7 @@ CHECKS: dict[str, _Check] = {
         "check_rearrangement_monotonicity",
         {"densities": _DENSITIES, "p": _real(),
          "case": _Field(lambda raw, v: raw, default="cone"),
-         "n_samples": _int(), "levels": _int(1000)},
+         "n_samples": _int()},
         verify._rearrangement_rules),
     "grinberg_functional": _Check(
         "L1/sup section-norm average inequality",

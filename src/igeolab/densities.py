@@ -21,8 +21,6 @@ else in the package is built from them:
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
   of a stack of sections are ``section_stats(f.power(p), bases,
   offsets)[0] ** (1/p)``.
-* ``superlevel_volumes(ts)``: |{f > t}| at every level of an array, which
-  drives the layer-cake rearrangement.
 
 Monte Carlo section stats are a method of ``section_stats``, not a
 fallback; their sampled sups are flagged biased low.  Each constructor
@@ -44,7 +42,7 @@ DET_TOL = 1e-10
 # Direction entries below this are treated as exact zeros: a line section
 # of a product density reads such a factor at the line's offset.
 AXIS_TOL = 1e-12
-# Box-enumeration cap for exact product superlevel volumes.
+# Box-enumeration cap for exact product rearrangements.
 PRODUCT_ENUM_CAP = 300_000
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "closed_form_image",
     "section_stats",
     "section_points",
-    "write_density_text",
 ]
 
 
@@ -99,11 +96,6 @@ class DensityModel:
     def exact_sections(self, k: int) -> bool:
         """Whether every section of dimension k has a closed form."""
         return False
-
-    def superlevel_volumes(self, ts):
-        """|{f > t}| at each level t > 0 of ts, an array shaped like ts
-        (0 for t >= sup), or None when no closed form exists."""
-        return None
 
 
 class ParameterError(ValueError):
@@ -287,10 +279,6 @@ class EllipsoidIndicator(_Sectioned):
         scale = np.sqrt(np.maximum(rho, 0.0))[:, None, None]
         return u0[:, None, :] + scale * _inverse_root(g, y)
 
-    def superlevel_volumes(self, ts):
-        vol = unit_ball_volume(self.n) * math.exp(-0.5 * self._logdet)
-        return np.where(np.asarray(ts, dtype=float) < self.amplitude, vol, 0.0)
-
 
 class GaussianDensity(_Sectioned):
     """a * N(mean, cov) density; full support, every section exact."""
@@ -358,18 +346,6 @@ class GaussianDensity(_Sectioned):
         _, _, u_star, h = sections
         z = rng.standard_normal((len(h), size, k))
         return u_star[:, None, :] + _inverse_root(h, z)
-
-    def superlevel_volumes(self, ts):
-        # {f > t} is the ellipsoid d^T cov^-1 d < rho, empty at rho = 0
-        rho = 2.0 * _log_ratio(self.sup, ts)
-        return unit_ball_volume(self.n) * rho ** (0.5 * self.n) \
-            * math.exp(0.5 * self._logdet)
-
-
-def _log_ratio(sup: float, ts) -> np.ndarray:
-    """log(sup / t) at each level t > 0 below sup, 0 at the rest."""
-    ratio = sup / np.asarray(ts, dtype=float)
-    return np.log(ratio, where=ratio > 1.0, out=np.zeros(ratio.shape))
 
 
 def _gamma_series(h: np.ndarray, a: float) -> np.ndarray:
@@ -572,10 +548,6 @@ class TruncatedGaussian(_Sectioned):
         amp = 0.0 if self.amplitude == 0.0 else math.exp(log_a)
         return TruncatedGaussian(self.center, self.tau / math.sqrt(p), self.radius, amp)
 
-    def superlevel_volumes(self, ts):
-        r = self.tau * np.sqrt(2.0 * _log_ratio(self.sup, ts))
-        return unit_ball_volume(self.n) * np.minimum(r, self.radius) ** self.n
-
     def _sections(self, bases, offsets):
         """Each section is the kernel about -w cut at radius sqrt(rho2),
         empty unless rho2 > 0, with amplitude amp; params (w, rho2, amp)."""
@@ -646,10 +618,6 @@ class Step1D(DensityModel):
 
     def power(self, p):
         return Step1D(self.edges, self.heights ** p)
-
-    def superlevel_volumes(self, ts):
-        return _sorted_tail_volumes(self.heights, np.diff(self.edges),
-                                    np.asarray(ts))
 
 
 class ProductDensity(_Sectioned):
@@ -735,30 +703,18 @@ class ProductDensity(_Sectioned):
         return _step_quantiles(t, heights * np.diff(t, axis=1), u)[..., None]
 
     def _box_values(self):
+        """(values, volumes) of the boxes the factors' bins make, one entry
+        per box; ValueError beyond PRODUCT_ENUM_CAP boxes."""
         total = math.prod(f.heights.size for f in self.factors)
         if total > PRODUCT_ENUM_CAP:
-            return None
+            raise ValueError(f"ProductDensity has {total} boxes, more than "
+                             f"the {PRODUCT_ENUM_CAP} it enumerates")
         vals = np.array([self.amplitude])
         vols = np.array([1.0])
         for f in self.factors:
             vals = np.multiply.outer(vals, f.heights).ravel()
             vols = np.multiply.outer(vols, np.diff(f.edges)).ravel()
         return vals, vols
-
-    def superlevel_volumes(self, ts):
-        boxes = self._box_values()
-        if boxes is None:
-            return None
-        vals, vols = boxes
-        return _sorted_tail_volumes(vals, vols, np.asarray(ts))
-
-
-def _sorted_tail_volumes(vals: np.ndarray, vols: np.ndarray, ts: np.ndarray):
-    """Sum of vols over {vals > t} for each t, strict at equality."""
-    order = np.argsort(vals)[::-1]
-    cum = np.cumsum(vols[order])
-    counts = np.searchsorted(-vals[order], -ts, side="left")
-    return np.where(counts > 0, cum[np.maximum(counts - 1, 0)], 0.0)
 
 
 class RadialGridDensity(_Sectioned):
@@ -838,9 +794,6 @@ class RadialGridDensity(_Sectioned):
         r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
                             u) ** (1.0 / k)
         return _directions((len(edges), size), k, rng) * r[..., None]
-
-    def superlevel_volumes(self, ts):
-        return _sorted_tail_volumes(self.heights, self.shell_volumes(), np.asarray(ts))
 
 
 def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -958,9 +911,6 @@ class PushforwardDensity(DensityModel):
     def power(self, p):
         return PushforwardDensity(self.base.power(p), self.matrix, self.shift)
 
-    def superlevel_volumes(self, ts):
-        return self.base.superlevel_volumes(ts)     # volume preserving
-
 
 def affine_image(f: DensityModel, g) -> DensityModel:
     """Image density of f under the volume-preserving affine map (A, b).
@@ -1019,7 +969,10 @@ def _stratified_ball(dim: int, shape: tuple, rng: np.random.Generator) -> np.nda
 def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
                   method="exact", rng: np.random.Generator | None = None):
     """(mass, sup, mass_stderr) arrays of the sections of f through the
-    flats offsets[i] + span(bases[i]).
+    flats offsets[i] + span(bases[i]).  bases[i] is orthonormal and each
+    offset must be the flat's foot point, perpendicular to its basis:
+    RadialGridDensity sections and the Monte Carlo window read |offsets[i]|
+    as the flat's distance from the origin.
 
     method "exact" reads the closed form (stderr 0), and raises ValueError
     unless f.exact_sections(k); ("mc", N) averages f over N stratified
@@ -1057,7 +1010,9 @@ def section_points(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     exact section mass and points[i], shape (size, k), holds size draws
     from the section's normalized law in its own coordinates, one draw per
     family for the whole stack.  Rows of zero mass carry finite points.
-    Raises ValueError, drawing nothing, unless f.exact_sections(k).
+    Offsets are foot points, perpendicular to their bases, as in
+    section_stats.  Raises ValueError, drawing nothing, unless
+    f.exact_sections(k).
     """
     k = bases.shape[-1]
     _require_exact(f, k)
@@ -1071,27 +1026,3 @@ def _require_exact(f: DensityModel, k: int):
         raise ValueError(f"{type(f).__name__} has no exact sections of "
                          f"dimension {k}")
 
-
-# ---------------------------------------------------------------------------
-# Text interchange format (read back by config.read_density_text).
-# ---------------------------------------------------------------------------
-
-def write_density_text(f: DensityModel) -> str:
-    if isinstance(f, RadialGridDensity):
-        widths = np.diff(f.edges)
-        if f.edges[0] != 0.0 or np.abs(widths - widths[0]).max() > 1e-12 * widths[0]:
-            raise ValueError("only uniform radial grids have a text form")
-        head = f"radial n={f.n} R={float(f.edges[-1])!r} bins={f.heights.size}"
-        return head + "\n" + " ".join(repr(h) for h in f.heights.tolist()) + "\n"
-    if isinstance(f, ProductDensity):
-        if f.amplitude != 1.0:
-            raise ValueError("fold the amplitude into a factor before writing")
-        lines = [f"product n={f.n}"]
-        for fac in f.factors:
-            uniform = np.linspace(-0.5, 0.5, fac.heights.size + 1)
-            if np.abs(fac.edges - uniform).max() > 1e-12:
-                raise ValueError("text form fixes factors to uniform bins "
-                                 "on [-1/2, 1/2]")
-            lines.append(" ".join(repr(h) for h in fac.heights.tolist()))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"no text form for {type(f).__name__}")

@@ -118,6 +118,11 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
     minors (Cauchy-Binet), which keeps its relative error near
     eps * s_max / s_min where the Gram determinant a c - b^2 loses
     accuracy to cancellation.  r >= 3 goes through the SVD.
+
+    For q <= n, the shapes the simplex kernels build, the volumes are
+    bitwise the same on a contiguous stack and on a transposed view of
+    one; for n = 1 and q >= 3 the Frobenius sum can differ in the last bit
+    between the two layouts.
     """
     x = np.asarray(x, dtype=float)
     q, n = x.shape[-2:]

@@ -502,24 +502,27 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
 # Rearrangement monotonicity of the normalized simplex functionals.
 # ---------------------------------------------------------------------------
 
-def _rearrangement_rules(f_list, p, case, n_samples, levels):
+def _rearrangement_rules(f_list, p, case, n_samples):
     _one_dimension(f_list)
     _need(p >= 1.0, "p", f"must be >= 1, got {p}")
     _need(case in ("cone", "simplex"), "case",
           f"must be 'cone' or 'simplex', got {case!r}")
-    _at_least(2, n_samples=n_samples, levels=levels)
+    _at_least(2, n_samples=n_samples)
     low, top = (1, f_list[0].n) if case == "cone" else (2, f_list[0].n + 1)
     _need(low <= len(f_list) <= top, "f_list",
           f"{low} to {top} densities for case {case!r}")
     _positive_sup(f_list, "f_list")
-    _need(all(f.superlevel_volumes([f.sup / 2]) is not None for f in f_list),
-          "f_list", "rearrangement needs exact level profiles")
+    for f in f_list:
+        try:
+            rearrangement(f)
+        except ValueError as exc:
+            raise ParameterError("f_list", "must hold densities with an "
+                                 f"exact rearrangement: {exc}") from None
 
 
 def check_rearrangement_monotonicity(f_list, p: float, case: str,
                                      n_samples: int,
-                                     rng: np.random.Generator,
-                                     levels: int = 1000) -> CheckReport:
+                                     rng: np.random.Generator) -> CheckReport:
     """The two-step monotonicity chain of the simplex functionals.
 
     The functional may only drop when every input is replaced by its
@@ -528,7 +531,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     value.  case "cone" spans the simplex by q draws and the origin; case
     "simplex" uses the drawn points alone.
     """
-    _rearrangement_rules(f_list, p, case, n_samples, levels)
+    _rearrangement_rules(f_list, p, case, n_samples)
     origin = case == "cone"
     n = f_list[0].n
     q = len(f_list)
@@ -541,7 +544,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
             simplex_moment(densities, p, origin, n_samples, stream), 1.0 / p)
 
     value_f = functional(f_list, streams[0])
-    stars = [rearrangement(f, levels) for f in f_list]
+    stars = [rearrangement(f) for f in f_list]
     value_star = functional(stars, streams[1])
     steps = [_one_sided_verdict(value_star, value_f)]
     diagnostics = {"value": value_f.value, "value_rearranged": value_star.value,
@@ -561,7 +564,7 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     return CheckReport(
         name="rearrangement_chain",
         parameters={"n": n, "q": q, "p": p, "case": case,
-                    "n_samples": n_samples, "levels": levels},
+                    "n_samples": n_samples},
         lhs=value_f, rhs=rhs, verdict=FAIL if FAIL in steps else PASS,
         diagnostics=diagnostics)
 

@@ -19,6 +19,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                RadialGridDensity, Step1D, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.grassmann import Subspace
+from igeolab.rearrange import rearrangement
 
 
 def write_config(tmp_path, body):
@@ -308,6 +309,10 @@ SHARPNESS = {"check": '"gaussian_sharpness"', "n": "3", "k": "1", "s": "1.5",
              "n_subspaces": "8"}
 
 
+# 550 x 550 boxes, past the box enumeration of product rearrangements
+HUGE_HEIGHTS = [1.0] * 550
+
+
 def check_section(fields):
     return MINIMAL + """
     [density unit]
@@ -339,8 +344,12 @@ def check_section(fields):
     factors = [{"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]},
                {"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]}]
 
+    [density huge]
+    kind = "product"
+    factors = [{"heights": %s}, {"heights": %s}]
+
     [check bad]
-""" + "".join(f"    {key} = {value}\n" for key, value in fields.items())
+""" % (HUGE_HEIGHTS, HUGE_HEIGHTS) + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
 
 @pytest.mark.parametrize("base, changes, field_name", [
@@ -373,6 +382,8 @@ def check_section(fields):
     (LINEAR, {"densities": '["box"]', "k": "2"}, "method"),
     (LINEAR, {"densities": '["trunc"]'}, "method"),
     (BP_SUBSPACE, {"densities": '["box"]', "k": "2"}, "densities"),
+    # f* is exact, so the chain has no level grid to size
+    (REARRANGEMENT, {"levels": "1000"}, "levels"),
 ], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
         "string-flag", "int-flag", "mc-one", "mc-fraction", "unknown-method",
         "unknown-field",
@@ -382,7 +393,7 @@ def check_section(fields):
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
         "linear-mc-unbounded", "grinberg-mc-unbounded",
         "linear-exact-product-plane", "linear-exact-truncated-shear",
-        "bp-subspace-product-plane"])
+        "bp-subspace-product-plane", "rearrangement-levels"])
 def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     # the base section loads, so each change alone is what gets rejected
     load_config(write_config(tmp_path, check_section(base)))
@@ -648,6 +659,7 @@ TRUNC = TruncatedGaussian.normalized(np.zeros(2), 1.0, 1.0)
 TINY = ProductDensity([Step1D.uniform(-2.0, 2.0, [1e-162])] * 2)
 # unit mass, with a sup of 6.25e-326 that underflows to 0
 WIDE = ProductDensity([Step1D.uniform(-2e162, 2e162, [2.5e-163])] * 2)
+HUGE = ProductDensity([Step1D.uniform(-0.5, 0.5, HUGE_HEIGHTS)] * 2)
 SPEC = ExponentSpec((1.0,), (2.0,))
 LINE = Subspace(np.eye(2)[:, :1])
 
@@ -778,10 +790,10 @@ RULES = {
         lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0,
                                                           "simplex", 100, r),
         "f_list", REARRANGEMENT, {"case": '"simplex"'}, "densities"),
-    "rearrangement-one-level": (
-        lambda r: verify.check_rearrangement_monotonicity([UNIT], 1.0, "cone",
-                                                          100, r, 1),
-        "levels", REARRANGEMENT, {"levels": "1"}, "levels"),
+    "rearrangement-over-cap-product": (
+        lambda r: verify.check_rearrangement_monotonicity([HUGE], 1.0, "cone",
+                                                          100, r),
+        "f_list", REARRANGEMENT, {"densities": '["huge"]'}, "densities"),
     "rearrangement-mixed-dimensions": (
         lambda r: verify.check_rearrangement_monotonicity([UNIT, BOX], 1.0,
                                                           "cone", 100, r),
@@ -959,3 +971,8 @@ def test_density_file_read_once(tmp_path, monkeypatch):
 def test_shipped_suites_load(relpath):
     cfg = load_config(str(ROOT / relpath))
     assert cfg.checks
+    # every shipped density has an exact rearrangement, mass and sup kept
+    for f in cfg.densities.values():
+        star = rearrangement(f)
+        assert star.mass == pytest.approx(f.mass, rel=1e-12)
+        assert star.sup == pytest.approx(f.sup, rel=1e-12)

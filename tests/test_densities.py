@@ -6,20 +6,21 @@ seeds with 3-sigma bands.
 """
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from igeolab.densities import (DensityModel, EllipsoidIndicator,
-                               GaussianDensity, ParameterError, ProductDensity,
+from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
+                               ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
-                               TruncatedGaussian, affine_image,
-                               section_stats, write_density_text)
+                               TruncatedGaussian, affine_image, section_stats)
 from igeolab.config import read_density_text
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import Subspace, sample_subspace
+from igeolab.rearrange import rearrangement
 
 
 def line(*direction):
@@ -152,7 +153,26 @@ def test_gaussian_marginal_is_gaussian(rng):
 
 
 # ---------------------------------------------------------------------------
-# superlevel sets
+# superlevel sets: |{f > t}| from the family's closed form, or summed over
+# its pieces, against |{f* > t}| measured on the rearrangement alone
+
+
+def star_volumes(f, ts):
+    """|{f* > t}| at each level of ts, for f* = rearrangement(f).  f* is
+    radial and decreasing, so {f* > t} is the centered ball whose radius
+    100 bisection steps along the first axis find from f*.eval_many."""
+    g = rearrangement(f)
+    ts = np.asarray(ts, dtype=float)
+    lo = np.zeros(ts.shape)
+    hi = np.full(ts.shape, 2.0 * g.support_radius
+                 if math.isfinite(g.support_radius) else 50.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pts = np.zeros((mid.size, g.n))
+        pts[:, 0] = mid.ravel()
+        above = g.eval_many(pts).reshape(ts.shape) > ts
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return unit_ball_volume(g.n) * lo ** g.n
 
 
 def test_gaussian_superlevel_volume():
@@ -160,34 +180,34 @@ def test_gaussian_superlevel_volume():
     g = GaussianDensity(np.zeros(2), cov, amplitude=2.0)
     for frac in (0.9, 0.5, 0.1):
         t = frac * g.sup
-        vol = g.superlevel_volumes(t)
         expected = (unit_ball_volume(2) * math.sqrt(np.linalg.det(cov))
                     * (2 * math.log(g.sup / t)))
-        assert vol == pytest.approx(expected, rel=1e-12)
-    assert g.superlevel_volumes(g.sup) == 0.0
+        assert star_volumes(g, t) == pytest.approx(expected, rel=1e-12)
+    assert star_volumes(g, g.sup) == 0.0
 
 
 def test_indicator_superlevel_volume():
     e = EllipsoidIndicator(np.diag([1.0, 4.0]), amplitude=0.5)
-    assert e.superlevel_volumes(0.1) == pytest.approx(e.mass / 0.5)
-    assert e.superlevel_volumes(0.5) == 0.0
+    assert star_volumes(e, 0.1) == pytest.approx(e.mass / 0.5, rel=1e-12)
+    assert star_volumes(e, 0.5) == 0.0
 
 
 def test_product_superlevel_volumes_match_boxes():
-    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0]),
-                        Step1D.uniform(-0.5, 0.5, [2.0, 0.5])])
-    ts = np.array([0.4, 0.9, 1.9, 2.5, 5.9, 6.1])
-    vols = f.superlevel_volumes(ts)
-    # box values: 2, .5, 6, 1.5 each of volume 1/4
-    expected = [1.0, 0.75, 0.5, 0.25, 0.25, 0.0]
-    assert np.allclose(vols, expected)
+    heights = [[1.0, 3.0], [2.0, 0.5, 1.0], [0.5, 2.5]]
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, h) for h in heights])
+    boxes = [math.prod(c) for c in itertools.product(*heights)]
+    ts = np.array([0.2, 0.4, 0.9, 1.2, 1.9, 2.6, 4.0, 7.4, 7.6])
+    expected = [sum(v > t for v in boxes) / len(boxes) for t in ts]
+    np.testing.assert_allclose(star_volumes(f, ts), expected, rtol=1e-12)
 
 
 def test_step1d_superlevel():
-    s = Step1D(np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.5]))
-    assert s.superlevel_volumes(1.0) == 1.0
-    assert s.superlevel_volumes(0.4) == 3.0
-    assert s.superlevel_volumes(2.5) == 0.0
+    # a step on the line is the one-factor product
+    s = ProductDensity([Step1D(np.array([0.0, 1.0, 3.0]),
+                               np.array([2.0, 0.5]))])
+    assert star_volumes(s, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert star_volumes(s, 0.4) == pytest.approx(3.0, rel=1e-12)
+    assert star_volumes(s, 2.5) == 0.0
 
 
 SUPERLEVEL_FAMILIES = {
@@ -196,7 +216,8 @@ SUPERLEVEL_FAMILIES = {
     "gaussian": lambda: GaussianDensity(
         np.zeros(2), np.array([[1.5, 0.3], [0.3, 0.8]]), 2.0),
     "truncated": lambda: TruncatedGaussian(np.zeros(2), 0.7, 1.1, 1.5),
-    "step": lambda: Step1D(np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.5])),
+    "step": lambda: ProductDensity([Step1D(np.array([0.0, 1.0, 3.0]),
+                                           np.array([2.0, 0.5]))]),
     "product": lambda: ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0]),
                                        Step1D.uniform(-0.5, 0.5, [2.0, 0.5])]),
     "radial": lambda: RadialGridDensity.uniform(2, 1.0, [2.0, 1.0]),
@@ -211,12 +232,16 @@ def test_superlevel_volumes_batched(family):
     f = SUPERLEVEL_FAMILIES[family]()
     ts = f.sup * np.array([[0.05, 0.3, 0.5, 0.9, 0.999],
                            [0.2, 0.6, 1.0, 1.5, 3.0]])
-    vols = f.superlevel_volumes(ts)
-    assert isinstance(vols, np.ndarray) and vols.shape == ts.shape
+    vols = star_volumes(f, ts)
+    assert vols.shape == ts.shape
     order = np.argsort(ts, axis=None)
     assert np.all(np.diff(vols.ravel()[order]) <= 0.0)
     assert np.all(vols[ts >= f.sup] == 0.0)
     assert np.all(vols[ts < f.sup] > 0.0)
+    # the layer cake of f* stacks up f's mass and sup
+    g = rearrangement(f)
+    assert g.mass == pytest.approx(f.mass, rel=1e-12)
+    assert g.sup == pytest.approx(f.sup, rel=1e-12)
 
 
 def test_superlevel_volumes_closed_forms():
@@ -225,18 +250,14 @@ def test_superlevel_volumes_closed_forms():
     # {g > t} is the ellipsoid x^T cov^-1 x < 2 log(sup / t)
     rho = 2.0 * np.log(1.0 / ts)
     expected = unit_ball_volume(2) * math.sqrt(np.linalg.det(g.cov)) * rho
-    assert np.allclose(g.superlevel_volumes(ts * g.sup), expected,
-                       rtol=1e-12)
+    np.testing.assert_allclose(star_volumes(g, ts * g.sup), expected,
+                               rtol=1e-12)
     h = SUPERLEVEL_FAMILIES["truncated"]()
     # a disk of radius tau sqrt(rho), cut at the truncation radius
     expected = math.pi * np.minimum(0.7 ** 2 * rho, 1.1 ** 2)
-    assert np.allclose(h.superlevel_volumes(ts * h.sup), expected,
-                       rtol=1e-12)
+    np.testing.assert_allclose(star_volumes(h, ts * h.sup), expected,
+                               rtol=1e-12)
     assert expected[0] == pytest.approx(math.pi * 1.1 ** 2)
-
-
-def test_superlevel_volumes_default_is_none():
-    assert DensityModel().superlevel_volumes(np.array([0.5, 1.0])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +379,7 @@ def test_radial_grid_density(rng):
     # mass = 2 * pi (1/2)^2 + 1 * pi (1 - 1/4)
     assert f.mass == pytest.approx(2 * math.pi / 4 + math.pi * 0.75, rel=1e-12)
     assert f.sup == 2.0
-    assert f.superlevel_volumes(1.5) == pytest.approx(math.pi / 4)
+    assert star_volumes(f, 1.5) == pytest.approx(math.pi / 4, rel=1e-12)
     x = f.sample(20_000, rng)
     inner = float(np.mean(np.linalg.norm(x, axis=1) <= 0.5))
     expected = (2 * math.pi / 4) / f.mass
@@ -388,12 +409,13 @@ def test_power_of_zero_amplitude():
 
 
 # ---------------------------------------------------------------------------
-# text interchange
+# text interchange: each literal text is the text form of the model f
+# beside it
 
 
 def test_text_roundtrip_radial():
     f = RadialGridDensity(3, np.linspace(0.0, 1.5, 4), np.array([2.0, 1.0, 0.25]))
-    g = read_density_text(write_density_text(f))
+    g = read_density_text("radial n=3 R=1.5 bins=3\n2.0 1.0 0.25\n")
     assert isinstance(g, RadialGridDensity)
     assert g.n == f.n
     assert np.array_equal(g.edges, f.edges)
@@ -405,8 +427,11 @@ def test_text_roundtrip_radial():
 def test_text_roundtrip_product():
     f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0, 1.0]),
                         Step1D.uniform(-0.5, 0.5, [0.5, 1.5])])
-    g = read_density_text(write_density_text(f))
-    assert isinstance(g, ProductDensity)
+    g = read_density_text("product n=2\n1.0 2.0 1.0\n0.5 1.5\n")
+    assert isinstance(g, ProductDensity) and g.amplitude == 1.0
+    for mine, theirs in zip(g.factors, f.factors, strict=True):
+        assert np.array_equal(mine.edges, theirs.edges)
+        assert np.array_equal(mine.heights, theirs.heights)
     pts = np.array([[0.1, -0.2], [-0.4, 0.3], [0.9, 0.0]])
     assert np.allclose(g.eval_many(pts), f.eval_many(pts))
 

@@ -170,13 +170,19 @@ def test_tuple_volumes_match_svd_reference(q, n, seed):
             assert abs(vol - ref) <= 1e-14 * cond * ref
 
 
-@pytest.mark.parametrize("q,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
-                                 (3, 3), (3, 4), (4, 4)])
+@pytest.mark.parametrize("q,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
+                                 (2, 4), (3, 2), (3, 3), (3, 4), (4, 4)])
 def test_tuple_volumes_of_slot_major_view_are_bitwise(q, n):
     # the simplex kernels draw slot by slot into (q, m, n) planes and hand
-    # over the transposed view; r = min(q, n) covers 1, 2 and 3 or more
+    # over the transposed view; r = min(q, n) covers 1, 2 and 3 or more.
+    # Every q <= n for n in {2, 3, 4} is here (see _tuple_volumes).
     slots = np.random.default_rng(10 * q + n).standard_normal((q, 500, n))
     view = slots.transpose(1, 0, 2)
     assert q == 1 or not view.flags.c_contiguous
+    assert np.array_equal(_tuple_volumes(view),
+                          _tuple_volumes(np.ascontiguousarray(view)))
+    # the section routes' (q, flats, inner, k) stack, axis 0 moved to -2
+    planes = slots.reshape(q, 20, 25, n)
+    view = np.moveaxis(planes, 0, -2)
     assert np.array_equal(_tuple_volumes(view),
                           _tuple_volumes(np.ascontiguousarray(view)))

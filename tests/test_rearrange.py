@@ -1,11 +1,16 @@
-"""Symmetric decreasing rearrangement."""
+"""Symmetric decreasing rearrangement, in closed form for every family."""
+
+import math
 
 import numpy as np
 import pytest
 
-from igeolab.densities import (EllipsoidIndicator, ProductDensity,
-                               RadialGridDensity, Step1D)
-from igeolab.rearrange import LevelProfile, level_profile, rearrangement
+from igeolab.densities import (DensityModel, EllipsoidIndicator,
+                               GaussianDensity, ProductDensity,
+                               PushforwardDensity, RadialGridDensity, Step1D,
+                               TruncatedGaussian)
+from igeolab.geometry import unit_ball_volume
+from igeolab.rearrange import rearrangement
 
 
 def bimodal(n=2):
@@ -16,76 +21,128 @@ def bimodal(n=2):
     return ProductDensity(factors)
 
 
+def shell_volumes_above(g, ts):
+    """|{g > t}| of a centered radial step density with heights decreasing
+    outward, read off its shell edges."""
+    count = (g.heights[None, :] > np.asarray(ts)[:, None]).sum(axis=1)
+    return unit_ball_volume(g.n) * g.edges[count] ** g.n
+
+
 def test_radial_density_is_a_fixed_point():
-    f = RadialGridDensity(2, np.array([0.0, 0.4, 1.0]), np.array([2.0, 0.5]))
-    g = rearrangement(f, levels=400)
-    r = np.linspace(0.01, 1.2, 50)
-    pts = np.column_stack([r, np.zeros_like(r)])
-    # away from the two shell edges the rearrangement reproduces f up to
-    # the geometric level grid (one step is about 2.5 percent at 400 levels)
-    off_edge = (np.abs(r - 0.4) > 0.02) & (np.abs(r - 1.0) > 0.02)
-    assert np.allclose(g.eval_many(pts)[off_edge], f.eval_many(pts)[off_edge],
-                       rtol=0.03)
+    f = RadialGridDensity(3, np.array([0.0, 0.4, 0.7, 1.0]),
+                          np.array([2.0, 0.5, 0.25]))
+    g = rearrangement(f)
+    assert isinstance(g, RadialGridDensity) and g.n == 3
+    np.testing.assert_allclose(g.edges, f.edges, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g.heights, f.heights, rtol=1e-12)
 
 
 def test_ball_is_a_fixed_point():
     b = EllipsoidIndicator.ball(2, radius=0.7, amplitude=1.0)
-    g = rearrangement(b, levels=200)
-    assert g.support_radius == pytest.approx(0.7, rel=1e-6)
-    assert g.sup == pytest.approx(1.0)
-    assert g.mass == pytest.approx(b.mass, rel=1e-6)
+    g = rearrangement(b)
+    assert isinstance(g, EllipsoidIndicator)
+    assert g.support_radius == pytest.approx(0.7, rel=1e-12)
+    assert g.sup == 1.0
+    assert g.mass == pytest.approx(b.mass, rel=1e-12)
 
 
 def test_rearrangement_preserves_mass_and_sup():
     f = bimodal()
-    g = rearrangement(f, levels=1000)
-    assert g.sup == pytest.approx(f.sup, rel=1e-12)   # top shell carries sup f
-    assert g.mass == pytest.approx(f.mass, rel=0.01)  # layer cake at 1e3 levels
-    # monotone decreasing profile
-    r = np.linspace(0.0, g.support_radius * 0.999, 200)
-    vals = g.eval_many(np.column_stack([r, np.zeros_like(r)]))
-    assert np.all(np.diff(vals) <= 1e-12)
+    g = rearrangement(f)
+    assert g.sup == pytest.approx(f.sup, rel=1e-12)
+    assert g.mass == pytest.approx(f.mass, rel=1e-12)
+    # one shell per distinct box value, heights decreasing outward
+    assert g.heights.size == 8 and g.edges[0] == 0.0
+    assert np.all(np.diff(g.heights) < 0.0)
 
 
 def test_rearrangement_equimeasurable():
-    f = bimodal()
-    g = rearrangement(f, levels=1000)
-    ts = np.geomspace(0.05 * f.sup, 0.999 * f.sup, 37)
-    vf = f.superlevel_volumes(ts)    # exact box enumeration
-    vg = g.superlevel_volumes(ts)
-    # grid snap: each level lands within one grid step of its target volume
-    assert np.allclose(vf, vg, rtol=0.02, atol=1e-3)
+    # box values 6, 2, 1.5 and 0.5, each of volume 1/4
+    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0]),
+                        Step1D.uniform(-0.5, 0.5, [2.0, 0.5])])
+    g = rearrangement(f)
+    np.testing.assert_array_equal(g.heights, [6.0, 2.0, 1.5, 0.5])
+    np.testing.assert_allclose(unit_ball_volume(2) * g.edges ** 2,
+                               [0.0, 0.25, 0.5, 0.75, 1.0], rtol=1e-12,
+                               atol=1e-15)
+    ts = np.array([0.4, 0.9, 1.9, 2.5, 5.9, 6.1])
+    np.testing.assert_allclose(shell_volumes_above(g, ts),
+                               [1.0, 0.75, 0.5, 0.25, 0.25, 0.0], rtol=1e-12)
 
 
-def over_cap_product(rng):
-    # enough bins that box enumeration refuses: no exact superlevel volumes
-    h1 = 0.5 + rng.random(700)
-    h2 = 0.5 + rng.random(600)
-    f = ProductDensity([Step1D.uniform(-0.5, 0.5, h1),
-                        Step1D.uniform(-0.5, 0.5, h2)])
-    assert f.superlevel_volumes(np.array([0.5, 1.0])) is None
-    return f
+def test_ellipsoid_becomes_the_ball_of_its_volume():
+    shape = np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.1]])
+    f = EllipsoidIndicator(shape, [0.4, -0.2, 0.1], amplitude=0.6)
+    g = rearrangement(f)
+    radius = np.linalg.det(shape) ** (-1.0 / 6.0)
+    np.testing.assert_allclose(g.shape_matrix, np.eye(3) / radius ** 2,
+                               rtol=1e-12)
+    np.testing.assert_array_equal(g.center, np.zeros(3))
+    assert g.amplitude == 0.6
+    assert g.mass == pytest.approx(f.mass, rel=1e-12)
 
 
-def test_level_profile_validation(rng):
-    f = bimodal()
-    with pytest.raises(ValueError):
-        level_profile(f, levels=1)
-    with pytest.raises(ValueError, match="ProductDensity has no exact "
-                       "superlevel volumes"):
-        level_profile(over_cap_product(rng), levels=10)
+def test_gaussian_becomes_isotropic_and_centered():
+    cov = np.array([[1.5, 0.3], [0.3, 0.8]])
+    f = GaussianDensity([0.5, -1.0], cov, amplitude=2.0)
+    g = rearrangement(f)
+    np.testing.assert_array_equal(g.mean, np.zeros(2))
+    np.testing.assert_allclose(g.cov, math.sqrt(np.linalg.det(cov))
+                               * np.eye(2), rtol=1e-12)
+    assert g.amplitude == 2.0
+    assert g.sup == pytest.approx(f.sup, rel=1e-12)
 
 
-def test_level_profile_rejects_zero():
-    z = EllipsoidIndicator.ball(2, amplitude=0.0)
-    with pytest.raises(ValueError):
-        level_profile(z, levels=10)
+def test_truncated_gaussian_is_recentered():
+    f = TruncatedGaussian([0.3, -0.2, 0.5], 0.7, 1.1, 1.5)
+    g = rearrangement(f)
+    np.testing.assert_array_equal(g.center, np.zeros(3))
+    assert (g.tau, g.radius, g.amplitude) == (0.7, 1.1, 1.5)
+    assert (g.mass, g.sup) == (f.mass, f.sup)
 
 
-def test_levelprofile_constructor_guards():
-    with pytest.raises(ValueError):
-        LevelProfile(np.array([1.0, 0.5]), np.array([1.0, 2.0]))   # t not increasing
-    with pytest.raises(ValueError):
-        LevelProfile(np.array([0.5, 1.0]), np.array([1.0, 2.0]))   # vols increasing
-    with pytest.raises(ValueError):
-        LevelProfile(np.array([0.5]), np.array([1.0]))             # too short
+def test_radial_shells_are_sorted_by_height():
+    # a hole in the middle and heights rising outward: f* puts the tallest
+    # shell at the center and drops the empty one
+    f = RadialGridDensity(2, np.array([0.2, 0.5, 0.8, 1.0]),
+                          np.array([1.0, 0.0, 3.0]))
+    g = rearrangement(f)
+    np.testing.assert_array_equal(g.heights, [3.0, 1.0])
+    vols = f.shell_volumes()
+    np.testing.assert_allclose(g.shell_volumes(), [vols[2], vols[0]],
+                               rtol=1e-12)
+    assert g.mass == pytest.approx(f.mass, rel=1e-12)
+
+
+def test_product_on_the_line_becomes_a_symmetric_step():
+    # uneven bins: an interval of length 1 at height 2, one of length 2 at 1/2
+    s = ProductDensity([Step1D(np.array([0.0, 1.0, 3.0]),
+                               np.array([2.0, 0.5]))])
+    g = rearrangement(s)
+    np.testing.assert_array_equal(g.heights, [2.0, 0.5])
+    # the centered intervals of lengths 1 and 1 + 2
+    np.testing.assert_allclose(g.edges, [0.0, 0.5, 1.5], rtol=1e-12)
+
+
+def test_pushforward_takes_its_base_rearrangement():
+    base = RadialGridDensity.uniform(2, 1.0, [1.0, 2.0])
+    f = PushforwardDensity(base, np.array([[2.0, 0.0], [0.0, 0.5]]),
+                           np.array([0.3, 0.0]))
+    g, h = rearrangement(f), rearrangement(base)
+    np.testing.assert_array_equal(g.edges, h.edges)
+    np.testing.assert_array_equal(g.heights, h.heights)
+
+
+def test_rearrangement_validation(rng):
+    # enough bins that box enumeration refuses
+    over_cap = ProductDensity([Step1D.uniform(-0.5, 0.5, 0.5 + rng.random(m))
+                               for m in (700, 600)])
+    with pytest.raises(ValueError, match="ProductDensity has 420000 boxes"):
+        rearrangement(over_cap)
+    for other in (DensityModel(), Step1D.uniform(-0.5, 0.5, [1.0, 2.0])):
+        with pytest.raises(ValueError, match=f"{type(other).__name__} has "
+                           "no closed-form rearrangement"):
+            rearrangement(other)
+    zero = RadialGridDensity.uniform(2, 1.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match="zero density"):
+        rearrangement(zero)

@@ -24,8 +24,9 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _step_quantiles,
                                affine_image, section_points, section_stats)
+from igeolab import verify
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Subspace, haar_bases, uniform_ball
+from igeolab.grassmann import Subspace, flat_frames, haar_bases, uniform_ball
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -399,3 +400,34 @@ def test_small_sections_skip_lapack(monkeypatch, family, k):
     ours = f.slice_stats_batch(bases, offsets)
     np.testing.assert_allclose(ours[0], mass, rtol=1e-10)
     np.testing.assert_allclose(ours[1], sup, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# foot points: radial sections and the Monte Carlo window read |offset| as
+# the flat's distance from the origin, so every caller hands over offsets
+# perpendicular to the bases they come with
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+def test_flat_frames_offsets_are_foot_points(n, k):
+    bases, offsets, _ = flat_frames(n, k, 2.0, 2000,
+                                    np.random.default_rng(10 * n + k))
+    assert np.abs(np.einsum("snk,sn->sk", bases, offsets)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_fiber_feet_are_foot_points(monkeypatch, n, k):
+    handed = []
+
+    def recording(f, bases, offsets, *args):
+        handed.append((bases, offsets))
+        return section_stats(f, bases, offsets, *args)
+
+    monkeypatch.setattr(verify, "section_stats", recording)
+    f = RadialGridDensity.uniform(n, 2.0, [2.0, 1.0, 0.5])
+    rng = np.random.default_rng(10 * n + k)
+    bases = haar_bases(n, k, 6, rng)
+    verify._fiber_statistics(f, bases, f.sample(6 * 40, rng).reshape(6, 40, n))
+    (fiber_bases, offsets), = handed
+    assert np.abs(np.einsum("snk,sn->sk", fiber_bases, offsets)).max() \
+        <= 1e-12
