@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ParameterError, ProductDensity,
+from igeolab.densities import (DensityModel, EllipsoidIndicator,
+                               GaussianDensity, ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, affine_image, section_stats)
 from igeolab.config import read_density_text
@@ -242,6 +242,14 @@ def test_superlevel_volumes_batched(family):
     g = rearrangement(f)
     assert g.mass == pytest.approx(f.mass, rel=1e-12)
     assert g.sup == pytest.approx(f.sup, rel=1e-12)
+
+
+def test_superlevel_volumes_default_is_none():
+    # the base model declares no superlevel volumes, so it has no f* to
+    # read them from
+    assert getattr(DensityModel(), "superlevel_volumes", None) is None
+    with pytest.raises(ValueError, match="DensityModel has no closed-form"):
+        star_volumes(DensityModel(), [0.5, 1.0])
 
 
 def test_superlevel_volumes_closed_forms():

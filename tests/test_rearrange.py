@@ -133,8 +133,9 @@ def test_pushforward_takes_its_base_rearrangement():
     np.testing.assert_array_equal(g.heights, h.heights)
 
 
-def test_rearrangement_validation(rng):
-    # enough bins that box enumeration refuses
+def test_level_profile_validation(rng):
+    # f* is built from the level profile t -> |{f > t}|, which must be
+    # computable: enough bins that box enumeration refuses
     over_cap = ProductDensity([Step1D.uniform(-0.5, 0.5, 0.5 + rng.random(m))
                                for m in (700, 600)])
     with pytest.raises(ValueError, match="ProductDensity has 420000 boxes"):
@@ -143,6 +144,9 @@ def test_rearrangement_validation(rng):
         with pytest.raises(ValueError, match=f"{type(other).__name__} has "
                            "no closed-form rearrangement"):
             rearrangement(other)
+
+
+def test_level_profile_rejects_zero():
     zero = RadialGridDensity.uniform(2, 1.0, [0.0, 0.0])
     with pytest.raises(ValueError, match="zero density"):
         rearrangement(zero)
