@@ -46,14 +46,19 @@ EQUALITY_BAND = 0.02
 TAIL_LIMIT = 0.5
 CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
-# Rows (sharpness subspaces, or bp_* section points) per block of a
-# blocked draw: keeps the peak memory of a draw flat in its sample count.
+# Rows (bp_* section points, or the subspaces of a sharpness check with no
+# exact measure) per block of a blocked draw: keeps the peak memory of a
+# draw flat in its sample count.  A sharpness check with an exact measure
+# draws at most one block, as a cross-check.
 # The bp_* routes make several draws per block, so their streams, and with
 # them their results, depend on this value (see functionals._blocked).
 DRAW_BLOCK = 1 << 16
 # Fiber rows (n_x + 1 per subspace) per section_stats call of
 # marginal_bound_experiment: 20 subspaces a block at n_x = 400.
 FIBER_ROWS = 8192
+# Gauss-Legendre nodes per panel of the two-plane sharpness measure: the
+# rule agrees with itself at twice the nodes to about 1e-14 relative.
+QUAD_NODES = 32
 
 __all__ = [
     "check_bp_subspace",
@@ -860,29 +865,45 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         diagnostics=diagnostics)
 
 
-def _axis_measure(n: int, k: int, s: float, normal: bool) -> float:
-    """Exact sharpness event measure of a line (k = 1) or, with normal set,
-    of a hyperplane (k = n - 1), read off one uniform unit vector u of R^n:
-    the line's direction or the hyperplane's normal.  Let t be the square of
-    u's coordinate along the axis alone in its variance (u_1^2 for a line,
-    u_n^2 for a normal); t ~ Beta(1/2, (n-1)/2) and det(B^T D B) is affine
-    in t:
+def _sharpness_cut(n: int, k: int, s: float) -> tuple[float, float]:
+    """sigma^2 = (2 pi)^(-n/k) and log cut = log (2 pi s^2)^(-k): the
+    sharpness event is det(B^T D B) <= cut, D = diag(variances)."""
+    return (2 * math.pi) ** (-n / k), \
+        -k * math.log(2 * math.pi) - 2 * k * math.log(s)
 
-    * line: det = 1 - t (1 - sigma^2), so the event is t >= x with
-      x = (1 - 1/(2 pi s^2)) / (1 - sigma^2);
-    * hyperplane: det = det(D) u^T D^-1 u = sigma^(2k) ((1 - t)/sigma^2 + t),
-      so the event is t >= x with x = (1/sigma^2 - 2 pi s^(-2k)) /
-      (1/sigma^2 - 1).
 
-    The measure is P(t >= x) = I_{1-x}((n-1)/2, 1/2), x clipped to [0, 1]
-    (_beta_half); at n = 2 the two forms describe one event.
+def exact_event_measure(n: int, k: int, s: float) -> float | None:
+    """Exact measure of the sharpness event det(B^T D B) <= cut on G(n, k),
+    or None where no exact form is coded (j = min(k, n-k) >= 3 and the
+    event not empty).
+
+    det(B^T D B) = prod_{i <= k} (1 - a lambda_i), a = 1 - sigma^2, where
+    the lambda_i are the squared cosines of the principal angles between
+    E = span B and the span of the first k axes.  For k > n-k, k-j of them
+    are 1 and the other j are those between E-perp and the last n-k axes
+    (det(B^T D B) = det(D) det(C^T D^-1 C), C a basis of E-perp), so either
+    way the event is prod_{i <= j} (1 - a lambda_i) <= c with
+    c = cut sigma^(-2(k-j)), the lambda_i the j squared cosines between a
+    uniform j-plane of R^n and a fixed one: the real Jacobi ensemble
+    (Muirhead, Aspects of Multivariate Statistical Theory, ch. 3).
+
+    * empty event (c < sigma^(2j), i.e. s above empty_above): exact 0;
+    * j = 1: lambda ~ Beta(1/2, (n-1)/2) and the event is lambda >= x,
+      x = (1 - c)/a, of measure I_{1-x}((n-1)/2, 1/2) (_beta_half);
+    * j = 2: a two-dimensional quadrature (_two_plane_measure).
     """
-    sigma2 = (2 * math.pi) ** (-n / k)
-    if normal:
-        x = (1.0 / sigma2 - 2 * math.pi * s ** (-2 * k)) / (1.0 / sigma2 - 1.0)
-    else:
-        x = (1.0 - 1.0 / (2 * math.pi * s * s)) / (1.0 - sigma2)
-    return _beta_half((n - 1) / 2, 1.0 - min(max(x, 0.0), 1.0))
+    sigma2, log_cut = _sharpness_cut(n, k, s)
+    j = min(k, n - k)
+    # cut < min det(B^T D B) = sigma^(2k): no subspace can hit
+    if log_cut < k * math.log(sigma2):
+        return 0.0
+    c = math.exp(log_cut - (k - j) * math.log(sigma2))
+    a = 1.0 - sigma2
+    if j == 1:
+        return _beta_half((n - 1) / 2, 1.0 - min(max((1.0 - c) / a, 0.0), 1.0))
+    if j == 2:
+        return _two_plane_measure(n, a, c)
+    return None
 
 
 def _beta_half(a: float, w: float) -> float:
@@ -901,6 +922,100 @@ def _beta_half(a: float, w: float) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch: the
+    eigenvalues of the Jacobi matrix and 2 (first eigenvector entry)^2.
+    The cached arrays are read-only."""
+    i = np.arange(1, nodes)
+    off = i / np.sqrt(4.0 * i * i - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * np.square(v[0])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _two_plane_measure(n: int, a: float, c: float,
+                       nodes: int = QUAD_NODES) -> float:
+    """P((1 - a lambda_1)(1 - a lambda_2) <= c) for the two squared cosines
+    lambda_i = cos^2 phi_i between a uniform 2-plane of R^n (n >= 4) and a
+    fixed one, 0 < a < 1 and c >= (1 - a)^2.
+
+    On [0, pi/2]^2 the angles have density proportional to
+    sin^(n-4) phi_1 sin^(n-4) phi_2 |cos^2 phi_1 - cos^2 phi_2|, of total
+    mass 2 / ((n-2)(n-3)) (Selberg's integral).  For fixed phi_1 the event
+    is phi_2 <= psi(phi_1) = acos sqrt(lambda_2*), lambda_2* =
+    (1 - c / (1 - a lambda_1)) / a clipped to [0, 1].  Nested
+    Gauss-Legendre: the outer phi_1 rule runs on three panels cut where
+    lambda_2* hits 0, lambda_1 and 1, and the inner rule on [0, psi] cut
+    at phi_2 = phi_1, the kink of the density.  psi has a square-root
+    endpoint where lambda_2* reaches 0 or 1, so each outer panel is mapped
+    by u = (1 - cos theta)/2, theta uniform in [0, pi], which makes
+    sqrt(u) and sqrt(1 - u) smooth and the rule spectrally convergent.
+    """
+    sigma2 = 1.0 - a
+
+    def angle(lam):
+        return np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0)))
+
+    x, w = _gauss_legendre(nodes)
+    # outer panels [0, phi_c], [phi_c, phi_s], [phi_s, phi_b]
+    cuts = angle(np.array([(1.0 - c) / a, (1.0 - math.sqrt(c)) / a,
+                           (1.0 - c / sigma2) / a]))
+    lo = np.concatenate([[0.0], cuts[:2]])[:, None]
+    width = cuts[:, None] - lo
+    theta = (x + 1.0) * (math.pi / 2)
+    phi1 = (lo + width * (0.5 - 0.5 * np.cos(theta))).ravel()
+    w1 = (width * (math.pi / 4) * np.sin(theta) * w).ravel()
+    lam1 = np.square(np.cos(phi1))
+    psi = angle((1.0 - c / (1.0 - a * lam1)) / a)
+    # inner pieces [0, min(phi_1, psi)] and [min(phi_1, psi), psi]
+    knee = np.minimum(phi1, psi)
+    start = np.stack([np.zeros_like(knee), knee], axis=1)[..., None]
+    span = np.stack([knee, psi], axis=1)[..., None] - start
+    phi2 = start + span * (0.5 * (x + 1.0))
+    density = np.sin(phi2) ** (n - 4) \
+        * np.abs(lam1[:, None, None] - np.square(np.cos(phi2)))
+    inner = np.sum(density * span * (0.5 * w), axis=(1, 2))
+    mass = np.sum(np.sin(phi1) ** (n - 4) * inner * w1)
+    return float(mass * (n - 2) * (n - 3) / 2)
+
+
+def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """Which of size subspaces drawn from stream hit the sharpness event.
+
+    The event is det(B^T D B) <= cut, and the test needs no orthonormal
+    basis: for the span of a Gaussian n x k draw G and any orthonormal
+    basis B of it (B = G R^-1, R the QR factor), det(B^T D B) =
+    det(G^T D G) / det(G^T G), so each draw is tested as det(G^T D G) <=
+    cut det(G^T G) with no log: one quadratic form for k = 1, the 2 x 2
+    determinants a c - b^2 for k = 2, and the log dets of _spd_solve for
+    k >= 3.  The subspaces are those haar_bases would return for the same
+    stream."""
+    sigma2, log_cut = _sharpness_cut(n, k, s)
+    diag = np.concatenate([np.full(k, sigma2), np.ones(n - k)])
+    cut = math.exp(log_cut)
+    g = stream.standard_normal((size, n, k))
+    if k == 1:
+        return np.square(g[..., 0]) @ (diag - cut) <= 0.0
+    # column products of the draw against [1, diag] give both Grams at
+    # once; G^T G is ill-conditioned only on rare draws, and the det ratio
+    # matches det(B^T D B) to about 1e-11 relative
+    w = np.stack([np.ones(n), diag], axis=1)
+    if k == 2:
+        a, b, c = ((g[..., i] * g[..., j]) @ w
+                   for i, j in ((0, 0), (0, 1), (1, 1)))
+        det = a * c - b * b
+        return det[:, 1] <= cut * det[:, 0]
+    grams = np.empty((size, 2, k, k))
+    for i in range(k):
+        for j in range(i, k):
+            np.matmul(g[..., i] * g[..., j], w, out=grams[:, :, i, j])
+            grams[:, :, j, i] = grams[:, :, i, j]
+    return _spd_solve(grams[:, 1])[0] - _spd_solve(grams[:, 0])[0] <= log_cut
+
+
 def _sharpness_rules(n, k, s, n_subspaces):
     _need(n >= 2, "n", f"must be >= 2, got {n}")
     _k_up_to(k, n - 1)
@@ -915,84 +1030,63 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
 
     The law has k variances sigma^2 = (2pi)^(-n/k) and n-k unit variances,
     so the full density has sup exactly 1.  The event
-    {||projected density sup||^(1/k) >= s} is evaluated in closed form per
-    section from det of the projected covariance; the claimed lower bound
-    is (2s)^(-k(n-k)).  The verdict states the claim as printed; the fitted
-    scale factor that would make the bound tight is reported either way.
-    The subspaces are drawn in blocks of DRAW_BLOCK (see _blocked).
+    {||projected density sup||^(1/k) >= s} is det(B^T D B) <= cut =
+    (2 pi s^2)^(-k) for an orthonormal basis B of the section; the claimed
+    lower bound is (2s)^(-k(n-k)).  The verdict states the claim as
+    printed; the fitted scale factor that would make the bound tight is
+    reported either way.
 
-    The event is det(B^T D B) <= cut = (2 pi s^2)^(-k), D = diag(variances),
-    and needs no orthonormal basis: for the span of a Gaussian n x k draw G
-    and any orthonormal basis B of it (B = G R^-1, R the QR factor),
-    det(B^T D B) = det(G^T D G) / det(G^T G), so each draw is tested as
-    det(G^T D G) <= cut det(G^T G) with no log: one quadratic form for
-    k = 1, the 2 x 2 determinants a c - b^2 for k = 2, and the log dets of
-    _spd_solve for k >= 3.  The subspaces are those haar_bases would return
-    for the same stream.
-
-    Since min det(B^T D B) = sigma^(2k) (the span of the first k axes), the
-    event is empty exactly when s > (2 pi)^((n-k)/(2k)), reported as
-    empty_above; such a check draws nothing and its measure is an exact 0
-    (method "exact"; "mc" otherwise).  For lines and hyperplanes the
-    diagnostics carry the exact measure as exact_measure (see
-    _axis_measure; None for 1 < k < n-1 unless the event is empty).
+    The measure is exact_event_measure where that has a value: min(k, n-k)
+    <= 2, or an empty event, i.e. s above empty_above = (2 pi)^((n-k)/(2k))
+    (min det(B^T D B) = sigma^(2k), the span of the first k axes).  Its
+    method is then "exact" (a closed form, or the empty event's 0) or
+    "quadrature" (min(k, n-k) = 2), and its verdict is measure >= bound.
+    A non-empty exact row still draws one block of min(n_subspaces,
+    DRAW_BLOCK) subspaces through _sharpness_hits as a cross-check of the
+    exact form at these (n, k, s): their hit share and its binomial z
+    against the exact measure are reported as sampled_measure and
+    sampled_z, and neither enters the measure or the verdict.  Otherwise
+    n_subspaces subspaces are drawn through _sharpness_hits in blocks of
+    DRAW_BLOCK (see _blocked), the method is "mc" and exact_measure is
+    None.
     """
     _sharpness_rules(n, k, s, n_subspaces)
-    sigma2 = (2 * math.pi) ** (-n / k)
-    diag = np.concatenate([np.full(k, sigma2), np.ones(n - k)])
-    # event: (2 pi)^(-1/2) det(B^T D B)^(-1/(2k)) >= s
-    log_cut = -k * math.log(2 * math.pi) - 2 * k * math.log(s)
-    cut = math.exp(log_cut)
-
-    # column products of the draw against [1, diag] give both Grams at once;
-    # G^T G is ill-conditioned only on rare draws, and the det ratio
-    # matches det(B^T D B) to about 1e-11 relative
-    w = np.stack([np.ones(n), diag], axis=1)
-
-    def draw(stream, m):
-        def hits(size):
-            g = stream.standard_normal((size, n, k))
-            if k == 1:
-                return np.square(g[..., 0]) @ (diag - cut) <= 0.0
-            if k == 2:
-                a, b, c = ((g[..., i] * g[..., j]) @ w
-                           for i, j in ((0, 0), (0, 1), (1, 1)))
-                det = a * c - b * b
-                return det[:, 1] <= cut * det[:, 0]
-            grams = np.empty((size, 2, k, k))
-            for i in range(k):
-                for j in range(i, k):
-                    np.matmul(g[..., i] * g[..., j], w, out=grams[:, :, i, j])
-                    grams[:, :, j, i] = grams[:, :, i, j]
-            return _spd_solve(grams[:, 1])[0] - _spd_solve(grams[:, 0])[0] \
-                <= log_cut
-        return _blocked(m, DRAW_BLOCK, hits)
-
-    # cut < min det(B^T D B) = sigma^(2k): no subspace can hit
-    empty = log_cut < k * math.log(sigma2)
-    emp = Estimate.exact(0.0) if empty else mc_estimate(draw, n_subspaces, rng)
+    exact = exact_event_measure(n, k, s)
+    sampled = sampled_z = None
+    if exact is None:
+        def draw(stream, m):
+            return _blocked(m, DRAW_BLOCK, functools.partial(
+                _sharpness_hits, n, k, s, stream))
+        rhs = mc_estimate(draw, n_subspaces, rng)
+        method = "mc"
+    else:
+        rhs = Estimate.exact(exact)
+        method = "quadrature" if min(k, n - k) == 2 and exact > 0 \
+            else "exact"
+        if exact > 0:
+            m = min(n_subspaces, DRAW_BLOCK)
+            sampled = float(np.mean(_sharpness_hits(n, k, s, rng, m)))
+            sampled_z = (sampled - exact) / math.sqrt(exact * (1 - exact) / m)
     bound = (2.0 * s) ** (-k * (n - k))
-    passed = emp.value >= bound - 3.0 * emp.stderr
-    fitted_factor = (emp.value ** (-1.0 / (k * (n - k))) / s
-                     if emp.value > 0 else math.inf)
-    exact = 0.0 if empty else _axis_measure(n, k, s, normal=k > 1) \
-        if k in (1, n - 1) else None
+    passed = rhs.value >= bound - 3.0 * rhs.stderr
+    fitted_factor = (rhs.value ** (-1.0 / (k * (n - k))) / s
+                     if rhs.value > 0 else math.inf)
     return CheckReport(
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
-        lhs=Estimate.exact(bound), rhs=emp,
+        lhs=Estimate.exact(bound), rhs=rhs,
         verdict=PASS if passed else FAIL,
         diagnostics={
-            "empirical_measure": emp.value,
             "exact_measure": exact,
             "claimed_bound": bound,
-            "binomial_stderr": emp.stderr,
-            "sigma": math.sqrt(sigma2),
-            # the factor a for which empirical = (a s)^(-k(n-k)); the
-            # claim corresponds to a = 2
+            "sigma": math.sqrt((2 * math.pi) ** (-n / k)),
+            # the factor a for which measure = (a s)^(-k(n-k)); the claim
+            # corresponds to a = 2
             "fitted_factor": fitted_factor,
-            "method": "exact" if empty else "mc",
+            "method": method,
             "empty_above": (2 * math.pi) ** ((n - k) / (2 * k)),
+            "sampled_measure": sampled,
+            "sampled_z": sampled_z,
         })
 
 

@@ -1,8 +1,9 @@
 """The elementary forms of the package's special functions, against scipy.
 
-The package evaluates the chi-square law, the incomplete beta of the
-sharpness events and the unit-ball volumes with numpy and math alone; scipy
-is a test dependency that serves here as the reference.  A last test runs
+The package evaluates the chi-square law, the incomplete beta and the
+two-plane quadrature of the sharpness events and the unit-ball volumes with
+numpy and math alone; scipy is a test dependency that serves here as the
+reference.  A last test runs
 the package in a fresh interpreter that cannot import scipy at all.
 """
 
@@ -11,15 +12,18 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, dblquad
 from scipy.special import betainc, gammainc, gammaincinv, gammaln
 
 import igeolab
 from igeolab.densities import _chi2_cdf, _chi2_ppf
 from igeolab.geometry import unit_ball_volume
-from igeolab.verify import _beta_half
+from igeolab.verify import QUAD_NODES, _beta_half, _two_plane_measure, \
+    exact_event_measure
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -64,6 +68,40 @@ def test_beta_half_matches_betainc(n):
         assert abs(_beta_half(a, w) - betainc(a, 0.5, w)) <= 1e-14
 
 
+
+@pytest.mark.parametrize("n,k,s", [(4, 2, 1.0), (4, 2, 1.5), (4, 2, 2.0),
+                                   (4, 2, 2.49), (5, 2, 1.0), (5, 2, 1.5),
+                                   (5, 3, 1.3), (6, 2, 1.0), (6, 4, 1.2)])
+def test_two_plane_measure_matches_dblquad(n, k, s):
+    # the Jacobi density of the two principal angles, sin^(n-4) phi_1
+    # sin^(n-4) phi_2 |cos^2 phi_1 - cos^2 phi_2|, integrated by scipy below
+    # the diagonal, where it is smooth (density and event are symmetric in
+    # the two angles), over the event and over the whole triangle
+    sigma2 = (2 * np.pi) ** (-n / k)
+    a = 1.0 - sigma2
+    c = (2 * np.pi * s * s) ** -k * sigma2 ** (2 - k)
+
+    def density(phi2, phi1):
+        return (np.sin(phi1) * np.sin(phi2)) ** (n - 4) \
+            * (np.cos(phi2) ** 2 - np.cos(phi1) ** 2)
+
+    def top(phi1):
+        lam = (1.0 - c / (1.0 - a * np.cos(phi1) ** 2)) / a
+        return min(phi1, np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))))
+
+    edge = np.arccos(np.sqrt(np.clip((1.0 - c / sigma2) / a, 0.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        event = dblquad(density, 0.0, edge, 0.0, top,
+                        epsabs=0.0, epsrel=1e-13)[0]
+        whole = dblquad(density, 0.0, np.pi / 2, 0.0, lambda phi1: phi1,
+                        epsabs=0.0, epsrel=1e-13)[0]
+    value = exact_event_measure(n, k, s)
+    assert value == pytest.approx(event / whole, rel=1e-9, abs=0.0)
+    # spectral convergence: twice the nodes move the rule by rounding only
+    twice = _two_plane_measure(n, a, c, nodes=2 * QUAD_NODES)
+    assert value == pytest.approx(twice, rel=1e-10, abs=0.0)
+
 def test_unit_ball_volume_matches_gamma_form():
     for n in range(41):
         ref = np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0))
@@ -105,6 +143,13 @@ n = 3
 k = 1
 s = 1.5
 n_subspaces = 1000
+
+[check plane sharpness]
+check = "gaussian_sharpness"
+n = 4
+k = 2
+s = 1.5
+n_subspaces = 1000
 """
 
 RUN_WITHOUT_SCIPY = """
@@ -131,7 +176,8 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 def test_runs_on_numpy_alone(tmp_path):
     # every elementary form is reached: truncated-Gaussian masses (the
     # shipped configs), its sample and its k = 1 and k = 2 section points,
-    # the bp_* constants and a line's exact sharpness measure
+    # the bp_* constants and the exact sharpness measures of a line and of
+    # a plane
     src = os.path.dirname(os.path.dirname(igeolab.__file__))
     root = pathlib.Path(__file__).resolve().parents[1]
     suite = tmp_path / "suite.ini"
@@ -144,4 +190,4 @@ def test_runs_on_numpy_alone(tmp_path):
     code, modules = out.stdout.strip().splitlines()[-2:]
     assert code in ("0", "2", "3") and modules == "[]"
     rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
-    assert len(rows) == 4
+    assert len(rows) == 5

@@ -6,12 +6,16 @@ shared fixture.  Fitted constants are compared against the simple rational
 ratios they converge to, with bands wide enough for the reduced budgets.
 """
 
+import csv
+import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from igeolab import grassmann, verify
+from igeolab.config import load_config
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
@@ -21,6 +25,7 @@ from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import Subspace, haar_bases, sample_subspace
 from igeolab.report import FAIL, INCONCLUSIVE, PASS
+from igeolab.runner import run_suite
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
                             check_bp_subspace, check_grinberg_functional,
                             check_linear_invariance,
@@ -575,6 +580,21 @@ def test_quantiles_match_numpy_bit_for_bit():
 # sharpness of the small-sup event
 
 
+def sampler_share(n, k, s, m, rng):
+    """Share of m sharpness draws that hit, through the sampler the Monte
+    Carlo route uses, in its blocks."""
+    hits = verify._blocked(m, verify.DRAW_BLOCK, functools.partial(
+        verify._sharpness_hits, n, k, s, rng))
+    return float(np.mean(hits))
+
+
+def assert_matches_sampler(exact, n, k, s, rng, m=1_000_000):
+    # binomial z of m draws against the exact measure
+    z = (sampler_share(n, k, s, m, rng) - exact) \
+        / math.sqrt(exact * (1.0 - exact) / m)
+    assert abs(z) <= 4.0
+
+
 def test_sharpness_honest_shortfall(rng):
     rep = gaussian_sharpness_experiment(3, 1, 2.0, 40_000, rng)
     d = rep.diagnostics
@@ -583,7 +603,8 @@ def test_sharpness_honest_shortfall(rng):
     t = math.sqrt((1 - 1 / (8 * math.pi)) / (1 - (2 * math.pi) ** -3))
     target = 1.0 - t  # 0.0181151
     assert target == pytest.approx(0.0181151, abs=2e-7)
-    assert abs(d["empirical_measure"] - target) <= 4.0 * d["binomial_stderr"]
+    assert rep.rhs.value == pytest.approx(target, rel=1e-12)
+    assert rep.rhs.stderr == 0.0 and rep.rhs.samples == 0
     # the claimed lower bound (2s)^{-k(n-k)} = 1/16 overshoots by ~3.5x,
     # so the verdict is an honest fail
     assert rep.verdict == FAIL
@@ -596,7 +617,7 @@ def test_sharpness_blocks_match_one_shot_draw(n, k, s):
     # one substream of 2^16 + 3 subspaces spans a block boundary; the
     # block-streamed hits must equal those of one haar_bases call
     m = (1 << 16) + 3
-    rep = gaussian_sharpness_experiment(n, k, s, m, np.random.default_rng(3))
+    drawn = sampler_share(n, k, s, m, np.random.default_rng(3)) * m
     sigma2 = (2 * math.pi) ** (-n / k)
     diag = np.array([sigma2] * k + [1.0] * (n - k))
     b = haar_bases(n, k, m, np.random.default_rng(3))
@@ -605,7 +626,7 @@ def test_sharpness_blocks_match_one_shot_draw(n, k, s):
     hits = int(np.count_nonzero(
         logdet <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)))
     assert hits > 0
-    assert round(rep.diagnostics["empirical_measure"] * m) == hits
+    assert round(drawn) == hits
 
 
 def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
@@ -615,58 +636,82 @@ def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
 
     monkeypatch.setattr(grassmann, "haar_bases", orthonormalize)
     monkeypatch.setattr(grassmann, "_orthonormalize", orthonormalize)
-    rep = gaussian_sharpness_experiment(4, 2, 1.5, 4000,
+    assert verify._sharpness_hits(4, 2, 1.5, np.random.default_rng(5),
+                                  4000).any()
+    rep = gaussian_sharpness_experiment(6, 3, 1.0, 4000,
                                         np.random.default_rng(5))
-    assert rep.diagnostics["empirical_measure"] > 0
+    assert rep.rhs.value > 0
 
 
 def test_sharpness_small_blocks_match_default(monkeypatch):
     # blocks of 7 subspaces, the last one short, draw from the generator in
     # turn as the default block does: the same report, bit for bit
-    args = (4, 2, 1.5, 4000)
+    args = (6, 3, 1.0, 4000)
     ref = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
     small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
-    assert ref.diagnostics["empirical_measure"] > 0
+    assert ref.rhs.value > 0 and ref.diagnostics["method"] == "mc"
     assert small.to_dict() == ref.to_dict()
 
 
 @pytest.mark.parametrize("s,exact", [(1.5, 0.034067), (2.0, 0.018115),
                                      (3.0, 0.0068775)])
 def test_sharpness_exact_measure_matches_mc(s, exact, rng):
-    d = gaussian_sharpness_experiment(3, 1, s, 100_000, rng).diagnostics
+    rep = gaussian_sharpness_experiment(3, 1, s, 100_000, rng)
+    d = rep.diagnostics
     assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
-    assert abs(d["empirical_measure"] - d["exact_measure"]) \
-        <= 4.0 * d["binomial_stderr"]
+    assert rep.rhs.value == d["exact_measure"] and d["method"] == "exact"
+    assert_matches_sampler(d["exact_measure"], 3, 1, s, rng)
+
+
+@pytest.mark.parametrize("n,k,s", [(4, 2, 1.5), (4, 2, 2.0), (5, 2, 1.5),
+                                   (5, 3, 1.3)])
+def test_sharpness_two_plane_measure_matches_mc(n, k, s, rng):
+    # min(k, n-k) = 2: the quadrature, through E itself for k <= n-k and
+    # through its orthogonal complement for (5, 3)
+    rep = gaussian_sharpness_experiment(n, k, s, 100_000, rng)
+    d = rep.diagnostics
+    assert d["method"] == "quadrature" and rep.rhs.samples == 0
+    assert rep.rhs.value == d["exact_measure"] > 0
+    # the row's own one-block cross-check, and a million more draws
+    assert abs(d["sampled_z"]) <= 4.0
+    assert d["sampled_z"] == pytest.approx(
+        (d["sampled_measure"] - rep.rhs.value)
+        / math.sqrt(rep.rhs.value * (1 - rep.rhs.value) / verify.DRAW_BLOCK))
+    assert_matches_sampler(d["exact_measure"], n, k, s, rng)
+
+
+def test_sharpness_two_plane_measure_pins_the_shipped_rows():
+    # (4, 2) at s = 1.5 and 2, and the verdict it gives: measure >= bound
+    for s, value in ((1.5, 0.0050158586), (2.0, 0.00030741698)):
+        rep = gaussian_sharpness_experiment(4, 2, s, 100,
+                                            np.random.default_rng(0))
+        assert rep.rhs.value == pytest.approx(value, rel=1e-8)
+        assert rep.verdict == FAIL and rep.rhs.value < rep.lhs.value
 
 
 def test_sharpness_no_exact_measure_between_lines_and_hyperplanes(rng):
-    # lines (k = 1) and hyperplanes (k = n - 1) have one; (4, 2) has none
-    rep = gaussian_sharpness_experiment(4, 2, 1.5, 100, rng)
+    # min(k, n-k) <= 2 has one; (6, 3) has none, and its measure is the
+    # share of the sampler's hits in the row's own stream
+    state = rng.bit_generator.state
+    rep = gaussian_sharpness_experiment(6, 3, 1.0, 1000, rng)
     assert rep.diagnostics["exact_measure"] is None
+    assert rep.diagnostics["method"] == "mc" and rep.rhs.samples == 1000
+    assert rep.diagnostics["sampled_z"] is None
+    rng.bit_generator.state = state
+    assert rep.rhs.value == sampler_share(6, 3, 1.0, 1000, rng) > 0
 
 
 @pytest.mark.parametrize("n,k,s", [(3, 1, 1.5), (3, 1, 6.1),
                                    (4, 2, 1.5), (4, 2, 2.2),
                                    (5, 3, 1.2), (5, 3, 1.6),
                                    (3, 2, 1.2), (3, 2, 1.57)])
-def test_sharpness_det_test_matches_slogdet_draw_for_draw(monkeypatch,
-                                                          n, k, s):
+def test_sharpness_det_test_matches_slogdet_draw_for_draw(n, k, s):
     # the log-free det comparison flags the same draws as the log det ratio
     # of the same Gaussian draw; the second s of each pair sits just below
     # the empty bound (2 pi)^((n-k)/(2k)), where hits are rare
     m = 50_000
-    seen = []
-    real = verify.mc_estimate
-
-    def spy(draw, n_total, rng):
-        def keep(stream, size):
-            seen.append(draw(stream, size))
-            return seen[-1]
-        return real(keep, n_total, rng)
-
-    monkeypatch.setattr(verify, "mc_estimate", spy)
-    gaussian_sharpness_experiment(n, k, s, m, np.random.default_rng(11))
+    seen = verify._sharpness_hits(n, k, s, np.random.default_rng(11), m)
     g = np.random.default_rng(11).standard_normal((m, n, k))
     diag = np.array([(2 * math.pi) ** (-n / k)] * k + [1.0] * (n - k))
     gram_d = np.einsum("sji,j,sjl->sil", g, diag, g)
@@ -674,7 +719,7 @@ def test_sharpness_det_test_matches_slogdet_draw_for_draw(monkeypatch,
     log_ratio = np.linalg.slogdet(gram_d)[1] - np.linalg.slogdet(gram)[1]
     ref = log_ratio <= -k * math.log(2 * math.pi) - 2 * k * math.log(s)
     assert ref.any()
-    np.testing.assert_array_equal(seen[0], ref)
+    np.testing.assert_array_equal(seen, ref)
 
 
 class _NoDrawGenerator(np.random.Generator):
@@ -692,6 +737,7 @@ def test_sharpness_empty_event_draws_nothing(n, k, s):
     d = rep.diagnostics
     assert s > d["empty_above"] == (2 * math.pi) ** ((n - k) / (2 * k))
     assert d["exact_measure"] == 0.0 and d["method"] == "exact"
+    assert d["sampled_measure"] is None and d["sampled_z"] is None
     assert rep.rhs.samples == 0 and rep.rhs.value == 0.0
     assert rep.verdict == FAIL
     assert gen.bit_generator.state == state
@@ -701,20 +747,54 @@ def test_sharpness_empty_event_draws_nothing(n, k, s):
 
 @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 2.4])
 def test_sharpness_hyperplane_form_matches_line_form_in_the_plane(s):
-    # at n = 2 a line is a hyperplane: both closed forms give one event
-    line = verify._axis_measure(2, 1, s, normal=False)
+    # at n = 2 a line is a hyperplane: the measure read off the line's
+    # direction equals the hyperplane form read off its normal u, where
+    # det = det(D) u^T D^-1 u and the event is u_2^2 >= x
+    line = verify.exact_event_measure(2, 1, s)
     assert line > 0.0
-    assert verify._axis_measure(2, 1, s, normal=True) \
+    sigma2 = (2 * math.pi) ** -2
+    x = (1.0 / sigma2 - 2 * math.pi * s ** -2) / (1.0 / sigma2 - 1.0)
+    assert verify._beta_half(0.5, 1.0 - min(max(x, 0.0), 1.0)) \
         == pytest.approx(line, rel=1e-14, abs=1e-16)
 
 
 @pytest.mark.parametrize("n,s,exact", [(3, 1.2, 0.071365), (4, 1.1, 0.054181)])
 def test_sharpness_hyperplane_exact_measure_matches_mc(n, s, exact, rng):
-    d = gaussian_sharpness_experiment(n, n - 1, s, 100_000, rng).diagnostics
-    assert d["method"] == "mc"
+    rep = gaussian_sharpness_experiment(n, n - 1, s, 100_000, rng)
+    d = rep.diagnostics
+    assert d["method"] == "exact" and rep.rhs.value == d["exact_measure"]
     assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
-    assert abs(d["empirical_measure"] - d["exact_measure"]) \
-        <= 4.0 * d["binomial_stderr"]
+    assert_matches_sampler(d["exact_measure"], n, n - 1, s, rng)
+
+
+@pytest.mark.parametrize("relpath", ["configs/sharpness.ini",
+                                     "bench/workloads/sharpness.ini"])
+def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
+                                                       monkeypatch):
+    # every shipped sharpness row has an exact measure: the sampler feeds
+    # only the one-block cross-check of each non-empty row, so a sampler
+    # that hits everywhere moves no measure and no verdict, and a row that
+    # went back to drawing its whole budget would draw more than one block
+    drawn = []
+
+    def every_hit(n, k, s, stream, size):
+        drawn.append(size)
+        return np.ones(size, dtype=bool)
+
+    monkeypatch.setattr(verify, "_sharpness_hits", every_hit)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = load_config(str(root / relpath), output_override=str(tmp_path))
+    assert run_suite(cfg, echo=lambda line: None) == 2
+    with open(tmp_path / "results.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["verdict"] for row in rows] == [FAIL] * 6
+    exact = [verify.exact_event_measure(job.kwargs["n"], job.kwargs["k"],
+                                        job.kwargs["s"])
+             for job in cfg.checks]
+    assert [float(row["rhs"]) for row in rows] == exact
+    assert all(row["rhs_stderr"] == "0.0" for row in rows)
+    budget = cfg.checks[0].kwargs["n_subspaces"]
+    assert drawn == [min(budget, verify.DRAW_BLOCK)] * 5
 
 
 def test_sharpness_validation(rng):
