@@ -5,7 +5,7 @@
     igeolab list-checks
 
 IGEOLAB_OUTPUT_DIR overrides the configured output directory and
-IGEOLAB_JOBS the worker count.
+IGEOLAB_JOBS the thread count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def _parse_args(argv):
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the configured master seed")
     run_p.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker processes (default 1)")
+                       help="checks run at once, on threads of this "
+                       "process (default 1)")
 
     table_p = sub.add_parser("table",
                              help="merge results.csv files into one table")

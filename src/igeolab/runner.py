@@ -9,10 +9,12 @@ the byte-identity of results.csv rests on (numpy elementwise arithmetic,
 the generator streams, and LAPACK where frames or determinants are
 factored).
 Per-check generators are derived from the master seed by the check's
-position, so results are independent of worker count and execution order.
+position, so results are independent of thread count and execution order.
+With jobs > 1 the checks run on a pool of threads in this process: their
+time goes into numpy kernels and generator fills, which release the GIL.
 
-run_suite sets one malloc policy for its whole process, and each pool
-worker sets the same one: blocks below MMAP_THRESHOLD come from the heap,
+run_suite sets one malloc policy for its whole process, which covers every
+pool thread: blocks below MMAP_THRESHOLD come from the heap,
 not from a mapping of their own, and the heap goes back to the kernel only
 when more than TRIM_THRESHOLD lies free at its top.  Under glibc's
 default policy the checks' sample blocks of several MB go back to the
@@ -20,7 +22,8 @@ kernel when freed and are faulted in again at the next draw (about 35,700
 minor page faults on the `sections` benchmark suite, against about 5,000
 under the policy).  The policy moves no draw and no arithmetic, so
 results.csv does not depend on it; the manifest records it as
-environment.malloc and each check's minor page faults as minor_faults.
+environment.malloc and the minor page faults of the thread that ran each
+check as minor_faults.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 try:
     import resource
@@ -114,10 +117,13 @@ def _set_malloc_policy():
 
 
 def _minor_faults():
-    """This process's minor page faults so far; None without resource."""
-    if resource is None:
+    """This thread's minor page faults so far, so that checks running side
+    by side keep their own counts; None where resource has no
+    RUSAGE_THREAD (off Linux)."""
+    who = getattr(resource, "RUSAGE_THREAD", None)
+    if who is None:
         return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return resource.getrusage(who).ru_minflt
 
 
 def _execute(args):
@@ -144,9 +150,10 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
 
     Returns the exit status: 0 all pass, 2 any fail, 3 any inconclusive
     with no failures.  On KeyboardInterrupt the rows finished so far are
-    already on disk and the manifest is written with interrupted = true.
+    already on disk and the manifest is written with interrupted = true;
+    checks already running on the pool finish, and no queued one starts.
     The malloc policy of the module docstring is set for this process
-    first, and for each pool worker as it starts.
+    first.
     """
     out_dir = config.output_dir
     reports_dir = os.path.join(out_dir, "reports")
@@ -166,13 +173,13 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         handle.flush()
         try:
             if jobs > 1 and len(tasks) > 1:
-                # the pool forks all its workers at the first submit
-                with ProcessPoolExecutor(
-                        min(jobs, len(tasks)),
-                        initializer=_set_malloc_policy) as pool:
-                    results = pool.map(_execute, tasks)
-                    _consume(results, config, writer, handle, reports_dir,
-                             manifest_checks, verdicts, echo)
+                pool = ThreadPoolExecutor(min(jobs, len(tasks)))
+                try:
+                    _consume(pool.map(_execute, tasks), config, writer,
+                             handle, reports_dir, manifest_checks, verdicts,
+                             echo)
+                finally:
+                    pool.shutdown(cancel_futures=True)
             else:
                 _consume(map(_execute, tasks), config, writer, handle,
                          reports_dir, manifest_checks, verdicts, echo)

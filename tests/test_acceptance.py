@@ -414,10 +414,11 @@ def test_marginal_bound_experiment(acceptance_log):
 def test_suite_determinism(acceptance_log, tmp_path):
     quiet = lambda *args, **kwargs: None
     outputs = {}
-    for name in ("first", "second"):
+    # the second pass runs on a pool of two threads
+    for name, jobs in (("first", 1), ("second", 2)):
         config = load_config("configs/paper-core.ini",
                              output_override=str(tmp_path / name))
-        run_suite(config, jobs=1, echo=quiet)
+        run_suite(config, jobs=jobs, echo=quiet)
         outputs[name] = (tmp_path / name / "results.csv").read_bytes()
     identical = outputs["first"] == outputs["second"]
 
@@ -435,6 +436,6 @@ def test_suite_determinism(acceptance_log, tmp_path):
     agree = base == reseeded
     ok = identical and agree
     log_line(acceptance_log, 9, "suite determinism", ok,
-             f"rerun byte-identical: {identical}; verdicts agree across "
+             f"rerun at jobs 2 byte-identical: {identical}; verdicts agree across "
              f"seeds: {agree} ({len(base)} checks)")
     assert ok

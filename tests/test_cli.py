@@ -9,16 +9,18 @@ so starved sampling budgets keep the file fast.
 import csv
 import ctypes
 import dataclasses
-import functools
 import io
+import itertools
 import json
-import multiprocessing
+import mmap
 import os
 import platform
 import re
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import types
 import warnings
 
@@ -283,22 +285,93 @@ def test_run_suite_sets_the_malloc_policy(tmp_path, monkeypatch):
 
 
 def test_pool_workers_set_the_malloc_policy(tmp_path, monkeypatch):
-    # fork, so that the workers inherit the stand-in libc whatever the
-    # platform's default start method
+    # the pool's threads share the process's policy: --jobs 2 sets it once,
+    # in this process, and no other process exists to set it
     log = tmp_path / "mallopt.log"
     recording_libc(monkeypatch, log)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
-        runner.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context("fork")))
     cfg = load_config(write_suite(tmp_path, FAIL_BODY,
                                   out=str(tmp_path / "out")))
     run_suite(cfg, jobs=2, echo=lambda line: None)
-    calls = read_calls(log)
-    workers = {pid for pid, _, _ in calls} - {os.getpid()}
-    assert len(workers) == 2
-    for pid in workers:
-        assert [c[1:] for c in calls if c[0] == pid] == \
-            [(-3, runner.MMAP_THRESHOLD), (-1, runner.TRIM_THRESHOLD)]
+    pid = os.getpid()
+    assert read_calls(log) == [(pid, -3, runner.MMAP_THRESHOLD),
+                               (pid, -1, runner.TRIM_THRESHOLD)]
+
+
+def test_minor_faults_are_per_check_under_jobs(tmp_path, monkeypatch):
+    # the first check to start waits while the second touches 8192 fresh
+    # pages: only the toucher's thread counts them
+    if not hasattr(runner.resource, "RUSAGE_THREAD"):
+        pytest.skip("resource has no RUSAGE_THREAD")
+    pages, page = 8192, mmap.PAGESIZE
+    entered, touched = threading.Event(), threading.Event()
+    order = itertools.count()
+    grinberg = runner.CHECKS["grinberg_functional"]
+
+    def run(kwargs, rng):
+        if next(order) == 0:
+            entered.set()
+            assert touched.wait(30)
+        else:
+            assert entered.wait(30)
+            with mmap.mmap(-1, pages * page) as block:
+                if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                    block.madvise(mmap.MADV_NOHUGEPAGE)
+                for offset in range(0, pages * page, page):
+                    block[offset] = 1
+            touched.set()
+        return grinberg.run(kwargs, rng)
+
+    cfg = load_config(write_suite(tmp_path, FAIL_BODY,
+                                  out=str(tmp_path / "out")))
+    monkeypatch.setitem(runner.CHECKS, "grinberg_functional",
+                        types.SimpleNamespace(run=run))
+    run_suite(cfg, jobs=2, echo=lambda line: None)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    waiter, toucher = sorted(c["minor_faults"] for c in manifest["checks"])
+    assert waiter < pages <= toucher
+
+
+def test_minor_faults_null_without_rusage_thread(tmp_path, monkeypatch):
+    monkeypatch.delattr(runner.resource, "RUSAGE_THREAD", raising=False)
+    cfg = load_config(write_suite(tmp_path, FAIL_BODY,
+                                  out=str(tmp_path / "out")))
+    run_suite(cfg, jobs=2, echo=lambda line: None)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [c["minor_faults"] for c in manifest["checks"]] == [None, None]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupt_flushes_rows_and_starts_no_queued_check(tmp_path,
+                                                           monkeypatch, jobs):
+    # every check but the first takes 0.2 s, so at --jobs 2 the first
+    # thread has moved on to check 2 when the interrupt lands after row 0;
+    # check 3 is still queued and must never start
+    started, echoed = [], []
+    execute = runner._execute
+
+    def slow(task):
+        started.append(task[0])
+        if task[0]:
+            time.sleep(0.2)
+        return execute(task)
+
+    def echo(line):
+        echoed.append(line)
+        if len(echoed) == 1:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "_execute", slow)
+    cfg = load_config(write_suite(tmp_path, INVARIANCE_BODY,
+                                  out=str(tmp_path / "out")))
+    assert len(cfg.checks) == 4
+    assert run_suite(cfg, jobs=jobs, echo=echo) == 130
+    assert 0 in started and set(started) <= set(range(jobs + 1))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["interrupted"] is True
+    assert [c["label"] for c in manifest["checks"]] == ["linear"]
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    assert [r["check"] for r in rows] == ["linear_invariance"]
+    assert os.listdir(tmp_path / "out" / "reports") == ["linear.json"]
 
 
 def no_mallopt(name):
@@ -641,23 +714,20 @@ def test_degenerate_density_exits_one(tmp_path, monkeypatch, capsys, fields,
 
 
 def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
-    # a stand-in pool records the size asked for and starts no process
+    # a stand-in pool records the size asked for and starts no thread
     asked = []
 
     class Pool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY),
                  "--jobs", "64"]) == 2
@@ -769,7 +839,7 @@ def test_non_positive_jobs_flag_is_a_usage_error(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("env", ["0", "-2"])
 def test_non_positive_jobs_env_is_ignored(tmp_path, monkeypatch, capsys, env):
     asked = []
-    monkeypatch.setattr(runner, "ProcessPoolExecutor",
+    monkeypatch.setattr(runner, "ThreadPoolExecutor",
                         lambda max_workers: asked.append(max_workers))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("IGEOLAB_JOBS", env)
