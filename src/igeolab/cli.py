@@ -16,11 +16,12 @@ import os
 import sys
 
 from .config import ConfigError, check_names, describe_check, load_config
-from .runner import run_suite
+from .runner import CSV_COLUMNS, run_suite
 
 __all__ = ["main"]
 
-_KEY_COLUMNS = ["check", "n", "k", "q", "p", "extra-params"]
+# the columns up to extra-params name a row; the table matches rows on them
+_KEY_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("extra-params") + 1]
 _TABLE_COLUMNS = _KEY_COLUMNS + ["ratio", "verdict"]
 
 

@@ -23,7 +23,7 @@ else in the package is built from them:
   offsets)[0] ** (1/p)``.
 
 Monte Carlo section stats are a method of ``section_stats``, not a
-fallback; their sampled sups are flagged biased low.  Each constructor
+fallback; their sups are sampled maxima, biased low.  Each constructor
 checks every rule on its parameters and raises ParameterError naming the
 one broken.
 """
@@ -35,7 +35,6 @@ import math
 import numpy as np
 
 from .geometry import _row_norms, _spd_solve, unit_ball_volume
-from .grassmann import uniform_ball
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
@@ -249,7 +248,7 @@ class EllipsoidIndicator(_Sectioned):
         return float(np.linalg.norm(self.center)) + self._semiaxis_max
 
     def sample(self, size, rng):
-        u = uniform_ball(self.n, size, rng)
+        u = _uniform_ball(self.n, (size, 1), rng)[:, 0]
         y = np.linalg.solve(self._chol.T, u.T).T
         return self.center + y
 
@@ -260,12 +259,9 @@ class EllipsoidIndicator(_Sectioned):
         """Each section is {u : (u - u0)^T g (u - u0) <= rho}, empty unless
         rho > 0; params (g, u0, rho)."""
         k = bases.shape[-1]
-        d = offsets - self.center
-        md = d @ self.shape_matrix
-        g = bases.transpose(0, 2, 1) @ (self.shape_matrix @ bases)
-        rhs = np.einsum("sji,sj->si", bases, md)
-        logdet, u0 = _spd_solve(g, -rhs)
-        rho = 1.0 - np.einsum("si,si->s", d, md) - np.einsum("si,si->s", rhs, u0)
+        g, logdet, u0, q, lu0 = _restrict_form(
+            self.shape_matrix, self.center, bases, offsets)
+        rho = 1.0 - q - lu0
         live = rho > 0.0
         masses = np.zeros(len(bases))
         masses[live] = self.amplitude * unit_ball_volume(k) * np.exp(
@@ -275,7 +271,7 @@ class EllipsoidIndicator(_Sectioned):
 
     def _section_points(self, sections, k, size, rng):
         _, _, g, u0, rho = sections
-        y = uniform_ball(k, len(g) * size, rng).reshape(len(g), size, k)
+        y = _uniform_ball(k, (len(g), size, 1), rng).reshape(len(g), size, k)
         scale = np.sqrt(np.maximum(rho, 0.0))[:, None, None]
         return u0[:, None, :] + scale * _inverse_root(g, y)
 
@@ -331,12 +327,9 @@ class GaussianDensity(_Sectioned):
         """Each section is a Gaussian kernel with mean u_star and precision
         h; params (u_star, h)."""
         k = bases.shape[-1]
-        d = offsets - self.mean
-        pd = d @ self._prec
-        h = bases.transpose(0, 2, 1) @ (self._prec @ bases)
-        g = np.einsum("sji,sj->si", bases, pd)
-        logdet_h, u_star = _spd_solve(h, -g)
-        m0 = np.einsum("si,si->s", d, pd) + np.einsum("si,si->s", g, u_star)
+        h, logdet_h, u_star, q, lu0 = _restrict_form(
+            self._prec, self.mean, bases, offsets)
+        m0 = q + lu0
         log_sup = math.log(self.amplitude) - 0.5 * (
             self.n * math.log(2 * math.pi) + self._logdet + m0)
         log_mass = log_sup + 0.5 * (k * math.log(2 * math.pi) - logdet_h)
@@ -811,6 +804,39 @@ def _directions(shape: tuple, k: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
+def _uniform_ball(dim: int, shape: tuple,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Uniform unit-ball points, shape + (dim,), stratified along the last
+    axis of shape into that many equal-volume radial shells (a last axis
+    of 1 gives independent points): rng.standard_normal(shape + (dim,))
+    for the directions, then rng.random(shape) for the radii."""
+    g = rng.standard_normal(shape + (dim,))
+    norms = _row_norms(g)
+    norms[norms == 0.0] = 1.0
+    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
+    g /= norms[..., None]
+    g *= strata[..., None] ** (1.0 / dim)
+    return g
+
+
+def _restrict_form(matrix: np.ndarray, center: np.ndarray, bases: np.ndarray,
+                   offsets: np.ndarray):
+    """The quadratic form (x - center)^T matrix (x - center) restricted to
+    each flat x = offsets[i] + bases[i] @ u of a stack, as
+    (u - u0)^T g (u - u0) + q + lin.u0, with d = offsets[i] - center,
+    g = B^T matrix B, lin = B^T matrix d, u0 = -g^-1 lin and q = d^T matrix
+    d.  Returns (g, log det g, u0, q, lin.u0) for the stack, from one
+    _spd_solve; q and lin.u0 come apart so that each family adds them in
+    its own order, which fixes the last bit of its section stats."""
+    d = offsets - center
+    md = d @ matrix
+    g = bases.transpose(0, 2, 1) @ (matrix @ bases)
+    lin = np.einsum("sji,sj->si", bases, md)
+    logdet, u0 = _spd_solve(g, -lin)
+    return (g, logdet, u0, np.einsum("si,si->s", d, md),
+            np.einsum("si,si->s", lin, u0))
+
+
 def _bin_count(edges, x) -> np.ndarray:
     """The number of edges at or below x, elementwise, as intp: one
     comparison per edge, each edges[j] broadcasting to x's shape, so for
@@ -958,14 +984,6 @@ def _is_orthogonal(a_mat):
     return np.abs(a_mat.T @ a_mat - np.eye(a_mat.shape[0])).max() <= DET_TOL
 
 
-def _stratified_ball(dim: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit-ball points, shape + (dim,), stratified along the last
-    axis of shape into equal-volume radial shells."""
-    g = _directions(shape, dim, rng)
-    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
-    return g * strata[..., None] ** (1.0 / dim)
-
-
 def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
                   method="exact", rng: np.random.Generator | None = None):
     """(mass, sup, mass_stderr) arrays of the sections of f through the
@@ -994,7 +1012,7 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     # each section vanishes outside its ball of radius w about the foot point
     gap = f.support_radius ** 2 - np.einsum("si,si->s", offsets, offsets)
     w = np.sqrt(np.maximum(gap, 0.0))
-    u = _stratified_ball(k, (s, count), rng) * w[:, None, None]
+    u = _uniform_ball(k, (s, count), rng) * w[:, None, None]
     pts = offsets[:, None, :] + u @ np.swapaxes(bases, 1, 2)
     vals = f.eval_many(pts.reshape(-1, n)).reshape(s, count)
     vals[gap <= 0] = 0.0

@@ -10,7 +10,6 @@ elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,33 +18,11 @@ import numpy as np
 SV_RELATIVE_CUTOFF = 1e-12
 
 __all__ = [
-    "Dimensions",
     "unit_ball_volume",
     "unit_volume_radius",
     "bp_constant",
     "bp_exact_constant",
 ]
-
-
-@dataclass(frozen=True)
-class Dimensions:
-    """Ambient dimension n, section dimension k, and point count q.
-
-    Validates 1 <= q <= k <= n.  The section identities are non-degenerate
-    only for k <= n - 1; k == n is the endpoint where the constant collapses
-    to 1 and is accepted so that the degenerate case stays testable.
-    """
-
-    n: int
-    k: int
-    q: int
-
-    def __post_init__(self):
-        n, k, q = self.n, self.k, self.q
-        if not (isinstance(n, int) and isinstance(k, int) and isinstance(q, int)):
-            raise TypeError("dimensions must be integers")
-        if not 1 <= q <= k <= n:
-            raise ValueError(f"need 1 <= q <= k <= n, got n={n} k={k} q={q}")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -74,17 +51,24 @@ def unit_volume_radius(n: int) -> float:
     return float(np.exp(-_log_unit_ball_volume(n) / n))
 
 
-def bp_constant(dims: Dimensions) -> float:
-    """Constant relating an (R^n)^q integral to its section decomposition.
+def bp_constant(n: int, k: int, q: int) -> float:
+    """Constant relating an (R^n)^q integral to its section decomposition,
+    for ambient dimension n, section dimension k and point count q.
 
     Computed in log space as (q!)^(n-k) times the ratio of the top q unit
     ball volumes in dimension n to those in dimension k.  Equals 1 when
     n == k.  Note: checks that fit this constant empirically report the
     measured ratio against this value rather than assuming it.
+
+    Raises TypeError unless n, k and q are integers, and ValueError unless
+    1 <= q <= k <= n.  The section identities are non-degenerate only for
+    k <= n - 1; k == n is the endpoint where the constant collapses to 1
+    and is accepted so that the degenerate case stays testable.
     """
-    n, k, q = dims.n, dims.k, dims.q
-    if q > k or k > n:
-        raise ValueError(f"need q <= k <= n, got n={n} k={k} q={q}")
+    if not (isinstance(n, int) and isinstance(k, int) and isinstance(q, int)):
+        raise TypeError("dimensions must be integers")
+    if not 1 <= q <= k <= n:
+        raise ValueError(f"need 1 <= q <= k <= n, got n={n} k={k} q={q}")
     log_c = (n - k) * math.lgamma(q + 1.0)
     for m in range(n - q + 1, n + 1):
         log_c += _log_unit_ball_volume(m)
@@ -93,17 +77,18 @@ def bp_constant(dims: Dimensions) -> float:
     return float(np.exp(log_c))
 
 
-def bp_exact_constant(dims: Dimensions) -> float:
+def bp_exact_constant(n: int, k: int, q: int) -> float:
     """The constant of the linear and affine Blaschke-Petkantschin formulas
     (Schneider-Weil, Stochastic and Integral Geometry, Thms 7.2.1 and 7.2.7).
 
     bp_constant with every unit-ball volume kappa_j replaced by the sphere
     area omega_j = j kappa_j, i.e. bp_constant times
     prod_{j<q} (n - j) / (k - j).  The section routes of the bp_* checks
-    estimate this value; equals 1 when n == k.
+    estimate this value; equals 1 when n == k.  Arguments are checked as
+    in bp_constant.
     """
-    n, k, q = dims.n, dims.k, dims.q
-    return bp_constant(dims) * math.prod((n - j) / (k - j) for j in range(q))
+    return bp_constant(n, k, q) * math.prod((n - j) / (k - j)
+                                            for j in range(q))
 
 
 def _tuple_volumes(x: np.ndarray) -> np.ndarray:

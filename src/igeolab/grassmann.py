@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _row_norms, unit_ball_volume
+from .geometry import unit_ball_volume
 
 # Orthonormality and perpendicularity tolerance for constructed frames.
 FRAME_TOL = 1e-10
@@ -38,12 +38,10 @@ PERTURB_BLOCK = 64
 __all__ = [
     "Subspace",
     "sample_subspace",
-    "grassmann_distance",
     "perturb_subspace",
     "haar_bases",
     "subspace_frames",
     "flat_frames",
-    "uniform_ball",
 ]
 
 
@@ -140,33 +138,16 @@ def _check_nk(n: int, k: int):
         raise ValueError(f"need 1 <= k <= n-1, got n={n} k={k}")
 
 
-def grassmann_distance(E: Subspace, F: Subspace) -> float:
-    """Operator norm of the difference of the orthogonal projectors."""
-    if E.n != F.n:
-        raise ValueError("subspaces live in different ambient dimensions")
-    return float(np.linalg.norm(E.projector - F.projector, 2))
-
-
 def distances_to(E: Subspace, bases: np.ndarray) -> np.ndarray:
-    """grassmann_distance from E to each same-dimension basis in a stack.
+    """Grassmann distance from E to each same-dimension basis in a stack:
+    the operator norm of the difference of the orthogonal projectors.
 
-    For equal dimensions the projector-difference norm is the largest
-    principal-angle sine, read off the singular values of B0^T B_i.
+    For equal dimensions that norm is the largest principal-angle sine,
+    read off the singular values of B0^T B_i.
     """
     cos = np.linalg.svd(E.basis.T @ np.asarray(bases), compute_uv=False)
     smallest = np.clip(cos[..., -1], 0.0, 1.0)
     return np.sqrt(1.0 - smallest * smallest)
-
-
-def uniform_ball(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points in the unit ball of R^dim, shape (size, dim)."""
-    g = rng.standard_normal((size, dim))
-    norms = _row_norms(g)
-    norms[norms == 0.0] = 1.0
-    radii = rng.random(size) ** (1.0 / dim)
-    g /= norms[:, None]
-    g *= radii[:, None]
-    return g
 
 
 def subspace_frames(n: int, k: int, size: int, rng: np.random.Generator):

@@ -36,15 +36,14 @@ class Estimate:
     """A scalar estimate: value, stderr of the mean, and sample count.
 
     stderr is sample standard deviation / sqrt(samples) for MC results and
-    0 for exact values.  biased_low marks sup estimates obtained by sampled
-    maxima; tail_share, when set, is the fraction of the estimate carried
-    by the largest 1% of contributions (heavy-tail diagnostic).
+    0 for exact values.  tail_share, when set, is the fraction of the
+    estimate carried by the largest 1% of contributions (heavy-tail
+    diagnostic).
     """
 
     value: float
     stderr: float
     samples: int
-    biased_low: bool = False
     tail_share: float | None = None
 
     @classmethod
@@ -59,7 +58,7 @@ class Estimate:
 
     def scaled(self, c: float) -> "Estimate":
         return Estimate(self.value * c, self.stderr * abs(c), self.samples,
-                        self.biased_low, self.tail_share)
+                        self.tail_share)
 
 
 def merge_estimates(parts: list[Estimate]) -> Estimate:
@@ -81,8 +80,7 @@ def merge_estimates(parts: list[Estimate]) -> Estimate:
     if count == 0:
         raise ValueError("merged estimates carry no samples")
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
-    return Estimate(mean, stderr, count,
-                    any(p.biased_low for p in parts))
+    return Estimate(mean, stderr, count)
 
 
 def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -137,8 +135,7 @@ def power_estimate(est: Estimate, exponent: float) -> Estimate:
     if est.value <= 0.0:
         return Estimate(0.0, math.inf, est.samples)
     value = est.value ** exponent
-    return Estimate(value, abs(value * exponent) * est.rel_stderr, est.samples,
-                    est.biased_low)
+    return Estimate(value, abs(value * exponent) * est.rel_stderr, est.samples)
 
 
 @dataclass

@@ -172,17 +172,33 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         writer.writeheader()
         handle.flush()
         try:
-            if jobs > 1 and len(tasks) > 1:
-                pool = ThreadPoolExecutor(min(jobs, len(tasks)))
-                try:
-                    _consume(pool.map(_execute, tasks), config, writer,
-                             handle, reports_dir, manifest_checks, verdicts,
-                             echo)
-                finally:
+            pool = ThreadPoolExecutor(min(jobs, len(tasks))) \
+                if jobs > 1 and len(tasks) > 1 else None
+            try:
+                results = map(_execute, tasks) if pool is None \
+                    else pool.map(_execute, tasks)
+                for job, (report, wall, faults) in zip(config.checks,
+                                                       results):
+                    writer.writerow(report_row(job.label, report))
+                    handle.flush()
+                    path = os.path.join(reports_dir,
+                                        report_name(job.label) + ".json")
+                    with open(path, "w") as rh:
+                        payload = {"label": job.label}
+                        payload.update(report.to_dict())
+                        json.dump(payload, rh, indent=2,
+                                  default=_json_default)
+                        rh.write("\n")
+                    manifest_checks.append(
+                        {"label": job.label, "name": job.name,
+                         "verdict": report.verdict, "wall_clock_s": wall,
+                         "minor_faults": faults})
+                    verdicts.append(report.verdict)
+                    echo(f"{report.verdict:>12}  {job.label}  "
+                         f"(ratio {report.ratio:.6g}, {wall:.2f}s)")
+            finally:
+                if pool is not None:
                     pool.shutdown(cancel_futures=True)
-            else:
-                _consume(map(_execute, tasks), config, writer, handle,
-                         reports_dir, manifest_checks, verdicts, echo)
         except KeyboardInterrupt:
             interrupted = True
     total_wall = time.perf_counter() - total_started
@@ -224,26 +240,10 @@ def _environment(malloc) -> dict:
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "thread_caps": {name: os.environ.get(name) for name in
                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-            "platform": platform.platform(),
+            # platform.platform() on Linux, without the `uname -p`
+            # subprocess it runs for the processor name
+            "platform": "-".join(filter(None, (
+                platform.system(), platform.release(), platform.machine(),
+                "with", "".join(platform.libc_ver())))),
             "malloc": malloc}
-
-
-def _consume(results, config, writer, handle, reports_dir, manifest_checks,
-             verdicts, echo):
-    for job, (report, wall, faults) in zip(config.checks, results):
-        writer.writerow(report_row(job.label, report))
-        handle.flush()
-        path = os.path.join(reports_dir, report_name(job.label) + ".json")
-        with open(path, "w") as rh:
-            payload = {"label": job.label}
-            payload.update(report.to_dict())
-            json.dump(payload, rh, indent=2, default=_json_default)
-            rh.write("\n")
-        manifest_checks.append({"label": job.label, "name": job.name,
-                                "verdict": report.verdict,
-                                "wall_clock_s": wall,
-                                "minor_faults": faults})
-        verdicts.append(report.verdict)
-        echo(f"{report.verdict:>12}  {job.label}  "
-             f"(ratio {report.ratio:.6g}, {wall:.2f}s)")
 

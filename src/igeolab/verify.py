@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .geometry import Dimensions, bp_constant, bp_exact_constant, \
+from .geometry import bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
 from .grassmann import Subspace, flat_frames, subspace_frames, \
@@ -199,7 +199,7 @@ def _section_route(f_list, frames, count, inner, exponent, origin,
         count, rng, max(1, DRAW_BLOCK // (len(f_list) * inner)))
 
 
-def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
+def _decomposition_report(name: str, parameters: dict, dims: tuple,
                           ambient, route, rng) -> CheckReport:
     """Replicas and verdict shared by the two section decompositions.
 
@@ -208,14 +208,14 @@ def _decomposition_report(name: str, parameters: dict, dims: Dimensions,
     verdict asks the two fits to agree within 3 combined stderr unless a
     route is heavy-tailed.  Ambient sides are pooled unless exact.  The
     pooled fit's distance to the exact constant, in its stderr, rides
-    along as exact_z (diagnostic only).
+    along as exact_z (diagnostic only).  dims is (n, k, q).
     """
     ambients, routes = zip(*[(ambient(half), route(half.spawn(1)[0]))
                              for half in rng.spawn(2)])
     lhs_all = ambients[0] if ambients[0].samples == 0 \
         else merge_estimates(ambients)
-    printed = bp_constant(dims)
-    exact = bp_exact_constant(dims)
+    printed = bp_constant(*dims)
+    exact = bp_exact_constant(*dims)
     fits = [ratio_estimate(*side) for side in zip(ambients, routes)]
     gap = abs(fits[0].value - fits[1].value)
     tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
@@ -286,7 +286,7 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     return _decomposition_report(
         "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
                         "n_subspaces": n_subspaces},
-        Dimensions(n, k, q),
+        (n, k, q),
         lambda half: direct(n_direct // 2, half.spawn(1)[0]), route, rng)
 
 
@@ -316,8 +316,7 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     """
     _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
     n = f.n
-    dims = Dimensions(n, k, k)
-    printed = bp_constant(dims)
+    printed = bp_constant(n, k, k)
     parameters = {"n": n, "k": k, "q": k, "p": p, "R": R,
                   "n_direct": n_direct, "n_flats": n_flats}
     if k == n and p == 0.0:
@@ -340,7 +339,7 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 
     frames = functools.partial(flat_frames, n, k, R)
     return _decomposition_report(
-        "bp_flat", parameters, dims, ambient,
+        "bp_flat", parameters, (n, k, k), ambient,
         lambda stream: _section_route([f] * (k + 1), frames, n_flats // 2,
                                       inner, p + (n - k), False, stream),
         rng)
@@ -1068,14 +1067,13 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
             sampled = float(np.mean(_sharpness_hits(n, k, s, rng, m)))
             sampled_z = (sampled - exact) / math.sqrt(exact * (1 - exact) / m)
     bound = (2.0 * s) ** (-k * (n - k))
-    passed = rhs.value >= bound - 3.0 * rhs.stderr
+    lhs = Estimate.exact(bound)
     fitted_factor = (rhs.value ** (-1.0 / (k * (n - k))) / s
                      if rhs.value > 0 else math.inf)
     return CheckReport(
         name="gaussian_sharpness",
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
-        lhs=Estimate.exact(bound), rhs=rhs,
-        verdict=PASS if passed else FAIL,
+        lhs=lhs, rhs=rhs, verdict=_one_sided_verdict(lhs, rhs),
         diagnostics={
             "exact_measure": exact,
             "claimed_bound": bound,

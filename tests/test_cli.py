@@ -207,6 +207,22 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
                    "malloc": env["malloc"]}
 
 
+def test_manifest_platform_runs_no_uname_subprocess(tmp_path, monkeypatch):
+    # platform.platform() asks `uname -p` for the processor name through a
+    # subprocess; the manifest builds the same string without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("platform.platform or processor called")
+
+    monkeypatch.setattr(platform, "platform", refuse)
+    monkeypatch.setattr(platform, "processor", refuse)
+    cfg = load_config(write_suite(tmp_path, PASS_BODY),
+                      output_override=str(tmp_path / "out"))
+    assert run_suite(cfg, echo=lambda line: None) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["environment"]["platform"].startswith(
+        f"{platform.system()}-{platform.release()}-")
+
+
 def test_manifest_records_blas_and_thread_caps(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

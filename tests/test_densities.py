@@ -16,9 +16,10 @@ from scipy import stats
 from igeolab.densities import (DensityModel, EllipsoidIndicator,
                                GaussianDensity, ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
-                               TruncatedGaussian, affine_image, section_stats)
+                               TruncatedGaussian, _uniform_ball, affine_image,
+                               section_stats)
 from igeolab.config import read_density_text
-from igeolab.geometry import unit_ball_volume
+from igeolab.geometry import _row_norms, unit_ball_volume
 from igeolab.grassmann import Subspace, sample_subspace
 from igeolab.rearrange import rearrangement
 
@@ -357,6 +358,55 @@ def test_ball_sampler_radial_law(rng):
     assert stats.kstest(r ** 3, "uniform").pvalue > 1e-3
 
 
+def reference_uniform_ball(dim, size, rng):
+    """The independent-point ball sampler, (size, dim), formula for
+    formula."""
+    g = rng.standard_normal((size, dim))
+    norms = _row_norms(g)
+    norms[norms == 0.0] = 1.0
+    radii = rng.random(size) ** (1.0 / dim)
+    g /= norms[:, None]
+    g *= radii[:, None]
+    return g
+
+
+def reference_stratified_ball(dim, shape, rng):
+    """The stratified ball sampler of Monte Carlo section stats, shape +
+    (dim,), formula for formula."""
+    g = rng.standard_normal(shape + (dim,))
+    g /= _row_norms(g)[..., None]
+    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
+    return g * strata[..., None] ** (1.0 / dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_one_ball_sampler_matches_both_formulas_bit_for_bit(dim):
+    for size in (1, 5, 1000):
+        ours, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+        got = _uniform_ball(dim, (size, 1), ours)
+        assert got.shape == (size, 1, dim)
+        assert np.array_equal(got[:, 0], reference_uniform_ball(dim, size,
+                                                                ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
+    for shape in ((1, 64), (7, 5), (2, 3, 4)):
+        ours, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+        assert np.array_equal(_uniform_ball(dim, shape, ours),
+                              reference_stratified_ball(dim, shape, ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_ball_sampler_maps_a_zero_draw_to_the_centre():
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+        def random(self, shape):
+            return np.full(shape, 0.5)
+
+    assert np.array_equal(_uniform_ball(3, (4, 1), Zeros()),
+                          np.zeros((4, 1, 3)))
+
+
 def test_truncated_gaussian_sampler(rng):
     f = TruncatedGaussian(np.array([1.0, 0.0]), tau=0.7, radius=1.2)
     x = f.sample(50_000, rng)
@@ -547,6 +597,27 @@ def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs about 0.2 s at import and nothing in the
     # package needs it
     assert not _loaded_by_import("scipy.integrate")
+
+
+def test_package_all_is_pinned():
+    # the public surface, spelled out: a name added to or dropped from
+    # igeolab.__all__ must be edited here as well
+    import igeolab
+    assert igeolab.__all__ == [
+        "CheckJob", "CheckReport", "ConfigError", "DensityModel",
+        "EllipsoidIndicator", "Estimate", "ExponentSpec", "GaussianDensity",
+        "ProductDensity", "RadialGridDensity", "RunConfig", "Step1D",
+        "Subspace", "TruncatedGaussian", "affine_average_I", "affine_image",
+        "bp_constant", "build_density", "check_affine_invariance",
+        "check_bp_flat", "check_bp_subspace", "check_grinberg_functional",
+        "check_linear_invariance", "check_names",
+        "check_rearrangement_monotonicity", "check_schneider_functional",
+        "flat_frames", "gaussian_sharpness_experiment",
+        "grassmann_average_I", "haar_bases", "load_config",
+        "marginal_bound_experiment", "mc_estimate", "merge_estimates",
+        "perturb_subspace", "perturbation_experiment", "read_density_text",
+        "rearrangement", "run_suite", "sample_subspace", "simplex_moment",
+        "subspace_frames", "unit_ball_volume", "unit_volume_radius"]
 
 
 def test_package_all_names_no_modules():

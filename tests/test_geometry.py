@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeolab.geometry import (SV_RELATIVE_CUTOFF, Dimensions, bp_constant,
+from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_constant,
                               bp_exact_constant, unit_ball_volume,
                               unit_volume_radius, _tuple_volumes)
 
@@ -37,40 +37,38 @@ def test_unit_volume_radius():
 
 def test_bp_constant_small_cases():
     # closed forms worked out by hand from the factorial/volume ratio
-    assert bp_constant(Dimensions(2, 1, 1)) == pytest.approx(math.pi / 2)
-    assert bp_constant(Dimensions(3, 2, 1)) == pytest.approx(4.0 / 3.0)
-    assert bp_constant(Dimensions(3, 1, 1)) == pytest.approx(2 * math.pi / 3)
-    assert bp_constant(Dimensions(4, 2, 2)) == pytest.approx(4 * math.pi ** 2 / 3)
+    assert bp_constant(2, 1, 1) == pytest.approx(math.pi / 2)
+    assert bp_constant(3, 2, 1) == pytest.approx(4.0 / 3.0)
+    assert bp_constant(3, 1, 1) == pytest.approx(2 * math.pi / 3)
+    assert bp_constant(4, 2, 2) == pytest.approx(4 * math.pi ** 2 / 3)
     # k = n collapses the ratio entirely
     for n in range(1, 5):
         for q in range(1, n + 1):
-            assert bp_constant(Dimensions(n, n, q)) == pytest.approx(1.0)
+            assert bp_constant(n, n, q) == pytest.approx(1.0)
 
 
 def test_bp_exact_constant_uses_sphere_areas():
     # kappa_j -> omega_j = j kappa_j turns the printed constant into the
     # Blaschke-Petkantschin one; n == k stays at 1
-    assert bp_exact_constant(Dimensions(2, 1, 1)) == pytest.approx(math.pi)
-    assert bp_exact_constant(Dimensions(3, 2, 2)) == pytest.approx(
-        bp_constant(Dimensions(3, 2, 2)) * 3.0)
+    assert bp_exact_constant(2, 1, 1) == pytest.approx(math.pi)
+    assert bp_exact_constant(3, 2, 2) == pytest.approx(
+        bp_constant(3, 2, 2) * 3.0)
     for n in range(2, 6):
         for k in range(1, n + 1):
             for q in range(1, k + 1):
-                dims = Dimensions(n, k, q)
                 factor = math.comb(n, q) / math.comb(k, q)
-                assert bp_exact_constant(dims) == pytest.approx(
-                    bp_constant(dims) * factor, rel=1e-13)
+                assert bp_exact_constant(n, k, q) == pytest.approx(
+                    bp_constant(n, k, q) * factor, rel=1e-13)
 
 
 def test_dimensions_validation():
-    with pytest.raises(ValueError):
-        Dimensions(2, 3, 1)
-    with pytest.raises(ValueError):
-        Dimensions(3, 2, 0)
-    with pytest.raises(ValueError):
-        Dimensions(3, 2, 3)  # q > k
-    with pytest.raises(ValueError):
-        Dimensions(0, 0, 0)
+    for constant in (bp_constant, bp_exact_constant):
+        for n, k, q in [(2, 3, 1), (3, 2, 0), (3, 2, 3), (0, 0, 0)]:
+            with pytest.raises(ValueError, match="1 <= q <= k <= n"):
+                constant(n, k, q)
+        for n, k, q in [(3.0, 2, 1), (3, np.int64(2), 1), (3, 2, "1")]:
+            with pytest.raises(TypeError, match="integers"):
+                constant(n, k, q)
 
 
 def simplex_volume(pts):

@@ -14,12 +14,11 @@ import pytest
 from scipy import stats
 
 from igeolab import grassmann
+from igeolab.densities import _uniform_ball
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import (Subspace, distances_to, flat_frames,
-                               grassmann_distance, haar_bases,
-                               perturb_subspace, sample_subspace,
-                               subspace_frames, uniform_ball,
-                               _orthonormalize)
+                               haar_bases, perturb_subspace, sample_subspace,
+                               subspace_frames, _orthonormalize)
 
 
 def test_haar_bases_orthonormal(rng):
@@ -141,17 +140,25 @@ def test_rotation_invariance_two_sample(rng):
     assert res.pvalue > 1e-3, f"rotation broke the law of |P_E v|: p={res.pvalue}"
 
 
+def projector_distance(E: Subspace, basis: np.ndarray) -> float:
+    """Reference Grassmann distance: the operator norm of the difference of
+    the orthogonal projectors of E and span(basis)."""
+    return float(np.linalg.norm(E.projector - basis @ basis.T, 2))
+
+
 def test_grassmann_distance_axioms(rng):
     E = sample_subspace(4, 2, rng)
-    assert grassmann_distance(E, E) == pytest.approx(0.0, abs=1e-7)
+    assert distances_to(E, E.basis[None])[0] == pytest.approx(0.0, abs=1e-7)
     for _ in range(25):
         F = sample_subspace(4, 2, rng)
         G = sample_subspace(4, 2, rng)
-        d_ef = grassmann_distance(E, F)
-        d_fg = grassmann_distance(F, G)
-        d_eg = grassmann_distance(E, G)
-        assert d_ef == pytest.approx(grassmann_distance(F, E), abs=1e-10)
-        assert 0.0 <= d_ef <= math.sqrt(2.0) * math.pi / 2.0 + 1e-9
+        d_ef, d_eg = distances_to(E, np.stack([F.basis, G.basis]))
+        d_fg = distances_to(F, G.basis[None])[0]
+        assert d_ef == pytest.approx(projector_distance(E, F.basis),
+                                     abs=1e-9)
+        assert d_ef == pytest.approx(distances_to(F, E.basis[None])[0],
+                                     abs=1e-10)
+        assert 0.0 <= d_ef <= 1.0
         assert d_eg <= d_ef + d_fg + 1e-9, "triangle inequality"
 
 
@@ -160,8 +167,8 @@ def test_distances_to_matches_pairwise(rng):
     bases = haar_bases(3, 1, 40, rng)
     batch = distances_to(E, bases)
     for i in range(40):
-        single = grassmann_distance(E, Subspace(bases[i]))
-        assert batch[i] == pytest.approx(single, abs=1e-9)
+        assert batch[i] == pytest.approx(projector_distance(E, bases[i]),
+                                         abs=1e-9)
 
 
 def test_perturb_subspace_stays_close(rng):
@@ -170,11 +177,10 @@ def test_perturb_subspace_stays_close(rng):
         bases = perturb_subspace(E, eta, 10, rng)
         assert bases.shape == (10, 4, 2)
         for basis in bases:
-            d = grassmann_distance(E, Subspace(basis))
+            d = projector_distance(E, basis)
             assert d <= eta + 1e-8, f"perturbation overshoots: {d} > {eta}"
     # and it actually moves
-    far = [grassmann_distance(E, Subspace(basis))
-           for basis in perturb_subspace(E, 0.3, 10, rng)]
+    far = distances_to(E, perturb_subspace(E, 0.3, 10, rng))
     assert max(far) > 0.01
 
 
@@ -186,7 +192,7 @@ def _perturb_one_at_a_time(E, eta, rng):
     for _ in range(10_000):
         g = rng.standard_normal((n, k))
         candidate = Subspace(_orthonormalize((E.basis + tau * g)[None])[0])
-        if grassmann_distance(E, candidate) <= eta:
+        if projector_distance(E, candidate.basis) <= eta:
             return candidate
     raise RuntimeError("no draw within eta")
 
@@ -219,12 +225,14 @@ def test_perturb_subspace_raises_when_proposals_run_out(monkeypatch):
 
 
 def test_uniform_ball_radial_law(rng):
-    u = uniform_ball(3, 50_000, rng)
-    r = np.linalg.norm(u, axis=1)
-    assert r.max() <= 1.0
-    # r^3 is uniform on [0, 1]
-    res = stats.kstest(r ** 3, "uniform")
-    assert res.pvalue > 1e-3
+    # independent points, and one draw of 50,000 equal-volume shells
+    for shape in ((50_000, 1), (1, 50_000)):
+        u = _uniform_ball(3, shape, rng).reshape(-1, 3)
+        r = np.linalg.norm(u, axis=1)
+        assert r.max() <= 1.0
+        # r^3 is uniform on [0, 1]
+        res = stats.kstest(r ** 3, "uniform")
+        assert res.pvalue > 1e-3
 
 
 def test_flat_frames_weight():

@@ -23,10 +23,11 @@ from hypothesis import given, settings, strategies as st
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _step_quantiles,
-                               affine_image, section_points, section_stats)
+                               _uniform_ball, affine_image, section_points,
+                               section_stats)
 from igeolab import verify
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Subspace, flat_frames, haar_bases, uniform_ball
+from igeolab.grassmann import Subspace, flat_frames, haar_bases
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -191,7 +192,7 @@ def moment_z(f, bases, offsets, masses, pts, rng):
     lies in the support of f, in ambient coordinates."""
     s, size, k = pts.shape
     width = half_width(f)
-    u = uniform_ball(k, WINDOW, rng) * width
+    u = _uniform_ball(k, (WINDOW, 1), rng)[:, 0] * width
     g = unit_ball_volume(k) * width ** k * section_moments(u)
     z = np.zeros((s, k + 1))
     for i, (mass, row, b, offset) in enumerate(zip(masses, pts, bases,
@@ -382,6 +383,46 @@ def test_closed_form_sections_match_lapack_reference(seed, family, n, k):
     ours = sections[3] if family == "ellipsoid" else sections[2]
     assert np.all(np.linalg.norm(ours - centre, axis=1)
                   <= 1e-10 * np.linalg.norm(centre, axis=1))
+
+
+@pytest.mark.parametrize("family", ["ellipsoid", "gaussian"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sections_restrict_the_form_pointwise(family, k):
+    # the section parameters reproduce the ambient quadratic form
+    # (x - c)^T m (x - c) at points x = offset + B u of each flat: g (or h)
+    # is B^T m B, and the form is (u - u0)^T g (u - u0) plus its least value
+    rng = np.random.default_rng(30 + k)
+    n = 5
+    m, c = random_spd(n, rng), rng.normal(size=n)
+    f = EllipsoidIndicator(m, c, 1.5) if family == "ellipsoid" \
+        else GaussianDensity(c, np.linalg.inv(m), 1.5)
+    form = f.shape_matrix if family == "ellipsoid" else f._prec
+    bases = full_frames(n, k, 30, rng)[..., :k]
+    offsets = c + rng.normal(size=(30, n))
+    sections = f._sections(bases, offsets)
+    if family == "ellipsoid":
+        mass, sup, g, u0, rho = sections
+        least = 1.0 - rho
+        live = rho > 0.0
+        want_mass = np.zeros(30)
+        want_mass[live] = 1.5 * unit_ball_volume(k) * rho[live] ** (k / 2) \
+            / np.sqrt(np.linalg.det(g[live]))
+        assert np.all(sup == np.where(live, 1.5, 0.0))
+    else:
+        mass, sup, u0, g = sections
+        least = -2.0 * np.log(sup / f.sup)
+        want_mass = sup * (2 * math.pi) ** (k / 2) / np.sqrt(np.linalg.det(g))
+    np.testing.assert_allclose(mass, want_mass, rtol=1e-12, atol=1e-300)
+    for i in range(30):
+        b = bases[i]
+        np.testing.assert_allclose(g[i], b.T @ form @ b, rtol=1e-12,
+                                   atol=1e-12)
+        u = u0[i] + rng.normal(size=(8, k))
+        x = offsets[i] + u @ b.T - c
+        ambient = np.einsum("si,ij,sj->s", x, form, x)
+        v = u - u0[i]
+        restricted = np.einsum("si,ij,sj->s", v, g[i], v) + least[i]
+        np.testing.assert_allclose(restricted, ambient, rtol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["ellipsoid", "gaussian"])
