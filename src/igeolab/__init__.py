@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .geometry import bp_constant, unit_ball_volume, unit_volume_radius
-from .grassmann import Subspace, flat_frames, haar_bases, perturb_subspace, \
-    sample_subspace, subspace_frames
+from .grassmann import flat_frames, haar_bases, perturb_subspace, \
+    subspace_frames
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
     ProductDensity, RadialGridDensity, Step1D, TruncatedGaussian, \
     affine_image

@@ -37,7 +37,6 @@ from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
                         ParameterError, ProductDensity, RadialGridDensity,
                         Step1D, TruncatedGaussian)
 from .functionals import ExponentSpec
-from .grassmann import Subspace
 
 __all__ = ["ConfigError", "CheckJob", "RunConfig", "load_config",
            "build_density", "read_density_text", "CHECKS", "check_names",
@@ -453,19 +452,21 @@ def _shift(raw, v):
 
 
 def _subspace(raw, v):
-    """Axis list, or an n x k basis, n the dimension of the density f."""
+    """Axis list, or an n x k basis, n the dimension of the density f, as a
+    read-only basis array; the check's rules ask that it be orthonormal."""
     n = v["f"].n
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        axes = arr.tolist()
+    if isinstance(raw, list) and not any(isinstance(a, list) for a in raw):
+        axes = [_number(a, integer=True) for a in raw]
         if not all(a in range(n) for a in axes) or len(set(axes)) != len(axes):
             raise ValueError(f"axis list must be distinct ints in [0,{n})")
         basis = np.zeros((n, len(axes)))
-        basis[arr.astype(int), np.arange(len(axes))] = 1.0
-        return Subspace(basis)
-    if arr.ndim == 2 and arr.shape[0] == n:
-        return Subspace(arr)
-    raise ValueError("must be an axis list or an n x k basis")
+        basis[axes, np.arange(len(axes))] = 1.0
+    else:
+        basis = _array(2)(raw)
+        if basis.shape[0] != n:
+            raise ValueError("must be an axis list or an n x k basis")
+    basis.setflags(write=False)
+    return basis
 
 
 def _flag(raw, v=None):

@@ -142,8 +142,9 @@ def _vector(x, name: str, n: int | None = None) -> np.ndarray:
 
 def _spd(m, name: str, power: float, n: int | None = None):
     """m as a symmetric positive definite float matrix, n x n when n is
-    given, and its Cholesky factor; each principal axis length eigenvalue **
-    power (1/2 for a covariance, -1/2 for a shape matrix) passes _scale."""
+    given, its Cholesky factor and its ascending eigenvalues; each principal
+    axis length eigenvalue ** power (1/2 for a covariance, -1/2 for a shape
+    matrix) passes _scale."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     n = m.shape[0] if n is None else n
     try:
@@ -154,10 +155,11 @@ def _spd(m, name: str, power: float, n: int | None = None):
     except np.linalg.LinAlgError:
         raise ParameterError(name, "must be a finite symmetric positive "
                              "definite (n, n) matrix") from None
+    eigvals = np.linalg.eigvalsh(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for length in np.linalg.eigvalsh(m) ** power:
+        for length in eigvals ** power:
             _scale(length, name, n, "principal axis length ")
-    return m, chol
+    return m, chol, eigvals
 
 
 def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
@@ -203,14 +205,13 @@ class EllipsoidIndicator(_Sectioned):
     """a * indicator((x-c)^T M (x-c) <= 1) for symmetric positive M."""
 
     def __init__(self, shape: np.ndarray, center=None, amplitude: float = 1.0):
-        m, self._chol = _spd(shape, "shape", -0.5)
+        m, self._chol, eigvals = _spd(shape, "shape", -0.5)
         n = m.shape[0]
         self.n = n
         self.shape_matrix = m
         self.center = np.zeros(n) if center is None \
             else _vector(center, "center", n)
         self.amplitude = _amplitude(amplitude)
-        eigvals = np.linalg.eigvalsh(m)
         self._semiaxis_max = 1.0 / math.sqrt(float(eigvals[0]))
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         with np.errstate(over="ignore"):
@@ -282,7 +283,7 @@ class GaussianDensity(_Sectioned):
     def __init__(self, mean, cov, amplitude: float = 1.0):
         self.mean = _vector(mean, "mean")
         self.n = self.mean.size
-        self.cov, self._chol = _spd(cov, "cov", 0.5, self.n)
+        self.cov, self._chol, _ = _spd(cov, "cov", 0.5, self.n)
         self.amplitude = _amplitude(amplitude)
         self._prec = np.linalg.inv(self.cov)
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
@@ -543,7 +544,7 @@ class TruncatedGaussian(_Sectioned):
 
     def _sections(self, bases, offsets):
         """Each section is the kernel about -w cut at radius sqrt(rho2),
-        empty unless rho2 > 0, with amplitude amp; params (w, rho2, amp)."""
+        empty unless rho2 > 0; params (w, rho2)."""
         k = bases.shape[-1]
         d = offsets - self.center
         w = np.einsum("snk,sn->sk", bases, d)
@@ -556,10 +557,10 @@ class TruncatedGaussian(_Sectioned):
         masses = np.zeros(len(bases))
         masses[live] = amps[live] * _chi2_cdf(rho2[live] / self.tau ** 2, k)
         sups = np.where(live, self._kernel_height() * damp, 0.0)
-        return masses, sups, w, rho2, amps
+        return masses, sups, w, rho2
 
     def _section_points(self, sections, k, size, rng):
-        _, _, w, rho2, _ = sections
+        _, _, w, rho2 = sections
         top = (np.maximum(rho2, 0.0) / self.tau ** 2)[:, None]
         cut = _chi2_cdf(top, k)
         u = rng.random((len(w), size))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import _tuple_volumes
 from .grassmann import flat_frames, subspace_frames
-from .densities import DensityModel, section_stats
+from .densities import DensityModel, ParameterError, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -124,9 +124,12 @@ def _norm_products(models, spec: ExponentSpec, method, bases: np.ndarray,
 
 
 def _common_dim(f_list) -> int:
+    """The one ambient dimension of f_list; ParameterError on "f_list"
+    unless it is nonempty and in one dimension."""
     dims = {f.n for f in f_list}
     if len(dims) != 1:
-        raise ValueError(f"models live in different dimensions: {sorted(dims)}")
+        raise ParameterError("f_list", "must be nonempty, in one ambient "
+                             f"dimension; got dimensions {sorted(dims)}")
     return dims.pop()
 
 

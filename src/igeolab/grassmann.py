@@ -1,5 +1,11 @@
 """Subspaces and flats: invariant sampling and geometry.
 
+A k-dimensional subspace of R^n is an (n, k) float array of orthonormal
+columns, its basis, and a stack of subspaces is an (s, n, k) array.
+_orthonormal is the one test of that form; perturb_subspace and
+distances_to apply it to the subspace they are given, and verify's rules
+apply it to every configured one.
+
 Haar measure on the set of k-dimensional linear subspaces of R^n is realized
 by orthonormalizing the columns of Gaussian n x k matrices.  haar_bases does
 this with Gram-Schmidt vectorized over the whole stack, each column cleared
@@ -21,14 +27,11 @@ radius R U^(1/(n-k)) makes the offset uniform in the complement's R-ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .geometry import unit_ball_volume
 
-# Orthonormality and perpendicularity tolerance for constructed frames.
+# Orthonormality tolerance for a subspace basis given from outside.
 FRAME_TOL = 1e-10
 # Rejection budget for conditioned perturbation draws, in proposals per
 # subspace sought, and the number of proposals drawn and tested at once.
@@ -36,67 +39,11 @@ PERTURB_MAX_TRIES = 10_000
 PERTURB_BLOCK = 64
 
 __all__ = [
-    "Subspace",
-    "sample_subspace",
     "perturb_subspace",
     "haar_bases",
     "subspace_frames",
     "flat_frames",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A k-dimensional linear subspace of R^n, stored as an orthonormal basis.
-
-    basis has shape (n, k) with orthonormal columns; the array is copied and
-    frozen at construction.
-    """
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] < b.shape[1] or b.shape[1] < 1:
-            raise ValueError(f"basis must be (n, k) with 1 <= k <= n, got {b.shape}")
-        gram = b.T @ b
-        if not np.abs(gram - np.eye(b.shape[1])).max() <= FRAME_TOL:
-            raise ValueError("basis columns are not orthonormal")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        p = self.basis @ self.basis.T
-        p.setflags(write=False)
-        return p
-
-    @cached_property
-    def complement(self) -> "Subspace":
-        """Orthogonal complement, from the full QR of the basis."""
-        q, _ = np.linalg.qr(self.basis, mode="complete")
-        return Subspace(q[:, self.k:])
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Basis coordinates of the projection of x, shape (..., k)."""
-        return np.asarray(x, dtype=float) @ self.basis
-
-    def point(self, u: np.ndarray) -> np.ndarray:
-        """Ambient point with basis coordinates u, shape (..., n)."""
-        return np.asarray(u, dtype=float) @ self.basis.T
-
-
-def sample_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Haar-distributed k-dimensional subspace of R^n."""
-    return Subspace(haar_bases(n, k, 1, rng)[0])
 
 
 def haar_bases(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,14 +85,27 @@ def _check_nk(n: int, k: int):
         raise ValueError(f"need 1 <= k <= n-1, got n={n} k={k}")
 
 
-def distances_to(E: Subspace, bases: np.ndarray) -> np.ndarray:
-    """Grassmann distance from E to each same-dimension basis in a stack:
-    the operator norm of the difference of the orthogonal projectors.
+def _orthonormal(basis) -> bool:
+    """Whether basis is a subspace: an (n, k) array, 1 <= k <= n, whose
+    columns are orthonormal within FRAME_TOL."""
+    if not isinstance(basis, np.ndarray) or basis.ndim != 2 \
+            or not 1 <= basis.shape[1] <= basis.shape[0]:
+        return False
+    gram = basis.T @ basis
+    return bool(np.abs(gram - np.eye(basis.shape[1])).max() <= FRAME_TOL)
+
+
+def distances_to(E: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Grassmann distance from the subspace E, an (n, k) basis, to each
+    same-dimension basis in a stack: the operator norm of the difference
+    of the orthogonal projectors.
 
     For equal dimensions that norm is the largest principal-angle sine,
     read off the singular values of B0^T B_i.
     """
-    cos = np.linalg.svd(E.basis.T @ np.asarray(bases), compute_uv=False)
+    if not _orthonormal(E):
+        raise ValueError("E must be an (n, k) array of orthonormal columns")
+    cos = np.linalg.svd(E.T @ np.asarray(bases), compute_uv=False)
     smallest = np.clip(cos[..., -1], 0.0, 1.0)
     return np.sqrt(1.0 - smallest * smallest)
 
@@ -180,10 +140,10 @@ def flat_frames(n: int, k: int, R: float, size: int, rng: np.random.Generator):
     return bases, z, weight
 
 
-def perturb_subspace(E: Subspace, eta: float, count: int,
+def perturb_subspace(E: np.ndarray, eta: float, count: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Bases (count, n, k) of subspaces drawn conditioned to lie within eta
-    of E, in the order they were accepted.
+    of the subspace E, an (n, k) basis, in the order they were accepted.
 
     Proposal: orthonormalize E's basis plus a Gaussian matrix scaled so the
     typical displacement sits inside eta; accept when the operator norm of
@@ -193,9 +153,12 @@ def perturb_subspace(E: Subspace, eta: float, count: int,
     same numbers as that many (n, k) draws; the last block draws more than
     it uses.  Raises RuntimeError after count * PERTURB_MAX_TRIES proposals.
     """
+    if not _orthonormal(E):
+        raise ValueError("E must be an (n, k) array of orthonormal columns")
     if not 0.0 < eta < 2.0:
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
-    n, k = E.n, E.k
+    n, k = E.shape
+    projector = E @ E.T
     tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
     out = np.empty((count, n, k))
     found, budget = 0, count * PERTURB_MAX_TRIES
@@ -206,9 +169,8 @@ def perturb_subspace(E: Subspace, eta: float, count: int,
                                "proposals")
         size = min(PERTURB_BLOCK, budget)
         budget -= size
-        block = _orthonormalize(
-            E.basis + tau * rng.standard_normal((size, n, k)))
-        diff = E.projector - block @ np.swapaxes(block, 1, 2)
+        block = _orthonormalize(E + tau * rng.standard_normal((size, n, k)))
+        diff = projector - block @ np.swapaxes(block, 1, 2)
         near = block[np.linalg.norm(diff, 2, axis=(1, 2)) <= eta]
         near = near[:count - found]
         out[found:found + len(near)] = near

@@ -31,13 +31,13 @@ import numpy as np
 from .geometry import bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
-from .grassmann import Subspace, flat_frames, subspace_frames, \
-    perturb_subspace, distances_to, haar_bases
+from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
+    distances_to, haar_bases, _orthonormal
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
     affine_image, closed_form_image, section_points, section_stats, \
     _volume_preserving
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
-    affine_average_I, simplex_moment, _blocked, _frame_mean
+    affine_average_I, simplex_moment, _blocked, _common_dim, _frame_mean
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
     mc_estimate, merge_estimates, ratio_estimate, power_estimate
@@ -123,10 +123,12 @@ def _positive_sup(f_list, param: str):
           else "must have a positive sup")
 
 
-def _one_dimension(f_list):
-    dims = sorted({f.n for f in f_list})
-    _need(len(dims) == 1, "f_list", "must be nonempty, in one ambient "
-          f"dimension; got dimensions {dims}")
+def _subspace_rule(E, n: int, k: int, param: str):
+    """Rule: E is a k-dimensional subspace of R^n, an (n, k) array of
+    orthonormal columns."""
+    _need(np.shape(E) == (n, k), param,
+          f"must have shape ({n}, {k}), got {np.shape(E)}")
+    _need(_orthonormal(E), param, "must be an array of orthonormal columns")
 
 
 def _name_or_array(value, names: tuple, shape: tuple, param: str):
@@ -242,14 +244,14 @@ def _decomposition_report(name: str, parameters: dict, dims: tuple,
 
 
 def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
-    _one_dimension(f_list)
-    _k_up_to(k, f_list[0].n)
+    n = _common_dim(f_list)
+    _k_up_to(k, n)
     _need(p >= 0.0, "p", f"must be >= 0, got {p}")
     # each budget splits into two replicas of at least 2 samples
     _at_least(4, n_direct=n_direct, n_subspaces=n_subspaces)
     _at_least(1, inner=inner)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
-    if k < f_list[0].n:     # the one section at k = n is never read
+    if k < n:  # the one section at k = n is never read
         _readable(f_list, k, "f_list")
 
 
@@ -421,11 +423,11 @@ def _stand_in(g, n: int):
 
 
 def _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method):
-    _one_dimension(f_list)
-    _k_up_to(k, f_list[0].n - 1)
+    n = _common_dim(f_list)
+    _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
     _at_least(2, n_subspaces=n_subspaces)
-    _volume_map(g, f_list[0].n, "g")
+    _volume_map(g, n, "g")
     _readable(f_list, k, "method", method, (g, None))
 
 
@@ -458,8 +460,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
 
 
 def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
-    _one_dimension(f_list)
-    n = f_list[0].n
+    n = _common_dim(f_list)
     _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
     _need(R >= 0.0, "R", f"must be >= 0, got {R}")
@@ -507,12 +508,12 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
 # ---------------------------------------------------------------------------
 
 def _rearrangement_rules(f_list, p, case, n_samples):
-    _one_dimension(f_list)
+    n = _common_dim(f_list)
     _need(p >= 1.0, "p", f"must be >= 1, got {p}")
     _need(case in ("cone", "simplex"), "case",
           f"must be 'cone' or 'simplex', got {case!r}")
     _at_least(2, n_samples=n_samples)
-    low, top = (1, f_list[0].n) if case == "cone" else (2, f_list[0].n + 1)
+    low, top = (1, n) if case == "cone" else (2, n + 1)
     _need(low <= len(f_list) <= top, "f_list",
           f"{low} to {top} densities for case {case!r}")
     _positive_sup(f_list, "f_list")
@@ -596,8 +597,7 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
 
 
 def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
-    _one_dimension(f_list)
-    n = f_list[0].n
+    n = _common_dim(f_list)
     _k_up_to(k, n - 1)
     _need(0.0 <= p <= n - k, "p", f"must lie in [0, {n - k}], got {p}")
     _at_least(2, n_subspaces=n_subspaces)
@@ -706,7 +706,7 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
 
 def _haar_fibers(f: DensityModel, k: int, n_x: int, streams):
     """_fiber_statistics of one Haar k-subspace per stream, stacked over the
-    streams.  Each stream draws its subspace, as sample_subspace would,
+    streams.  Each stream draws its subspace, haar_bases(n, k, 1, stream)[0],
     then its n_x points of f; the fibers are read in blocks of
     FIBER_ROWS // (n_x + 1) subspaces, the last one shorter."""
     n, m = f.n, len(streams)
@@ -765,15 +765,14 @@ def _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial):
     _unit_mass(f)
     _positive_sup([f], "f")
     if adversarial is not None:
-        _need((adversarial.n, adversarial.k) == (n, k), "adversarial", f"is "
-              f"{adversarial.k}-dimensional in R^{adversarial.n}, not k={k}")
+        _subspace_rule(adversarial, n, k, "adversarial")
     _readable([f], n - k, "f")
 
 
 def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
                               n_subspaces: int, n_x: int,
                               rng: np.random.Generator,
-                              adversarial: Subspace | None = None
+                              adversarial: np.ndarray | None = None
                               ) -> CheckReport:
     """Markov-set experiment for the marginal density bound.
 
@@ -845,7 +844,7 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
           and worst_b_frac <= t ** (-kn) + 1e-12)
     if adversarial is not None:
         t_vals, _, _, adv_origin = _fiber_statistics(
-            f, adversarial.basis[None], f.sample(n_x, streams[-1])[None])
+            f, adversarial[None], f.sample(n_x, streams[-1])[None])
         adv_avg = float(t_vals.mean())
         detected = adv_avg > threshold or float(adv_origin[0]) > threshold
         diagnostics["adversarial_average"] = adv_avg
@@ -1091,8 +1090,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
 def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):
     n = f.n
     _k_up_to(k, n - 1)
-    _need((E.n, E.k) == (n, k), "E",
-          f"is {E.k}-dimensional in R^{E.n}, not k={k}")
+    _subspace_rule(E, n, k, "E")
     _need(0.0 < eta < 2.0, "eta", f"must lie in (0, 2), got {eta}")
     _need(len(eps_grid) > 0 and min(eps_grid) > 0, "eps_grid",
           "must be a nonempty list of positive radii")
@@ -1113,7 +1111,7 @@ def _small_ball_fractions(coords: np.ndarray, radii) -> np.ndarray:
         / len(coords)
 
 
-def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
+def perturbation_experiment(f: DensityModel, k: int, E: np.ndarray, eta: float,
                             eps_grid, n_samples: int,
                             rng: np.random.Generator,
                             n_candidates: int = 32) -> CheckReport:
@@ -1136,7 +1134,7 @@ def perturbation_experiment(f: DensityModel, k: int, E: Subspace, eta: float,
     exponent = (n + 1) / (k * n)
     sup_root = f.sup ** (1.0 / n)
     candidates = np.concatenate(
-        [E.basis[None], perturb_subspace(E, eta, n_candidates - 1, rng)])
+        [E[None], perturb_subspace(E, eta, n_candidates - 1, rng)])
     radii = np.multiply(eps_grid, math.sqrt(k))
     needed = np.empty(len(candidates))
     tables = []

@@ -25,7 +25,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, Step1D, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import Subspace, flat_frames
+from igeolab.grassmann import flat_frames
 from igeolab.rearrange import rearrangement
 from igeolab.report import FAIL, PASS
 from igeolab.rng import substream
@@ -52,7 +52,7 @@ def axis_subspace(n, axes):
     basis = np.zeros((n, len(axes)))
     for j, a in enumerate(axes):
         basis[a, j] = 1.0
-    return Subspace(basis)
+    return basis
 
 
 def random_rotation(n, rng):

@@ -12,8 +12,10 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import mmap
 import os
+import pathlib
 import platform
 import re
 import subprocess
@@ -415,6 +417,40 @@ def test_suite_runs_unchanged_without_the_malloc_policy(tmp_path, monkeypatch,
         (tmp_path / "normal" / "results.csv").read_bytes()
     manifest = json.loads((tmp_path / "bare" / "manifest.json").read_text())
     assert manifest["environment"]["malloc"] is None
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# results.csv of each shipped config at its pinned seed, kept in tests/data;
+# a change that moves a column regenerates these files and says so
+SHIPPED_RESULTS = ("paper-core", "negative-controls", "sharpness")
+NUMERIC_COLUMNS = ("lhs", "lhs_stderr", "rhs", "rhs_stderr", "ratio")
+
+
+def same_number(got: str, want: str) -> bool:
+    """Equal to 1e-9 relative, which another BLAS build still meets; a
+    value under 1e-15 is rounding noise, such as the stderr of an exact
+    side, and need only stay under it."""
+    return got == want or math.isclose(float(got), float(want),
+                                       rel_tol=1e-9, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("name", SHIPPED_RESULTS)
+def test_shipped_results_match_the_reference(tmp_path, name):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.ini"),
+                      output_override=str(tmp_path))
+    run_suite(cfg, echo=lambda line: None)
+    got = read_rows(tmp_path / "results.csv")
+    want = read_rows(ROOT / "tests" / "data" / f"{name}-results.csv")
+    assert list(got[0]) == list(want[0]) == CSV_COLUMNS
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        label = json.loads(w["extra-params"])["label"]
+        assert {c: g[c] for c in CSV_COLUMNS if c not in NUMERIC_COLUMNS} \
+            == {c: w[c] for c in CSV_COLUMNS if c not in NUMERIC_COLUMNS}, \
+            label
+        for column in NUMERIC_COLUMNS:
+            assert same_number(g[column], w[column]), \
+                (label, column, g[column], w[column])
 
 
 def test_paper_core_run_never_imports_numpy_ma(tmp_path):

@@ -18,7 +18,6 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
                                RadialGridDensity, Step1D, TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
-from igeolab.grassmann import Subspace
 from igeolab.rearrange import rearrangement
 
 
@@ -375,6 +374,12 @@ def check_section(fields):
     (LINEAR, {"map": '"reflection"'}, "map"),
     (PERTURBATION, {"eta": "2.5"}, "eta"),
     (MARGINAL, {"adversarial": "[0, 1]"}, "adversarial"),
+    # an axis is an integer, and JSON's true is not one
+    (MARGINAL, {"adversarial": "[true]"}, "adversarial"),
+    (PERTURBATION, {"subspace": "[true]"}, "subspace"),
+    # a basis has n = 2 rows and at least one column
+    (PERTURBATION, {"subspace": "[[1.0, 0.0]]"}, "subspace"),
+    (PERTURBATION, {"subspace": "[]"}, "subspace"),
     # Monte Carlo section stats sample a window around a bounded support
     (LINEAR, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
     (GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
@@ -391,6 +396,8 @@ def check_section(fields):
         "bp-subspace-subspaces-3", "bp-flat-flats-3",
         "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
+        "adversarial-bool-axis", "subspace-bool-axis", "subspace-one-row",
+        "subspace-no-axes",
         "linear-mc-unbounded", "grinberg-mc-unbounded",
         "linear-exact-product-plane", "linear-exact-truncated-shear",
         "bp-subspace-product-plane", "rearrangement-levels"])
@@ -661,7 +668,9 @@ TINY = ProductDensity([Step1D.uniform(-2.0, 2.0, [1e-162])] * 2)
 WIDE = ProductDensity([Step1D.uniform(-2e162, 2e162, [2.5e-163])] * 2)
 HUGE = ProductDensity([Step1D.uniform(-0.5, 0.5, HUGE_HEIGHTS)] * 2)
 SPEC = ExponentSpec((1.0,), (2.0,))
-LINE = Subspace(np.eye(2)[:, :1])
+LINE = np.eye(2)[:, :1]
+# a unit column and a column of norm sqrt(2): not a subspace basis
+SKEW = np.array([[1.0], [1.0]])
 
 # Check rules, each checked through both entry points: the verify call
 # (rng last), the keyword its ParameterError names, the base map and the
@@ -847,8 +856,13 @@ RULES = {
         "f", MARGINAL, {"density": '"wide"'}, "density"),
     "marginal-adversarial-plane": (
         lambda r: verify.marginal_bound_experiment(
-            UNIT, 1, 2.0, 2.0, 8, 20, r, Subspace(np.eye(2))),
+            UNIT, 1, 2.0, 2.0, 8, 20, r, np.eye(2)),
         "adversarial", MARGINAL, {"adversarial": "[0, 1]"}, "adversarial"),
+    "marginal-adversarial-not-orthonormal": (
+        lambda r: verify.marginal_bound_experiment(
+            UNIT, 1, 2.0, 2.0, 8, 20, r, SKEW),
+        "adversarial", MARGINAL, {"adversarial": "[[1.0], [1.0]]"},
+        "adversarial"),
     "sharpness-one-subspace": (
         lambda r: verify.gaussian_sharpness_experiment(3, 1, 1.5, 1, r),
         "n_subspaces", SHARPNESS, {"n_subspaces": "1"}, "n_subspaces"),
@@ -860,8 +874,12 @@ RULES = {
         "k", SHARPNESS, {"k": "3"}, "k"),
     "perturbation-line-for-planes": (
         lambda r: verify.perturbation_experiment(
-            BOX, 2, Subspace(np.eye(3)[:, :1]), 0.5, [0.1], 100, r),
+            BOX, 2, np.eye(3)[:, :1], 0.5, [0.1], 100, r),
         "E", PERTURBATION, {"density": '"box"', "k": "2"}, "subspace"),
+    "perturbation-not-orthonormal": (
+        lambda r: verify.perturbation_experiment(UNIT, 1, SKEW, 0.5, [0.1],
+                                                 100, r),
+        "E", PERTURBATION, {"subspace": "[[1.0], [1.0]]"}, "subspace"),
     "perturbation-eta-above-2": (
         lambda r: verify.perturbation_experiment(UNIT, 1, LINE, 2.5, [0.1],
                                                  100, r),

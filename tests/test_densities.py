@@ -20,21 +20,25 @@ from igeolab.densities import (DensityModel, EllipsoidIndicator,
                                section_stats)
 from igeolab.config import read_density_text
 from igeolab.geometry import _row_norms, unit_ball_volume
-from igeolab.grassmann import Subspace, sample_subspace
+from igeolab.grassmann import haar_bases
 from igeolab.rearrange import rearrangement
 
 
 def line(*direction):
     v = np.asarray(direction, dtype=float)
-    return Subspace((v / np.linalg.norm(v))[:, None])
+    return (v / np.linalg.norm(v))[:, None]
+
+
+def complement(E):
+    """A basis of the orthogonal complement of span(E), (n, n - k)."""
+    return np.linalg.qr(E, mode="complete")[0][:, E.shape[1]:]
 
 
 def one_section(f, E, z=None, method="exact", rng=None):
-    """(mass, sup, mass_stderr) of f on the flat z + E (z = 0 by default),
-    the one-row stack of section_stats."""
-    z = np.zeros(E.n) if z is None else z
-    return [a[0] for a in section_stats(f, E.basis[None], z[None], method,
-                                        rng)]
+    """(mass, sup, mass_stderr) of f on the flat z + span(E) (z = 0 by
+    default), the one-row stack of section_stats."""
+    z = np.zeros(len(E)) if z is None else z
+    return [a[0] for a in section_stats(f, E[None], z[None], method, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +80,11 @@ def test_gaussian_section_correlated(rng):
     # brute-force quadrature along the flat
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     g = GaussianDensity(np.array([0.3, -0.2]), cov)
-    E = sample_subspace(2, 1, rng)
-    z = E.complement.point(np.array([0.7]))
+    E = haar_bases(2, 1, 1, rng)[0]
+    z = complement(E) @ np.array([0.7])
     l1, sup, _ = one_section(g, E, z)
     ts = np.linspace(-12, 12, 20001)
-    pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
+    pts = z[None, :] + ts[:, None] * E[:, 0][None, :]
     quad = np.trapezoid(g.eval_many(pts), ts)
     assert l1 == pytest.approx(quad, rel=1e-8)
     assert sup == pytest.approx(g.eval_many(pts).max(), rel=1e-4)
@@ -88,8 +92,8 @@ def test_gaussian_section_correlated(rng):
 
 def test_truncated_gaussian_section_vs_mc(rng):
     f = TruncatedGaussian(np.array([0.2, -0.1, 0.4]), tau=0.8, radius=2.0)
-    E = sample_subspace(3, 2, rng)
-    z = E.complement.point(np.array([0.5]))
+    E = haar_bases(3, 2, 1, rng)[0]
+    z = complement(E) @ np.array([0.5])
     l1, sup, _ = one_section(f, E, z, method="exact")
     l1_mc, sup_mc, l1_mc_err = one_section(f, E, z, ("mc", 60_000), rng)
     assert abs(l1 - l1_mc) <= 3.0 * l1_mc_err
@@ -101,11 +105,11 @@ def test_product_line_section_exact(rng):
     f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 3.0, 0.5]),
                         Step1D.uniform(-1.0, 1.0, [0.2, 2.0]),
                         Step1D.uniform(-0.5, 0.5, [1.0])])
-    E = sample_subspace(3, 1, rng)
-    z = E.complement.point(np.array([0.05, -0.1]))
+    E = haar_bases(3, 1, 1, rng)[0]
+    z = complement(E) @ np.array([0.05, -0.1])
     l1, sup, _ = one_section(f, E, z)
     ts = np.linspace(-2.5, 2.5, 100_001)
-    pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
+    pts = z[None, :] + ts[:, None] * E[:, 0][None, :]
     vals = f.eval_many(pts)
     riemann = vals.sum() * (ts[1] - ts[0])
     assert l1 == pytest.approx(riemann, rel=2e-3)
@@ -118,15 +122,14 @@ def test_product_aligned_plane_section():
     f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0]),
                         Step1D.uniform(-0.5, 0.5, [3.0, 1.0]),
                         Step1D.uniform(-1.0, 1.0, [0.5, 1.5])])
-    aligned = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-    tilted = Subspace(np.linalg.qr(np.array([[1.0, 0.2], [0.4, 1.0],
-                                             [0.1, 0.3]]))[0])
+    aligned = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    tilted = np.linalg.qr(np.array([[1.0, 0.2], [0.4, 1.0], [0.1, 0.3]]))[0]
     for E in (aligned, tilted):
         with pytest.raises(ValueError, match="ProductDensity has no exact "
                            "sections of dimension 2"):
             one_section(f, E)
         with pytest.raises(ValueError, match="dimension 2"):
-            f.slice_stats_batch(E.basis[None], np.zeros((1, 3)))
+            f.slice_stats_batch(E[None], np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +140,19 @@ def test_ball_marginal_is_disk_area(rng):
     b3 = EllipsoidIndicator.ball(3)
     E = line(1, 0, 0)
     for t in (0.0, 0.4, 0.9):
-        x = E.point(E.coords(np.array([t, 0.0, 0.0])))
-        mass, _, stderr = one_section(b3, E.complement, x)
+        x = np.array([t, 0.0, 0.0]) @ E @ E.T
+        mass, _, stderr = one_section(b3, complement(E), x)
         assert mass == pytest.approx(math.pi * (1 - t * t), rel=1e-12)
         assert stderr == 0.0
 
 
 def test_gaussian_marginal_is_gaussian(rng):
     g = GaussianDensity.standard(4)
-    E = sample_subspace(4, 2, rng)
+    E = haar_bases(4, 2, 1, rng)[0]
     u = np.array([0.3, -1.1])
-    x = E.point(u)
-    foot = E.point(E.coords(x))
-    assert one_section(g, E.complement, foot)[0] == pytest.approx(
+    x = u @ E.T
+    foot = x @ E @ E.T
+    assert one_section(g, complement(E), foot)[0] == pytest.approx(
         (2 * math.pi) ** -1.0 * math.exp(-0.5 * float(u @ u)), rel=1e-10)
 
 
@@ -310,10 +313,10 @@ def test_affine_image_ellipsoid(rng):
     # along (1, 1, 0) against trapezoid quadrature of eval_many, which
     # errs by at most a step at each of the two boundary jumps
     E = line(1, 1, 0)
-    z = img.center - E.point(E.coords(img.center))
+    z = img.center - img.center @ E @ E.T
     l1, sup, _ = one_section(img, E, z)
     ts = np.linspace(-img.support_radius, img.support_radius, 200_001)
-    pts = z[None, :] + ts[:, None] * E.basis[:, 0][None, :]
+    pts = z[None, :] + ts[:, None] * E[:, 0][None, :]
     vals = img.eval_many(pts)
     assert l1 > 0.0
     assert l1 == pytest.approx(np.trapezoid(vals, ts),
@@ -335,7 +338,7 @@ def test_affine_image_fallback_pushforward(rng):
     # no closed-form sections through a rotated box
     assert one_section(f, line(1, 1), method="exact")[0] >= 0  # line ok
     with pytest.raises(ValueError):
-        one_section(img, Subspace(np.eye(2)[:, :1]), method="exact")
+        one_section(img, np.eye(2)[:, :1], method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +610,7 @@ def test_package_all_is_pinned():
         "CheckJob", "CheckReport", "ConfigError", "DensityModel",
         "EllipsoidIndicator", "Estimate", "ExponentSpec", "GaussianDensity",
         "ProductDensity", "RadialGridDensity", "RunConfig", "Step1D",
-        "Subspace", "TruncatedGaussian", "affine_average_I", "affine_image",
+        "TruncatedGaussian", "affine_average_I", "affine_image",
         "bp_constant", "build_density", "check_affine_invariance",
         "check_bp_flat", "check_bp_subspace", "check_grinberg_functional",
         "check_linear_invariance", "check_names",
@@ -616,7 +619,7 @@ def test_package_all_is_pinned():
         "grassmann_average_I", "haar_bases", "load_config",
         "marginal_bound_experiment", "mc_estimate", "merge_estimates",
         "perturb_subspace", "perturbation_experiment", "read_density_text",
-        "rearrangement", "run_suite", "sample_subspace", "simplex_moment",
+        "rearrangement", "run_suite", "simplex_moment",
         "subspace_frames", "unit_ball_volume", "unit_volume_radius"]
 
 

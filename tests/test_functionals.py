@@ -28,7 +28,7 @@ from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  _lp_norms, _norm_products, _power_model,
                                  _slot_models)
 from igeolab.geometry import _tuple_volumes
-from igeolab.grassmann import Subspace, flat_frames, sample_subspace
+from igeolab.grassmann import flat_frames
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
 
@@ -80,15 +80,14 @@ def test_powz_exponent_law(a, b):
 def section_norm(f, E, p, z=None):
     """L_p norm of f on the flat z + E (z = 0 by default), as the averages
     read it: _lp_norms of the one-row section stats of _power_model(f, p)."""
-    z = np.zeros(E.n) if z is None else z
-    masses, sups, _ = section_stats(_power_model(f, p), E.basis[None],
-                                    z[None])
+    z = np.zeros(len(E)) if z is None else z
+    masses, sups, _ = section_stats(_power_model(f, p), E[None], z[None])
     return float(_lp_norms(masses, sups, p)[0])
 
 
 def test_section_norm_ball():
     b2 = EllipsoidIndicator.ball(2)
-    axis = Subspace(np.eye(2)[:, :1])
+    axis = np.eye(2)[:, :1]
     assert section_norm(b2, axis, 1.0) == pytest.approx(2.0)
     assert section_norm(b2, axis, INF) == pytest.approx(1.0)
     assert section_norm(b2, axis, 2.0) == pytest.approx(math.sqrt(2.0))
@@ -99,7 +98,7 @@ def test_section_norm_ball():
 
 def test_section_norm_gaussian():
     g = GaussianDensity.standard(2)
-    axis = Subspace(np.eye(2)[:, :1])
+    axis = np.eye(2)[:, :1]
     # on the axis f(t) = (2 pi)^{-1} e^{-t^2/2}; ||f||_2^2 = (2pi)^{-2} sqrt(pi)
     expected = ((2 * math.pi) ** -2 * math.sqrt(math.pi)) ** 0.5
     assert section_norm(g, axis, 2.0) == pytest.approx(expected, rel=1e-10)
@@ -109,7 +108,7 @@ def test_section_norm_gaussian():
 def test_section_norm_needs_exact_family(rng):
     f = TruncatedGaussian(np.zeros(2), tau=1.0, radius=1.0)
     # powers of a truncated kernel stay in the family, so p=3 works
-    axis = Subspace(np.eye(2)[:, :1])
+    axis = np.eye(2)[:, :1]
     assert section_norm(f, axis, 3.0) > 0.0
 
 
@@ -345,8 +344,7 @@ def test_kplane_transform_gaussian(rng):
     d2 = float(offsets[0] @ offsets[0])
     expected = (2 * math.pi) ** -1.0 * math.exp(-0.5 * d2)
     # the k-plane transform of f at F is the mass of its section through F
-    E = Subspace(bases[0])
-    masses, _, _ = section_stats(g, E.basis[None], offsets[0][None])
+    masses, _, _ = section_stats(g, bases[0][None], offsets[0][None])
     assert masses[0] == pytest.approx(expected, rel=1e-10)
 
 

@@ -16,9 +16,14 @@ from scipy import stats
 from igeolab import grassmann
 from igeolab.densities import _uniform_ball
 from igeolab.geometry import unit_ball_volume
-from igeolab.grassmann import (Subspace, distances_to, flat_frames,
-                               haar_bases, perturb_subspace, sample_subspace,
-                               subspace_frames, _orthonormalize)
+from igeolab.grassmann import (distances_to, flat_frames, haar_bases,
+                               perturb_subspace, subspace_frames,
+                               _orthonormalize)
+
+
+def haar_basis(n, k, rng):
+    """One Haar k-subspace of R^n, as an (n, k) basis."""
+    return haar_bases(n, k, 1, rng)[0]
 
 
 def test_haar_bases_orthonormal(rng):
@@ -99,25 +104,6 @@ def test_flat_frames_stream_layout():
     assert g.random() == ref.random()
 
 
-def test_subspace_projector(rng):
-    E = sample_subspace(4, 2, rng)
-    P = E.projector
-    assert np.allclose(P, P.T, atol=1e-12)
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.trace(P) == pytest.approx(2.0)
-    Q = E.complement.projector
-    assert np.allclose(P + Q, np.eye(4), atol=1e-10)
-    x = rng.standard_normal(4)
-    assert np.allclose(E.point(E.coords(x)), P @ x, atol=1e-12)
-
-
-def test_subspace_coords_point_roundtrip(rng):
-    E = sample_subspace(5, 2, rng)
-    u = rng.standard_normal((7, 2))
-    pts = E.point(u)
-    assert np.allclose(E.coords(pts), u, atol=1e-10)
-
-
 def test_direction_uniformity_ks(rng):
     # for a uniform direction on S^2 the first coordinate is uniform
     # on [-1, 1]; this is the classic Archimedes projection
@@ -140,30 +126,28 @@ def test_rotation_invariance_two_sample(rng):
     assert res.pvalue > 1e-3, f"rotation broke the law of |P_E v|: p={res.pvalue}"
 
 
-def projector_distance(E: Subspace, basis: np.ndarray) -> float:
+def projector_distance(E: np.ndarray, basis: np.ndarray) -> float:
     """Reference Grassmann distance: the operator norm of the difference of
-    the orthogonal projectors of E and span(basis)."""
-    return float(np.linalg.norm(E.projector - basis @ basis.T, 2))
+    the orthogonal projectors of span(E) and span(basis)."""
+    return float(np.linalg.norm(E @ E.T - basis @ basis.T, 2))
 
 
 def test_grassmann_distance_axioms(rng):
-    E = sample_subspace(4, 2, rng)
-    assert distances_to(E, E.basis[None])[0] == pytest.approx(0.0, abs=1e-7)
+    E = haar_basis(4, 2, rng)
+    assert distances_to(E, E[None])[0] == pytest.approx(0.0, abs=1e-7)
     for _ in range(25):
-        F = sample_subspace(4, 2, rng)
-        G = sample_subspace(4, 2, rng)
-        d_ef, d_eg = distances_to(E, np.stack([F.basis, G.basis]))
-        d_fg = distances_to(F, G.basis[None])[0]
-        assert d_ef == pytest.approx(projector_distance(E, F.basis),
-                                     abs=1e-9)
-        assert d_ef == pytest.approx(distances_to(F, E.basis[None])[0],
-                                     abs=1e-10)
+        F = haar_basis(4, 2, rng)
+        G = haar_basis(4, 2, rng)
+        d_ef, d_eg = distances_to(E, np.stack([F, G]))
+        d_fg = distances_to(F, G[None])[0]
+        assert d_ef == pytest.approx(projector_distance(E, F), abs=1e-9)
+        assert d_ef == pytest.approx(distances_to(F, E[None])[0], abs=1e-10)
         assert 0.0 <= d_ef <= 1.0
         assert d_eg <= d_ef + d_fg + 1e-9, "triangle inequality"
 
 
 def test_distances_to_matches_pairwise(rng):
-    E = sample_subspace(3, 1, rng)
+    E = haar_basis(3, 1, rng)
     bases = haar_bases(3, 1, 40, rng)
     batch = distances_to(E, bases)
     for i in range(40):
@@ -172,7 +156,7 @@ def test_distances_to_matches_pairwise(rng):
 
 
 def test_perturb_subspace_stays_close(rng):
-    E = sample_subspace(4, 2, rng)
+    E = haar_basis(4, 2, rng)
     for eta in (0.05, 0.3, 1.0):
         bases = perturb_subspace(E, eta, 10, rng)
         assert bases.shape == (10, 4, 2)
@@ -187,12 +171,12 @@ def test_perturb_subspace_stays_close(rng):
 def _perturb_one_at_a_time(E, eta, rng):
     """The one-proposal-at-a-time rejection loop the block proposer
     replaces: one rng.standard_normal((n, k)) per proposal."""
-    n, k = E.n, E.k
+    n, k = E.shape
     tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
     for _ in range(10_000):
         g = rng.standard_normal((n, k))
-        candidate = Subspace(_orthonormalize((E.basis + tau * g)[None])[0])
-        if projector_distance(E, candidate.basis) <= eta:
+        candidate = _orthonormalize((E + tau * g)[None])[0]
+        if projector_distance(E, candidate) <= eta:
             return candidate
     raise RuntimeError("no draw within eta")
 
@@ -200,24 +184,23 @@ def _perturb_one_at_a_time(E, eta, rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
 def test_perturb_subspace_blocks_match_one_at_a_time(seed, n, k):
-    E = sample_subspace(n, k, np.random.default_rng(100 + seed))
+    E = haar_basis(n, k, np.random.default_rng(100 + seed))
     for eta, count in ((0.5, 31), (0.05, 100)):
         got = perturb_subspace(E, eta, count, np.random.default_rng(seed))
         ref = np.random.default_rng(seed)
-        want = [_perturb_one_at_a_time(E, eta, ref).basis
-                for _ in range(count)]
+        want = [_perturb_one_at_a_time(E, eta, ref) for _ in range(count)]
         assert np.array_equal(got, np.stack(want))
 
 
 def test_perturb_subspace_zero_count_draws_nothing(rng):
-    E = sample_subspace(3, 1, np.random.default_rng(0))
+    E = haar_basis(3, 1, np.random.default_rng(0))
     state = repr(rng.bit_generator.state)
     assert perturb_subspace(E, 0.5, 0, rng).shape == (0, 3, 1)
     assert repr(rng.bit_generator.state) == state
 
 
 def test_perturb_subspace_raises_when_proposals_run_out(monkeypatch):
-    E = sample_subspace(3, 1, np.random.default_rng(0))
+    E = haar_basis(3, 1, np.random.default_rng(0))
     # one proposal per subspace sought: the first rejection is fatal
     monkeypatch.setattr(grassmann, "PERTURB_MAX_TRIES", 1)
     with pytest.raises(RuntimeError, match="after 200 proposals"):
@@ -265,7 +248,7 @@ def test_flat_hitting_mass_window_two(rng):
 def test_cap_measure_scaling(rng):
     # mu(B(E, delta)) ~ delta^{k(n-k)} for small caps; halving delta on
     # G(3,1) should cut the count by about 2^2 = 4
-    E = sample_subspace(3, 1, rng)
+    E = haar_basis(3, 1, rng)
     bases = haar_bases(3, 1, 200_000, rng)
     d = distances_to(E, bases)
     big = float(np.mean(d <= 0.4))
@@ -276,10 +259,22 @@ def test_cap_measure_scaling(rng):
 
 
 def test_subspace_validation():
-    with pytest.raises(ValueError):
-        sample_subspace(3, 0, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        sample_subspace(3, 4, np.random.default_rng(1))
-    # non-orthonormal basis rejected
-    with pytest.raises(ValueError):
-        Subspace(np.array([[1.0], [1.0]]))
+    for k in (0, 3, 4):
+        with pytest.raises(ValueError, match="1 <= k <= n-1"):
+            haar_bases(3, k, 1, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("E", [
+    np.array([[1.0], [1.0]]),                # columns not unit length
+    np.array([[1.0, 1.0], [0.0, 1.0]]),      # nor orthogonal
+    np.ones(3),                              # not (n, k)
+    np.eye(2, 3),                            # k > n
+    np.zeros((3, 0)),                        # k = 0
+    [[1.0], [0.0]],                          # not an array
+])
+def test_non_subspace_bases_are_rejected(E):
+    bases = haar_bases(2, 1, 3, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="orthonormal columns"):
+        perturb_subspace(E, 0.5, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="orthonormal columns"):
+        distances_to(E, bases)

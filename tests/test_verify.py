@@ -23,7 +23,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
 from igeolab.functionals import ExponentSpec
 from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
-from igeolab.grassmann import Subspace, haar_bases, sample_subspace
+from igeolab.grassmann import haar_bases
 from igeolab.report import FAIL, INCONCLUSIVE, PASS
 from igeolab.runner import run_suite
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
@@ -38,7 +38,7 @@ INF = math.inf
 
 
 def axis_subspace(n, cols):
-    return Subspace(np.eye(n)[:, list(cols)])
+    return np.eye(n)[:, list(cols)]
 
 
 def untouched(rng):
@@ -475,15 +475,16 @@ def test_marginal_bound_requires_probability_density(rng):
 
 def _fibers_one_subspace_at_a_time(f, k, n_x, streams):
     """The per-subspace loop the block fiber statistics replace: per
-    stream, one sample_subspace, n_x points and one section_stats call over
+    stream, one Haar basis, n_x points and one section_stats call over
     n_x + 1 fibers spanned by the broadcast complement."""
     n = f.n
     rows = []
     for stream in streams:
-        E = sample_subspace(n, k, stream)
-        feet = f.sample(n_x, stream) @ E.projector.T
+        E = haar_bases(n, k, 1, stream)[0]
+        feet = f.sample(n_x, stream) @ (E @ E.T).T
+        complement = np.linalg.qr(E, mode="complete")[0][:, k:]
         l1, sup, _ = section_stats(
-            f, np.broadcast_to(E.complement.basis, (n_x + 1, n, n - k)),
+            f, np.broadcast_to(complement, (n_x + 1, n, n - k)),
             np.vstack([feet, np.zeros(n)]))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
@@ -517,10 +518,11 @@ def test_fiber_blocks_match_one_subspace_at_a_time(monkeypatch, family,
     # the adversarial subspace's one-subspace block
     E = axis_subspace(f.n, [0])
     t, l1, r, t0 = verify._fiber_statistics(
-        f, E.basis[None], f.sample(n_x, np.random.default_rng(6))[None])
-    feet = f.sample(n_x, np.random.default_rng(6)) @ E.projector.T
+        f, E[None], f.sample(n_x, np.random.default_rng(6))[None])
+    feet = f.sample(n_x, np.random.default_rng(6)) @ (E @ E.T).T
+    complement = np.linalg.qr(E, mode="complete")[0][:, 1:]
     mass, sup, _ = section_stats(
-        f, np.broadcast_to(E.complement.basis, (n_x + 1, f.n, f.n - 1)),
+        f, np.broadcast_to(complement, (n_x + 1, f.n, f.n - 1)),
         np.vstack([feet, np.zeros(f.n)]))
     assert np.array_equal(l1[0], mass[:-1])
     assert np.array_equal(r[0], np.linalg.norm(feet, axis=1))
