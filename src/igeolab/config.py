@@ -105,12 +105,16 @@ def _positive(raw) -> float:
 
 def _array(depth: int):
     """Parser of a JSON array of numbers nested depth deep (1: a vector,
-    2: a matrix) into a float array."""
+    2: a matrix) into a float array.  JSON's true and false, and strings,
+    are not numbers, as for _number."""
     def parse(raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
         if arr.ndim != depth:
             raise ValueError(f"must be a {('vector', 'matrix')[depth - 1]} "
                              f"(JSON array of depth {depth})")
+        for x in np.asarray(raw, dtype=object).flat:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"must hold numbers, got {x!r}")
         return arr
     return parse
 

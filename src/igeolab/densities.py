@@ -54,7 +54,6 @@ __all__ = [
     "RadialGridDensity",
     "Step1D",
     "affine_image",
-    "closed_form_image",
     "section_stats",
     "section_points",
 ]
@@ -530,10 +529,11 @@ class TruncatedGaussian(_Sectioned):
         return float(np.linalg.norm(self.center)) + self.radius
 
     def sample(self, size, rng):
-        top = self.radius ** 2 / self.tau ** 2
-        cut = _chi2_cdf(top, self.n)
-        r = self.tau * np.sqrt(_chi2_ppf(rng.random(size) * cut, self.n, top))
-        return self.center + _directions((size,), self.n, rng) * r[:, None]
+        # the one section through the whole space: identity basis, centre
+        sections = self._sections(np.eye(self.n)[None], self.center[None])
+        pts = self._section_points(sections, self.n, size, rng)[0]
+        pts += self.center
+        return pts
 
     def power(self, p):
         log_a = (p * math.log(self.amplitude) if self.amplitude > 0 else -math.inf) \
@@ -565,15 +565,18 @@ class TruncatedGaussian(_Sectioned):
         cut = _chi2_cdf(top, k)
         u = rng.random((len(w), size))
         r = self.tau * np.sqrt(_chi2_ppf(u * cut, k, top))
-        return _directions((len(w), size), k, rng) * r[..., None] \
-            - w[:, None, :]
+        pts = _directions((len(w), size), k, rng)
+        pts *= r[..., None]
+        pts -= w[:, None, :]
+        return pts
 
 
 class Step1D(DensityModel):
     """Step function on the line with arbitrary increasing breakpoints.
 
-    The one-dimensional sections of a product density land here: their
-    breakpoints come from box crossings and are not equally spaced.
+    The factors of a product density (uniform, equal-width bins).  Its
+    line sections are (t, heights) arrays of ProductDensity._sections,
+    not Step1D models.
     """
 
     def __init__(self, edges, heights):
@@ -943,16 +946,9 @@ def affine_image(f: DensityModel, g) -> DensityModel:
     """Image density of f under the volume-preserving affine map (A, b).
 
     Requires |det A| = 1 within DET_TOL.  Families closed under the map are
-    transformed in closed form (closed_form_image); everything else gets a
-    pushforward wrapper with identical mass and sup and a pushforward sampler.
+    transformed in closed form; everything else gets a pushforward wrapper
+    with identical mass and sup, a pushforward sampler and no exact sections.
     """
-    image = closed_form_image(f, g)
-    return image if image is not None else PushforwardDensity(
-        f, g[0], np.zeros(f.n) if g[1] is None else g[1])
-
-
-def closed_form_image(f: DensityModel, g) -> DensityModel | None:
-    """affine_image(f, g) when f's family is closed under g, else None."""
     a_mat, b_vec = g
     a_mat = _volume_preserving(a_mat)
     b_vec = np.zeros(f.n) if b_vec is None else np.asarray(b_vec, dtype=float)
@@ -969,7 +965,7 @@ def closed_form_image(f: DensityModel, g) -> DensityModel | None:
     if isinstance(f, RadialGridDensity) and _is_orthogonal(a_mat) \
             and np.allclose(b_vec, 0.0):
         return f
-    return None
+    return PushforwardDensity(f, a_mat, b_vec)
 
 
 def _volume_preserving(matrix, name: str = "matrix") -> np.ndarray:

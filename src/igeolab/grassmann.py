@@ -147,18 +147,18 @@ def perturb_subspace(E: np.ndarray, eta: float, count: int,
 
     Proposal: orthonormalize E's basis plus a Gaussian matrix scaled so the
     typical displacement sits inside eta; accept when the operator norm of
-    the difference of the orthogonal projectors is at most eta.  Proposals
-    are drawn and tested in blocks of PERTURB_BLOCK (64), one
-    rng.standard_normal((PERTURB_BLOCK, n, k)) per block, which gives the
-    same numbers as that many (n, k) draws; the last block draws more than
-    it uses.  Raises RuntimeError after count * PERTURB_MAX_TRIES proposals.
+    the difference of the orthogonal projectors (distances_to) is at most
+    eta.  Proposals are drawn and tested in blocks of PERTURB_BLOCK (64),
+    one rng.standard_normal((PERTURB_BLOCK, n, k)) per block, which gives
+    the same numbers as that many (n, k) draws; the last block draws more
+    than it uses.  Raises RuntimeError after count * PERTURB_MAX_TRIES
+    proposals.
     """
     if not _orthonormal(E):
         raise ValueError("E must be an (n, k) array of orthonormal columns")
     if not 0.0 < eta < 2.0:
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
     n, k = E.shape
-    projector = E @ E.T
     tau = 0.7 * eta / (np.sqrt(k) + np.sqrt(n - k))
     out = np.empty((count, n, k))
     found, budget = 0, count * PERTURB_MAX_TRIES
@@ -170,9 +170,7 @@ def perturb_subspace(E: np.ndarray, eta: float, count: int,
         size = min(PERTURB_BLOCK, budget)
         budget -= size
         block = _orthonormalize(E + tau * rng.standard_normal((size, n, k)))
-        diff = projector - block @ np.swapaxes(block, 1, 2)
-        near = block[np.linalg.norm(diff, 2, axis=(1, 2)) <= eta]
-        near = near[:count - found]
+        near = block[distances_to(E, block) <= eta][:count - found]
         out[found:found + len(near)] = near
         found += len(near)
     return out

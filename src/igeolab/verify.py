@@ -32,10 +32,9 @@ from .geometry import bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
-    distances_to, haar_bases, _orthonormal
+    distances_to, haar_bases, _orthonormal, _orthonormalize
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
-    affine_image, closed_form_image, section_points, section_stats, \
-    _volume_preserving
+    affine_image, section_points, section_stats, _volume_preserving
 from .functionals import ExponentSpec, powz, grassmann_average_I, \
     affine_average_I, simplex_moment, _blocked, _common_dim, _frame_mean
 from .rearrange import rearrangement
@@ -163,9 +162,9 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
             _need(np.isfinite(f.support_radius), "method",
                   "Monte Carlo section stats need bounded supports")
             continue
-        image = f if g is None else closed_form_image(f, _stand_in(g, f.n))
+        image = f if g is None else affine_image(f, _stand_in(g, f.n))
         for model, where in ((f, ""), (image, " under this map")):
-            _need(model is not None and model.exact_sections(dim), param,
+            _need(model.exact_sections(dim), param,
                   f"{type(f).__name__}{where} has no exact sections of "
                   f"dimension {dim}{hint}")
 
@@ -397,11 +396,9 @@ def _drawn_map(g, n: int, rng: np.random.Generator):
     a, shift = g
     name = a if isinstance(a, str) else None
     if name == "rotation":
-        q_mat, r_mat = np.linalg.qr(rng.normal(size=(n, n)))
-        q_mat *= np.sign(np.diagonal(r_mat))
-        if np.linalg.det(q_mat) < 0:
-            q_mat[:, 0] = -q_mat[:, 0]
-        a = q_mat
+        a = _orthonormalize(rng.standard_normal((1, n, n)))[0]
+        if np.linalg.det(a) < 0:
+            a[:, 0] = -a[:, 0]
     elif name == "shear":
         a = np.eye(n)
         iu = np.triu_indices(n, k=1)
@@ -677,8 +674,9 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
 # ---------------------------------------------------------------------------
 
 def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
-    """Per-point fiber statistics for a block of subspaces, read by one
-    section_stats call.
+    """Per-point fiber statistics for a stack of subspaces, read by one
+    section_stats call per block of FIBER_ROWS // (n_x + 1) subspaces, the
+    last one shorter; no statistic depends on the blocks.
 
     bases (m, n, k) holds the subspaces' orthonormal bases and ys
     (m, n_x, n) draws of f for each.  The fibers of a subspace are the
@@ -695,34 +693,19 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     comp = np.linalg.qr(bases, mode="complete")[0][..., k:]
     offsets = np.zeros((m, n_x + 1, n))
     offsets[:, :n_x] = feet
-    l1, sup, _ = section_stats(f, np.repeat(comp, n_x + 1, axis=0),
-                               offsets.reshape(-1, n))
+    offsets = offsets.reshape(-1, n)
+    l1, sup = np.empty((2, len(offsets)))
+    per_block = max(1, FIBER_ROWS // (n_x + 1))
+    for start in range(0, m, per_block):
+        rows = slice(start * (n_x + 1), (start + per_block) * (n_x + 1))
+        l1[rows], sup[rows] = section_stats(
+            f, np.repeat(comp[start:start + per_block], n_x + 1, axis=0),
+            offsets[rows])[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
     t_vals = t_vals.reshape(m, n_x + 1)
     return (t_vals[:, :-1], l1.reshape(m, n_x + 1)[:, :-1], _row_norms(feet),
             t_vals[:, -1])
-
-
-def _haar_fibers(f: DensityModel, k: int, n_x: int, streams):
-    """_fiber_statistics of one Haar k-subspace per stream, stacked over the
-    streams.  Each stream draws its subspace, haar_bases(n, k, 1, stream)[0],
-    then its n_x points of f; the fibers are read in blocks of
-    FIBER_ROWS // (n_x + 1) subspaces, the last one shorter."""
-    n, m = f.n, len(streams)
-    stats = (np.empty((m, n_x)), np.empty((m, n_x)), np.empty((m, n_x)),
-             np.empty(m))
-    per_block = max(1, FIBER_ROWS // (n_x + 1))
-    for start in range(0, m, per_block):
-        block = streams[start:start + per_block]
-        bases = np.empty((len(block), n, k))
-        ys = np.empty((len(block), n_x, n))
-        for i, stream in enumerate(block):
-            bases[i] = haar_bases(n, k, 1, stream)[0]
-            ys[i] = f.sample(n_x, stream)
-        for out, value in zip(stats, _fiber_statistics(f, bases, ys)):
-            out[start:start + len(block)] = value
-    return stats
 
 
 def _quantiles(values: np.ndarray, qs) -> np.ndarray:
@@ -788,16 +771,20 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
 
     rng spawns n_subspaces + 1 streams: one per sampled subspace, for its
     Haar draw and then its n_x points, and the last for the adversarial
-    subspace's n_x points.  The fibers are read by one section_stats call
-    per block of FIBER_ROWS rows (see _haar_fibers); the adversarial
-    subspace is a block of its own.
+    subspace's n_x points.  The adversarial subspace, when supplied, is the
+    last row of the one stack whose fibers _fiber_statistics reads.
     """
     _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial)
     n = f.n
     kn = k * n
     sup_root = f.sup ** (1.0 / n)
     streams = rng.spawn(n_subspaces + 1)
-    t_all, l1_all, r_all, origin_stats = _haar_fibers(f, k, n_x, streams[:-1])
+    rows = [(haar_bases(n, k, 1, stream)[0], f.sample(n_x, stream))
+            for stream in streams[:-1]]
+    if adversarial is not None:
+        rows.append((adversarial, f.sample(n_x, streams[-1])))
+    stats = _fiber_statistics(f, *map(np.stack, zip(*rows)))
+    t_all, l1_all, r_all, origin_stats = (v[:n_subspaces] for v in stats)
     averages = t_all.mean(axis=1)
 
     c2 = max(_fit_quantile_constant(averages, s, kn),
@@ -843,10 +830,8 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
           and bad_frac <= envelope + bad_slack
           and worst_b_frac <= t ** (-kn) + 1e-12)
     if adversarial is not None:
-        t_vals, _, _, adv_origin = _fiber_statistics(
-            f, adversarial[None], f.sample(n_x, streams[-1])[None])
-        adv_avg = float(t_vals.mean())
-        detected = adv_avg > threshold or float(adv_origin[0]) > threshold
+        adv_avg = float(stats[0][-1].mean())
+        detected = adv_avg > threshold or float(stats[3][-1]) > threshold
         diagnostics["adversarial_average"] = adv_avg
         diagnostics["adversarial_threshold"] = threshold
         diagnostics["adversarial_detected"] = detected

@@ -377,6 +377,11 @@ def check_section(fields):
     # an axis is an integer, and JSON's true is not one
     (MARGINAL, {"adversarial": "[true]"}, "adversarial"),
     (PERTURBATION, {"subspace": "[true]"}, "subspace"),
+    # nor is it an entry of a matrix: these would load as I and e1
+    (LINEAR, {"map": "[[true, false], [false, true]]"}, "map"),
+    (PERTURBATION, {"subspace": "[[true], [false]]"}, "subspace"),
+    (MARGINAL, {"adversarial": "[[true], [false]]"}, "adversarial"),
+    (AFFINE, {"shift": "[true, false]"}, "shift"),
     # a basis has n = 2 rows and at least one column
     (PERTURBATION, {"subspace": "[[1.0, 0.0]]"}, "subspace"),
     (PERTURBATION, {"subspace": "[]"}, "subspace"),
@@ -396,7 +401,9 @@ def check_section(fields):
         "bp-subspace-subspaces-3", "bp-flat-flats-3",
         "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
-        "adversarial-bool-axis", "subspace-bool-axis", "subspace-one-row",
+        "adversarial-bool-axis", "subspace-bool-axis", "map-bool-matrix",
+        "subspace-bool-basis", "adversarial-bool-basis", "shift-bool-vector",
+        "subspace-one-row",
         "subspace-no-axes",
         "linear-mc-unbounded", "grinberg-mc-unbounded",
         "linear-exact-product-plane", "linear-exact-truncated-shear",
@@ -464,6 +471,14 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
       "factors": '[{"heights": [1.0]}, {"heights": [0.0, 0.0]}]'},
      "factors"),
     ({"text": "product n=2\n1.0\n0.0 0.0\n"}, "factors"),
+    # JSON's true and false are no entries of a vector or matrix
+    ({"kind": '"truncated_gaussian"', "center": "[true, false]", "tau": "1.0",
+      "radius": "1.0"}, "center"),
+    ({"kind": '"gaussian"', "mean": "[0.0, 0.0]",
+      "cov": "[[true, false], [false, true]]"}, "cov"),
+    ({"kind": '"radial"', "n": "2", "radius": "1.0", "heights": "[true]"},
+     "heights"),
+    ({"kind": '"product"', "factors": '[{"heights": [true]}]'}, "factors"),
     ({"kind": '"gaussian"', "mean": "[]"}, "mean"),
     ({"kind": '"truncated_gaussian"', "center": "[[0.0]]", "tau": "1.0",
       "radius": "1.0"}, "center"),
@@ -521,7 +536,8 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
         "zero-amplitude", "product-negative-amplitude",
         "truncated-negative-amplitude", "truncated-zero-amplitude",
         "ellipsoid-zero-amplitude", "radial-zero-heights",
-        "product-zero-factor", "text-product-zero-factor", "empty-mean",
+        "product-zero-factor", "text-product-zero-factor", "bool-center",
+        "bool-cov", "bool-heights", "bool-factor-heights", "empty-mean",
         "matrix-center", "indefinite-shape", "asymmetric-shape",
         "short-center", "indefinite-cov", "cov-size-mismatch",
         "negative-scalar-cov", "missing-file", "overflowing-radius",

@@ -163,12 +163,6 @@ def test_mc_section_stats_agree_with_exact_rows(seed, family, n, k, aligned):
                                             np.random.default_rng(seed))
     assert np.all(np.abs(mc_mass - mass) <= 4.0 * mc_err + 1e-9 * (1 + mass))
     assert np.all(mc_sup <= sup * (1 + 1e-9))
-    # a single flat is the one-row stack, draw for draw
-    l1, linf, l1_err = section_stats(f, bases[0][None], offsets[0][None],
-                                     method, np.random.default_rng(seed))
-    one = section_stats(f, bases[:1], offsets[:1], method,
-                        np.random.default_rng(seed))
-    assert (l1[0], l1_err[0], linf[0]) == (one[0][0], one[2][0], one[1][0])
 
 
 # uniform window points of the sampler oracle, shared by a stack's rows

@@ -10,6 +10,7 @@ import csv
 import functools
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -289,10 +290,13 @@ def test_affine_anisotropy_wrong_sum_fails(rng):
 
 
 def counting_affine_image(monkeypatch):
+    """ids of the densities that verify._images maps; the rules' stand-in
+    probes of affine_image are not counted."""
     mapped = []
 
     def spy(f, g):
-        mapped.append(id(f))
+        if sys._getframe(1).f_code is verify._images.__code__:
+            mapped.append(id(f))
         return affine_image(f, g)
 
     monkeypatch.setattr(verify, "affine_image", spy)
@@ -333,6 +337,23 @@ def test_stand_in_image_is_of_the_drawn_image_family(family, name, shift,
     for _ in range(5):
         drawn = verify._drawn_map(g, f.n, rng)
         assert type(affine_image(f, drawn)) is family_at_load
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_drawn_rotation_is_a_haar_rotation(n):
+    rng = np.random.default_rng(n)
+    a, shift = verify._drawn_map(("rotation", None), n, rng)
+    assert shift is None
+    assert np.abs(a.T @ a - np.eye(n)).max() <= 1e-12
+    assert abs(np.linalg.det(a) - 1.0) <= 1e-12
+    # one standard_normal((n, n)) draw, whose sign-fixed QR factor it is
+    # (with the first column flipped when that has det -1)
+    ref = np.random.default_rng(n)
+    q, r = np.linalg.qr(ref.standard_normal((n, n)))
+    q *= np.sign(np.diagonal(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    assert np.abs(a - q).max() <= 1e-12
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +494,23 @@ def test_marginal_bound_requires_probability_density(rng):
                                   n_x=10, rng=rng)
 
 
-def _fibers_one_subspace_at_a_time(f, k, n_x, streams):
-    """The per-subspace loop the block fiber statistics replace: per
-    stream, one Haar basis, n_x points and one section_stats call over
-    n_x + 1 fibers spanned by the broadcast complement."""
+def _fibers_one_subspace_at_a_time(f, rows):
+    """The per-subspace loop the stacked fiber statistics replace: per
+    (basis, points) row, one section_stats call over n_x + 1 fibers
+    spanned by the broadcast complement."""
     n = f.n
-    rows = []
-    for stream in streams:
-        E = haar_bases(n, k, 1, stream)[0]
-        feet = f.sample(n_x, stream) @ (E @ E.T).T
+    out = []
+    for E, points in rows:
+        k = E.shape[1]
+        feet = points @ (E @ E.T).T
         complement = np.linalg.qr(E, mode="complete")[0][:, k:]
         l1, sup, _ = section_stats(
-            f, np.broadcast_to(complement, (n_x + 1, n, n - k)),
+            f, np.broadcast_to(complement, (len(feet) + 1, n, n - k)),
             np.vstack([feet, np.zeros(n)]))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
-        rows.append((t[:-1], l1[:-1], np.linalg.norm(feet, axis=1), t[-1]))
-    return [np.array(column) for column in zip(*rows)]
+        out.append((t[:-1], l1[:-1], np.linalg.norm(feet, axis=1), t[-1]))
+    return [np.array(column) for column in zip(*out)]
 
 
 FIBER_FAMILIES = {
@@ -508,24 +529,18 @@ def test_fiber_blocks_match_one_subspace_at_a_time(monkeypatch, family,
     f = FIBER_FAMILIES[family]
     n_x = 30
     if per_block:
-        # 7 subspaces in blocks of 3, 3 and 1
+        # 8 subspaces in blocks of 3, 3 and 2
         monkeypatch.setattr(verify, "FIBER_ROWS", per_block * (n_x + 1) + 2)
-    got = verify._haar_fibers(f, 1, n_x, np.random.default_rng(5).spawn(7))
-    want = _fibers_one_subspace_at_a_time(f, 1, n_x,
-                                          np.random.default_rng(5).spawn(7))
+    # the stack marginal_bound_experiment builds: per stream a Haar basis,
+    # then its points; the adversarial subspace in the last row
+    rows = [(haar_bases(f.n, 1, 1, stream)[0], f.sample(n_x, stream))
+            for stream in np.random.default_rng(5).spawn(7)]
+    rows.append((axis_subspace(f.n, [0]),
+                 f.sample(n_x, np.random.default_rng(6))))
+    got = verify._fiber_statistics(f, *map(np.stack, zip(*rows)))
+    want = _fibers_one_subspace_at_a_time(f, rows)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    # the adversarial subspace's one-subspace block
-    E = axis_subspace(f.n, [0])
-    t, l1, r, t0 = verify._fiber_statistics(
-        f, E[None], f.sample(n_x, np.random.default_rng(6))[None])
-    feet = f.sample(n_x, np.random.default_rng(6)) @ (E @ E.T).T
-    complement = np.linalg.qr(E, mode="complete")[0][:, 1:]
-    mass, sup, _ = section_stats(
-        f, np.broadcast_to(complement, (n_x + 1, f.n, f.n - 1)),
-        np.vstack([feet, np.zeros(f.n)]))
-    assert np.array_equal(l1[0], mass[:-1])
-    assert np.array_equal(r[0], np.linalg.norm(feet, axis=1))
 
 
 def test_small_ball_fractions_count_like_a_sorted_search():
