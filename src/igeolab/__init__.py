@@ -26,7 +26,7 @@ from .verify import check_affine_invariance, check_bp_flat, \
     gaussian_sharpness_experiment, marginal_bound_experiment, \
     perturbation_experiment
 from .config import CheckJob, ConfigError, RunConfig, build_density, \
-    check_names, load_config, read_density_text
+    check_names, load_config
 from .runner import run_suite
 
 # the public names, not the submodules that importing them binds

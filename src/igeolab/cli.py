@@ -4,8 +4,8 @@
     igeolab table results_a.csv [results_b.csv ...]
     igeolab list-checks
 
-IGEOLAB_OUTPUT_DIR overrides the configured output directory and
-IGEOLAB_JOBS the thread count.
+IGEOLAB_OUTPUT_DIR, when set and nonempty, overrides the configured output
+directory.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _parse_args(argv):
     run_p.add_argument("--config", required=True, help="suite config file")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the configured master seed")
-    run_p.add_argument("--jobs", type=_positive_int, default=None,
+    run_p.add_argument("--jobs", type=_positive_int, default=1,
                        help="checks run at once, on threads of this "
                        "process (default 1)")
 
@@ -58,29 +58,16 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("IGEOLAB_JOBS")
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError:
-            print(f"ignoring IGEOLAB_JOBS={env!r}: not a positive integer",
-                  file=sys.stderr)
-    return 1
-
-
 def _cmd_run(args) -> int:
     try:
         config = load_config(
             args.config, seed_override=args.seed,
-            output_override=os.environ.get("IGEOLAB_OUTPUT_DIR"))
+            output_override=os.environ.get("IGEOLAB_OUTPUT_DIR") or None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_suite(config, jobs=_jobs_from(args))
+        return run_suite(config, jobs=args.jobs)
     except OSError as exc:
         print(f"cannot write results to {config.output_dir}: {exc}",
               file=sys.stderr)

@@ -1,14 +1,13 @@
 """Run configuration: flat INI-style files with JSON values.
 
-A config file has one [run] section, any number of [density <name>]
-sections (inline specs or pointers to density text files), and any number
-of [check <label>] sections.  Every value is parsed as JSON, so strings
+A config file has one [run] section and any number of [density <name>]
+and [check <label>] sections.  Every value is parsed as JSON, so strings
 are quoted and vectors/matrices are plain JSON arrays.  Every problem is a
 ConfigError naming the section and field, raised before any sampling.
 
 Config reads each field in the JSON shape it takes and names the field of
 every error; the rules on the values live with the code they guard.  A
-density section is read as the spec map it stands for and handed to the
+density section is a spec map, each field read and handed to the
 family's constructor; config keeps two rules of its own: amplitudes are
 positive and the mass is positive and finite.  A check map is parsed once,
 by load_config, into the keyword arguments of its verify function
@@ -25,7 +24,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,8 +37,8 @@ from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
 from .functionals import ExponentSpec
 
 __all__ = ["ConfigError", "CheckJob", "RunConfig", "load_config",
-           "build_density", "read_density_text", "CHECKS", "check_names",
-           "describe_check", "report_name"]
+           "build_density", "CHECKS", "check_names", "describe_check",
+           "report_name"]
 
 
 class ConfigError(ValueError):
@@ -68,7 +66,7 @@ class RunConfig:
     output_dir: str
     densities: dict[str, DensityModel]
     checks: list[CheckJob] = field(default_factory=list)
-    # parsed spec map per density; a file density's text under "text"
+    # parsed spec map per density
     density_specs: dict[str, dict] = field(default_factory=dict)
 
     def resolved_hash(self) -> str:
@@ -88,13 +86,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Density specs.
 # ---------------------------------------------------------------------------
-
-def _read_text(path: str, base_dir: str) -> str:
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
 
 def _positive(raw) -> float:
     value = _number(raw)
@@ -130,20 +121,6 @@ def _factor(raw) -> Step1D:
                           _array(1)(raw["heights"]))
 
 
-def build_density(spec: dict, base_dir: str = ".") -> DensityModel:
-    """Build one density from a parsed spec map.
-
-    kinds: file, gaussian, ellipsoid, truncated_gaussian, radial, product.
-    normalize = true rescales to unit mass after construction.  Each field
-    is read as the JSON shape it takes (a number, an integer n >= 1, an
-    array) and passed to the family's constructor, which owns every rule
-    on its parameters; a broken rule is a ConfigError naming the field the
-    parameter came from.  Two rules are the config file's own: amplitudes
-    are positive, and the mass is positive and finite.
-    """
-    return _build_density(spec, base_dir)[0]
-
-
 # A constructor parameter that config builds from another field when the
 # spec does not give it, and that field: a ball's shape matrix and a
 # uniform grid's edges come from its radius.
@@ -153,12 +130,19 @@ _SOURCE_FIELD = {"shape": "radius", "edges": "radius"}
 _MASS_FIELD = {"radial": "heights", "product": "factors"}
 
 
-def _build_density(spec: dict, base_dir: str):
-    """build_density's model, and the text of a file density (else None),
-    read once so that the config hash covers the text that was parsed."""
+def build_density(spec: dict) -> DensityModel:
+    """Build one density from a parsed spec map.
+
+    kinds: gaussian, ellipsoid, truncated_gaussian, radial, product.
+    normalize = true rescales to unit mass after construction.  Each field
+    is read as the JSON shape it takes (a number, an integer n >= 1, an
+    array) and passed to the family's constructor, which owns every rule
+    on its parameters; a broken rule is a ConfigError naming the field the
+    parameter came from.  Two rules are the config file's own: amplitudes
+    are positive, and the mass is positive and finite.
+    """
     given = set(spec)
     spec = dict(spec)
-    text = None
 
     def take(name, parse=_array(1), default=_REQUIRED):
         if name not in spec:
@@ -167,7 +151,7 @@ def _build_density(spec: dict, base_dir: str):
             return default
         try:
             return parse(spec.pop(name))
-        except (ValueError, TypeError, ArithmeticError, OSError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ConfigError("density", name, str(exc)) from exc
 
     def dim(raw):
@@ -178,10 +162,7 @@ def _build_density(spec: dict, base_dir: str):
     kind = spec.pop("kind", None)
     normalize = take("normalize", _flag, False)
     try:
-        if kind == "file":
-            text = take("path", lambda raw: _read_text(raw, base_dir))
-            f = read_density_text(text)
-        elif kind == "gaussian":
+        if kind == "gaussian":
             mean = take("mean") if "mean" in spec else np.zeros(take("n", dim))
             eye = np.eye(mean.size)  # a number is a multiple of the identity
             cov = take("cov", lambda raw: _array(2)(raw) if np.ndim(raw)
@@ -239,71 +220,7 @@ def _build_density(spec: dict, base_dir: str):
             raise ConfigError("density", "normalize", f"the density's mass "
                               f"is {mass:g}, too small to rescale to 1: "
                               f"{exc}") from exc
-    return f, text
-
-
-# Density text files:
-#
-#   radial n=<n> R=<R> bins=<m>
-#   h_1 ... h_m                      (shell heights on [0, R])
-#
-#   product n=<n>
-#   h_1 ... h_m1                     (factor 1 heights on [-1/2, 1/2])
-#   ...                              (one line per factor)
-#
-# A text is another way to write a radial or product spec map, and
-# build_density checks its numbers.  bins (radial) and n (product) restate
-# the number of heights and of factor lines.
-
-_TEXT_HEADERS = {"radial": ("n", "R", "bins"), "product": ("n",)}
-
-
-def _text_value(token: str):
-    """int, else float, else the token itself for a field parser to reject."""
-    for parse in (int, float):
-        try:
-            return parse(token)
-        except ValueError:
-            pass
-    return token
-
-
-def read_density_text(text: str) -> DensityModel:
-    """Density from its text form.  A malformed text is a ConfigError
-    naming the field as the text spells it."""
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    kind = lines[0][0] if lines else None
-    if kind not in _TEXT_HEADERS:
-        raise ConfigError("density", "kind", "density text must start with "
-                          f"radial or product, got {kind!r}")
-    head = {}
-    for key, _, raw in (part.partition("=") for part in lines[0][1:]):
-        if key not in _TEXT_HEADERS[kind] or key in head:
-            raise ConfigError("density", key, "unknown or repeated field")
-        head[key] = _text_value(raw)
-    for key in _TEXT_HEADERS[kind]:
-        if key not in head:
-            raise ConfigError("density", key, "missing field")
-    rows = [[_text_value(tok) for tok in ln] for ln in lines[1:]]
-    if kind == "radial":
-        if len(rows) != 1:
-            raise ConfigError("density", "heights",
-                              "radial text has one line of heights")
-        spec = {"n": head["n"], "radius": head["R"], "heights": rows[0]}
-        count, given = "bins", len(rows[0])
-    else:
-        spec = {"factors": [{"heights": row} for row in rows]}
-        count, given = "n", len(rows)
-    try:
-        if _number(head[count], lo=1, integer=True) != given:
-            raise ValueError(f"is {head[count]}, but {given} are given")
-    except ValueError as exc:
-        raise ConfigError("density", count, str(exc)) from exc
-    try:
-        return build_density({"kind": kind, **spec})
-    except ConfigError as exc:
-        raise ConfigError("density", "R" if exc.field == "radius"
-                          else exc.field, exc.message) from exc
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +538,6 @@ def load_config(path: str, *, seed_override: int | None = None,
                           exc.message) from exc
     if not read:
         raise ConfigError("run", "path", f"cannot read config file {path!r}")
-    base_dir = os.path.dirname(os.path.abspath(path))
 
     if not parser.has_section("run"):
         raise ConfigError("run", "section", "missing [run] section")
@@ -634,8 +550,8 @@ def load_config(path: str, *, seed_override: int | None = None,
         raise ConfigError("run", "substreams", "only the integer 1 is "
                           f"accepted, got {substreams!r}")
     output_dir = run_raw.pop("output_dir", "igeolab-out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("run", "output_dir", "must be a string path")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("run", "output_dir", "must be a nonempty path")
     if run_raw:
         raise ConfigError("run", ", ".join(sorted(run_raw)),
                           "unknown fields")
@@ -659,9 +575,7 @@ def load_config(path: str, *, seed_override: int | None = None,
                 raise ConfigError(section, "section",
                                   "density sections need a name")
             try:
-                densities[parts[1]], text = _build_density(items, base_dir)
-                if text is not None:
-                    items["text"] = text
+                densities[parts[1]] = build_density(items)
                 density_specs[parts[1]] = items
             except ConfigError as exc:
                 raise ConfigError(section, exc.field, exc.message) from exc

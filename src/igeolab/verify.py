@@ -122,6 +122,17 @@ def _positive_sup(f_list, param: str):
           else "must have a positive sup")
 
 
+def _finite_side(side, param: str) -> float:
+    """Rule: side(), a check's closed-form side, is a finite float; returns
+    it, so that a density too large for the side is refused, not a crash."""
+    try:
+        value = side()
+    except OverflowError:
+        value = math.inf
+    _need(value < math.inf, param, "overflows the check's closed-form side")
+    return value
+
+
 def _subspace_rule(E, n: int, k: int, param: str):
     """Rule: E is a k-dimensional subspace of R^n, an (n, k) array of
     orthonormal columns."""
@@ -301,6 +312,7 @@ def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
           f"(two replicas of >= 2) with an offset exponent; got {n_direct}")
     _at_least(4, n_flats=n_flats)
     _at_least(1, inner=inner)
+    _finite_side(lambda: f.mass ** (k + 1), "f")
     if k < f.n:             # the one flat at k = n is never read
         _readable([f], k, "f")
 
@@ -601,6 +613,13 @@ def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
     _positive_sup(f_list, "f_list")
     _readable(f_list, k, "method", method)
+    q = len(f_list)
+    log_rhs = q * (k + p) / k * math.log(unit_ball_volume(k)) \
+        - q * (k + p) / n * math.log(unit_ball_volume(n))
+    for f in f_list:
+        log_rhs += (k + p) / n * math.log(f.mass) \
+            + (n - k - p) / n * math.log(f.sup)
+    return _finite_side(lambda: math.exp(log_rhs), "f_list")
 
 
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
@@ -615,22 +634,17 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     verdict to the two-sided band (indicator-of-ball and common-ellipsoid
     tuples).
     """
-    _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality)
+    rhs = _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality)
     n = f_list[0].n
     q = len(f_list)
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
     lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method)
-    log_rhs = q * (k + p) / k * math.log(unit_ball_volume(k)) \
-        - q * (k + p) / n * math.log(unit_ball_volume(n))
-    for f in f_list:
-        log_rhs += (k + p) / n * math.log(f.mass) \
-            + (n - k - p) / n * math.log(f.sup)
     return _bound_report(
         "grinberg_functional", {"n": n, "k": k, "q": q, "p": p,
                                 "n_subspaces": n_subspaces, "method": method},
-        lhs, Estimate.exact(math.exp(log_rhs)), expect_equality)
+        lhs, Estimate.exact(rhs), expect_equality)
 
 
 def _schneider_rules(f, k, R, n_flats, method, expect_equality):
@@ -639,6 +653,12 @@ def _schneider_rules(f, k, R, n_flats, method, expect_equality):
     _at_least(2, n_flats=n_flats)
     _need(np.isfinite(f.support_radius), "f", "needs a bounded support")
     _readable([f], k, "method", method)
+    n = f.n
+    log_c = (n + 1) * math.log(unit_ball_volume(k)) \
+        + math.log(unit_ball_volume(n * (k + 1))) \
+        - (k + 1) * math.log(unit_ball_volume(n)) \
+        - math.log(unit_ball_volume(k * (n + 1)))
+    return _finite_side(lambda: math.exp(log_c) * f.mass ** (k + 1), "f")
 
 
 def check_schneider_functional(f: DensityModel, k: int, R: float,
@@ -653,20 +673,15 @@ def check_schneider_functional(f: DensityModel, k: int, R: float,
     mass^(k+1).  Ball and shifted-ellipsoid indicators sit in the equality
     case.
     """
-    _schneider_rules(f, k, R, n_flats, method, expect_equality)
+    rhs = _schneider_rules(f, k, R, n_flats, method, expect_equality)
     n = f.n
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
     window = max(R, f.support_radius)
     lhs = affine_average_I([f, f], spec, k, window, n_flats, rng, method)
-    log_c = (n + 1) * math.log(unit_ball_volume(k)) \
-        + math.log(unit_ball_volume(n * (k + 1))) \
-        - (k + 1) * math.log(unit_ball_volume(n)) \
-        - math.log(unit_ball_volume(k * (n + 1)))
     return _bound_report(
         "schneider_functional", {"n": n, "k": k, "R": window,
                                  "n_flats": n_flats, "method": method},
-        lhs, Estimate.exact(math.exp(log_c) * f.mass ** (k + 1)),
-        expect_equality)
+        lhs, Estimate.exact(rhs), expect_equality)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +810,10 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     envelope = 2.0 * s ** (-kn)
     bad_slack = 3.0 * math.sqrt(envelope * (1 - envelope) / n_subspaces)
 
-    # pointwise bound off the per-subspace Markov sets
-    point_threshold = (c2 * s * t) ** kn
+    # pointwise bound off the per-subspace Markov sets; a threshold past
+    # the float range is inf, which every point passes
+    with np.errstate(over="ignore"):
+        point_threshold = np.float64(c2 * s * t) ** kn
     # (powers are taken after each max: x -> x^(1/k) / C is monotone)
     off = t_all[~bad] < point_threshold
     worst_b_frac = float((1.0 - off.mean(axis=1)).max(initial=0.0))
@@ -1002,6 +1019,8 @@ def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,
 def _sharpness_rules(n, k, s, n_subspaces):
     _need(n >= 2, "n", f"must be >= 2, got {n}")
     _k_up_to(k, n - 1)
+    # sigma^2 = (2 pi)^(-n/k) stays a normal float: (2 pi)^-385 > DBL_MIN
+    _need(n <= 385 * k, "n", f"must be <= 385 k = {385 * k}, got {n}")
     top = (2 * math.pi) ** (n / (2.0 * k))   # sigma^-1
     _need(1.0 <= s <= top, "s", f"must lie in [1, {top:.6g}], got {s}")
     _at_least(2, n_subspaces=n_subspaces)

@@ -56,48 +56,48 @@ def test_seed_and_output_overrides(tmp_path):
     assert cfg.resolved_hash() != load_config(path).resolved_hash()
 
 
+def test_empty_output_dir_rejected(tmp_path):
+    # "" would write results.csv and reports/ into the working directory
+    body = MINIMAL.replace('output_dir = "out"', 'output_dir = ""')
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, body))
+    assert (err.value.section, err.value.field) == ("run", "output_dir")
+
+
 def test_density_builders():
-    gauss = build_density({"kind": "gaussian", "n": 3}, ".")
+    gauss = build_density({"kind": "gaussian", "n": 3})
     assert isinstance(gauss, GaussianDensity) and gauss.n == 3
     skew = build_density({"kind": "gaussian", "mean": [0.0, 1.0],
-                          "cov": [[2.0, 0.1], [0.1, 0.5]]}, ".")
+                          "cov": [[2.0, 0.1], [0.1, 0.5]]})
     assert skew.cov[0][0] == 2.0
     ell = build_density({"kind": "ellipsoid", "shape": [[1.0, 0.0], [0.0, 4.0]],
-                         "center": [0.5, 0.0]}, ".")
+                         "center": [0.5, 0.0]})
     assert isinstance(ell, EllipsoidIndicator)
     trunc = build_density({"kind": "truncated_gaussian", "n": 2, "tau": 0.5,
-                           "radius": 1.0}, ".")
+                           "radius": 1.0})
     assert isinstance(trunc, TruncatedGaussian)
     assert trunc.mass == pytest.approx(1.0)  # built normalized
     rad = build_density({"kind": "radial", "radius": 1.0,
-                         "heights": [2.0, 1.0], "n": 2}, ".")
+                         "heights": [2.0, 1.0], "n": 2})
     assert isinstance(rad, RadialGridDensity)
     prod = build_density({"kind": "product",
                           "factors": [{"heights": [1.0, 2.0]},
-                                      {"heights": [1.0], "lo": -1.0, "hi": 1.0}]}, ".")
+                                      {"heights": [1.0], "lo": -1.0, "hi": 1.0}]})
     assert isinstance(prod, ProductDensity)
     assert prod.factors[1].hi == 1.0
 
 
 def test_density_normalize_flag():
     f = build_density({"kind": "ellipsoid", "n": 2, "radius": 2.0,
-                       "normalize": True}, ".")
+                       "normalize": True})
     assert f.mass == pytest.approx(1.0)
 
 
 def test_density_rejects_unknown_fields():
     with pytest.raises(ConfigError):
-        build_density({"kind": "gaussian", "n": 2, "wobble": 3}, ".")
+        build_density({"kind": "gaussian", "n": 2, "wobble": 3})
     with pytest.raises(ConfigError):
-        build_density({"kind": "mystery", "n": 2}, ".")
-
-
-def test_density_file_kind(tmp_path):
-    txt = tmp_path / "box.txt"
-    txt.write_text("product n=2\n1.0 2.0\n1.0\n")
-    f = build_density({"kind": "file", "path": "box.txt"}, str(tmp_path))
-    assert isinstance(f, ProductDensity)
-    assert f.n == 2
+        build_density({"kind": "mystery", "n": 2})
 
 
 def test_unknown_check_rejected(tmp_path):
@@ -347,6 +347,16 @@ def check_section(fields):
     kind = "product"
     factors = [{"heights": %s}, {"heights": %s}]
 
+    [density loud]
+    kind = "ellipsoid"
+    n = 2
+    amplitude = 1e200
+
+    [density loud3]
+    kind = "ellipsoid"
+    n = 3
+    amplitude = 1e300
+
     [check bad]
 """ % (HUGE_HEIGHTS, HUGE_HEIGHTS) + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
@@ -445,17 +455,19 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
       "heights": "[1.0, -0.5]"}, "heights"),
     ({"kind": '"radial"', "n": "2", "radius": "1.0", "heights": "[]"},
      "heights"),
-    ({"text": "radial n=3 R=1\n1.0\n"}, "bins"),
-    ({"text": "radial n=3 R=1 bins=2\n1.0\n"}, "bins"),
-    ({"text": "radial n=3 R=nan bins=1\n1.0\n"}, "R"),
-    ({"text": "radial n=3 R=inf bins=1\n1.0\n"}, "R"),
-    ({"text": "radial n=0 R=1 bins=1\n1.0\n"}, "n"),
-    ({"text": "radial n=-1 R=1 bins=1\n1.0\n"}, "n"),
-    ({"text": "radial n=3 R=1 bins=1 x=4\n1.0\n"}, "x"),
-    ({"text": "radial n=2 R=1 bins=2\n1.0 -0.5\n"}, "heights"),
-    ({"text": "product n=3\n1.0 2.0\n1.0\n"}, "n"),
-    ({"text": "product n=2\n1.0 x\n1.0\n"}, "factors"),
-    ({"text": "sphere n=2\n1.0\n"}, "kind"),
+    ({"kind": '"radial"', "n": "3", "radius": "NaN", "heights": "[1.0]"},
+     "radius"),
+    ({"kind": '"radial"', "n": "3", "radius": "Infinity",
+      "heights": "[1.0]"}, "radius"),
+    ({"kind": '"radial"', "n": "0", "radius": "1.0", "heights": "[1.0]"},
+     "n"),
+    ({"kind": '"radial"', "n": "-1", "radius": "1.0", "heights": "[1.0]"},
+     "n"),
+    ({"kind": '"product"',
+      "factors": '[{"heights": [1.0, "x"]}, {"heights": [1.0]}]'},
+     "factors"),
+    # "file" names no density family
+    ({"kind": '"file"', "path": '"box.txt"'}, "kind"),
     ({"kind": '"gaussian"', "n": "2", "amplitude": "-1.0"}, "amplitude"),
     ({"kind": '"gaussian"', "n": "2", "amplitude": "0.0"}, "amplitude"),
     ({"kind": '"product"', "factors": '[{"heights": [1.0]}]',
@@ -470,7 +482,6 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
     ({"kind": '"product"',
       "factors": '[{"heights": [1.0]}, {"heights": [0.0, 0.0]}]'},
      "factors"),
-    ({"text": "product n=2\n1.0\n0.0 0.0\n"}, "factors"),
     # JSON's true and false are no entries of a vector or matrix
     ({"kind": '"truncated_gaussian"', "center": "[true, false]", "tau": "1.0",
       "radius": "1.0"}, "center"),
@@ -490,7 +501,6 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
       "cov": "[[1.0, 0.0], [0.0, -1.0]]"}, "cov"),
     ({"kind": '"gaussian"', "mean": "[0.0, 0.0]", "cov": "[[1.0]]"}, "cov"),
     ({"kind": '"gaussian"', "n": "2", "cov": "-1.0"}, "cov"),
-    ({"kind": '"file"', "path": '"missing.txt"'}, "path"),
     ({"kind": '"ellipsoid"', "n": "2", "radius": "1e200"}, "radius"),
     ({"kind": '"ellipsoid"', "shape": "[[1e-310, 0.0], [0.0, 1e-310]]"},
      "shape"),
@@ -512,7 +522,6 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
       "heights": "[1.0, 0.5]"}, "radius"),
     ({"kind": '"radial"', "n": "2", "edges": "[0.0, 1e200]",
       "heights": "[1.0]"}, "edges"),
-    ({"text": "radial n=2 R=1e200 bins=1\n1.0\n"}, "R"),
     ({"kind": '"radial"', "n": "2", "radius": "1e-200", "heights": "[1.0]"},
      "radius"),
     ({"kind": '"ellipsoid"', "n": "2", "amplitude": "1e-310",
@@ -529,33 +538,28 @@ def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
 ], ids=["nan-cov", "infinite-cov-entry", "nan-radius", "zero-tau",
         "fractional-n", "n-too-large", "unknown-factor-key", "int-flag",
         "normalize-zero-mass", "negative-height", "no-heights",
-        "text-missing-bins", "text-bins-mismatch", "text-nan-radius",
-        "text-infinite-radius", "text-zero-n", "text-negative-n",
-        "text-unknown-key", "text-negative-height", "text-factor-count",
-        "text-bad-height", "text-unknown-kind", "negative-amplitude",
+        "radial-nan-radius", "radial-infinite-radius", "radial-zero-n",
+        "radial-negative-n", "product-string-height", "file-kind",
+        "negative-amplitude",
         "zero-amplitude", "product-negative-amplitude",
         "truncated-negative-amplitude", "truncated-zero-amplitude",
         "ellipsoid-zero-amplitude", "radial-zero-heights",
-        "product-zero-factor", "text-product-zero-factor", "bool-center",
+        "product-zero-factor", "bool-center",
         "bool-cov", "bool-heights", "bool-factor-heights", "empty-mean",
         "matrix-center", "indefinite-shape", "asymmetric-shape",
         "short-center", "indefinite-cov", "cov-size-mismatch",
-        "negative-scalar-cov", "missing-file", "overflowing-radius",
+        "negative-scalar-cov", "overflowing-radius",
         "infinite-mass", "ellipsoid-overflowing-axis",
         "ellipsoid-infinite-mass-radius", "ellipsoid-infinite-mass-shape",
         "underflowing-scalar-cov", "underflowing-cov-axis",
         "overflowing-scalar-cov", "overflowing-tau",
         "radial-overflowing-radius", "radial-overflowing-radius-nan",
-        "radial-overflowing-edges",
-        "text-overflowing-radius", "radial-underflowing-radius",
+        "radial-overflowing-edges", "radial-underflowing-radius",
         "normalize-overflow", "underflowing-ball-volume", "underflowing-tau",
         "truncated-overflowing-radius", "truncated-empty-cut",
         "product-normalize-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_density_fields_rejected(tmp_path, fields, field_name):
-    if "text" in fields:  # a density text file in place of inline fields
-        (tmp_path / "bad.txt").write_text(fields["text"])
-        fields = {"kind": '"file"', "path": '"bad.txt"'}
     body = MINIMAL + "\n    [density bad]\n" + "".join(
         f"    {key} = {value}\n" for key, value in fields.items())
     with pytest.raises(ConfigError) as err:
@@ -683,6 +687,9 @@ TINY = ProductDensity([Step1D.uniform(-2.0, 2.0, [1e-162])] * 2)
 # unit mass, with a sup of 6.25e-326 that underflows to 0
 WIDE = ProductDensity([Step1D.uniform(-2e162, 2e162, [2.5e-163])] * 2)
 HUGE = ProductDensity([Step1D.uniform(-0.5, 0.5, HUGE_HEIGHTS)] * 2)
+# masses whose closed-form sides (mass^2, the Grinberg product) overflow
+LOUD = EllipsoidIndicator.ball(2, amplitude=1e200)
+LOUD3 = EllipsoidIndicator.ball(3, amplitude=1e300)
 SPEC = ExponentSpec((1.0,), (2.0,))
 LINE = np.eye(2)[:, :1]
 # a unit column and a column of norm sqrt(2): not a subspace basis
@@ -731,6 +738,9 @@ RULES = {
     "bp-flat-window-inside-support": (
         lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 0.5, r, inner=4),
         "R", BP_FLAT, {"R": "0.5"}, "R"),
+    "bp-flat-overflowing-mass-power": (
+        lambda r: verify.check_bp_flat(LOUD, 1, 0, 8, 1.0, r, inner=4),
+        "f", BP_FLAT, {"density": '"loud"'}, "density"),
     "linear-k-at-n": (
         lambda r: verify.check_linear_invariance([BALL], SPEC, 2, "shear", 8,
                                                  r),
@@ -851,6 +861,21 @@ RULES = {
     "schneider-negative-window": (
         lambda r: verify.check_schneider_functional(BALL, 1, -1.0, 8, r),
         "R", SCHNEIDER, {"R": "-1.0"}, "R"),
+    "schneider-overflowing-side": (
+        lambda r: verify.check_schneider_functional(LOUD, 1, 0.0, 8, r),
+        "f", SCHNEIDER, {"density": '"loud"'}, "density"),
+    "grinberg-overflowing-side": (
+        lambda r: verify.check_grinberg_functional([LOUD3, LOUD3], 2, 0.0,
+                                                   64, r),
+        "f_list", GRINBERG, {"densities": '["loud3", "loud3"]', "k": "2"},
+        "densities"),
+    "sharpness-sigma-overflow": (
+        lambda r: verify.gaussian_sharpness_experiment(2000, 1, 2.0, 8, r),
+        "n", SHARPNESS, {"n": "2000", "s": "2.0"}, "n"),
+    # sigma^2 = (2 pi)^-500 underflows to 0, whose log the exact form reads
+    "sharpness-sigma-underflow": (
+        lambda r: verify.gaussian_sharpness_experiment(500, 1, 2.0, 8, r),
+        "n", SHARPNESS, {"n": "500", "s": "2.0"}, "n"),
     "schneider-unbounded": (
         lambda r: verify.check_schneider_functional(GAUSS, 1, 0.0, 8, r),
         "f", SCHNEIDER, {"density": '"gauss"'}, "density"),
@@ -966,39 +991,6 @@ def test_hash_covers_density_specs(tmp_path):
     large = load_config(write_config(
         tmp_path, MINIMAL.replace("radius = 1.0", "radius = 2.0")))
     assert large.resolved_hash() != small
-
-
-def test_hash_covers_density_file_text(tmp_path):
-    body = MINIMAL + """
-    [density box]
-    kind = "file"
-    path = "box.txt"
-    """
-    path = write_config(tmp_path, body)
-    txt = tmp_path / "box.txt"
-    txt.write_text("product n=2\n1.0 2.0\n1.0\n")
-    before = load_config(path).resolved_hash()
-    txt.write_text("product n=2\n1.0 3.0\n1.0\n")
-    assert load_config(path).resolved_hash() != before
-
-
-def test_density_file_read_once(tmp_path, monkeypatch):
-    reads = []
-
-    def counting_read(path, base_dir):
-        reads.append(path)
-        return read_text(path, base_dir)
-
-    read_text = config._read_text
-    monkeypatch.setattr(config, "_read_text", counting_read)
-    (tmp_path / "box.txt").write_text("product n=2\n1.0 2.0\n1.0\n")
-    cfg = load_config(write_config(tmp_path, MINIMAL + """
-    [density box]
-    kind = "file"
-    path = "box.txt"
-    """))
-    assert reads == ["box.txt"]
-    assert cfg.density_specs["box"]["text"] == "product n=2\n1.0 2.0\n1.0\n"
 
 
 @pytest.mark.parametrize("relpath", SHIPPED)

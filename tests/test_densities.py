@@ -18,7 +18,6 @@ from igeolab.densities import (DensityModel, EllipsoidIndicator,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _uniform_ball, affine_image,
                                section_stats)
-from igeolab.config import read_density_text
 from igeolab.geometry import _row_norms, unit_ball_volume
 from igeolab.grassmann import haar_bases
 from igeolab.rearrange import rearrangement
@@ -470,45 +469,6 @@ def test_power_of_zero_amplitude():
 
 
 # ---------------------------------------------------------------------------
-# text interchange: each literal text is the text form of the model f
-# beside it
-
-
-def test_text_roundtrip_radial():
-    f = RadialGridDensity(3, np.linspace(0.0, 1.5, 4), np.array([2.0, 1.0, 0.25]))
-    g = read_density_text("radial n=3 R=1.5 bins=3\n2.0 1.0 0.25\n")
-    assert isinstance(g, RadialGridDensity)
-    assert g.n == f.n
-    assert np.array_equal(g.edges, f.edges)
-    assert np.array_equal(g.heights, f.heights)
-    pts = np.array([[0.1, 0, 0], [0.7, 0, 0], [1.4, 0, 0], [2.0, 0, 0]])
-    assert np.allclose(g.eval_many(pts), f.eval_many(pts))
-
-
-def test_text_roundtrip_product():
-    f = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0, 1.0]),
-                        Step1D.uniform(-0.5, 0.5, [0.5, 1.5])])
-    g = read_density_text("product n=2\n1.0 2.0 1.0\n0.5 1.5\n")
-    assert isinstance(g, ProductDensity) and g.amplitude == 1.0
-    for mine, theirs in zip(g.factors, f.factors, strict=True):
-        assert np.array_equal(mine.edges, theirs.edges)
-        assert np.array_equal(mine.heights, theirs.heights)
-    pts = np.array([[0.1, -0.2], [-0.4, 0.3], [0.9, 0.0]])
-    assert np.allclose(g.eval_many(pts), f.eval_many(pts))
-
-
-def test_text_rejects_bad_input():
-    with pytest.raises(ValueError):
-        read_density_text("")
-    with pytest.raises(ValueError):
-        read_density_text("radial n=2 R=1 bins=2\n1.0 -0.5")
-    with pytest.raises(ValueError):
-        read_density_text("sphere n=2\n1.0")
-    with pytest.raises(ValueError):
-        read_density_text("radial n=2 R=1 bins=3\n1.0 0.5")  # bin count mismatch
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 
@@ -618,9 +578,9 @@ def test_package_all_is_pinned():
         "flat_frames", "gaussian_sharpness_experiment",
         "grassmann_average_I", "haar_bases", "load_config",
         "marginal_bound_experiment", "mc_estimate", "merge_estimates",
-        "perturb_subspace", "perturbation_experiment", "read_density_text",
-        "rearrangement", "run_suite", "simplex_moment",
-        "subspace_frames", "unit_ball_volume", "unit_volume_radius"]
+        "perturb_subspace", "perturbation_experiment", "rearrangement",
+        "run_suite", "simplex_moment", "subspace_frames", "unit_ball_volume",
+        "unit_volume_radius"]
 
 
 def test_package_all_names_no_modules():

@@ -475,6 +475,17 @@ def test_marginal_bound_flags_skewed_direction(rng):
     assert rep.diagnostics["adversarial_average"] > rep.diagnostics["adversarial_threshold"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_marginal_bound_point_threshold_past_float_range(rng):
+    # every t > 1 is legal; a pointwise threshold (c2 s t)^(kn) past the
+    # float range lets every point through instead of overflowing
+    skew = GaussianDensity(np.zeros(3), np.diag([1e-4, 1.0, 1.0]))
+    rep = marginal_bound_experiment(skew, k=1, s=2.0, t=1e120, n_subspaces=30,
+                                    n_x=200, rng=rng)
+    assert rep.verdict in (PASS, FAIL)
+    assert rep.diagnostics["worst_point_bad_fraction"] == 0.0
+
+
 def test_marginal_bound_rejects_adversarial_of_wrong_dimension(rng):
     # a plane planted where k = 1 asks for lines used to run to a verdict
     ball = EllipsoidIndicator.ball(3, radius=unit_volume_radius(3))
