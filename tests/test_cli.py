@@ -876,15 +876,28 @@ def test_non_positive_jobs_flag_is_a_usage_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "out").exists()
 
 
-def test_jobs_default_to_one_whatever_the_environment(tmp_path,
-                                                      monkeypatch, capsys):
+def run_with_jobs_env(tmp_path, monkeypatch, capsys, env):
     # --jobs is the one way to ask for threads; the old IGEOLAB_JOBS
-    # variable is not read
+    # variable is not read, whatever it holds
     asked = []
     monkeypatch.setattr(runner, "ThreadPoolExecutor",
                         lambda max_workers: asked.append(max_workers))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("IGEOLAB_JOBS", "2")
+    monkeypatch.setenv("IGEOLAB_JOBS", env)
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY)]) == 2
     assert "IGEOLAB_JOBS" not in capsys.readouterr().err
     assert asked == []      # one worker: the suite runs in process
+
+
+def test_jobs_default_to_one_whatever_the_environment(tmp_path,
+                                                      monkeypatch, capsys):
+    run_with_jobs_env(tmp_path, monkeypatch, capsys, "2")
+
+
+def test_invalid_jobs_env_is_ignored(tmp_path, monkeypatch, capsys):
+    run_with_jobs_env(tmp_path, monkeypatch, capsys, "banana")
+
+
+@pytest.mark.parametrize("env", ["0", "-2"])
+def test_non_positive_jobs_env_is_ignored(tmp_path, monkeypatch, capsys, env):
+    run_with_jobs_env(tmp_path, monkeypatch, capsys, env)
