@@ -454,12 +454,10 @@ CHECKS: dict[str, _Check] = {
          "expect_equality": _EQUALITY},
         verify._grinberg_rules),
     "schneider_functional": _Check(
-        "flat-average mass/sup inequality over a window of radius "
-        "max(R, support radius)",
+        "flat-average mass/sup inequality over a window of the support radius",
         "check_schneider_functional",
-        {"density": _DENSITY, "k": _int(), "R": _real(0.0),
-         "n_flats": _int(), "method": _METHOD,
-         "expect_equality": _EQUALITY},
+        {"density": _DENSITY, "k": _int(), "n_flats": _int(),
+         "method": _METHOD, "expect_equality": _EQUALITY},
         verify._schneider_rules),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",

@@ -62,8 +62,7 @@ def bp_constant(n: int, k: int, q: int) -> float:
 
     Raises TypeError unless n, k and q are integers, and ValueError unless
     1 <= q <= k <= n.  The section identities are non-degenerate only for
-    k <= n - 1; k == n is the endpoint where the constant collapses to 1
-    and is accepted so that the degenerate case stays testable.
+    k <= n - 1; k == n is the endpoint where the constant collapses to 1.
     """
     if not (isinstance(n, int) and isinstance(k, int) and isinstance(q, int)):
         raise TypeError("dimensions must be integers")

@@ -122,15 +122,23 @@ def _positive_sup(f_list, param: str):
           else "must have a positive sup")
 
 
-def _finite_side(side, param: str) -> float:
+def _finite_side(side, param: str, what="the check's closed-form side"):
     """Rule: side(), a check's closed-form side, is a finite float; returns
-    it, so that a density too large for the side is refused, not a crash."""
+    it, so that a parameter that overflows the side, or that takes the log
+    of a ball volume underflowed to 0, is refused, not a crash."""
     try:
         value = side()
-    except OverflowError:
+    except (OverflowError, ValueError):
         value = math.inf
-    _need(value < math.inf, param, "overflows the check's closed-form side")
+    _need(value < math.inf, param, f"puts {what} past the float range")
     return value
+
+
+def _window(r: float, n: int, k: int, param: str):
+    """Rule: the window of k-flats of R^n within r of the origin stays in
+    the float range: r, r^2 and its mass kappa_{n-k} r^(n-k) are finite."""
+    _finite_side(lambda: max(r * r, unit_ball_volume(n - k) * r ** (n - k)),
+                 param, "the flat window")
 
 
 def _subspace_rule(E, n: int, k: int, param: str):
@@ -254,15 +262,13 @@ def _decomposition_report(name: str, parameters: dict, dims: tuple,
 
 
 def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
-    n = _common_dim(f_list)
-    _k_up_to(k, n)
+    _k_up_to(k, _common_dim(f_list) - 1)
     _need(p >= 0.0, "p", f"must be >= 0, got {p}")
     # each budget splits into two replicas of at least 2 samples
     _at_least(4, n_direct=n_direct, n_subspaces=n_subspaces)
     _at_least(1, inner=inner)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
-    if k < n:  # the one section at k = n is never read
-        _readable(f_list, k, "f_list")
+    _readable(f_list, k, "f_list")
 
 
 def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
@@ -288,10 +294,6 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
         return simplex_moment(f_list, p, True, samples, stream).scaled(mass)
 
     def route(stream):
-        if k == n:
-            # single degenerate section: the decomposition collapses to the
-            # direct integral itself
-            return direct(count * inner, stream)
         return _section_route(f_list, functools.partial(subspace_frames, n, k),
                               count, inner, p + (n - k), True, stream)
 
@@ -303,18 +305,17 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
 
 
 def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
-    _k_up_to(k, f.n)
+    _k_up_to(k, f.n - 1)
     _need(p == 0.0 or p >= 1.0, "p", f"must be 0 or >= 1, got {p}")
-    _need(k < f.n or p == 0.0, "k", "offset exponents need k <= n-1")
     _need(0.0 <= R and f.support_radius <= R + 1e-9, "R", f"must cover "
           f"the support radius {f.support_radius:.4g}, got {R}")
+    _window(R, f.n, k, "R")
     _need(n_direct >= (4 if p else 0), "n_direct", "must be >= 0, and >= 4 "
           f"(two replicas of >= 2) with an offset exponent; got {n_direct}")
     _at_least(4, n_flats=n_flats)
     _at_least(1, inner=inner)
     _finite_side(lambda: f.mass ** (k + 1), "f")
-    if k < f.n:             # the one flat at k = n is never read
-        _readable([f], k, "f")
+    _readable([f], k, "f")
 
 
 def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
@@ -329,20 +330,6 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     """
     _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
     n = f.n
-    printed = bp_constant(n, k, k)
-    parameters = {"n": n, "k": k, "q": k, "p": p, "R": R,
-                  "n_direct": n_direct, "n_flats": n_flats}
-    if k == n and p == 0.0:
-        # single degenerate flat (the whole space), zero exponent, unit
-        # constant: both sides are the exact power of the mass
-        lhs = Estimate.exact(f.mass ** (k + 1))
-        return CheckReport(
-            name="bp_flat", parameters=parameters, lhs=lhs, rhs=lhs,
-            verdict=PASS,
-            diagnostics={"printed_constant": printed,
-                         "fitted_constant": 1.0,
-                         "fitted_over_printed": 1.0 / printed,
-                         "degenerate": True})
 
     def ambient(half):
         if p == 0.0:
@@ -352,7 +339,9 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 
     frames = functools.partial(flat_frames, n, k, R)
     return _decomposition_report(
-        "bp_flat", parameters, (n, k, k), ambient,
+        "bp_flat", {"n": n, "k": k, "q": k, "p": p, "R": R,
+                    "n_direct": n_direct, "n_flats": n_flats},
+        (n, k, k), ambient,
         lambda stream: _section_route([f] * (k + 1), frames, n_flats // 2,
                                       inner, p + (n - k), False, stream),
         rng)
@@ -473,9 +462,11 @@ def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
     _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
     _need(R >= 0.0, "R", f"must be >= 0, got {R}")
+    _window(R, n, k, "R")
     _at_least(2, n_flats=n_flats)
     _need(all(np.isfinite(f.support_radius) for f in f_list), "f_list",
           "flat averages need bounded supports")
+    _window(max(f.support_radius for f in f_list), n, k, "f_list")
     # g[i] names the i-th entry of the pair: config's map and shift fields
     _volume_map(g[0], n, "g[0]")
     _name_or_array(g[1], ("random",), (n,), "g[1]")
@@ -614,12 +605,15 @@ def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
     _positive_sup(f_list, "f_list")
     _readable(f_list, k, "method", method)
     q = len(f_list)
-    log_rhs = q * (k + p) / k * math.log(unit_ball_volume(k)) \
-        - q * (k + p) / n * math.log(unit_ball_volume(n))
-    for f in f_list:
-        log_rhs += (k + p) / n * math.log(f.mass) \
-            + (n - k - p) / n * math.log(f.sup)
-    return _finite_side(lambda: math.exp(log_rhs), "f_list")
+
+    def side():
+        log_rhs = q * (k + p) / k * math.log(unit_ball_volume(k)) \
+            - q * (k + p) / n * math.log(unit_ball_volume(n))
+        for f in f_list:
+            log_rhs += (k + p) / n * math.log(f.mass) \
+                + (n - k - p) / n * math.log(f.sup)
+        return math.exp(log_rhs)
+    return _finite_side(side, "f_list")
 
 
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
@@ -647,39 +641,38 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
         lhs, Estimate.exact(rhs), expect_equality)
 
 
-def _schneider_rules(f, k, R, n_flats, method, expect_equality):
+def _schneider_rules(f, k, n_flats, method, expect_equality):
     _k_up_to(k, f.n - 1)
-    _need(R >= 0.0, "R", f"must be >= 0, got {R}")
     _at_least(2, n_flats=n_flats)
     _need(np.isfinite(f.support_radius), "f", "needs a bounded support")
-    _readable([f], k, "method", method)
     n = f.n
-    log_c = (n + 1) * math.log(unit_ball_volume(k)) \
-        + math.log(unit_ball_volume(n * (k + 1))) \
-        - (k + 1) * math.log(unit_ball_volume(n)) \
-        - math.log(unit_ball_volume(k * (n + 1)))
-    return _finite_side(lambda: math.exp(log_c) * f.mass ** (k + 1), "f")
+    _window(f.support_radius, n, k, "f")
+    _readable([f], k, "method", method)
+    return _finite_side(lambda: math.exp(
+        (n + 1) * math.log(unit_ball_volume(k))
+        + math.log(unit_ball_volume(n * (k + 1)))
+        - (k + 1) * math.log(unit_ball_volume(n))
+        - math.log(unit_ball_volume(k * (n + 1)))) * f.mass ** (k + 1), "f")
 
 
-def check_schneider_functional(f: DensityModel, k: int, R: float,
-                               n_flats: int, rng: np.random.Generator,
-                               method="exact",
+def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
+                               rng: np.random.Generator, method="exact",
                                expect_equality: bool = False) -> CheckReport:
     """Flat average of section mass powers over section sups against its
     closed-form bound.
 
     Integrates (integral of f over F)^(n+1) / ||f|_F||_inf^(n-k) over the
-    invariant flat measure and compares with the ball-volume constant times
-    mass^(k+1).  Ball and shifted-ellipsoid indicators sit in the equality
-    case.
+    invariant flat measure, drawn in a window of the support radius, and
+    compares with the ball-volume constant times mass^(k+1).  Ball and
+    shifted-ellipsoid indicators sit in the equality case.
     """
-    rhs = _schneider_rules(f, k, R, n_flats, method, expect_equality)
+    rhs = _schneider_rules(f, k, n_flats, method, expect_equality)
     n = f.n
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
-    window = max(R, f.support_radius)
-    lhs = affine_average_I([f, f], spec, k, window, n_flats, rng, method)
+    lhs = affine_average_I([f, f], spec, k, f.support_radius, n_flats, rng,
+                           method)
     return _bound_report(
-        "schneider_functional", {"n": n, "k": k, "R": window,
+        "schneider_functional", {"n": n, "k": k, "R": f.support_radius,
                                  "n_flats": n_flats, "method": method},
         lhs, Estimate.exact(rhs), expect_equality)
 
@@ -902,7 +895,7 @@ def exact_event_measure(n: int, k: int, s: float) -> float | None:
     if j == 1:
         return _beta_half((n - 1) / 2, 1.0 - min(max((1.0 - c) / a, 0.0), 1.0))
     if j == 2:
-        return _two_plane_measure(n, a, c)
+        return _two_plane_measure(n, sigma2, c)
     return None
 
 
@@ -910,14 +903,24 @@ def _beta_half(a: float, w: float) -> float:
     """Regularized incomplete beta I_w(a, 1/2) for a a positive multiple
     of 1/2 and w in [0, 1], by finite sums (A&S 26.5): from
     I_w(1/2, 1/2) = (2/pi) asin(sqrt w) or I_w(1, 1/2) = 1 - sqrt(1 - w),
-    step the first parameter up by I_w(b+1, 1/2) = I_w(b, 1/2)
-    - w^b sqrt(1 - w) / (b B(b, 1/2))."""
+    step the first parameter up by I_w(b+1, 1/2) = I_w(b, 1/2) - t(b),
+    t(b) = w^b sqrt(1 - w) / (b B(b, 1/2)).  Where a >= 3/2 and
+    a (1 - w) >= 1 those steps cancel; there it sums t(a) + t(a+1) + ..."""
+    def t(b):
+        return w ** b * math.sqrt(1.0 - w) * math.exp(
+            math.lgamma(b + 0.5) - math.lgamma(b + 1.0) - math.lgamma(0.5))
     b = 0.5 if a % 1 else 1.0
+    if b < a and a * (1.0 - w) >= 1.0:
+        value, term = 0.0, t(a)
+        while value + term != value:
+            value += term
+            term *= w * (a + 0.5) / (a + 1.0)
+            a += 1.0
+        return value
     value = 2.0 / math.pi * math.asin(math.sqrt(w)) if b == 0.5 \
         else 1.0 - math.sqrt(1.0 - w)
     while b < a:
-        value -= w ** b * math.sqrt(1.0 - w) * math.exp(
-            math.lgamma(b + 0.5) - math.lgamma(b + 1.0) - math.lgamma(0.5))
+        value -= t(b)
         b += 1.0
     return value
 
@@ -935,11 +938,11 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _two_plane_measure(n: int, a: float, c: float,
+def _two_plane_measure(n: int, sigma2: float, c: float,
                        nodes: int = QUAD_NODES) -> float:
-    """P((1 - a lambda_1)(1 - a lambda_2) <= c) for the two squared cosines
-    lambda_i = cos^2 phi_i between a uniform 2-plane of R^n (n >= 4) and a
-    fixed one, 0 < a < 1 and c >= (1 - a)^2.
+    """P((1 - a lambda_1)(1 - a lambda_2) <= c), a = 1 - sigma2, for the
+    two squared cosines lambda_i = cos^2 phi_i between a uniform 2-plane of
+    R^n (n >= 4) and a fixed one, 0 < sigma2 < 1 and c >= sigma2^2.
 
     On [0, pi/2]^2 the angles have density proportional to
     sin^(n-4) phi_1 sin^(n-4) phi_2 |cos^2 phi_1 - cos^2 phi_2|, of total
@@ -953,7 +956,7 @@ def _two_plane_measure(n: int, a: float, c: float,
     by u = (1 - cos theta)/2, theta uniform in [0, pi], which makes
     sqrt(u) and sqrt(1 - u) smooth and the rule spectrally convergent.
     """
-    sigma2 = 1.0 - a
+    a = 1.0 - sigma2
 
     def angle(lam):
         return np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0)))

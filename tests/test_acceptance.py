@@ -219,8 +219,7 @@ def test_flat_ratio_inequality(acceptance_log, rng):
     ]
     devs = []
     for label, f, k in equality_cases:
-        report = check_schneider_functional(f, k=k, R=f.support_radius,
-                                            n_flats=60000, rng=rng,
+        report = check_schneider_functional(f, k=k, n_flats=60000, rng=rng,
                                             expect_equality=True)
         devs.append(abs(report.ratio - 1.0))
     equality_ok = max(devs) <= 0.02
@@ -235,8 +234,7 @@ def test_flat_ratio_inequality(acceptance_log, rng):
     ]
     held = 0
     for f, k in one_sided:
-        report = check_schneider_functional(f, k=k, R=f.support_radius,
-                                            n_flats=20000, rng=rng)
+        report = check_schneider_functional(f, k=k, n_flats=20000, rng=rng)
         held += (report.lhs.value
                  <= report.rhs.value + 3.0 * report.lhs.stderr
                  and report.verdict != FAIL)

@@ -34,6 +34,7 @@ from igeolab.cli import main
 from igeolab.config import check_names, load_config
 from igeolab.densities import EllipsoidIndicator
 from igeolab.functionals import ExponentSpec
+from igeolab.report import FAIL, INCONCLUSIVE, PASS
 from igeolab.rng import substream
 from igeolab.runner import CSV_COLUMNS, report_row, run_suite
 from igeolab.verify import check_affine_invariance, check_linear_invariance
@@ -751,6 +752,68 @@ def test_degenerate_density_exits_one(tmp_path, monkeypatch, capsys, fields,
     assert f"config error: [density ball] {field_name}: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# Configs that load as valid JSON in valid ranges but sit at the edge of
+# the float range: each must end in a config error naming the field, or in
+# a verdict.  The density (name d) and the check [check c] are given.
+EXTREME = {
+    # kappa_600 underflows to 0, whose log the closed-form side would take
+    "grinberg-gaussian-600": (
+        'kind = "gaussian"\nn = 600',
+        'check = "grinberg_functional"\ndensities = ["d"]\nk = 1\n'
+        'p = 0.0\nn_subspaces = 8', "densities"),
+    "schneider-ball-300": (
+        'kind = "ellipsoid"\nn = 300',
+        'check = "schneider_functional"\ndensity = "d"\nk = 1\n'
+        'n_flats = 8', "density"),
+    "affine-window-1e200": (
+        'kind = "ellipsoid"\nn = 3',
+        'check = "affine_invariance"\ndensities = ["d"]\nk = 1\n'
+        'spec_p = [1.0]\nspec_alpha = [4.0]\nmap = "shear"\nR = 1e200\n'
+        'n_flats = 8', "R"),
+    "bp-flat-window-1e200": (
+        'kind = "ellipsoid"\nn = 2',
+        'check = "bp_flat"\ndensity = "d"\nk = 1\nR = 1e200\nn_flats = 8',
+        "R"),
+    # exact measures far below 1e-16, under claimed bounds far above them
+    "sharpness-50-1": (
+        None, 'check = "gaussian_sharpness"\nn = 50\nk = 1\ns = 2.0\n'
+        'n_subspaces = 8', "fail"),
+    "sharpness-385-1": (
+        None, 'check = "gaussian_sharpness"\nn = 385\nk = 1\ns = 2.0\n'
+        'n_subspaces = 8', "fail"),
+    # sigma^2 = (2 pi)^-50 is below the rounding of 1 - sigma^2
+    "sharpness-100-2": (
+        None, 'check = "gaussian_sharpness"\nn = 100\nk = 2\ns = 2.0\n'
+        'n_subspaces = 8', "fail"),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME)
+@pytest.mark.filterwarnings("error")
+def test_extreme_configs_end_in_a_config_error_or_a_verdict(tmp_path,
+                                                           monkeypatch,
+                                                           capsys, name):
+    density, check, outcome = EXTREME[name]
+    monkeypatch.chdir(tmp_path)
+    body = "[run]\nseed = 1\noutput_dir = \"out\"\n\n"
+    if density is not None:
+        body += f"[density d]\n{density}\n\n"
+    path = tmp_path / "suite.ini"
+    path.write_text(body + f"[check c]\n{check}\n")
+    status = main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if outcome in (PASS, FAIL, INCONCLUSIVE):
+        assert status == {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}[outcome]
+        rows = read_rows(tmp_path / "out" / "results.csv")
+        assert [row["verdict"] for row in rows] == [outcome]
+        assert float(rows[0]["rhs"]) > 0.0   # a measure, not rounding noise
+    else:
+        assert status == 1
+        assert f"config error: [check c] {outcome}: " in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_worker_count_capped_at_checks(tmp_path, monkeypatch):

@@ -118,14 +118,12 @@ def test_duplicate_labels_rejected(tmp_path):
     check = "schneider_functional"
     density = "ball"
     k = 1
-    R = 1.5
     n_flats = 100
 
     [check  twin]
     check = "schneider_functional"
     density = "ball"
     k = 1
-    R = 1.5
     n_flats = 100
     """
     with pytest.raises(ConfigError) as err:
@@ -139,7 +137,6 @@ def test_labels_sharing_a_report_file_rejected(tmp_path):
     check = "schneider_functional"
     density = "ball"
     k = 1
-    R = 1.5
     n_flats = 100
     """
     body = MINIMAL + "\n    [check grinberg a/b]" + check \
@@ -166,8 +163,7 @@ def test_precondition_violations_rejected_at_parse(tmp_path):
         load_config(write_config(tmp_path, body))
     assert "bad-k" in str(err.value) or "k" in str(err.value)
 
-    # missing required field (R falls back to the support radius,
-    # but the flat budget has no default)
+    # missing required field (the flat budget has no default)
     body = MINIMAL + """
     [check no-budget]
     check = "schneider_functional"
@@ -197,7 +193,6 @@ def test_unknown_density_reference_rejected(tmp_path):
     check = "schneider_functional"
     density = "phantom"
     k = 1
-    R = 1.5
     n_flats = 100
     """
     with pytest.raises(ConfigError) as err:
@@ -241,7 +236,7 @@ def test_case_sensitive_keys(tmp_path):
     # R and other uppercase keys must survive the parser
     body = MINIMAL + """
     [check cased]
-    check = "schneider_functional"
+    check = "bp_flat"
     density = "ball"
     k = 1
     R = 1.5
@@ -357,6 +352,15 @@ def check_section(fields):
     n = 3
     amplitude = 1e300
 
+    [density ball3]
+    kind = "ellipsoid"
+    n = 3
+
+    [density far]
+    kind = "ellipsoid"
+    n = 4
+    center = [1e150, 0.0, 0.0, 0.0]
+
     [check bad]
 """ % (HUGE_HEIGHTS, HUGE_HEIGHTS) + "".join(f"    {key} = {value}\n" for key, value in fields.items())
 
@@ -404,6 +408,8 @@ def check_section(fields):
     (BP_SUBSPACE, {"densities": '["box"]', "k": "2"}, "densities"),
     # f* is exact, so the chain has no level grid to size
     (REARRANGEMENT, {"levels": "1000"}, "levels"),
+    # the window is the support radius, so there is no window to set
+    (SCHNEIDER, {"R": "1.5"}, "R"),
 ], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
         "string-flag", "int-flag", "mc-one", "mc-fraction", "unknown-method",
         "unknown-field",
@@ -417,7 +423,8 @@ def check_section(fields):
         "subspace-no-axes",
         "linear-mc-unbounded", "grinberg-mc-unbounded",
         "linear-exact-product-plane", "linear-exact-truncated-shear",
-        "bp-subspace-product-plane", "rearrangement-levels"])
+        "bp-subspace-product-plane", "rearrangement-levels",
+        "schneider-window-field"])
 def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     # the base section loads, so each change alone is what gets rejected
     load_config(write_config(tmp_path, check_section(base)))
@@ -425,15 +432,6 @@ def test_malformed_fields_rejected(tmp_path, base, changes, field_name):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, body))
     assert (err.value.section, err.value.field) == ("check bad", field_name)
-
-
-@pytest.mark.parametrize("base, key", [(BP_SUBSPACE, "densities"),
-                                       (BP_FLAT, "density")])
-def test_bp_checks_load_products_at_full_dimension(tmp_path, base, key):
-    # at k = n no section is read, so no exact sections are asked for
-    box = '["box"]' if key == "densities" else '"box"'
-    load_config(write_config(tmp_path, check_section(
-        {**base, key: box, "k": "3"})))
 
 
 @pytest.mark.parametrize("fields, field_name", [
@@ -690,6 +688,8 @@ HUGE = ProductDensity([Step1D.uniform(-0.5, 0.5, HUGE_HEIGHTS)] * 2)
 # masses whose closed-form sides (mass^2, the Grinberg product) overflow
 LOUD = EllipsoidIndicator.ball(2, amplitude=1e200)
 LOUD3 = EllipsoidIndicator.ball(3, amplitude=1e300)
+BALL3 = EllipsoidIndicator.ball(3)
+FAR = EllipsoidIndicator.ball(4, center=[1e150, 0.0, 0.0, 0.0])
 SPEC = ExponentSpec((1.0,), (2.0,))
 LINE = np.eye(2)[:, :1]
 # a unit column and a column of norm sqrt(2): not a subspace basis
@@ -709,6 +709,9 @@ RULES = {
     "bp-subspace-k-above-n": (
         lambda r: verify.check_bp_subspace([BALL], 3, 1.0, 8, 8, r, 4),
         "k", BP_SUBSPACE, {"k": "3"}, "k"),
+    "bp-subspace-full-dimension": (
+        lambda r: verify.check_bp_subspace([BALL], 2, 1.0, 8, 8, r, 4),
+        "k", BP_SUBSPACE, {"k": "2"}, "k"),
     "bp-subspace-direct-3": (
         lambda r: verify.check_bp_subspace([BALL], 1, 1.0, 3, 8, r, 4),
         "n_direct", BP_SUBSPACE, {"n_direct": "3"}, "n_direct"),
@@ -726,6 +729,9 @@ RULES = {
     "bp-flat-flats-3": (
         lambda r: verify.check_bp_flat(BALL, 1, 0, 3, 1.0, r, inner=4),
         "n_flats", BP_FLAT, {"n_flats": "3"}, "n_flats"),
+    "bp-flat-full-dimension": (
+        lambda r: verify.check_bp_flat(BALL, 2, 0, 8, 1.0, r, inner=4),
+        "k", BP_FLAT, {"k": "2"}, "k"),
     "bp-flat-offset-at-full-dimension": (
         lambda r: verify.check_bp_flat(BALL, 2, 8, 8, 1.0, r, 1.0, 4),
         "k", BP_FLAT, {"k": "2", "p": "1.0", "n_direct": "8"}, "k"),
@@ -738,6 +744,9 @@ RULES = {
     "bp-flat-window-inside-support": (
         lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 0.5, r, inner=4),
         "R", BP_FLAT, {"R": "0.5"}, "R"),
+    "bp-flat-window-past-float-range": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1e200, r, inner=4),
+        "R", BP_FLAT, {"R": "1e200"}, "R"),
     "bp-flat-overflowing-mass-power": (
         lambda r: verify.check_bp_flat(LOUD, 1, 0, 8, 1.0, r, inner=4),
         "f", BP_FLAT, {"density": '"loud"'}, "density"),
@@ -793,6 +802,18 @@ RULES = {
             [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
             -1.0, 8, r),
         "R", AFFINE, {"R": "-1.0"}, "R"),
+    "affine-window-past-float-range": (
+        lambda r: verify.check_affine_invariance(
+            [BALL3], ExponentSpec((1.0,), (4.0,)), 1, ("shear", "random"),
+            1e200, 8, r),
+        "R", AFFINE, {"densities": '["ball3"]', "spec_alpha": "[4.0]",
+                      "R": "1e200"}, "R"),
+    "affine-support-window-past-float-range": (
+        lambda r: verify.check_affine_invariance(
+            [FAR], ExponentSpec((1.0,), (5.0,)), 1, ("shear", "random"),
+            1.0, 8, r),
+        "f_list", AFFINE, {"densities": '["far"]', "spec_alpha": "[5.0]"},
+        "densities"),
     "affine-unknown-shift": (
         lambda r: verify.check_affine_invariance(
             [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("rotation", "none"),
@@ -858,12 +879,14 @@ RULES = {
                                                    ("mc", 8)),
         "method", GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'},
         "method"),
-    "schneider-negative-window": (
-        lambda r: verify.check_schneider_functional(BALL, 1, -1.0, 8, r),
-        "R", SCHNEIDER, {"R": "-1.0"}, "R"),
     "schneider-overflowing-side": (
-        lambda r: verify.check_schneider_functional(LOUD, 1, 0.0, 8, r),
+        lambda r: verify.check_schneider_functional(LOUD, 1, 8, r),
         "f", SCHNEIDER, {"density": '"loud"'}, "density"),
+    # the window mass kappa_3 r^3 of the support radius r = 1e150 + 1
+    # overflows
+    "schneider-window-past-float-range": (
+        lambda r: verify.check_schneider_functional(FAR, 1, 8, r),
+        "f", SCHNEIDER, {"density": '"far"'}, "density"),
     "grinberg-overflowing-side": (
         lambda r: verify.check_grinberg_functional([LOUD3, LOUD3], 2, 0.0,
                                                    64, r),
@@ -877,7 +900,7 @@ RULES = {
         lambda r: verify.gaussian_sharpness_experiment(500, 1, 2.0, 8, r),
         "n", SHARPNESS, {"n": "500", "s": "2.0"}, "n"),
     "schneider-unbounded": (
-        lambda r: verify.check_schneider_functional(GAUSS, 1, 0.0, 8, r),
+        lambda r: verify.check_schneider_functional(GAUSS, 1, 8, r),
         "f", SCHNEIDER, {"density": '"gauss"'}, "density"),
     "marginal-s-at-1": (
         lambda r: verify.marginal_bound_experiment(UNIT, 1, 1.0, 2.0, 8, 20,

@@ -69,14 +69,41 @@ def test_beta_half_matches_betainc(n):
 
 
 
+def test_beta_half_tail_matches_betainc_to_1e_12():
+    # from a = 3/2 on, the steps up from a = 1/2 or 1 cancel as the value
+    # falls far below its start; there the positive tail series takes over
+    ws = np.concatenate([np.linspace(0.0, 1.0, 101),
+                         10.0 ** -np.arange(2.0, 300.0, 9.0)])
+    for n in range(4, 386, 3):
+        a = 0.5 * (n - 1)
+        for w in ws:
+            ref = betainc(a, 0.5, w)
+            if ref > 1e-290:   # below it scipy's reference is subnormal
+                assert _beta_half(a, float(w)) \
+                    == pytest.approx(ref, rel=1e-12, abs=0.0), (a, w)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 385])
+def test_line_measure_far_below_rounding_matches_betainc(n):
+    # the k = 1 sharpness measure at s = 2 is I_w((n-1)/2, 1/2), w = 1 - x,
+    # x = (1 - cut) / (1 - sigma^2): 5.7e-36 at n = 50 and 5.9e-271 at
+    # n = 385, far below the rounding of the steps' start
+    x = (1.0 - 1.0 / (8.0 * np.pi)) / (1.0 - (2.0 * np.pi) ** -n)
+    assert exact_event_measure(n, 1, 2.0) \
+        == pytest.approx(betainc(0.5 * (n - 1), 0.5, 1.0 - x), rel=1e-12,
+                         abs=0.0)
+
+
 @pytest.mark.parametrize("n,k,s", [(4, 2, 1.0), (4, 2, 1.5), (4, 2, 2.0),
                                    (4, 2, 2.49), (5, 2, 1.0), (5, 2, 1.5),
-                                   (5, 3, 1.3), (6, 2, 1.0), (6, 4, 1.2)])
+                                   (5, 3, 1.3), (6, 2, 1.0), (6, 4, 1.2),
+                                   (100, 2, 2.0)])
 def test_two_plane_measure_matches_dblquad(n, k, s):
     # the Jacobi density of the two principal angles, sin^(n-4) phi_1
     # sin^(n-4) phi_2 |cos^2 phi_1 - cos^2 phi_2|, integrated by scipy below
     # the diagonal, where it is smooth (density and event are symmetric in
-    # the two angles), over the event and over the whole triangle
+    # the two angles), over the event and over the whole triangle; at
+    # n = 100, 1 - sigma^2 rounds to 1, so the rule takes sigma^2 itself
     sigma2 = (2 * np.pi) ** (-n / k)
     a = 1.0 - sigma2
     c = (2 * np.pi * s * s) ** -k * sigma2 ** (2 - k)
@@ -99,7 +126,7 @@ def test_two_plane_measure_matches_dblquad(n, k, s):
     value = exact_event_measure(n, k, s)
     assert value == pytest.approx(event / whole, rel=1e-9, abs=0.0)
     # spectral convergence: twice the nodes move the rule by rounding only
-    twice = _two_plane_measure(n, a, c, nodes=2 * QUAD_NODES)
+    twice = _two_plane_measure(n, sigma2, c, nodes=2 * QUAD_NODES)
     assert value == pytest.approx(twice, rel=1e-10, abs=0.0)
 
 def test_unit_ball_volume_matches_gamma_form():

@@ -81,25 +81,6 @@ def test_bp_subspace_ball_three_two(rng):
     assert rep.diagnostics["fitted_over_printed"] == pytest.approx(1.5, rel=0.08)
 
 
-def test_bp_subspace_degenerate(rng):
-    g = GaussianDensity.standard(2)
-    rep = check_bp_subspace([g, g], k=2, p=1.0, n_direct=30_000,
-                            n_subspaces=64, rng=rng)
-    assert rep.verdict == PASS
-    assert rep.diagnostics["printed_constant"] == pytest.approx(1.0)
-    assert rep.diagnostics["fitted_over_printed"] == pytest.approx(1.0, rel=0.08)
-
-
-def test_bp_checks_at_full_dimension_ask_no_exact_sections(rng):
-    # at k = n the one section is the whole space and is never read, so a
-    # product, with no exact plane sections, still runs
-    box = ProductDensity([Step1D.uniform(-0.5, 0.5, [1.0, 2.0])] * 2)
-    assert check_bp_subspace([box], k=2, p=1.0, n_direct=400, n_subspaces=400,
-                             rng=rng, inner=8).verdict == PASS
-    rep = check_bp_flat(box, k=2, n_direct=0, n_flats=8, R=1.0, rng=rng)
-    assert rep.diagnostics["degenerate"] is True
-
-
 def test_bp_subspace_short_last_block(monkeypatch, rng):
     # DRAW_BLOCK = 7 with one density and inner = 2 leaves room for 3
     # sections a block, so each replica's 10 sections run in blocks of
@@ -130,16 +111,6 @@ def test_bp_flat_disk_mass_squared(rng):
     assert rep.lhs.value == pytest.approx(math.pi ** 2, rel=1e-12)
     assert rep.lhs.stderr == 0.0
     assert rep.diagnostics["fitted_over_printed"] == pytest.approx(2.0, rel=0.08)
-
-
-def test_bp_flat_degenerate_full_dimension(rng):
-    b2 = EllipsoidIndicator.ball(2)
-    rep = check_bp_flat(b2, k=2, n_direct=100, n_flats=100, R=1.5, rng=rng)
-    assert rep.verdict == PASS
-    assert rep.ratio == 1.0
-    assert rep.diagnostics.get("degenerate") is True
-    with pytest.raises(ValueError):
-        check_bp_flat(b2, k=2, n_direct=100, n_flats=100, R=1.5, rng=rng, p=1.0)
 
 
 def test_bp_flat_positive_power(rng):
@@ -436,7 +407,7 @@ def test_grinberg_false_equality_claim_fails(rng):
 
 def test_schneider_disk_closed_form(rng):
     b2 = EllipsoidIndicator.ball(2)
-    rep = check_schneider_functional(b2, k=1, R=1.5, n_flats=30_000, rng=rng,
+    rep = check_schneider_functional(b2, k=1, n_flats=30_000, rng=rng,
                                      expect_equality=True)
     assert rep.verdict == PASS
     assert rep.rhs.value == pytest.approx(3 * math.pi, rel=1e-10)
@@ -445,7 +416,7 @@ def test_schneider_disk_closed_form(rng):
 
 def test_schneider_shifted_ellipse_equality(rng):
     e = EllipsoidIndicator(np.diag([1.0, 3.0]), center=[0.4, -0.1])
-    rep = check_schneider_functional(e, k=1, R=2.5, n_flats=30_000, rng=rng,
+    rep = check_schneider_functional(e, k=1, n_flats=30_000, rng=rng,
                                      expect_equality=True)
     assert rep.verdict == PASS
     assert abs(rep.ratio - 1.0) <= 0.02
