@@ -161,6 +161,14 @@ def _spd(m, name: str, power: float, n: int | None = None):
     return m, chol, eigvals
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| as np.linalg.norm gives it, or, where that overflows (|x| above
+    about 1.3e154), by the overflow-free math.hypot, with no warning."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    return norm if norm < math.inf else math.hypot(*x)
+
+
 def _steps(edges, heights) -> tuple[np.ndarray, np.ndarray]:
     """Finite increasing edges and finite non-negative heights of a step
     function, one more edge than heights, as float arrays."""
@@ -245,7 +253,7 @@ class EllipsoidIndicator(_Sectioned):
     def support_radius(self):
         if self.amplitude == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.center)) + self._semiaxis_max
+        return _norm(self.center) + self._semiaxis_max
 
     def sample(self, size, rng):
         u = _uniform_ball(self.n, (size, 1), rng)[:, 0]
@@ -263,7 +271,7 @@ class EllipsoidIndicator(_Sectioned):
             self.shape_matrix, self.center, bases, offsets)
         rho = 1.0 - q - lu0
         live = rho > 0.0
-        masses = np.zeros(len(bases))
+        masses = np.zeros(len(offsets))
         masses[live] = self.amplitude * unit_ball_volume(k) * np.exp(
             0.5 * k * np.log(rho[live]) - 0.5 * logdet[live])
         sups = np.where(live, self.amplitude, 0.0)
@@ -526,7 +534,7 @@ class TruncatedGaussian(_Sectioned):
     def support_radius(self):
         if self.amplitude == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.center)) + self.radius
+        return _norm(self.center) + self.radius
 
     def sample(self, size, rng):
         # the one section through the whole space: identity basis, centre
@@ -547,14 +555,14 @@ class TruncatedGaussian(_Sectioned):
         empty unless rho2 > 0; params (w, rho2)."""
         k = bases.shape[-1]
         d = offsets - self.center
-        w = np.einsum("snk,sn->sk", bases, d)
+        w = np.einsum("snk,sn->sk", _per_row(bases, len(offsets)), d)
         v2 = np.einsum("si,si->s", d, d) - np.einsum("si,si->s", w, w)
         rho2 = self.radius ** 2 - v2
         live = rho2 > 0.0
         damp = np.exp(-0.5 * v2 / self.tau ** 2)
         scale = (2 * math.pi * self.tau ** 2) ** (-0.5 * (self.n - k))
         amps = self.amplitude * scale * damp
-        masses = np.zeros(len(bases))
+        masses = np.zeros(len(offsets))
         masses[live] = amps[live] * _chi2_cdf(rho2[live] / self.tau ** 2, k)
         sups = np.where(live, self._kernel_height() * damp, 0.0)
         return masses, sups, w, rho2
@@ -652,7 +660,13 @@ class ProductDensity(_Sectioned):
 
     @property
     def support_radius(self):
-        return math.sqrt(sum(f.support_radius ** 2 for f in self.factors))
+        radii = [f.support_radius for f in self.factors]
+        try:
+            radius = math.sqrt(sum(r ** 2 for r in radii))
+        except OverflowError:
+            radius = math.inf
+        # past the float range of the squares, the overflow-free form
+        return radius if radius < math.inf else math.hypot(*radii)
 
     def sample(self, size, rng):
         cols = [f.sample(size, rng) for f in self.factors]
@@ -669,7 +683,7 @@ class ProductDensity(_Sectioned):
         ones carry no mass), and the product at each segment midpoint, exact
         since it is constant in between.  Factors along which a line does
         not move (|d_i| <= AXIS_TOL) are read at z_i."""
-        dirs = bases[..., 0]
+        dirs = _per_row(bases, len(offsets))[..., 0]
         moving = np.abs(dirs) > AXIS_TOL
         lo = np.full(len(dirs), -np.inf)
         hi = np.full(len(dirs), np.inf)
@@ -831,14 +845,31 @@ def _restrict_form(matrix: np.ndarray, center: np.ndarray, bases: np.ndarray,
     g = B^T matrix B, lin = B^T matrix d, u0 = -g^-1 lin and q = d^T matrix
     d.  Returns (g, log det g, u0, q, lin.u0) for the stack, from one
     _spd_solve; q and lin.u0 come apart so that each family adds them in
-    its own order, which fixes the last bit of its section stats."""
+    its own order, which fixes the last bit of its section stats.  Shared
+    bases (_per_row) give g once per basis, on a contiguous copy, which
+    leaves every bit as on the stack of repeated bases."""
     d = offsets - center
     md = d @ matrix
-    g = bases.transpose(0, 2, 1) @ (matrix @ bases)
-    lin = np.einsum("sji,sj->si", bases, md)
+    rows = _per_row(bases, len(offsets))
+    if rows is bases:
+        g = bases.transpose(0, 2, 1) @ (matrix @ bases)
+    else:
+        bases = np.ascontiguousarray(bases)
+        g = np.repeat(bases.transpose(0, 2, 1) @ (matrix @ bases),
+                      len(offsets) // len(bases), axis=0)
+    lin = np.einsum("sji,sj->si", rows, md)
     logdet, u0 = _spd_solve(g, -lin)
     return (g, logdet, u0, np.einsum("si,si->s", d, md),
             np.einsum("si,si->s", lin, u0))
+
+
+def _per_row(bases: np.ndarray, rows: int) -> np.ndarray:
+    """bases, one per flat of a stack of rows flats: a stack of m bases may
+    be shared, basis i spanning flats i r to i r + r - 1, r = rows / m (the
+    fibers of one subspace, the offsets along one normal of a rule), and
+    is repeated to one per flat."""
+    return bases if len(bases) == rows \
+        else np.repeat(bases, rows // len(bases), axis=0)
 
 
 def _bin_count(edges, x) -> np.ndarray:
@@ -987,7 +1018,10 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     flats offsets[i] + span(bases[i]).  bases[i] is orthonormal and each
     offset must be the flat's foot point, perpendicular to its basis:
     RadialGridDensity sections and the Monte Carlo window read |offsets[i]|
-    as the flat's distance from the origin.
+    as the flat's distance from the origin.  Consecutive flats may share a
+    basis: m bases for r m offsets, basis i spanning flats i r to
+    i r + r - 1 (_per_row), which the ellipsoid and Gaussian families
+    restrict to once per basis.
 
     method "exact" reads the closed form (stderr 0), and raises ValueError
     unless f.exact_sections(k); ("mc", N) averages f over N stratified
@@ -1005,6 +1039,7 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
         raise ValueError("Monte Carlo section stats need an rng")
     if math.isinf(f.support_radius):
         raise ValueError("Monte Carlo section stats need a bounded support")
+    bases = _per_row(bases, len(offsets))
     s, n, k = bases.shape
     # each section vanishes outside its ball of radius w about the foot point
     gap = f.support_radius ** 2 - np.einsum("si,si->s", offsets, offsets)

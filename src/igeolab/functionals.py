@@ -4,7 +4,9 @@ Covers the simplex moment (with and without the origin as a vertex) and
 the frame mean behind the Grassmannian and affine-Grassmannian averages of
 section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
-generator's seed path.
+generator's seed path.  Where a deterministic rule covers a section-norm
+average (_rule_covers), the average takes it instead of drawing: its
+Estimate carries the rule's error as stderr and 0 samples.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _tuple_volumes
-from .grassmann import flat_frames, subspace_frames
-from .densities import DensityModel, ParameterError, section_stats
+from .grassmann import RULE_START, flat_frames, rule_average, \
+    subspace_frames
+from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
+    ParameterError, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -110,9 +114,10 @@ def _norm_products(models, spec: ExponentSpec, method, bases: np.ndarray,
     the slot models of _slot_models.  Exact section stats are read once per
     distinct model object and shared by every slot that holds it; Monte
     Carlo window points are drawn slot by slot, each for the whole stack,
-    so the generator is consumed once per slot in slot order."""
+    so the generator is consumed once per slot in slot order.  The flats
+    may share bases, as in section_stats."""
     read = {}
-    total = np.ones(len(bases))
+    total = np.ones(len(offsets))
     for model, p, a in zip(models, spec.p_list, spec.alpha_list):
         if method == "exact" and id(model) in read:
             masses, sups, _ = read[id(model)]
@@ -202,6 +207,43 @@ def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
     return mc_estimate(draw, count, rng, keep_values=True)
 
 
+def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
+    """Whether a section-norm average takes grassmann.rule_average instead of
+    drawing: exact sections on lines or hyperplanes of R^2 or R^3, and an
+    integrand the rule converges on spectrally.  Over subspaces every
+    density is Gaussian or an ellipsoid with the origin strictly inside, so
+    that every section is analytic in its direction; over flats k = n - 1
+    and every slot holds one ellipsoid, whose support interval along each
+    normal the offset rule covers."""
+    n = f_list[0].n
+    if method != "exact" or n not in RULE_START or k not in (1, n - 1):
+        return False
+    if flats:
+        return k == n - 1 and isinstance(f_list[0], EllipsoidIndicator) \
+            and all(f is f_list[0] for f in f_list)
+    return all(isinstance(f, GaussianDensity)
+               or isinstance(f, EllipsoidIndicator)
+               and float(f.center @ f.shape_matrix @ f.center) < 1.0
+               for f in f_list)
+
+
+def _average(models, spec: ExponentSpec, method, frames, count: int, rng,
+             rule) -> tuple[Estimate, dict]:
+    """The section-norm average of the slot models and its route: the
+    frame mean of count frames, {"route": "mc", "nodes": None}, or with
+    rule = (n, k, ellipsoid, exponent) rule_average, drawing nothing,
+    {"route": "rule", "nodes": its frame count}."""
+    integrand = functools.partial(_norm_products, models, spec, method)
+    if rule is None:
+        return (_frame_mean(frames, integrand, count, rng, count),
+                {"route": "mc", "nodes": None})
+    n, k, ellipsoid, exponent = rule
+    value, error, nodes = rule_average(
+        n, k, lambda bases, offsets: integrand(bases, offsets, None),
+        ellipsoid, exponent)
+    return Estimate(value, error, 0), {"route": "rule", "nodes": nodes}
+
+
 def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
                         rng: np.random.Generator, method="exact") -> Estimate:
     """Average over random k-subspaces of prod_i ||f_i restricted||_{p_i}^{alpha_i}.
@@ -210,13 +252,22 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     ellipsoid, Gaussian, truncated-Gaussian and radial families everywhere
     and for products on lines), once per distinct
     (density, power) per stack of subspaces; ("mc", m) estimates each
-    slot's section norm from its own m window samples instead.
+    slot's section norm from its own m window samples instead.  Where
+    _rule_covers holds the subspaces are a rule's nodes, converged level
+    by level, and n_subspaces is unused.
     """
+    return _grassmann_average(f_list, spec, k, n_subspaces, rng, method)[0]
+
+
+def _grassmann_average(f_list, spec, k, n_subspaces, rng, method):
+    """grassmann_average_I and its route, as _average returns them."""
     models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
-    return _frame_mean(functools.partial(subspace_frames, n, k),
-                       functools.partial(_norm_products, models, spec, method),
-                       n_subspaces, rng, n_subspaces)
+    rule = (n, k, None, 0.0) if _rule_covers(f_list, k, method, False) \
+        else None
+    return _average(models, spec, method,
+                    functools.partial(subspace_frames, n, k), n_subspaces,
+                    rng, rule)
 
 
 def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
@@ -230,13 +281,27 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     flats outside it carry zero integrand only if every f_i vanishes there.
     Section norms are read as in grassmann_average_I: exact stats once per
     distinct (density, power) per stack of flats, MC draws slot by slot.
+    Where _rule_covers holds the flats are a rule's nodes on the
+    ellipsoid's support, converged level by level, and n_flats is unused;
+    the integrand is a multiple of (1 - rho^2)^(k A / 2) along each normal,
+    A the exponent sum (grassmann.rule_frames).
     """
+    return _affine_average(f_list, spec, k, R, n_flats, rng, method)[0]
+
+
+def _affine_average(f_list, spec, k, R, n_flats, rng, method):
+    """affine_average_I and its route, as _average returns them."""
     models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     for f in f_list:
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-    return _frame_mean(functools.partial(flat_frames, n, k, R),
-                       functools.partial(_norm_products, models, spec, method),
-                       n_flats, rng, n_flats)
+    rule = None
+    if _rule_covers(f_list, k, method, True):
+        f = f_list[0]
+        rule = (n, k, (f.center, np.linalg.inv(f.shape_matrix)),
+                0.5 * k * spec.constraint_sum)
+    return _average(models, spec, method,
+                    functools.partial(flat_frames, n, k, R), n_flats, rng,
+                    rule)

@@ -5,10 +5,12 @@ explicit decision rule and returns a CheckReport.  The statements come in
 linear/affine pairs, and each pair shares one driver (_decomposition_report,
 _invariance_report, _bound_report); a check states only its frame sampler,
 its ambient side and its parameters, and draws through simplex_moment or
-functionals' frame mean.  Every rule on a check's parameters lives in one
-rules function beside it, which raises ParameterError naming the keyword;
-the check calls it before it draws anything, and load_config calls it on
-each parsed check map.  Conventions, fixed across the module:
+functionals' frame mean, unless a deterministic rule covers its
+section-norm average (functionals._rule_covers).  Every rule on a check's
+parameters lives in one rules function beside it, which raises
+ParameterError naming the keyword; the check calls it before it draws
+anything, and load_config calls it on each parsed check map.  Conventions,
+fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
@@ -32,11 +34,11 @@ from .geometry import bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
     _tuple_volumes
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
-    distances_to, haar_bases, _orthonormal, _orthonormalize
+    distances_to, haar_bases, _gauss_legendre, _orthonormal, _orthonormalize
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
     affine_image, section_points, section_stats, _volume_preserving
-from .functionals import ExponentSpec, powz, grassmann_average_I, \
-    affine_average_I, simplex_moment, _blocked, _common_dim, _frame_mean
+from .functionals import ExponentSpec, powz, simplex_moment, \
+    _affine_average, _blocked, _common_dim, _frame_mean, _grassmann_average
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
     mc_estimate, merge_estimates, ratio_estimate, power_estimate
@@ -352,11 +354,13 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 # ---------------------------------------------------------------------------
 
 def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
-                       invariant_sum: float, before: Estimate,
-                       after: Estimate, **extra) -> CheckReport:
+                       invariant_sum: float, sides, **extra) -> CheckReport:
     """Verdict shared by the two invariance checks: FAIL when after/before
     departs from 1 by more than 3 stderr, INCONCLUSIVE when a side is
-    heavy-tailed or the ratio too noisy to see a departure, else PASS."""
+    heavy-tailed or the ratio too noisy to see a departure, else PASS.
+    sides holds the (Estimate, route) of the average before and after the
+    map, as functionals' averages return them."""
+    (before, route_before), (after, route_after) = sides
     ratio = ratio_estimate(after, before)
     dev = abs(ratio.value - 1.0)
     if ratio.stderr > 0 and dev > 3.0 * ratio.stderr:
@@ -375,6 +379,8 @@ def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
                      "sum_matches": abs(spec.constraint_sum - invariant_sum)
                      <= 1e-10,
                      **extra,
+                     "route": [route_before["route"], route_after["route"]],
+                     "nodes": [route_before["nodes"], route_after["nodes"]],
                      "tail_shares": [before.tail_share, after.tail_share]})
 
 
@@ -445,16 +451,16 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
     g = _drawn_map((g, None), n, maps)
-    before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
-                                 method)
-    images = _images(f_list, g)
-    after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
+    before = _grassmann_average(f_list, spec, k, n_subspaces, streams[0],
                                 method)
+    images = _images(f_list, g)
+    after = _grassmann_average(images, spec, k, n_subspaces, streams[1],
+                               method)
     return _invariance_report(
         "linear_invariance",
         {"n": n, "k": k, **_spec_params(spec), "n_subspaces": n_subspaces,
          "method": method},
-        spec, n, before, after)
+        spec, n, (before, after))
 
 
 def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
@@ -490,17 +496,17 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     maps, *streams = rng.spawn(3)
     g = _drawn_map(g, n, maps)
     r_before = max(R, max(f.support_radius for f in f_list))
-    before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0],
-                              method)
+    before = _affine_average(f_list, spec, k, r_before, n_flats, streams[0],
+                             method)
     images = _images(f_list, g)
     r_after = max(R, max(f.support_radius for f in images))
-    after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
-                             method)
+    after = _affine_average(images, spec, k, r_after, n_flats, streams[1],
+                            method)
     return _invariance_report(
         "affine_invariance",
         {"n": n, "k": k, **_spec_params(spec), "R": R, "n_flats": n_flats,
          "method": method},
-        spec, n + 1, before, after, windows=[r_before, r_after])
+        spec, n + 1, (before, after), windows=[r_before, r_after])
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +584,13 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
 # The two functional section inequalities.
 # ---------------------------------------------------------------------------
 
-def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
+def _bound_report(name: str, parameters: dict, average, rhs: Estimate,
                   expect_equality: bool) -> CheckReport:
     """Verdict shared by the two functional section inequalities: one-sided,
     or the equality band in equality mode; a heavy-tailed LHS turns a
-    non-failing verdict inconclusive."""
+    non-failing verdict inconclusive.  average is the LHS and its route, as
+    functionals' averages return them."""
+    lhs, route = average
     if expect_equality:
         verdict, band = _equality_verdict(lhs, rhs)
     else:
@@ -593,7 +601,7 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
         name=name, parameters=parameters, lhs=lhs, rhs=rhs, verdict=verdict,
         diagnostics={"expect_equality": expect_equality,
                      "equality_band": band,
-                     "tail_share": lhs.tail_share})
+                     "tail_share": lhs.tail_share, **route})
 
 
 def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
@@ -634,7 +642,7 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
-    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method)
+    lhs = _grassmann_average(doubled, spec, k, n_subspaces, rng, method)
     return _bound_report(
         "grinberg_functional", {"n": n, "k": k, "q": q, "p": p,
                                 "n_subspaces": n_subspaces, "method": method},
@@ -669,8 +677,8 @@ def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
     rhs = _schneider_rules(f, k, n_flats, method, expect_equality)
     n = f.n
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
-    lhs = affine_average_I([f, f], spec, k, f.support_radius, n_flats, rng,
-                           method)
+    lhs = _affine_average([f, f], spec, k, f.support_radius, n_flats, rng,
+                          method)
     return _bound_report(
         "schneider_functional", {"n": n, "k": k, "R": f.support_radius,
                                  "n_flats": n_flats, "method": method},
@@ -693,7 +701,8 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     T0): the Markov statistic T = (fiber mass)^n / (fiber sup)^k and the
     fiber masses themselves (the marginal density at the feet), each
     (m, n_x), the feet's norms |x|, and T of the fiber through the origin,
-    shape (m,).
+    shape (m,).  The n_x + 1 fibers of a subspace share its complement's
+    basis (section_stats).
     """
     m, n_x, n = ys.shape
     k = bases.shape[-1]
@@ -707,8 +716,7 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     for start in range(0, m, per_block):
         rows = slice(start * (n_x + 1), (start + per_block) * (n_x + 1))
         l1[rows], sup[rows] = section_stats(
-            f, np.repeat(comp[start:start + per_block], n_x + 1, axis=0),
-            offsets[rows])[:2]
+            f, comp[start:start + per_block], offsets[rows])[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(sup > 0, l1 ** n / np.maximum(sup, 1e-300) ** k, 0.0)
     t_vals = t_vals.reshape(m, n_x + 1)
@@ -903,6 +911,8 @@ def _beta_half(a: float, w: float) -> float:
     """Regularized incomplete beta I_w(a, 1/2) for a a positive multiple
     of 1/2 and w in [0, 1], by finite sums (A&S 26.5): from
     I_w(1/2, 1/2) = (2/pi) asin(sqrt w) or I_w(1, 1/2) = 1 - sqrt(1 - w),
+    taken as (2/pi) atan2(sqrt w, sqrt(1 - w)) and w / (1 + sqrt(1 - w)),
+    which keep their relative precision at both edges of w,
     step the first parameter up by I_w(b+1, 1/2) = I_w(b, 1/2) - t(b),
     t(b) = w^b sqrt(1 - w) / (b B(b, 1/2)).  Where a >= 3/2 and
     a (1 - w) >= 1 those steps cancel; there it sums t(a) + t(a+1) + ..."""
@@ -917,25 +927,13 @@ def _beta_half(a: float, w: float) -> float:
             term *= w * (a + 0.5) / (a + 1.0)
             a += 1.0
         return value
-    value = 2.0 / math.pi * math.asin(math.sqrt(w)) if b == 0.5 \
-        else 1.0 - math.sqrt(1.0 - w)
+    root = math.sqrt(1.0 - w)
+    value = 2.0 / math.pi * math.atan2(math.sqrt(w), root) if b == 0.5 \
+        else w / (1.0 + root)
     while b < a:
         value -= t(b)
         b += 1.0
     return value
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch: the
-    eigenvalues of the Jacobi matrix and 2 (first eigenvector entry)^2.
-    The cached arrays are read-only."""
-    i = np.arange(1, nodes)
-    off = i / np.sqrt(4.0 * i * i - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 * np.square(v[0])
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def _two_plane_measure(n: int, sigma2: float, c: float,

@@ -83,6 +83,7 @@ expect_equality = true
 
 # anisotropic density, sixth power, four subspaces: the ratio's noise
 # dwarfs the 25% relative-error floor and the verdict degrades honestly
+# (in R^4, where no deterministic rule covers the lines, so they are drawn)
 STARVED_BODY = """
 [run]
 seed = 1
@@ -90,8 +91,9 @@ output_dir = "{out}"
 
 [density skew]
 kind = "gaussian"
-n = 2
-cov = [[3.0, 0.0], [0.0, 0.2]]
+n = 4
+cov = [[3.0, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0],
+       [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
 [check wobble]
 check = "linear_invariance"
@@ -814,6 +816,37 @@ def test_extreme_configs_end_in_a_config_error_or_a_verdict(tmp_path,
         assert status == 1
         assert f"config error: [check c] {outcome}: " in err
         assert not (tmp_path / "out").exists()
+
+
+# bounded densities whose support radius passes 1.3e154: a product of two
+# wide factors (its radius once raised OverflowError) and an ellipsoid far
+# from the origin (its centre's norm once overflowed with a warning, then
+# read as an unbounded support)
+WIDE_SUPPORTS = {
+    "product-2e162": 'kind = "product"\nfactors = '
+                     '[{"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]}, '
+                     '{"lo": -2e162, "hi": 2e162, "heights": [2.5e-163]}]',
+    "ellipsoid-centre-1e200": 'kind = "ellipsoid"\nn = 2\n'
+                              'center = [1e200, 0.0]',
+}
+
+
+@pytest.mark.parametrize("name", WIDE_SUPPORTS)
+@pytest.mark.filterwarnings("error")
+def test_wide_supports_end_in_a_window_error(tmp_path, monkeypatch, capsys,
+                                             name):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "suite.ini"
+    path.write_text("[run]\nseed = 1\noutput_dir = \"out\"\n\n"
+                    f"[density d]\n{WIDE_SUPPORTS[name]}\n\n"
+                    "[check c]\ncheck = \"schneider_functional\"\n"
+                    "density = \"d\"\nk = 1\nn_flats = 8\n")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [check c] density: puts the flat window past " \
+        "the float range" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_worker_count_capped_at_checks(tmp_path, monkeypatch):

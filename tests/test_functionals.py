@@ -12,6 +12,7 @@ The first few are textbook integrals; the disk triangle constant is the
 classical Blaschke value.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeolab import functionals
+from igeolab import functionals, grassmann
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, Step1D, TruncatedGaussian,
                                section_stats)
@@ -28,7 +29,7 @@ from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  _lp_norms, _norm_products, _power_model,
                                  _slot_models)
 from igeolab.geometry import _tuple_volumes
-from igeolab.grassmann import flat_frames
+from igeolab.grassmann import flat_frames, subspace_frames
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
 
@@ -189,12 +190,20 @@ def test_moment_validation(rng):
 
 def test_grassmann_average_ball_is_exact(rng):
     # every central section of the ball looks the same, so the average
-    # collapses to a single product of norms with zero variance
+    # collapses to a single product of norms: with zero variance over
+    # drawn subspaces, and at the rule's error floor over a rule's nodes
     b2 = EllipsoidIndicator.ball(2)
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
+    drawn, route = functionals._average(
+        _slot_models([b2, b2], spec), spec, "exact",
+        functools.partial(subspace_frames, 2, 1), 500, rng, None)
+    assert route == {"route": "mc", "nodes": None}
+    assert drawn.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-12)
+    assert drawn.stderr <= 1e-12
     est = grassmann_average_I([b2, b2], spec, 1, 500, rng)
-    assert est.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-12)
-    assert est.stderr <= 1e-12
+    assert est.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-15)
+    assert est.stderr == grassmann.RULE_RTOL * est.value
+    assert est.samples == 0 and est.tail_share is None
 
 
 def test_affine_average_chord_cubed(rng):
@@ -326,16 +335,21 @@ def test_mc_products_draw_every_slot_in_order(monkeypatch):
 
 def test_averages_share_section_evaluations(rng, monkeypatch):
     # Grinberg-type slots (f, 1), (f, inf) repeat one density: one
-    # section_stats call per stack of subspaces, not two
-    b2 = EllipsoidIndicator.ball(2)
+    # section_stats call per stack of subspaces, not two; in R^4 no rule
+    # covers the ball, so the exact average draws its stack, and in R^2
+    # each level of the rule is one stack
+    b4, b2 = EllipsoidIndicator.ball(4), EllipsoidIndicator.ball(2)
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
     calls = counting_section_stats(monkeypatch)
-    grassmann_average_I([b2, b2], spec, 1, 500, rng)
-    assert calls and set(calls) == {id(b2)}
+    grassmann_average_I([b4, b4], spec, 1, 500, rng)
+    assert calls and set(calls) == {id(b4)}
     blocks = len(calls)
     calls.clear()
-    grassmann_average_I([b2, b2], spec, 1, 500, rng, method=("mc", 8))
+    grassmann_average_I([b4, b4], spec, 1, 500, rng, method=("mc", 8))
     assert len(calls) == 2 * blocks
+    calls.clear()
+    grassmann_average_I([b2, b2], spec, 1, 500, rng)
+    assert calls == [id(b2)] * 2   # the first level and its check
 
 
 def test_kplane_transform_gaussian(rng):
@@ -411,3 +425,83 @@ def test_stderr_shrinks_with_budget(rng):
     # 16x the samples should cut the standard error by about 4
     ratio = small.stderr / large.stderr
     assert 2.5 < ratio < 6.5, ratio
+
+
+# ---------------------------------------------------------------------------
+# the rule route of the section-norm averages
+
+SHAPE3 = np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.1]])
+GAUSS3 = GaussianDensity([0.1, 0.0, -0.2], [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1],
+                                            [0.0, 0.1, 1.2]])
+ELLIPSE = EllipsoidIndicator([[1.2, 0.3], [0.3, 0.7]], [0.2, -0.1])
+
+
+@pytest.mark.parametrize("f_list, k, method, flats, covered", [
+    ([GAUSS3] * 3, 1, "exact", False, True),
+    ([GAUSS3], 2, "exact", False, True),
+    ([ELLIPSE, GaussianDensity.standard(2)], 1, "exact", False, True),
+    ([EllipsoidIndicator(SHAPE3, [0.3, -0.2, 0.1])] * 2, 2, "exact", False,
+     True),
+    ([GAUSS3], 1, ("mc", 8), False, False),
+    ([GaussianDensity.standard(4)], 1, "exact", False, False),
+    ([GaussianDensity.standard(4)], 3, "exact", False, False),
+    ([EllipsoidIndicator.ball(3, center=[0.0, 0.0, 1.0])], 1, "exact",
+     False, False),                           # the origin on its boundary
+    ([TruncatedGaussian(np.zeros(3), 0.8, 2.0)], 1, "exact", False, False),
+    ([ELLIPSE, ELLIPSE], 1, "exact", True, True),
+    ([ELLIPSE, ELLIPSE.scaled(1.0)], 1, "exact", True, False),
+    ([GaussianDensity.standard(2)], 1, "exact", True, False),
+    ([EllipsoidIndicator.ball(3)], 1, "exact", True, False),   # k < n - 1
+    ([ELLIPSE], 1, ("mc", 8), True, False),
+])
+def test_rule_route_is_decided_by_family_dimension_and_method(
+        f_list, k, method, flats, covered):
+    assert functionals._rule_covers(f_list, k, method, flats) is covered
+
+
+def test_rule_route_draws_nothing(monkeypatch):
+    # no generator reaches a covered average, and the budget is unused
+    for budget in (2, 10_000):
+        est = grassmann_average_I([GAUSS3] * 3, ExponentSpec(
+            (1.0,) * 3, (1.0,) * 3), 1, budget, None)
+        assert est.samples == 0 and est.tail_share is None
+        flat = affine_average_I([ELLIPSE] * 2, ExponentSpec(
+            (1.0, 1.0), (1.0, 1.0)), 1, 2.0, budget, None)
+        assert flat.samples == 0 and flat.stderr > 0.0
+
+
+# (f_list, spec, k): one covered shape of each kind, and a flat rule off
+# the polynomial case (k A / 2 = 3/2, offsets through rho = cos psi)
+ROUTES = {
+    "gauss-lines-3": ([GAUSS3] * 3, ExponentSpec((1.0,) * 3, (1.0,) * 3),
+                      1, False),
+    "gauss-planes-3": ([GAUSS3, GAUSS3], ExponentSpec((1.0, INF),
+                                                      (2.0, -0.5)), 2,
+                       False),
+    "ellipse-lines-2": ([ELLIPSE, GaussianDensity.standard(2)],
+                        ExponentSpec((1.0, 2.0), (1.0, 1.5)), 1, False),
+    "ellipsoid-planes-3": ([EllipsoidIndicator(SHAPE3)] * 2,
+                           ExponentSpec((1.0, INF), (1.5, -0.5)), 2, False),
+    "ellipsoid-flats-3": ([EllipsoidIndicator(SHAPE3, [0.3, -0.2, 0.1])] * 4,
+                          ExponentSpec((1.0,) * 4, (1.0,) * 4), 2, True),
+    "ellipse-flats-2": ([ELLIPSE], ExponentSpec((1.0,), (3.0,)), 1, True),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_rule_route_agrees_with_the_monte_carlo_route(name, rng):
+    f_list, spec, k, flats = ROUTES[name]
+    n = f_list[0].n
+    models = _slot_models(f_list, spec)
+    if flats:
+        rule = affine_average_I(f_list, spec, k, 3.0, 2, None)
+        frames = functools.partial(flat_frames, n, k,
+                                   max(f.support_radius for f in f_list))
+    else:
+        rule = grassmann_average_I(f_list, spec, k, 2, None)
+        frames = functools.partial(subspace_frames, n, k)
+    drawn, route = functionals._average(models, spec, "exact", frames,
+                                        20_000, rng, None)
+    assert route["route"] == "mc" and rule.samples == 0
+    assert rule.stderr <= 1e-9 * rule.value
+    assert abs(rule.value - drawn.value) <= 4.0 * drawn.stderr

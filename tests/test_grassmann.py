@@ -278,3 +278,102 @@ def test_non_subspace_bases_are_rejected(E):
         perturb_subspace(E, 0.5, 2, np.random.default_rng(3))
     with pytest.raises(ValueError, match="orthonormal columns"):
         distances_to(E, bases)
+
+
+# ---------------------------------------------------------------------------
+# deterministic rules on lines and hyperplanes
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_rule_weights_sum_to_one_on_orthonormal_bases(n, k, level):
+    bases, offsets, weights = grassmann.rule_frames(n, k, level)
+    assert bases.shape == (len(weights), n, k)
+    assert abs(weights.sum() - 1.0) <= 1e-14
+    assert np.all(weights > 0) and not offsets.any()
+    gram = np.einsum("sij,sil->sjl", bases, bases)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_direction_rule_integrates_even_polynomials(n):
+    # moments of a uniform unit vector: E t_i^2 = 1/n,
+    # E t_i^4 = 3/(n(n+2)), E t_i^2 t_j^2 = 1/(n(n+2))
+    bases, _, weights = grassmann.rule_frames(n, 1, 0)
+    theta = bases[..., 0]
+    for i in range(n):
+        assert abs(weights @ theta[:, i] ** 2 - 1.0 / n) <= 1e-14
+        assert abs(weights @ theta[:, i] ** 4 - 3.0 / (n * (n + 2))) <= 1e-14
+    mixed = weights @ (theta[:, 0] ** 2 * theta[:, 1] ** 2)
+    assert abs(mixed - 1.0 / (n * (n + 2))) <= 1e-14
+    # a degree-4 polynomial off the axes the rule is built on
+    u = np.arange(1.0, n + 1.0)
+    u /= np.linalg.norm(u)
+    assert abs(weights @ (theta @ u) ** 4 - 3.0 / (n * (n + 2))) <= 1e-14
+
+
+def test_flat_rule_measures_the_hyperplanes_meeting_a_ball():
+    # with exponent 0 the weights integrate 1 over the hyperplanes meeting
+    # the body: its mean width, 2 for a unit ball wherever it sits
+    # (flat_frames' normalization); offsets are foot points on the normals
+    center = np.array([0.3, -0.2, 0.1])
+    bases, offsets, weights = grassmann.rule_frames(
+        3, 2, 0, (center, np.eye(3)), 0.0)
+    assert abs(weights.sum() - 2.0) <= 1e-14
+    r = len(offsets) // len(bases)
+    assert r == grassmann.OFFSET_NODES
+    along = np.einsum("snk,srn->srk", bases, offsets.reshape(-1, r, 3))
+    assert np.abs(along).max() <= 1e-15
+    # the outer nodes sit symmetrically about the centre's foot point
+    feet = offsets.reshape(-1, r, 3)
+    mid = 0.5 * (feet[:, 0] + feet[:, -1])
+    normals = np.cross(bases[:, :, 0], bases[:, :, 1])
+    assert np.abs(mid - (normals @ center)[:, None] * normals).max() <= 1e-15
+    reach = np.linalg.norm(feet[:, -1] - feet[:, 0], axis=1)
+    x = grassmann._gauss_legendre(r)[0]
+    assert np.abs(reach - 2.0 * x[-1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_flat_rule_offsets_integrate_the_power(exponent):
+    # int (1 - rho^2)^e d rho over [-1, 1]: 16/15 at e = 2 (exact with the
+    # Gauss-Legendre nodes in rho) and 3 pi / 8 at e = 1.5 (rho = cos psi)
+    want = {2.0: 16.0 / 15.0, 1.5: 3.0 * math.pi / 8.0}[exponent]
+    ball = (np.zeros(2), np.eye(2))
+    values = []
+    for level in range(4):
+        _, offsets, weights = grassmann.rule_frames(2, 1, level, ball,
+                                                    exponent)
+        rho = np.linalg.norm(offsets, axis=1)
+        values.append(weights @ (1.0 - rho * rho) ** exponent)
+    assert abs(values[-1] - want) <= 1e-14
+    if exponent == 2.0:
+        assert abs(values[0] - want) <= 1e-14
+
+
+def test_rule_average_stops_when_a_level_agrees_with_the_one_before():
+    calls = []
+
+    def integrand(bases, offsets):
+        calls.append(len(bases))
+        return bases[:, 0, 0] ** 2
+
+    value, error, nodes = grassmann.rule_average(3, 1, integrand)
+    assert abs(value - 1.0 / 3.0) <= 1e-15
+    assert error == grassmann.RULE_RTOL * value
+    assert calls == [128, 512] and nodes == 512
+
+
+def test_rule_average_stops_at_the_frame_cap():
+    # a kink is never resolved; the last level's change is the error
+    calls = []
+
+    def integrand(bases, offsets):
+        calls.append(len(bases))
+        return np.abs(bases[:, 0, 0])
+
+    value, error, nodes = grassmann.rule_average(3, 1, integrand)
+    assert nodes == calls[-1] <= grassmann.RULE_MAX_FRAMES
+    assert 4 * nodes > grassmann.RULE_MAX_FRAMES
+    assert abs(value - 0.5) <= error
+    assert error > grassmann.RULE_RTOL * value

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
-                               TruncatedGaussian, _step_quantiles,
+                               TruncatedGaussian, _per_row, _step_quantiles,
                                _uniform_ball, affine_image, section_points,
                                section_stats)
 from igeolab import verify
@@ -463,5 +463,39 @@ def test_fiber_feet_are_foot_points(monkeypatch, n, k):
     bases = haar_bases(n, k, 6, rng)
     verify._fiber_statistics(f, bases, f.sample(6 * 40, rng).reshape(6, 40, n))
     (fiber_bases, offsets), = handed
+    # the n_x + 1 fibers of a subspace share its complement's basis
+    fiber_bases = _per_row(fiber_bases, len(offsets))
     assert np.abs(np.einsum("snk,sn->sk", fiber_bases, offsets)).max() \
         <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["exact", ("mc", 16)])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_shared_bases_read_as_repeated_ones_bit_for_bit(method, n, k):
+    # m bases for r m offsets, basis i spanning offsets i r .. i r + r - 1,
+    # give every stat of the stack of repeated bases, to the last bit, in
+    # every family with those sections; the bases come as the
+    # non-contiguous complement slices the marginal-bound fibers use
+    rng = np.random.default_rng(10 * n + k)
+    m, r = 5, 7
+    full = np.linalg.qr(rng.standard_normal((m, n, n)), mode="complete")[0]
+    bases = full[..., n - k:]
+    offsets = np.einsum("mnj,mrj->mrn", full[..., :n - k],
+                        rng.uniform(-0.8, 0.8, (m, r, n - k))).reshape(-1, n)
+    shape = np.eye(n) + 0.2 * np.ones((n, n))
+    families = [EllipsoidIndicator(shape, 0.1 * np.ones(n)),
+                GaussianDensity(0.1 * np.ones(n), np.linalg.inv(shape)),
+                TruncatedGaussian(0.1 * np.ones(n), 0.7, 1.5),
+                RadialGridDensity.uniform(n, 1.5, [2.0, 1.0])]
+    if k == 1:
+        families.append(ProductDensity([Step1D.uniform(-1.0, 1.0,
+                                                       [1.0, 2.0])] * n))
+    for f in families:
+        if method != "exact" and math.isinf(f.support_radius):
+            continue
+        shared = section_stats(f, bases, offsets, method,
+                               np.random.default_rng(1))
+        repeated = section_stats(f, np.repeat(bases, r, axis=0), offsets,
+                                 method, np.random.default_rng(1))
+        for a, b in zip(shared, repeated):
+            assert np.array_equal(a, b), type(f).__name__

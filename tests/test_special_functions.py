@@ -7,6 +7,7 @@ reference.  A last test runs
 the package in a fresh interpreter that cannot import scipy at all.
 """
 
+import decimal
 import os
 import pathlib
 import subprocess
@@ -67,6 +68,45 @@ def test_beta_half_matches_betainc(n):
     for w in np.linspace(0.0, 1.0, 1001):
         assert abs(_beta_half(a, w) - betainc(a, 0.5, w)) <= 1e-14
 
+
+
+# I_w(1/2, 1/2) = (2/pi) asin(sqrt w) and I_w(1, 1/2) = 1 - sqrt(1 - w) at
+# the double w exactly: asin to 50 digits by its series below w = 1/2 and
+# through asin(sqrt w) = pi/2 - asin(sqrt(1 - w)) above, and the root to
+# 700 digits, enough to keep 1 - sqrt(1 - w) at w = 1e-300
+PI_50 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def decimal_asin(y):
+    total = term = y
+    j = 0
+    while term > total * decimal.Decimal(10) ** -55:
+        term *= y * y * (2 * j + 1) ** 2 / ((2 * j + 2) * (2 * j + 3))
+        total += term
+        j += 1
+    return total
+
+
+def decimal_beta_half(a, w):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700 if a == 1.0 else 50
+        w = decimal.Decimal(w)
+        if a == 1.0:
+            return float(1 - (1 - w).sqrt())
+        if w <= decimal.Decimal("0.5"):
+            return float(2 / PI_50 * decimal_asin(w.sqrt()))
+        return float(1 - 2 / PI_50 * decimal_asin((1 - w).sqrt()))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_beta_half_starts_keep_relative_precision_at_both_edges(a):
+    # 1 - sqrt(1 - w) read 0 at w = 1e-17, and (2/pi) asin(sqrt w) was
+    # about 1e-9 off at w = 1 - 1e-15
+    ws = [1e-300, 1e-17, 1e-15, 1e-8, 0.0137, 0.3, 0.5, 0.7, 0.99,
+          1.0 - 1e-8, 1.0 - 1e-15, 1.0 - 2.0 ** -53]
+    for w in ws:
+        ref = decimal_beta_half(a, w)
+        assert abs(_beta_half(a, w) - ref) <= 1e-14 * ref, (a, w)
 
 
 def test_beta_half_tail_matches_betainc_to_1e_12():

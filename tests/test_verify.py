@@ -8,6 +8,7 @@ ratios they converge to, with bands wide enough for the reduced budgets.
 
 import csv
 import functools
+import json
 import math
 import pathlib
 import sys
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from igeolab import grassmann, verify
-from igeolab.config import load_config
+from igeolab import grassmann, runner, verify
+from igeolab.config import CHECKS, load_config, report_name
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
@@ -26,6 +27,7 @@ from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import haar_bases
 from igeolab.report import FAIL, INCONCLUSIVE, PASS
+from igeolab.rng import substream
 from igeolab.runner import run_suite
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
                             check_bp_subspace, check_grinberg_functional,
@@ -838,3 +840,94 @@ def test_perturbation_huge_ball_is_trivial(rng):
     # a ball that swallows the support captures all the mass at once
     assert rep.verdict == PASS
     assert max(rep.diagnostics["best_small_ball_fractions"]) >= 0.999
+
+
+# ---------------------------------------------------------------------------
+# the rule route of the shipped rows
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the rows of the shipped configs that a deterministic rule covers
+RULE_ROWS = {
+    "paper-core": {"linear invariance shear", "affine invariance shear shift",
+                   "section ratio equality ball",
+                   "section ratio ellipsoid equality",
+                   "flat average shifted ellipsoid equality"},
+    "negative-controls": {"wrong sum linear", "wrong sum affine"},
+}
+
+
+class FrameDrawsRaise(np.random.Generator):
+    """A generator, and children, whose standard_normal and random raise:
+    the draws every frame and section sampler makes.  A named shear is
+    drawn by uniform and choice, which still work, so a row keeps its map."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("a row that a rule covers drew")
+
+    random = standard_normal
+
+
+@pytest.mark.parametrize("name", RULE_ROWS)
+def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.ini"),
+                      output_override=str(tmp_path))
+    labels = [job.label for job in cfg.checks]
+    assert RULE_ROWS[name] <= set(labels)
+
+    def guarded(seed, i):
+        stream = substream(seed, i)
+        return FrameDrawsRaise(stream.bit_generator) \
+            if labels[i] in RULE_ROWS[name] else stream
+
+    monkeypatch.setattr(runner, "substream", guarded)
+    run_suite(cfg, echo=lambda line: None)
+    with open(tmp_path / "results.csv", newline="") as handle:
+        got = [row["verdict"] for row in csv.DictReader(handle)]
+    with open(ROOT / "tests" / "data" / f"{name}-results.csv",
+              newline="") as handle:
+        want = [row["verdict"] for row in csv.DictReader(handle)]
+    assert got == want
+    for label in RULE_ROWS[name]:
+        report = tmp_path / "reports" / (report_name(label) + ".json")
+        route = json.loads(report.read_text())["diagnostics"]["route"]
+        assert route in ("rule", ["rule", "rule"]), label
+
+
+def shipped_job(label, name="paper-core"):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.ini"))
+    (job,) = [job for job in cfg.checks if job.label == label]
+    return job
+
+
+def test_a_rule_with_one_perturbed_weight_fails_an_equality(monkeypatch):
+    job = shipped_job("section ratio ellipsoid equality")
+    report = CHECKS[job.name].run(job.kwargs, None)
+    assert report.verdict == PASS and abs(report.ratio - 1.0) <= 1e-10
+    original = grassmann._sphere_rule
+
+    def mutant(n, level):
+        frames, weights = original(n, level)
+        weights = weights.copy()
+        weights[0] += 0.1
+        return frames, weights
+
+    monkeypatch.setattr(grassmann, "_sphere_rule", mutant)
+    report = CHECKS[job.name].run(job.kwargs, None)
+    assert report.verdict == FAIL
+
+
+@pytest.mark.parametrize("center, rhs", [
+    (None, None), ([0.3, -0.2, 0.1], 55.90572352596342)])
+def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
+    # the two k = 2 equality cases of the shipped suite: ball3 and
+    # ellipsoid3_shifted, against the closed-form right-hand side
+    f = EllipsoidIndicator.ball(3) if center is None else \
+        EllipsoidIndicator([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
+                            [0.0, -0.1, 1.1]], center)
+    report = check_schneider_functional(f, 2, 2, None, expect_equality=True)
+    assert report.verdict == PASS
+    assert abs(report.ratio - 1.0) <= 1e-10
+    assert report.lhs.samples == 0
+    assert report.diagnostics["route"] == "rule"
+    if rhs is not None:
+        assert report.rhs.value == pytest.approx(rhs, rel=1e-15)
