@@ -6,7 +6,8 @@ section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.  Where a deterministic rule covers a section-norm
 average (_rule_covers), the average takes it instead of drawing: its
-Estimate carries the rule's error as stderr and 0 samples.
+Estimate has method "rule", the rule's error as stderr and the frames of
+its last level as samples.
 """
 
 from __future__ import annotations
@@ -148,9 +149,7 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     without it the points span the simplex alone and 2 <= q <= n + 1,
     p >= 1 are required (one point spans no simplex; below p = 1 the
     rearrangement machinery breaks down).  The points are drawn slot by
-    slot into a (q, m, n) stack; without the origin the first slot is
-    subtracted from the others into a (q - 1, m, n) stack, which replaces
-    the drawn one before the volumes are taken.
+    slot into a (q, m, n) stack, whose volumes _simplex_powers takes.
     """
     q = len(f_list)
     n = _common_dim(f_list)
@@ -162,17 +161,31 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     if not origin and p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
 
-    def draw(stream, m):
+    def stack(stream, m):
         # slot-major: each slot's sample fills a contiguous (m, n) plane
         pts = np.empty((q, m, n))
         for i, f in enumerate(f_list):
             pts[i] = f.sample(m, stream)
-        if not origin:
-            # rebinding frees the drawn stack before the volumes are taken
-            pts = pts[1:] - pts[0]
-        return powz(_tuple_volumes(pts.transpose(1, 0, 2)), p)
+        return pts
+
+    def draw(stream, m):
+        # handed over as a temporary, the stack is freed when
+        # _simplex_powers rebinds it: one stack less at the peak
+        return _simplex_powers(stack(stream, m), origin, p)
 
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
+
+
+def _simplex_powers(pts: np.ndarray, origin: bool, p: float) -> np.ndarray:
+    """|conv|^p (powz) of every tuple of a slot-major stack pts (q, ..., d):
+    the tuple spans a simplex with the origin as extra vertex when origin
+    is set, else by its points alone, the first slot subtracted from the
+    others.  The volumes are taken on a view with the slot axis next to
+    the coordinates; passed a temporary, the drawn stack is freed before
+    they are."""
+    if not origin:
+        pts = pts[1:] - pts[0]
+    return powz(_tuple_volumes(np.moveaxis(pts, 0, -2)), p)
 
 
 def _blocked(m: int, rows: int, fill) -> np.ndarray:
@@ -228,20 +241,18 @@ def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
 
 
 def _average(models, spec: ExponentSpec, method, frames, count: int, rng,
-             rule) -> tuple[Estimate, dict]:
-    """The section-norm average of the slot models and its route: the
-    frame mean of count frames, {"route": "mc", "nodes": None}, or with
-    rule = (n, k, ellipsoid, exponent) rule_average, drawing nothing,
-    {"route": "rule", "nodes": its frame count}."""
+             rule) -> Estimate:
+    """The section-norm average of the slot models: the frame mean of count
+    frames, or with rule = (n, k, ellipsoid, exponent) rule_average,
+    drawing nothing."""
     integrand = functools.partial(_norm_products, models, spec, method)
     if rule is None:
-        return (_frame_mean(frames, integrand, count, rng, count),
-                {"route": "mc", "nodes": None})
+        return _frame_mean(frames, integrand, count, rng, count)
     n, k, ellipsoid, exponent = rule
     value, error, nodes = rule_average(
         n, k, lambda bases, offsets: integrand(bases, offsets, None),
         ellipsoid, exponent)
-    return Estimate(value, error, 0), {"route": "rule", "nodes": nodes}
+    return Estimate(value, error, nodes, "rule")
 
 
 def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
@@ -256,11 +267,6 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     _rule_covers holds the subspaces are a rule's nodes, converged level
     by level, and n_subspaces is unused.
     """
-    return _grassmann_average(f_list, spec, k, n_subspaces, rng, method)[0]
-
-
-def _grassmann_average(f_list, spec, k, n_subspaces, rng, method):
-    """grassmann_average_I and its route, as _average returns them."""
     models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     rule = (n, k, None, 0.0) if _rule_covers(f_list, k, method, False) \
@@ -286,11 +292,6 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     the integrand is a multiple of (1 - rho^2)^(k A / 2) along each normal,
     A the exponent sum (grassmann.rule_frames).
     """
-    return _affine_average(f_list, spec, k, R, n_flats, rng, method)[0]
-
-
-def _affine_average(f_list, spec, k, R, n_flats, rng, method):
-    """affine_average_I and its route, as _average returns them."""
     models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     for f in f_list:

@@ -1,9 +1,9 @@
 """Estimates with uncertainty, and structured check reports.
 
-Estimate is the common currency of every Monte Carlo routine: a value, the
-standard error of the mean, and the sample count.  CheckReport is what the
-verification layer emits: both sides of an identity or inequality, their
-ratio, a three-way verdict, and free-form diagnostics.
+Estimate is the common currency of every side of a check: a value, its
+standard error, its sample count, and how it was computed.  CheckReport is
+what the verification layer emits: both sides of an identity or
+inequality, their ratio, a three-way verdict, and free-form diagnostics.
 """
 
 from __future__ import annotations
@@ -33,22 +33,27 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass
 class Estimate:
-    """A scalar estimate: value, stderr of the mean, and sample count.
+    """A scalar estimate: value, stderr, sample count, and method.
 
-    stderr is sample standard deviation / sqrt(samples) for MC results and
-    0 for exact values.  tail_share, when set, is the fraction of the
-    estimate carried by the largest 1% of contributions (heavy-tail
-    diagnostic).
+    method says how the value was computed: "exact" (a closed form, stderr
+    and samples 0), "rule" (a deterministic quadrature, stderr a bound on
+    its error, samples the frames of its last level, 0 for a rule of one
+    fixed level) or "mc" (a Monte Carlo mean, stderr sample sd /
+    sqrt(samples)).  It is not a check's section method parameter, "exact"
+    or ("mc", N), which says how section norms are read.  tail_share, when
+    set, is the fraction of the estimate carried by the largest 1% of
+    contributions (heavy-tail diagnostic).
     """
 
     value: float
     stderr: float
     samples: int
+    method: str
     tail_share: float | None = None
 
     @classmethod
     def exact(cls, value: float) -> "Estimate":
-        return cls(float(value), 0.0, 0)
+        return cls(float(value), 0.0, 0, "exact")
 
     @property
     def rel_stderr(self) -> float:
@@ -58,7 +63,7 @@ class Estimate:
 
     def scaled(self, c: float) -> "Estimate":
         return Estimate(self.value * c, self.stderr * abs(c), self.samples,
-                        self.tail_share)
+                        self.method, self.tail_share)
 
 
 def merge_estimates(parts: list[Estimate]) -> Estimate:
@@ -80,7 +85,7 @@ def merge_estimates(parts: list[Estimate]) -> Estimate:
     if count == 0:
         raise ValueError("merged estimates carry no samples")
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
-    return Estimate(mean, stderr, count)
+    return Estimate(mean, stderr, count, "mc")
 
 
 def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -102,7 +107,7 @@ def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
                          f"wanted ({n_total},)")
     sd = vals.std(ddof=1)
     part = Estimate(float(vals.mean()), float(sd / math.sqrt(n_total)),
-                    n_total)
+                    n_total, "mc")
     # the Welford merge rounds value and stderr in its own way; passing the
     # one part through it keeps every published MC figure bit-stable
     est = merge_estimates([part])
@@ -122,20 +127,24 @@ def _tail_share(values: np.ndarray) -> float:
 
 
 def ratio_estimate(num: Estimate, den: Estimate) -> Estimate:
-    """num/den for independent estimates, stderr by first-order propagation."""
+    """num/den for independent estimates, stderr by first-order propagation,
+    with the less exact of the two methods."""
+    samples = num.samples + den.samples
+    method = max(num.method, den.method, key=("exact", "rule", "mc").index)
     if den.value == 0.0:
-        return Estimate(math.inf, math.inf, num.samples + den.samples)
+        return Estimate(math.inf, math.inf, samples, method)
     value = num.value / den.value
     rel = math.sqrt(num.rel_stderr ** 2 + den.rel_stderr ** 2)
-    return Estimate(value, abs(value) * rel, num.samples + den.samples)
+    return Estimate(value, abs(value) * rel, samples, method)
 
 
 def power_estimate(est: Estimate, exponent: float) -> Estimate:
     """est**exponent with delta-method stderr."""
     if est.value <= 0.0:
-        return Estimate(0.0, math.inf, est.samples)
+        return Estimate(0.0, math.inf, est.samples, est.method)
     value = est.value ** exponent
-    return Estimate(value, abs(value * exponent) * est.rel_stderr, est.samples)
+    return Estimate(value, abs(value * exponent) * est.rel_stderr,
+                    est.samples, est.method)
 
 
 @dataclass

@@ -31,14 +31,14 @@ import math
 import numpy as np
 
 from .geometry import bp_constant, bp_exact_constant, \
-    unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve, \
-    _tuple_volumes
+    unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
     distances_to, haar_bases, _gauss_legendre, _orthonormal, _orthonormalize
 from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
     affine_image, section_points, section_stats, _volume_preserving
-from .functionals import ExponentSpec, powz, simplex_moment, \
-    _affine_average, _blocked, _common_dim, _frame_mean, _grassmann_average
+from .functionals import ExponentSpec, affine_average_I, \
+    grassmann_average_I, simplex_moment, _blocked, _common_dim, \
+    _frame_mean, _simplex_powers
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
     mc_estimate, merge_estimates, ratio_estimate, power_estimate
@@ -203,12 +203,9 @@ def _section_moments(f_list, inner, exponent, origin, bases, offsets,
     """
     masses, pts = zip(*[section_points(f, bases, offsets, inner, rng)
                         for f in f_list])
-    # slot-major (q, flats, inner, k), handed over as a transposed view
-    pts = np.stack(pts)
-    if not origin:
-        pts = pts[1:] - pts[0]
+    # slot-major (q, flats, inner, k)
     return np.prod(masses, axis=0) \
-        * powz(_tuple_volumes(np.moveaxis(pts, 0, -2)), exponent).mean(axis=1)
+        * _simplex_powers(np.stack(pts), origin, exponent).mean(axis=1)
 
 
 def _section_route(f_list, frames, count, inner, exponent, origin,
@@ -234,7 +231,7 @@ def _decomposition_report(name: str, parameters: dict, dims: tuple,
     """
     ambients, routes = zip(*[(ambient(half), route(half.spawn(1)[0]))
                              for half in rng.spawn(2)])
-    lhs_all = ambients[0] if ambients[0].samples == 0 \
+    lhs_all = ambients[0] if ambients[0].method == "exact" \
         else merge_estimates(ambients)
     printed = bp_constant(*dims)
     exact = bp_exact_constant(*dims)
@@ -354,13 +351,13 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 # ---------------------------------------------------------------------------
 
 def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
-                       invariant_sum: float, sides, **extra) -> CheckReport:
+                       invariant_sum: float, before: Estimate,
+                       after: Estimate, **extra) -> CheckReport:
     """Verdict shared by the two invariance checks: FAIL when after/before
     departs from 1 by more than 3 stderr, INCONCLUSIVE when a side is
     heavy-tailed or the ratio too noisy to see a departure, else PASS.
-    sides holds the (Estimate, route) of the average before and after the
-    map, as functionals' averages return them."""
-    (before, route_before), (after, route_after) = sides
+    before and after are the averages before and after the map; each says
+    how it was computed (Estimate.method) and carries its tail share."""
     ratio = ratio_estimate(after, before)
     dev = abs(ratio.value - 1.0)
     if ratio.stderr > 0 and dev > 3.0 * ratio.stderr:
@@ -378,10 +375,7 @@ def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
                      "invariant_sum": float(invariant_sum),
                      "sum_matches": abs(spec.constraint_sum - invariant_sum)
                      <= 1e-10,
-                     **extra,
-                     "route": [route_before["route"], route_after["route"]],
-                     "nodes": [route_before["nodes"], route_after["nodes"]],
-                     "tail_shares": [before.tail_share, after.tail_share]})
+                     **extra})
 
 
 def _images(f_list, g) -> list:
@@ -451,16 +445,16 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
     g = _drawn_map((g, None), n, maps)
-    before = _grassmann_average(f_list, spec, k, n_subspaces, streams[0],
-                                method)
+    before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
+                                 method)
     images = _images(f_list, g)
-    after = _grassmann_average(images, spec, k, n_subspaces, streams[1],
-                               method)
+    after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
+                                method)
     return _invariance_report(
         "linear_invariance",
         {"n": n, "k": k, **_spec_params(spec), "n_subspaces": n_subspaces,
          "method": method},
-        spec, n, (before, after))
+        spec, n, before, after)
 
 
 def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
@@ -496,17 +490,17 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
     maps, *streams = rng.spawn(3)
     g = _drawn_map(g, n, maps)
     r_before = max(R, max(f.support_radius for f in f_list))
-    before = _affine_average(f_list, spec, k, r_before, n_flats, streams[0],
-                             method)
+    before = affine_average_I(f_list, spec, k, r_before, n_flats,
+                              streams[0], method)
     images = _images(f_list, g)
     r_after = max(R, max(f.support_radius for f in images))
-    after = _affine_average(images, spec, k, r_after, n_flats, streams[1],
-                            method)
+    after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
+                             method)
     return _invariance_report(
         "affine_invariance",
         {"n": n, "k": k, **_spec_params(spec), "R": R, "n_flats": n_flats,
          "method": method},
-        spec, n + 1, (before, after), windows=[r_before, r_after])
+        spec, n + 1, before, after, windows=[r_before, r_after])
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +578,12 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
 # The two functional section inequalities.
 # ---------------------------------------------------------------------------
 
-def _bound_report(name: str, parameters: dict, average, rhs: Estimate,
+def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
                   expect_equality: bool) -> CheckReport:
     """Verdict shared by the two functional section inequalities: one-sided,
     or the equality band in equality mode; a heavy-tailed LHS turns a
-    non-failing verdict inconclusive.  average is the LHS and its route, as
-    functionals' averages return them."""
-    lhs, route = average
+    non-failing verdict inconclusive.  lhs is the section-norm average, and
+    says how it was computed (Estimate.method) and its tail share."""
     if expect_equality:
         verdict, band = _equality_verdict(lhs, rhs)
     else:
@@ -600,8 +593,7 @@ def _bound_report(name: str, parameters: dict, average, rhs: Estimate,
     return CheckReport(
         name=name, parameters=parameters, lhs=lhs, rhs=rhs, verdict=verdict,
         diagnostics={"expect_equality": expect_equality,
-                     "equality_band": band,
-                     "tail_share": lhs.tail_share, **route})
+                     "equality_band": band})
 
 
 def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
@@ -642,7 +634,7 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
-    lhs = _grassmann_average(doubled, spec, k, n_subspaces, rng, method)
+    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method)
     return _bound_report(
         "grinberg_functional", {"n": n, "k": k, "q": q, "p": p,
                                 "n_subspaces": n_subspaces, "method": method},
@@ -677,8 +669,8 @@ def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
     rhs = _schneider_rules(f, k, n_flats, method, expect_equality)
     n = f.n
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
-    lhs = _affine_average([f, f], spec, k, f.support_radius, n_flats, rng,
-                          method)
+    lhs = affine_average_I([f, f], spec, k, f.support_radius, n_flats, rng,
+                           method)
     return _bound_report(
         "schneider_functional", {"n": n, "k": k, "R": f.support_radius,
                                  "n_flats": n_flats, "method": method},
@@ -856,7 +848,7 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         ok = ok and detected
     lhs = Estimate(float(averages.mean()),
                    float(averages.std(ddof=1) / math.sqrt(n_subspaces)),
-                   n_subspaces)
+                   n_subspaces, "mc")
     rhs = Estimate.exact(threshold)
     return CheckReport(
         name="marginal_bound",
@@ -1041,17 +1033,17 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
 
     The measure is exact_event_measure where that has a value: min(k, n-k)
     <= 2, or an empty event, i.e. s above empty_above = (2 pi)^((n-k)/(2k))
-    (min det(B^T D B) = sigma^(2k), the span of the first k axes).  Its
-    method is then "exact" (a closed form, or the empty event's 0) or
-    "quadrature" (min(k, n-k) = 2), and its verdict is measure >= bound.
+    (min det(B^T D B) = sigma^(2k), the span of the first k axes).  The
+    rhs method is then "exact" (a closed form, or the empty event's 0) or
+    "rule" (the two-plane quadrature of min(k, n-k) = 2, stderr 0), and
+    the verdict is measure >= bound.
     A non-empty exact row still draws one block of min(n_subspaces,
     DRAW_BLOCK) subspaces through _sharpness_hits as a cross-check of the
     exact form at these (n, k, s): their hit share and its binomial z
     against the exact measure are reported as sampled_measure and
     sampled_z, and neither enters the measure or the verdict.  Otherwise
     n_subspaces subspaces are drawn through _sharpness_hits in blocks of
-    DRAW_BLOCK (see _blocked), the method is "mc" and exact_measure is
-    None.
+    DRAW_BLOCK (see _blocked) and the rhs method is "mc".
     """
     _sharpness_rules(n, k, s, n_subspaces)
     exact = exact_event_measure(n, k, s)
@@ -1061,11 +1053,9 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
             return _blocked(m, DRAW_BLOCK, functools.partial(
                 _sharpness_hits, n, k, s, stream))
         rhs = mc_estimate(draw, n_subspaces, rng)
-        method = "mc"
     else:
-        rhs = Estimate.exact(exact)
-        method = "quadrature" if min(k, n - k) == 2 and exact > 0 \
-            else "exact"
+        rhs = Estimate(float(exact), 0.0, 0, "rule") \
+            if min(k, n - k) == 2 and exact > 0 else Estimate.exact(exact)
         if exact > 0:
             m = min(n_subspaces, DRAW_BLOCK)
             sampled = float(np.mean(_sharpness_hits(n, k, s, rng, m)))
@@ -1079,13 +1069,11 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
         lhs=lhs, rhs=rhs, verdict=_one_sided_verdict(lhs, rhs),
         diagnostics={
-            "exact_measure": exact,
             "claimed_bound": bound,
             "sigma": math.sqrt((2 * math.pi) ** (-n / k)),
             # the factor a for which measure = (a s)^(-k(n-k)); the claim
             # corresponds to a = 2
             "fitted_factor": fitted_factor,
-            "method": method,
             "empty_above": (2 * math.pi) ** ((n - k) / (2 * k)),
             "sampled_measure": sampled,
             "sampled_z": sampled_z,

@@ -191,19 +191,21 @@ def test_moment_validation(rng):
 def test_grassmann_average_ball_is_exact(rng):
     # every central section of the ball looks the same, so the average
     # collapses to a single product of norms: with zero variance over
-    # drawn subspaces, and at the rule's error floor over a rule's nodes
+    # drawn subspaces, and at the rule's error floor over a rule's nodes,
+    # which stops at its second level, the first it can compare
     b2 = EllipsoidIndicator.ball(2)
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
-    drawn, route = functionals._average(
+    drawn = functionals._average(
         _slot_models([b2, b2], spec), spec, "exact",
         functools.partial(subspace_frames, 2, 1), 500, rng, None)
-    assert route == {"route": "mc", "nodes": None}
+    assert drawn.method == "mc" and drawn.samples == 500
     assert drawn.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-12)
     assert drawn.stderr <= 1e-12
     est = grassmann_average_I([b2, b2], spec, 1, 500, rng)
     assert est.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-15)
     assert est.stderr == grassmann.RULE_RTOL * est.value
-    assert est.samples == 0 and est.tail_share is None
+    assert est.method == "rule" and est.tail_share is None
+    assert est.samples == 2 * grassmann.RULE_START[2]
 
 
 def test_affine_average_chord_cubed(rng):
@@ -374,7 +376,7 @@ def test_estimate_exact_and_scaled():
 
 
 def test_merge_estimates():
-    parts = [Estimate(1.0, 0.1, 100), Estimate(2.0, 0.1, 100)]
+    parts = [Estimate(1.0, 0.1, 100, "mc"), Estimate(2.0, 0.1, 100, "mc")]
     merged = merge_estimates(parts)
     assert merged.value == pytest.approx(1.5)
     assert merged.samples == 200
@@ -407,15 +409,31 @@ def test_check_report_computes_ratio():
 
 
 def test_ratio_and_power_estimates():
-    num = Estimate(6.0, 0.6, 50)
-    den = Estimate(3.0, 0.0, 50)
+    num = Estimate(6.0, 0.6, 50, "mc")
+    den = Estimate(3.0, 0.0, 50, "mc")
     r = ratio_estimate(num, den)
     assert r.value == pytest.approx(2.0)
     assert r.stderr == pytest.approx(0.2)
-    p = power_estimate(Estimate(4.0, 0.4, 50), 0.5)
+    p = power_estimate(Estimate(4.0, 0.4, 50, "mc"), 0.5)
     assert p.value == pytest.approx(2.0)
     # delta method: d/dv sqrt(v) = 1/(2 sqrt(v)) -> 0.4 / 4 = 0.1... times value
     assert p.stderr == pytest.approx(abs(2.0 * 0.5) * 0.1)
+
+
+def test_each_estimate_says_how_it_was_computed(rng):
+    exact, rule = Estimate.exact(2.0), Estimate(3.0, 3e-12, 64, "rule")
+    drawn = mc_estimate(lambda stream, m: stream.random(m), 100, rng)
+    assert (exact.method, drawn.method) == ("exact", "mc")
+    assert merge_estimates([drawn, drawn]).method == "mc"
+    for est in (exact, rule, drawn):
+        assert est.scaled(-2.0).method == est.method
+        assert power_estimate(est, 0.5).method == est.method
+    # a ratio is as exact as the less exact of its two sides
+    for num, den, method in ((exact, exact, "exact"), (exact, rule, "rule"),
+                             (rule, exact, "rule"), (rule, drawn, "mc"),
+                             (drawn, exact, "mc"),
+                             (rule, Estimate.exact(0.0), "rule")):
+        assert ratio_estimate(num, den).method == method
 
 
 def test_stderr_shrinks_with_budget(rng):
@@ -460,14 +478,18 @@ def test_rule_route_is_decided_by_family_dimension_and_method(
 
 
 def test_rule_route_draws_nothing(monkeypatch):
-    # no generator reaches a covered average, and the budget is unused
+    # no generator reaches a covered average, and the budget is unused:
+    # both budgets give the same sides, frame counts included
+    sides = []
     for budget in (2, 10_000):
         est = grassmann_average_I([GAUSS3] * 3, ExponentSpec(
             (1.0,) * 3, (1.0,) * 3), 1, budget, None)
-        assert est.samples == 0 and est.tail_share is None
+        assert est.method == "rule" and est.tail_share is None
         flat = affine_average_I([ELLIPSE] * 2, ExponentSpec(
             (1.0, 1.0), (1.0, 1.0)), 1, 2.0, budget, None)
-        assert flat.samples == 0 and flat.stderr > 0.0
+        assert flat.method == "rule" and flat.stderr > 0.0
+        sides.append((est, flat))
+    assert sides[0] == sides[1]
 
 
 # (f_list, spec, k): one covered shape of each kind, and a flat rule off
@@ -500,8 +522,8 @@ def test_rule_route_agrees_with_the_monte_carlo_route(name, rng):
     else:
         rule = grassmann_average_I(f_list, spec, k, 2, None)
         frames = functools.partial(subspace_frames, n, k)
-    drawn, route = functionals._average(models, spec, "exact", frames,
-                                        20_000, rng, None)
-    assert route["route"] == "mc" and rule.samples == 0
+    drawn = functionals._average(models, spec, "exact", frames, 20_000, rng,
+                                 None)
+    assert drawn.method == "mc" and rule.method == "rule"
     assert rule.stderr <= 1e-9 * rule.value
     assert abs(rule.value - drawn.value) <= 4.0 * drawn.stderr

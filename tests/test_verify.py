@@ -651,7 +651,7 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
     ref = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
     small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
-    assert ref.rhs.value > 0 and ref.diagnostics["method"] == "mc"
+    assert ref.rhs.value > 0 and ref.rhs.method == "mc"
     assert small.to_dict() == ref.to_dict()
 
 
@@ -659,10 +659,10 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
                                      (3.0, 0.0068775)])
 def test_sharpness_exact_measure_matches_mc(s, exact, rng):
     rep = gaussian_sharpness_experiment(3, 1, s, 100_000, rng)
-    d = rep.diagnostics
-    assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
-    assert rep.rhs.value == d["exact_measure"] and d["method"] == "exact"
-    assert_matches_sampler(d["exact_measure"], 3, 1, s, rng)
+    assert rep.rhs.value == pytest.approx(exact, rel=5e-5)
+    assert rep.rhs.value == verify.exact_event_measure(3, 1, s)
+    assert rep.rhs.method == "exact"
+    assert_matches_sampler(rep.rhs.value, 3, 1, s, rng)
 
 
 @pytest.mark.parametrize("n,k,s", [(4, 2, 1.5), (4, 2, 2.0), (5, 2, 1.5),
@@ -672,14 +672,15 @@ def test_sharpness_two_plane_measure_matches_mc(n, k, s, rng):
     # through its orthogonal complement for (5, 3)
     rep = gaussian_sharpness_experiment(n, k, s, 100_000, rng)
     d = rep.diagnostics
-    assert d["method"] == "quadrature" and rep.rhs.samples == 0
-    assert rep.rhs.value == d["exact_measure"] > 0
+    assert rep.rhs.method == "rule" and rep.rhs.samples == 0
+    assert rep.rhs.stderr == 0.0
+    assert rep.rhs.value == verify.exact_event_measure(n, k, s) > 0
     # the row's own one-block cross-check, and a million more draws
     assert abs(d["sampled_z"]) <= 4.0
     assert d["sampled_z"] == pytest.approx(
         (d["sampled_measure"] - rep.rhs.value)
         / math.sqrt(rep.rhs.value * (1 - rep.rhs.value) / verify.DRAW_BLOCK))
-    assert_matches_sampler(d["exact_measure"], n, k, s, rng)
+    assert_matches_sampler(rep.rhs.value, n, k, s, rng)
 
 
 def test_sharpness_two_plane_measure_pins_the_shipped_rows():
@@ -696,8 +697,8 @@ def test_sharpness_no_exact_measure_between_lines_and_hyperplanes(rng):
     # share of the sampler's hits in the row's own stream
     state = rng.bit_generator.state
     rep = gaussian_sharpness_experiment(6, 3, 1.0, 1000, rng)
-    assert rep.diagnostics["exact_measure"] is None
-    assert rep.diagnostics["method"] == "mc" and rep.rhs.samples == 1000
+    assert verify.exact_event_measure(6, 3, 1.0) is None
+    assert rep.rhs.method == "mc" and rep.rhs.samples == 1000
     assert rep.diagnostics["sampled_z"] is None
     rng.bit_generator.state = state
     assert rep.rhs.value == sampler_share(6, 3, 1.0, 1000, rng) > 0
@@ -737,7 +738,8 @@ def test_sharpness_empty_event_draws_nothing(n, k, s):
     rep = gaussian_sharpness_experiment(n, k, s, 1000, gen)
     d = rep.diagnostics
     assert s > d["empty_above"] == (2 * math.pi) ** ((n - k) / (2 * k))
-    assert d["exact_measure"] == 0.0 and d["method"] == "exact"
+    assert rep.rhs.method == "exact"
+    assert verify.exact_event_measure(n, k, s) == 0.0
     assert d["sampled_measure"] is None and d["sampled_z"] is None
     assert rep.rhs.samples == 0 and rep.rhs.value == 0.0
     assert rep.verdict == FAIL
@@ -762,10 +764,10 @@ def test_sharpness_hyperplane_form_matches_line_form_in_the_plane(s):
 @pytest.mark.parametrize("n,s,exact", [(3, 1.2, 0.071365), (4, 1.1, 0.054181)])
 def test_sharpness_hyperplane_exact_measure_matches_mc(n, s, exact, rng):
     rep = gaussian_sharpness_experiment(n, n - 1, s, 100_000, rng)
-    d = rep.diagnostics
-    assert d["method"] == "exact" and rep.rhs.value == d["exact_measure"]
-    assert d["exact_measure"] == pytest.approx(exact, rel=5e-5)
-    assert_matches_sampler(d["exact_measure"], n, n - 1, s, rng)
+    assert rep.rhs.method == "exact"
+    assert rep.rhs.value == verify.exact_event_measure(n, n - 1, s)
+    assert rep.rhs.value == pytest.approx(exact, rel=5e-5)
+    assert_matches_sampler(rep.rhs.value, n, n - 1, s, rng)
 
 
 @pytest.mark.parametrize("relpath", ["configs/sharpness.ini",
@@ -846,13 +848,16 @@ def test_perturbation_huge_ball_is_trivial(rng):
 # the rule route of the shipped rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the rows of the shipped configs that a deterministic rule covers
+# the rows of the shipped configs with a side that a deterministic rule
+# computes: section-norm averages, and the sharpness measure's two-plane
+# quadrature, whose rows still draw their one-block cross-check
 RULE_ROWS = {
     "paper-core": {"linear invariance shear", "affine invariance shear shift",
                    "section ratio equality ball",
                    "section ratio ellipsoid equality",
                    "flat average shifted ellipsoid equality"},
     "negative-controls": {"wrong sum linear", "wrong sum affine"},
+    "sharpness": {"sharpness 42 s15", "sharpness 42 s2"},
 }
 
 
@@ -873,11 +878,13 @@ def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
                       output_override=str(tmp_path))
     labels = [job.label for job in cfg.checks]
     assert RULE_ROWS[name] <= set(labels)
+    averages = {job.label for job in cfg.checks
+                if job.name != "gaussian_sharpness"} & RULE_ROWS[name]
 
     def guarded(seed, i):
         stream = substream(seed, i)
         return FrameDrawsRaise(stream.bit_generator) \
-            if labels[i] in RULE_ROWS[name] else stream
+            if labels[i] in averages else stream
 
     monkeypatch.setattr(runner, "substream", guarded)
     run_suite(cfg, echo=lambda line: None)
@@ -887,10 +894,18 @@ def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
               newline="") as handle:
         want = [row["verdict"] for row in csv.DictReader(handle)]
     assert got == want
-    for label in RULE_ROWS[name]:
-        report = tmp_path / "reports" / (report_name(label) + ".json")
-        route = json.loads(report.read_text())["diagnostics"]["route"]
-        assert route in ("rule", ["rule", "rule"]), label
+    # every side says how it was computed, the rows with a rule side are
+    # exactly RULE_ROWS, and no side of a guarded row is a Monte Carlo mean
+    ruled = set()
+    for label in labels:
+        report = json.loads((tmp_path / "reports" / (
+            report_name(label) + ".json")).read_text())
+        methods = {report[side]["method"] for side in ("lhs", "rhs")}
+        assert methods <= {"exact", "rule", "mc"}, label
+        if "rule" in methods:
+            ruled.add(label)
+        assert label not in averages or "mc" not in methods, label
+    assert ruled == RULE_ROWS[name]
 
 
 def shipped_job(label, name="paper-core"):
@@ -920,14 +935,17 @@ def test_a_rule_with_one_perturbed_weight_fails_an_equality(monkeypatch):
     (None, None), ([0.3, -0.2, 0.1], 55.90572352596342)])
 def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     # the two k = 2 equality cases of the shipped suite: ball3 and
-    # ellipsoid3_shifted, against the closed-form right-hand side
+    # ellipsoid3_shifted, against the closed-form right-hand side; the
+    # rule stops at its second and third level, 2 m^2 directions (m = 16
+    # and 32) times OFFSET_NODES offsets
     f = EllipsoidIndicator.ball(3) if center is None else \
         EllipsoidIndicator([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
                             [0.0, -0.1, 1.1]], center)
     report = check_schneider_functional(f, 2, 2, None, expect_equality=True)
     assert report.verdict == PASS
     assert abs(report.ratio - 1.0) <= 1e-10
-    assert report.lhs.samples == 0
-    assert report.diagnostics["route"] == "rule"
+    assert report.lhs.method == "rule"
+    assert report.lhs.samples == (3072 if center is None else 12288)
+    assert report.rhs.method == "exact"
     if rhs is not None:
         assert report.rhs.value == pytest.approx(rhs, rel=1e-15)
