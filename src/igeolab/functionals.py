@@ -4,7 +4,9 @@ Covers the simplex moment (with and without the origin as a vertex) and
 the frame mean behind the Grassmannian and affine-Grassmannian averages of
 section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
-generator's seed path.  Where a deterministic rule covers a section-norm
+generator's seed path.  Where a cone moment has a closed form
+(_exact_cone_moment), simplex_moment returns it as Estimate.exact and
+draws nothing.  Where a deterministic rule covers a section-norm
 average (_rule_covers), the average takes it instead of drawing: its
 Estimate has method "rule", the rule's error as stderr and the frames of
 its last level as samples.
@@ -22,7 +24,8 @@ from .geometry import _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
 from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
-    ParameterError, section_stats
+    ParameterError, RadialGridDensity, TruncatedGaussian, _chi2_cdf, \
+    section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -150,6 +153,9 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     p >= 1 are required (one point spans no simplex; below p = 1 the
     rearrangement machinery breaks down).  The points are drawn slot by
     slot into a (q, m, n) stack, whose volumes _simplex_powers takes.
+    With origin set and every f_i rotation invariant about 0 (see
+    _exact_cone_moment) the mean is returned as Estimate.exact instead:
+    nothing is drawn from rng and n_samples is unused.
     """
     q = len(f_list)
     n = _common_dim(f_list)
@@ -160,6 +166,10 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
         raise ValueError(f"p must exceed -(n - q + 1) = {-(n - q + 1)}")
     if not origin and p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
+    if origin:
+        exact = _exact_cone_moment(f_list, p)
+        if exact is not None:
+            return Estimate.exact(exact)
 
     def stack(stream, m):
         # slot-major: each slot's sample fills a contiguous (m, n) plane
@@ -174,6 +184,65 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
         return _simplex_powers(stack(stream, m), origin, p)
 
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
+
+
+def _chi_moment(m: int, p: float) -> float:
+    """M(m, p) = E chi_m^p = 2^(p/2) Gamma((m + p)/2) / Gamma(m/2), for
+    m + p > 0; by log-gammas where a gamma would overflow."""
+    a, b = 0.5 * (m + p), 0.5 * m
+    if max(a, b) < 170.0:
+        return 2.0 ** (0.5 * p) * math.gamma(a) / math.gamma(b)
+    return math.exp(0.5 * p * math.log(2.0) + math.lgamma(a) - math.lgamma(b))
+
+
+def _radial_moment(f: DensityModel, p: float):
+    """E|X|^p for X ~ f / mass in closed form, where f is rotation invariant
+    about 0: a centred Gaussian of covariance c I, a centred ball, a
+    truncated Gaussian about 0 when n + p is an integer (the chi-square
+    CDF takes integer degrees of freedom), a radial grid.  None otherwise.
+    Needs n + p > 0."""
+    n = f.n
+    if isinstance(f, GaussianDensity):
+        c = f.cov[0, 0]
+        if f.mean.any() or not np.array_equal(f.cov, c * np.eye(n)):
+            return None
+        return c ** (0.5 * p) * _chi_moment(n, p)
+    if isinstance(f, EllipsoidIndicator):
+        s = f.shape_matrix[0, 0]
+        if f.center.any() or not np.array_equal(f.shape_matrix,
+                                                 s * np.eye(n)):
+            return None
+        return n * s ** (-0.5 * p) / (n + p)
+    if isinstance(f, TruncatedGaussian):
+        if f.center.any() or not float(n + p).is_integer():
+            return None
+        x = (f.radius / f.tau) ** 2
+        return f.tau ** p * _chi_moment(n, p) \
+            * float(_chi2_cdf(x, int(n + p)) / _chi2_cdf(x, n))
+    if isinstance(f, RadialGridDensity):
+        e, h = f.edges, f.heights
+        return n / (n + p) * (h @ np.diff(e ** (n + p))) \
+            / (h @ np.diff(e ** n))
+    return None
+
+
+def _exact_cone_moment(f_list, p: float):
+    """E|conv{0, X_1, ..., X_q}|^p for independent X_i ~ f_i / mass_i in
+    closed form, or None unless _radial_moment covers every slot.
+
+    A rotation-invariant X is |X| times an independent uniform direction,
+    and for Gaussian points q! |conv| is a product of independent
+    chi_{n-i}, i < q (Miles, Isotropic random simplices, 1971).  So
+    E|conv|^p = (q!)^(-p) prod_i E|X_i|^p prod_{i<q} M(n - i, p) / M(n, p),
+    M = _chi_moment; for q = 1 the last product is exactly 1.
+    """
+    moments = [_radial_moment(f, p) for f in f_list]
+    if None in moments:
+        return None
+    n, q = f_list[0].n, len(f_list)
+    cone = math.prod(_chi_moment(n - i, p) / _chi_moment(n, p)
+                     for i in range(q))
+    return math.prod(moments) * cone / math.factorial(q) ** p
 
 
 def _simplex_powers(pts: np.ndarray, origin: bool, p: float) -> np.ndarray:

@@ -5,12 +5,12 @@ explicit decision rule and returns a CheckReport.  The statements come in
 linear/affine pairs, and each pair shares one driver (_decomposition_report,
 _invariance_report, _bound_report); a check states only its frame sampler,
 its ambient side and its parameters, and draws through simplex_moment or
-functionals' frame mean, unless a deterministic rule covers its
-section-norm average (functionals._rule_covers).  Every rule on a check's
-parameters lives in one rules function beside it, which raises
-ParameterError naming the keyword; the check calls it before it draws
-anything, and load_config calls it on each parsed check map.  Conventions,
-fixed across the module:
+functionals' frame mean, unless a closed form covers its cone moment
+(functionals._exact_cone_moment) or a rule its section-norm average
+(functionals._rule_covers).  Every rule on a check's parameters lives in
+one rules function beside it, which raises ParameterError naming the
+keyword; the check calls it before it draws anything, and load_config
+calls it on each parsed check map.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
@@ -275,13 +275,12 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
                       inner: int = 256) -> CheckReport:
     """Decomposition of a q-point simplex moment over k-dimensional sections.
 
-    LHS integrates prod f_i(x_i) |conv{0, x}|^p over ambient tuples; RHS
-    runs the two-stage route (random section, then points inside it) whose
-    integrand carries the extra |conv|^(n-k) weight, scaled by the printed
-    closed-form constant.  The measured constant is fitted as
-    LHS / (section route) and reported against the printed value; the
-    verdict requires two independent replicas to agree on the fit within
-    3 combined stderr.
+    LHS integrates prod f_i(x_i) |conv{0, x}|^p over ambient tuples, exact
+    (n_direct unused) for inputs rotation invariant about 0 (see
+    functionals._exact_cone_moment); RHS runs the two-stage route (random
+    section, then points inside it), its integrand weighted by |conv|^(n-k),
+    scaled by the printed constant, which is fitted as LHS / route; two
+    independent replicas must agree on the fit within 3 combined stderr.
     """
     _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner)
     n = f_list[0].n
@@ -530,11 +529,12 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
                                      rng: np.random.Generator) -> CheckReport:
     """The two-step monotonicity chain of the simplex functionals.
 
-    The functional may only drop when every input is replaced by its
-    symmetric decreasing rearrangement, and (for densities normalized to
-    unit mass and sup at most one) drops further to the unit-volume-ball
-    value.  case "cone" spans the simplex by q draws and the origin; case
-    "simplex" uses the drawn points alone.
+    The functional may only drop when every input becomes its symmetric
+    decreasing rearrangement, and for inputs of unit mass and sup <= 1
+    further to the unit-volume-ball value.  case "cone" adds the origin as
+    a vertex; a side that functionals._exact_cone_moment covers (the ball's;
+    f*'s unless a truncated Gaussian at fractional n + p) is exact, with
+    n_samples unused.  case "simplex" spans the simplex by the drawn points.
     """
     _rearrangement_rules(f_list, p, case, n_samples)
     origin = case == "cone"

@@ -21,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeolab import functionals, grassmann
+from igeolab.config import build_density
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ProductDensity, Step1D, TruncatedGaussian,
-                               section_stats)
+                               ProductDensity, PushforwardDensity, Step1D,
+                               TruncatedGaussian, section_stats)
 from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  grassmann_average_I, powz, simplex_moment,
                                  _lp_norms, _norm_products, _power_model,
                                  _slot_models)
 from igeolab.geometry import _tuple_volumes
 from igeolab.grassmann import flat_frames, subspace_frames
+from igeolab.rearrange import rearrangement
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
                             merge_estimates, power_estimate, ratio_estimate)
 
@@ -182,6 +184,115 @@ def test_moment_validation(rng):
     with pytest.raises(ValueError, match="2 <= q"):
         # one free point spans no simplex
         simplex_moment([EllipsoidIndicator.ball(2)], 1.0, False, 100, rng)
+
+
+# ---------------------------------------------------------------------------
+# closed-form cone moments of rotation-invariant inputs
+
+GAUSS_C = GaussianDensity(np.zeros(3), 0.6 * np.eye(3))
+BALL_R = EllipsoidIndicator.ball(3, 1.4)
+TRUNC3 = TruncatedGaussian(np.zeros(3), 0.8, 2.0)
+# the shipped bimodal2 of configs/paper-core.ini
+BIMODAL_STAR = rearrangement(build_density({
+    "kind": "product", "normalize": True,
+    "factors": [{"heights": [2.2, 0.3, 1.0, 0.3, 2.2]},
+                {"heights": [0.5, 1.9, 0.3, 1.9, 0.4]}]}))
+CONE_POWERS = (1.0, 2.0, 0.5, -0.5)
+
+
+class RaisingGenerator:
+    """A generator stand-in whose every draw raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+def cone_volumes(pts):
+    """|conv{0, x_1, ..., x_q}| for a stack pts (m, q, n) with q = 1, q = n,
+    or q = 2 and n = 3, by the elementary formula of each shape."""
+    q, n = pts.shape[1:]
+    if q == 1:
+        return np.linalg.norm(pts[:, 0], axis=1)
+    if q == n:
+        return abs(np.linalg.det(pts)) / math.factorial(n)
+    return np.linalg.norm(np.cross(pts[:, 0], pts[:, 1]), axis=1) / 2.0
+
+
+def mc_cone_moments(f_list, qs, powers, rng, total=1_000_000,
+                    block=250_000):
+    """(mean, stderr) of |conv{0, x_1, ..., x_q}|^p, one row per q in qs
+    and one column per p in powers, over total tuples drawn directly, one
+    point from each f_i; the tuples of q points are the first q points of
+    the tuples drawn for all of f_list."""
+    sums = np.zeros((2, len(qs), len(powers)))
+    for _ in range(total // block):
+        pts = np.stack([f.sample(block, rng) for f in f_list], axis=1)
+        for i, q in enumerate(qs):
+            vols = cone_volumes(pts[:, :q])
+            for j, p in enumerate(powers):
+                v = vols ** p
+                sums[:, i, j] += v.sum(), (v * v).sum()
+    mean = sums[0] / total
+    var = (sums[1] - total * mean ** 2) / (total - 1)
+    return mean, np.sqrt(var / total)
+
+
+@pytest.mark.parametrize("f_list, powers", [
+    ([GAUSS_C] * 3, CONE_POWERS),
+    ([BALL_R] * 3, CONE_POWERS),
+    # n + p must be an integer for the truncated Gaussian
+    ([TRUNC3] * 3, (1.0, 2.0)),
+    ([BIMODAL_STAR] * 2, CONE_POWERS),
+    ([GAUSS_C, BALL_R, TRUNC3], (1.0, 2.0)),
+], ids=["gauss", "ball", "trunc", "bimodal_star", "mixed"])
+def test_exact_cone_moment_matches_direct_draws(f_list, powers, rng):
+    # q = 1, 2 and n, each against 1M direct draws
+    qs = sorted({1, 2, len(f_list)})
+    mean, stderr = mc_cone_moments(f_list, qs, powers, rng)
+    for q, means, stderrs in zip(qs, mean, stderr):
+        for p, m, se in zip(powers, means, stderrs):
+            exact = simplex_moment(f_list[:q], p, True, 2,
+                                   RaisingGenerator())
+            assert exact.method == "exact" and exact.samples == 0
+            assert abs(m - exact.value) <= 4.0 * se, \
+                (q, p, m, exact.value, se)
+
+
+def test_exact_cone_moment_pins():
+    # E|G| = sqrt(pi / 2) for a standard Gaussian in the plane; the unit
+    # ball of R^3 integrates |x| to pi
+    gauss = simplex_moment([GaussianDensity.standard(2)], 1.0, True, 2,
+                           RaisingGenerator())
+    assert gauss.value == pytest.approx(math.sqrt(math.pi / 2), rel=1e-15)
+    ball = EllipsoidIndicator.ball(3)
+    est = simplex_moment([ball], 1.0, True, 2, RaisingGenerator())
+    assert est.scaled(ball.mass).value == pytest.approx(math.pi, rel=1e-15)
+    assert est == Estimate(0.75, 0.0, 0, "exact")
+
+
+@pytest.mark.parametrize("f_list, p, origin", [
+    ([EllipsoidIndicator.ball(3, center=[0.2, 0.0, 0.0])], 1.0, True),
+    ([GaussianDensity(np.zeros(2), np.diag([1.0, 2.0]))] * 2, 1.0, True),
+    ([ProductDensity([segment(), segment()])], 1.0, True),
+    ([PushforwardDensity(EllipsoidIndicator.ball(2),
+                         np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))],
+     -0.5, True),
+    ([TRUNC3, TRUNC3], 0.5, True),
+    ([EllipsoidIndicator.ball(2)] * 2, 1.0, False),
+], ids=["shifted-ball", "anisotropic-gauss", "product", "pushforward",
+        "trunc-p-half", "no-origin"])
+def test_uncovered_cone_moments_draw_as_before(f_list, p, origin):
+    # the Monte Carlo route, bit for bit: one slot-major stack, its
+    # volumes' powers, one mc_estimate
+    est = simplex_moment(f_list, p, origin, 3000, np.random.default_rng(9))
+
+    def draw(stream, m):
+        pts = np.stack([f.sample(m, stream) for f in f_list])
+        return functionals._simplex_powers(pts, origin, p)
+
+    ref = mc_estimate(draw, 3000, np.random.default_rng(9),
+                      keep_values=p < 0)
+    assert est.method == "mc" and est == ref
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +548,8 @@ def test_each_estimate_says_how_it_was_computed(rng):
 
 
 def test_stderr_shrinks_with_budget(rng):
-    b2 = EllipsoidIndicator.ball(2)
+    # off-centre, so that the moment has no closed form and is drawn
+    b2 = EllipsoidIndicator.ball(2, center=[0.1, 0.0])
     small = cone_moment([b2], 1.0, 10_000, rng)
     large = cone_moment([b2], 1.0, 160_000, rng)
     # 16x the samples should cut the standard error by about 4
