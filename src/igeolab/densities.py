@@ -873,14 +873,16 @@ def _per_row(bases: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _bin_count(edges, x) -> np.ndarray:
-    """The number of edges at or below x, elementwise, as intp: one
-    comparison per edge, each edges[j] broadcasting to x's shape, so for
+    """The number of edges at or below x, elementwise, in the narrowest
+    unsigned dtype that holds len(edges): one comparison per edge into one
+    reused bool buffer, each edges[j] broadcasting to x's shape, so for
     increasing 1-d edges it is np.searchsorted(edges, x, side="right"),
     ties included, and NaN counts no edge.  Meant for the handful of edges
-    of a step density."""
-    count = np.zeros(np.shape(x), dtype=np.intp)
+    of a step density; a count is an index for take as it is."""
+    count = np.zeros(np.shape(x), dtype=np.min_scalar_type(len(edges)))
+    hit = np.empty(count.shape, dtype=bool)
     for edge in edges:
-        count += edge <= x
+        count += np.less_equal(edge, x, out=hit)
     return count
 
 
@@ -899,6 +901,7 @@ def _choose_bins(weights: np.ndarray, size: int,
     the same indices, from the same one rng.random(size) call, as
     rng.choice(weights.size, size, p=weights / weights.sum()): that is
     what choice does with p, without its validation and binary search.
+    The indices come in _bin_count's narrow dtype, not as intp.
     ValueError unless the weights sum to a positive finite total."""
     total = weights.sum()
     if not 0.0 < total < math.inf:
@@ -919,11 +922,11 @@ def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
                            axis=1)
     target = u * below[:, -1:]
     # the bin is the count of inner cumulative weights at or below target,
-    # capped at bins - 1
-    idx = _bin_count(below[:, 1:-1].T[..., None], target)
+    # capped at bins - 1; the row offsets widen it to intp
+    count = _bin_count(below[:, 1:-1].T[..., None], target)
     rows = np.arange(s)[:, None]
-    w = np.take(weights, idx + rows * bins)
-    idx += rows * (bins + 1)
+    w = np.take(weights, count + rows * bins)
+    idx = count + rows * (bins + 1)
     frac = target - np.take(below, idx)
     # a zero-weight bin is only hit at its own start (frac = 0 already)
     np.divide(frac, w, out=frac, where=w > 0)

@@ -103,10 +103,9 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
     eps * s_max / s_min where the Gram determinant a c - b^2 loses
     accuracy to cancellation.  r >= 3 goes through the SVD.
 
-    For q <= n, the shapes the simplex kernels build, the volumes are
-    bitwise the same on a contiguous stack and on a transposed view of
-    one; for n = 1 and q >= 3 the Frobenius sum can differ in the last bit
-    between the two layouts.
+    The squares of the Frobenius norm are summed in one order, row by row
+    as _square_sums sums each row, so the volumes are bitwise the same on
+    a contiguous stack and on a transposed view of one.
     """
     x = np.asarray(x, dtype=float)
     q, n = x.shape[-2:]
@@ -117,7 +116,9 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             logvol = np.sum(np.log(sv), axis=-1) - math.lgamma(q + 1.0)
         return np.where(degenerate | (top == 0.0), 0.0, np.exp(logvol))
-    frob2 = np.einsum("...ij,...ij->...", x, x)
+    frob2 = _square_sums(x[..., 0, :])
+    for i in range(1, q):
+        frob2 += _square_sums(x[..., i, :])
     if min(q, n) == 1:
         # one singular value: zero only for the zero tuple
         return np.sqrt(frob2) / math.factorial(q)
@@ -161,20 +162,26 @@ def _spd_solve(g: np.ndarray, rhs: np.ndarray | None = None):
         else np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
+def _square_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of squares along the last axis of x, left to right whatever
+    the layout of x, into one new array of the leading shape instead of a
+    squared copy of x."""
+    total = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
+    square = np.empty_like(total)
+    for j in range(1, x.shape[-1]):
+        total += np.square(x[..., j], out=square)
+    return total
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of x, bit for bit those of
     np.linalg.norm(x, axis=-1).
 
-    For k <= 7 columns the squares are summed left to right, as numpy's
-    reduction does below its 8-term pairwise blocks, into one array of the
-    leading shape instead of a squared copy of x; k >= 8 goes through
-    np.linalg.norm.
+    For k <= 7 columns the squares are summed left to right (_square_sums),
+    as numpy's reduction does below its 8-term pairwise blocks; k >= 8 goes
+    through np.linalg.norm.
     """
-    k = x.shape[-1]
-    if k >= 8:
+    if x.shape[-1] >= 8:
         return np.linalg.norm(x, axis=-1)
-    total = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
-    square = np.empty_like(total)
-    for j in range(1, k):
-        total += np.square(x[..., j], out=square)
+    total = _square_sums(x)
     return np.sqrt(total, out=total)

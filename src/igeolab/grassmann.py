@@ -328,7 +328,10 @@ def rule_average(n: int, k: int, integrand, ellipsoid=None,
             break
         bases, offsets, weights = rule_frames(n, k, level, ellipsoid,
                                               exponent)
-        previous, value = value, float(weights @ integrand(bases, offsets))
+        # numpy's pairwise sum, not a BLAS dot, whose order follows the
+        # BLAS thread count
+        previous, value = value, float(np.sum(weights
+                                              * integrand(bases, offsets)))
         nodes = len(weights)
         if previous is not None:
             change = abs(value - previous)

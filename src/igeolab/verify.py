@@ -47,13 +47,11 @@ EQUALITY_BAND = 0.02
 TAIL_LIMIT = 0.5
 CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
-# Rows (bp_* section points, or the subspaces of a sharpness check with no
-# exact measure) per block of a blocked draw: keeps the peak memory of a
-# draw flat in its sample count.  A sharpness check with an exact measure
-# draws at most one block, as a cross-check.
-# The bp_* routes make several draws per block, so their streams, and with
-# them their results, depend on this value (see functionals._blocked).
+# bp_* section points per blocked draw (several draws a block, so their
+# results depend on it: see functionals._blocked), and subspaces per sharpness
+# cross-check.  Sharpness hit tests take blocks of HIT_ROWS, one draw each.
 DRAW_BLOCK = 1 << 16
+HIT_ROWS = 1 << 13
 # Fiber rows (n_x + 1 per subspace) per section_stats call of
 # marginal_bound_experiment: 20 subspaces a block at n_x = 400.
 FIBER_ROWS = 8192
@@ -1037,28 +1035,29 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     rhs method is then "exact" (a closed form, or the empty event's 0) or
     "rule" (the two-plane quadrature of min(k, n-k) = 2, stderr 0), and
     the verdict is measure >= bound.
-    A non-empty exact row still draws one block of min(n_subspaces,
-    DRAW_BLOCK) subspaces through _sharpness_hits as a cross-check of the
-    exact form at these (n, k, s): their hit share and its binomial z
-    against the exact measure are reported as sampled_measure and
-    sampled_z, and neither enters the measure or the verdict.  Otherwise
-    n_subspaces subspaces are drawn through _sharpness_hits in blocks of
-    DRAW_BLOCK (see _blocked) and the rhs method is "mc".
+    A non-empty exact row still draws min(n_subspaces, DRAW_BLOCK)
+    subspaces as a cross-check of the exact form at these (n, k, s): their
+    hit share and its binomial z against the exact measure are reported as
+    sampled_measure and sampled_z, and neither enters the measure or the
+    verdict.  Otherwise n_subspaces subspaces are drawn and the rhs method
+    is "mc".  Either way _sharpness_hits tests blocks of HIT_ROWS subspaces
+    (see _blocked), one draw each, so the hits are those of one draw.
     """
     _sharpness_rules(n, k, s, n_subspaces)
     exact = exact_event_measure(n, k, s)
     sampled = sampled_z = None
+
+    def hits(stream, m):
+        return _blocked(m, HIT_ROWS, functools.partial(
+            _sharpness_hits, n, k, s, stream))
     if exact is None:
-        def draw(stream, m):
-            return _blocked(m, DRAW_BLOCK, functools.partial(
-                _sharpness_hits, n, k, s, stream))
-        rhs = mc_estimate(draw, n_subspaces, rng)
+        rhs = mc_estimate(hits, n_subspaces, rng)
     else:
         rhs = Estimate(float(exact), 0.0, 0, "rule") \
             if min(k, n - k) == 2 and exact > 0 else Estimate.exact(exact)
         if exact > 0:
             m = min(n_subspaces, DRAW_BLOCK)
-            sampled = float(np.mean(_sharpness_hits(n, k, s, rng, m)))
+            sampled = float(np.mean(hits(rng, m)))
             sampled_z = (sampled - exact) / math.sqrt(exact * (1 - exact) / m)
     bound = (2.0 * s) ** (-k * (n - k))
     lhs = Estimate.exact(bound)

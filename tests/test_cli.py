@@ -479,6 +479,54 @@ def test_paper_core_run_never_imports_numpy_ma(tmp_path):
     assert (tmp_path / "out" / "results.csv").exists()
 
 
+SHEAR_SHIFT_BODY = """
+    [run]
+    seed = 20260819
+    output_dir = "out"
+
+    [density ellipsoid3_shifted]
+    kind = "ellipsoid"
+    shape = [[1.5, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.1]]
+    center = [0.3, -0.2, 0.1]
+
+    [check affine invariance shear shift]
+    check = "affine_invariance"
+    densities = ["ellipsoid3_shifted", "ellipsoid3_shifted",
+                 "ellipsoid3_shifted", "ellipsoid3_shifted"]
+    spec_p = [1.0, 1.0, 1.0, 1.0]
+    spec_alpha = [1.0, 1.0, 1.0, 1.0]
+    k = 2
+    map = [[1.0, 0.4, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]]
+    shift = [0.4, -0.2, 0.1]
+    R = 3.0
+    n_flats = 24000
+"""
+
+
+def test_rule_sums_do_not_follow_the_blas_thread_count(tmp_path):
+    # paper-core's rule-route row whose sums once moved with the OpenBLAS
+    # thread count: the same results.csv at one thread and at two
+    config = write_suite(tmp_path, SHEAR_SHIFT_BODY)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        runner.__file__)))
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, IGEOLAB_OUTPUT_DIR=str(out),
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from igeolab.cli import main; sys.exit(main())",
+             "run", "--config", config],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_run_any_failure_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY)]) == 2

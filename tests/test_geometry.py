@@ -173,7 +173,7 @@ def test_tuple_volumes_match_svd_reference(q, n, seed):
 def test_tuple_volumes_of_slot_major_view_are_bitwise(q, n):
     # the simplex kernels draw slot by slot into (q, m, n) planes and hand
     # over the transposed view; r = min(q, n) covers 1, 2 and 3 or more.
-    # Every q <= n for n in {2, 3, 4} is here (see _tuple_volumes).
+    # Every q <= n for n in {2, 3, 4} is here.
     slots = np.random.default_rng(10 * q + n).standard_normal((q, 500, n))
     view = slots.transpose(1, 0, 2)
     assert q == 1 or not view.flags.c_contiguous
@@ -184,3 +184,19 @@ def test_tuple_volumes_of_slot_major_view_are_bitwise(q, n):
     view = np.moveaxis(planes, 0, -2)
     assert np.array_equal(_tuple_volumes(view),
                           _tuple_volumes(np.ascontiguousarray(view)))
+
+
+@pytest.mark.parametrize("q", [3, 4, 7, 8, 11])
+def test_tuple_volumes_on_a_line_are_bitwise_in_both_layouts(q):
+    # n = 1: the volume is the norm of q coordinates, summed in one order
+    # whether the q slots are adjacent in memory or m rows apart
+    slots = np.random.default_rng(q).standard_normal((q, 500, 1)) \
+        * np.exp(np.random.default_rng(q + 1).normal(size=(q, 500, 1)))
+    view = slots.transpose(1, 0, 2)
+    contiguous = np.ascontiguousarray(view)
+    got = _tuple_volumes(view)
+    assert np.array_equal(got, _tuple_volumes(contiguous))
+    total = contiguous[:, 0, 0] ** 2
+    for i in range(1, q):
+        total = total + contiguous[:, i, 0] ** 2
+    assert np.array_equal(got, np.sqrt(total) / math.factorial(q))

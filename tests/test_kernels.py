@@ -54,7 +54,25 @@ def test_bin_count_at_every_edge_count(m, rng):
     got = _bin_count(rows.T[..., None], np.stack([x, x]))
     assert np.array_equal(got[0], expected)
     assert np.array_equal(got[1], np.searchsorted(rows[1], x, side="right"))
-    assert got.dtype == np.intp
+    assert got.dtype == np.min_scalar_type(m)
+
+
+@pytest.mark.parametrize("m,dtype", [(255, np.uint8), (256, np.uint16),
+                                     (300, np.uint16)])
+def test_bin_count_is_byte_wide_up_to_255_edges(m, dtype, rng):
+    # repeated edges (ties) and points at, between and past all of them:
+    # the narrow count still reaches len(edges) without wrapping, and NaN,
+    # which searchsorted places past the last edge, counts none
+    edges = np.sort(rng.integers(-40, 40, size=m).astype(float))
+    x = np.concatenate([edges, edges + 0.5, [-np.inf, np.inf, 99.0, np.nan]])
+    got = _bin_count(edges, x)
+    assert got.dtype == dtype
+    assert np.array_equal(got[:-1],
+                          np.searchsorted(edges, x[:-1], side="right"))
+    assert got[-4:].tolist() == [0, m, m, 0]
+    heights = rng.uniform(0.5, 2.0, m - 1)
+    assert np.array_equal(_step_values(edges, heights, x),
+                          _searchsorted_lookup(edges, heights, x))
 
 
 def test_bin_count_per_row_edges(rng):

@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,7 +585,7 @@ def test_quantiles_match_numpy_bit_for_bit():
 def sampler_share(n, k, s, m, rng):
     """Share of m sharpness draws that hit, through the sampler the Monte
     Carlo route uses, in its blocks."""
-    hits = verify._blocked(m, verify.DRAW_BLOCK, functools.partial(
+    hits = verify._blocked(m, verify.HIT_ROWS, functools.partial(
         verify._sharpness_hits, n, k, s, rng))
     return float(np.mean(hits))
 
@@ -615,8 +616,9 @@ def test_sharpness_honest_shortfall(rng):
 
 @pytest.mark.parametrize("n,k,s", [(3, 1, 1.5), (4, 2, 1.5), (6, 3, 1.0)])
 def test_sharpness_blocks_match_one_shot_draw(n, k, s):
-    # one substream of 2^16 + 3 subspaces spans a block boundary; the
-    # block-streamed hits must equal those of one haar_bases call
+    # one substream of 2^16 + 3 subspaces spans block boundaries, the last
+    # block short; the block-streamed hits must equal those of one
+    # haar_bases call
     m = (1 << 16) + 3
     drawn = sampler_share(n, k, s, m, np.random.default_rng(3)) * m
     sigma2 = (2 * math.pi) ** (-n / k)
@@ -645,14 +647,33 @@ def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
 
 
 def test_sharpness_small_blocks_match_default(monkeypatch):
-    # blocks of 7 subspaces, the last one short, draw from the generator in
-    # turn as the default block does: the same report, bit for bit
-    args = (6, 3, 1.0, 4000)
-    ref = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
-    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
-    small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
-    assert ref.rhs.value > 0 and ref.rhs.method == "mc"
-    assert small.to_dict() == ref.to_dict()
+    # hit tests on blocks of 7 subspaces, the last one short, draw from the
+    # generator in turn as the default block does: the same report, bit for
+    # bit, for a Monte Carlo row and for an exact row's cross-check
+    rows = {"mc": (6, 3, 1.0, 4000), "rule": (4, 2, 1.5, 4000)}
+    ref = {method: gaussian_sharpness_experiment(*args,
+                                                 np.random.default_rng(5))
+           for method, args in rows.items()}
+    monkeypatch.setattr(verify, "HIT_ROWS", 7)
+    for method, args in rows.items():
+        small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
+        assert ref[method].rhs.method == method
+        assert small.to_dict() == ref[method].to_dict()
+    assert ref["mc"].rhs.value > 0
+    assert ref["rule"].diagnostics["sampled_measure"] > 0
+
+
+def test_sharpness_hit_blocks_bound_the_traced_peak():
+    # a (4, 2) row cross-checks DRAW_BLOCK subspaces, but only HIT_ROWS of
+    # them, and their Gram products, are live at once
+    tracemalloc.start()
+    try:
+        gaussian_sharpness_experiment(4, 2, 1.5, 1_000_000,
+                                      np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("s,exact", [(1.5, 0.034067), (2.0, 0.018115),
@@ -775,9 +796,9 @@ def test_sharpness_hyperplane_exact_measure_matches_mc(n, s, exact, rng):
 def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
                                                        monkeypatch):
     # every shipped sharpness row has an exact measure: the sampler feeds
-    # only the one-block cross-check of each non-empty row, so a sampler
-    # that hits everywhere moves no measure and no verdict, and a row that
-    # went back to drawing its whole budget would draw more than one block
+    # only the cross-check of each non-empty row, so a sampler that hits
+    # everywhere moves no measure and no verdict, and a row that went back
+    # to drawing its whole budget would draw more than one cross-check
     drawn = []
 
     def every_hit(n, k, s, stream, size):
@@ -797,7 +818,10 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
     assert [float(row["rhs"]) for row in rows] == exact
     assert all(row["rhs_stderr"] == "0.0" for row in rows)
     budget = cfg.checks[0].kwargs["n_subspaces"]
-    assert drawn == [min(budget, verify.DRAW_BLOCK)] * 5
+    cross_check = min(budget, verify.DRAW_BLOCK)
+    assert sum(drawn) == 5 * cross_check
+    assert max(drawn) <= verify.HIT_ROWS
+    assert len(drawn) == 5 * -(-cross_check // verify.HIT_ROWS)
 
 
 def test_sharpness_validation(rng):
