@@ -43,6 +43,10 @@ DET_TOL = 1e-10
 AXIS_TOL = 1e-12
 # Box-enumeration cap for exact product rearrangements.
 PRODUCT_ENUM_CAP = 300_000
+# Rows per block of the point kernels (window points, unit vectors, simplex
+# volumes) and of the sharpness hit tests: a block of a few float64 columns
+# stays in cache.  No kernel draws inside its blocks, so no draw depends on it.
+ROW_BLOCK = 1 << 13
 
 __all__ = [
     "ParameterError",
@@ -573,9 +577,9 @@ class TruncatedGaussian(_Sectioned):
         cut = _chi2_cdf(top, k)
         u = rng.random((len(w), size))
         r = self.tau * np.sqrt(_chi2_ppf(u * cut, k, top))
-        pts = _directions((len(w), size), k, rng)
-        pts *= r[..., None]
-        pts -= w[:, None, :]
+        pts = _directions((len(w), size), k, rng, r)
+        for j in range(k):
+            pts[..., j] -= w[:, j, None]
         return pts
 
 
@@ -617,8 +621,11 @@ class Step1D(DensityModel):
         widths = np.diff(self.edges)
         bins = _choose_bins(self.heights * widths, size, rng)
         x = rng.random(size)
-        x *= widths.take(bins)
-        x += self.edges.take(bins)
+        # a block's byte-wide bins widen to intp inside take
+        for start in range(0, size, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            x[block] *= widths.take(bins[block])
+            x[block] += self.edges.take(bins[block])
         return x[:, None]
 
     def power(self, p):
@@ -645,9 +652,10 @@ class ProductDensity(_Sectioned):
         return k == 1
 
     def eval_many(self, x):
+        # each factor bins a contiguous copy of its coordinate column
         vals = np.full(x.shape[0], self.amplitude)
         for i, f in enumerate(self.factors):
-            vals = vals * f.eval_many(x[:, i:i + 1])
+            vals *= f.eval_many(np.ascontiguousarray(x[:, i:i + 1]))
         return vals
 
     @property
@@ -669,8 +677,10 @@ class ProductDensity(_Sectioned):
         return radius if radius < math.inf else math.hypot(*radii)
 
     def sample(self, size, rng):
-        cols = [f.sample(size, rng) for f in self.factors]
-        return np.column_stack(cols)
+        out = np.empty((size, self.n))
+        for i, f in enumerate(self.factors):
+            out[:, i] = f.sample(size, rng)[:, 0]
+        return out
 
     def power(self, p):
         return ProductDensity([f.power(p) for f in self.factors], self.amplitude ** p)
@@ -778,9 +788,7 @@ class RadialGridDensity(_Sectioned):
         r *= np.diff(powers).take(shells)
         r += powers.take(shells)
         r **= 1.0 / self.n
-        g = _directions((size,), self.n, rng)
-        g *= r[:, None]
-        return g
+        return _directions((size,), self.n, rng, r)
 
     def power(self, p):
         return RadialGridDensity(self.n, self.edges, self.heights ** p)
@@ -804,7 +812,7 @@ class RadialGridDensity(_Sectioned):
         u = rng.random((len(edges), size))
         r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
                             u) ** (1.0 / k)
-        return _directions((len(edges), size), k, rng) * r[..., None]
+        return _directions((len(edges), size), k, rng, r)
 
 
 def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -815,11 +823,12 @@ def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     return points @ np.linalg.inv(np.linalg.cholesky(matrix))
 
 
-def _directions(shape: tuple, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vectors of R^k, shape + (k,)."""
-    g = rng.standard_normal(shape + (k,))
-    g /= _row_norms(g)[..., None]
-    return g
+def _directions(shape: tuple, k: int, rng: np.random.Generator,
+                radii: np.ndarray) -> np.ndarray:
+    """Uniform unit vectors of R^k, each times its radius in radii
+    (shape), shape + (k,), from one rng.standard_normal(shape + (k,))
+    call; _to_sphere scales the draw in place."""
+    return _to_sphere(rng.standard_normal(shape + (k,)), radii)
 
 
 def _uniform_ball(dim: int, shape: tuple,
@@ -827,13 +836,35 @@ def _uniform_ball(dim: int, shape: tuple,
     """Uniform unit-ball points, shape + (dim,), stratified along the last
     axis of shape into that many equal-volume radial shells (a last axis
     of 1 gives independent points): rng.standard_normal(shape + (dim,))
-    for the directions, then rng.random(shape) for the radii."""
+    for the directions, then rng.random(shape) for the radii, the
+    directions scaled in place by _to_sphere."""
     g = rng.standard_normal(shape + (dim,))
-    norms = _row_norms(g)
-    norms[norms == 0.0] = 1.0
-    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
-    g /= norms[..., None]
-    g *= strata[..., None] ** (1.0 / dim)
+    radii = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
+    radii **= 1.0 / dim
+    return _to_sphere(g, radii)
+
+
+def _to_sphere(g: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """g (..., k) scaled in place to g / |g| times radii (...), row by
+    row, bit for bit as the broadcast division and product; a zero row
+    stays zero.  One ROW_BLOCK of rows at a time, column by column.  At
+    k = 1 a block with every |g| in [1e-150, 1e150] takes copysign(1, g):
+    there g * g is a normal number, its root is exactly |g|, and g / |g|
+    is exactly +-1."""
+    k = g.shape[-1]
+    rows, radii = g.reshape(-1, k), radii.reshape(-1)
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        if k == 1 and 1e-150 <= (size := np.abs(block)).min() \
+                and size.max() <= 1e150:
+            np.copysign(1.0, block, out=block)
+        else:
+            norms = _row_norms(block)
+            norms[norms == 0.0] = 1.0
+            for j in range(k):
+                block[:, j] /= norms
+        for j in range(k):
+            block[:, j] *= radii[start:start + ROW_BLOCK]
     return g
 
 
@@ -952,7 +983,11 @@ class PushforwardDensity(DensityModel):
         self._op_norm = float(np.linalg.norm(self.matrix, 2))
 
     def eval_many(self, x):
-        return self.base.eval_many((x - self.shift) @ self._inv.T)
+        # the shift one column at a time, not broadcast along rows of n
+        y = np.empty(x.shape)
+        for i in range(self.n):
+            np.subtract(x[:, i], self.shift[i], out=y[:, i])
+        return self.base.eval_many(y @ self._inv.T)
 
     @property
     def mass(self):
@@ -1020,16 +1055,18 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     """(mass, sup, mass_stderr) arrays of the sections of f through the
     flats offsets[i] + span(bases[i]).  bases[i] is orthonormal and each
     offset must be the flat's foot point, perpendicular to its basis:
-    RadialGridDensity sections and the Monte Carlo window read |offsets[i]|
-    as the flat's distance from the origin.  Consecutive flats may share a
-    basis: m bases for r m offsets, basis i spanning flats i r to
-    i r + r - 1 (_per_row), which the ellipsoid and Gaussian families
-    restrict to once per basis.
+    RadialGridDensity sections and the blocked Monte Carlo window read
+    |offsets[i]| as the flat's distance from the origin.  Consecutive
+    flats may share a basis: m bases for r m offsets, basis i spanning
+    flats i r to i r + r - 1 (_per_row), which the ellipsoid and Gaussian
+    families restrict to once per basis.
 
     method "exact" reads the closed form (stderr 0), and raises ValueError
     unless f.exact_sections(k); ("mc", N) averages f over N stratified
     points of each section's support window, one draw for the whole stack,
-    and its sup is a sampled maximum, biased low.
+    and its sup is a sampled maximum, biased low.  The window points are
+    built and f evaluated ROW_BLOCK // N sections at a time, by one
+    multiply-add per coordinate for lines.
     """
     if method == "exact":
         _require_exact(f, bases.shape[-1])
@@ -1047,9 +1084,22 @@ def section_stats(f: DensityModel, bases: np.ndarray, offsets: np.ndarray,
     # each section vanishes outside its ball of radius w about the foot point
     gap = f.support_radius ** 2 - np.einsum("si,si->s", offsets, offsets)
     w = np.sqrt(np.maximum(gap, 0.0))
-    u = _uniform_ball(k, (s, count), rng) * w[:, None, None]
-    pts = offsets[:, None, :] + u @ np.swapaxes(bases, 1, 2)
-    vals = f.eval_many(pts.reshape(-1, n)).reshape(s, count)
+    ball = _uniform_ball(k, (s, count), rng)
+    vals = np.empty((s, count))
+    rows = max(1, ROW_BLOCK // count)
+    for start in range(0, s, rows):
+        flats = slice(start, start + rows)
+        u = ball[flats] * w[flats, None, None]
+        pts = np.empty(u.shape[:2] + (n,))
+        if k == 1:
+            # x_i = z_i + u b_i: one multiply-add per coordinate
+            for i in range(n):
+                np.multiply(u[..., 0], bases[flats, i], out=pts[..., i])
+                pts[..., i] += offsets[flats, i, None]
+        else:
+            np.matmul(u, np.swapaxes(bases[flats], 1, 2), out=pts)
+            pts += offsets[flats, None, :]
+        vals[flats] = f.eval_many(pts.reshape(-1, n)).reshape(-1, count)
     vals[gap <= 0] = 0.0
     vol = unit_ball_volume(k) * w ** k
     return (vol * vals.mean(axis=1), vals.max(axis=1),

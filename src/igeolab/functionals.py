@@ -23,9 +23,9 @@ import numpy as np
 from .geometry import _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
-from .densities import DensityModel, EllipsoidIndicator, GaussianDensity, \
-    ParameterError, RadialGridDensity, TruncatedGaussian, _chi2_cdf, \
-    section_stats
+from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
+    GaussianDensity, ParameterError, RadialGridDensity, TruncatedGaussian, \
+    _chi2_cdf, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -152,7 +152,8 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     without it the points span the simplex alone and 2 <= q <= n + 1,
     p >= 1 are required (one point spans no simplex; below p = 1 the
     rearrangement machinery breaks down).  The points are drawn slot by
-    slot into a (q, m, n) stack, whose volumes _simplex_powers takes.
+    slot, one (m, n) array each, and _simplex_powers takes the volumes of
+    their tuples block by block.
     With origin set and every f_i rotation invariant about 0 (see
     _exact_cone_moment) the mean is returned as Estimate.exact instead:
     nothing is drawn from rng and n_samples is unused.
@@ -171,17 +172,9 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
         if exact is not None:
             return Estimate.exact(exact)
 
-    def stack(stream, m):
-        # slot-major: each slot's sample fills a contiguous (m, n) plane
-        pts = np.empty((q, m, n))
-        for i, f in enumerate(f_list):
-            pts[i] = f.sample(m, stream)
-        return pts
-
     def draw(stream, m):
-        # handed over as a temporary, the stack is freed when
-        # _simplex_powers rebinds it: one stack less at the peak
-        return _simplex_powers(stack(stream, m), origin, p)
+        return _simplex_powers([f.sample(m, stream) for f in f_list],
+                               origin, p)
 
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
 
@@ -245,16 +238,31 @@ def _exact_cone_moment(f_list, p: float):
     return math.prod(moments) * cone / math.factorial(q) ** p
 
 
-def _simplex_powers(pts: np.ndarray, origin: bool, p: float) -> np.ndarray:
-    """|conv|^p (powz) of every tuple of a slot-major stack pts (q, ..., d):
-    the tuple spans a simplex with the origin as extra vertex when origin
-    is set, else by its points alone, the first slot subtracted from the
-    others.  The volumes are taken on a view with the slot axis next to
-    the coordinates; passed a temporary, the drawn stack is freed before
-    they are."""
+def _simplex_powers(slots, origin: bool, p: float) -> np.ndarray:
+    """|conv|^p (powz) of every tuple of the q slot arrays slots[i]
+    (..., d), one point of each slot per tuple, shape (...): the tuple
+    spans a simplex with the origin as extra vertex when origin is set,
+    else by its points alone, the first slot subtracted from the others.
+    ROW_BLOCK tuples at a time are gathered into a (q, d, block) array,
+    each coordinate of each slot a contiguous column, measured by
+    _tuple_volumes on its (block, q, d) view and raised to p in one output
+    array, so no stack of all the tuples is built."""
+    rows = [np.reshape(x, (-1, x.shape[-1])) for x in slots]
+    first = rows[0]
     if not origin:
-        pts = pts[1:] - pts[0]
-    return powz(_tuple_volumes(np.moveaxis(pts, 0, -2)), p)
+        rows = rows[1:]
+    out = np.empty(len(first))
+    for start in range(0, len(first), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        tuples = first[block]
+        x = np.empty((len(rows), tuples.shape[1], len(tuples)))
+        for i, row in enumerate(rows):
+            if origin:
+                x[i] = row[block].T
+            else:
+                np.subtract(row[block].T, tuples.T, out=x[i])
+        out[block] = powz(_tuple_volumes(x.transpose(2, 0, 1)), p)
+    return out.reshape(np.shape(slots[0])[:-1])
 
 
 def _blocked(m: int, rows: int, fill) -> np.ndarray:

@@ -123,10 +123,15 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
         # one singular value: zero only for the zero tuple
         return np.sqrt(frob2) / math.factorial(q)
     rows = x if q == 2 else np.swapaxes(x, -1, -2)
-    i, j = np.triu_indices(rows.shape[-1], 1)
     a, b = rows[..., 0, :], rows[..., 1, :]
-    minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
-    prod = np.sqrt(np.einsum("...m,...m->...", minors, minors))
+    if rows.shape[-1] == 2:
+        # the one minor, as the sum below forms it
+        minor = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        prod = np.sqrt(minor * minor)
+    else:
+        i, j = np.triu_indices(rows.shape[-1], 1)
+        minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+        prod = np.sqrt(np.einsum("...m,...m->...", minors, minors))
     # s_min <= c s_max  <=>  s_min s_max <= c s_max^2, with s_max^2 the
     # larger root of s^4 - |x|_F^2 s^2 + prod^2
     top2 = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 ** 2 - 4.0 * prod ** 2,

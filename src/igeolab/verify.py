@@ -34,8 +34,9 @@ from .geometry import bp_constant, bp_exact_constant, \
     unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
     distances_to, haar_bases, _gauss_legendre, _orthonormal, _orthonormalize
-from .densities import DensityModel, EllipsoidIndicator, ParameterError, \
-    affine_image, section_points, section_stats, _volume_preserving
+from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
+    ParameterError, affine_image, section_points, section_stats, \
+    _volume_preserving
 from .functionals import ExponentSpec, affine_average_I, \
     grassmann_average_I, simplex_moment, _blocked, _common_dim, \
     _frame_mean, _simplex_powers
@@ -49,9 +50,8 @@ CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # bp_* section points per blocked draw (several draws a block, so their
 # results depend on it: see functionals._blocked), and subspaces per sharpness
-# cross-check.  Sharpness hit tests take blocks of HIT_ROWS, one draw each.
+# cross-check.  Sharpness hit tests take blocks of ROW_BLOCK, one draw each.
 DRAW_BLOCK = 1 << 16
-HIT_ROWS = 1 << 13
 # Fiber rows (n_x + 1 per subspace) per section_stats call of
 # marginal_bound_experiment: 20 subspaces a block at n_x = 400.
 FIBER_ROWS = 8192
@@ -201,9 +201,9 @@ def _section_moments(f_list, inner, exponent, origin, bases, offsets,
     """
     masses, pts = zip(*[section_points(f, bases, offsets, inner, rng)
                         for f in f_list])
-    # slot-major (q, flats, inner, k)
+    # one (flats, inner, k) array of section points per slot
     return np.prod(masses, axis=0) \
-        * _simplex_powers(np.stack(pts), origin, exponent).mean(axis=1)
+        * _simplex_powers(pts, origin, exponent).mean(axis=1)
 
 
 def _section_route(f_list, frames, count, inner, exponent, origin,
@@ -1040,7 +1040,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     hit share and its binomial z against the exact measure are reported as
     sampled_measure and sampled_z, and neither enters the measure or the
     verdict.  Otherwise n_subspaces subspaces are drawn and the rhs method
-    is "mc".  Either way _sharpness_hits tests blocks of HIT_ROWS subspaces
+    is "mc".  Either way _sharpness_hits tests blocks of ROW_BLOCK subspaces
     (see _blocked), one draw each, so the hits are those of one draw.
     """
     _sharpness_rules(n, k, s, n_subspaces)
@@ -1048,7 +1048,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     sampled = sampled_z = None
 
     def hits(stream, m):
-        return _blocked(m, HIT_ROWS, functools.partial(
+        return _blocked(m, ROW_BLOCK, functools.partial(
             _sharpness_hits, n, k, s, stream))
     if exact is None:
         rhs = mc_estimate(hits, n_subspaces, rng)

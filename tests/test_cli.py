@@ -423,9 +423,13 @@ def test_suite_runs_unchanged_without_the_malloc_policy(tmp_path, monkeypatch,
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# results.csv of each shipped config at its pinned seed, kept in tests/data;
-# a change that moves a column regenerates these files and says so
-SHIPPED_RESULTS = ("paper-core", "negative-controls", "sharpness")
+# results.csv of each shipped config at its pinned seed, kept in tests/data,
+# and the directory of its config; a change that moves a column regenerates
+# these files and says so.  The sections workload is the only suite that runs
+# Monte Carlo section windows, radial and truncated-Gaussian section points
+# and 200,000-tuple simplex stacks.
+SHIPPED_RESULTS = {"paper-core": "configs", "negative-controls": "configs",
+                   "sharpness": "configs", "sections": "bench/workloads"}
 NUMERIC_COLUMNS = ("lhs", "lhs_stderr", "rhs", "rhs_stderr", "ratio")
 
 
@@ -440,7 +444,7 @@ def same_number(got: str, want: str) -> bool:
 @pytest.mark.parametrize("name", SHIPPED_RESULTS)
 @pytest.mark.filterwarnings("error")   # no numpy overflow on a shipped row
 def test_shipped_results_match_the_reference(tmp_path, name):
-    cfg = load_config(str(ROOT / "configs" / f"{name}.ini"),
+    cfg = load_config(str(ROOT / SHIPPED_RESULTS[name] / f"{name}.ini"),
                       output_override=str(tmp_path))
     run_suite(cfg, echo=lambda line: None)
     got = read_rows(tmp_path / "results.csv")

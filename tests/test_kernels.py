@@ -2,18 +2,29 @@
 
 densities._bin_count stands in for np.searchsorted into a few bin edges,
 densities._choose_bins for Generator.choice with probabilities, and
-geometry._row_norms for np.linalg.norm along the last axis.  Each must give
-the generic call's exact bits, and the sampler must leave the generator
-where the generic call leaves it, so that the same seeds keep giving the
-same results.csv.
+geometry._row_norms for np.linalg.norm along the last axis.  The point
+kernels that work in blocks of densities.ROW_BLOCK rows (simplex powers,
+unit vectors and ball points, product evaluation, Monte Carlo section
+windows) stand in for their whole-array forms, which are kept here as
+references, and their traced peaks are bounded.  Each must give the
+generic call's exact bits, and the sampler must leave the generator where
+the generic call leaves it, so that the same seeds keep giving the same
+results.csv.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from igeolab.densities import RadialGridDensity, Step1D, _bin_count, \
-    _choose_bins, _step_quantiles, _step_values
-from igeolab.geometry import _row_norms
+from igeolab.densities import ROW_BLOCK, ProductDensity, RadialGridDensity, \
+    Step1D, _bin_count, _choose_bins, _directions, _per_row, \
+    _step_quantiles, _step_values, _uniform_ball, affine_image, section_stats
+from igeolab.functionals import _simplex_powers, powz, simplex_moment
+from igeolab.geometry import SV_RELATIVE_CUTOFF, _row_norms, \
+    _tuple_volumes, unit_ball_volume
+from igeolab.grassmann import haar_bases
 
 EDGES = np.array([-1.5, -0.25, 0.0, 0.75, 2.0])
 
@@ -187,3 +198,242 @@ def test_row_norms_match_linalg_norm(lead, scale, rng):
                 got = _row_norms(y)
                 assert got.shape == lead
                 assert np.array_equal(got, np.linalg.norm(y, axis=-1)), k
+
+
+# ---------------------------------------------------------------------------
+# point kernels in blocks of ROW_BLOCK rows, against the whole-array forms
+
+BLOCK_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_simplex_powers(pts, origin, p):
+    """_simplex_powers as one slot-major stack (q, ..., d): the volumes of
+    a view with the slot axis next to the coordinates."""
+    if not origin:
+        pts = pts[1:] - pts[0]
+    return powz(_tuple_volumes(np.moveaxis(pts, 0, -2)), p)
+
+
+# (q, d, origin, p): r = min(tuple rows, d) is 1, 2 (one minor and three)
+# and 3 (the SVD)
+SIMPLEX_CASES = [(1, 3, True, 1.0), (2, 1, False, 0.0), (2, 2, True, 1.0),
+                 (3, 2, False, 2.5), (2, 3, True, -0.5), (3, 2, True, 1.0),
+                 (3, 3, True, 0.5), (4, 3, False, 1.0)]
+
+
+@pytest.mark.parametrize("q,d,origin,p", SIMPLEX_CASES)
+def test_simplex_powers_match_the_stacked_form(q, d, origin, p, rng):
+    for m in BLOCK_COUNTS:
+        slots = [rng.normal(size=(m, d)) for _ in range(q)]
+        # degenerate tuples, which read exactly 0: a point at the origin,
+        # or one repeated
+        slots[-1][: m // 3] = 0.0 if origin else slots[0][: m // 3]
+        got = _simplex_powers(slots, origin, p)
+        assert _same_bits(got, reference_simplex_powers(np.stack(slots),
+                                                        origin, p)), m
+
+
+@pytest.mark.parametrize("q,k,origin", [(2, 2, True), (1, 1, True),
+                                        (3, 2, False)])
+def test_simplex_powers_of_section_point_slots(q, k, origin, rng):
+    # one (flats, inner, k) array per slot, as _section_moments passes them
+    slots = [rng.normal(size=(83, 100, k)) for _ in range(q)]
+    got = _simplex_powers(slots, origin, 1.0)
+    assert got.shape == (83, 100)
+    assert _same_bits(got, reference_simplex_powers(np.stack(slots),
+                                                    origin, 1.0))
+
+
+def test_single_minor_volume_without_a_leading_axis(rng):
+    def reference(x):
+        # the sum over the minors of a 2 x 2 tuple, as it was formed
+        a, b = x[..., 0, :], x[..., 1, :]
+        minors = a[..., [0]] * b[..., [1]] - a[..., [1]] * b[..., [0]]
+        frob2 = (x[..., 0, 0] ** 2 + x[..., 0, 1] ** 2) \
+            + (x[..., 1, 0] ** 2 + x[..., 1, 1] ** 2)
+        prod = np.sqrt(np.einsum("...m,...m->...", minors, minors))
+        top2 = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 ** 2 - 4.0 * prod ** 2,
+                                                 0.0)))
+        return np.where(prod <= SV_RELATIVE_CUTOFF * top2, 0.0, prod / 2.0)
+
+    one = np.array([[1.0, 0.0], [0.0, 2.0]])
+    assert _tuple_volumes(one) == 1.0
+    assert _same_bits(_tuple_volumes(one), reference(one))
+    stack = rng.normal(size=(500, 2, 2)) * np.exp(rng.normal(size=(500, 1, 1)))
+    got = _tuple_volumes(stack)
+    assert _same_bits(got, reference(stack))
+    assert _same_bits(got, [_tuple_volumes(x) for x in stack])
+
+
+class StubGenerator:
+    """A generator stand-in: standard_normal hands out the given values,
+    then ordinary normals, and random uniforms; each call is logged."""
+
+    def __init__(self, special, seed):
+        self.special, self.rng, self.calls = special, \
+            np.random.default_rng(seed), []
+
+    def standard_normal(self, shape):
+        self.calls.append(("standard_normal", shape))
+        g = self.rng.standard_normal(shape)
+        g.reshape(-1)[ROW_BLOCK + 7:ROW_BLOCK + 7 + len(self.special)] = \
+            self.special
+        return g
+
+    def random(self, shape):
+        self.calls.append(("random", shape))
+        return self.rng.random(shape)
+
+
+# an exact zero, tiny draws whose square underflows, a huge one whose
+# square overflows; they land in the second block of rows
+SPECIAL_DRAWS = [0.0, 1e-160, -1e-160, 3e-151, 1e200, -2.5]
+
+
+def reference_directions(shape, k, rng):
+    g = rng.standard_normal(shape + (k,))
+    with np.errstate(invalid="ignore"):
+        g /= _row_norms(g)[..., None]
+    return g
+
+
+def reference_ball(dim, shape, rng):
+    g = rng.standard_normal(shape + (dim,))
+    norms = _row_norms(g)
+    norms[norms == 0.0] = 1.0
+    strata = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
+    g /= norms[..., None]
+    g *= strata[..., None] ** (1.0 / dim)
+    return g
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(2 * ROW_BLOCK + 3,), (70, 300)])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_directions_and_ball_match_the_broadcast_forms(k, shape):
+    ours, theirs = StubGenerator(SPECIAL_DRAWS, 5), \
+        StubGenerator(SPECIAL_DRAWS, 5)
+    radii = np.random.default_rng(6).random(shape)
+    got = _directions(shape, k, ours, radii)
+    want = reference_directions(shape, k, theirs)
+    # a zero row is left at zero where the division gave 0 / 0
+    want[np.isnan(want)] = 0.0
+    want *= radii[..., None]
+    assert _same_bits(got, want)
+    assert _same_bits(_uniform_ball(k, shape, ours),
+                      reference_ball(k, shape, theirs))
+    assert ours.calls == theirs.calls
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dim_one_directions_are_signs_where_the_square_is_normal():
+    g = np.array([0.0, 1e-160, -3e-151, 1e-150, -1e150, 2e154, -0.7])
+    stub = StubGenerator(g, 0)
+    size = ROW_BLOCK + 7 + g.size
+    got = _directions((size,), 1, stub, np.ones(size))[ROW_BLOCK + 7:, 0]
+    # 1e-160 / sqrt(1e-320) is not 1, and 2e154 squared is inf
+    assert got[0] == 0.0 and got[1] != 1.0 and got[-2] == 0.0
+    assert got[2:5].tolist() == [-1.0, 1.0, -1.0] and got[-1] == -1.0
+
+
+def test_product_and_pushforward_eval_match_the_strided_forms(rng):
+    f = ProductDensity([Step1D.uniform(-1.0, 1.0, [1.0, 2.0, 1.0]),
+                        Step1D([-0.5, 0.0, 0.5], [0.5, 1.5]),
+                        Step1D.uniform(-1.5, 1.5, [1.0, 1.0, 2.0, 1.0])], 0.7)
+    edges = np.concatenate([g.edges for g in f.factors])
+    x = np.concatenate([rng.uniform(-1.2, 1.2, (3 * ROW_BLOCK, 3)),
+                        np.tile(edges[:, None], (1, 3))])
+    want = np.full(len(x), f.amplitude)
+    for i, g in enumerate(f.factors):
+        want = want * g.eval_many(x[:, i:i + 1])
+    assert _same_bits(f.eval_many(x), want)
+    assert np.count_nonzero(want) > len(x) // 5
+    # the pushforward's shift, column by column, against the broadcast one
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    g = affine_image(f, (shear, [0.1, -0.2, 0.05]))
+    assert _same_bits(g.eval_many(x),
+                      f.eval_many((x - g.shift) @ np.linalg.inv(shear).T))
+
+
+def reference_mc_stats(f, bases, offsets, count, rng):
+    """The Monte Carlo branch of section_stats on the whole stack at once."""
+    bases = _per_row(bases, len(offsets))
+    s, n, k = bases.shape
+    gap = f.support_radius ** 2 - np.einsum("si,si->s", offsets, offsets)
+    w = np.sqrt(np.maximum(gap, 0.0))
+    u = reference_ball(k, (s, count), rng) * w[:, None, None]
+    pts = offsets[:, None, :] + u @ np.swapaxes(bases, 1, 2)
+    vals = f.eval_many(pts.reshape(-1, n)).reshape(s, count)
+    vals[gap <= 0] = 0.0
+    vol = unit_ball_volume(k) * w ** k
+    return (vol * vals.mean(axis=1), vals.max(axis=1),
+            vol * vals.std(axis=1, ddof=1) / math.sqrt(count))
+
+
+def mc_densities():
+    box = ProductDensity([Step1D.uniform(-1.0, 1.0, [1.0, 2.0, 1.0]),
+                          Step1D.uniform(-1.0, 1.0, [0.5, 1.5]),
+                          Step1D.uniform(-1.0, 1.0, [1.0, 1.0, 2.0, 1.0])])
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    return {"product": box,
+            "pushforward": affine_image(box, (shear, None)),
+            "radial": RadialGridDensity.uniform(3, 1.5, [1.0, 0.8, 0.3])}
+
+
+@pytest.mark.parametrize("family", ["product", "pushforward", "radial"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("count", [64, 300])
+def test_mc_section_stats_match_the_whole_stack_form(family, k, count, rng):
+    f = mc_densities()[family]
+    # 3 blocks of lines, the last short, sharing each basis over 3 offsets;
+    # some flats miss the support
+    s = 3 * (ROW_BLOCK // count) - 7
+    s -= s % 3
+    bases = haar_bases(3, k, s // 3, rng)
+    offsets = rng.normal(size=(s, 3)) * 1.2
+    rows = _per_row(bases, s)
+    offsets -= np.einsum("snk,sk->sn", rows,
+                         np.einsum("snk,sn->sk", rows, offsets))
+    assert np.any(np.linalg.norm(offsets, axis=1) > f.support_radius)
+    seed = int(rng.integers(1 << 31))
+    got = section_stats(f, bases, offsets, ("mc", count),
+                        np.random.default_rng(seed))
+    want = reference_mc_stats(f, bases, offsets, count,
+                              np.random.default_rng(seed))
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_window_blocks_bound_the_traced_peak(rng):
+    # 2,000 lines x 64 window points through a sheared box: beyond the one
+    # ball draw and the (lines, 64) values, only a block of points is live
+    f = mc_densities()["pushforward"]
+    bases = haar_bases(3, 1, 2000, rng)
+    peak = traced_peak(lambda: section_stats(
+        f, bases, np.zeros((2000, 3)), ("mc", 64), rng))
+    assert peak < 2 * 2000 * 64 * 8 + (2 << 20)
+
+
+def test_simplex_moment_blocks_bound_the_traced_peak():
+    # three bimodal2-shaped product slots of 200,000 points: beyond the
+    # slots and one value per tuple, only a block of tuples is live
+    f = ProductDensity([Step1D.uniform(-1.0, 1.0, [2.2, 0.3, 1.0, 0.3, 2.2]),
+                        Step1D.uniform(-1.0, 1.0, [0.5, 1.9, 0.3, 1.9, 0.4])])
+    m = 200_000
+    peak = traced_peak(lambda: simplex_moment(
+        [f] * 3, 1.0, False, m, np.random.default_rng(3)))
+    assert peak < 3 * m * 2 * 8 + m * 8 + (1 << 20)

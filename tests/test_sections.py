@@ -15,6 +15,7 @@ LAPACK reference on ill-conditioned shapes.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                TruncatedGaussian, _per_row, _step_quantiles,
                                _uniform_ball, affine_image, section_points,
                                section_stats)
-from igeolab import verify
+from igeolab import functionals, verify
+from igeolab.config import load_config
 from igeolab.geometry import unit_ball_volume
 from igeolab.grassmann import flat_frames, haar_bases
+from igeolab.runner import run_suite
 
 FAMILIES = ["ellipsoid", "gaussian", "truncated", "radial", "product"]
 BOUNDED = [f for f in FAMILIES if f != "gaussian"]
@@ -499,3 +502,33 @@ def test_shared_bases_read_as_repeated_ones_bit_for_bit(method, n, k):
                                  method, np.random.default_rng(1))
         for a, b in zip(shared, repeated):
             assert np.array_equal(a, b), type(f).__name__
+
+
+def test_shipped_suites_pass_foot_points(monkeypatch, tmp_path):
+    # the Monte Carlo window and the radial sections read |offset| as the
+    # flat's distance, so every offset a section route receives must be
+    # perpendicular to its basis: |B^T o| <= 1e-12 max(1, |o|)
+    flats_seen = []
+
+    def foot_points_only(route):
+        def checked(f, bases, offsets, *args):
+            rows = _per_row(bases, len(offsets))
+            along = np.linalg.norm(np.einsum("snk,sn->sk", rows, offsets),
+                                   axis=1)
+            scale = np.maximum(1.0, np.linalg.norm(offsets, axis=1))
+            assert np.all(along <= 1e-12 * scale), route.__name__
+            flats_seen.append(len(offsets))
+            return route(f, bases, offsets, *args)
+        return checked
+
+    for module, name in [(functionals, "section_stats"),
+                         (verify, "section_stats"),
+                         (verify, "section_points")]:
+        monkeypatch.setattr(module, name,
+                            foot_points_only(getattr(module, name)))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in sorted(root.glob("configs/*.ini")) \
+            + [root / "bench" / "workloads" / "sections.ini"]:
+        cfg = load_config(str(path), output_override=str(tmp_path / path.stem))
+        run_suite(cfg, echo=lambda line: None)
+    assert sum(flats_seen) > 100_000

@@ -585,7 +585,7 @@ def test_quantiles_match_numpy_bit_for_bit():
 def sampler_share(n, k, s, m, rng):
     """Share of m sharpness draws that hit, through the sampler the Monte
     Carlo route uses, in its blocks."""
-    hits = verify._blocked(m, verify.HIT_ROWS, functools.partial(
+    hits = verify._blocked(m, verify.ROW_BLOCK, functools.partial(
         verify._sharpness_hits, n, k, s, rng))
     return float(np.mean(hits))
 
@@ -654,7 +654,7 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
     ref = {method: gaussian_sharpness_experiment(*args,
                                                  np.random.default_rng(5))
            for method, args in rows.items()}
-    monkeypatch.setattr(verify, "HIT_ROWS", 7)
+    monkeypatch.setattr(verify, "ROW_BLOCK", 7)
     for method, args in rows.items():
         small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
         assert ref[method].rhs.method == method
@@ -664,7 +664,7 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
 
 
 def test_sharpness_hit_blocks_bound_the_traced_peak():
-    # a (4, 2) row cross-checks DRAW_BLOCK subspaces, but only HIT_ROWS of
+    # a (4, 2) row cross-checks DRAW_BLOCK subspaces, but only ROW_BLOCK of
     # them, and their Gram products, are live at once
     tracemalloc.start()
     try:
@@ -820,8 +820,8 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
     budget = cfg.checks[0].kwargs["n_subspaces"]
     cross_check = min(budget, verify.DRAW_BLOCK)
     assert sum(drawn) == 5 * cross_check
-    assert max(drawn) <= verify.HIT_ROWS
-    assert len(drawn) == 5 * -(-cross_check // verify.HIT_ROWS)
+    assert max(drawn) <= verify.ROW_BLOCK
+    assert len(drawn) == 5 * -(-cross_check // verify.ROW_BLOCK)
 
 
 def test_sharpness_validation(rng):
