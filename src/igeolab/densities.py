@@ -17,7 +17,8 @@ else in the package is built from them:
   marginal density of f at x, so marginals come for free.  Ellipsoid and
   Gaussian sections solve one k x k system per flat, in closed form for
   k <= 2 (``geometry._spd_solve``), and truncated-Gaussian sections sample
-  their chi radius by the chi-square quantile, in closed form for k = 2.
+  their chi radius by the chi-square quantile (``geometry._chi2_ppf``),
+  in closed form for k = 2.
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
   of a stack of sections are ``section_stats(f.power(p), bases,
   offsets)[0] ** (1/p)``.
@@ -34,7 +35,8 @@ import math
 
 import numpy as np
 
-from .geometry import _row_norms, _spd_solve, unit_ball_volume
+from .geometry import _chi2_cdf, _chi2_ppf, _row_norms, _spd_solve, \
+    unit_ball_volume
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
@@ -44,8 +46,9 @@ AXIS_TOL = 1e-12
 # Box-enumeration cap for exact product rearrangements.
 PRODUCT_ENUM_CAP = 300_000
 # Rows per block of the point kernels (window points, unit vectors, simplex
-# volumes) and of the sharpness hit tests: a block of a few float64 columns
-# stays in cache.  No kernel draws inside its blocks, so no draw depends on it.
+# volumes, step-law draws), of the sharpness hit tests and of marginal_bound's
+# fibers: a block of a few float64 columns stays in cache.  No kernel draws
+# inside its blocks, so no draw depends on it.
 ROW_BLOCK = 1 << 13
 
 __all__ = [
@@ -353,140 +356,6 @@ class GaussianDensity(_Sectioned):
         return u_star[:, None, :] + _inverse_root(h, z)
 
 
-def _gamma_series(h: np.ndarray, a: float) -> np.ndarray:
-    """Regularized lower incomplete gamma P(a, h) on a vector h by its
-    power series e^-h h^a / Gamma(a+1) sum_j h^j / ((a+1)...(a+j))
-    (A&S 6.5.29), to a few ulps relative for 0 <= h < a + 1; the terms are
-    summed by Horner's rule up to the first one below 1e-17 at the
-    largest h."""
-    top = float(h.max(initial=0.0))
-    coef = [1.0]
-    while coef[-1] * top ** (len(coef) - 1) > 1e-17:
-        coef.append(coef[-1] / (a + len(coef)))
-    total = np.full(h.shape, coef[-1])
-    for c in reversed(coef[:-1]):
-        total *= h
-        total += c
-    return h ** a * np.exp(-h) / math.gamma(a + 1.0) * total
-
-
-def _gamma_upper_sum(h: np.ndarray, k: int) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(k/2, h) on a vector h for
-    integer k, by the finite sums of A&S 6.5.13 and 26.4.4-5: Q(a0, h) plus
-    the terms e^-h h^(a0+j) / Gamma(a0+j+1) for j < k // 2, where
-    a0 = 1/2 with Q(1/2, h) = erfc(sqrt h) for odd k and a0 = 0 with
-    Q(0, h) = 0 for even k.  Every term is positive, so Q keeps its
-    relative accuracy far into the tail."""
-    h = np.minimum(h, 1e3)  # e^-h h^j stays 0 rather than 0 * inf; Q is 0
-    a0 = 0.5 * (k % 2)
-    term = np.exp(-h) * h ** a0 / math.gamma(a0 + 1.0)
-    total = np.fromiter(map(math.erfc, np.sqrt(h).tolist()), float, h.size) \
-        if k % 2 else np.zeros(h.size)
-    for j in range(k // 2):
-        total += term
-        term *= h / (a0 + j + 1.0)
-    return total
-
-
-def _chi2_cdf(x, k: int, upper=False):
-    """CDF at x of the chi-square law with k degrees of freedom, or its
-    survival function where upper (a bool broadcasting against x) is True.
-
-    Each side keeps a few ulps of relative accuracy: with h = x / 2, the
-    power series gives P below h = k/2 + 1 and the finite sum gives Q at
-    and above it, and the other side is one minus that, at least 0.08
-    there.  k = 2 is 1 - e^-h.
-    """
-    h = 0.5 * np.asarray(x, dtype=float)
-    upper = np.broadcast_to(upper, h.shape)
-    if k == 2:
-        return np.where(upper, np.exp(-h), -np.expm1(-h))
-    near = h < 0.5 * k + 1.0
-    p = _gamma_series(h[near], 0.5 * k)
-    q = _gamma_upper_sum(h[~near], k)
-    out = np.empty(h.shape)
-    out[near] = np.where(upper[near], 1.0 - p, p)
-    out[~near] = np.where(upper[~near], q, 1.0 - q)
-    return out
-
-
-def _normal_tail_quantile(t: np.ndarray) -> np.ndarray:
-    """z with P(Z > z) = t for a standard normal Z and t in (0, 1/2], to
-    4.5e-4 absolute (A&S 26.2.23)."""
-    s = np.sqrt(-2.0 * np.log(np.maximum(t, 1e-300)))
-    return s - (2.515517 + s * (0.802853 + s * 0.010328)) \
-        / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
-
-
-def _chi2_start(y: np.ndarray, k: int) -> np.ndarray:
-    """Starting point for the chi-square quantile at y: the leading term
-    of the series, P ~ h^a / Gamma(a+1) with a = k/2, near 0, and further
-    out the normal quantile, squared for k = 1 and through Wilson-Hilferty
-    (A&S 26.4.17) for k >= 3."""
-    a = 0.5 * k
-    near = (y * math.gamma(a + 1.0)) ** (1.0 / a)
-    if k == 1:
-        far = 0.5 * _normal_tail_quantile(0.5 * (1.0 - y)) ** 2
-    else:
-        z = _normal_tail_quantile(np.minimum(y, 1.0 - y))
-        z = np.where(y > 0.5, z, -z)
-        far = a * np.maximum(1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)),
-                             0.0) ** 3
-    return 2.0 * np.where(near < 0.3 * (a + 1.0), near, far)
-
-
-def _chi2_ppf(y, k: int, top):
-    """Quantile at y in [0, cdf(top)) of the chi-square law with k degrees
-    of freedom; the root lies in [0, top], and top broadcasts against y.
-
-    k = 2 has the closed form -2 log(1 - y).  Otherwise safeguarded Halley
-    steps on _chi2_cdf, with pdf'/pdf = (k/2 - 1)/x - 1/2, run on the points
-    not yet converged.  Where y > 1/2 they match the survival function to
-    1 - y, which is exact, so the upper tail keeps its relative accuracy.
-    Each evaluation narrows a bracket [lo, hi], and a step that leaves it
-    bisects it instead; an infinite top is replaced by 2k + 100, beyond
-    which the survival function is below the spacing of doubles under 1.
-    A step below 1e-6 relative ends the iteration: Halley's cubic
-    convergence puts the next iterate at rounding level.  At most 100
-    evaluations run; bisection alone would narrow [0, top] by 2^-100.
-    """
-    y = np.asarray(y, dtype=float)
-    if k == 2:
-        return -2.0 * np.log1p(-y)
-    a = 0.5 * k
-    flat = y.ravel()
-    upper = flat > 0.5
-    tail = np.where(upper, 1.0 - flat, flat)
-    hi = np.broadcast_to(np.minimum(top, 2.0 * k + 100.0), y.shape).ravel()
-    x = np.minimum(_chi2_start(flat, k), hi)
-    out = np.zeros(y.size)
-    live = np.flatnonzero(x > 0.0)  # x = 0 is final: y = 0, or a tiny root
-    x, hi, upper, tail = x[live], hi[live], upper[live], tail[live]
-    lo = np.zeros(live.size)
-    log_norm = a * math.log(2.0) + math.lgamma(a)
-    for _ in range(100):
-        g = _chi2_cdf(x, k, upper) - tail
-        np.negative(g, where=upper, out=g)         # cdf(x) - y either way
-        lo = np.where(g < 0.0, x, lo)
-        hi = np.where(g > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Newton step g / pdf, then Halley's correction, capped so that
-            # it at most doubles the step
-            u = g * np.exp(0.5 * x + log_norm - (a - 1.0) * np.log(x))
-            step = u / (1.0 - 0.5 * np.minimum(u * ((a - 1.0) / x - 0.5), 1.0))
-        new = x - step
-        moving = ~(np.abs(step) <= 1e-6 * x)
-        stray = moving & ~((lo < new) & (new < hi))
-        new[stray] = 0.5 * (lo[stray] + hi[stray])
-        out[live[~moving]] = new[~moving]
-        live, x, lo, hi, upper, tail = (
-            v[moving] for v in (live, new, lo, hi, upper, tail))
-        if not live.size:
-            break
-    out[live] = x
-    return out.reshape(y.shape)
-
-
 class TruncatedGaussian(_Sectioned):
     """a * isotropic Gaussian kernel about c, cut at radius R.
 
@@ -618,15 +487,8 @@ class Step1D(DensityModel):
         return max(abs(self.lo), abs(self.hi))
 
     def sample(self, size, rng):
-        widths = np.diff(self.edges)
-        bins = _choose_bins(self.heights * widths, size, rng)
-        x = rng.random(size)
-        # a block's byte-wide bins widen to intp inside take
-        for start in range(0, size, ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
-            x[block] *= widths.take(bins[block])
-            x[block] += self.edges.take(bins[block])
-        return x[:, None]
+        weights = self.heights * np.diff(self.edges)
+        return _piecewise_uniform(self.edges, weights, size, rng)[:, None]
 
     def power(self, p):
         return Step1D(self.edges, self.heights ** p)
@@ -782,11 +644,8 @@ class RadialGridDensity(_Sectioned):
 
     def sample(self, size, rng):
         # shells are uniform in r^n: draw r^n in the shell, then take roots
-        shells = _choose_bins(self.heights * self.shell_volumes(), size, rng)
-        powers = self.edges ** self.n
-        r = rng.random(size)
-        r *= np.diff(powers).take(shells)
-        r += powers.take(shells)
+        r = _piecewise_uniform(self.edges ** self.n,
+                               self.heights * self.shell_volumes(), size, rng)
         r **= 1.0 / self.n
         return _directions((size,), self.n, rng, r)
 
@@ -940,6 +799,21 @@ def _choose_bins(weights: np.ndarray, size: int,
     cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
     return _bin_count(cdf[:-1], rng.random(size))
+
+
+def _piecewise_uniform(grid: np.ndarray, weights: np.ndarray, size: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """size draws of the law that spreads weights[j] evenly over [grid[j],
+    grid[j + 1]]: _choose_bins, then one rng.random(size) scaled and shifted
+    ROW_BLOCK rows at a time (a block's byte-wide bins widen inside take)."""
+    bins = _choose_bins(weights, size, rng)
+    widths = np.diff(grid)
+    x = rng.random(size)
+    for start in range(0, size, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        x[block] *= widths.take(bins[block])
+        x[block] += grid.take(bins[block])
+    return x
 
 
 def _step_quantiles(edges: np.ndarray, weights: np.ndarray,

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _tuple_volumes
+from .geometry import _chi2_cdf, _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
 from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
     GaussianDensity, ParameterError, RadialGridDensity, TruncatedGaussian, \
-    _chi2_cdf, section_stats
+    section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -177,15 +177,6 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
                                origin, p)
 
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
-
-
-def _chi_moment(m: int, p: float) -> float:
-    """M(m, p) = E chi_m^p = 2^(p/2) Gamma((m + p)/2) / Gamma(m/2), for
-    m + p > 0; by log-gammas where a gamma would overflow."""
-    a, b = 0.5 * (m + p), 0.5 * m
-    if max(a, b) < 170.0:
-        return 2.0 ** (0.5 * p) * math.gamma(a) / math.gamma(b)
-    return math.exp(0.5 * p * math.log(2.0) + math.lgamma(a) - math.lgamma(b))
 
 
 def _radial_moment(f: DensityModel, p: float):

@@ -36,13 +36,12 @@ the nodes to RULE_RTOL, relative.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
-from .geometry import unit_ball_volume
+from .geometry import _gauss_legendre, unit_ball_volume
 
 # Orthonormality tolerance for a subspace basis given from outside.
 FRAME_TOL = 1e-10
@@ -203,19 +202,6 @@ def perturb_subspace(E: np.ndarray, eta: float, count: int,
         out[found:found + len(near)] = near
         found += len(near)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch: the
-    eigenvalues of the Jacobi matrix and 2 (first eigenvector entry)^2.
-    The cached arrays are read-only."""
-    i = np.arange(1, nodes)
-    off = i / np.sqrt(4.0 * i * i - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 * np.square(v[0])
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def _sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:

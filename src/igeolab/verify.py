@@ -31,9 +31,10 @@ import math
 import numpy as np
 
 from .geometry import bp_constant, bp_exact_constant, \
-    unit_ball_volume, unit_volume_radius, _row_norms, _spd_solve
+    exact_event_measure, unit_ball_volume, unit_volume_radius, _row_norms, \
+    _sharpness_cut, _spd_solve
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
-    distances_to, haar_bases, _gauss_legendre, _orthonormal, _orthonormalize
+    distances_to, haar_bases, _orthonormal, _orthonormalize
 from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
     ParameterError, affine_image, section_points, section_stats, \
     _volume_preserving
@@ -52,12 +53,6 @@ NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # results depend on it: see functionals._blocked), and subspaces per sharpness
 # cross-check.  Sharpness hit tests take blocks of ROW_BLOCK, one draw each.
 DRAW_BLOCK = 1 << 16
-# Fiber rows (n_x + 1 per subspace) per section_stats call of
-# marginal_bound_experiment: 20 subspaces a block at n_x = 400.
-FIBER_ROWS = 8192
-# Gauss-Legendre nodes per panel of the two-plane sharpness measure: the
-# rule agrees with itself at twice the nodes to about 1e-14 relative.
-QUAD_NODES = 32
 
 __all__ = [
     "check_bp_subspace",
@@ -351,13 +346,14 @@ def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
                        invariant_sum: float, before: Estimate,
                        after: Estimate, **extra) -> CheckReport:
     """Verdict shared by the two invariance checks: FAIL when after/before
-    departs from 1 by more than 3 stderr, INCONCLUSIVE when a side is
-    heavy-tailed or the ratio too noisy to see a departure, else PASS.
-    before and after are the averages before and after the map; each says
-    how it was computed (Estimate.method) and carries its tail share."""
+    is not finite or departs from 1 by more than 3 stderr, which a side
+    that reads 0 does, INCONCLUSIVE when a side is heavy-tailed or the
+    ratio too noisy to see a departure, else PASS.  before and after are
+    the averages before and after the map; each says how it was computed
+    (Estimate.method) and carries its tail share."""
     ratio = ratio_estimate(after, before)
     dev = abs(ratio.value - 1.0)
-    if ratio.stderr > 0 and dev > 3.0 * ratio.stderr:
+    if not (math.isfinite(ratio.value) and dev <= 3.0 * ratio.stderr):
         verdict = FAIL
     elif _heavy_tailed(before, after) or ratio.rel_stderr > NOISE_FLOOR:
         verdict = INCONCLUSIVE
@@ -681,7 +677,7 @@ def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
 
 def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     """Per-point fiber statistics for a stack of subspaces, read by one
-    section_stats call per block of FIBER_ROWS // (n_x + 1) subspaces, the
+    section_stats call per block of ROW_BLOCK // (n_x + 1) subspaces, the
     last one shorter; no statistic depends on the blocks.
 
     bases (m, n, k) holds the subspaces' orthonormal bases and ys
@@ -702,7 +698,7 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     offsets[:, :n_x] = feet
     offsets = offsets.reshape(-1, n)
     l1, sup = np.empty((2, len(offsets)))
-    per_block = max(1, FIBER_ROWS // (n_x + 1))
+    per_block = max(1, ROW_BLOCK // (n_x + 1))
     for start in range(0, m, per_block):
         rows = slice(start * (n_x + 1), (start + per_block) * (n_x + 1))
         l1[rows], sup[rows] = section_stats(
@@ -854,122 +850,6 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
                     "n_subspaces": n_subspaces, "n_x": n_x},
         lhs=lhs, rhs=rhs, verdict=PASS if ok else FAIL,
         diagnostics=diagnostics)
-
-
-def _sharpness_cut(n: int, k: int, s: float) -> tuple[float, float]:
-    """sigma^2 = (2 pi)^(-n/k) and log cut = log (2 pi s^2)^(-k): the
-    sharpness event is det(B^T D B) <= cut, D = diag(variances)."""
-    return (2 * math.pi) ** (-n / k), \
-        -k * math.log(2 * math.pi) - 2 * k * math.log(s)
-
-
-def exact_event_measure(n: int, k: int, s: float) -> float | None:
-    """Exact measure of the sharpness event det(B^T D B) <= cut on G(n, k),
-    or None where no exact form is coded (j = min(k, n-k) >= 3 and the
-    event not empty).
-
-    det(B^T D B) = prod_{i <= k} (1 - a lambda_i), a = 1 - sigma^2, where
-    the lambda_i are the squared cosines of the principal angles between
-    E = span B and the span of the first k axes.  For k > n-k, k-j of them
-    are 1 and the other j are those between E-perp and the last n-k axes
-    (det(B^T D B) = det(D) det(C^T D^-1 C), C a basis of E-perp), so either
-    way the event is prod_{i <= j} (1 - a lambda_i) <= c with
-    c = cut sigma^(-2(k-j)), the lambda_i the j squared cosines between a
-    uniform j-plane of R^n and a fixed one: the real Jacobi ensemble
-    (Muirhead, Aspects of Multivariate Statistical Theory, ch. 3).
-
-    * empty event (c < sigma^(2j), i.e. s above empty_above): exact 0;
-    * j = 1: lambda ~ Beta(1/2, (n-1)/2) and the event is lambda >= x,
-      x = (1 - c)/a, of measure I_{1-x}((n-1)/2, 1/2) (_beta_half);
-    * j = 2: a two-dimensional quadrature (_two_plane_measure).
-    """
-    sigma2, log_cut = _sharpness_cut(n, k, s)
-    j = min(k, n - k)
-    # cut < min det(B^T D B) = sigma^(2k): no subspace can hit
-    if log_cut < k * math.log(sigma2):
-        return 0.0
-    c = math.exp(log_cut - (k - j) * math.log(sigma2))
-    a = 1.0 - sigma2
-    if j == 1:
-        return _beta_half((n - 1) / 2, 1.0 - min(max((1.0 - c) / a, 0.0), 1.0))
-    if j == 2:
-        return _two_plane_measure(n, sigma2, c)
-    return None
-
-
-def _beta_half(a: float, w: float) -> float:
-    """Regularized incomplete beta I_w(a, 1/2) for a a positive multiple
-    of 1/2 and w in [0, 1], by finite sums (A&S 26.5): from
-    I_w(1/2, 1/2) = (2/pi) asin(sqrt w) or I_w(1, 1/2) = 1 - sqrt(1 - w),
-    taken as (2/pi) atan2(sqrt w, sqrt(1 - w)) and w / (1 + sqrt(1 - w)),
-    which keep their relative precision at both edges of w,
-    step the first parameter up by I_w(b+1, 1/2) = I_w(b, 1/2) - t(b),
-    t(b) = w^b sqrt(1 - w) / (b B(b, 1/2)).  Where a >= 3/2 and
-    a (1 - w) >= 1 those steps cancel; there it sums t(a) + t(a+1) + ..."""
-    def t(b):
-        return w ** b * math.sqrt(1.0 - w) * math.exp(
-            math.lgamma(b + 0.5) - math.lgamma(b + 1.0) - math.lgamma(0.5))
-    b = 0.5 if a % 1 else 1.0
-    if b < a and a * (1.0 - w) >= 1.0:
-        value, term = 0.0, t(a)
-        while value + term != value:
-            value += term
-            term *= w * (a + 0.5) / (a + 1.0)
-            a += 1.0
-        return value
-    root = math.sqrt(1.0 - w)
-    value = 2.0 / math.pi * math.atan2(math.sqrt(w), root) if b == 0.5 \
-        else w / (1.0 + root)
-    while b < a:
-        value -= t(b)
-        b += 1.0
-    return value
-
-
-def _two_plane_measure(n: int, sigma2: float, c: float,
-                       nodes: int = QUAD_NODES) -> float:
-    """P((1 - a lambda_1)(1 - a lambda_2) <= c), a = 1 - sigma2, for the
-    two squared cosines lambda_i = cos^2 phi_i between a uniform 2-plane of
-    R^n (n >= 4) and a fixed one, 0 < sigma2 < 1 and c >= sigma2^2.
-
-    On [0, pi/2]^2 the angles have density proportional to
-    sin^(n-4) phi_1 sin^(n-4) phi_2 |cos^2 phi_1 - cos^2 phi_2|, of total
-    mass 2 / ((n-2)(n-3)) (Selberg's integral).  For fixed phi_1 the event
-    is phi_2 <= psi(phi_1) = acos sqrt(lambda_2*), lambda_2* =
-    (1 - c / (1 - a lambda_1)) / a clipped to [0, 1].  Nested
-    Gauss-Legendre: the outer phi_1 rule runs on three panels cut where
-    lambda_2* hits 0, lambda_1 and 1, and the inner rule on [0, psi] cut
-    at phi_2 = phi_1, the kink of the density.  psi has a square-root
-    endpoint where lambda_2* reaches 0 or 1, so each outer panel is mapped
-    by u = (1 - cos theta)/2, theta uniform in [0, pi], which makes
-    sqrt(u) and sqrt(1 - u) smooth and the rule spectrally convergent.
-    """
-    a = 1.0 - sigma2
-
-    def angle(lam):
-        return np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0)))
-
-    x, w = _gauss_legendre(nodes)
-    # outer panels [0, phi_c], [phi_c, phi_s], [phi_s, phi_b]
-    cuts = angle(np.array([(1.0 - c) / a, (1.0 - math.sqrt(c)) / a,
-                           (1.0 - c / sigma2) / a]))
-    lo = np.concatenate([[0.0], cuts[:2]])[:, None]
-    width = cuts[:, None] - lo
-    theta = (x + 1.0) * (math.pi / 2)
-    phi1 = (lo + width * (0.5 - 0.5 * np.cos(theta))).ravel()
-    w1 = (width * (math.pi / 4) * np.sin(theta) * w).ravel()
-    lam1 = np.square(np.cos(phi1))
-    psi = angle((1.0 - c / (1.0 - a * lam1)) / a)
-    # inner pieces [0, min(phi_1, psi)] and [min(phi_1, psi), psi]
-    knee = np.minimum(phi1, psi)
-    start = np.stack([np.zeros_like(knee), knee], axis=1)[..., None]
-    span = np.stack([knee, psi], axis=1)[..., None] - start
-    phi2 = start + span * (0.5 * (x + 1.0))
-    density = np.sin(phi2) ** (n - 4) \
-        * np.abs(lam1[:, None, None] - np.square(np.cos(phi2)))
-    inner = np.sum(density * span * (0.5 * w), axis=(1, 2))
-    mass = np.sum(np.sin(phi1) ** (n - 4) * inner * w1)
-    return float(mass * (n - 2) * (n - 3) / 2)
 
 
 def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,

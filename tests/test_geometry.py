@@ -1,15 +1,33 @@
 """Ball volumes, normalizing constants, simplex volumes."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igeolab import geometry
 from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_constant,
                               bp_exact_constant, unit_ball_volume,
                               unit_volume_radius, _tuple_volumes)
+
+
+def test_geometry_imports_nothing_from_the_package():
+    # the leaf of the package's exact numerics, which every module imports
+    tree = ast.parse(pathlib.Path(geometry.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(m.split(".")[0] != "igeolab" for m in modules), \
+            ast.unparse(node)
 
 
 def test_unit_ball_volumes():

@@ -15,7 +15,7 @@ from scipy import stats
 
 from igeolab import grassmann
 from igeolab.densities import _uniform_ball
-from igeolab.geometry import unit_ball_volume
+from igeolab.geometry import _gauss_legendre, unit_ball_volume
 from igeolab.grassmann import (distances_to, flat_frames, haar_bases,
                                perturb_subspace, subspace_frames,
                                _orthonormalize)
@@ -330,7 +330,7 @@ def test_flat_rule_measures_the_hyperplanes_meeting_a_ball():
     normals = np.cross(bases[:, :, 0], bases[:, :, 1])
     assert np.abs(mid - (normals @ center)[:, None] * normals).max() <= 1e-15
     reach = np.linalg.norm(feet[:, -1] - feet[:, 0], axis=1)
-    x = grassmann._gauss_legendre(r)[0]
+    x = _gauss_legendre(r)[0]
     assert np.abs(reach - 2.0 * x[-1]).max() <= 1e-15
 
 

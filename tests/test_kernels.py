@@ -25,6 +25,7 @@ from igeolab.functionals import _simplex_powers, powz, simplex_moment
 from igeolab.geometry import SV_RELATIVE_CUTOFF, _row_norms, \
     _tuple_volumes, unit_ball_volume
 from igeolab.grassmann import haar_bases
+from igeolab.rearrange import rearrangement
 
 EDGES = np.array([-1.5, -0.25, 0.0, 0.75, 2.0])
 
@@ -310,6 +311,49 @@ def reference_ball(dim, shape, rng):
     g /= norms[..., None]
     g *= strata[..., None] ** (1.0 / dim)
     return g
+
+
+def reference_step_sample(f, size, rng):
+    """Step1D.sample on whole arrays: a bin, then a uniform inside it."""
+    widths = np.diff(f.edges)
+    bins = _choose_bins(f.heights * widths, size, rng)
+    x = rng.random(size)
+    x *= widths.take(bins)
+    x += f.edges.take(bins)
+    return x[:, None]
+
+
+def reference_radial_sample(f, size, rng):
+    """RadialGridDensity.sample on whole arrays: a shell, r^n uniform in
+    it, then a direction."""
+    shells = _choose_bins(f.heights * f.shell_volumes(), size, rng)
+    powers = f.edges ** f.n
+    r = rng.random(size)
+    r *= np.diff(powers).take(shells)
+    r += powers.take(shells)
+    r **= 1.0 / f.n
+    return _directions((size,), f.n, rng, r)
+
+
+# a step factor with an empty bin, and the 12-shell f* of a 2-d product
+STEP_LAWS = {
+    "step": (Step1D([-1.0, -0.5, 0.25, 2.0], [1.0, 0.0, 0.4]),
+             reference_step_sample),
+    "radial": (rearrangement(ProductDensity(
+        [Step1D.uniform(-1.0, 1.0, [2.2, 0.3, 1.0, 0.3, 2.2]),
+         Step1D.uniform(-1.0, 1.0, [0.5, 1.9, 0.3, 1.9, 0.4])])),
+        reference_radial_sample)}
+
+
+@pytest.mark.parametrize("law", STEP_LAWS)
+def test_step_law_samplers_match_the_whole_array_forms(law):
+    f, reference = STEP_LAWS[law]
+    if law == "radial":
+        assert len(f.heights) == 12
+    for size in BLOCK_COUNTS:
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        assert _same_bits(f.sample(size, ours), reference(f, size, theirs))
+        assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -21,10 +21,8 @@ from scipy.integrate import IntegrationWarning, dblquad
 from scipy.special import betainc, gammainc, gammaincinv, gammaln
 
 import igeolab
-from igeolab.densities import _chi2_cdf, _chi2_ppf
-from igeolab.geometry import unit_ball_volume
-from igeolab.verify import QUAD_NODES, _beta_half, _two_plane_measure, \
-    exact_event_measure
+from igeolab.geometry import QUAD_NODES, _beta_half, _chi2_cdf, _chi2_ppf, \
+    _two_plane_measure, exact_event_measure, unit_ball_volume
 
 
 @pytest.mark.parametrize("k", range(1, 7))

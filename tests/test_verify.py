@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from igeolab import grassmann, runner, verify
+from igeolab import geometry, grassmann, runner, verify
 from igeolab.config import CHECKS, load_config, report_name
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
@@ -27,7 +27,7 @@ from igeolab.functionals import ExponentSpec
 from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import haar_bases
-from igeolab.report import FAIL, INCONCLUSIVE, PASS
+from igeolab.report import FAIL, INCONCLUSIVE, PASS, Estimate
 from igeolab.rng import substream
 from igeolab.runner import run_suite
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
@@ -261,6 +261,56 @@ def test_affine_anisotropy_wrong_sum_fails(rng):
                                   R=2.0, n_flats=12_000, rng=rng)
     assert rep.verdict == FAIL
     assert rep.diagnostics["departure_sigma"] > 5.0
+
+
+@pytest.mark.parametrize("zero_side", ["after", "before"])
+def test_invariance_fails_a_side_that_reads_zero(zero_side):
+    # a zero after-side gives the ratio 0 with stderr 0, a zero before-side
+    # the ratio inf: neither is a pass
+    sides = {"before": Estimate(79.2, 7.9e-11, 8, "rule"),
+             "after": Estimate(79.2, 7.9e-11, 8, "rule")}
+    sides[zero_side] = Estimate.exact(0.0)
+    rep = verify._invariance_report("affine_invariance", {},
+                                    ExponentSpec((1.0,), (4.0,)), 4.0,
+                                    sides["before"], sides["after"])
+    assert rep.verdict == FAIL
+
+
+FAR_SHIFT = """
+[run]
+seed = 1
+output_dir = "out"
+
+[density ball3]
+kind = "ellipsoid"
+n = 3
+
+[check far shift]
+check = "affine_invariance"
+densities = ["ball3", "ball3"]
+spec_p = [1.0, 1.0]
+spec_alpha = [2.0, 2.0]
+k = 2
+map = "MAP"
+shift = [1e200, 0.0, 0.0]
+R = 1.0
+n_flats = 200
+"""
+
+
+@pytest.mark.parametrize("name", ["rotation", "shear"])
+def test_invariance_fails_a_side_lost_to_a_far_shift(tmp_path, name):
+    # shifted by 1e200, every section of the mapped ball reads inf - inf
+    # and the after-side is 0 with stderr 0
+    path = tmp_path / "suite.ini"
+    path.write_text(FAR_SHIFT.replace("MAP", name))
+    cfg = load_config(str(path), output_override=str(tmp_path / "out"))
+    with pytest.warns(RuntimeWarning):
+        assert run_suite(cfg, echo=lambda line: None) == 2
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        row, = csv.DictReader(handle)
+    assert (float(row["lhs"]), float(row["lhs_stderr"])) == (0.0, 0.0)
+    assert row["verdict"] == FAIL
 
 
 def counting_affine_image(monkeypatch):
@@ -515,7 +565,7 @@ def test_fiber_blocks_match_one_subspace_at_a_time(monkeypatch, family,
     n_x = 30
     if per_block:
         # 8 subspaces in blocks of 3, 3 and 2
-        monkeypatch.setattr(verify, "FIBER_ROWS", per_block * (n_x + 1) + 2)
+        monkeypatch.setattr(verify, "ROW_BLOCK", per_block * (n_x + 1) + 2)
     # the stack marginal_bound_experiment builds: per stream a Haar basis,
     # then its points; the adversarial subspace in the last row
     rows = [(haar_bases(f.n, 1, 1, stream)[0], f.sample(n_x, stream))
@@ -681,7 +731,7 @@ def test_sharpness_hit_blocks_bound_the_traced_peak():
 def test_sharpness_exact_measure_matches_mc(s, exact, rng):
     rep = gaussian_sharpness_experiment(3, 1, s, 100_000, rng)
     assert rep.rhs.value == pytest.approx(exact, rel=5e-5)
-    assert rep.rhs.value == verify.exact_event_measure(3, 1, s)
+    assert rep.rhs.value == geometry.exact_event_measure(3, 1, s)
     assert rep.rhs.method == "exact"
     assert_matches_sampler(rep.rhs.value, 3, 1, s, rng)
 
@@ -695,7 +745,7 @@ def test_sharpness_two_plane_measure_matches_mc(n, k, s, rng):
     d = rep.diagnostics
     assert rep.rhs.method == "rule" and rep.rhs.samples == 0
     assert rep.rhs.stderr == 0.0
-    assert rep.rhs.value == verify.exact_event_measure(n, k, s) > 0
+    assert rep.rhs.value == geometry.exact_event_measure(n, k, s) > 0
     # the row's own one-block cross-check, and a million more draws
     assert abs(d["sampled_z"]) <= 4.0
     assert d["sampled_z"] == pytest.approx(
@@ -718,7 +768,7 @@ def test_sharpness_no_exact_measure_between_lines_and_hyperplanes(rng):
     # share of the sampler's hits in the row's own stream
     state = rng.bit_generator.state
     rep = gaussian_sharpness_experiment(6, 3, 1.0, 1000, rng)
-    assert verify.exact_event_measure(6, 3, 1.0) is None
+    assert geometry.exact_event_measure(6, 3, 1.0) is None
     assert rep.rhs.method == "mc" and rep.rhs.samples == 1000
     assert rep.diagnostics["sampled_z"] is None
     rng.bit_generator.state = state
@@ -760,7 +810,7 @@ def test_sharpness_empty_event_draws_nothing(n, k, s):
     d = rep.diagnostics
     assert s > d["empty_above"] == (2 * math.pi) ** ((n - k) / (2 * k))
     assert rep.rhs.method == "exact"
-    assert verify.exact_event_measure(n, k, s) == 0.0
+    assert geometry.exact_event_measure(n, k, s) == 0.0
     assert d["sampled_measure"] is None and d["sampled_z"] is None
     assert rep.rhs.samples == 0 and rep.rhs.value == 0.0
     assert rep.verdict == FAIL
@@ -774,11 +824,11 @@ def test_sharpness_hyperplane_form_matches_line_form_in_the_plane(s):
     # at n = 2 a line is a hyperplane: the measure read off the line's
     # direction equals the hyperplane form read off its normal u, where
     # det = det(D) u^T D^-1 u and the event is u_2^2 >= x
-    line = verify.exact_event_measure(2, 1, s)
+    line = geometry.exact_event_measure(2, 1, s)
     assert line > 0.0
     sigma2 = (2 * math.pi) ** -2
     x = (1.0 / sigma2 - 2 * math.pi * s ** -2) / (1.0 / sigma2 - 1.0)
-    assert verify._beta_half(0.5, 1.0 - min(max(x, 0.0), 1.0)) \
+    assert geometry._beta_half(0.5, 1.0 - min(max(x, 0.0), 1.0)) \
         == pytest.approx(line, rel=1e-14, abs=1e-16)
 
 
@@ -786,7 +836,7 @@ def test_sharpness_hyperplane_form_matches_line_form_in_the_plane(s):
 def test_sharpness_hyperplane_exact_measure_matches_mc(n, s, exact, rng):
     rep = gaussian_sharpness_experiment(n, n - 1, s, 100_000, rng)
     assert rep.rhs.method == "exact"
-    assert rep.rhs.value == verify.exact_event_measure(n, n - 1, s)
+    assert rep.rhs.value == geometry.exact_event_measure(n, n - 1, s)
     assert rep.rhs.value == pytest.approx(exact, rel=5e-5)
     assert_matches_sampler(rep.rhs.value, n, n - 1, s, rng)
 
@@ -812,8 +862,8 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
     with open(tmp_path / "results.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [row["verdict"] for row in rows] == [FAIL] * 6
-    exact = [verify.exact_event_measure(job.kwargs["n"], job.kwargs["k"],
-                                        job.kwargs["s"])
+    exact = [geometry.exact_event_measure(job.kwargs["n"], job.kwargs["k"],
+                                          job.kwargs["s"])
              for job in cfg.checks]
     assert [float(row["rhs"]) for row in rows] == exact
     assert all(row["rhs_stderr"] == "0.0" for row in rows)
