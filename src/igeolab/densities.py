@@ -22,6 +22,10 @@ else in the package is built from them:
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
   of a stack of sections are ``section_stats(f.power(p), bases,
   offsets)[0] ** (1/p)``.
+* ``rearrangement()`` (f*, ValueError where a family has none) and
+  ``radial_moment(p)`` (E|X|^p, None unless rotation invariant about 0):
+  each family answers its own closed forms.  Outside this module only
+  functionals._rule_covers asks a density's family, for a rule's reach.
 
 Monte Carlo section stats are a method of ``section_stats``, not a
 fallback; their sups are sampled maxima, biased low.  Each constructor
@@ -35,8 +39,8 @@ import math
 
 import numpy as np
 
-from .geometry import _chi2_cdf, _chi2_ppf, _row_norms, _spd_solve, \
-    unit_ball_volume
+from .geometry import _chi2_cdf, _chi2_ppf, _chi_moment, _row_norms, \
+    _spd_solve, unit_ball_volume
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
@@ -101,6 +105,18 @@ class DensityModel:
     def exact_sections(self, k: int) -> bool:
         """Whether every section of dimension k has a closed form."""
         return False
+
+    def rearrangement(self) -> DensityModel:
+        """The symmetric decreasing rearrangement f* in closed form, its
+        mass and sup f's to rounding; ValueError naming the family unless
+        it has one."""
+        raise ValueError(f"{type(self).__name__} has no closed-form "
+                         "rearrangement")
+
+    def radial_moment(self, p: float):
+        """E|X|^p for X ~ f / mass in closed form, where f is rotation
+        invariant about 0; None otherwise.  Needs n + p > 0."""
+        return None
 
 
 class ParameterError(ValueError):
@@ -270,6 +286,18 @@ class EllipsoidIndicator(_Sectioned):
     def power(self, p):
         return EllipsoidIndicator(self.shape_matrix, self.center, self.amplitude ** p)
 
+    def rearrangement(self):
+        logdet = np.linalg.slogdet(self.shape_matrix)[1]
+        return EllipsoidIndicator.ball(self.n, math.exp(-0.5 * logdet / self.n),
+                                       amplitude=self.amplitude)
+
+    def radial_moment(self, p):
+        n, s = self.n, self.shape_matrix[0, 0]
+        if self.center.any() or not np.array_equal(self.shape_matrix,
+                                                    s * np.eye(n)):
+            return None
+        return n * s ** (-0.5 * p) / (n + p)
+
     def _sections(self, bases, offsets):
         """Each section is {u : (u - u0)^T g (u - u0) <= rho}, empty unless
         rho > 0; params (g, u0, rho)."""
@@ -337,6 +365,17 @@ class GaussianDensity(_Sectioned):
             + 0.5 * (1.0 - p) * (self.n * math.log(2 * math.pi) + self._logdet) \
             - 0.5 * self.n * math.log(p)
         return GaussianDensity(self.mean, self.cov / p, math.exp(log_a))
+
+    def rearrangement(self):
+        scale = math.exp(np.linalg.slogdet(self.cov)[1] / self.n)
+        return GaussianDensity(np.zeros(self.n), scale * np.eye(self.n),
+                               self.amplitude)
+
+    def radial_moment(self, p):
+        n, c = self.n, self.cov[0, 0]
+        if self.mean.any() or not np.array_equal(self.cov, c * np.eye(n)):
+            return None
+        return c ** (0.5 * p) * _chi_moment(n, p)
 
     def _sections(self, bases, offsets):
         """Each section is a Gaussian kernel with mean u_star and precision
@@ -422,6 +461,18 @@ class TruncatedGaussian(_Sectioned):
                               - math.log(p))
         amp = 0.0 if self.amplitude == 0.0 else math.exp(log_a)
         return TruncatedGaussian(self.center, self.tau / math.sqrt(p), self.radius, amp)
+
+    def rearrangement(self):
+        return TruncatedGaussian(np.zeros(self.n), self.tau, self.radius,
+                                 self.amplitude)
+
+    def radial_moment(self, p):
+        # the chi-square CDF takes integer degrees of freedom
+        if self.center.any() or not float(self.n + p).is_integer():
+            return None
+        x = (self.radius / self.tau) ** 2
+        return self.tau ** p * _chi_moment(self.n, p) \
+            * float(_chi2_cdf(x, int(self.n + p)) / _chi2_cdf(x, self.n))
 
     def _sections(self, bases, offsets):
         """Each section is the kernel about -w cut at radius sqrt(rho2),
@@ -585,9 +636,9 @@ class ProductDensity(_Sectioned):
         u = rng.random((len(t), size))
         return _step_quantiles(t, heights * np.diff(t, axis=1), u)[..., None]
 
-    def _box_values(self):
-        """(values, volumes) of the boxes the factors' bins make, one entry
-        per box; ValueError beyond PRODUCT_ENUM_CAP boxes."""
+    def rearrangement(self):
+        """A centered radial step density, through the boxes the factors'
+        bins make; ValueError beyond PRODUCT_ENUM_CAP boxes."""
         total = math.prod(f.heights.size for f in self.factors)
         if total > PRODUCT_ENUM_CAP:
             raise ValueError(f"ProductDensity has {total} boxes, more than "
@@ -597,7 +648,7 @@ class ProductDensity(_Sectioned):
         for f in self.factors:
             vals = np.multiply.outer(vals, f.heights).ravel()
             vols = np.multiply.outer(vols, np.diff(f.edges)).ravel()
-        return vals, vols
+        return _shells(self.n, vals, vols)
 
 
 class RadialGridDensity(_Sectioned):
@@ -652,6 +703,14 @@ class RadialGridDensity(_Sectioned):
     def power(self, p):
         return RadialGridDensity(self.n, self.edges, self.heights ** p)
 
+    def rearrangement(self):
+        return _shells(self.n, self.heights, self.shell_volumes())
+
+    def radial_moment(self, p):
+        n, e, h = self.n, self.edges, self.heights
+        return n / (n + p) * (h @ np.diff(e ** (n + p))) \
+            / (h @ np.diff(e ** n))
+
     def _sections(self, bases, offsets):
         """Each section is radial about the foot point, with shell edges
         sqrt(edges^2 - |offset|^2) (0 inside the distance), and meets the
@@ -672,6 +731,21 @@ class RadialGridDensity(_Sectioned):
         r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
                             u) ** (1.0 / k)
         return _directions((len(edges), size), k, rng, r)
+
+
+def _shells(n: int, values: np.ndarray, volumes: np.ndarray):
+    """The centered radial step density with one shell per distinct
+    positive value of a step density whose pieces have those values and
+    volumes, heights decreasing outward: the shell of value v holds the
+    volume of every piece at v, so |{f* > t}| = |{f > t}| at every t."""
+    distinct, piece = np.unique(values, return_inverse=True)
+    heights = distinct[::-1]
+    shell = np.bincount(piece, weights=volumes)[::-1]
+    live = heights > 0.0
+    if not live.any():
+        raise ValueError("cannot rearrange a zero density")
+    radii = (np.cumsum(shell[live]) / unit_ball_volume(n)) ** (1.0 / n)
+    return RadialGridDensity(n, np.concatenate([[0.0], radii]), heights[live])
 
 
 def _inverse_root(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -884,27 +958,33 @@ class PushforwardDensity(DensityModel):
     def power(self, p):
         return PushforwardDensity(self.base.power(p), self.matrix, self.shift)
 
+    def rearrangement(self):
+        return self.base.rearrangement()   # the map preserves volume
+
 
 def affine_image(f: DensityModel, g) -> DensityModel:
     """Image density of f under the volume-preserving affine map (A, b).
 
     Requires |det A| = 1 within DET_TOL.  Families closed under the map are
-    transformed in closed form; everything else gets a pushforward wrapper
-    with identical mass and sup, a pushforward sampler and no exact sections.
+    transformed in closed form, formed without floating-point warnings so
+    that a map overflowing them meets the constructor's ParameterError;
+    everything else gets a pushforward wrapper with identical mass and sup,
+    a pushforward sampler and no exact sections.
     """
     a_mat, b_vec = g
     a_mat = _volume_preserving(a_mat)
     b_vec = np.zeros(f.n) if b_vec is None else np.asarray(b_vec, dtype=float)
-    if isinstance(f, EllipsoidIndicator):
-        inv = np.linalg.inv(a_mat)
-        shape = inv.T @ f.shape_matrix @ inv
-        return EllipsoidIndicator(0.5 * (shape + shape.T),
-                                  a_mat @ f.center + b_vec, f.amplitude)
-    if isinstance(f, GaussianDensity):
-        cov = a_mat @ f.cov @ a_mat.T
-        return GaussianDensity(a_mat @ f.mean + b_vec, 0.5 * (cov + cov.T), f.amplitude)
-    if isinstance(f, TruncatedGaussian) and _is_orthogonal(a_mat):
-        return TruncatedGaussian(a_mat @ f.center + b_vec, f.tau, f.radius, f.amplitude)
+    with np.errstate(all="ignore"):
+        if isinstance(f, EllipsoidIndicator):
+            inv = np.linalg.inv(a_mat)
+            shape = inv.T @ f.shape_matrix @ inv
+            return EllipsoidIndicator(0.5 * (shape + shape.T),
+                                      a_mat @ f.center + b_vec, f.amplitude)
+        if isinstance(f, GaussianDensity):
+            cov = a_mat @ f.cov @ a_mat.T
+            return GaussianDensity(a_mat @ f.mean + b_vec, 0.5 * (cov + cov.T), f.amplitude)
+        if isinstance(f, TruncatedGaussian) and _is_orthogonal(a_mat):
+            return TruncatedGaussian(a_mat @ f.center + b_vec, f.tau, f.radius, f.amplitude)
     if isinstance(f, RadialGridDensity) and _is_orthogonal(a_mat) \
             and np.allclose(b_vec, 0.0):
         return f

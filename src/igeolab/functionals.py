@@ -5,11 +5,11 @@ the frame mean behind the Grassmannian and affine-Grassmannian averages of
 section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.  Where a cone moment has a closed form
-(_exact_cone_moment), simplex_moment returns it as Estimate.exact and
-draws nothing.  Where a deterministic rule covers a section-norm
-average (_rule_covers), the average takes it instead of drawing: its
-Estimate has method "rule", the rule's error as stderr and the frames of
-its last level as samples.
+(_exact_cone_moment, from each density's radial_moment), simplex_moment
+returns it as Estimate.exact and draws nothing.  Where a deterministic
+rule covers a section-norm average (_rule_covers), the average takes it
+instead of drawing: its Estimate has method "rule", the rule's error as
+stderr and the frames of its last level as samples.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _chi2_cdf, _chi_moment, _tuple_volumes
+from .geometry import _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
 from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
-    GaussianDensity, ParameterError, RadialGridDensity, TruncatedGaussian, \
-    section_stats
+    GaussianDensity, ParameterError, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -179,40 +178,9 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
 
 
-def _radial_moment(f: DensityModel, p: float):
-    """E|X|^p for X ~ f / mass in closed form, where f is rotation invariant
-    about 0: a centred Gaussian of covariance c I, a centred ball, a
-    truncated Gaussian about 0 when n + p is an integer (the chi-square
-    CDF takes integer degrees of freedom), a radial grid.  None otherwise.
-    Needs n + p > 0."""
-    n = f.n
-    if isinstance(f, GaussianDensity):
-        c = f.cov[0, 0]
-        if f.mean.any() or not np.array_equal(f.cov, c * np.eye(n)):
-            return None
-        return c ** (0.5 * p) * _chi_moment(n, p)
-    if isinstance(f, EllipsoidIndicator):
-        s = f.shape_matrix[0, 0]
-        if f.center.any() or not np.array_equal(f.shape_matrix,
-                                                 s * np.eye(n)):
-            return None
-        return n * s ** (-0.5 * p) / (n + p)
-    if isinstance(f, TruncatedGaussian):
-        if f.center.any() or not float(n + p).is_integer():
-            return None
-        x = (f.radius / f.tau) ** 2
-        return f.tau ** p * _chi_moment(n, p) \
-            * float(_chi2_cdf(x, int(n + p)) / _chi2_cdf(x, n))
-    if isinstance(f, RadialGridDensity):
-        e, h = f.edges, f.heights
-        return n / (n + p) * (h @ np.diff(e ** (n + p))) \
-            / (h @ np.diff(e ** n))
-    return None
-
-
 def _exact_cone_moment(f_list, p: float):
     """E|conv{0, X_1, ..., X_q}|^p for independent X_i ~ f_i / mass_i in
-    closed form, or None unless _radial_moment covers every slot.
+    closed form, or None unless every f_i.radial_moment(p) is known.
 
     A rotation-invariant X is |X| times an independent uniform direction,
     and for Gaussian points q! |conv| is a product of independent
@@ -220,7 +188,7 @@ def _exact_cone_moment(f_list, p: float):
     E|conv|^p = (q!)^(-p) prod_i E|X_i|^p prod_{i<q} M(n - i, p) / M(n, p),
     M = _chi_moment; for q = 1 the last product is exactly 1.
     """
-    moments = [_radial_moment(f, p) for f in f_list]
+    moments = [f.radial_moment(p) for f in f_list]
     if None in moments:
         return None
     n, q = f_list[0].n, len(f_list)

@@ -164,7 +164,8 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
     """Rule: the check can read its sections of dimension dim, by method
     "exact" or ("mc", N) with an integer N >= 2.  Monte Carlo ones sample a
     window about a bounded support; exact ones need a closed form for every
-    density and its image under g = (map, shift), if any."""
+    density and its image under g = (map, shift), if any.  Either way the
+    map must not overflow the image."""
     mc = isinstance(method, tuple) and len(method) == 2 \
         and method[0] == "mc" and isinstance(method[1], (int, np.integer)) \
         and method[1] >= 2
@@ -172,11 +173,17 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
           f"with an integer N >= 2, got {method!r}")
     hint = '; use method ["mc", N]' if param == "method" else ""
     for f in f_list:
+        try:
+            image = f if g is None else affine_image(f, _stand_in(g, f.n))
+        except ParameterError as exc:
+            # the map's keyword: g for the linear check, g[0] for the affine
+            raise ParameterError("g" if g[1] is None else "g[0]",
+                                 f"puts the image of {type(f).__name__} "
+                                 f"past the float range: {exc}") from None
         if method != "exact":
             _need(np.isfinite(f.support_radius), "method",
                   "Monte Carlo section stats need bounded supports")
             continue
-        image = f if g is None else affine_image(f, _stand_in(g, f.n))
         for model, where in ((f, ""), (image, " under this map")):
             _need(model.exact_sections(dim), param,
                   f"{type(f).__name__}{where} has no exact sections of "
@@ -463,6 +470,9 @@ def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
     # g[i] names the i-th entry of the pair: config's map and shift fields
     _volume_map(g[0], n, "g[0]")
     _name_or_array(g[1], ("random",), (n,), "g[1]")
+    if not isinstance(g[1], str):     # the window about the shifted images
+        _window(math.hypot(*g[1]) + max(f.support_radius for f in f_list),
+                n, k, "g[1]")
     _readable(f_list, k, "method", method, g)
 
 

@@ -5,14 +5,17 @@ section formulas, disk areas) and Monte Carlo cross-checks run at fixed
 seeds with 3-sigma bands.
 """
 
+import ast
 import io
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from igeolab import densities
 from igeolab.densities import (DensityModel, EllipsoidIndicator,
                                GaussianDensity, ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
@@ -603,3 +606,72 @@ def test_package_all_names_no_modules():
     scope = {}
     exec("from igeolab import *", scope)
     assert "rng" not in scope and "GaussianDensity" in scope
+
+
+RADIAL = RadialGridDensity(3, [0.0, 0.4, 1.1, 1.7], [0.9, 1.6, 0.3])
+
+
+@pytest.mark.parametrize("f, want", [
+    (GaussianDensity(np.zeros(3), 1.7 * np.eye(3), 0.6),
+     [2.0806283791440396, 5.1000000000000005, 0.6119495232776587,
+      1.4082178580852052]),
+    (EllipsoidIndicator.ball(3, 1.3, amplitude=0.4),
+     [0.9750000000000001, 1.014, 1.1538461538461537, 0.9772932215135468]),
+    (TruncatedGaussian(np.zeros(3), 0.8, 1.5, 2.0),
+     [0.9828518472012405, 1.068070818904799, 1.21156612077972, None]),
+    (RADIAL,
+     [1.0423751345192123, 1.2051780717857818, 1.105273153130341,
+      1.0060184376308363]),
+    (GaussianDensity(np.zeros(3), np.diag([1.0, 1.0, 2.0])), [None] * 4),
+    (GaussianDensity([0.0, 0.0, 0.1], np.eye(3)), [None] * 4),
+    (EllipsoidIndicator.ball(3, center=[0.1, 0.0, 0.0]), [None] * 4),
+    (EllipsoidIndicator(np.diag([1.0, 2.0, 1.0])), [None] * 4),
+    (TruncatedGaussian([0.0, 0.1, 0.0], 0.8, 1.5), [None] * 4),
+    (ProductDensity([Step1D.uniform(-1.0, 1.0, [1.0])] * 3), [None] * 4),
+    (Step1D.uniform(-1.0, 1.0, [1.0]), [None] * 4),
+    (PushforwardDensity(RADIAL, np.eye(3), np.zeros(3)), [None] * 4),
+], ids=["gaussian", "ball", "truncated", "radial", "anisotropic-gaussian",
+        "shifted-gaussian", "shifted-ball", "ellipsoid", "shifted-truncated",
+        "product", "step", "pushforward"])
+def test_radial_moment_pins(f, want):
+    # E|X|^p at p = 1, 2, -1 and 1/2, bit for bit; a truncated Gaussian
+    # needs n + p integer
+    assert [f.radial_moment(p) for p in (1.0, 2.0, -1.0, 0.5)] == want
+
+
+def test_family_closed_forms_stay_in_densities():
+    # outside densities.py no module asks which family a density is, bar
+    # the rule decision functionals._rule_covers, and none reaches into a
+    # family's private members
+    families = {name for name, cls in vars(densities).items()
+                if isinstance(cls, type) and issubclass(cls, DensityModel)}
+    source = pathlib.Path(densities.__file__).read_text()
+    private = {node.attr for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"
+               and node.attr.startswith("_")
+               and not node.attr.startswith("__")}
+    private |= {attr for name in families
+                for attr in vars(getattr(densities, name))
+                if attr.startswith("_") and not attr.startswith("__")}
+    found = []
+    for path in pathlib.Path(densities.__file__).parent.glob("*.py"):
+        if path.name == "densities.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}      # node -> name of its outermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "isinstance" \
+                    and {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])} & families \
+                    and (path.name, owner.get(node)) \
+                    != ("functionals.py", "_rule_covers"):
+                found.append(f"{path.name}:{node.lineno} isinstance")
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found

@@ -1,6 +1,7 @@
 """The README's examples run as written: every fenced python block executes,
 and every fenced ini block loads through load_config.  The Layout block
-names only constants and private helpers that its modules define."""
+names only modules that exist, and only constants and private helpers that
+its modules define."""
 
 import importlib
 import pathlib
@@ -46,6 +47,7 @@ def test_readme_ini_block_loads(body, tmp_path):
 @pytest.mark.parametrize("module,text", ENTRIES,
                          ids=[module for module, _ in ENTRIES])
 def test_readme_layout_names_exist(module, text):
+    importlib.import_module(f"igeolab.{module}")
     for owner, name in NAME.findall(text):
         owner = owner or module
         assert hasattr(importlib.import_module(f"igeolab.{owner}"), name), \

@@ -150,3 +150,46 @@ def test_level_profile_rejects_zero():
     zero = RadialGridDensity.uniform(2, 1.0, [0.0, 0.0])
     with pytest.raises(ValueError, match="zero density"):
         rearrangement(zero)
+
+
+# Each family's f* parameters, bit for bit.  The ellipsoid and Gaussian
+# radii come from np.linalg.slogdet; on both inputs here the constructors'
+# Cholesky log-determinant rounds to a different radius.
+FSTAR_PINS = [
+    (EllipsoidIndicator(np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
+                                  [0.0, -0.1, 1.1]]),
+                        center=[0.3, -0.2, 0.1], amplitude=0.7),
+     lambda g: (g.shape_matrix.tolist(), g.center.tolist(), g.amplitude),
+     (np.diag([1.0803679587547927] * 3).tolist(), [0.0] * 3, 0.7)),
+    (GaussianDensity([0.2, -0.1, 0.4], np.array([[1.3, 0.2, 0.0],
+                                                [0.2, 0.8, 0.1],
+                                                [0.0, 0.1, 2.1]]), 1.5),
+     lambda g: (g.mean.tolist(), g.cov.tolist(), g.amplitude),
+     ([0.0] * 3, np.diag([1.2779312285079942] * 3).tolist(), 1.5)),
+    (TruncatedGaussian([0.1, 0.2, -0.3], 0.7, 1.9, 1.3),
+     lambda g: (g.center.tolist(), g.tau, g.radius, g.amplitude),
+     ([0.0] * 3, 0.7, 1.9, 1.3)),
+    (RadialGridDensity(3, [0.0, 0.4, 1.1, 1.7], [0.9, 1.6, 0.3]),
+     lambda g: (g.n, g.edges.tolist(), g.heights.tolist()),
+     (3, [0.0, 1.08207875806342, 1.1, 1.7], [1.6, 0.9, 0.3])),
+    (ProductDensity([Step1D.uniform(-1.0, 1.0, [0.5, 1.5, 0.2]),
+                     Step1D.uniform(-0.5, 1.5, [1.0, 0.25])], 0.8),
+     lambda g: (g.n, g.edges.tolist(), g.heights.tolist()),
+     (2, [0.0, 0.46065886596178063, 0.6514700158705599, 0.7978845608028654,
+          0.9213177319235614, 1.0300645387285057, 1.1283791670955126],
+      [1.2000000000000002, 0.4, 0.30000000000000004, 0.16000000000000003,
+       0.1, 0.04000000000000001])),
+    (PushforwardDensity(RadialGridDensity(2, [0.0, 0.5, 1.3], [2.0, 0.7]),
+                        np.array([[1.0, 0.6], [0.0, 1.0]]),
+                        np.array([0.3, -0.4])),
+     lambda g: (g.n, g.edges.tolist(), g.heights.tolist()),
+     (2, [0.0, 0.5, 1.3], [2.0, 0.7])),
+]
+
+
+@pytest.mark.parametrize("f, params, want", FSTAR_PINS,
+                         ids=["ellipsoid", "gaussian", "truncated", "radial",
+                              "product", "pushforward"])
+def test_rearrangement_pins(f, params, want):
+    assert params(f.rearrangement()) == want
+    assert params(rearrangement(f)) == want

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from igeolab import geometry, grassmann, runner, verify
-from igeolab.config import CHECKS, load_config, report_name
+from igeolab.config import CHECKS, ConfigError, load_config, report_name
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ParameterError, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
@@ -299,18 +299,53 @@ n_flats = 200
 
 
 @pytest.mark.parametrize("name", ["rotation", "shear"])
-def test_invariance_fails_a_side_lost_to_a_far_shift(tmp_path, name):
-    # shifted by 1e200, every section of the mapped ball reads inf - inf
-    # and the after-side is 0 with stderr 0
+def test_far_shift_is_a_config_error_on_shift(tmp_path, name):
+    # shifted by 1e200, the window about the image has no finite mass (and
+    # every section of the mapped ball would read inf - inf): the shift is
+    # refused at load, with no RuntimeWarning on the way
     path = tmp_path / "suite.ini"
     path.write_text(FAR_SHIFT.replace("MAP", name))
-    cfg = load_config(str(path), output_override=str(tmp_path / "out"))
-    with pytest.warns(RuntimeWarning):
-        assert run_suite(cfg, echo=lambda line: None) == 2
-    with open(tmp_path / "out" / "results.csv", newline="") as handle:
-        row, = csv.DictReader(handle)
-    assert (float(row["lhs"]), float(row["lhs_stderr"])) == (0.0, 0.0)
-    assert row["verdict"] == FAIL
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert (err.value.section, err.value.field) == ("check far shift",
+                                                    "shift")
+    assert "flat window" in err.value.message
+
+
+OVERFLOWING_MAP = """
+[run]
+seed = 1
+output_dir = "out"
+
+[density ball3]
+kind = "ellipsoid"
+n = 3
+
+[check far map]
+check = "CHECK"
+densities = ["ball3", "ball3"]
+spec_p = [1.0, 1.0]
+k = 2
+map = [[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1.0]]
+"""
+
+
+@pytest.mark.parametrize("check,extra", [
+    ("linear_invariance", "spec_alpha = [1.5, 1.5]\nn_subspaces = 200\n"),
+    ("linear_invariance", "spec_alpha = [1.5, 1.5]\nn_subspaces = 200\n"
+                          'method = ["mc", 16]\n'),
+    ("affine_invariance", "spec_alpha = [2.0, 2.0]\nR = 1.0\n"
+                          "n_flats = 200\n")],
+    ids=["linear_invariance", "linear_invariance_mc", "affine_invariance"])
+def test_overflowing_map_is_a_config_error_on_map(tmp_path, check, extra):
+    # the stand-in image's shape matrix overflows; affine_image forms it
+    # without a warning and the rules name the map, not the image's shape
+    path = tmp_path / "suite.ini"
+    path.write_text(OVERFLOWING_MAP.replace("CHECK", check) + extra)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert (err.value.section, err.value.field) == ("check far map", "map")
+    assert "EllipsoidIndicator" in err.value.message
 
 
 def counting_affine_image(monkeypatch):
