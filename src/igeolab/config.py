@@ -289,12 +289,10 @@ class _Check:
         try:
             self.rules(**v)
         except ParameterError as exc:
-            # the first field that sets the keyword, the i-th for keyword[i]
-            key, _, index = exc.param.partition("[")
-            setters = [name for name, fld in self.fields.items()
-                       if (fld.arg or name) == key] or [exc.param]
-            raise ConfigError(section, setters[int(index[:-1] or 0)],
-                              exc.message) from exc
+            # the first field that sets the keyword
+            setter = next((name for name, fld in self.fields.items()
+                           if (fld.arg or name) == exc.param), exc.param)
+            raise ConfigError(section, setter, exc.message) from exc
         return dict(v)
 
     def _run(self, kwargs, rng):
@@ -362,14 +360,11 @@ def _exponent_spec(raw, v):
     return ExponentSpec(v["spec"], tuple(_number(a) for a in raw))
 
 
-def _map(raw, v):
-    """A map name ('shear', 'rotation') or a matrix."""
-    return raw if isinstance(raw, str) else _array(2)(raw)
-
-
-def _shift(raw, v):
-    """A shift name ('random') or a vector; completes g = (map, shift)."""
-    return v["g"], raw if isinstance(raw, str) else _array(1)(raw)
+def _named(depth: int):
+    """Parser of a name, kept as given ('shear', 'random'), or an _array
+    of the depth (a map's matrix, a shift's vector)."""
+    array = _array(depth)
+    return lambda raw, v: raw if isinstance(raw, str) else array(raw)
 
 
 def _subspace(raw, v):
@@ -407,7 +402,7 @@ _DENSITY = _Field(_density, arg="f")
 _DENSITIES = _Field(_densities, arg="f_list")
 _SPEC_P = _Field(_powers, arg="spec")
 _SPEC_ALPHA = _Field(_exponent_spec, arg="spec")
-_MAP = _Field(_map, default="rotation", arg="g")
+_MAP = _Field(_named(2), default="rotation", arg="g")
 _METHOD = _Field(_method, default="exact")
 _EQUALITY = _Field(_flag, default=False)
 
@@ -436,7 +431,7 @@ CHECKS: dict[str, _Check] = {
         "check_affine_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
-         "shift": _Field(_shift, default="random", arg="g"),
+         "shift": _Field(_named(1), default="random"),
          "R": _real(), "n_flats": _int(), "method": _METHOD},
         verify._affine_invariance_rules),
     "rearrangement_chain": _Check(

@@ -122,7 +122,7 @@ class DensityModel:
 class ParameterError(ValueError):
     """A parameter, named as the caller passed it, that breaks a rule: of
     a density family (constructor parameters) or of a check (verify
-    keywords; keyword[i] for entry i of a tuple); message says which."""
+    keywords); message says which."""
 
     def __init__(self, param: str, message: str):
         self.param, self.message = param, message

@@ -23,8 +23,8 @@ import numpy as np
 from .geometry import _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
-from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
-    GaussianDensity, ParameterError, section_stats
+from .densities import ROW_BLOCK, EllipsoidIndicator, GaussianDensity, \
+    ParameterError, section_stats
 from .report import Estimate, mc_estimate
 
 __all__ = [
@@ -86,47 +86,33 @@ def powz(values: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _power_model(f: DensityModel, p: float) -> DensityModel:
-    """f**p, whose section masses are the p-th powers of the L_p norms of
-    f; f itself for p = 1 and for a sup slot (p = inf)."""
-    return f if p == 1.0 or math.isinf(p) else f.power(p)
-
-
-def _slot_models(f_list, spec: ExponentSpec) -> list:
-    """The power model of every slot, built once per distinct (f, p), f
-    keyed by identity, so that repeated slots share one model object."""
-    if len(spec) != len(f_list):
-        raise ValueError("one (p, alpha) slot per density required")
-    built = {}
-    for f, p in zip(f_list, spec.p_list):
-        if (id(f), p) not in built:
-            built[id(f), p] = _power_model(f, p)
-    return [built[id(f), p] for f, p in zip(f_list, spec.p_list)]
-
-
 def _lp_norms(masses: np.ndarray, sups: np.ndarray, p: float) -> np.ndarray:
     """L_p norms of f on a stack of flats from the section masses and sups
-    of _power_model(f, p); a Monte Carlo sup is biased low (conservative in
-    a denominator)."""
+    of f**p (of f itself for a sup slot, p = inf); a Monte Carlo sup is
+    biased low (conservative in a denominator)."""
     return sups if math.isinf(p) else powz(masses, 1.0 / p)
 
 
-def _norm_products(models, spec: ExponentSpec, method, bases: np.ndarray,
+def _norm_products(f_list, spec: ExponentSpec, method, bases: np.ndarray,
                    offsets: np.ndarray, rng) -> np.ndarray:
-    """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats, from
-    the slot models of _slot_models.  Exact section stats are read once per
-    distinct model object and shared by every slot that holds it; Monte
-    Carlo window points are drawn slot by slot, each for the whole stack,
-    so the generator is consumed once per slot in slot order.  The flats
-    may share bases, as in section_stats."""
+    """prod_i ||f_i restricted||_{p_i}^{alpha_i} for a stack of flats.
+    Slot i reads the sections of f_i**power, power p_i, or 1 for a sup
+    slot.  Exact section stats are read once per distinct (f, power), f
+    keyed by identity, and shared by every slot that holds it; Monte Carlo
+    window points are drawn slot by slot, each for the whole stack, so the
+    generator is consumed once per slot in slot order.  The flats may
+    share bases, as in section_stats."""
     read = {}
     total = np.ones(len(offsets))
-    for model, p, a in zip(models, spec.p_list, spec.alpha_list):
-        if method == "exact" and id(model) in read:
-            masses, sups, _ = read[id(model)]
+    for f, p, a in zip(f_list, spec.p_list, spec.alpha_list):
+        power = 1.0 if math.isinf(p) else p
+        key = id(f), power
+        if method == "exact" and key in read:
+            masses, sups, _ = read[key]
         else:
-            masses, sups, _ = read[id(model)] = section_stats(
-                model, bases, offsets, method, rng)
+            masses, sups, _ = read[key] = section_stats(
+                f if power == 1.0 else f.power(power), bases, offsets,
+                method, rng)
         total *= powz(_lp_norms(masses, sups, p), a)
     return total
 
@@ -276,12 +262,14 @@ def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
                for f in f_list)
 
 
-def _average(models, spec: ExponentSpec, method, frames, count: int, rng,
+def _average(f_list, spec: ExponentSpec, method, frames, count: int, rng,
              rule) -> Estimate:
-    """The section-norm average of the slot models: the frame mean of count
-    frames, or with rule = (n, k, ellipsoid, exponent) rule_average,
-    drawing nothing."""
-    integrand = functools.partial(_norm_products, models, spec, method)
+    """The section-norm average of f_list: the frame mean of count frames,
+    or with rule = (n, k, ellipsoid, exponent) rule_average, drawing
+    nothing."""
+    if len(spec) != len(f_list):
+        raise ValueError("one (p, alpha) slot per density required")
+    integrand = functools.partial(_norm_products, f_list, spec, method)
     if rule is None:
         return _frame_mean(frames, integrand, count, rng, count)
     n, k, ellipsoid, exponent = rule
@@ -303,11 +291,10 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     _rule_covers holds the subspaces are a rule's nodes, converged level
     by level, and n_subspaces is unused.
     """
-    models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     rule = (n, k, None, 0.0) if _rule_covers(f_list, k, method, False) \
         else None
-    return _average(models, spec, method,
+    return _average(f_list, spec, method,
                     functools.partial(subspace_frames, n, k), n_subspaces,
                     rng, rule)
 
@@ -328,7 +315,6 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     the integrand is a multiple of (1 - rho^2)^(k A / 2) along each normal,
     A the exponent sum (grassmann.rule_frames).
     """
-    models = _slot_models(f_list, spec)
     n = _common_dim(f_list)
     for f in f_list:
         if f.support_radius > R + 1e-9:
@@ -339,6 +325,6 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         f = f_list[0]
         rule = (n, k, (f.center, np.linalg.inv(f.shape_matrix)),
                 0.5 * k * spec.constraint_sum)
-    return _average(models, spec, method,
+    return _average(f_list, spec, method,
                     functools.partial(flat_frames, n, k, R), n_flats, rng,
                     rule)

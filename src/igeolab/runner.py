@@ -18,9 +18,8 @@ pool thread: blocks below MMAP_THRESHOLD come from the heap,
 not from a mapping of their own, and the heap goes back to the kernel only
 when more than TRIM_THRESHOLD lies free at its top.  Under glibc's
 default policy the checks' sample blocks of several MB go back to the
-kernel when freed and are faulted in again at the next draw (about 35,700
-minor page faults on the `sections` benchmark suite, against about 5,000
-under the policy).  The policy moves no draw and no arithmetic, so
+kernel when freed and are faulted in again at the next draw; the README
+gives the measured fault counts.  The policy moves no draw and no arithmetic, so
 results.csv does not depend on it; the manifest records it as
 environment.malloc and the minor page faults of the thread that ran each
 check as minor_faults.

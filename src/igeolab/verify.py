@@ -40,7 +40,7 @@ from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
     _volume_preserving
 from .functionals import ExponentSpec, affine_average_I, \
     grassmann_average_I, simplex_moment, _blocked, _common_dim, \
-    _frame_mean, _simplex_powers
+    _exact_cone_moment, _frame_mean, _simplex_powers
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
     mc_estimate, merge_estimates, ratio_estimate, power_estimate
@@ -120,13 +120,24 @@ def _positive_sup(f_list, param: str):
 def _finite_side(side, param: str, what="the check's closed-form side"):
     """Rule: side(), a check's closed-form side, is a finite float; returns
     it, so that a parameter that overflows the side, or that takes the log
-    of a ball volume underflowed to 0, is refused, not a crash."""
+    of a ball volume underflowed to 0, is refused, not a crash or a
+    warning."""
     try:
-        value = side()
+        with np.errstate(all="ignore"):
+            value = side()
     except (OverflowError, ValueError):
         value = math.inf
     _need(value < math.inf, param, f"puts {what} past the float range")
     return value
+
+
+def _exact_cone(f_list, p: float, scale: float = 1.0):
+    """Rule on p: the cone moment of f_list times scale, where
+    functionals._exact_cone_moment covers it, is a finite float."""
+    def side():
+        exact = _exact_cone_moment(f_list, p)
+        return 0.0 if exact is None else exact * scale
+    _finite_side(side, "p", "the exact cone moment")
 
 
 def _window(r: float, n: int, k: int, param: str):
@@ -176,9 +187,7 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
         try:
             image = f if g is None else affine_image(f, _stand_in(g, f.n))
         except ParameterError as exc:
-            # the map's keyword: g for the linear check, g[0] for the affine
-            raise ParameterError("g" if g[1] is None else "g[0]",
-                                 f"puts the image of {type(f).__name__} "
+            raise ParameterError("g", f"puts the image of {type(f).__name__} "
                                  f"past the float range: {exc}") from None
         if method != "exact":
             _need(np.isfinite(f.support_radius), "method",
@@ -268,6 +277,7 @@ def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
     _at_least(1, inner=inner)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
     _readable(f_list, k, "f_list")
+    _exact_cone(f_list, p, math.prod(f.mass for f in f_list))
 
 
 def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
@@ -457,7 +467,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
         spec, n, before, after)
 
 
-def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
+def _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method):
     n = _common_dim(f_list)
     _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
@@ -467,31 +477,30 @@ def _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method):
     _need(all(np.isfinite(f.support_radius) for f in f_list), "f_list",
           "flat averages need bounded supports")
     _window(max(f.support_radius for f in f_list), n, k, "f_list")
-    # g[i] names the i-th entry of the pair: config's map and shift fields
-    _volume_map(g[0], n, "g[0]")
-    _name_or_array(g[1], ("random",), (n,), "g[1]")
-    if not isinstance(g[1], str):     # the window about the shifted images
-        _window(math.hypot(*g[1]) + max(f.support_radius for f in f_list),
-                n, k, "g[1]")
-    _readable(f_list, k, "method", method, g)
+    _volume_map(g, n, "g")
+    _name_or_array(shift, ("random",), (n,), "shift")
+    if not isinstance(shift, str):    # the window about the shifted images
+        _window(math.hypot(*shift) + max(f.support_radius for f in f_list),
+                n, k, "shift")
+    _readable(f_list, k, "method", method, (g, shift))
 
 
-def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
-                            n_flats: int, rng: np.random.Generator,
+def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, shift,
+                            R: float, n_flats: int, rng: np.random.Generator,
                             method="exact") -> CheckReport:
     """Flat average of section norms before and after a volume-preserving
     affine map; invariance requires sum(alpha_i / p_i) = n + 1.
 
     Each side gets its own sampling window just covering its support, so
-    translations do not force a common oversized window.  g = (map, shift):
-    the map as in check_linear_invariance, the shift a vector or 'random'
-    (normal with scale 1/2); child 0 of rng draws the map, then the
-    shift, and the two averages draw from children 1 and 2.
+    translations do not force a common oversized window.  g is the map as
+    in check_linear_invariance, shift a vector or 'random' (normal with
+    scale 1/2); child 0 of rng draws the map, then the shift, and the two
+    averages draw from children 1 and 2.
     """
-    _affine_invariance_rules(f_list, spec, k, g, R, n_flats, method)
+    _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method)
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
-    g = _drawn_map(g, n, maps)
+    g = _drawn_map((g, shift), n, maps)
     r_before = max(R, max(f.support_radius for f in f_list))
     before = affine_average_I(f_list, spec, k, r_before, n_flats,
                               streams[0], method)
@@ -511,6 +520,8 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, R: float,
 # ---------------------------------------------------------------------------
 
 def _rearrangement_rules(f_list, p, case, n_samples):
+    """Returns the chain's inputs: f_list, the rearrangements and, for
+    inputs of unit mass and sup <= 1, as many unit-volume balls."""
     n = _common_dim(f_list)
     _need(p >= 1.0, "p", f"must be >= 1, got {p}")
     _need(case in ("cone", "simplex"), "case",
@@ -520,12 +531,18 @@ def _rearrangement_rules(f_list, p, case, n_samples):
     _need(low <= len(f_list) <= top, "f_list",
           f"{low} to {top} densities for case {case!r}")
     _positive_sup(f_list, "f_list")
-    for f in f_list:
-        try:
-            rearrangement(f)
-        except ValueError as exc:
-            raise ParameterError("f_list", "must hold densities with an "
-                                 f"exact rearrangement: {exc}") from None
+    try:
+        chain = [f_list, [rearrangement(f) for f in f_list]]
+    except ValueError as exc:
+        raise ParameterError("f_list", "must hold densities with an "
+                             f"exact rearrangement: {exc}") from None
+    if all(abs(f.mass - 1.0) <= 1e-9 and f.sup <= 1.0 + 1e-9 for f in f_list):
+        chain.append([EllipsoidIndicator.ball(
+            n, radius=unit_volume_radius(n))] * len(f_list))
+    if case == "cone":
+        for inputs in chain:
+            _exact_cone(inputs, p)
+    return chain
 
 
 def check_rearrangement_monotonicity(f_list, p: float, case: str,
@@ -540,12 +557,11 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
     f*'s unless a truncated Gaussian at fractional n + p) is exact, with
     n_samples unused.  case "simplex" spans the simplex by the drawn points.
     """
-    _rearrangement_rules(f_list, p, case, n_samples)
+    chain = _rearrangement_rules(f_list, p, case, n_samples)
     origin = case == "cone"
     n = f_list[0].n
     q = len(f_list)
-    normalized = all(abs(f.mass - 1.0) <= 1e-9 and f.sup <= 1.0 + 1e-9
-                     for f in f_list)
+    normalized = len(chain) == 3
     streams = rng.spawn(3)
 
     def functional(densities, stream):
@@ -553,16 +569,14 @@ def check_rearrangement_monotonicity(f_list, p: float, case: str,
             simplex_moment(densities, p, origin, n_samples, stream), 1.0 / p)
 
     value_f = functional(f_list, streams[0])
-    stars = [rearrangement(f) for f in f_list]
-    value_star = functional(stars, streams[1])
+    value_star = functional(chain[1], streams[1])
     steps = [_one_sided_verdict(value_star, value_f)]
     diagnostics = {"value": value_f.value, "value_rearranged": value_star.value,
                    "normalized_inputs": normalized,
                    "stderr": [value_f.stderr, value_star.stderr]}
     rhs = value_star
     if normalized:
-        ball = EllipsoidIndicator.ball(n, radius=unit_volume_radius(n))
-        value_ball = functional([ball] * q, streams[2])
+        value_ball = functional(chain[2], streams[2])
         steps.append(_one_sided_verdict(value_ball, value_star))
         diagnostics["value_ball"] = value_ball.value
         diagnostics["stderr"].append(value_ball.stderr)

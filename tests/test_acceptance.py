@@ -262,15 +262,16 @@ def test_invariance_and_detection(acceptance_log, rng):
             n_subspaces=6000, rng=rng)),
         ("translation", check_affine_invariance(
             [e2], ExponentSpec([1.0], [3.0]), k=1,
-            g=(np.eye(2), [0.5, -0.3]), R=2.0, n_flats=12000, rng=rng)),
+            g=np.eye(2), shift=[0.5, -0.3], R=2.0, n_flats=12000, rng=rng)),
         ("shear shift", check_affine_invariance(
             [EllipsoidIndicator.ball(2), e2],
             ExponentSpec([1.0, 1.0], [2.0, 1.0]), k=1,
-            g=([[1.0, 0.5], [0.0, 1.0]], [0.3, 0.2]), R=2.0,
+            g=[[1.0, 0.5], [0.0, 1.0]], shift=[0.3, 0.2], R=2.0,
             n_flats=12000, rng=rng)),
         ("rotation shift", check_affine_invariance(
             [e3], ExponentSpec([1.0], [4.0]), k=2,
-            g=(random_rotation(3, rng), [0.2, -0.3, 0.25]), R=2.0,
+            g=random_rotation(3, rng), shift=[0.2, -0.3, 0.25],
+            R=2.0,
             n_flats=12000, rng=rng)),
     ]
     passed = sum(r.verdict == PASS for _, r in jobs)
@@ -281,7 +282,7 @@ def test_invariance_and_detection(acceptance_log, rng):
         g=[[2.0, 0.3], [0.0, 0.5]], n_subspaces=4000, rng=rng)
     control_affine = check_affine_invariance(
         [e2, e2], ExponentSpec([1.0, 1.0], [1.0, 1.0]), k=1,
-        g=([[3.0, 0.3], [0.0, 1.0 / 3.0]], [0.4, -0.2]), R=2.0,
+        g=[[3.0, 0.3], [0.0, 1.0 / 3.0]], shift=[0.4, -0.2], R=2.0,
         n_flats=12000, rng=rng)
     sig_l = control_linear.diagnostics["departure_sigma"]
     sig_a = control_affine.diagnostics["departure_sigma"]

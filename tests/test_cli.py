@@ -830,6 +830,25 @@ EXTREME = {
         'kind = "ellipsoid"\nn = 2',
         'check = "bp_flat"\ndensity = "d"\nk = 1\nR = 1e200\nn_flats = 8',
         "R"),
+    # exact cone moments past the float range: E|X|^400 of the Gaussian
+    # overflows in a log-gamma, E|X|^330 to inf
+    "bp-subspace-gaussian-p400": (
+        'kind = "gaussian"\nn = 2',
+        'check = "bp_subspace"\ndensities = ["d"]\nk = 1\np = 400\n'
+        'n_direct = 8\nn_subspaces = 8', "p"),
+    "bp-subspace-gaussian-p330": (
+        'kind = "gaussian"\nn = 2',
+        'check = "bp_subspace"\ndensities = ["d"]\nk = 1\np = 330\n'
+        'n_direct = 8\nn_subspaces = 8', "p"),
+    # a radial grid's E|X|^1100 overflows in a numpy power, which warns
+    "bp-subspace-radial-p1100": (
+        'kind = "radial"\nn = 2\nradius = 2.0\nheights = [1.0, 0.5]',
+        'check = "bp_subspace"\ndensities = ["d"]\nk = 1\np = 1100\n'
+        'n_direct = 8\nn_subspaces = 8', "p"),
+    "rearrangement-unit-volume-balls-p400": (
+        'kind = "ellipsoid"\nn = 2\nradius = 0.5641895835477563',
+        'check = "rearrangement_chain"\ndensities = ["d", "d"]\np = 400\n'
+        'n_samples = 8', "p"),
     # exact measures far below 1e-16, under claimed bounds far above them
     "sharpness-50-1": (
         None, 'check = "gaussian_sharpness"\nn = 50\nk = 1\ns = 2.0\n'
@@ -975,7 +994,7 @@ def test_direct_invariance_calls_reproduce_config_rows(tmp_path):
             [ball], ExponentSpec((1.0,), (2.0,)), 1, "shear", 64,
             rng=substream(cfg.seed, 0))),
         ("affine", check_affine_invariance(
-            [ball], ExponentSpec((1.0,), (3.0,)), 1, ("rotation", "random"),
+            [ball], ExponentSpec((1.0,), (3.0,)), 1, "rotation", "random",
             2.0, 64, rng=substream(cfg.seed, 1)))]
     rows = csv_bytes.splitlines(keepends=True)
     for idx, (label, report) in enumerate(direct):

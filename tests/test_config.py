@@ -5,6 +5,8 @@ bad config that dies twenty minutes into a run is the bug these tests
 pin down.
 """
 
+import inspect
+import json
 import math
 import pathlib
 import textwrap
@@ -794,39 +796,39 @@ RULES = {
         "method"),
     "affine-unbounded": (
         lambda r: verify.check_affine_invariance(
-            [GAUSS], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            [GAUSS], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
             1.0, 8, r),
         "f_list", AFFINE, {"densities": '["gauss"]'}, "densities"),
     "affine-negative-window": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
             -1.0, 8, r),
         "R", AFFINE, {"R": "-1.0"}, "R"),
     "affine-window-past-float-range": (
         lambda r: verify.check_affine_invariance(
-            [BALL3], ExponentSpec((1.0,), (4.0,)), 1, ("shear", "random"),
+            [BALL3], ExponentSpec((1.0,), (4.0,)), 1, "shear", "random",
             1e200, 8, r),
         "R", AFFINE, {"densities": '["ball3"]', "spec_alpha": "[4.0]",
                       "R": "1e200"}, "R"),
     "affine-support-window-past-float-range": (
         lambda r: verify.check_affine_invariance(
-            [FAR], ExponentSpec((1.0,), (5.0,)), 1, ("shear", "random"),
+            [FAR], ExponentSpec((1.0,), (5.0,)), 1, "shear", "random",
             1.0, 8, r),
         "f_list", AFFINE, {"densities": '["far"]', "spec_alpha": "[5.0]"},
         "densities"),
     "affine-unknown-shift": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("rotation", "none"),
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "rotation", "none",
             1.0, 8, r),
-        "g[1]", AFFINE, {"map": '"rotation"', "shift": '"none"'}, "shift"),
+        "shift", AFFINE, {"map": '"rotation"', "shift": '"none"'}, "shift"),
     "affine-shift-wrong-length": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", np.zeros(3)),
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", np.zeros(3),
             1.0, 8, r),
-        "g[1]", AFFINE, {"shift": "[0.0, 0.0, 0.0]"}, "shift"),
+        "shift", AFFINE, {"shift": "[0.0, 0.0, 0.0]"}, "shift"),
     "affine-one-flat": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, ("shear", "random"),
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
             1.0, 1, r),
         "n_flats", AFFINE, {"n_flats": "1"}, "n_flats"),
     "rearrangement-p-below-1": (
@@ -987,6 +989,9 @@ def test_check_rules_rejected_by_both_entry_points(tmp_path, name):
         call(rng)
     assert err.value.param == param
     assert str(err.value).startswith(f"{param} ")
+    # the name is a keyword of the check's rules function, as passed
+    rules = config.CHECKS[json.loads(base["check"])].rules
+    assert param in inspect.signature(rules).parameters
     # rejected before the check draws from its generator or spawns from it
     assert (gen.state, gen.seed_seq.n_children_spawned) == before
     message = err.value.message

@@ -27,8 +27,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                TruncatedGaussian, section_stats)
 from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  grassmann_average_I, powz, simplex_moment,
-                                 _lp_norms, _norm_products, _power_model,
-                                 _slot_models)
+                                 _lp_norms, _norm_products)
 from igeolab.geometry import _tuple_volumes
 from igeolab.grassmann import flat_frames, subspace_frames
 from igeolab.rearrange import rearrangement
@@ -78,6 +77,13 @@ def test_powz_exponent_law(a, b):
 
 # ---------------------------------------------------------------------------
 # section norms
+
+
+def _power_model(f, p):
+    """Reference model of a slot: f**p, whose section masses are the p-th
+    powers of the L_p norms of f; f itself for p = 1 and for a sup slot
+    (p = inf)."""
+    return f if p == 1.0 or math.isinf(p) else f.power(p)
 
 
 def section_norm(f, E, p, z=None):
@@ -307,7 +313,7 @@ def test_grassmann_average_ball_is_exact(rng):
     b2 = EllipsoidIndicator.ball(2)
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
     drawn = functionals._average(
-        _slot_models([b2, b2], spec), spec, "exact",
+        [b2, b2], spec, "exact",
         functools.partial(subspace_frames, 2, 1), 500, rng, None)
     assert drawn.method == "mc" and drawn.samples == 500
     assert drawn.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-12)
@@ -386,25 +392,6 @@ def per_slot_products(f_list, spec, bases, offsets, method, rng):
     return total
 
 
-def test_power_model_of_power_one_is_the_density():
-    f, _, g, _ = mixed_slots()[0]
-    assert _power_model(f, 1.0) is f
-    assert _power_model(g, INF) is g
-    assert _power_model(g, 2.0) is not g
-
-
-def test_slot_models_share_one_model_per_density_and_power():
-    f_list, spec = mixed_slots()
-    models = _slot_models(f_list, spec)
-    f, g = f_list[0], f_list[2]
-    assert models[0] is models[1] is models[3] is f
-    assert models[2] is not g
-    pair = _slot_models([g, g], ExponentSpec((2.0, 2.0), (1.0, 1.0)))
-    assert pair[0] is pair[1]
-    with pytest.raises(ValueError, match="slot"):
-        _slot_models(f_list, ExponentSpec((1.0,), (1.0,)))
-
-
 def counting_section_stats(monkeypatch):
     calls = []
 
@@ -421,11 +408,33 @@ def test_exact_products_read_each_model_once(rng, monkeypatch):
     bases, offsets, _ = flat_frames(3, 1, 1.5, 300, rng)
     expected = per_slot_products(f_list, spec, bases, offsets, "exact", None)
     calls = counting_section_stats(monkeypatch)
-    got = _norm_products(_slot_models(f_list, spec), spec, "exact", bases,
-                         offsets, None)
+    got = _norm_products(f_list, spec, "exact", bases, offsets, None)
     assert np.array_equal(got, expected)      # bit for bit
     assert len(calls) == len(set(calls)) == 2   # f (p = 1 and inf), g**2
+    assert calls[0] == id(f_list[0])          # f itself, no power model
     assert np.count_nonzero(got) > 100
+    # a repeated (g, 2) slot reads g**2 once; g at two powers reads twice
+    g = f_list[2]
+    for powers, reads in (((2.0, 2.0), 1), ((2.0, 3.0), 2)):
+        pair = ExponentSpec(powers, (1.0, 1.0))
+        expected = per_slot_products([g, g], pair, bases, offsets, "exact",
+                                     None)
+        calls.clear()
+        got = _norm_products([g, g], pair, "exact", bases, offsets, None)
+        assert np.array_equal(got, expected)
+        assert len(calls) == reads and id(g) not in calls
+
+
+def test_slot_count_must_match_the_densities():
+    f_list, spec = mixed_slots()
+    short = ExponentSpec((1.0,), (1.0,))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="slot"):
+        grassmann_average_I(f_list, short, 1, 8, rng)
+    with pytest.raises(ValueError, match="slot"):
+        affine_average_I(f_list, short, 1, 3.0, 8, rng)
+    assert rng.bit_generator.state == state   # refused before any draw
 
 
 def test_mc_products_draw_every_slot_in_order(monkeypatch):
@@ -438,8 +447,7 @@ def test_mc_products_draw_every_slot_in_order(monkeypatch):
                                  reference)
     calls = counting_section_stats(monkeypatch)
     stream = np.random.default_rng(11)
-    got = _norm_products(_slot_models(f_list, spec), spec, method, bases,
-                         offsets, stream)
+    got = _norm_products(f_list, spec, method, bases, offsets, stream)
     assert np.array_equal(got, expected)
     assert len(calls) == len(f_list)           # one draw per slot
     # the stream ends where the per-slot reference left it
@@ -626,7 +634,6 @@ ROUTES = {
 def test_rule_route_agrees_with_the_monte_carlo_route(name, rng):
     f_list, spec, k, flats = ROUTES[name]
     n = f_list[0].n
-    models = _slot_models(f_list, spec)
     if flats:
         rule = affine_average_I(f_list, spec, k, 3.0, 2, None)
         frames = functools.partial(flat_frames, n, k,
@@ -634,7 +641,7 @@ def test_rule_route_agrees_with_the_monte_carlo_route(name, rng):
     else:
         rule = grassmann_average_I(f_list, spec, k, 2, None)
         frames = functools.partial(subspace_frames, n, k)
-    drawn = functionals._average(models, spec, "exact", frames, 20_000, rng,
+    drawn = functionals._average(f_list, spec, "exact", frames, 20_000, rng,
                                  None)
     assert drawn.method == "mc" and rule.method == "rule"
     assert rule.stderr <= 1e-9 * rule.value

@@ -233,7 +233,7 @@ def test_affine_invariance_shifted_ellipsoid(rng):
     spec = ExponentSpec((1.0,), (4.0,))          # 4 = n + 1
     shear = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]])
     shift = np.array([0.4, -0.2, 0.1])
-    rep = check_affine_invariance([e], spec, 2, (shear, shift), R=3.0,
+    rep = check_affine_invariance([e], spec, 2, shear, shift, R=3.0,
                                   n_flats=16_000, rng=rng)
     assert rep.verdict == PASS
     assert abs(rep.ratio - 1.0) < 0.12
@@ -244,7 +244,7 @@ def test_translation_alone_never_breaks_flat_averages(rng):
     # exponent sum survives a pure shift; the negative control needs shear
     e = EllipsoidIndicator(np.diag([1.0, 2.0]), center=[0.2, 0.0])
     spec = ExponentSpec((1.0,), (2.0,))  # sum 2 != n + 1 = 3
-    rep = check_affine_invariance([e], spec, 1, (np.eye(2), np.array([0.7, -0.4])),
+    rep = check_affine_invariance([e], spec, 1, np.eye(2), np.array([0.7, -0.4]),
                                   R=2.5, n_flats=12_000, rng=rng)
     assert rep.verdict == PASS
     assert rep.diagnostics["sum_matches"] is False
@@ -257,7 +257,7 @@ def test_affine_anisotropy_wrong_sum_fails(rng):
     spec = ExponentSpec((1.0, 1.0), (1.0, 1.0))  # sum 2, needs 3
     stretch = np.array([[3.0, 0.3], [0.0, 1.0 / 3.0]])
     rep = check_affine_invariance([e, e], spec, 1,
-                                  (stretch, np.array([0.4, -0.2])),
+                                  stretch, np.array([0.4, -0.2]),
                                   R=2.0, n_flats=12_000, rng=rng)
     assert rep.verdict == FAIL
     assert rep.diagnostics["departure_sigma"] > 5.0
@@ -372,7 +372,7 @@ def test_invariance_checks_map_each_density_once(rng, monkeypatch):
     assert sorted(mapped) == sorted([id(g), id(e)])
     mapped.clear()
     check_affine_invariance([e, e, e, e], ExponentSpec(
-        (1.0, 1.0, 1.0, 1.0), (1.0,) * 4), 2, (shear, np.array([0.4, 0.0, 0.1])),
+        (1.0, 1.0, 1.0, 1.0), (1.0,) * 4), 2, shear, np.array([0.4, 0.0, 0.1]),
         R=3.0, n_flats=200, rng=rng)
     assert mapped == [id(e)]
 
