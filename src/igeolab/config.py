@@ -10,31 +10,33 @@ every error; the rules on the values live with the code they guard.  A
 density section is a spec map, each field read and handed to the
 family's constructor; config keeps two rules of its own: amplitudes are
 positive and the mass is positive and finite.  A check map is parsed once,
-by load_config, into the keyword arguments of its verify function
-(CheckJob.kwargs) and handed to the check's rules function in verify.py.
-A ParameterError from either is a ConfigError on the field the parameter
-came from.  Running a check only calls it.  Nothing here draws: a named
-map or a 'random' shift stays a name, and the invariance check draws it
-from its own generator.
+by load_config, into the keyword arguments of its check function
+(CheckJob.kwargs) and handed to the check's rules function, both in the
+module CHECKS names for it (verify.py, or sharpness.py).  A ParameterError
+from either is a ConfigError on the field the parameter came from.
+Running a check only calls it.  Nothing here draws: a named map or a
+'random' shift stays a name, and the invariance check draws it from its
+own generator.  The density families and the check modules are imported
+where they are first used, so a config loads only what it names.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import importlib
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import verify
-from .densities import (DensityModel, EllipsoidIndicator, GaussianDensity,
-                        ParameterError, ProductDensity, RadialGridDensity,
-                        Step1D, TruncatedGaussian)
-from .functionals import ExponentSpec
+from .report import ParameterError
+
+if TYPE_CHECKING:
+    from .densities import DensityModel, Step1D
 
 __all__ = ["ConfigError", "CheckJob", "RunConfig", "load_config",
            "build_density", "CHECKS", "check_names", "describe_check",
@@ -56,7 +58,7 @@ class CheckJob:
     label: str
     name: str
     params: dict  # the raw JSON map, read by the config hash
-    # verify keywords parsed from params; verify must not mutate them
+    # check keywords parsed from params; the check must not mutate them
     kwargs: dict = field(compare=False, repr=False)
 
 
@@ -112,6 +114,7 @@ def _array(depth: int):
 
 def _factor(raw) -> Step1D:
     """One product factor: {"heights": [...]} with optional lo, hi."""
+    from .densities import Step1D
     if not isinstance(raw, dict) or "heights" not in raw \
             or set(raw) - {"lo", "hi", "heights"}:
         raise ValueError('each factor must be {"heights": [...]} with '
@@ -141,6 +144,8 @@ def build_density(spec: dict) -> DensityModel:
     parameter came from.  Two rules are the config file's own: amplitudes
     are positive, and the mass is positive and finite.
     """
+    from .densities import EllipsoidIndicator, GaussianDensity, \
+        ProductDensity, RadialGridDensity, TruncatedGaussian
     given = set(spec)
     spec = dict(spec)
 
@@ -225,16 +230,16 @@ def build_density(spec: dict) -> DensityModel:
 
 # ---------------------------------------------------------------------------
 # Check schema.  Each check is declared once: its fields in parse order, each
-# read in its JSON shape, the verify function that receives them as keyword
-# arguments, and the rules function in verify.py that load_config calls on
-# them.  load_config keeps the keywords on its CheckJob; run only calls.
+# read in its JSON shape, its module, the function there that receives them
+# as keyword arguments, and the rules function there that load_config calls
+# on them.  load_config keeps the keywords on its CheckJob; run only calls.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
 class _Values(dict):
-    """Verify keywords parsed so far, and the configured densities."""
+    """Check keywords parsed so far, and the configured densities."""
 
     def __init__(self, densities):
         super().__init__()
@@ -248,28 +253,41 @@ class _Field:
     parse: Callable
     # raw value parsed like a given one; None: optional, passed as None
     default: object = _REQUIRED
-    # verify keyword when it is not the field name; a later field with the
+    # check keyword when it is not the field name; a later field with the
     # same keyword builds on the earlier field's value
     arg: str | None = None
 
 
 class _Check:
-    """One check: doc line, verify function name, fields, rules function.
+    """One check: doc line, module, check function name, fields, rules
+    function name.
 
-    The verify function is looked up by name at each call, and `run` is a
-    plain attribute holding one bound method, so a profiler can wrap
-    either and put back the very same object.
+    The module is imported the first time a map is parsed or run.  Both
+    functions are looked up by name at each call, and `run` is a plain
+    attribute holding one bound method, so a profiler can wrap either and
+    put back the very same object.
     """
 
-    def __init__(self, doc, target, fields, rules):
+    def __init__(self, doc, module, target, fields, rules):
         self.doc = doc
+        self.module = module
         self.target = target
         self.fields = fields
-        self.rules = rules
+        self.rules_name = rules
         self.run = self._run
 
+    def _function(self, name):
+        module = importlib.import_module(f"{__package__}.{self.module}")
+        return getattr(module, name)
+
+    @property
+    def rules(self) -> Callable:
+        """The rules function, which raises ParameterError naming the
+        keyword of a broken rule."""
+        return self._function(self.rules_name)
+
     def parse(self, params, densities, section) -> dict:
-        """Verify keywords for one parameter map, or a ConfigError naming
+        """Check keywords for one parameter map, or a ConfigError naming
         the field."""
         unknown = sorted(set(params) - set(self.fields))
         if unknown:
@@ -296,7 +314,7 @@ class _Check:
         return dict(v)
 
     def _run(self, kwargs, rng):
-        return getattr(verify, self.target)(rng=rng, **kwargs)
+        return self._function(self.target)(rng=rng, **kwargs)
 
 
 # Field parsers.
@@ -355,6 +373,7 @@ def _powers(raw, v):
 
 def _exponent_spec(raw, v):
     """spec_alpha: outer exponents, completing the spec_p powers."""
+    from .functionals import ExponentSpec
     if not isinstance(raw, list) or len(raw) != len(v["spec"]):
         raise ValueError("must be a list as long as spec_p")
     return ExponentSpec(v["spec"], tuple(_number(a) for a in raw))
@@ -409,71 +428,71 @@ _EQUALITY = _Field(_flag, default=False)
 CHECKS: dict[str, _Check] = {
     "bp_subspace": _Check(
         "simplex-moment decomposition over linear sections",
-        "check_bp_subspace",
+        "verify", "check_bp_subspace",
         {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
          "n_direct": _int(), "n_subspaces": _int(), "inner": _int(256)},
-        verify._bp_subspace_rules),
+        "_bp_subspace_rules"),
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
-        "check_bp_flat",
+        "verify", "check_bp_flat",
         {"density": _DENSITY, "k": _int(), "p": _real(0.0), "R": _real(),
          "n_direct": _int(0), "n_flats": _int(), "inner": _int(256)},
-        verify._bp_flat_rules),
+        "_bp_flat_rules"),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
-        "check_linear_invariance",
+        "verify", "check_linear_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _int(),
          "method": _METHOD},
-        verify._linear_invariance_rules),
+        "_linear_invariance_rules"),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
-        "check_affine_invariance",
+        "verify", "check_affine_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
          "shift": _Field(_named(1), default="random"),
          "R": _real(), "n_flats": _int(), "method": _METHOD},
-        verify._affine_invariance_rules),
+        "_affine_invariance_rules"),
     "rearrangement_chain": _Check(
         "simplex functional vs rearranged and ball inputs",
-        "check_rearrangement_monotonicity",
+        "verify", "check_rearrangement_monotonicity",
         {"densities": _DENSITIES, "p": _real(),
          "case": _Field(lambda raw, v: raw, default="cone"),
          "n_samples": _int()},
-        verify._rearrangement_rules),
+        "_rearrangement_rules"),
     "grinberg_functional": _Check(
         "L1/sup section-norm average inequality",
-        "check_grinberg_functional",
+        "verify", "check_grinberg_functional",
         {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
          "n_subspaces": _int(), "method": _METHOD,
          "expect_equality": _EQUALITY},
-        verify._grinberg_rules),
+        "_grinberg_rules"),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of the support radius",
-        "check_schneider_functional",
+        "verify", "check_schneider_functional",
         {"density": _DENSITY, "k": _int(), "n_flats": _int(),
          "method": _METHOD, "expect_equality": _EQUALITY},
-        verify._schneider_rules),
+        "_schneider_rules"),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",
-        "marginal_bound_experiment",
+        "verify", "marginal_bound_experiment",
         {"density": _DENSITY, "k": _int(), "s": _real(), "t": _real(),
          "n_subspaces": _int(), "n_x": _int(),
          "adversarial": _Field(_subspace, default=None)},
-        verify._marginal_bound_rules),
+        "_marginal_bound_rules"),
     "gaussian_sharpness": _Check(
         "skewed-Gaussian sharpness of the marginal sup bound",
-        "gaussian_sharpness_experiment",
+        "sharpness", "gaussian_sharpness_experiment",
         {"n": _int(), "k": _int(), "s": _real(), "n_subspaces": _int()},
-        verify._sharpness_rules),
+        "_sharpness_rules"),
     "perturbation": _Check(
         "nearby subspace with near-optimal small-ball mass",
-        "perturbation_experiment",
+        "verify", "perturbation_experiment",
         {"density": _DENSITY, "k": _int(),
          "subspace": _Field(_subspace, arg="E"), "eta": _real(),
          "eps_grid": _Field(_numbers), "n_samples": _int(),
          "n_candidates": _int(32)},
-        verify._perturbation_rules),
+        "_perturbation_rules"),
 }
 
 

@@ -39,8 +39,9 @@ import math
 
 import numpy as np
 
-from .geometry import _chi2_cdf, _chi2_ppf, _chi_moment, _row_norms, \
-    _spd_solve, unit_ball_volume
+from .geometry import ROW_BLOCK, _chi2_cdf, _chi2_ppf, _chi_moment, \
+    _row_norms, _spd_solve, unit_ball_volume
+from .report import ParameterError
 
 # |det A| must match 1 to this tolerance for volume-preserving maps.
 DET_TOL = 1e-10
@@ -49,14 +50,8 @@ DET_TOL = 1e-10
 AXIS_TOL = 1e-12
 # Box-enumeration cap for exact product rearrangements.
 PRODUCT_ENUM_CAP = 300_000
-# Rows per block of the point kernels (window points, unit vectors, simplex
-# volumes, step-law draws), of the sharpness hit tests and of marginal_bound's
-# fibers: a block of a few float64 columns stays in cache.  No kernel draws
-# inside its blocks, so no draw depends on it.
-ROW_BLOCK = 1 << 13
 
 __all__ = [
-    "ParameterError",
     "DensityModel",
     "EllipsoidIndicator",
     "GaussianDensity",
@@ -117,16 +112,6 @@ class DensityModel:
         """E|X|^p for X ~ f / mass in closed form, where f is rotation
         invariant about 0; None otherwise.  Needs n + p > 0."""
         return None
-
-
-class ParameterError(ValueError):
-    """A parameter, named as the caller passed it, that breaks a rule: of
-    a density family (constructor parameters) or of a check (verify
-    keywords); message says which."""
-
-    def __init__(self, param: str, message: str):
-        self.param, self.message = param, message
-        super().__init__(f"{param} {message}")
 
 
 def _amplitude(a) -> float:
@@ -854,9 +839,14 @@ def _step_values(edges: np.ndarray, heights: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
     """heights[j] at each x in [edges[j], edges[j + 1]), 0.0 outside
     [edges[0], edges[-1]) and at NaN: the bin count indexes the heights
-    padded with one 0.0 on each side."""
+    padded with one 0.0 on each side, ROW_BLOCK points at a time (a
+    block's byte-wide counts widen inside take)."""
     table = np.concatenate(([0.0], heights, [0.0]))
-    return table.take(_bin_count(edges, x))
+    out = np.empty(len(x))
+    for start in range(0, len(x), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        table.take(_bin_count(edges, x[block]), out=out[block])
+    return out
 
 
 def _choose_bins(weights: np.ndarray, size: int,

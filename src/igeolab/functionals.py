@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _chi_moment, _tuple_volumes
+from .geometry import ROW_BLOCK, _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
-from .densities import ROW_BLOCK, EllipsoidIndicator, GaussianDensity, \
-    ParameterError, section_stats
-from .report import Estimate, mc_estimate
+from .densities import EllipsoidIndicator, GaussianDensity, section_stats
+from .report import Estimate, ParameterError, _blocked, mc_estimate
 
 __all__ = [
     "ExponentSpec",
@@ -208,23 +207,6 @@ def _simplex_powers(slots, origin: bool, p: float) -> np.ndarray:
                 np.subtract(row[block].T, tuples.T, out=x[i])
         out[block] = powz(_tuple_volumes(x.transpose(2, 0, 1)), p)
     return out.reshape(np.shape(slots[0])[:-1])
-
-
-def _blocked(m: int, rows: int, fill) -> np.ndarray:
-    """m values from fill(size) on consecutive blocks of at most rows rows;
-    a single block is fill(m) itself, not a copy of it.
-
-    A fill that makes one draw per block, as the sharpness check's single
-    standard_normal does, consumes a generator as one draw of all m would;
-    a fill that makes several (flat_frames, section_points) interleaves
-    them block by block, so there the block size is part of the stream
-    layout."""
-    if m <= rows:
-        return fill(m)
-    out = np.empty(m)
-    for start in range(0, m, rows):
-        out[start:start + rows] = fill(min(rows, m - start))
-    return out
 
 
 def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,

@@ -3,8 +3,9 @@
 Unit-ball volumes, the constants of the linear/affine section identities,
 volumes of simplices spanned by point tuples, log-determinants and solves
 of stacks of small symmetric positive definite matrices, Gauss-Legendre
-rules, the chi-square law (CDF and quantile) and chi moments, and the
-exact measure of the Gaussian sharpness event on G(n, k).  Everything here
+rules, the chi-square law (CDF and quantile) and chi moments, the
+exact measure of the Gaussian sharpness event on G(n, k), and the row
+block of the point kernels.  Everything here
 is exact up to floating point, numpy only, and imports nothing from the
 package; Monte Carlo lives elsewhere.
 """
@@ -22,6 +23,11 @@ SV_RELATIVE_CUTOFF = 1e-12
 # Gauss-Legendre nodes per panel of the two-plane sharpness measure: the
 # rule agrees with itself at twice the nodes to about 1e-14 relative.
 QUAD_NODES = 32
+# Rows per block of the point kernels (window points, unit vectors, simplex
+# volumes, step-law draws and values), of the sharpness hit tests and of
+# marginal_bound's fibers: a block of a few float64 columns stays in cache.
+# No kernel draws inside its blocks, so no draw depends on it.
+ROW_BLOCK = 1 << 13
 
 __all__ = [
     "unit_ball_volume",

@@ -1,9 +1,11 @@
-"""Estimates with uncertainty, and structured check reports.
+"""Estimates with uncertainty, structured check reports, and check rules.
 
 Estimate is the common currency of every side of a check: a value, its
 standard error, its sample count, and how it was computed.  CheckReport is
 what the verification layer emits: both sides of an identity or
 inequality, their ratio, a three-way verdict, and free-form diagnostics.
+ParameterError is how a density family or a check refuses a parameter,
+and _need, _at_least and _k_up_to state the rules the checks share.
 """
 
 from __future__ import annotations
@@ -29,6 +31,31 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+
+
+class ParameterError(ValueError):
+    """A parameter, named as the caller passed it, that breaks a rule: of
+    a density family (constructor parameters) or of a check (its
+    keywords); message says which."""
+
+    def __init__(self, param: str, message: str):
+        self.param, self.message = param, message
+        super().__init__(f"{param} {message}")
+
+
+def _need(ok: bool, param: str, message: str):
+    """A rule of a check: ParameterError(param, message) unless ok."""
+    if not ok:
+        raise ParameterError(param, message)
+
+
+def _at_least(lo: int, **counts):
+    for param, count in counts.items():
+        _need(count >= lo, param, f"must be >= {lo}, got {count}")
+
+
+def _k_up_to(k: int, top: int):
+    _need(1 <= k <= top, "k", f"must lie in [1, {top}], got {k}")
 
 
 @dataclass
@@ -116,6 +143,23 @@ def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
     return est
 
 
+def _blocked(m: int, rows: int, fill) -> np.ndarray:
+    """m values from fill(size) on consecutive blocks of at most rows rows;
+    a single block is fill(m) itself, not a copy of it.
+
+    A fill that makes one draw per block, as the sharpness check's single
+    standard_normal does, consumes a generator as one draw of all m would;
+    a fill that makes several (flat_frames, section_points) interleaves
+    them block by block, so there the block size is part of the stream
+    layout."""
+    if m <= rows:
+        return fill(m)
+    out = np.empty(m)
+    for start in range(0, m, rows):
+        out[start:start + rows] = fill(min(rows, m - start))
+    return out
+
+
 def _tail_share(values: np.ndarray) -> float:
     """Share of the total carried by the top 1% of |contributions|."""
     total = np.abs(values).sum()
@@ -136,6 +180,12 @@ def ratio_estimate(num: Estimate, den: Estimate) -> Estimate:
     value = num.value / den.value
     rel = math.sqrt(num.rel_stderr ** 2 + den.rel_stderr ** 2)
     return Estimate(value, abs(value) * rel, samples, method)
+
+
+def _one_sided_verdict(lhs: Estimate, rhs: Estimate) -> str:
+    """PASS at lhs <= rhs + 3 combined stderr, else FAIL."""
+    slack = 3.0 * math.hypot(lhs.stderr, rhs.stderr)
+    return PASS if lhs.value <= rhs.value + slack else FAIL
 
 
 def power_estimate(est: Estimate, exponent: float) -> Estimate:

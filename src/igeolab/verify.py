@@ -10,7 +10,8 @@ functionals' frame mean, unless a closed form covers its cone moment
 (functionals._rule_covers).  Every rule on a check's parameters lives in
 one rules function beside it, which raises ParameterError naming the
 keyword; the check calls it before it draws anything, and load_config
-calls it on each parsed check map.  Conventions, fixed across the module:
+calls it on each parsed check map.  The Gaussian sharpness check, which
+draws no density, is sharpness.py's.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
@@ -30,28 +31,30 @@ import math
 
 import numpy as np
 
-from .geometry import bp_constant, bp_exact_constant, \
-    exact_event_measure, unit_ball_volume, unit_volume_radius, _row_norms, \
-    _sharpness_cut, _spd_solve
+from .geometry import ROW_BLOCK, bp_constant, bp_exact_constant, \
+    unit_ball_volume, unit_volume_radius, _row_norms
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
     distances_to, haar_bases, _orthonormal, _orthonormalize
-from .densities import ROW_BLOCK, DensityModel, EllipsoidIndicator, \
-    ParameterError, affine_image, section_points, section_stats, \
-    _volume_preserving
+from .densities import DensityModel, EllipsoidIndicator, affine_image, \
+    section_points, section_stats, _volume_preserving
 from .functionals import ExponentSpec, affine_average_I, \
-    grassmann_average_I, simplex_moment, _blocked, _common_dim, \
-    _exact_cone_moment, _frame_mean, _simplex_powers
+    grassmann_average_I, simplex_moment, _common_dim, _exact_cone_moment, \
+    _frame_mean, _simplex_powers
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
-    mc_estimate, merge_estimates, ratio_estimate, power_estimate
+    ParameterError, merge_estimates, ratio_estimate, power_estimate, \
+    _at_least, _k_up_to, _need, _one_sided_verdict
 
 EQUALITY_BAND = 0.02
 TAIL_LIMIT = 0.5
 CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
+# Largest condition number of an invariance check's map, eps^(-1/2): the
+# image's quadratic forms are conditioned up to its square, and past 1/eps
+# a determinant of their sections cancels to rounding or overflows.
+MAP_CONDITION_CAP = np.finfo(float).eps ** -0.5
 # bp_* section points per blocked draw (several draws a block, so their
-# results depend on it: see functionals._blocked), and subspaces per sharpness
-# cross-check.  Sharpness hit tests take blocks of ROW_BLOCK, one draw each.
+# results depend on it: see report._blocked)
 DRAW_BLOCK = 1 << 16
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "check_grinberg_functional",
     "check_schneider_functional",
     "marginal_bound_experiment",
-    "gaussian_sharpness_experiment",
     "perturbation_experiment",
 ]
 
@@ -74,11 +76,6 @@ def _equality_verdict(lhs: Estimate, rhs: Estimate) -> tuple[str, float]:
     return (PASS if abs(ratio.value - 1.0) <= band else FAIL), band
 
 
-def _one_sided_verdict(lhs: Estimate, rhs: Estimate) -> str:
-    slack = 3.0 * math.hypot(lhs.stderr, rhs.stderr)
-    return PASS if lhs.value <= rhs.value + slack else FAIL
-
-
 def _spec_params(spec: ExponentSpec) -> dict:
     return {"spec_p": ["inf" if math.isinf(p) else p for p in spec.p_list],
             "spec_alpha": list(spec.alpha_list)}
@@ -87,21 +84,6 @@ def _spec_params(spec: ExponentSpec) -> dict:
 def _heavy_tailed(*ests: Estimate) -> bool:
     return any(e.tail_share is not None and e.tail_share >= TAIL_LIMIT
                for e in ests)
-
-
-def _need(ok: bool, param: str, message: str):
-    """A rule of a check: ParameterError(param, message) unless ok."""
-    if not ok:
-        raise ParameterError(param, message)
-
-
-def _at_least(lo: int, **counts):
-    for param, count in counts.items():
-        _need(count >= lo, param, f"must be >= {lo}, got {count}")
-
-
-def _k_up_to(k: int, top: int):
-    _need(1 <= k <= top, "k", f"must lie in [1, {top}], got {k}")
 
 
 def _unit_mass(f: DensityModel):
@@ -131,13 +113,17 @@ def _finite_side(side, param: str, what="the check's closed-form side"):
     return value
 
 
-def _exact_cone(f_list, p: float, scale: float = 1.0):
+def _exact_cone(f_list, p: float, scale: float = 1.0, squared=False):
     """Rule on p: the cone moment of f_list times scale, where
-    functionals._exact_cone_moment covers it, is a finite float."""
+    functionals._exact_cone_moment covers it, is a finite float, and so is
+    its square if squared: a Monte Carlo mean of that size cannot be pooled
+    (merge_estimates squares it)."""
     def side():
         exact = _exact_cone_moment(f_list, p)
-        return 0.0 if exact is None else exact * scale
-    _finite_side(side, "p", "the exact cone moment")
+        return 0.0 if exact is None else (exact * scale) ** (1 + squared)
+    _finite_side(side, "p", "the square of the exact cone moment, which "
+                 "Monte Carlo pooling takes," if squared
+                 else "the exact cone moment")
 
 
 def _window(r: float, n: int, k: int, param: str):
@@ -176,19 +162,27 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
     "exact" or ("mc", N) with an integer N >= 2.  Monte Carlo ones sample a
     window about a bounded support; exact ones need a closed form for every
     density and its image under g = (map, shift), if any.  Either way the
-    map must not overflow the image."""
+    map must not overflow the image, nor its condition number pass
+    MAP_CONDITION_CAP."""
     mc = isinstance(method, tuple) and len(method) == 2 \
         and method[0] == "mc" and isinstance(method[1], (int, np.integer)) \
         and method[1] >= 2
     _need(mc or method == "exact", "method", 'must be "exact" or ("mc", N) '
           f"with an integer N >= 2, got {method!r}")
     hint = '; use method ["mc", N]' if param == "method" else ""
+    cond = 1.0
+    if g is not None:
+        with np.errstate(all="ignore"):
+            cond = np.linalg.cond(_stand_in(g, f_list[0].n)[0])
     for f in f_list:
         try:
             image = f if g is None else affine_image(f, _stand_in(g, f.n))
         except ParameterError as exc:
             raise ParameterError("g", f"puts the image of {type(f).__name__} "
                                  f"past the float range: {exc}") from None
+        _need(cond <= MAP_CONDITION_CAP, "g", "puts the sections of the image "
+              f"of {type(f).__name__} past the float precision: its "
+              f"condition number is {cond:.3g}, above {MAP_CONDITION_CAP:.3g}")
         if method != "exact":
             _need(np.isfinite(f.support_radius), "method",
                   "Monte Carlo section stats need bounded supports")
@@ -277,7 +271,9 @@ def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
     _at_least(1, inner=inner)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
     _readable(f_list, k, "f_list")
-    _exact_cone(f_list, p, math.prod(f.mass for f in f_list))
+    # the route's Monte Carlo means are the cone moment over an O(1)
+    # constant
+    _exact_cone(f_list, p, math.prod(f.mass for f in f_list), squared=True)
 
 
 def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
@@ -696,7 +692,7 @@ def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
 
 
 # ---------------------------------------------------------------------------
-# Marginal bounds: Markov filtering, sharpness, perturbation.
+# Marginal bounds: Markov filtering and perturbation.
 # ---------------------------------------------------------------------------
 
 def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
@@ -874,113 +870,6 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
                     "n_subspaces": n_subspaces, "n_x": n_x},
         lhs=lhs, rhs=rhs, verdict=PASS if ok else FAIL,
         diagnostics=diagnostics)
-
-
-def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,
-                    size: int) -> np.ndarray:
-    """Which of size subspaces drawn from stream hit the sharpness event.
-
-    The event is det(B^T D B) <= cut, and the test needs no orthonormal
-    basis: for the span of a Gaussian n x k draw G and any orthonormal
-    basis B of it (B = G R^-1, R the QR factor), det(B^T D B) =
-    det(G^T D G) / det(G^T G), so each draw is tested as det(G^T D G) <=
-    cut det(G^T G) with no log: one quadratic form for k = 1, the 2 x 2
-    determinants a c - b^2 for k = 2, and the log dets of _spd_solve for
-    k >= 3.  The subspaces are those haar_bases would return for the same
-    stream."""
-    sigma2, log_cut = _sharpness_cut(n, k, s)
-    diag = np.concatenate([np.full(k, sigma2), np.ones(n - k)])
-    cut = math.exp(log_cut)
-    g = stream.standard_normal((size, n, k))
-    if k == 1:
-        return np.square(g[..., 0]) @ (diag - cut) <= 0.0
-    # column products of the draw against [1, diag] give both Grams at
-    # once; G^T G is ill-conditioned only on rare draws, and the det ratio
-    # matches det(B^T D B) to about 1e-11 relative
-    w = np.stack([np.ones(n), diag], axis=1)
-    if k == 2:
-        a, b, c = ((g[..., i] * g[..., j]) @ w
-                   for i, j in ((0, 0), (0, 1), (1, 1)))
-        det = a * c - b * b
-        return det[:, 1] <= cut * det[:, 0]
-    grams = np.empty((size, 2, k, k))
-    for i in range(k):
-        for j in range(i, k):
-            np.matmul(g[..., i] * g[..., j], w, out=grams[:, :, i, j])
-            grams[:, :, j, i] = grams[:, :, i, j]
-    return _spd_solve(grams[:, 1])[0] - _spd_solve(grams[:, 0])[0] <= log_cut
-
-
-def _sharpness_rules(n, k, s, n_subspaces):
-    _need(n >= 2, "n", f"must be >= 2, got {n}")
-    _k_up_to(k, n - 1)
-    # sigma^2 = (2 pi)^(-n/k) stays a normal float: (2 pi)^-385 > DBL_MIN
-    _need(n <= 385 * k, "n", f"must be <= 385 k = {385 * k}, got {n}")
-    top = (2 * math.pi) ** (n / (2.0 * k))   # sigma^-1
-    _need(1.0 <= s <= top, "s", f"must lie in [1, {top:.6g}], got {s}")
-    _at_least(2, n_subspaces=n_subspaces)
-
-
-def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
-                                  rng: np.random.Generator) -> CheckReport:
-    """Measure of sections where the skewed Gaussian marginal sup is large.
-
-    The law has k variances sigma^2 = (2pi)^(-n/k) and n-k unit variances,
-    so the full density has sup exactly 1.  The event
-    {||projected density sup||^(1/k) >= s} is det(B^T D B) <= cut =
-    (2 pi s^2)^(-k) for an orthonormal basis B of the section; the claimed
-    lower bound is (2s)^(-k(n-k)).  The verdict states the claim as
-    printed; the fitted scale factor that would make the bound tight is
-    reported either way.
-
-    The measure is exact_event_measure where that has a value: min(k, n-k)
-    <= 2, or an empty event, i.e. s above empty_above = (2 pi)^((n-k)/(2k))
-    (min det(B^T D B) = sigma^(2k), the span of the first k axes).  The
-    rhs method is then "exact" (a closed form, or the empty event's 0) or
-    "rule" (the two-plane quadrature of min(k, n-k) = 2, stderr 0), and
-    the verdict is measure >= bound.
-    A non-empty exact row still draws min(n_subspaces, DRAW_BLOCK)
-    subspaces as a cross-check of the exact form at these (n, k, s): their
-    hit share and its binomial z against the exact measure are reported as
-    sampled_measure and sampled_z, and neither enters the measure or the
-    verdict.  Otherwise n_subspaces subspaces are drawn and the rhs method
-    is "mc".  Either way _sharpness_hits tests blocks of ROW_BLOCK subspaces
-    (see _blocked), one draw each, so the hits are those of one draw.
-    """
-    _sharpness_rules(n, k, s, n_subspaces)
-    exact = exact_event_measure(n, k, s)
-    sampled = sampled_z = None
-
-    def hits(stream, m):
-        return _blocked(m, ROW_BLOCK, functools.partial(
-            _sharpness_hits, n, k, s, stream))
-    if exact is None:
-        rhs = mc_estimate(hits, n_subspaces, rng)
-    else:
-        rhs = Estimate(float(exact), 0.0, 0, "rule") \
-            if min(k, n - k) == 2 and exact > 0 else Estimate.exact(exact)
-        if exact > 0:
-            m = min(n_subspaces, DRAW_BLOCK)
-            sampled = float(np.mean(hits(rng, m)))
-            sampled_z = (sampled - exact) / math.sqrt(exact * (1 - exact) / m)
-    bound = (2.0 * s) ** (-k * (n - k))
-    lhs = Estimate.exact(bound)
-    fitted_factor = (rhs.value ** (-1.0 / (k * (n - k))) / s
-                     if rhs.value > 0 else math.inf)
-    return CheckReport(
-        name="gaussian_sharpness",
-        parameters={"n": n, "k": k, "s": s, "n_subspaces": n_subspaces},
-        lhs=lhs, rhs=rhs, verdict=_one_sided_verdict(lhs, rhs),
-        diagnostics={
-            "claimed_bound": bound,
-            "sigma": math.sqrt((2 * math.pi) ** (-n / k)),
-            # the factor a for which measure = (a s)^(-k(n-k)); the claim
-            # corresponds to a = 2
-            "fitted_factor": fitted_factor,
-            "empty_above": (2 * math.pi) ** ((n - k) / (2 * k)),
-            "sampled_measure": sampled,
-            "sampled_z": sampled_z,
-        })
 
 
 def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):

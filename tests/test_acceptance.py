@@ -30,11 +30,11 @@ from igeolab.rearrange import rearrangement
 from igeolab.report import FAIL, PASS
 from igeolab.rng import substream
 from igeolab.runner import run_suite
+from igeolab.sharpness import gaussian_sharpness_experiment
 from igeolab.verify import (check_bp_subspace, check_grinberg_functional,
                             check_linear_invariance, check_affine_invariance,
                             check_rearrangement_monotonicity,
                             check_schneider_functional,
-                            gaussian_sharpness_experiment,
                             marginal_bound_experiment)
 
 SEED_A = 20260819

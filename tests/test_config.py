@@ -8,19 +8,23 @@ pin down.
 import inspect
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
-from igeolab import config, verify
+from igeolab import config, sharpness, verify
 from igeolab.config import ConfigError, build_density, load_config
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ParameterError, ProductDensity,
-                               RadialGridDensity, Step1D, TruncatedGaussian)
+                               ProductDensity, RadialGridDensity, Step1D,
+                               TruncatedGaussian)
 from igeolab.functionals import ExponentSpec
 from igeolab.rearrange import rearrangement
+from igeolab.report import ParameterError
 
 
 def write_config(tmp_path, body):
@@ -895,11 +899,11 @@ RULES = {
         "f_list", GRINBERG, {"densities": '["loud3", "loud3"]', "k": "2"},
         "densities"),
     "sharpness-sigma-overflow": (
-        lambda r: verify.gaussian_sharpness_experiment(2000, 1, 2.0, 8, r),
+        lambda r: sharpness.gaussian_sharpness_experiment(2000, 1, 2.0, 8, r),
         "n", SHARPNESS, {"n": "2000", "s": "2.0"}, "n"),
     # sigma^2 = (2 pi)^-500 underflows to 0, whose log the exact form reads
     "sharpness-sigma-underflow": (
-        lambda r: verify.gaussian_sharpness_experiment(500, 1, 2.0, 8, r),
+        lambda r: sharpness.gaussian_sharpness_experiment(500, 1, 2.0, 8, r),
         "n", SHARPNESS, {"n": "500", "s": "2.0"}, "n"),
     "schneider-unbounded": (
         lambda r: verify.check_schneider_functional(GAUSS, 1, 8, r),
@@ -930,13 +934,13 @@ RULES = {
         "adversarial", MARGINAL, {"adversarial": "[[1.0], [1.0]]"},
         "adversarial"),
     "sharpness-one-subspace": (
-        lambda r: verify.gaussian_sharpness_experiment(3, 1, 1.5, 1, r),
+        lambda r: sharpness.gaussian_sharpness_experiment(3, 1, 1.5, 1, r),
         "n_subspaces", SHARPNESS, {"n_subspaces": "1"}, "n_subspaces"),
     "sharpness-s-above-sigma-inverse": (
-        lambda r: verify.gaussian_sharpness_experiment(3, 1, 16.0, 8, r),
+        lambda r: sharpness.gaussian_sharpness_experiment(3, 1, 16.0, 8, r),
         "s", SHARPNESS, {"s": "16.0"}, "s"),
     "sharpness-k-at-n": (
-        lambda r: verify.gaussian_sharpness_experiment(3, 3, 1.5, 8, r),
+        lambda r: sharpness.gaussian_sharpness_experiment(3, 3, 1.5, 8, r),
         "k", SHARPNESS, {"k": "3"}, "k"),
     "perturbation-line-for-planes": (
         lambda r: verify.perturbation_experiment(
@@ -1030,3 +1034,49 @@ def test_shipped_suites_load(relpath):
         star = rearrangement(f)
         assert star.mass == pytest.approx(f.mass, rel=1e-12)
         assert star.sup == pytest.approx(f.sup, rel=1e-12)
+
+
+def fresh_interpreter(script, *args):
+    """What script prints as JSON, run by a fresh interpreter on this
+    checkout's package: the test session has imported every module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(config.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return json.loads(out.stdout)
+
+
+DENSITY_STACK = ["igeolab.densities", "igeolab.functionals",
+                 "igeolab.grassmann", "igeolab.rearrange", "igeolab.verify"]
+
+
+@pytest.mark.parametrize("relpath,loads_stack", [
+    ("configs/sharpness.ini", False), ("configs/paper-core.ini", True)])
+def test_a_config_loads_only_the_modules_it_names(relpath, loads_stack):
+    # the sharpness suite needs no density model: its checks' module, and
+    # geometry and report, but none of the density stack; paper-core has
+    # no sharpness check and needs the whole stack
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "import igeolab\n"
+        "from igeolab.config import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "print(json.dumps(sorted(sys.modules)))\n", str(ROOT / relpath))
+    assert {name in loaded for name in DENSITY_STACK} == {loads_stack}
+    assert ("igeolab.sharpness" in loaded) is not loads_stack
+
+
+def test_package_names_load_on_first_use():
+    # import igeolab compiles no submodule; every public name resolves and
+    # is listed by dir()
+    state = fresh_interpreter(
+        "import json, sys\n"
+        "import igeolab\n"
+        "before = sorted(m for m in sys.modules if m.startswith('igeolab.'))\n"
+        "resolved = all(getattr(igeolab, n) is not None"
+        " for n in igeolab.__all__)\n"
+        "listed = set(igeolab.__all__) <= set(dir(igeolab))\n"
+        "print(json.dumps([before, resolved, listed]))\n")
+    assert state == [[], True, True]

@@ -17,13 +17,14 @@ from scipy import stats
 
 from igeolab import densities
 from igeolab.densities import (DensityModel, EllipsoidIndicator,
-                               GaussianDensity, ParameterError, ProductDensity,
+                               GaussianDensity, ProductDensity,
                                PushforwardDensity, RadialGridDensity, Step1D,
                                TruncatedGaussian, _uniform_ball, affine_image,
                                section_stats)
 from igeolab.geometry import _row_norms, unit_ball_volume
 from igeolab.grassmann import haar_bases
 from igeolab.rearrange import rearrangement
+from igeolab.report import ParameterError
 
 
 def line(*direction):

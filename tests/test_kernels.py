@@ -3,7 +3,7 @@
 densities._bin_count stands in for np.searchsorted into a few bin edges,
 densities._choose_bins for Generator.choice with probabilities, and
 geometry._row_norms for np.linalg.norm along the last axis.  The point
-kernels that work in blocks of densities.ROW_BLOCK rows (simplex powers,
+kernels that work in blocks of geometry.ROW_BLOCK rows (simplex powers,
 unit vectors and ball points, product evaluation, Monte Carlo section
 windows) stand in for their whole-array forms, which are kept here as
 references, and their traced peaks are bounded.  Each must give the
@@ -18,11 +18,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from igeolab.densities import ROW_BLOCK, ProductDensity, RadialGridDensity, \
-    Step1D, _bin_count, _choose_bins, _directions, _per_row, \
-    _step_quantiles, _step_values, _uniform_ball, affine_image, section_stats
+from igeolab.densities import ProductDensity, RadialGridDensity, Step1D, \
+    _bin_count, _choose_bins, _directions, _per_row, _step_quantiles, \
+    _step_values, _uniform_ball, affine_image, section_stats
 from igeolab.functionals import _simplex_powers, powz, simplex_moment
-from igeolab.geometry import SV_RELATIVE_CUTOFF, _row_norms, \
+from igeolab.geometry import ROW_BLOCK, SV_RELATIVE_CUTOFF, _row_norms, \
     _tuple_volumes, unit_ball_volume
 from igeolab.grassmann import haar_bases
 from igeolab.rearrange import rearrangement
@@ -470,6 +470,21 @@ def test_mc_window_blocks_bound_the_traced_peak(rng):
     peak = traced_peak(lambda: section_stats(
         f, bases, np.zeros((2000, 3)), ("mc", 64), rng))
     assert peak < 2 * 2000 * 64 * 8 + (2 << 20)
+
+
+def test_step_values_blocks_match_and_bound_the_traced_peak(rng):
+    # a step factor read on 200,000 points: the same values as one
+    # whole-array lookup, and beyond the (m,) values only a block of bin
+    # counts, widened to intp inside take, is live
+    f = Step1D.uniform(-1.0, 1.0, [2.2, 0.3, 1.0, 0.3, 2.2])
+    for m in BLOCK_COUNTS:
+        x = rng.uniform(-1.5, 1.5, m)
+        assert _same_bits(_step_values(f.edges, f.heights, x),
+                          _searchsorted_lookup(f.edges, f.heights, x)), m
+    m = 200_000
+    x = rng.uniform(-1.5, 1.5, (m, 1))
+    peak = traced_peak(lambda: f.eval_many(x))
+    assert peak < m * 8 + (1 << 19)
 
 
 def test_simplex_moment_blocks_bound_the_traced_peak():

@@ -17,25 +17,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from igeolab import geometry, grassmann, runner, verify
+from igeolab import geometry, grassmann, runner, sharpness, verify
 from igeolab.config import CHECKS, ConfigError, load_config, report_name
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ParameterError, ProductDensity,
-                               PushforwardDensity, RadialGridDensity, Step1D,
-                               TruncatedGaussian, affine_image)
+                               ProductDensity, PushforwardDensity,
+                               RadialGridDensity, Step1D, TruncatedGaussian,
+                               affine_image)
 from igeolab.functionals import ExponentSpec
 from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import haar_bases
-from igeolab.report import FAIL, INCONCLUSIVE, PASS, Estimate
+from igeolab.report import FAIL, INCONCLUSIVE, PASS, Estimate, \
+    ParameterError
 from igeolab.rng import substream
 from igeolab.runner import run_suite
+from igeolab.sharpness import gaussian_sharpness_experiment
 from igeolab.verify import (check_affine_invariance, check_bp_flat,
                             check_bp_subspace, check_grinberg_functional,
                             check_linear_invariance,
                             check_rearrangement_monotonicity,
                             check_schneider_functional,
-                            gaussian_sharpness_experiment,
                             marginal_bound_experiment, perturbation_experiment)
 
 INF = math.inf
@@ -326,7 +327,7 @@ check = "CHECK"
 densities = ["ball3", "ball3"]
 spec_p = [1.0, 1.0]
 k = 2
-map = [[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1.0]]
+map = [[1eEXP, 0.0, 0.0], [0.0, 1e-EXP, 0.0], [0.0, 0.0, 1.0]]
 """
 
 
@@ -338,14 +339,22 @@ map = [[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1.0]]
                           "n_flats = 200\n")],
     ids=["linear_invariance", "linear_invariance_mc", "affine_invariance"])
 def test_overflowing_map_is_a_config_error_on_map(tmp_path, check, extra):
-    # the stand-in image's shape matrix overflows; affine_image forms it
-    # without a warning and the rules name the map, not the image's shape
+    # at 1e200 the stand-in image's shape matrix overflows; affine_image
+    # forms it without a warning and the rules name the map, not the
+    # image's shape.  At 1e100 the image is finite, but its sections'
+    # determinants overflow (the check once warned and failed a true
+    # invariance): the map's condition number, 1e200, is refused
     path = tmp_path / "suite.ini"
-    path.write_text(OVERFLOWING_MAP.replace("CHECK", check) + extra)
-    with pytest.raises(ConfigError) as err:
-        load_config(str(path))
-    assert (err.value.section, err.value.field) == ("check far map", "map")
-    assert "EllipsoidIndicator" in err.value.message
+    for exponent, why in (("200", "float range"),
+                          ("100", "condition number is 1e+200")):
+        path.write_text(OVERFLOWING_MAP.replace("CHECK", check).replace(
+            "EXP", exponent) + extra)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert (err.value.section, err.value.field) == ("check far map",
+                                                        "map")
+        assert "EllipsoidIndicator" in err.value.message
+        assert why in err.value.message
 
 
 def counting_affine_image(monkeypatch):
@@ -670,8 +679,8 @@ def test_quantiles_match_numpy_bit_for_bit():
 def sampler_share(n, k, s, m, rng):
     """Share of m sharpness draws that hit, through the sampler the Monte
     Carlo route uses, in its blocks."""
-    hits = verify._blocked(m, verify.ROW_BLOCK, functools.partial(
-        verify._sharpness_hits, n, k, s, rng))
+    hits = sharpness._blocked(m, sharpness.ROW_BLOCK, functools.partial(
+        sharpness._sharpness_hits, n, k, s, rng))
     return float(np.mean(hits))
 
 
@@ -724,7 +733,7 @@ def test_sharpness_draw_needs_no_orthonormal_basis(monkeypatch):
 
     monkeypatch.setattr(grassmann, "haar_bases", orthonormalize)
     monkeypatch.setattr(grassmann, "_orthonormalize", orthonormalize)
-    assert verify._sharpness_hits(4, 2, 1.5, np.random.default_rng(5),
+    assert sharpness._sharpness_hits(4, 2, 1.5, np.random.default_rng(5),
                                   4000).any()
     rep = gaussian_sharpness_experiment(6, 3, 1.0, 4000,
                                         np.random.default_rng(5))
@@ -739,7 +748,7 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
     ref = {method: gaussian_sharpness_experiment(*args,
                                                  np.random.default_rng(5))
            for method, args in rows.items()}
-    monkeypatch.setattr(verify, "ROW_BLOCK", 7)
+    monkeypatch.setattr(sharpness, "ROW_BLOCK", 7)
     for method, args in rows.items():
         small = gaussian_sharpness_experiment(*args, np.random.default_rng(5))
         assert ref[method].rhs.method == method
@@ -749,7 +758,7 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
 
 
 def test_sharpness_hit_blocks_bound_the_traced_peak():
-    # a (4, 2) row cross-checks DRAW_BLOCK subspaces, but only ROW_BLOCK of
+    # a (4, 2) row cross-checks CROSS_CHECK subspaces, but only ROW_BLOCK of
     # them, and their Gram products, are live at once
     tracemalloc.start()
     try:
@@ -785,7 +794,8 @@ def test_sharpness_two_plane_measure_matches_mc(n, k, s, rng):
     assert abs(d["sampled_z"]) <= 4.0
     assert d["sampled_z"] == pytest.approx(
         (d["sampled_measure"] - rep.rhs.value)
-        / math.sqrt(rep.rhs.value * (1 - rep.rhs.value) / verify.DRAW_BLOCK))
+        / math.sqrt(rep.rhs.value * (1 - rep.rhs.value)
+                    / sharpness.CROSS_CHECK))
     assert_matches_sampler(rep.rhs.value, n, k, s, rng)
 
 
@@ -819,7 +829,7 @@ def test_sharpness_det_test_matches_slogdet_draw_for_draw(n, k, s):
     # of the same Gaussian draw; the second s of each pair sits just below
     # the empty bound (2 pi)^((n-k)/(2k)), where hits are rare
     m = 50_000
-    seen = verify._sharpness_hits(n, k, s, np.random.default_rng(11), m)
+    seen = sharpness._sharpness_hits(n, k, s, np.random.default_rng(11), m)
     g = np.random.default_rng(11).standard_normal((m, n, k))
     diag = np.array([(2 * math.pi) ** (-n / k)] * k + [1.0] * (n - k))
     gram_d = np.einsum("sji,j,sjl->sil", g, diag, g)
@@ -890,7 +900,7 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
         drawn.append(size)
         return np.ones(size, dtype=bool)
 
-    monkeypatch.setattr(verify, "_sharpness_hits", every_hit)
+    monkeypatch.setattr(sharpness, "_sharpness_hits", every_hit)
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = load_config(str(root / relpath), output_override=str(tmp_path))
     assert run_suite(cfg, echo=lambda line: None) == 2
@@ -903,10 +913,10 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
     assert [float(row["rhs"]) for row in rows] == exact
     assert all(row["rhs_stderr"] == "0.0" for row in rows)
     budget = cfg.checks[0].kwargs["n_subspaces"]
-    cross_check = min(budget, verify.DRAW_BLOCK)
+    cross_check = min(budget, sharpness.CROSS_CHECK)
     assert sum(drawn) == 5 * cross_check
-    assert max(drawn) <= verify.ROW_BLOCK
-    assert len(drawn) == 5 * -(-cross_check // verify.ROW_BLOCK)
+    assert max(drawn) <= sharpness.ROW_BLOCK
+    assert len(drawn) == 5 * -(-cross_check // sharpness.ROW_BLOCK)
 
 
 def test_sharpness_validation(rng):
