@@ -6,7 +6,10 @@ random-simplex functionals, and a battery of inequality and identity
 checks with explicit Monte Carlo error control.
 
 Every public name, and every submodule, is imported the first time it is
-read (PEP 562), so `import igeolab` compiles none of them.
+read (PEP 562), so `import igeolab` compiles none of them.  Reading any
+layer of the density stack (densities, functionals, grassmann, rearrange,
+verify) loads the whole stack, as one unit, the way `import igeolab`
+loaded it before.
 """
 
 __version__ = "0.1.0"
@@ -37,13 +40,18 @@ _SOURCES = {
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}
-_SUBMODULES = {*_SOURCES, "cli", "rng"}
+_SUBMODULES = {*_SOURCES, "rng"}
+# verify imports every other layer of the density stack
+_DENSITY_STACK = ("densities", "functionals", "grassmann", "rearrange",
+                  "verify")
 
 # the public names, not the submodules
 __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
+    if name in _DENSITY_STACK:
+        _importlib.import_module(f"{__name__}.verify")
     if name in _SUBMODULES:
         return _importlib.import_module(f"{__name__}.{name}")
     if name in _MODULE_OF:

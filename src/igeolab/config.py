@@ -12,7 +12,7 @@ family's constructor; config keeps two rules of its own: amplitudes are
 positive and the mass is positive and finite.  A check map is parsed once,
 by load_config, into the keyword arguments of its check function
 (CheckJob.kwargs) and handed to the check's rules function, both in the
-module CHECKS names for it (verify.py, or sharpness.py).  A ParameterError
+module that defines the check (verify.py, or sharpness.py).  A ParameterError
 from either is a ConfigError on the field the parameter came from.
 Running a check only calls it.  Nothing here draws: a named map or a
 'random' shift stays a name, and the invariance check draws it from its
@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import _MODULE_OF
 from .report import ParameterError
 
 if TYPE_CHECKING:
@@ -230,8 +231,8 @@ def build_density(spec: dict) -> DensityModel:
 
 # ---------------------------------------------------------------------------
 # Check schema.  Each check is declared once: its fields in parse order, each
-# read in its JSON shape, its module, the function there that receives them
-# as keyword arguments, and the rules function there that load_config calls
+# read in its JSON shape, the check function that receives them as keyword
+# arguments, and the rules function beside it that load_config calls
 # on them.  load_config keeps the keywords on its CheckJob; run only calls.
 # ---------------------------------------------------------------------------
 
@@ -259,25 +260,26 @@ class _Field:
 
 
 class _Check:
-    """One check: doc line, module, check function name, fields, rules
-    function name.
+    """One check: doc line, check function name, fields, rules function
+    name.
 
-    The module is imported the first time a map is parsed or run.  Both
+    The module defining the check function, which the package's public
+    names record, is imported the first time a map is parsed or run.  Both
     functions are looked up by name at each call, and `run` is a plain
     attribute holding one bound method, so a profiler can wrap either and
     put back the very same object.
     """
 
-    def __init__(self, doc, module, target, fields, rules):
+    def __init__(self, doc, target, fields, rules):
         self.doc = doc
-        self.module = module
         self.target = target
         self.fields = fields
         self.rules_name = rules
         self.run = self._run
 
     def _function(self, name):
-        module = importlib.import_module(f"{__package__}.{self.module}")
+        module = importlib.import_module(
+            f"{__package__}.{_MODULE_OF[self.target]}")
         return getattr(module, name)
 
     @property
@@ -428,26 +430,26 @@ _EQUALITY = _Field(_flag, default=False)
 CHECKS: dict[str, _Check] = {
     "bp_subspace": _Check(
         "simplex-moment decomposition over linear sections",
-        "verify", "check_bp_subspace",
+        "check_bp_subspace",
         {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
          "n_direct": _int(), "n_subspaces": _int(), "inner": _int(256)},
         "_bp_subspace_rules"),
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
-        "verify", "check_bp_flat",
+        "check_bp_flat",
         {"density": _DENSITY, "k": _int(), "p": _real(0.0), "R": _real(),
          "n_direct": _int(0), "n_flats": _int(), "inner": _int(256)},
         "_bp_flat_rules"),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
-        "verify", "check_linear_invariance",
+        "check_linear_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _int(),
          "method": _METHOD},
         "_linear_invariance_rules"),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
-        "verify", "check_affine_invariance",
+        "check_affine_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
          "shift": _Field(_named(1), default="random"),
@@ -455,39 +457,39 @@ CHECKS: dict[str, _Check] = {
         "_affine_invariance_rules"),
     "rearrangement_chain": _Check(
         "simplex functional vs rearranged and ball inputs",
-        "verify", "check_rearrangement_monotonicity",
+        "check_rearrangement_monotonicity",
         {"densities": _DENSITIES, "p": _real(),
          "case": _Field(lambda raw, v: raw, default="cone"),
          "n_samples": _int()},
         "_rearrangement_rules"),
     "grinberg_functional": _Check(
         "L1/sup section-norm average inequality",
-        "verify", "check_grinberg_functional",
+        "check_grinberg_functional",
         {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
          "n_subspaces": _int(), "method": _METHOD,
          "expect_equality": _EQUALITY},
         "_grinberg_rules"),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of the support radius",
-        "verify", "check_schneider_functional",
+        "check_schneider_functional",
         {"density": _DENSITY, "k": _int(), "n_flats": _int(),
          "method": _METHOD, "expect_equality": _EQUALITY},
         "_schneider_rules"),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",
-        "verify", "marginal_bound_experiment",
+        "marginal_bound_experiment",
         {"density": _DENSITY, "k": _int(), "s": _real(), "t": _real(),
          "n_subspaces": _int(), "n_x": _int(),
          "adversarial": _Field(_subspace, default=None)},
         "_marginal_bound_rules"),
     "gaussian_sharpness": _Check(
         "skewed-Gaussian sharpness of the marginal sup bound",
-        "sharpness", "gaussian_sharpness_experiment",
+        "gaussian_sharpness_experiment",
         {"n": _int(), "k": _int(), "s": _real(), "n_subspaces": _int()},
         "_sharpness_rules"),
     "perturbation": _Check(
         "nearby subspace with near-optimal small-ball mass",
-        "verify", "perturbation_experiment",
+        "perturbation_experiment",
         {"density": _DENSITY, "k": _int(),
          "subspace": _Field(_subspace, arg="E"), "eta": _real(),
          "eps_grid": _Field(_numbers), "n_samples": _int(),

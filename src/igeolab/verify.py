@@ -51,8 +51,12 @@ CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # Largest condition number of an invariance check's map, eps^(-1/2): the
 # image's quadratic forms are conditioned up to its square, and past 1/eps
-# a determinant of their sections cancels to rounding or overflows.
+# a determinant of their sections cancels to rounding or overflows.  The
+# cap guards against that alone: a map far below it can still make the rule
+# route misjudge its own error and FAIL a true invariance.
 MAP_CONDITION_CAP = np.finfo(float).eps ** -0.5
+# size range of the off-diagonal entries of a drawn 'shear'
+SHEAR_ENTRIES = (0.5, 1.5)
 # bp_* section points per blocked draw (several draws a block, so their
 # results depend on it: see report._blocked)
 DRAW_BLOCK = 1 << 16
@@ -162,18 +166,15 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
     "exact" or ("mc", N) with an integer N >= 2.  Monte Carlo ones sample a
     window about a bounded support; exact ones need a closed form for every
     density and its image under g = (map, shift), if any.  Either way the
-    map must not overflow the image, nor its condition number pass
-    MAP_CONDITION_CAP."""
+    map must not overflow the image, nor can its condition number pass
+    MAP_CONDITION_CAP (see _map_condition)."""
     mc = isinstance(method, tuple) and len(method) == 2 \
         and method[0] == "mc" and isinstance(method[1], (int, np.integer)) \
         and method[1] >= 2
     _need(mc or method == "exact", "method", 'must be "exact" or ("mc", N) '
           f"with an integer N >= 2, got {method!r}")
     hint = '; use method ["mc", N]' if param == "method" else ""
-    cond = 1.0
-    if g is not None:
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(_stand_in(g, f_list[0].n)[0])
+    cond = 1.0 if g is None else _map_condition(g[0], f_list[0].n)
     for f in f_list:
         try:
             image = f if g is None else affine_image(f, _stand_in(g, f.n))
@@ -182,7 +183,8 @@ def _readable(f_list, dim: int, param: str, method="exact", g=None):
                                  f"past the float range: {exc}") from None
         _need(cond <= MAP_CONDITION_CAP, "g", "puts the sections of the image "
               f"of {type(f).__name__} past the float precision: its "
-              f"condition number is {cond:.3g}, above {MAP_CONDITION_CAP:.3g}")
+              f"condition number can reach {cond:.3g}, above "
+              f"{MAP_CONDITION_CAP:.3g}")
         if method != "exact":
             _need(np.isfinite(f.support_radius), "method",
                   "Monte Carlo section stats need bounded supports")
@@ -410,10 +412,29 @@ def _drawn_map(g, n: int, rng: np.random.Generator):
         a = np.eye(n)
         iu = np.triu_indices(n, k=1)
         m = len(iu[0])
-        a[iu] = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], m)
+        a[iu] = rng.uniform(*SHEAR_ENTRIES, size=m) \
+            * rng.choice([-1.0, 1.0], m)
     if isinstance(shift, str):
         shift = 0.5 * rng.normal(size=n)
     return np.asarray(a, dtype=float), shift
+
+
+def _map_condition(a, n: int) -> float:
+    """Condition number of the map a, or the largest of any map that
+    _drawn_map draws for its name: 1 for 'rotation'.  A 'shear' T is unit
+    upper triangular with entries at most c = SHEAR_ENTRIES[1] in size.
+    With U strictly upper triangular and every entry c, |T| <= I + U and,
+    through T's comparison matrix, |T^-1| <= (I - U)^-1 entrywise (Higham,
+    Accuracy and Stability, Thm 8.12), so cond(T) <= |I + U|_F
+    |(I - U)^-1|_F, which passes MAP_CONDITION_CAP from n = 18."""
+    if isinstance(a, str) and a == "rotation":
+        return 1.0
+    with np.errstate(all="ignore"):
+        if isinstance(a, str):
+            u = np.triu(np.full((n, n), SHEAR_ENTRIES[1]), 1)
+            return float(np.linalg.norm(np.eye(n) + u)
+                         * np.linalg.norm(np.linalg.inv(np.eye(n) - u)))
+        return np.linalg.cond(a)
 
 
 def _stand_in(g, n: int):

@@ -1068,6 +1068,20 @@ def test_a_config_loads_only_the_modules_it_names(relpath, loads_stack):
     assert ("igeolab.sharpness" in loaded) is not loads_stack
 
 
+@pytest.mark.parametrize("layer", [m.split(".")[1] for m in DENSITY_STACK]
+                         + ["haar_bases"])
+def test_reading_one_layer_loads_the_density_stack(layer):
+    # a caller that reads one layer (or a name it defines) from the package
+    # finds every other layer loaded too, as after the eager import
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "import igeolab\n"
+        "getattr(igeolab, sys.argv[1])\n"
+        "print(json.dumps(sorted(sys.modules)))\n", layer)
+    assert set(DENSITY_STACK) <= set(loaded)
+    assert "igeolab.sharpness" not in loaded
+
+
 def test_package_names_load_on_first_use():
     # import igeolab compiles no submodule; every public name resolves and
     # is listed by dir()

@@ -13,6 +13,7 @@ import math
 import pathlib
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ def test_overflowing_map_is_a_config_error_on_map(tmp_path, check, extra):
     # invariance): the map's condition number, 1e200, is refused
     path = tmp_path / "suite.ini"
     for exponent, why in (("200", "float range"),
-                          ("100", "condition number is 1e+200")):
+                          ("100", "condition number can reach 1e+200")):
         path.write_text(OVERFLOWING_MAP.replace("CHECK", check).replace(
             "EXP", exponent) + extra)
         with pytest.raises(ConfigError) as err:
@@ -355,6 +356,63 @@ def test_overflowing_map_is_a_config_error_on_map(tmp_path, check, extra):
                                                         "map")
         assert "EllipsoidIndicator" in err.value.message
         assert why in err.value.message
+
+
+@pytest.mark.parametrize("check", ["linear", "affine"])
+def test_map_condition_cap_is_the_boundary(rng, check):
+    # a diagonal map just under MAP_CONDITION_CAP loads and runs to a
+    # verdict with no RuntimeWarning; just over it, it is refused.  The
+    # verdict is not pinned: the cap guards against overflow and
+    # cancellation, not against the rule route misjudging its own error
+    ball = EllipsoidIndicator(np.eye(3))
+    run = {"linear": lambda g: check_linear_invariance(
+               [ball, ball], ExponentSpec((1.0, 1.0), (1.5, 1.5)), 2, g, 200,
+               rng),
+           "affine": lambda g: check_affine_invariance(
+               [ball, ball], ExponentSpec((1.0, 1.0), (2.0, 2.0)), 2, g,
+               "random", 1.0, 200, rng)}[check]
+    for scale, refused in ((1 - 1e-9, False), (1 + 1e-9, True)):
+        s = math.sqrt(verify.MAP_CONDITION_CAP * scale)
+        g = np.diag([s, 1 / s, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(ParameterError) as err:
+                    run(g)
+                assert err.value.param == "g"
+            else:
+                assert run(g).verdict in (PASS, FAIL, INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_shear_condition_bounds_every_drawn_shear(n):
+    # the rules' bound on 'shear' is above the condition number of the
+    # family's worst member (every entry above the diagonal at -1.5) and of
+    # every shear drawn
+    bound = verify._map_condition("shear", n)
+    worst = np.eye(n) - np.triu(np.full((n, n), verify.SHEAR_ENTRIES[1]), 1)
+    assert np.linalg.cond(worst) <= bound
+    rng = np.random.default_rng(n)
+    drawn = [verify._drawn_map(("shear", None), n, rng)[0]
+             for _ in range(200)]
+    assert max(np.linalg.cond(a) for a in drawn) <= bound
+    assert verify._map_condition("rotation", n) == 1.0
+
+
+@pytest.mark.parametrize("n,refused", [(17, False), (18, True)])
+def test_shear_is_refused_where_its_bound_passes_the_cap(n, refused):
+    # from n = 18 some drawn shear could pass the cap, so 'shear' is refused
+    # before anything is drawn
+    ball = EllipsoidIndicator(np.eye(n))
+    rules = functools.partial(verify._linear_invariance_rules, [ball],
+                              ExponentSpec((1.0,), (float(n - 1),)), 1,
+                              "shear", 16, "exact")
+    if refused:
+        with pytest.raises(ParameterError, match="condition number") as err:
+            rules()
+        assert err.value.param == "g"
+    else:
+        rules()
 
 
 def counting_affine_image(monkeypatch):
