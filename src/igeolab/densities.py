@@ -22,9 +22,11 @@ else in the package is built from them:
 * ``power(p)``: the pointwise power f^p as a model, so that the Lp norms
   of a stack of sections are ``section_stats(f.power(p), bases,
   offsets)[0] ** (1/p)``.
-* ``rearrangement()`` (f*, ValueError where a family has none) and
-  ``radial_moment(p)`` (E|X|^p, None unless rotation invariant about 0):
-  each family answers its own closed forms.  Outside this module only
+* ``rearrangement()`` (f*, ValueError where a family has none),
+  ``radial_moment(p)`` (E|X|^p, None unless rotation invariant about 0)
+  and ``section_form(hyperplanes)`` (the quadratic form that a rule's
+  directions match, None where a family has none): each family answers
+  its own closed forms.  Outside this module only
   functionals._rule_covers asks a density's family, for a rule's reach.
 
 Monte Carlo section stats are a method of ``section_stats``, not a
@@ -111,6 +113,15 @@ class DensityModel:
     def radial_moment(self, p: float):
         """E|X|^p for X ~ f / mass in closed form, where f is rotation
         invariant about 0; None otherwise.  Needs n + p > 0."""
+        return None
+
+    def section_form(self, hyperplanes: bool):
+        """The SPD (n, n) form C of f's sections, or None where a family
+        has none: centred at the origin, f's section along the line with
+        direction theta, or with hyperplanes set across the hyperplane
+        with normal theta, has mass a multiple of (theta^T C theta)^(-1/2),
+        and so does every power of f.  grassmann.rule_frames matches its
+        directions to it."""
         return None
 
 
@@ -283,6 +294,12 @@ class EllipsoidIndicator(_Sectioned):
             return None
         return n * s ** (-0.5 * p) / (n + p)
 
+    def section_form(self, hyperplanes):
+        # a chord 2 (theta^T M theta)^(-1/2); a central hyperplane section
+        # det(M)^(-1/2) (theta^T M^-1 theta)^(-1/2) times a constant
+        return np.linalg.inv(self.shape_matrix) if hyperplanes \
+            else self.shape_matrix
+
     def _sections(self, bases, offsets):
         """Each section is {u : (u - u0)^T g (u - u0) <= rho}, empty unless
         rho > 0; params (g, u0, rho)."""
@@ -361,6 +378,11 @@ class GaussianDensity(_Sectioned):
         if self.mean.any() or not np.array_equal(self.cov, c * np.eye(n)):
             return None
         return c ** (0.5 * p) * _chi_moment(n, p)
+
+    def section_form(self, hyperplanes):
+        # a line's mass ~ (theta^T cov^-1 theta)^(-1/2), a hyperplane's
+        # the marginal density of theta . X at 0, (theta^T cov theta)^(-1/2)
+        return self.cov if hyperplanes else self._prec
 
     def _sections(self, bases, offsets):
         """Each section is a Gaussian kernel with mean u_star and precision

@@ -248,16 +248,19 @@ def _average(f_list, spec: ExponentSpec, method, frames, count: int, rng,
              rule) -> Estimate:
     """The section-norm average of f_list: the frame mean of count frames,
     or with rule = (n, k, ellipsoid, exponent) rule_average, drawing
-    nothing."""
+    nothing, its directions matched to the first slot's section_form: a
+    rule's direction is a line's at k = 1 without ellipsoid, else a
+    hyperplane's normal."""
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
     integrand = functools.partial(_norm_products, f_list, spec, method)
     if rule is None:
         return _frame_mean(frames, integrand, count, rng, count)
     n, k, ellipsoid, exponent = rule
+    form = f_list[0].section_form(ellipsoid is not None or k > 1)
     value, error, nodes = rule_average(
         n, k, lambda bases, offsets: integrand(bases, offsets, None),
-        ellipsoid, exponent)
+        ellipsoid, exponent, form)
     return Estimate(value, error, nodes, "rule")
 
 

@@ -26,12 +26,20 @@ radius R U^(1/(n-k)) makes the offset uniform in the complement's R-ball.
 
 Lines and hyperplanes of R^2 and R^3 also have deterministic rules:
 G(n, 1) and G(n, n-1) are both the sphere S^(n-1) with antipodes
-identified, on which rule_frames builds a product rule (the trapezoid rule
-in the angle at n = 2; Gauss-Legendre in cos(theta) times the trapezoid
-rule in phi at n = 3), and for the hyperplanes meeting an ellipsoid a
-Gauss-Legendre rule in the offset along each normal, over the support
-interval.  rule_average doubles a rule until it agrees with itself at half
-the nodes to RULE_RTOL, relative.
+identified, a line by its direction and a hyperplane by its normal.
+_sphere_rule is a product rule for its uniform law (the trapezoid rule in
+the angle at n = 2; Gauss-Legendre in cos(theta) times the trapezoid rule
+in phi at n = 3).  rule_frames matches it to an SPD form C: section norms
+of a centred ellipsoid or Gaussian on the line or hyperplane of
+direction or normal theta are multiples of (theta^T C theta)^(-1/2)
+(densities' section_form), so at the exponent sum of Grinberg's
+invariance their product is a constant times the angular central Gaussian
+density of C, and _matched_rule carries the nodes to that law, which
+leaves the rule a constant to integrate.  A multiple of the identity
+leaves the product rule as it is.  For the hyperplanes meeting an
+ellipsoid a Gauss-Legendre rule in the offset along each normal covers the
+support interval.  rule_average doubles a rule until it agrees with
+itself at half the nodes to RULE_RTOL, relative.
 """
 
 from __future__ import annotations
@@ -55,9 +63,11 @@ RULE_RTOL = 1e-12
 # Direction nodes of a rule's first level: angles at n = 2, Gauss-Legendre
 # nodes in cos(theta) at n = 3; each further level doubles them.  A rule
 # average takes no level of more than RULE_MAX_FRAMES frames past its
-# second, and stops there converged or not: a sheared Gaussian's lines
-# would need 32,768 directions to meet RULE_RTOL, more than the Monte Carlo
-# draws they replace.
+# second, and stops there converged or not.  Matched to its densities'
+# form, every shipped invariance and equality average converges at its
+# second level, 512 directions at n = 3; off the invariant exponent sum,
+# as in the wrong-sum controls, an integrand the form does not match
+# takes more levels.
 RULE_START = {2: 16, 3: 8}
 RULE_MAX_FRAMES = 1 << 14
 # Offset nodes per hyperplane normal of a flat rule's first level, and the
@@ -208,8 +218,8 @@ def _sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """A product rule for the uniform law on S^(n-1) with antipodes
     identified, n in {2, 3}: (frames, weights), frames (N, n, n) rotations
     whose first column is a node theta and whose other columns span its
-    orthogonal complement, and weights (N,) summing to 1.  Each level
-    doubles the nodes along every axis of the one before.
+    orthogonal complement (_rotations), and weights (N,) summing to 1.
+    Each level doubles the nodes along every axis of the one before.
 
     n = 2: m = 16 * 2^level angles phi = pi j / m in [0, pi), weight 1/m,
     exact for trigonometric polynomials in phi of degree below 2m.
@@ -219,36 +229,76 @@ def _sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     weight, so on even integrands it is this one, exact for spherical
     polynomials of degree below 2m.  The angles are doubled because on the
     shipped ellipsoids the error of m by m nodes is the angle rule's
-    (1.2e-12 at m = 16, against 1e-15 with 2m angles).  The complement is
-    spanned by d theta / d phi and d theta / d theta, normalized.
+    (1.2e-12 at m = 16, against 1e-15 with 2m angles).
     """
     m = RULE_START[n] << level
     angles = m if n == 2 else 2 * m
     phi = np.pi * np.arange(angles) / angles
     c, s = np.cos(phi), np.sin(phi)
     if n == 2:
-        frames = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-        return frames, np.full(m, 1.0 / m)
+        return _rotations(c, s), np.full(m, 1.0 / m)
     z, wz = _gauss_legendre(m)
-    r = np.sqrt(1.0 - z * z)[:, None]
-    z = z[:, None]
-    frames = np.empty((m, angles, 3, 3))
+    frames = _rotations(c, s, z[:, None], np.sqrt(1.0 - z * z)[:, None])
+    return frames.reshape(-1, 3, 3), np.repeat(wz / (2.0 * angles), angles)
+
+
+def _rotations(c, s, z=None, r=None) -> np.ndarray:
+    """Rotations (..., n, n) whose first column is the unit vector theta
+    at azimuth phi, c = cos(phi) and s = sin(phi), and at n = 3 at height
+    z = cos(theta), r = sin(theta) >= 0; the other columns span its
+    orthogonal complement: d theta / d phi and d theta / d theta,
+    normalized."""
+    if z is None:
+        return np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
+    frames = np.empty(np.broadcast_shapes(c.shape, z.shape) + (3, 3))
     for i, column in enumerate(((r * c, r * s, z), (-s, c, 0.0),
                                 (z * c, z * s, -r))):
         for j, entry in enumerate(column):
             frames[..., j, i] = entry
-    return frames.reshape(-1, 3, 3), np.repeat(wz / (2.0 * angles), angles)
+    return frames
+
+
+def _matched_rule(frames, weights, form):
+    """The rule of frames and weights, a rule for the uniform law on the
+    sphere, carried to the angular central Gaussian law of the SPD form C
+    (Tyler, Biometrika 74, 1987), whose density against the uniform law is
+    det(C)^(1/2) (theta^T C theta)^(-n/2).  Each node phi maps to
+    theta = L phi / |L phi|, L L^T = C^-1, which carries the uniform law to
+    that one, and its weight is divided by the density at theta,
+    det(C)^(1/2) |L phi|^n.  So an integrand that is a multiple of
+    (theta^T C theta)^(-n/2) has a constant ratio to the density, which
+    every level integrates to rounding.  C is scaled to determinant 1 on
+    its eigenvalues first, which moves neither theta nor the ratio, so a
+    form conditioned near the float range stays finite."""
+    n = frames.shape[-1]
+    eigvals, eigvecs = np.linalg.eigh(form)
+    eigvals = eigvals / math.exp(np.log(eigvals).mean())
+    x = frames[..., 0] @ (eigvecs / np.sqrt(eigvals)).T
+    norms = np.sqrt(np.einsum("si,si->s", x, x))
+    theta = x / norms[:, None]
+    weights = weights / (math.sqrt(np.prod(eigvals)) * norms ** n)
+    if n == 2:
+        return _rotations(theta[:, 0], theta[:, 1]), weights
+    r = np.hypot(theta[:, 0], theta[:, 1])
+    return _rotations(theta[:, 0] / r, theta[:, 1] / r, theta[:, 2], r), \
+        weights
 
 
 def rule_frames(n: int, k: int, level: int, ellipsoid=None,
-                exponent: float = 0.0):
+                exponent: float = 0.0, form=None):
     """Deterministic frames (bases, offsets, weights) of a rule on lines and
     hyperplanes of R^n, n in {2, 3}, k in {1, n - 1}, at the given level.
 
-    Without ellipsoid: the subspaces of _sphere_rule, the lines through its
-    nodes (k = 1) or their orthogonal hyperplanes, with zero offsets and
-    its weights, which sum to 1: sum(weights * g) is the rule for the Haar
-    average of g, with bases (N, n, k) and offsets (N, n).
+    The directions are the nodes theta of _sphere_rule, the uniform rule;
+    with form, an SPD (n, n) matrix C that is not a multiple of the
+    identity, they are _matched_rule's, matched to integrands that vary as
+    (theta^T C theta)^(-n/2).  Either way the direction weights sum to 1
+    to the accuracy of the rule: a multiple of the identity leaves the
+    uniform rule as it is.
+    Without ellipsoid: the lines through each node (k = 1) or their
+    orthogonal hyperplanes, with zero offsets and the direction weights:
+    sum(weights * g) is the rule for the Haar average of g, with bases
+    (N, n, k) and offsets (N, n).
     With ellipsoid = (center, cov), cov the inverse of its shape matrix, and
     k = n - 1: the hyperplanes normal to each node theta that meet the
     ellipsoid, at the foot points t theta of the support interval
@@ -267,6 +317,9 @@ def rule_frames(n: int, k: int, level: int, ellipsoid=None,
         raise ValueError(f"rules cover n in (2, 3) and k in (1, n-1), got "
                          f"n={n} k={k}")
     frames, weights = _sphere_rule(n, level)
+    if form is not None and not np.array_equal(form,
+                                               form[0, 0] * np.eye(n)):
+        frames, weights = _matched_rule(frames, weights, form)
     if ellipsoid is None:
         bases = frames[..., :1] if k == 1 else frames[..., 1:]
         return np.ascontiguousarray(bases), np.zeros((len(frames), n)), \
@@ -298,7 +351,7 @@ def _offset_rule(level: int, exponent: float):
 
 
 def rule_average(n: int, k: int, integrand, ellipsoid=None,
-                 exponent: float = 0.0) -> tuple[float, float, int]:
+                 exponent: float = 0.0, form=None) -> tuple[float, float, int]:
     """The rule_frames average of integrand(bases, offsets), level by
     level, until it agrees with the level before to RULE_RTOL relative or
     the next level, past the second, would take more than RULE_MAX_FRAMES
@@ -313,7 +366,7 @@ def rule_average(n: int, k: int, integrand, ellipsoid=None,
         if level >= 2 and size > RULE_MAX_FRAMES:
             break
         bases, offsets, weights = rule_frames(n, k, level, ellipsoid,
-                                              exponent)
+                                              exponent, form)
         # numpy's pairwise sum, not a BLAS dot, whose order follows the
         # BLAS thread count
         previous, value = value, float(np.sum(weights

@@ -31,6 +31,10 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+# merge_estimates pools values and stderrs below 2^MERGE_SCALE_BITS as
+# they are, and larger ones in a power-of-two unit that brings them below
+# it: their squares times any sample count stay finite.
+MERGE_SCALE_BITS = 256
 
 
 class ParameterError(ValueError):
@@ -94,25 +98,35 @@ class Estimate:
 
 
 def merge_estimates(parts: list[Estimate]) -> Estimate:
-    """Pool partial estimates of the same mean (parallel Welford merge)."""
+    """Pool partial estimates of the same mean (parallel Welford merge).
+
+    The first part enters with no cross term, which would be inf * 0 for a
+    large mean.  The sums run in units of the power of two, from
+    math.frexp, that brings the largest value or stderr below
+    2^MERGE_SCALE_BITS, so no square overflows.  Scaling by it is exact,
+    and below that bound the unit is 1, so ordinary parts pool bit for bit
+    as they always have."""
     if not parts:
         raise ValueError("nothing to merge")
+    top = max(max(abs(p.value), p.stderr) for p in parts)
+    unit = math.ldexp(1.0, max(0, math.frexp(top)[1] - MERGE_SCALE_BITS)) \
+        if math.isfinite(top) else 1.0
     count, mean, m2 = 0, 0.0, 0.0
     for p in parts:
         n = p.samples
         if n <= 0:
             continue
-        var = (p.stderr ** 2) * n          # sample variance of p's draws
+        var = ((p.stderr / unit) ** 2) * n     # sample variance of p's draws
         m2_p = var * (n - 1)
-        delta = p.value - mean
+        delta = p.value / unit - mean
         total = count + n
         mean += delta * n / total
-        m2 += m2_p + delta * delta * count * n / total
+        m2 += m2_p + (delta * delta * count * n / total if count else 0.0)
         count = total
     if count == 0:
         raise ValueError("merged estimates carry no samples")
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
-    return Estimate(mean, stderr, count, "mc")
+    return Estimate(mean * unit, stderr * unit, count, "mc")
 
 
 def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],

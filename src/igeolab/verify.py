@@ -51,9 +51,7 @@ CONSTANT_CEILING = 10.0
 NOISE_FLOOR = 0.25     # relative stderr above which a null result is no result
 # Largest condition number of an invariance check's map, eps^(-1/2): the
 # image's quadratic forms are conditioned up to its square, and past 1/eps
-# a determinant of their sections cancels to rounding or overflows.  The
-# cap guards against that alone: a map far below it can still make the rule
-# route misjudge its own error and FAIL a true invariance.
+# a determinant of their sections cancels to rounding or overflows.
 MAP_CONDITION_CAP = np.finfo(float).eps ** -0.5
 # size range of the off-diagonal entries of a drawn 'shear'
 SHEAR_ENTRIES = (0.5, 1.5)

@@ -502,6 +502,53 @@ def test_merge_estimates():
     assert merged.stderr > 0
 
 
+def plain_welford(parts):
+    """merge_estimates as it pooled before it learned large means: the
+    reference its ordinary parts must still meet bit for bit."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for p in parts:
+        n = p.samples
+        var = (p.stderr ** 2) * n
+        m2_p = var * (n - 1)
+        delta = p.value - mean
+        total = count + n
+        mean += delta * n / total
+        m2 += m2_p + delta * delta * count * n / total
+        count = total
+    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
+    return mean, stderr
+
+
+def test_merge_estimates_pools_ordinary_parts_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        size = int(rng.integers(1, 5))
+        scale = 10.0 ** rng.uniform(-30, 30)
+        parts = [Estimate(float(scale * rng.normal()),
+                          float(scale * rng.uniform(0.0, 0.1)),
+                          int(rng.integers(2, 10 ** 6)), "mc")
+                 for _ in range(size)]
+        merged = merge_estimates(parts)
+        assert (merged.value, merged.stderr) == plain_welford(parts)
+
+
+def test_merge_estimates_pools_large_means_and_stderrs():
+    # the cross term of the first part was inf * 0 = nan, and a stderr of
+    # 1e160 overflowed its square
+    merged = merge_estimates([Estimate(1e200, 1e100, 10, "mc")])
+    assert (merged.value, merged.stderr, merged.samples) == (1e200, 1e100, 10)
+    merged = merge_estimates([Estimate(1.0, 1e160, 10, "mc")])
+    assert (merged.value, merged.stderr) == (1.0, 1e160)
+    # pooling commutes with a power-of-two scale, down to the last bit
+    parts = [Estimate(3.0, 0.25, 40, "mc"), Estimate(-1.0, 0.5, 7, "mc")]
+    small = merge_estimates(parts)
+    big = merge_estimates([Estimate(math.ldexp(p.value, 1000),
+                                    math.ldexp(p.stderr, 1000), p.samples,
+                                    "mc") for p in parts])
+    assert (big.value, big.stderr) == (math.ldexp(small.value, 1000),
+                                       math.ldexp(small.stderr, 1000))
+
+
 def test_mc_estimate_draws_budget_once(rng):
     calls = []
 

@@ -7,6 +7,7 @@ decisively.  p > 1e-3 on 1e5 draws detects direction bias of a fraction of
 a percent.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ import pytest
 from scipy import stats
 
 from igeolab import grassmann
-from igeolab.densities import _uniform_ball
+from igeolab.densities import EllipsoidIndicator, GaussianDensity, \
+    _uniform_ball
+from igeolab.functionals import ExponentSpec, _norm_products
 from igeolab.geometry import _gauss_legendre, unit_ball_volume
 from igeolab.grassmann import (distances_to, flat_frames, haar_bases,
                                perturb_subspace, subspace_frames,
@@ -377,3 +380,89 @@ def test_rule_average_stops_at_the_frame_cap():
     assert 4 * nodes > grassmann.RULE_MAX_FRAMES
     assert abs(value - 0.5) <= error
     assert error > grassmann.RULE_RTOL * value
+
+
+# the rule matched to a quadratic form C: directions from the angular
+# central Gaussian law of C
+
+
+def spd_form(n, condition, rng):
+    """A random SPD form of the given condition number, with its
+    eigenvalues and eigenvectors, so that theta^T C theta and det C can be
+    read without cancellation."""
+    q = _orthonormalize(rng.standard_normal((1, n, n)))[0]
+    d = np.geomspace(1.0, condition, n) * rng.uniform(0.5, 2.0)
+    return (q * d) @ q.T, d, q
+
+
+def rule_directions(bases, k):
+    """The node theta of each rule basis: the line's direction at k = 1,
+    else the hyperplane's normal."""
+    if k == 1:
+        return bases[..., 0]
+    if bases.shape[1] == 2:
+        return np.stack([-bases[:, 1, 0], bases[:, 0, 0]], axis=-1)
+    return np.cross(bases[..., 0], bases[..., 1])
+
+
+NK = [(2, 1), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n,k", NK)
+def test_matched_rule_weights_sum_to_one(n, k):
+    form, _, _ = spd_form(n, 4.0, np.random.default_rng(n + k))
+    bases, offsets, weights = grassmann.rule_frames(n, k, 2, form=form)
+    assert abs(weights.sum() - 1.0) <= 1e-14
+    assert np.all(weights > 0) and not offsets.any()
+    gram = np.einsum("sij,sil->sjl", bases, bases)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n,k", NK)
+@pytest.mark.parametrize("condition", [1.0, 10.0, 1e2, 1e4])
+def test_matched_rule_integrates_its_density_at_level_0(n, k, condition):
+    # E (theta^T C theta)^(-n/2) = det(C)^(-1/2) over the uniform law: the
+    # integrand is a multiple of the density the rule is matched to
+    form, d, q = spd_form(n, condition, np.random.default_rng(7))
+    bases, _, weights = grassmann.rule_frames(n, k, 0, form=form)
+    quad = (rule_directions(bases, k) @ q) ** 2 @ d
+    got = weights @ quad ** (-0.5 * n)
+    assert got == pytest.approx(np.prod(d) ** -0.5, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n,k", NK)
+def test_matched_and_product_rules_agree_off_their_form(n, k):
+    # a smooth integrand the form does not match, and a Grinberg pair of
+    # a Gaussian and an ellipsoid, whose first slot's form is the rule's
+    rng = np.random.default_rng(11)
+    form, _, _ = spd_form(n, 3.0, rng)
+    u = rng.normal(size=n)
+
+    def smooth(bases, offsets):
+        return np.exp(0.3 * (rule_directions(bases, k) @ u) ** 2)
+
+    gauss = GaussianDensity(np.zeros(n), spd_form(n, 2.0, rng)[0])
+    ellipsoid = EllipsoidIndicator(spd_form(n, 2.0, rng)[0],
+                                   center=np.full(n, 0.1))
+    spec = ExponentSpec((1.0, math.inf) * 2, (1.5, -0.5) * 2)
+    pair = functools.partial(_norm_products,
+                             [gauss, gauss, ellipsoid, ellipsoid], spec,
+                             "exact", rng=None)
+    for integrand, matched in ((smooth, form),
+                               (pair, gauss.section_form(k > 1))):
+        product = grassmann.rule_average(n, k, integrand)
+        match = grassmann.rule_average(n, k, integrand, form=matched)
+        assert match[0] == pytest.approx(product[0], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,k", NK)
+def test_an_isotropic_form_leaves_the_product_rule_as_it_is(n, k):
+    ellipsoids = [None] + ([(np.full(n, 0.2), np.eye(n))] if k == n - 1
+                           else [])
+    for ellipsoid in ellipsoids:
+        for level in (0, 1):
+            want = grassmann.rule_frames(n, k, level, ellipsoid, 1.5)
+            got = grassmann.rule_frames(n, k, level, ellipsoid, 1.5,
+                                        form=2.5 * np.eye(n))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)

@@ -508,27 +508,37 @@ def test_shipped_suites_pass_foot_points(monkeypatch, tmp_path):
     # the Monte Carlo window and the radial sections read |offset| as the
     # flat's distance, so every offset a section route receives must be
     # perpendicular to its basis: |B^T o| <= 1e-12 max(1, |o|)
-    flats_seen = []
+    flats_seen = {}
+    suite = None
 
-    def foot_points_only(route):
+    def foot_points_only(route, where):
         def checked(f, bases, offsets, *args):
             rows = _per_row(bases, len(offsets))
             along = np.linalg.norm(np.einsum("snk,sn->sk", rows, offsets),
                                    axis=1)
             scale = np.maximum(1.0, np.linalg.norm(offsets, axis=1))
             assert np.all(along <= 1e-12 * scale), route.__name__
-            flats_seen.append(len(offsets))
+            key = suite, where
+            flats_seen[key] = flats_seen.get(key, 0) + len(offsets)
             return route(f, bases, offsets, *args)
         return checked
 
     for module, name in [(functionals, "section_stats"),
                          (verify, "section_stats"),
                          (verify, "section_points")]:
-        monkeypatch.setattr(module, name,
-                            foot_points_only(getattr(module, name)))
+        monkeypatch.setattr(module, name, foot_points_only(
+            getattr(module, name), f"{module.__name__}.{name}"))
     root = pathlib.Path(__file__).resolve().parents[1]
     for path in sorted(root.glob("configs/*.ini")) \
             + [root / "bench" / "workloads" / "sections.ini"]:
+        suite = path.stem
         cfg = load_config(str(path), output_override=str(tmp_path / path.stem))
         run_suite(cfg, echo=lambda line: None)
-    assert sum(flats_seen) > 100_000
+    # each route a suite takes saw flats there; sharpness takes none
+    stats, points = "igeolab.functionals.section_stats", \
+        "igeolab.verify.section_points"
+    assert set(flats_seen) == {
+        ("paper-core", stats), ("paper-core", "igeolab.verify.section_stats"),
+        ("paper-core", points), ("negative-controls", stats),
+        ("sections", stats), ("sections", points)}
+    assert all(count > 0 for count in flats_seen.values())

@@ -363,7 +363,7 @@ def test_map_condition_cap_is_the_boundary(rng, check):
     # a diagonal map just under MAP_CONDITION_CAP loads and runs to a
     # verdict with no RuntimeWarning; just over it, it is refused.  The
     # verdict is not pinned: the cap guards against overflow and
-    # cancellation, not against the rule route misjudging its own error
+    # cancellation only
     ball = EllipsoidIndicator(np.eye(3))
     run = {"linear": lambda g: check_linear_invariance(
                [ball, ball], ExponentSpec((1.0, 1.0), (1.5, 1.5)), 2, g, 200,
@@ -382,6 +382,28 @@ def test_map_condition_cap_is_the_boundary(rng, check):
                 assert err.value.param == "g"
             else:
                 assert run(g).verdict in (PASS, FAIL, INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("check", ["linear", "affine"])
+def test_a_condition_1000_map_keeps_a_true_invariance(check):
+    # a diagonal map of condition 1,000 on a ball pair at the invariant
+    # exponent sum: the product rule read ratios 7.1 (linear) and 8.5
+    # (affine) and FAILed; matched to each image's form the rule reads 1
+    # to rounding
+    ball = EllipsoidIndicator.ball(3)
+    g = np.diag([10 ** 1.5, 10 ** -1.5, 1.0])
+    rng = np.random.default_rng(1)
+    if check == "linear":
+        report = check_linear_invariance(
+            [ball, ball], ExponentSpec((1.0, 1.0), (1.5, 1.5)), 2, g, 200,
+            rng)
+    else:
+        report = check_affine_invariance(
+            [ball, ball], ExponentSpec((1.0, 1.0), (2.0, 2.0)), 2, g,
+            np.zeros(3), 1.0, 200, rng)
+    assert report.verdict == PASS
+    assert abs(report.ratio - 1.0) <= 1e-10
+    assert report.lhs.method == report.rhs.method == "rule"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -1085,6 +1107,59 @@ def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
     assert ruled == RULE_ROWS[name]
 
 
+@pytest.fixture(scope="module")
+def shipped_reports(tmp_path_factory):
+    """(check name, report) of every row of configs/*.ini, keyed by
+    (config, label)."""
+    reports = {}
+    for path in sorted(ROOT.glob("configs/*.ini")):
+        out = tmp_path_factory.mktemp(path.stem)
+        cfg = load_config(str(path), output_override=str(out))
+        run_suite(cfg, echo=lambda line: None)
+        for job in cfg.checks:
+            reports[path.stem, job.label] = job.name, json.loads(
+                (out / "reports" / (report_name(job.label) + ".json"))
+                .read_text())
+    return reports
+
+
+def test_shipped_invariance_rows_meet_their_closed_forms(shipped_reports):
+    # E_E det(B^T A B)^(-n/2) = det(A)^(-k/2) over k-subspaces: on the
+    # lines of gauss3 and of its shear, (2 pi)^-3 / det;
+    # the affine row's slots are mass powers of one ellipsoid, so it is
+    # the Schneider closed form of ellipsoid3_shifted at k = 2
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.2]])
+    linear = 0.004787935634382347
+    assert linear == pytest.approx((2 * math.pi) ** -3 / np.linalg.det(cov),
+                                   rel=1e-14)
+    for label, want in (("linear invariance shear", linear),
+                        ("affine invariance shear shift",
+                         55.90572352596342)):
+        _, report = shipped_reports["paper-core", label]
+        for side in ("lhs", "rhs"):
+            assert report[side]["method"] == "rule", (label, side)
+            assert report[side]["value"] == pytest.approx(want, rel=1e-13,
+                                                          abs=0.0)
+
+
+def test_shipped_rule_sides_stop_converged(shipped_reports):
+    # every rule average of the shipped configs agrees with its level
+    # before to RULE_RTOL below the frame cap; the sharpness measure's
+    # rule is one fixed level and reports no frames
+    averages = 0
+    for (config, label), (name, report) in shipped_reports.items():
+        for side in ("lhs", "rhs"):
+            est = report[side]
+            if est["method"] != "rule" or name == "gaussian_sharpness":
+                continue
+            averages += 1
+            assert est["stderr"] == grassmann.RULE_RTOL * abs(est["value"]), \
+                (config, label, side)
+            assert est["samples"] < grassmann.RULE_MAX_FRAMES, \
+                (config, label, side)
+    assert averages == 11
+
+
 def shipped_job(label, name="paper-core"):
     cfg = load_config(str(ROOT / "configs" / f"{name}.ini"))
     (job,) = [job for job in cfg.checks if job.label == label]
@@ -1113,8 +1188,8 @@ def test_a_rule_with_one_perturbed_weight_fails_an_equality(monkeypatch):
 def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     # the two k = 2 equality cases of the shipped suite: ball3 and
     # ellipsoid3_shifted, against the closed-form right-hand side; the
-    # rule stops at its second and third level, 2 m^2 directions (m = 16
-    # and 32) times OFFSET_NODES offsets
+    # rule, matched to the ellipsoid's form, stops at its second level,
+    # 2 m^2 directions (m = 16) times OFFSET_NODES offsets
     f = EllipsoidIndicator.ball(3) if center is None else \
         EllipsoidIndicator([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
                             [0.0, -0.1, 1.1]], center)
@@ -1122,7 +1197,7 @@ def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     assert report.verdict == PASS
     assert abs(report.ratio - 1.0) <= 1e-10
     assert report.lhs.method == "rule"
-    assert report.lhs.samples == (3072 if center is None else 12288)
+    assert report.lhs.samples == 3072
     assert report.rhs.method == "exact"
     if rhs is not None:
         assert report.rhs.value == pytest.approx(rhs, rel=1e-15)
