@@ -247,20 +247,17 @@ def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
 def _average(f_list, spec: ExponentSpec, method, frames, count: int, rng,
              rule) -> Estimate:
     """The section-norm average of f_list: the frame mean of count frames,
-    or with rule = (n, k, ellipsoid, exponent) rule_average, drawing
-    nothing, its directions matched to the first slot's section_form: a
-    rule's direction is a line's at k = 1 without ellipsoid, else a
-    hyperplane's normal."""
+    or with rule = (n, k, center, exponent) rule_average, drawing nothing,
+    its nodes matched to the first slot's section_form."""
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
     integrand = functools.partial(_norm_products, f_list, spec, method)
     if rule is None:
         return _frame_mean(frames, integrand, count, rng, count)
-    n, k, ellipsoid, exponent = rule
-    form = f_list[0].section_form(ellipsoid is not None or k > 1)
+    n, k, center, exponent = rule
     value, error, nodes = rule_average(
         n, k, lambda bases, offsets: integrand(bases, offsets, None),
-        ellipsoid, exponent, form)
+        f_list[0].section_form, center, exponent)
     return Estimate(value, error, nodes, "rule")
 
 
@@ -305,11 +302,8 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-    rule = None
-    if _rule_covers(f_list, k, method, True):
-        f = f_list[0]
-        rule = (n, k, (f.center, np.linalg.inv(f.shape_matrix)),
-                0.5 * k * spec.constraint_sum)
+    rule = (n, k, f_list[0].center, 0.5 * k * spec.constraint_sum) \
+        if _rule_covers(f_list, k, method, True) else None
     return _average(f_list, spec, method,
                     functools.partial(flat_frames, n, k, R), n_flats, rng,
                     rule)

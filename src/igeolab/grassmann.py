@@ -29,17 +29,20 @@ G(n, 1) and G(n, n-1) are both the sphere S^(n-1) with antipodes
 identified, a line by its direction and a hyperplane by its normal.
 _sphere_rule is a product rule for its uniform law (the trapezoid rule in
 the angle at n = 2; Gauss-Legendre in cos(theta) times the trapezoid rule
-in phi at n = 3).  rule_frames matches it to an SPD form C: section norms
-of a centred ellipsoid or Gaussian on the line or hyperplane of
-direction or normal theta are multiples of (theta^T C theta)^(-1/2)
-(densities' section_form), so at the exponent sum of Grinberg's
-invariance their product is a constant times the angular central Gaussian
-density of C, and _matched_rule carries the nodes to that law, which
-leaves the rule a constant to integrate.  A multiple of the identity
-leaves the product rule as it is.  For the hyperplanes meeting an
-ellipsoid a Gauss-Legendre rule in the offset along each normal covers the
-support interval.  rule_average doubles a rule until it agrees with
-itself at half the nodes to RULE_RTOL, relative.
+in phi at n = 3), the only part of a rule tied to n.  Section norms of a
+centred ellipsoid or Gaussian on the line or hyperplane of direction or
+normal theta are multiples of (theta^T C theta)^(-1/2), C the SPD form of
+densities' section_form, so at the exponent sum of Grinberg's invariance
+their product is a constant times the angular central Gaussian density of
+C.  rule_frames builds every rule one way: _matched_rule carries the
+nodes to that law, which leaves the rule a constant to integrate, and
+each node's frame comes from one Householder reflection (_complements), in
+any dimension.  For the hyperplanes meeting an ellipsoid a Gauss-Legendre
+rule in the offset along each normal covers the support interval, whose
+half-width the same form gives.  rule_average doubles a rule until it
+agrees with itself at half the nodes to RULE_RTOL, relative.  The module
+imports only geometry from the package, so a rule never learns a density
+family: it is handed the form.
 """
 
 from __future__ import annotations
@@ -216,10 +219,9 @@ def perturb_subspace(E: np.ndarray, eta: float, count: int,
 
 def _sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """A product rule for the uniform law on S^(n-1) with antipodes
-    identified, n in {2, 3}: (frames, weights), frames (N, n, n) rotations
-    whose first column is a node theta and whose other columns span its
-    orthogonal complement (_rotations), and weights (N,) summing to 1.
-    Each level doubles the nodes along every axis of the one before.
+    identified, n in {2, 3}: (nodes, weights), nodes theta (N, n) unit
+    vectors and weights (N,) summing to 1.  Each level doubles the nodes
+    along every axis of the one before.
 
     n = 2: m = 16 * 2^level angles phi = pi j / m in [0, pi), weight 1/m,
     exact for trigonometric polynomials in phi of degree below 2m.
@@ -236,78 +238,71 @@ def _sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     phi = np.pi * np.arange(angles) / angles
     c, s = np.cos(phi), np.sin(phi)
     if n == 2:
-        return _rotations(c, s), np.full(m, 1.0 / m)
+        return np.stack([c, s], axis=-1), np.full(m, 1.0 / m)
     z, wz = _gauss_legendre(m)
-    frames = _rotations(c, s, z[:, None], np.sqrt(1.0 - z * z)[:, None])
-    return frames.reshape(-1, 3, 3), np.repeat(wz / (2.0 * angles), angles)
+    r = np.sqrt(1.0 - z * z)[:, None]
+    theta = np.stack(np.broadcast_arrays(r * c, r * s, z[:, None]), axis=-1)
+    return theta.reshape(-1, 3), np.repeat(wz / (2.0 * angles), angles)
 
 
-def _rotations(c, s, z=None, r=None) -> np.ndarray:
-    """Rotations (..., n, n) whose first column is the unit vector theta
-    at azimuth phi, c = cos(phi) and s = sin(phi), and at n = 3 at height
-    z = cos(theta), r = sin(theta) >= 0; the other columns span its
-    orthogonal complement: d theta / d phi and d theta / d theta,
-    normalized."""
-    if z is None:
-        return np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
-    frames = np.empty(np.broadcast_shapes(c.shape, z.shape) + (3, 3))
-    for i, column in enumerate(((r * c, r * s, z), (-s, c, 0.0),
-                                (z * c, z * s, -r))):
-        for j, entry in enumerate(column):
-            frames[..., j, i] = entry
-    return frames
-
-
-def _matched_rule(frames, weights, form):
-    """The rule of frames and weights, a rule for the uniform law on the
-    sphere, carried to the angular central Gaussian law of the SPD form C
-    (Tyler, Biometrika 74, 1987), whose density against the uniform law is
-    det(C)^(1/2) (theta^T C theta)^(-n/2).  Each node phi maps to
-    theta = L phi / |L phi|, L L^T = C^-1, which carries the uniform law to
-    that one, and its weight is divided by the density at theta,
-    det(C)^(1/2) |L phi|^n.  So an integrand that is a multiple of
+def _matched_rule(theta, weights, form):
+    """The rule of nodes theta (N, n) and weights, a rule for the uniform
+    law on the sphere, carried to the angular central Gaussian law of the
+    SPD form C (Tyler, Biometrika 74, 1987), whose density against the
+    uniform law is det(C)^(1/2) (theta^T C theta)^(-n/2).  Each node phi
+    maps to theta = L phi / |L phi|, L L^T = C^-1, which carries the
+    uniform law to that one, and its weight is divided by the density at
+    theta, det(C)^(1/2) |L phi|^n.  So an integrand that is a multiple of
     (theta^T C theta)^(-n/2) has a constant ratio to the density, which
     every level integrates to rounding.  C is scaled to determinant 1 on
     its eigenvalues first, which moves neither theta nor the ratio, so a
     form conditioned near the float range stays finite."""
-    n = frames.shape[-1]
+    n = theta.shape[-1]
     eigvals, eigvecs = np.linalg.eigh(form)
     eigvals = eigvals / math.exp(np.log(eigvals).mean())
-    x = frames[..., 0] @ (eigvecs / np.sqrt(eigvals)).T
+    x = theta @ (eigvecs / np.sqrt(eigvals)).T
     norms = np.sqrt(np.einsum("si,si->s", x, x))
-    theta = x / norms[:, None]
-    weights = weights / (math.sqrt(np.prod(eigvals)) * norms ** n)
-    if n == 2:
-        return _rotations(theta[:, 0], theta[:, 1]), weights
-    r = np.hypot(theta[:, 0], theta[:, 1])
-    return _rotations(theta[:, 0] / r, theta[:, 1] / r, theta[:, 2], r), \
-        weights
+    return x / norms[:, None], \
+        weights / (math.sqrt(np.prod(eigvals)) * norms ** n)
 
 
-def rule_frames(n: int, k: int, level: int, ellipsoid=None,
-                exponent: float = 0.0, form=None):
+def _complements(theta: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (N, n, n - 1) of the hyperplanes normal to the
+    unit vectors theta (N, n), for any n >= 2: the last n - 1 columns of
+    the Householder reflection I - v v^T / (1 + |theta_1|), v = theta +
+    sign(theta_1) e_1, which maps e_1 to -sign(theta_1) theta.  With that
+    sign, v^T v = 2 (1 + |theta_1|) >= 2, so nothing cancels."""
+    v = theta.copy()
+    v[:, 0] += np.copysign(1.0, theta[:, 0])
+    scale = 1.0 / (1.0 + np.abs(theta[:, 0]))
+    return np.eye(theta.shape[-1])[:, 1:] \
+        - v[:, :, None] * (scale[:, None] * v[:, 1:])[:, None, :]
+
+
+def rule_frames(n: int, k: int, level: int, section_form, center=None,
+                exponent: float = 0.0):
     """Deterministic frames (bases, offsets, weights) of a rule on lines and
     hyperplanes of R^n, n in {2, 3}, k in {1, n - 1}, at the given level.
 
-    The directions are the nodes theta of _sphere_rule, the uniform rule;
-    with form, an SPD (n, n) matrix C that is not a multiple of the
-    identity, they are _matched_rule's, matched to integrands that vary as
-    (theta^T C theta)^(-n/2).  Either way the direction weights sum to 1
-    to the accuracy of the rule: a multiple of the identity leaves the
-    uniform rule as it is.
-    Without ellipsoid: the lines through each node (k = 1) or their
-    orthogonal hyperplanes, with zero offsets and the direction weights:
-    sum(weights * g) is the rule for the Haar average of g, with bases
-    (N, n, k) and offsets (N, n).
-    With ellipsoid = (center, cov), cov the inverse of its shape matrix, and
-    k = n - 1: the hyperplanes normal to each node theta that meet the
+    A node theta is the direction of a line at k = 1 without center, else
+    the normal of a hyperplane, and section_form(hyperplanes) returns the
+    SPD (n, n) form C that the rule is matched to, as densities'
+    section_form does: the nodes are _matched_rule's, matched to
+    integrands that vary as (theta^T C theta)^(-n/2), and their weights
+    sum to 1 to the accuracy of the rule.  A line's basis is theta, a
+    hyperplane's its _complements.
+    Without center: the lines or hyperplanes through the origin, with zero
+    offsets and the node weights: sum(weights * g) is the rule for the
+    Haar average of g, with bases (N, n, k) and offsets (N, n).
+    With center, k = n - 1 and C the inverse shape matrix of an ellipsoid
+    about center: the hyperplanes normal to each node theta that meet the
     ellipsoid, at the foot points t theta of the support interval
-    t0 +- h, t0 = theta . center, h^2 = theta^T cov theta.  With
+    t0 +- h, t0 = theta . center, h^2 = theta^T C theta.  With
     rho = (t - t0) / h, a section's volume is proportional to
     (1 - rho^2)^(k/2), so an integrand of section norms is a multiple of
     (1 - rho^2)^exponent along each normal, and the offsets follow
-    _offset_rule in rho.  The weights are the direction weight times h
-    times the offset weight, so that sum(weights * g) is the rule for the
+    _offset_rule in rho.  The weights are the node weight times h times
+    the offset weight, so that sum(weights * g) is the rule for the
     invariant measure of flat_frames on integrands that vanish off the
     ellipsoid.  Each basis serves its node's r consecutive offsets: bases
     (N, n, k), offsets (N r, n), weights (N r,), the shared layout of
@@ -316,25 +311,20 @@ def rule_frames(n: int, k: int, level: int, ellipsoid=None,
     if n not in RULE_START or k not in (1, n - 1):
         raise ValueError(f"rules cover n in (2, 3) and k in (1, n-1), got "
                          f"n={n} k={k}")
-    frames, weights = _sphere_rule(n, level)
-    if form is not None and not np.array_equal(form,
-                                               form[0, 0] * np.eye(n)):
-        frames, weights = _matched_rule(frames, weights, form)
-    if ellipsoid is None:
-        bases = frames[..., :1] if k == 1 else frames[..., 1:]
-        return np.ascontiguousarray(bases), np.zeros((len(frames), n)), \
-            weights
-    if k != n - 1:
+    if center is not None and k != n - 1:
         raise ValueError(f"flat rules cover k = n-1 only, got n={n} k={k}")
-    center, cov = ellipsoid
-    theta = frames[..., 0]
+    hyperplanes = center is not None or k > 1
+    form = section_form(hyperplanes)
+    theta, weights = _matched_rule(*_sphere_rule(n, level), form)
+    bases = _complements(theta) if hyperplanes else theta[..., None]
+    if center is None:
+        return bases, np.zeros((len(theta), n)), weights
     t0 = theta @ center
-    h = np.sqrt(np.einsum("si,si->s", theta @ cov, theta))
+    h = np.sqrt(np.einsum("si,si->s", theta @ form, theta))
     rho, w = _offset_rule(level, exponent)
     t = t0[:, None] + h[:, None] * rho
     offsets = (t[..., None] * theta[:, None, :]).reshape(-1, n)
-    return np.ascontiguousarray(frames[..., 1:]), offsets, \
-        ((weights * h)[:, None] * w).ravel()
+    return bases, offsets, ((weights * h)[:, None] * w).ravel()
 
 
 def _offset_rule(level: int, exponent: float):
@@ -350,23 +340,20 @@ def _offset_rule(level: int, exponent: float):
     return np.cos(psi), w * (math.pi / 2) * np.sin(psi)
 
 
-def rule_average(n: int, k: int, integrand, ellipsoid=None,
-                 exponent: float = 0.0, form=None) -> tuple[float, float, int]:
+def rule_average(n: int, k: int, integrand, section_form, center=None,
+                 exponent: float = 0.0) -> tuple[float, float, int]:
     """The rule_frames average of integrand(bases, offsets), level by
     level, until it agrees with the level before to RULE_RTOL relative or
-    the next level, past the second, would take more than RULE_MAX_FRAMES
-    frames.  Returns (value, error, nodes): the last level's value,
-    max(|its change from the level before|, RULE_RTOL |value|), and its
-    number of frames."""
+    the frames built for the next level, past the second, number more than
+    RULE_MAX_FRAMES.  Returns (value, error, nodes): the last level's
+    value, max(|its change from the level before|, RULE_RTOL |value|), and
+    its number of frames."""
     value = None
     for level in itertools.count():
-        m = RULE_START[n] << level
-        size = (m if n == 2 else 2 * m * m) * (
-            1 if ellipsoid is None else len(_offset_rule(level, exponent)[0]))
-        if level >= 2 and size > RULE_MAX_FRAMES:
+        bases, offsets, weights = rule_frames(n, k, level, section_form,
+                                              center, exponent)
+        if level >= 2 and len(weights) > RULE_MAX_FRAMES:
             break
-        bases, offsets, weights = rule_frames(n, k, level, ellipsoid,
-                                              exponent, form)
         # numpy's pairwise sum, not a BLAS dot, whose order follows the
         # BLAS thread count
         previous, value = value, float(np.sum(weights

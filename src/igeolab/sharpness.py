@@ -13,15 +13,14 @@ parsed map.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .geometry import ROW_BLOCK, exact_event_measure, _sharpness_cut, \
     _spd_solve
-from .report import CheckReport, Estimate, mc_estimate, _at_least, \
-    _blocked, _k_up_to, _need, _one_sided_verdict
+from .report import CheckReport, Estimate, merge_estimates, _at_least, \
+    _k_up_to, _need, _one_sided_verdict
 
 # subspaces drawn to cross-check a non-empty exact measure
 CROSS_CHECK = 1 << 16
@@ -64,6 +63,16 @@ def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,
     return _spd_solve(grams[:, 1])[0] - _spd_solve(grams[:, 0])[0] <= log_cut
 
 
+def _hit_count(n: int, k: int, s: float, stream: np.random.Generator,
+               m: int) -> int:
+    """How many of m subspaces drawn from stream hit the sharpness event:
+    _sharpness_hits on blocks of ROW_BLOCK subspaces, one draw each, so
+    the hits are those of one draw of all m; only their count is kept."""
+    return sum(int(np.count_nonzero(_sharpness_hits(
+        n, k, s, stream, min(ROW_BLOCK, m - start))))
+        for start in range(0, m, ROW_BLOCK))
+
+
 def _sharpness_rules(n, k, s, n_subspaces):
     _need(n >= 2, "n", f"must be >= 2, got {n}")
     _k_up_to(k, n - 1)
@@ -97,24 +106,26 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     hit share and its binomial z against the exact measure are reported as
     sampled_measure and sampled_z, and neither enters the measure or the
     verdict.  Otherwise n_subspaces subspaces are drawn and the rhs method
-    is "mc".  Either way _sharpness_hits tests blocks of ROW_BLOCK subspaces
-    (see _blocked), one draw each, so the hits are those of one draw.
+    is "mc": the hit share and its binomial stderr, the Estimate that
+    mc_estimate returns for the hits as 0/1 values.  Either way the hits
+    are counted by _hit_count.
     """
     _sharpness_rules(n, k, s, n_subspaces)
     exact = exact_event_measure(n, k, s)
     sampled = sampled_z = None
-
-    def hits(stream, m):
-        return _blocked(m, ROW_BLOCK, functools.partial(
-            _sharpness_hits, n, k, s, stream))
     if exact is None:
-        rhs = mc_estimate(hits, n_subspaces, rng)
+        m = n_subspaces
+        c = _hit_count(n, k, s, rng, m)
+        sd = math.sqrt(c * (m - c) / (m * (m - 1)))
+        # through the merge, as mc_estimate passes its one part, so the
+        # value rounds as it always has
+        rhs = merge_estimates([Estimate(c / m, sd / math.sqrt(m), m, "mc")])
     else:
         rhs = Estimate(float(exact), 0.0, 0, "rule") \
             if min(k, n - k) == 2 and exact > 0 else Estimate.exact(exact)
         if exact > 0:
             m = min(n_subspaces, CROSS_CHECK)
-            sampled = float(np.mean(hits(rng, m)))
+            sampled = _hit_count(n, k, s, rng, m) / m
             sampled_z = (sampled - exact) / math.sqrt(exact * (1 - exact) / m)
     bound = (2.0 * s) ** (-k * (n - k))
     lhs = Estimate.exact(bound)

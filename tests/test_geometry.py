@@ -15,19 +15,40 @@ from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_constant,
                               unit_volume_radius, _tuple_volumes)
 
 
-def test_geometry_imports_nothing_from_the_package():
-    # the leaf of the package's exact numerics, which every module imports
-    tree = ast.parse(pathlib.Path(geometry.__file__).read_text())
+# The package's lowest layers and the only package modules each may import:
+# geometry, the leaf of the exact numerics that every module imports, takes
+# nothing from the package, and grassmann takes only geometry, so a rule
+# never learns a density family.
+LAYERS = {"geometry": set(), "grassmann": {"geometry"}}
+
+
+def package_imports(tree):
+    """The igeolab modules that a parsed module imports, by name, relative
+    or absolute; "igeolab" for the package itself."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            assert node.level == 0, ast.unparse(node)
-            modules = [node.module]
+            if node.level:
+                module = node.module
+            elif node.module.split(".")[0] == "igeolab":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        else:
-            continue
-        assert all(m.split(".")[0] != "igeolab" for m in modules), \
-            ast.unparse(node)
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "igeolab":
+                    yield parts[1] if len(parts) > 1 else "igeolab"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_layer_imports_only_the_layers_below(module):
+    path = pathlib.Path(geometry.__file__).with_name(f"{module}.py")
+    imported = set(package_imports(ast.parse(path.read_text())))
+    assert imported <= LAYERS[module], imported - LAYERS[module]
 
 
 def test_unit_ball_volumes():

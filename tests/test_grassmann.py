@@ -287,10 +287,16 @@ def test_non_subspace_bases_are_rejected(E):
 # deterministic rules on lines and hyperplanes
 
 
+def identity(n):
+    """The identity form on R^n for lines and hyperplanes alike: the rule
+    for the uniform law itself."""
+    return lambda hyperplanes: np.eye(n)
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_rule_weights_sum_to_one_on_orthonormal_bases(n, k, level):
-    bases, offsets, weights = grassmann.rule_frames(n, k, level)
+    bases, offsets, weights = grassmann.rule_frames(n, k, level, identity(n))
     assert bases.shape == (len(weights), n, k)
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(weights > 0) and not offsets.any()
@@ -302,7 +308,7 @@ def test_rule_weights_sum_to_one_on_orthonormal_bases(n, k, level):
 def test_direction_rule_integrates_even_polynomials(n):
     # moments of a uniform unit vector: E t_i^2 = 1/n,
     # E t_i^4 = 3/(n(n+2)), E t_i^2 t_j^2 = 1/(n(n+2))
-    bases, _, weights = grassmann.rule_frames(n, 1, 0)
+    bases, _, weights = grassmann.rule_frames(n, 1, 0, identity(n))
     theta = bases[..., 0]
     for i in range(n):
         assert abs(weights @ theta[:, i] ** 2 - 1.0 / n) <= 1e-14
@@ -321,7 +327,7 @@ def test_flat_rule_measures_the_hyperplanes_meeting_a_ball():
     # (flat_frames' normalization); offsets are foot points on the normals
     center = np.array([0.3, -0.2, 0.1])
     bases, offsets, weights = grassmann.rule_frames(
-        3, 2, 0, (center, np.eye(3)), 0.0)
+        3, 2, 0, identity(3), center, 0.0)
     assert abs(weights.sum() - 2.0) <= 1e-14
     r = len(offsets) // len(bases)
     assert r == grassmann.OFFSET_NODES
@@ -342,11 +348,10 @@ def test_flat_rule_offsets_integrate_the_power(exponent):
     # int (1 - rho^2)^e d rho over [-1, 1]: 16/15 at e = 2 (exact with the
     # Gauss-Legendre nodes in rho) and 3 pi / 8 at e = 1.5 (rho = cos psi)
     want = {2.0: 16.0 / 15.0, 1.5: 3.0 * math.pi / 8.0}[exponent]
-    ball = (np.zeros(2), np.eye(2))
     values = []
     for level in range(4):
-        _, offsets, weights = grassmann.rule_frames(2, 1, level, ball,
-                                                    exponent)
+        _, offsets, weights = grassmann.rule_frames(
+            2, 1, level, identity(2), np.zeros(2), exponent)
         rho = np.linalg.norm(offsets, axis=1)
         values.append(weights @ (1.0 - rho * rho) ** exponent)
     assert abs(values[-1] - want) <= 1e-14
@@ -361,7 +366,8 @@ def test_rule_average_stops_when_a_level_agrees_with_the_one_before():
         calls.append(len(bases))
         return bases[:, 0, 0] ** 2
 
-    value, error, nodes = grassmann.rule_average(3, 1, integrand)
+    value, error, nodes = grassmann.rule_average(3, 1, integrand,
+                                                 identity(3))
     assert abs(value - 1.0 / 3.0) <= 1e-15
     assert error == grassmann.RULE_RTOL * value
     assert calls == [128, 512] and nodes == 512
@@ -375,7 +381,8 @@ def test_rule_average_stops_at_the_frame_cap():
         calls.append(len(bases))
         return np.abs(bases[:, 0, 0])
 
-    value, error, nodes = grassmann.rule_average(3, 1, integrand)
+    value, error, nodes = grassmann.rule_average(3, 1, integrand,
+                                                 identity(3))
     assert nodes == calls[-1] <= grassmann.RULE_MAX_FRAMES
     assert 4 * nodes > grassmann.RULE_MAX_FRAMES
     assert abs(value - 0.5) <= error
@@ -411,7 +418,8 @@ NK = [(2, 1), (3, 1), (3, 2)]
 @pytest.mark.parametrize("n,k", NK)
 def test_matched_rule_weights_sum_to_one(n, k):
     form, _, _ = spd_form(n, 4.0, np.random.default_rng(n + k))
-    bases, offsets, weights = grassmann.rule_frames(n, k, 2, form=form)
+    bases, offsets, weights = grassmann.rule_frames(n, k, 2,
+                                                    lambda _: form)
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(weights > 0) and not offsets.any()
     gram = np.einsum("sij,sil->sjl", bases, bases)
@@ -424,7 +432,7 @@ def test_matched_rule_integrates_its_density_at_level_0(n, k, condition):
     # E (theta^T C theta)^(-n/2) = det(C)^(-1/2) over the uniform law: the
     # integrand is a multiple of the density the rule is matched to
     form, d, q = spd_form(n, condition, np.random.default_rng(7))
-    bases, _, weights = grassmann.rule_frames(n, k, 0, form=form)
+    bases, _, weights = grassmann.rule_frames(n, k, 0, lambda _: form)
     quad = (rule_directions(bases, k) @ q) ** 2 @ d
     got = weights @ quad ** (-0.5 * n)
     assert got == pytest.approx(np.prod(d) ** -0.5, rel=1e-13, abs=0.0)
@@ -448,21 +456,73 @@ def test_matched_and_product_rules_agree_off_their_form(n, k):
     pair = functools.partial(_norm_products,
                              [gauss, gauss, ellipsoid, ellipsoid], spec,
                              "exact", rng=None)
-    for integrand, matched in ((smooth, form),
-                               (pair, gauss.section_form(k > 1))):
-        product = grassmann.rule_average(n, k, integrand)
-        match = grassmann.rule_average(n, k, integrand, form=matched)
+    for integrand, matched in ((smooth, lambda _: form),
+                               (pair, gauss.section_form)):
+        product = grassmann.rule_average(n, k, integrand, identity(n))
+        match = grassmann.rule_average(n, k, integrand, matched)
         assert match[0] == pytest.approx(product[0], rel=1e-12, abs=0.0)
 
 
+def determinant_power(a, n):
+    """det(B^T A B)^(-n/2) on a stack of bases B: on lines
+    (theta^T A theta)^(-n/2), on hyperplanes det(A)^(-n/2) times
+    (theta^T A^-1 theta)^(-n/2), so its average over the uniform law is
+    det(A)^(-k/2) either way."""
+    def integrand(bases, offsets):
+        gram = np.einsum("snk,nm,sml->skl", bases, a, bases)
+        return np.linalg.det(gram) ** (-0.5 * n)
+    return integrand
+
+
+def calibration(n, k, condition, seed, matched):
+    """|value - det(A)^(-k/2)| over the error rule_average reports, for
+    determinant_power of the seed's SPD A, and the frames of the last
+    level; with matched the rule's form is A on lines and A^-1 on
+    hyperplanes, else the identity."""
+    a, d, _ = spd_form(n, condition, np.random.default_rng(seed))
+    inverse = np.linalg.inv(a)
+    form = (lambda hyperplanes: inverse if hyperplanes else a) \
+        if matched else identity(n)
+    value, error, nodes = grassmann.rule_average(
+        n, k, determinant_power(a, n), form)
+    return abs(value - np.prod(d) ** (-0.5 * k)) / error, nodes
+
+
+@pytest.mark.parametrize("matched", [False, True], ids=["identity", "form"])
 @pytest.mark.parametrize("n,k", NK)
-def test_an_isotropic_form_leaves_the_product_rule_as_it_is(n, k):
-    ellipsoids = [None] + ([(np.full(n, 0.2), np.eye(n))] if k == n - 1
-                           else [])
-    for ellipsoid in ellipsoids:
-        for level in (0, 1):
-            want = grassmann.rule_frames(n, k, level, ellipsoid, 1.5)
-            got = grassmann.rule_frames(n, k, level, ellipsoid, 1.5,
-                                        form=2.5 * np.eye(n))
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+@pytest.mark.parametrize("condition", [1.0, 10.0, 100.0])
+def test_rule_error_bounds_its_true_error(n, k, condition, matched):
+    # the worst case reads 0.015 of the reported error on the identity
+    # form and 0.004 on the matched form, which stops at its second level
+    for seed in range(20):
+        ratio, nodes = calibration(n, k, condition, seed, matched)
+        assert ratio <= 1.0, seed
+        if matched:
+            assert nodes == (32 if n == 2 else 512)
+
+
+@pytest.mark.xfail(strict=True, reason="at condition 1,000 the identity "
+                   "form stops at the frame cap with its error understated "
+                   "8.15-fold: true 4.6e-3 relative, reported 5.7e-4")
+def test_rule_error_bounds_its_true_error_at_condition_1000():
+    ratio, nodes = calibration(3, 1, 1000.0, 11, False)
+    assert nodes == 8192
+    assert ratio <= 1.0
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_complements_are_orthonormal_bases_normal_to_each_node(n):
+    rng = np.random.default_rng(n)
+    axes = np.concatenate([np.eye(n), -np.eye(n)])
+    near = unit_rows(axes + 1e-12 * rng.standard_normal(axes.shape))
+    theta = np.concatenate([unit_rows(rng.standard_normal((200, n))),
+                            axes, near])
+    bases = grassmann._complements(theta)
+    assert bases.shape == (len(theta), n, n - 1)
+    gram = np.einsum("sij,sil->sjl", bases, bases)
+    assert np.abs(gram - np.eye(n - 1)).max() <= 1e-14
+    assert np.abs(np.einsum("si,sij->sj", theta, bases)).max() <= 1e-14

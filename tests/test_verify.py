@@ -29,7 +29,7 @@ from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import haar_bases
 from igeolab.report import FAIL, INCONCLUSIVE, PASS, Estimate, \
-    ParameterError
+    ParameterError, mc_estimate
 from igeolab.rng import substream
 from igeolab.runner import run_suite
 from igeolab.sharpness import gaussian_sharpness_experiment
@@ -759,9 +759,7 @@ def test_quantiles_match_numpy_bit_for_bit():
 def sampler_share(n, k, s, m, rng):
     """Share of m sharpness draws that hit, through the sampler the Monte
     Carlo route uses, in its blocks."""
-    hits = sharpness._blocked(m, sharpness.ROW_BLOCK, functools.partial(
-        sharpness._sharpness_hits, n, k, s, rng))
-    return float(np.mean(hits))
+    return sharpness._hit_count(n, k, s, rng, m) / m
 
 
 def assert_matches_sampler(exact, n, k, s, rng, m=1_000_000):
@@ -838,16 +836,34 @@ def test_sharpness_small_blocks_match_default(monkeypatch):
 
 
 def test_sharpness_hit_blocks_bound_the_traced_peak():
-    # a (4, 2) row cross-checks CROSS_CHECK subspaces, but only ROW_BLOCK of
-    # them, and their Gram products, are live at once
-    tracemalloc.start()
-    try:
-        gaussian_sharpness_experiment(4, 2, 1.5, 1_000_000,
-                                      np.random.default_rng(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    # a (4, 2) row cross-checks CROSS_CHECK subspaces and a (6, 3) row
+    # draws a million, on the Monte Carlo route, but only one block of
+    # them, and their Gram products, are live at once, and only the hit
+    # count is kept; a (6, 3) block's draw and two Gram stacks alone take
+    # 2.25 MiB, where a float64 per hit took 15.3 MiB in all
+    for args, bound in (((4, 2, 1.5), 2 << 20), ((6, 3, 1.0), 3 << 20)):
+        tracemalloc.start()
+        try:
+            gaussian_sharpness_experiment(*args, 1_000_000,
+                                          np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, args
+
+
+def test_sharpness_hit_count_is_the_mc_estimate_of_its_hits():
+    # the Estimate mc_estimate returns for the hits as 0/1 values: the
+    # value bit for bit, the stderr to rounding
+    report = gaussian_sharpness_experiment(6, 3, 1.0, 20_000,
+                                           np.random.default_rng(5))
+    want = mc_estimate(functools.partial(sharpness._sharpness_hits, 6, 3,
+                                         1.0), 20_000,
+                       np.random.default_rng(5))
+    assert report.rhs.method == want.method == "mc"
+    assert report.rhs.samples == want.samples
+    assert report.rhs.value == want.value > 0
+    assert report.rhs.stderr == pytest.approx(want.stderr, rel=1e-12)
 
 
 @pytest.mark.parametrize("s,exact", [(1.5, 0.034067), (2.0, 0.018115),
@@ -1173,10 +1189,10 @@ def test_a_rule_with_one_perturbed_weight_fails_an_equality(monkeypatch):
     original = grassmann._sphere_rule
 
     def mutant(n, level):
-        frames, weights = original(n, level)
+        nodes, weights = original(n, level)
         weights = weights.copy()
         weights[0] += 0.1
-        return frames, weights
+        return nodes, weights
 
     monkeypatch.setattr(grassmann, "_sphere_rule", mutant)
     report = CHECKS[job.name].run(job.kwargs, None)
@@ -1201,3 +1217,31 @@ def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     assert report.rhs.method == "exact"
     if rhs is not None:
         assert report.rhs.value == pytest.approx(rhs, rel=1e-15)
+
+
+ELLIPSOID_EQUALITIES = ("section ratio equality ball",
+                        "section ratio ellipsoid equality",
+                        "flat average ball",
+                        "flat average shifted ellipsoid equality")
+
+
+def test_ellipsoid_masses_one_percent_high_fail_each_equality(monkeypatch):
+    # three of the four rows run on the rule route; with every ellipsoid
+    # section mass scaled by 1.01 their ratios read 1.0201, 1.0303, 1.0669
+    # and 1.0406
+    cfg = load_config(str(ROOT / "configs" / "paper-core.ini"))
+    jobs = [(idx, job) for idx, job in enumerate(cfg.checks)
+            if job.label in ELLIPSOID_EQUALITIES]
+    assert len(jobs) == len(ELLIPSOID_EQUALITIES)
+    original = EllipsoidIndicator._sections
+
+    def mutant(self, bases, offsets):
+        masses, *rest = original(self, bases, offsets)
+        return (1.01 * masses, *rest)
+
+    for verdict in (PASS, FAIL):
+        for idx, job in jobs:
+            report = CHECKS[job.name].run(job.kwargs,
+                                          substream(cfg.seed, idx))
+            assert report.verdict == verdict, (job.label, report.ratio)
+        monkeypatch.setattr(EllipsoidIndicator, "_sections", mutant)
