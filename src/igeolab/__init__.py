@@ -18,7 +18,7 @@ import importlib as _importlib
 
 # the public names, by the submodule that defines them
 _SOURCES = {
-    "geometry": ("bp_constant", "unit_ball_volume", "unit_volume_radius"),
+    "geometry": ("unit_ball_volume", "unit_volume_radius"),
     "grassmann": ("flat_frames", "haar_bases", "perturb_subspace",
                   "subspace_frames"),
     "densities": ("DensityModel", "EllipsoidIndicator", "GaussianDensity",

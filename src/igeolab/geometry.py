@@ -1,6 +1,6 @@
 """Exact numerics: geometric quantities and closed-form special functions.
 
-Unit-ball volumes, the constants of the linear/affine section identities,
+Unit-ball volumes, the constant of the linear/affine section identities,
 volumes of simplices spanned by point tuples, log-determinants and solves
 of stacks of small symmetric positive definite matrices, Gauss-Legendre
 rules, the chi-square law (CDF and quantile) and chi moments, the
@@ -32,7 +32,6 @@ ROW_BLOCK = 1 << 13
 __all__ = [
     "unit_ball_volume",
     "unit_volume_radius",
-    "bp_constant",
     "bp_exact_constant",
 ]
 
@@ -63,43 +62,28 @@ def unit_volume_radius(n: int) -> float:
     return float(np.exp(-_log_unit_ball_volume(n) / n))
 
 
-def bp_constant(n: int, k: int, q: int) -> float:
-    """Constant relating an (R^n)^q integral to its section decomposition,
+def bp_exact_constant(n: int, k: int, q: int) -> float:
+    """The constant of the linear and affine Blaschke-Petkantschin formulas
+    (Schneider-Weil, Stochastic and Integral Geometry, Thms 7.2.1 and 7.2.7)
     for ambient dimension n, section dimension k and point count q.
 
-    Computed in log space as (q!)^(n-k) times the ratio of the top q unit
-    ball volumes in dimension n to those in dimension k.  Equals 1 when
-    n == k.  Note: checks that fit this constant empirically report the
-    measured ratio against this value rather than assuming it.
+    Computed in log space as (q!)^(n-k) times the ratio of the top q sphere
+    areas omega_j = j kappa_j in dimension n to those in dimension k.  The
+    section routes of the bp_* checks estimate this value; it equals 1 when
+    n == k.
 
     Raises TypeError unless n, k and q are integers, and ValueError unless
-    1 <= q <= k <= n.  The section identities are non-degenerate only for
-    k <= n - 1; k == n is the endpoint where the constant collapses to 1.
+    1 <= q <= k <= n.
     """
     if not (isinstance(n, int) and isinstance(k, int) and isinstance(q, int)):
         raise TypeError("dimensions must be integers")
     if not 1 <= q <= k <= n:
         raise ValueError(f"need 1 <= q <= k <= n, got n={n} k={k} q={q}")
     log_c = (n - k) * math.lgamma(q + 1.0)
-    for m in range(n - q + 1, n + 1):
-        log_c += _log_unit_ball_volume(m)
-    for j in range(k - q + 1, k + 1):
-        log_c -= _log_unit_ball_volume(j)
+    for i in range(q):
+        log_c += math.log((n - i) / (k - i)) \
+            + _log_unit_ball_volume(n - i) - _log_unit_ball_volume(k - i)
     return float(np.exp(log_c))
-
-
-def bp_exact_constant(n: int, k: int, q: int) -> float:
-    """The constant of the linear and affine Blaschke-Petkantschin formulas
-    (Schneider-Weil, Stochastic and Integral Geometry, Thms 7.2.1 and 7.2.7).
-
-    bp_constant with every unit-ball volume kappa_j replaced by the sphere
-    area omega_j = j kappa_j, i.e. bp_constant times
-    prod_{j<q} (n - j) / (k - j).  The section routes of the bp_* checks
-    estimate this value; equals 1 when n == k.  Arguments are checked as
-    in bp_constant.
-    """
-    return bp_constant(n, k, q) * math.prod((n - j) / (k - j)
-                                            for j in range(q))
 
 
 def _tuple_volumes(x: np.ndarray) -> np.ndarray:

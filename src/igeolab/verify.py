@@ -15,10 +15,10 @@ draws no density, is sharpness.py's.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
-* identity checks (the two section decompositions) fit their unspecified
-  normalization from the data and report its ratio to the printed closed
-  form; the verdict asks only that two independent replicas agree on the
-  fit (its distance to the exact Blaschke-Petkantschin constant rides along);
+* identity checks (the two section decompositions and the two
+  invariances) pass when their ratio lies within 3 stderr of 1; a section
+  decomposition's route is scaled by the exact Blaschke-Petkantschin
+  constant, so its ratio is the fitted constant over the exact one;
 * unspecified O(1) constants are fitted and compared against a ceiling of 10;
 * estimates whose top percentile carries half the total are flagged
   inconclusive rather than trusted.
@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .geometry import ROW_BLOCK, bp_constant, bp_exact_constant, \
-    unit_ball_volume, unit_volume_radius, _row_norms
+from .geometry import ROW_BLOCK, bp_exact_constant, unit_ball_volume, \
+    unit_volume_radius, _row_norms
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
     distances_to, haar_bases, _orthonormal, _orthonormalize
 from .densities import DensityModel, EllipsoidIndicator, affine_image, \
@@ -42,8 +42,8 @@ from .functionals import ExponentSpec, affine_average_I, \
     _frame_mean, _simplex_powers
 from .rearrange import rearrangement
 from .report import PASS, FAIL, INCONCLUSIVE, CheckReport, Estimate, \
-    ParameterError, merge_estimates, ratio_estimate, power_estimate, \
-    _at_least, _k_up_to, _need, _one_sided_verdict
+    ParameterError, ratio_estimate, power_estimate, _at_least, _k_up_to, \
+    _need, _one_sided_verdict
 
 EQUALITY_BAND = 0.02
 TAIL_LIMIT = 0.5
@@ -86,6 +86,20 @@ def _spec_params(spec: ExponentSpec) -> dict:
 def _heavy_tailed(*ests: Estimate) -> bool:
     return any(e.tail_share is not None and e.tail_share >= TAIL_LIMIT
                for e in ests)
+
+
+def _departure_verdict(num: Estimate, den: Estimate) -> tuple[str, Estimate]:
+    """Verdict of an identity num = den, and the ratio num/den it reads:
+    FAIL when the ratio is not finite or departs from 1 by more than 3
+    stderr, which a side that reads 0 does, INCONCLUSIVE when a side is
+    heavy-tailed or the ratio too noisy to see a departure, else PASS."""
+    ratio = ratio_estimate(num, den)
+    if not (math.isfinite(ratio.value)
+            and abs(ratio.value - 1.0) <= 3.0 * ratio.stderr):
+        return FAIL, ratio
+    if _heavy_tailed(num, den) or ratio.rel_stderr > NOISE_FLOOR:
+        return INCONCLUSIVE, ratio
+    return PASS, ratio
 
 
 def _unit_mass(f: DensityModel):
@@ -223,51 +237,36 @@ def _section_route(f_list, frames, count, inner, exponent, origin,
 
 def _decomposition_report(name: str, parameters: dict, dims: tuple,
                           ambient, route, rng) -> CheckReport:
-    """Replicas and verdict shared by the two section decompositions.
+    """Verdict shared by the two section decompositions.
 
-    Each half of rng runs one replica, ambient(half) and then
-    route(half.spawn(1)[0]), and fits the constant as their ratio; the
-    verdict asks the two fits to agree within 3 combined stderr unless a
-    route is heavy-tailed.  Ambient sides are pooled unless exact.  The
-    pooled fit's distance to the exact constant, in its stderr, rides
-    along as exact_z (diagnostic only).  dims is (n, k, q).
+    ambient and route each draw their whole budget from one child of rng;
+    rhs is the route times the exact Blaschke-Petkantschin constant of
+    dims = (n, k, q), decided against lhs by _departure_verdict.  The
+    fitted constant lhs / route and its distance to the exact one in its
+    stderr (exact_z, the verdict's statistic) ride along.
     """
-    ambients, routes = zip(*[(ambient(half), route(half.spawn(1)[0]))
-                             for half in rng.spawn(2)])
-    lhs_all = ambients[0] if ambients[0].method == "exact" \
-        else merge_estimates(ambients)
-    printed = bp_constant(*dims)
+    ambient_stream, route_stream = rng.spawn(2)
+    lhs = ambient(ambient_stream)
+    routed = route(route_stream)
     exact = bp_exact_constant(*dims)
-    fits = [ratio_estimate(*side) for side in zip(ambients, routes)]
-    gap = abs(fits[0].value - fits[1].value)
-    tol = 3.0 * math.hypot(fits[0].stderr, fits[1].stderr)
-    route_all = merge_estimates(routes)
-    fitted = ratio_estimate(lhs_all, route_all)
+    rhs = routed.scaled(exact)
+    verdict, _ = _departure_verdict(lhs, rhs)
+    fitted = ratio_estimate(lhs, routed)
     return CheckReport(
-        name=name, parameters=parameters, lhs=lhs_all,
-        rhs=route_all.scaled(printed),
-        verdict=INCONCLUSIVE if _heavy_tailed(*routes)
-        else (PASS if gap <= tol else FAIL),
+        name=name, parameters=parameters, lhs=lhs, rhs=rhs, verdict=verdict,
         diagnostics={
-            "printed_constant": printed,
             "fitted_constant": fitted.value,
             "fitted_stderr": fitted.stderr,
-            "fitted_over_printed": fitted.value / printed,
             "exact_constant": exact,
             "exact_z": ((fitted.value - exact) / fitted.stderr
                         if fitted.stderr > 0 else math.inf),
-            "replica_fits": [e.value for e in fits],
-            "replica_gap": gap,
-            "replica_tolerance": tol,
-            "tail_shares": [r.tail_share for r in routes],
         })
 
 
 def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
     _k_up_to(k, _common_dim(f_list) - 1)
     _need(p >= 0.0, "p", f"must be >= 0, got {p}")
-    # each budget splits into two replicas of at least 2 samples
-    _at_least(4, n_direct=n_direct, n_subspaces=n_subspaces)
+    _at_least(2, n_direct=n_direct, n_subspaces=n_subspaces)
     _at_least(1, inner=inner)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
     _readable(f_list, k, "f_list")
@@ -285,27 +284,25 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     (n_direct unused) for inputs rotation invariant about 0 (see
     functionals._exact_cone_moment); RHS runs the two-stage route (random
     section, then points inside it), its integrand weighted by |conv|^(n-k),
-    scaled by the printed constant, which is fitted as LHS / route; two
-    independent replicas must agree on the fit within 3 combined stderr.
+    scaled by the exact constant; the ratio LHS / RHS must lie within 3
+    stderr of 1.
     """
     _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner)
     n = f_list[0].n
     q = len(f_list)
-    count = n_subspaces // 2
     mass = math.prod(f.mass for f in f_list)
 
-    def direct(samples, stream):
-        return simplex_moment(f_list, p, True, samples, stream).scaled(mass)
+    def direct(stream):
+        return simplex_moment(f_list, p, True, n_direct, stream).scaled(mass)
 
     def route(stream):
         return _section_route(f_list, functools.partial(subspace_frames, n, k),
-                              count, inner, p + (n - k), True, stream)
+                              n_subspaces, inner, p + (n - k), True, stream)
 
     return _decomposition_report(
         "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
                         "n_subspaces": n_subspaces},
-        (n, k, q),
-        lambda half: direct(n_direct // 2, half.spawn(1)[0]), route, rng)
+        (n, k, q), direct, route, rng)
 
 
 def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
@@ -314,9 +311,9 @@ def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
     _need(0.0 <= R and f.support_radius <= R + 1e-9, "R", f"must cover "
           f"the support radius {f.support_radius:.4g}, got {R}")
     _window(R, f.n, k, "R")
-    _need(n_direct >= (4 if p else 0), "n_direct", "must be >= 0, and >= 4 "
-          f"(two replicas of >= 2) with an offset exponent; got {n_direct}")
-    _at_least(4, n_flats=n_flats)
+    _need(n_direct >= (2 if p else 0), "n_direct", "must be >= 0, and >= 2 "
+          f"with an offset exponent; got {n_direct}")
+    _at_least(2, n_flats=n_flats)
     _at_least(1, inner=inner)
     _finite_side(lambda: f.mass ** (k + 1), "f")
     _readable([f], k, "f")
@@ -335,18 +332,18 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
     n = f.n
 
-    def ambient(half):
+    def ambient(stream):
         if p == 0.0:
             return Estimate.exact(f.mass ** (k + 1))
-        return simplex_moment([f] * (k + 1), p, False, n_direct // 2,
-                              half.spawn(1)[0]).scaled(f.mass ** (k + 1))
+        return simplex_moment([f] * (k + 1), p, False, n_direct,
+                              stream).scaled(f.mass ** (k + 1))
 
     frames = functools.partial(flat_frames, n, k, R)
     return _decomposition_report(
         "bp_flat", {"n": n, "k": k, "q": k, "p": p, "R": R,
                     "n_direct": n_direct, "n_flats": n_flats},
         (n, k, k), ambient,
-        lambda stream: _section_route([f] * (k + 1), frames, n_flats // 2,
+        lambda stream: _section_route([f] * (k + 1), frames, n_flats,
                                       inner, p + (n - k), False, stream),
         rng)
 
@@ -358,20 +355,12 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
 def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
                        invariant_sum: float, before: Estimate,
                        after: Estimate, **extra) -> CheckReport:
-    """Verdict shared by the two invariance checks: FAIL when after/before
-    is not finite or departs from 1 by more than 3 stderr, which a side
-    that reads 0 does, INCONCLUSIVE when a side is heavy-tailed or the
-    ratio too noisy to see a departure, else PASS.  before and after are
-    the averages before and after the map; each says how it was computed
-    (Estimate.method) and carries its tail share."""
-    ratio = ratio_estimate(after, before)
+    """Verdict shared by the two invariance checks: _departure_verdict of
+    after against before, the averages after and before the map, each of
+    which says how it was computed (Estimate.method) and carries its tail
+    share."""
+    verdict, ratio = _departure_verdict(after, before)
     dev = abs(ratio.value - 1.0)
-    if not (math.isfinite(ratio.value) and dev <= 3.0 * ratio.stderr):
-        verdict = FAIL
-    elif _heavy_tailed(before, after) or ratio.rel_stderr > NOISE_FLOOR:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return CheckReport(
         name=name, parameters=parameters, lhs=after, rhs=before,
         verdict=verdict,
@@ -957,7 +946,8 @@ def perturbation_experiment(f: DensityModel, k: int, E: np.ndarray, eta: float,
         name="perturbation",
         parameters={"n": n, "k": k, "eta": eta, "eps_grid": eps_grid,
                     "n_samples": n_samples, "n_candidates": n_candidates},
-        lhs=Estimate.exact(fitted),
+        # fitted from the n_samples draws of f, with no stderr
+        lhs=Estimate(fitted, 0.0, n_samples, "mc"),
         rhs=Estimate.exact(CONSTANT_CEILING),
         verdict=PASS if fitted <= CONSTANT_CEILING else FAIL,
         diagnostics={

@@ -136,12 +136,12 @@ def test_section_identity_fitted_constant(acceptance_log):
                                        inner=200)
             d = report.diagnostics
             fits.append((d["fitted_constant"], d["fitted_stderr"],
-                         d["fitted_over_printed"]))
+                         d["fitted_constant"] / d["exact_constant"]))
         gap = abs(fits[0][0] - fits[1][0])
         tol = 3.0 * math.hypot(fits[0][1], fits[1][1])
         stable = gap <= tol
         ok = ok and stable
-        details.append(f"{label} fitted/printed {fits[0][2]:.3f} "
+        details.append(f"{label} fitted/exact {fits[0][2]:.3f} "
                        f"(seed gap {gap:.4f} <= {tol:.4f})")
     log_line(acceptance_log, 2, "section identity fitted constant", ok,
              "; ".join(details))

@@ -948,23 +948,23 @@ def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
     assert asked == [2]
 
 
-def test_split_budget_below_four_exits_one(tmp_path, monkeypatch, capsys):
-    # n_direct = 3 splits into replicas of 1 sample; the parse says so
-    # rather than the estimator, twenty minutes in
+def test_budget_below_two_exits_one(tmp_path, monkeypatch, capsys):
+    # n_direct = 1 is no Monte Carlo mean; the parse says so rather than
+    # the estimator, twenty minutes in
     monkeypatch.chdir(tmp_path)
     body = PASS_BODY + """
-[check halves]
+[check short]
 check = "bp_subspace"
 densities = ["ball"]
 k = 1
 p = 1.0
-n_direct = 3
+n_direct = 1
 n_subspaces = 8
 inner = 4
 """
     assert main(["run", "--config", write_suite(tmp_path, body)]) == 1
     err = capsys.readouterr().err
-    assert "config error: [check halves] n_direct: " in err
+    assert "config error: [check short] n_direct: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

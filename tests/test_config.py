@@ -384,10 +384,10 @@ def check_section(fields):
     (GRINBERG, {"method": '"bogus"'}, "method"),
     (GRINBERG, {"n_flatz": "9"}, "n_flatz"),
     (GRINBERG, {"check": '"bp_subspace"', "method": '"exact"'}, "method"),
-    # budgets split into two replicas of >= 2 samples each
-    (BP_SUBSPACE, {"n_direct": "3"}, "n_direct"),
-    (BP_SUBSPACE, {"n_subspaces": "3"}, "n_subspaces"),
-    (BP_FLAT, {"n_flats": "3"}, "n_flats"),
+    # a budget is one Monte Carlo mean of >= 2 samples
+    (BP_SUBSPACE, {"n_direct": "1"}, "n_direct"),
+    (BP_SUBSPACE, {"n_subspaces": "1"}, "n_subspaces"),
+    (BP_FLAT, {"n_flats": "1"}, "n_flats"),
     (BP_FLAT, {"p": "1.0"}, "n_direct"),
     # affine_image's determinant tolerance, not a looser one
     (LINEAR, {"map": "[[1.0000000005, 0.0], [0.0, 1.0]]"}, "map"),
@@ -419,8 +419,8 @@ def check_section(fields):
 ], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
         "string-flag", "int-flag", "mc-one", "mc-fraction", "unknown-method",
         "unknown-field",
-        "method-where-not-taken", "bp-subspace-direct-3",
-        "bp-subspace-subspaces-3", "bp-flat-flats-3",
+        "method-where-not-taken", "bp-subspace-direct-1",
+        "bp-subspace-subspaces-1", "bp-flat-flats-1",
         "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
         "adversarial-bool-axis", "subspace-bool-axis", "map-bool-matrix",
@@ -718,9 +718,9 @@ RULES = {
     "bp-subspace-full-dimension": (
         lambda r: verify.check_bp_subspace([BALL], 2, 1.0, 8, 8, r, 4),
         "k", BP_SUBSPACE, {"k": "2"}, "k"),
-    "bp-subspace-direct-3": (
-        lambda r: verify.check_bp_subspace([BALL], 1, 1.0, 3, 8, r, 4),
-        "n_direct", BP_SUBSPACE, {"n_direct": "3"}, "n_direct"),
+    "bp-subspace-direct-1": (
+        lambda r: verify.check_bp_subspace([BALL], 1, 1.0, 1, 8, r, 4),
+        "n_direct", BP_SUBSPACE, {"n_direct": "1"}, "n_direct"),
     "bp-subspace-q-above-k": (
         lambda r: verify.check_bp_subspace([BALL, BALL], 1, 1.0, 8, 8, r, 4),
         "f_list", BP_SUBSPACE, {"densities": '["ball", "ball"]'},
@@ -732,9 +732,9 @@ RULES = {
     "bp-flat-zero-inner": (
         lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1.0, r, inner=0),
         "inner", BP_FLAT, {"inner": "0"}, "inner"),
-    "bp-flat-flats-3": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 3, 1.0, r, inner=4),
-        "n_flats", BP_FLAT, {"n_flats": "3"}, "n_flats"),
+    "bp-flat-flats-1": (
+        lambda r: verify.check_bp_flat(BALL, 1, 0, 1, 1.0, r, inner=4),
+        "n_flats", BP_FLAT, {"n_flats": "1"}, "n_flats"),
     "bp-flat-full-dimension": (
         lambda r: verify.check_bp_flat(BALL, 2, 0, 8, 1.0, r, inner=4),
         "k", BP_FLAT, {"k": "2"}, "k"),

@@ -575,8 +575,8 @@ def test_package_all_is_pinned():
         "EllipsoidIndicator", "Estimate", "ExponentSpec", "GaussianDensity",
         "ProductDensity", "RadialGridDensity", "RunConfig", "Step1D",
         "TruncatedGaussian", "affine_average_I", "affine_image",
-        "bp_constant", "build_density", "check_affine_invariance",
-        "check_bp_flat", "check_bp_subspace", "check_grinberg_functional",
+        "build_density", "check_affine_invariance", "check_bp_flat",
+        "check_bp_subspace", "check_grinberg_functional",
         "check_linear_invariance", "check_names",
         "check_rearrangement_monotonicity", "check_schneider_functional",
         "flat_frames", "gaussian_sharpness_experiment",

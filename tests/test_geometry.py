@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeolab import geometry
-from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_constant,
-                              bp_exact_constant, unit_ball_volume,
-                              unit_volume_radius, _tuple_volumes)
+from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_exact_constant,
+                              unit_ball_volume, unit_volume_radius,
+                              _tuple_volumes)
 
 
 # The package's lowest layers and the only package modules each may import:
@@ -74,6 +74,14 @@ def test_unit_volume_radius():
     assert unit_volume_radius(5) < 1.0 < unit_volume_radius(13)
 
 
+def bp_constant(n, k, q):
+    """The constant as the paper prints it: (q!)^(n-k) times the ratio of
+    the top q unit-ball volumes kappa_j in dimension n to those in
+    dimension k.  A reference for bp_exact_constant only."""
+    return math.factorial(q) ** (n - k) * math.prod(
+        unit_ball_volume(n - i) / unit_ball_volume(k - i) for i in range(q))
+
+
 def test_bp_constant_small_cases():
     # closed forms worked out by hand from the factorial/volume ratio
     assert bp_constant(2, 1, 1) == pytest.approx(math.pi / 2)
@@ -101,13 +109,12 @@ def test_bp_exact_constant_uses_sphere_areas():
 
 
 def test_dimensions_validation():
-    for constant in (bp_constant, bp_exact_constant):
-        for n, k, q in [(2, 3, 1), (3, 2, 0), (3, 2, 3), (0, 0, 0)]:
-            with pytest.raises(ValueError, match="1 <= q <= k <= n"):
-                constant(n, k, q)
-        for n, k, q in [(3.0, 2, 1), (3, np.int64(2), 1), (3, 2, "1")]:
-            with pytest.raises(TypeError, match="integers"):
-                constant(n, k, q)
+    for n, k, q in [(2, 3, 1), (3, 2, 0), (3, 2, 3), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="1 <= q <= k <= n"):
+            bp_exact_constant(n, k, q)
+    for n, k, q in [(3.0, 2, 1), (3, np.int64(2), 1), (3, 2, "1")]:
+        with pytest.raises(TypeError, match="integers"):
+            bp_exact_constant(n, k, q)
 
 
 def simplex_volume(pts):

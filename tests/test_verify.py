@@ -2,8 +2,8 @@
 inequalities, the marginal-bound and sharpness experiments.
 
 Budgets here are a fraction of the config-driven runs; seeds come from the
-shared fixture.  Fitted constants are compared against the simple rational
-ratios they converge to, with bands wide enough for the reduced budgets.
+shared fixture.  Fitted constants are compared against the exact constants
+they converge to, with bands wide enough for the reduced budgets.
 """
 
 import csv
@@ -18,7 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from igeolab import geometry, grassmann, runner, sharpness, verify
+from igeolab import densities, functionals, geometry, grassmann, runner, \
+    sharpness, verify
 from igeolab.config import CHECKS, ConfigError, load_config, report_name
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, PushforwardDensity,
@@ -65,31 +66,37 @@ def normalized_box(shift=0.0):
 # decomposition constants
 
 
+def assert_sits_on_exact_constant(rep, exact):
+    """rep PASSes with rhs = route * exact, its ratio the fitted constant
+    over exact, and the fit within 8% of it."""
+    d = rep.diagnostics
+    assert rep.verdict == PASS
+    assert d["exact_constant"] == pytest.approx(exact, rel=1e-14)
+    assert rep.ratio == pytest.approx(d["fitted_constant"] / exact,
+                                      rel=1e-12)
+    assert d["fitted_constant"] == pytest.approx(exact, rel=0.08)
+
+
 def test_bp_subspace_pair_gaussian(rng):
     g = GaussianDensity.standard(2)
     rep = check_bp_subspace([g], k=1, p=1.0, n_direct=40_000,
                             n_subspaces=320, rng=rng)
-    assert rep.verdict == PASS
-    d = rep.diagnostics
-    assert d["printed_constant"] == pytest.approx(math.pi / 2, rel=1e-12)
-    # probability-measure sampling absorbs a factor 2 relative to the
-    # printed constant at (2,1,1); the fit should sit on it
-    assert d["fitted_over_printed"] == pytest.approx(2.0, rel=0.08)
+    # at (2,1,1) the constant is omega_2 / omega_1 = pi
+    assert_sits_on_exact_constant(rep, math.pi)
 
 
 def test_bp_subspace_ball_three_two(rng):
     b3 = EllipsoidIndicator.ball(3)
     rep = check_bp_subspace([b3], k=2, p=1.0, n_direct=40_000,
                             n_subspaces=320, rng=rng)
-    assert rep.verdict == PASS
-    assert rep.diagnostics["printed_constant"] == pytest.approx(4.0 / 3.0)
-    assert rep.diagnostics["fitted_over_printed"] == pytest.approx(1.5, rel=0.08)
+    # at (3,2,1) it is omega_3 / omega_2 = 2
+    assert_sits_on_exact_constant(rep, 2.0)
 
 
 def test_bp_subspace_short_last_block(monkeypatch, rng):
     # DRAW_BLOCK = 7 with one density and inner = 2 leaves room for 3
-    # sections a block, so each replica's 10 sections run in blocks of
-    # 3, 3, 3 and 1
+    # sections a block, so the route's 20 sections run in blocks of
+    # 3, ..., 3 and 2
     sizes = []
 
     def counted(n, k, size, stream):
@@ -100,30 +107,31 @@ def test_bp_subspace_short_last_block(monkeypatch, rng):
     monkeypatch.setattr(grassmann, "haar_bases", counted)
     rep = check_bp_subspace([GaussianDensity.standard(2)], k=1, p=1.0,
                             n_direct=200, n_subspaces=20, rng=rng, inner=2)
-    assert sizes == [3, 3, 3, 1] * 2
+    assert sizes == [3] * 6 + [2]
     assert rep.rhs.samples == 20
     assert all(math.isfinite(v) for v in (rep.lhs.value, rep.rhs.value,
-                                          rep.rhs.stderr, rep.ratio))
-    assert all(math.isfinite(v) for v in rep.diagnostics["replica_fits"])
+                                          rep.rhs.stderr, rep.ratio,
+                                          rep.diagnostics["exact_z"]))
 
 
 def test_bp_flat_disk_mass_squared(rng):
     b2 = EllipsoidIndicator.ball(2)
     rep = check_bp_flat(b2, k=1, n_direct=10_000, n_flats=30_000, R=1.5,
                         rng=rng)
-    assert rep.verdict == PASS
-    # at p=0 the direct side is just mass^2, computed exactly
+    # at p=0 the direct side is just mass^2, computed exactly; the
+    # constant at (2,1,1) is pi
     assert rep.lhs.value == pytest.approx(math.pi ** 2, rel=1e-12)
     assert rep.lhs.stderr == 0.0
-    assert rep.diagnostics["fitted_over_printed"] == pytest.approx(2.0, rel=0.08)
+    assert_sits_on_exact_constant(rep, math.pi)
 
 
 def test_bp_flat_positive_power(rng):
     b2 = EllipsoidIndicator.ball(2)
     rep = check_bp_flat(b2, k=1, n_direct=60_000, n_flats=30_000, R=1.5,
                         rng=rng, p=1.0)
-    assert rep.verdict == PASS
-    assert rep.diagnostics["fitted_constant"] > 0
+    # the ambient side draws all n_direct tuples
+    assert rep.lhs.method == "mc" and rep.lhs.samples == 60_000
+    assert_sits_on_exact_constant(rep, math.pi)
 
 
 EXACT_FAMILIES = {
@@ -145,7 +153,8 @@ EXACT_FAMILIES = {
     ("flat", family) for family in EXACT_FAMILIES if family != "gaussian"])
 def test_bp_fit_matches_exact_constant(check, family, rng):
     # k = 1 sections in R^3: the batched section sampler must reproduce
-    # the Blaschke-Petkantschin constant printed * C(3, 1) to 4 stderr
+    # the Blaschke-Petkantschin constant omega_3 / omega_1 = 2 pi to 4
+    # stderr
     f = EXACT_FAMILIES[family]()
     if check == "subspace":
         rep = check_bp_subspace([f], k=1, p=1.0, n_direct=20_000,
@@ -154,13 +163,16 @@ def test_bp_fit_matches_exact_constant(check, family, rng):
         rep = check_bp_flat(f, k=1, n_direct=0, n_flats=4_000,
                             R=f.support_radius, rng=rng, inner=100)
     d = rep.diagnostics
-    assert d["exact_constant"] == pytest.approx(3.0 * d["printed_constant"])
+    assert d["exact_constant"] == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert abs(d["fitted_constant"] - d["exact_constant"]) \
         <= 4.0 * d["fitted_stderr"]
     assert d["exact_z"] == pytest.approx(
         (d["fitted_constant"] - d["exact_constant"]) / d["fitted_stderr"])
-    # the stderr is small enough to tell the printed constant apart
-    assert abs(d["fitted_constant"] - d["printed_constant"]) \
+    assert rep.ratio == pytest.approx(
+        d["fitted_constant"] / d["exact_constant"], rel=1e-12)
+    # the stderr is small enough to tell the paper's printed constant,
+    # with ball volumes kappa_j for the sphere areas, apart: 2 pi / 3
+    assert abs(d["fitted_constant"] - 2.0 * math.pi / 3.0) \
         > 10.0 * d["fitted_stderr"]
 
 
@@ -1034,6 +1046,9 @@ def test_perturbation_finds_good_neighbors(rng):
     assert rep.verdict == PASS
     d = rep.diagnostics
     assert d["fitted_constant"] <= 10.0
+    # the constant is read off the draws of f, and the side says so
+    assert (rep.lhs.value, rep.lhs.method, rep.lhs.samples) \
+        == (d["fitted_constant"], "mc", 15_000)
     assert 0.0 <= d["best_candidate_distance"] <= 0.5 + 1e-9
     assert d["success_fraction"] > 0.0
 
@@ -1245,3 +1260,44 @@ def test_ellipsoid_masses_one_percent_high_fail_each_equality(monkeypatch):
                                           substream(cfg.seed, idx))
             assert report.verdict == verdict, (job.label, report.ratio)
         monkeypatch.setattr(EllipsoidIndicator, "_sections", mutant)
+
+
+def test_bp_rows_fail_each_planted_constant_error(monkeypatch):
+    # the five bp_* rows of the shipped suites PASS; each planted error
+    # FAILs at least one of them: the paper's printed constant (ball
+    # volumes kappa_j where the formulas have sphere areas j kappa_j) in
+    # place of the exact one, the exact constant 10% high, and the chi
+    # moments behind the exact cone moments or the simplex volumes 3% high
+    jobs = []
+    for path in ("configs/paper-core.ini", "bench/workloads/sections.ini"):
+        cfg = load_config(str(ROOT / path))
+        jobs += [(cfg.seed, idx, job) for idx, job in enumerate(cfg.checks)
+                 if job.name in ("bp_subspace", "bp_flat")]
+    assert len(jobs) == 5
+
+    def verdicts():
+        return [CHECKS[job.name].run(job.kwargs,
+                                     substream(seed, idx)).verdict
+                for seed, idx, job in jobs]
+
+    assert verdicts() == [PASS] * 5
+    exact = geometry.bp_exact_constant
+    mutants = {
+        "printed constant": [(verify, "bp_exact_constant", lambda n, k, q:
+                              exact(n, k, q) / math.prod(
+                                  (n - j) / (k - j) for j in range(q)))],
+        "exact constant x 1.10": [(verify, "bp_exact_constant",
+                                   lambda *dims: 1.10 * exact(*dims))],
+        "chi moments x 1.03": [
+            (module, "_chi_moment",
+             lambda m, p: 1.03 * geometry._chi_moment(m, p))
+            for module in (densities, functionals)],
+        "simplex volumes x 1.03": [
+            (functionals, "_tuple_volumes",
+             lambda x: 1.03 * geometry._tuple_volumes(x))],
+    }
+    for label, patches in mutants.items():
+        with monkeypatch.context() as patch:
+            for module, name, mutant in patches:
+                patch.setattr(module, name, mutant)
+            assert FAIL in verdicts(), label
