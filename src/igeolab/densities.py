@@ -24,10 +24,9 @@ else in the package is built from them:
   offsets)[0] ** (1/p)``.
 * ``rearrangement()`` (f*, ValueError where a family has none),
   ``radial_moment(p)`` (E|X|^p, None unless rotation invariant about 0)
-  and ``section_form(hyperplanes)`` (the quadratic form that a rule's
-  directions match, None where a family has none): each family answers
-  its own closed forms.  Outside this module only
-  functionals._rule_covers asks a density's family, for a rule's reach.
+  and ``section_form(hyperplanes, flats)`` (the form that a rule's
+  directions match, None outside the family's rule reach): each family
+  answers its own closed forms, and no module outside asks a family.
 
 Monte Carlo section stats are a method of ``section_stats``, not a
 fallback; their sups are sampled maxima, biased low.  Each constructor
@@ -112,16 +111,18 @@ class DensityModel:
 
     def radial_moment(self, p: float):
         """E|X|^p for X ~ f / mass in closed form, where f is rotation
-        invariant about 0; None otherwise.  Needs n + p > 0."""
+        invariant about 0; None otherwise.  Needs n + p > 0; at p = 0 it
+        is 1 for every such f, the symmetry test of functionals."""
         return None
 
-    def section_form(self, hyperplanes: bool):
-        """The SPD (n, n) form C of f's sections, or None where a family
-        has none: centred at the origin, f's section along the line with
-        direction theta, or with hyperplanes set across the hyperplane
-        with normal theta, has mass a multiple of (theta^T C theta)^(-1/2),
-        and so does every power of f.  grassmann.rule_frames matches its
-        directions to it."""
+    def section_form(self, hyperplanes: bool, flats: bool):
+        """The SPD (n, n) form C of f's sections, or None outside the
+        family's rule reach: centred at the origin, f's section along the
+        line with direction theta, or with hyperplanes set across the
+        hyperplane with normal theta, has mass a multiple of
+        (theta^T C theta)^(-1/2), analytic in theta, as has every power
+        of f; with flats set, f lives on the ellipsoid about f.center of
+        inverse shape C.  grassmann.rule_frames matches its nodes to it."""
         return None
 
 
@@ -294,9 +295,11 @@ class EllipsoidIndicator(_Sectioned):
             return None
         return n * s ** (-0.5 * p) / (n + p)
 
-    def section_form(self, hyperplanes):
-        # a chord 2 (theta^T M theta)^(-1/2); a central hyperplane section
-        # det(M)^(-1/2) (theta^T M^-1 theta)^(-1/2) times a constant
+    def section_form(self, hyperplanes, flats):
+        # a chord is 2 (theta^T M theta)^(-1/2), a central hyperplane
+        # section ~ (theta^T M^-1 theta)^(-1/2): analytic with 0 inside
+        if not flats and self.center @ self.shape_matrix @ self.center >= 1:
+            return None
         return np.linalg.inv(self.shape_matrix) if hyperplanes \
             else self.shape_matrix
 
@@ -379,10 +382,11 @@ class GaussianDensity(_Sectioned):
             return None
         return c ** (0.5 * p) * _chi_moment(n, p)
 
-    def section_form(self, hyperplanes):
+    def section_form(self, hyperplanes, flats):
         # a line's mass ~ (theta^T cov^-1 theta)^(-1/2), a hyperplane's
-        # the marginal density of theta . X at 0, (theta^T cov theta)^(-1/2)
-        return self.cov if hyperplanes else self._prec
+        # the marginal density of theta . X at 0, (theta^T cov theta)^(-1/2);
+        # no offset rule covers the unbounded support
+        return None if flats else (self.cov if hyperplanes else self._prec)
 
     def _sections(self, bases, offsets):
         """Each section is a Gaussian kernel with mean u_star and precision
@@ -716,7 +720,7 @@ class RadialGridDensity(_Sectioned):
     def radial_moment(self, p):
         n, e, h = self.n, self.edges, self.heights
         return n / (n + p) * (h @ np.diff(e ** (n + p))) \
-            / (h @ np.diff(e ** n))
+            / (h @ np.diff(e ** n)) if h.any() else None
 
     def _sections(self, bases, offsets):
         """Each section is radial about the foot point, with shell edges

@@ -6,10 +6,11 @@ section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
 generator's seed path.  Where a cone moment has a closed form
 (_exact_cone_moment, from each density's radial_moment), simplex_moment
-returns it as Estimate.exact and draws nothing.  Where a deterministic
-rule covers a section-norm average (_rule_covers), the average takes it
-instead of drawing: its Estimate has method "rule", the rule's error as
-stderr and the frames of its last level as samples.
+returns it as Estimate.exact and draws nothing.  Neither does a
+section-norm average of densities all rotation invariant about 0 over
+subspaces, read on one frame as Estimate.exact, nor one that a rule
+covers (_rule_covers): its Estimate has method "rule", the rule's error
+as stderr and the frames of its last level as samples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .geometry import ROW_BLOCK, _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
-from .densities import EllipsoidIndicator, GaussianDensity, section_stats
+from .densities import section_stats
 from .report import Estimate, ParameterError, _blocked, mc_estimate
 
 __all__ = [
@@ -226,38 +227,41 @@ def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
 
 def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
     """Whether a section-norm average takes grassmann.rule_average instead of
-    drawing: exact sections on lines or hyperplanes of R^2 or R^3, and an
-    integrand the rule converges on spectrally.  Over subspaces every
-    density is Gaussian or an ellipsoid with the origin strictly inside, so
-    that every section is analytic in its direction; over flats k = n - 1
-    and every slot holds one ellipsoid, whose support interval along each
-    normal the offset rule covers."""
+    drawing: exact sections on lines or hyperplanes of R^2 or R^3, over
+    flats hyperplanes with one density in every slot, and every density
+    within its family's rule reach, a section_form, so that the rule
+    converges on the integrand spectrally."""
     n = f_list[0].n
-    if method != "exact" or n not in RULE_START or k not in (1, n - 1):
+    if method != "exact" or n not in RULE_START or k not in (1, n - 1) \
+            or flats and (k < n - 1 or len({id(f) for f in f_list}) > 1):
         return False
-    if flats:
-        return k == n - 1 and isinstance(f_list[0], EllipsoidIndicator) \
-            and all(f is f_list[0] for f in f_list)
-    return all(isinstance(f, GaussianDensity)
-               or isinstance(f, EllipsoidIndicator)
-               and float(f.center @ f.shape_matrix @ f.center) < 1.0
+    return all(f.section_form(flats or k > 1, flats) is not None
                for f in f_list)
 
 
-def _average(f_list, spec: ExponentSpec, method, frames, count: int, rng,
-             rule) -> Estimate:
-    """The section-norm average of f_list: the frame mean of count frames,
-    or with rule = (n, k, center, exponent) rule_average, drawing nothing,
-    its nodes matched to the first slot's section_form."""
+def _average(f_list, spec: ExponentSpec, method, k: int, count: int, rng,
+             R=None) -> Estimate:
+    """The section-norm average of f_list over k-subspaces, or with R over
+    k-flats in the R-window: exact, on the first k axes, where sections
+    are exact and every density is rotation invariant about 0
+    (radial_moment(0) known); else rule_average where _rule_covers holds,
+    matched to the first slot's section_form; else the frame mean."""
+    n, flats = _common_dim(f_list), R is not None
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
     integrand = functools.partial(_norm_products, f_list, spec, method)
-    if rule is None:
+    if method == "exact" and not flats \
+            and None not in [f.radial_moment(0.0) for f in f_list]:
+        return Estimate.exact(integrand(np.eye(n)[None, :, :k],
+                                        np.zeros((1, n)), None)[0])
+    if not _rule_covers(f_list, k, method, flats):
+        frames = functools.partial(flat_frames, n, k, R) if flats \
+            else functools.partial(subspace_frames, n, k)
         return _frame_mean(frames, integrand, count, rng, count)
-    n, k, center, exponent = rule
     value, error, nodes = rule_average(
         n, k, lambda bases, offsets: integrand(bases, offsets, None),
-        f_list[0].section_form, center, exponent)
+        f_list[0].section_form, f_list[0].center if flats else None,
+        0.5 * k * spec.constraint_sum)
     return Estimate(value, error, nodes, "rule")
 
 
@@ -269,16 +273,11 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
     ellipsoid, Gaussian, truncated-Gaussian and radial families everywhere
     and for products on lines), once per distinct
     (density, power) per stack of subspaces; ("mc", m) estimates each
-    slot's section norm from its own m window samples instead.  Where
-    _rule_covers holds the subspaces are a rule's nodes, converged level
-    by level, and n_subspaces is unused.
+    slot's section norm from its own m window samples instead.  Exact
+    sections of densities all rotation invariant about 0, or _rule_covers,
+    draw no subspace, and n_subspaces is unused (_average).
     """
-    n = _common_dim(f_list)
-    rule = (n, k, None, 0.0) if _rule_covers(f_list, k, method, False) \
-        else None
-    return _average(f_list, spec, method,
-                    functools.partial(subspace_frames, n, k), n_subspaces,
-                    rng, rule)
+    return _average(f_list, spec, method, k, n_subspaces, rng)
 
 
 def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
@@ -297,13 +296,9 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     the integrand is a multiple of (1 - rho^2)^(k A / 2) along each normal,
     A the exponent sum (grassmann.rule_frames).
     """
-    n = _common_dim(f_list)
+    _common_dim(f_list)
     for f in f_list:
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-    rule = (n, k, f_list[0].center, 0.5 * k * spec.constraint_sum) \
-        if _rule_covers(f_list, k, method, True) else None
-    return _average(f_list, spec, method,
-                    functools.partial(flat_frames, n, k, R), n_flats, rng,
-                    rule)
+    return _average(f_list, spec, method, k, n_flats, rng, R)

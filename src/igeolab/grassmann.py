@@ -285,12 +285,12 @@ def rule_frames(n: int, k: int, level: int, section_form, center=None,
     hyperplanes of R^n, n in {2, 3}, k in {1, n - 1}, at the given level.
 
     A node theta is the direction of a line at k = 1 without center, else
-    the normal of a hyperplane, and section_form(hyperplanes) returns the
-    SPD (n, n) form C that the rule is matched to, as densities'
-    section_form does: the nodes are _matched_rule's, matched to
-    integrands that vary as (theta^T C theta)^(-n/2), and their weights
-    sum to 1 to the accuracy of the rule.  A line's basis is theta, a
-    hyperplane's its _complements.
+    the normal of a hyperplane, and section_form(hyperplanes, flats), flats
+    set with center, returns the SPD (n, n) form C that the rule is matched
+    to, as densities' section_form does: the nodes are _matched_rule's,
+    matched to integrands that vary as (theta^T C theta)^(-n/2), and their
+    weights sum to 1 to the accuracy of the rule.  A line's basis is
+    theta, a hyperplane's its _complements.
     Without center: the lines or hyperplanes through the origin, with zero
     offsets and the node weights: sum(weights * g) is the rule for the
     Haar average of g, with bases (N, n, k) and offsets (N, n).
@@ -314,7 +314,7 @@ def rule_frames(n: int, k: int, level: int, section_form, center=None,
     if center is not None and k != n - 1:
         raise ValueError(f"flat rules cover k = n-1 only, got n={n} k={k}")
     hyperplanes = center is not None or k > 1
-    form = section_form(hyperplanes)
+    form = section_form(hyperplanes, center is not None)
     theta, weights = _matched_rule(*_sphere_rule(n, level), form)
     bases = _complements(theta) if hyperplanes else theta[..., None]
     if center is None:

@@ -66,11 +66,12 @@ def _sharpness_hits(n: int, k: int, s: float, stream: np.random.Generator,
 def _hit_count(n: int, k: int, s: float, stream: np.random.Generator,
                m: int) -> int:
     """How many of m subspaces drawn from stream hit the sharpness event:
-    _sharpness_hits on blocks of ROW_BLOCK subspaces, one draw each, so
-    the hits are those of one draw of all m; only their count is kept."""
+    _sharpness_hits on blocks of ROW_BLOCK // k subspaces, one draw each,
+    so the hits are those of one draw of all m; only their count is kept."""
+    rows = max(1, ROW_BLOCK // k)
     return sum(int(np.count_nonzero(_sharpness_hits(
-        n, k, s, stream, min(ROW_BLOCK, m - start))))
-        for start in range(0, m, ROW_BLOCK))
+        n, k, s, stream, min(rows, m - start))))
+        for start in range(0, m, rows))
 
 
 def _sharpness_rules(n, k, s, n_subspaces):

@@ -6,8 +6,8 @@ linear/affine pairs, and each pair shares one driver (_decomposition_report,
 _invariance_report, _bound_report); a check states only its frame sampler,
 its ambient side and its parameters, and draws through simplex_moment or
 functionals' frame mean, unless a closed form covers its cone moment
-(functionals._exact_cone_moment) or a rule its section-norm average
-(functionals._rule_covers).  Every rule on a check's parameters lives in
+(functionals._exact_cone_moment) or one frame or a rule its section-norm
+average (functionals._average).  Every rule on a check's parameters lives in
 one rules function beside it, which raises ParameterError naming the
 keyword; the check calls it before it draws anything, and load_config
 calls it on each parsed check map.  The Gaussian sharpness check, which

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeolab import functionals, grassmann
+from igeolab import functionals
 from igeolab.config import build_density
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
-                               ProductDensity, PushforwardDensity, Step1D,
-                               TruncatedGaussian, section_stats)
+                               ProductDensity, PushforwardDensity,
+                               RadialGridDensity, Step1D, TruncatedGaussian,
+                               section_stats)
 from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  grassmann_average_I, powz, simplex_moment,
                                  _lp_norms, _norm_products)
@@ -305,24 +306,69 @@ def test_uncovered_cone_moments_draw_as_before(f_list, p, origin):
 # invariant averages
 
 
+def drawn_average(f_list, spec, frames, count, rng):
+    """The frame mean of count drawn frames of an exact section-norm
+    average, whichever route the average itself takes."""
+    return functionals._frame_mean(frames, functools.partial(
+        _norm_products, f_list, spec, "exact"), count, rng, count)
+
+
 def test_grassmann_average_ball_is_exact(rng):
     # every central section of the ball looks the same, so the average
     # collapses to a single product of norms: with zero variance over
-    # drawn subspaces, and at the rule's error floor over a rule's nodes,
-    # which stops at its second level, the first it can compare
+    # drawn subspaces, and read on one frame, drawing nothing
     b2 = EllipsoidIndicator.ball(2)
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
-    drawn = functionals._average(
-        [b2, b2], spec, "exact",
-        functools.partial(subspace_frames, 2, 1), 500, rng, None)
+    drawn = drawn_average([b2, b2], spec,
+                          functools.partial(subspace_frames, 2, 1), 500, rng)
     assert drawn.method == "mc" and drawn.samples == 500
     assert drawn.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-12)
     assert drawn.stderr <= 1e-12
-    est = grassmann_average_I([b2, b2], spec, 1, 500, rng)
-    assert est.value == pytest.approx(2.0 ** 3 * 1.0, rel=1e-15)
-    assert est.stderr == grassmann.RULE_RTOL * est.value
-    assert est.method == "rule" and est.tail_share is None
-    assert est.samples == 2 * grassmann.RULE_START[2]
+    est = grassmann_average_I([b2, b2], spec, 1, 500, None)
+    assert est == Estimate.exact(2.0 ** 3 * 1.0)
+
+
+def symmetric_families(n):
+    """name -> (a density rotation invariant about 0 in R^n, its near
+    twins): its centre moved by 1e-3, or one axis stretched by 1.001,
+    where the family has such a member (a radial grid has neither)."""
+    shift, axis = np.eye(n)[0] * 1e-3, np.eye(n)[0] * 1e-3 + 1.0
+    return {
+        "ball": (EllipsoidIndicator.ball(n),
+                 [EllipsoidIndicator.ball(n, center=shift),
+                  EllipsoidIndicator(np.diag(axis ** -2.0))]),
+        "gaussian": (GaussianDensity(np.zeros(n), 0.7 * np.eye(n)),
+                     [GaussianDensity(shift, 0.7 * np.eye(n)),
+                      GaussianDensity(np.zeros(n), 0.7 * np.diag(axis ** 2))]),
+        "truncated": (TruncatedGaussian(np.zeros(n), 0.8, 1.5),
+                      [TruncatedGaussian(shift, 0.8, 1.5)]),
+        "radial": (RadialGridDensity.uniform(n, 1.5, [1.0, 0.8, 0.3]), []),
+    }
+
+
+@pytest.mark.parametrize("family", ["ball", "gaussian", "truncated",
+                                    "radial"])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+def test_rotation_invariant_averages_read_one_frame(family, n, k, rng):
+    # every subspace meets a rotation-invariant density in the same
+    # sections, so the exact average is its integrand on the first k axes,
+    # and 20,000 drawn subspaces agree; the drawn integrand is one constant
+    # to rounding, so 4 stderr is padded by the rounding of their sum.
+    # Near twins keep their own route, a rule or drawn frames
+    f, twins = symmetric_families(n)[family]
+    spec = ExponentSpec((1.0, INF, 2.0), (1.5, -0.5, 1.0))
+    est = grassmann_average_I([f] * 3, spec, k, 2, None)
+    assert est == Estimate.exact(est.value) and est.value > 0.0
+    drawn = drawn_average([f] * 3, spec,
+                          functools.partial(subspace_frames, n, k), 20_000,
+                          rng)
+    assert abs(est.value - drawn.value) \
+        <= 4.0 * drawn.stderr + 1e-14 * est.value
+    for twin in twins:
+        near = grassmann_average_I([twin] * 3, spec, k, 2_000, rng)
+        assert near.method == ("rule" if functionals._rule_covers(
+            [twin] * 3, k, "exact", False) else "mc")
+        assert near.value == pytest.approx(est.value, rel=1e-2)
 
 
 def test_affine_average_chord_cubed(rng):
@@ -457,9 +503,11 @@ def test_mc_products_draw_every_slot_in_order(monkeypatch):
 def test_averages_share_section_evaluations(rng, monkeypatch):
     # Grinberg-type slots (f, 1), (f, inf) repeat one density: one
     # section_stats call per stack of subspaces, not two; in R^4 no rule
-    # covers the ball, so the exact average draws its stack, and in R^2
-    # each level of the rule is one stack
-    b4, b2 = EllipsoidIndicator.ball(4), EllipsoidIndicator.ball(2)
+    # covers the off-centre ball, so the exact average draws its stack, in
+    # R^2 each level of the rule is one stack, and the centred ball is read
+    # on one frame
+    b4 = EllipsoidIndicator.ball(4, center=[0.1, 0.0, 0.0, 0.0])
+    b2 = EllipsoidIndicator.ball(2, center=[0.1, 0.0])
     spec = ExponentSpec((1.0, INF), (3.0, -2.0))
     calls = counting_section_stats(monkeypatch)
     grassmann_average_I([b4, b4], spec, 1, 500, rng)
@@ -471,6 +519,10 @@ def test_averages_share_section_evaluations(rng, monkeypatch):
     calls.clear()
     grassmann_average_I([b2, b2], spec, 1, 500, rng)
     assert calls == [id(b2)] * 2   # the first level and its check
+    calls.clear()
+    ball = EllipsoidIndicator.ball(4)
+    grassmann_average_I([ball, ball], spec, 1, 500, rng)
+    assert calls == [id(ball)]
 
 
 def test_kplane_transform_gaussian(rng):
@@ -688,8 +740,7 @@ def test_rule_route_agrees_with_the_monte_carlo_route(name, rng):
     else:
         rule = grassmann_average_I(f_list, spec, k, 2, None)
         frames = functools.partial(subspace_frames, n, k)
-    drawn = functionals._average(f_list, spec, "exact", frames, 20_000, rng,
-                                 None)
+    drawn = drawn_average(f_list, spec, frames, 20_000, rng)
     assert drawn.method == "mc" and rule.method == "rule"
     assert rule.stderr <= 1e-9 * rule.value
     assert abs(rule.value - drawn.value) <= 4.0 * drawn.stderr

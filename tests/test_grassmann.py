@@ -290,7 +290,7 @@ def test_non_subspace_bases_are_rejected(E):
 def identity(n):
     """The identity form on R^n for lines and hyperplanes alike: the rule
     for the uniform law itself."""
-    return lambda hyperplanes: np.eye(n)
+    return lambda hyperplanes, flats: np.eye(n)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
@@ -419,7 +419,7 @@ NK = [(2, 1), (3, 1), (3, 2)]
 def test_matched_rule_weights_sum_to_one(n, k):
     form, _, _ = spd_form(n, 4.0, np.random.default_rng(n + k))
     bases, offsets, weights = grassmann.rule_frames(n, k, 2,
-                                                    lambda _: form)
+                                                    lambda *_: form)
     assert abs(weights.sum() - 1.0) <= 1e-14
     assert np.all(weights > 0) and not offsets.any()
     gram = np.einsum("sij,sil->sjl", bases, bases)
@@ -432,7 +432,7 @@ def test_matched_rule_integrates_its_density_at_level_0(n, k, condition):
     # E (theta^T C theta)^(-n/2) = det(C)^(-1/2) over the uniform law: the
     # integrand is a multiple of the density the rule is matched to
     form, d, q = spd_form(n, condition, np.random.default_rng(7))
-    bases, _, weights = grassmann.rule_frames(n, k, 0, lambda _: form)
+    bases, _, weights = grassmann.rule_frames(n, k, 0, lambda *_: form)
     quad = (rule_directions(bases, k) @ q) ** 2 @ d
     got = weights @ quad ** (-0.5 * n)
     assert got == pytest.approx(np.prod(d) ** -0.5, rel=1e-13, abs=0.0)
@@ -456,7 +456,7 @@ def test_matched_and_product_rules_agree_off_their_form(n, k):
     pair = functools.partial(_norm_products,
                              [gauss, gauss, ellipsoid, ellipsoid], spec,
                              "exact", rng=None)
-    for integrand, matched in ((smooth, lambda _: form),
+    for integrand, matched in ((smooth, lambda *_: form),
                                (pair, gauss.section_form)):
         product = grassmann.rule_average(n, k, integrand, identity(n))
         match = grassmann.rule_average(n, k, integrand, matched)
@@ -481,7 +481,7 @@ def calibration(n, k, condition, seed, matched):
     hyperplanes, else the identity."""
     a, d, _ = spd_form(n, condition, np.random.default_rng(seed))
     inverse = np.linalg.inv(a)
-    form = (lambda hyperplanes: inverse if hyperplanes else a) \
+    form = (lambda hyperplanes, flats: inverse if hyperplanes else a) \
         if matched else identity(n)
     value, error, nodes = grassmann.rule_average(
         n, k, determinant_power(a, n), form)

@@ -401,7 +401,7 @@ def test_a_condition_1000_map_keeps_a_true_invariance(check):
     # a diagonal map of condition 1,000 on a ball pair at the invariant
     # exponent sum: the product rule read ratios 7.1 (linear) and 8.5
     # (affine) and FAILed; matched to each image's form the rule reads 1
-    # to rounding
+    # to rounding, against the ball's one frame over subspaces
     ball = EllipsoidIndicator.ball(3)
     g = np.diag([10 ** 1.5, 10 ** -1.5, 1.0])
     rng = np.random.default_rng(1)
@@ -415,7 +415,8 @@ def test_a_condition_1000_map_keeps_a_true_invariance(check):
             np.zeros(3), 1.0, 200, rng)
     assert report.verdict == PASS
     assert abs(report.ratio - 1.0) <= 1e-10
-    assert report.lhs.method == report.rhs.method == "rule"
+    assert report.lhs.method == "rule"
+    assert report.rhs.method == ("exact" if check == "linear" else "rule")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -851,9 +852,10 @@ def test_sharpness_hit_blocks_bound_the_traced_peak():
     # a (4, 2) row cross-checks CROSS_CHECK subspaces and a (6, 3) row
     # draws a million, on the Monte Carlo route, but only one block of
     # them, and their Gram products, are live at once, and only the hit
-    # count is kept; a (6, 3) block's draw and two Gram stacks alone take
-    # 2.25 MiB, where a float64 per hit took 15.3 MiB in all
-    for args, bound in (((4, 2, 1.5), 2 << 20), ((6, 3, 1.0), 3 << 20)):
+    # count is kept; a block of ROW_BLOCK // k subspaces keeps its draw
+    # and two Gram stacks near 0.75 MiB whatever k is, where a float64 per
+    # hit took 15.3 MiB in all and ROW_BLOCK subspaces at (6, 3) 2.63
+    for args, bound in (((4, 2, 1.5), 2 << 20), ((6, 3, 1.0), 2 << 20)):
         tracemalloc.start()
         try:
             gaussian_sharpness_experiment(*args, 1_000_000,
@@ -1023,8 +1025,11 @@ def test_shipped_sharpness_rows_never_read_the_sampler(relpath, tmp_path,
     budget = cfg.checks[0].kwargs["n_subspaces"]
     cross_check = min(budget, sharpness.CROSS_CHECK)
     assert sum(drawn) == 5 * cross_check
+    # each non-empty row's cross-check in blocks of ROW_BLOCK // k
+    blocks = [-(-cross_check // (sharpness.ROW_BLOCK // job.kwargs["k"]))
+              for job, measure in zip(cfg.checks, exact) if measure > 0]
     assert max(drawn) <= sharpness.ROW_BLOCK
-    assert len(drawn) == 5 * -(-cross_check // sharpness.ROW_BLOCK)
+    assert len(blocks) == 5 and len(drawn) == sum(blocks)
 
 
 def test_sharpness_validation(rng):
@@ -1083,12 +1088,21 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # quadrature, whose rows still draw their one-block cross-check
 RULE_ROWS = {
     "paper-core": {"linear invariance shear", "affine invariance shear shift",
-                   "section ratio equality ball",
                    "section ratio ellipsoid equality",
                    "flat average shifted ellipsoid equality"},
     "negative-controls": {"wrong sum linear", "wrong sum affine"},
     "sharpness": {"sharpness 42 s15", "sharpness 42 s2"},
+    "sections": set(),
 }
+# the rows whose every density is rotation invariant about 0: their
+# subspace averages are read on one frame, exact, and draw nothing either
+SYMMETRIC_ROWS = {
+    "paper-core": {"section ratio equality ball",
+                   "section ratio truncated pair"},
+    "negative-controls": {"false equality claim"},
+    "sections": {"section ratio radial", "planted equality radial"},
+}
+CONFIG_DIRS = {"sections": "bench/workloads"}
 
 
 class FrameDrawsRaise(np.random.Generator):
@@ -1097,19 +1111,21 @@ class FrameDrawsRaise(np.random.Generator):
     drawn by uniform and choice, which still work, so a row keeps its map."""
 
     def standard_normal(self, *args, **kwargs):
-        raise AssertionError("a row that a rule covers drew")
+        raise AssertionError("a row that a rule or one frame covers drew")
 
     random = standard_normal
 
 
 @pytest.mark.parametrize("name", RULE_ROWS)
 def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
-    cfg = load_config(str(ROOT / "configs" / f"{name}.ini"),
-                      output_override=str(tmp_path))
+    cfg = load_config(str(ROOT / CONFIG_DIRS.get(name, "configs")
+                          / f"{name}.ini"), output_override=str(tmp_path))
     labels = [job.label for job in cfg.checks]
-    assert RULE_ROWS[name] <= set(labels)
-    averages = {job.label for job in cfg.checks
-                if job.name != "gaussian_sharpness"} & RULE_ROWS[name]
+    symmetric = SYMMETRIC_ROWS.get(name, set())
+    assert RULE_ROWS[name] | symmetric <= set(labels)
+    averages = ({job.label for job in cfg.checks
+                 if job.name != "gaussian_sharpness"} & RULE_ROWS[name]) \
+        | symmetric
 
     def guarded(seed, i):
         stream = substream(seed, i)
@@ -1125,7 +1141,8 @@ def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
         want = [row["verdict"] for row in csv.DictReader(handle)]
     assert got == want
     # every side says how it was computed, the rows with a rule side are
-    # exactly RULE_ROWS, and no side of a guarded row is a Monte Carlo mean
+    # exactly RULE_ROWS, no side of a guarded row is a Monte Carlo mean,
+    # and both sides of a symmetric row are exact
     ruled = set()
     for label in labels:
         report = json.loads((tmp_path / "reports" / (
@@ -1135,6 +1152,7 @@ def test_shipped_rule_rows_never_draw(name, tmp_path, monkeypatch):
         if "rule" in methods:
             ruled.add(label)
         assert label not in averages or "mc" not in methods, label
+        assert label not in symmetric or methods == {"exact"}, label
     assert ruled == RULE_ROWS[name]
 
 
@@ -1188,7 +1206,7 @@ def test_shipped_rule_sides_stop_converged(shipped_reports):
                 (config, label, side)
             assert est["samples"] < grassmann.RULE_MAX_FRAMES, \
                 (config, label, side)
-    assert averages == 11
+    assert averages == 9
 
 
 def shipped_job(label, name="paper-core"):
