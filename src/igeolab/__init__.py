@@ -27,7 +27,7 @@ _SOURCES = {
     "rearrange": ("rearrangement",),
     "functionals": ("ExponentSpec", "affine_average_I", "grassmann_average_I",
                     "simplex_moment"),
-    "report": ("CheckReport", "Estimate", "mc_estimate", "merge_estimates"),
+    "report": ("CheckReport", "Estimate", "mc_estimate"),
     "verify": ("check_affine_invariance", "check_bp_flat",
                "check_bp_subspace", "check_grinberg_functional",
                "check_linear_invariance", "check_rearrangement_monotonicity",

@@ -25,7 +25,7 @@ from .geometry import ROW_BLOCK, _chi_moment, _tuple_volumes
 from .grassmann import RULE_START, flat_frames, rule_average, \
     subspace_frames
 from .densities import section_stats
-from .report import Estimate, ParameterError, _blocked, mc_estimate
+from .report import Estimate, ParameterError, mc_estimate
 
 __all__ = [
     "ExponentSpec",
@@ -214,13 +214,23 @@ def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
                 rows: int) -> Estimate:
     """Monte Carlo mean of weight * integrand(bases, offsets, stream) over
     count frames drawn by frames(size, stream) -> (bases, offsets, weight),
-    in _blocked blocks of rows frames, with the tail share attached."""
+    in consecutive blocks of at most rows frames, with the tail share
+    attached.  A single block is its fill itself, not a copy of it.  With
+    several blocks the draws of frames and integrand (flat_frames,
+    section_points) interleave block by block, so there the block size is
+    part of the stream layout."""
+
+    def fill(stream, size):
+        bases, offsets, weight = frames(size, stream)
+        return weight * integrand(bases, offsets, stream)
 
     def draw(stream, m):
-        def fill(size):
-            bases, offsets, weight = frames(size, stream)
-            return weight * integrand(bases, offsets, stream)
-        return _blocked(m, rows, fill)
+        if m <= rows:
+            return fill(stream, m)
+        out = np.empty(m)
+        for start in range(0, m, rows):
+            out[start:start + rows] = fill(stream, min(rows, m - start))
+        return out
 
     return mc_estimate(draw, count, rng, keep_values=True)
 

@@ -24,8 +24,9 @@ SV_RELATIVE_CUTOFF = 1e-12
 # rule agrees with itself at twice the nodes to about 1e-14 relative.
 QUAD_NODES = 32
 # Rows per block of the point kernels (window points, unit vectors, simplex
-# volumes, step-law draws and values), of the sharpness hit tests and of
-# marginal_bound's fibers: a block of a few float64 columns stays in cache.
+# volumes, step-law draws and values) and of marginal_bound's fibers, and
+# subspaces times k per block of the sharpness hit tests (ROW_BLOCK // k
+# subspaces): a block of a few float64 columns stays in cache.
 # No kernel draws inside its blocks, so no draw depends on it.
 ROW_BLOCK = 1 << 13
 

@@ -20,7 +20,6 @@ __all__ = [
     "Estimate",
     "CheckReport",
     "mc_estimate",
-    "merge_estimates",
     "ratio_estimate",
     "power_estimate",
     "PASS",
@@ -31,10 +30,6 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-# merge_estimates pools values and stderrs below 2^MERGE_SCALE_BITS as
-# they are, and larger ones in a power-of-two unit that brings them below
-# it: their squares times any sample count stay finite.
-MERGE_SCALE_BITS = 256
 
 
 class ParameterError(ValueError):
@@ -97,38 +92,6 @@ class Estimate:
                         self.method, self.tail_share)
 
 
-def merge_estimates(parts: list[Estimate]) -> Estimate:
-    """Pool partial estimates of the same mean (parallel Welford merge).
-
-    The first part enters with no cross term, which would be inf * 0 for a
-    large mean.  The sums run in units of the power of two, from
-    math.frexp, that brings the largest value or stderr below
-    2^MERGE_SCALE_BITS, so no square overflows.  Scaling by it is exact,
-    and below that bound the unit is 1, so ordinary parts pool bit for bit
-    as they always have."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    top = max(max(abs(p.value), p.stderr) for p in parts)
-    unit = math.ldexp(1.0, max(0, math.frexp(top)[1] - MERGE_SCALE_BITS)) \
-        if math.isfinite(top) else 1.0
-    count, mean, m2 = 0, 0.0, 0.0
-    for p in parts:
-        n = p.samples
-        if n <= 0:
-            continue
-        var = ((p.stderr / unit) ** 2) * n     # sample variance of p's draws
-        m2_p = var * (n - 1)
-        delta = p.value / unit - mean
-        total = count + n
-        mean += delta * n / total
-        m2 += m2_p + (delta * delta * count * n / total if count else 0.0)
-        count = total
-    if count == 0:
-        raise ValueError("merged estimates carry no samples")
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
-    return Estimate(mean * unit, stderr * unit, count, "mc")
-
-
 def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
                 n_total: int,
                 rng: np.random.Generator,
@@ -147,31 +110,11 @@ def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
         raise ValueError(f"draw returned shape {vals.shape}, "
                          f"wanted ({n_total},)")
     sd = vals.std(ddof=1)
-    part = Estimate(float(vals.mean()), float(sd / math.sqrt(n_total)),
-                    n_total, "mc")
-    # the Welford merge rounds value and stderr in its own way; passing the
-    # one part through it keeps every published MC figure bit-stable
-    est = merge_estimates([part])
+    est = Estimate(float(vals.mean()), float(sd / math.sqrt(n_total)),
+                   n_total, "mc")
     if keep_values:
         est.tail_share = _tail_share(vals)
     return est
-
-
-def _blocked(m: int, rows: int, fill) -> np.ndarray:
-    """m values from fill(size) on consecutive blocks of at most rows rows;
-    a single block is fill(m) itself, not a copy of it.
-
-    A fill that makes one draw per block, as the sharpness check's single
-    standard_normal does, consumes a generator as one draw of all m would;
-    a fill that makes several (flat_frames, section_points) interleaves
-    them block by block, so there the block size is part of the stream
-    layout."""
-    if m <= rows:
-        return fill(m)
-    out = np.empty(m)
-    for start in range(0, m, rows):
-        out[start:start + rows] = fill(min(rows, m - start))
-    return out
 
 
 def _tail_share(values: np.ndarray) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .geometry import ROW_BLOCK, exact_event_measure, _sharpness_cut, \
     _spd_solve
-from .report import CheckReport, Estimate, merge_estimates, _at_least, \
-    _k_up_to, _need, _one_sided_verdict
+from .report import CheckReport, Estimate, _at_least, _k_up_to, _need, \
+    _one_sided_verdict
 
 # subspaces drawn to cross-check a non-empty exact measure
 CROSS_CHECK = 1 << 16
@@ -107,8 +107,8 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
     hit share and its binomial z against the exact measure are reported as
     sampled_measure and sampled_z, and neither enters the measure or the
     verdict.  Otherwise n_subspaces subspaces are drawn and the rhs method
-    is "mc": the hit share and its binomial stderr, the Estimate that
-    mc_estimate returns for the hits as 0/1 values.  Either way the hits
+    is "mc": the hit share and its binomial stderr, the mean and standard
+    error of the hits as 0/1 values, up to rounding.  Either way the hits
     are counted by _hit_count.
     """
     _sharpness_rules(n, k, s, n_subspaces)
@@ -118,9 +118,7 @@ def gaussian_sharpness_experiment(n: int, k: int, s: float, n_subspaces: int,
         m = n_subspaces
         c = _hit_count(n, k, s, rng, m)
         sd = math.sqrt(c * (m - c) / (m * (m - 1)))
-        # through the merge, as mc_estimate passes its one part, so the
-        # value rounds as it always has
-        rhs = merge_estimates([Estimate(c / m, sd / math.sqrt(m), m, "mc")])
+        rhs = Estimate(c / m, sd / math.sqrt(m), m, "mc")
     else:
         rhs = Estimate(float(exact), 0.0, 0, "rule") \
             if min(k, n - k) == 2 and exact > 0 else Estimate.exact(exact)

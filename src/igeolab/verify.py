@@ -56,7 +56,7 @@ MAP_CONDITION_CAP = np.finfo(float).eps ** -0.5
 # size range of the off-diagonal entries of a drawn 'shear'
 SHEAR_ENTRIES = (0.5, 1.5)
 # bp_* section points per blocked draw (several draws a block, so their
-# results depend on it: see report._blocked)
+# results depend on it: see functionals._frame_mean)
 DRAW_BLOCK = 1 << 16
 
 __all__ = [
@@ -132,13 +132,13 @@ def _finite_side(side, param: str, what="the check's closed-form side"):
 def _exact_cone(f_list, p: float, scale: float = 1.0, squared=False):
     """Rule on p: the cone moment of f_list times scale, where
     functionals._exact_cone_moment covers it, is a finite float, and so is
-    its square if squared: a Monte Carlo mean of that size cannot be pooled
-    (merge_estimates squares it)."""
+    its square if squared: a Monte Carlo mean has deviations of that size,
+    and the sample standard deviation squares them."""
     def side():
         exact = _exact_cone_moment(f_list, p)
         return 0.0 if exact is None else (exact * scale) ** (1 + squared)
     _finite_side(side, "p", "the square of the exact cone moment, which "
-                 "Monte Carlo pooling takes," if squared
+                 "the sample standard deviation takes," if squared
                  else "the exact cone moment")
 
 

@@ -581,9 +581,9 @@ def test_package_all_is_pinned():
         "check_rearrangement_monotonicity", "check_schneider_functional",
         "flat_frames", "gaussian_sharpness_experiment",
         "grassmann_average_I", "haar_bases", "load_config",
-        "marginal_bound_experiment", "mc_estimate", "merge_estimates",
-        "perturb_subspace", "perturbation_experiment", "rearrangement",
-        "run_suite", "simplex_moment", "subspace_frames", "unit_ball_volume",
+        "marginal_bound_experiment", "mc_estimate", "perturb_subspace",
+        "perturbation_experiment", "rearrangement", "run_suite",
+        "simplex_moment", "subspace_frames", "unit_ball_volume",
         "unit_volume_radius"]
 
 

@@ -33,7 +33,7 @@ from igeolab.geometry import _tuple_volumes
 from igeolab.grassmann import flat_frames, subspace_frames
 from igeolab.rearrange import rearrangement
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
-                            merge_estimates, power_estimate, ratio_estimate)
+                            power_estimate, ratio_estimate)
 
 INF = math.inf
 
@@ -546,61 +546,6 @@ def test_estimate_exact_and_scaled():
     assert s.value == 2.0 and s.stderr == 0.0
 
 
-def test_merge_estimates():
-    parts = [Estimate(1.0, 0.1, 100, "mc"), Estimate(2.0, 0.1, 100, "mc")]
-    merged = merge_estimates(parts)
-    assert merged.value == pytest.approx(1.5)
-    assert merged.samples == 200
-    assert merged.stderr > 0
-
-
-def plain_welford(parts):
-    """merge_estimates as it pooled before it learned large means: the
-    reference its ordinary parts must still meet bit for bit."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for p in parts:
-        n = p.samples
-        var = (p.stderr ** 2) * n
-        m2_p = var * (n - 1)
-        delta = p.value - mean
-        total = count + n
-        mean += delta * n / total
-        m2 += m2_p + delta * delta * count * n / total
-        count = total
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
-    return mean, stderr
-
-
-def test_merge_estimates_pools_ordinary_parts_bit_for_bit():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        size = int(rng.integers(1, 5))
-        scale = 10.0 ** rng.uniform(-30, 30)
-        parts = [Estimate(float(scale * rng.normal()),
-                          float(scale * rng.uniform(0.0, 0.1)),
-                          int(rng.integers(2, 10 ** 6)), "mc")
-                 for _ in range(size)]
-        merged = merge_estimates(parts)
-        assert (merged.value, merged.stderr) == plain_welford(parts)
-
-
-def test_merge_estimates_pools_large_means_and_stderrs():
-    # the cross term of the first part was inf * 0 = nan, and a stderr of
-    # 1e160 overflowed its square
-    merged = merge_estimates([Estimate(1e200, 1e100, 10, "mc")])
-    assert (merged.value, merged.stderr, merged.samples) == (1e200, 1e100, 10)
-    merged = merge_estimates([Estimate(1.0, 1e160, 10, "mc")])
-    assert (merged.value, merged.stderr) == (1.0, 1e160)
-    # pooling commutes with a power-of-two scale, down to the last bit
-    parts = [Estimate(3.0, 0.25, 40, "mc"), Estimate(-1.0, 0.5, 7, "mc")]
-    small = merge_estimates(parts)
-    big = merge_estimates([Estimate(math.ldexp(p.value, 1000),
-                                    math.ldexp(p.stderr, 1000), p.samples,
-                                    "mc") for p in parts])
-    assert (big.value, big.stderr) == (math.ldexp(small.value, 1000),
-                                       math.ldexp(small.stderr, 1000))
-
-
 def test_mc_estimate_draws_budget_once(rng):
     calls = []
 
@@ -612,6 +557,19 @@ def test_mc_estimate_draws_budget_once(rng):
     assert len(calls) == 1
     assert calls[0][0] is rng and calls[0][1] == 1000
     assert est.samples == 1000 and est.tail_share is not None
+
+
+def test_mc_estimate_is_numpys_mean_and_standard_error():
+    # no pooling step re-rounds the one draw: value and stderr are numpy's
+    # mean and ddof=1 standard deviation over sqrt(n), bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(10 ** rng.uniform(math.log10(2), 5))
+        scale = 10.0 ** rng.uniform(-30, 30)
+        v = scale * rng.standard_normal(n) + scale * rng.normal()
+        est = mc_estimate(lambda stream, m: v, n, rng)
+        assert (est.value, est.stderr, est.samples, est.method) == (
+            float(v.mean()), float(v.std(ddof=1) / math.sqrt(n)), n, "mc")
 
 
 def test_check_report_computes_ratio():
@@ -642,7 +600,6 @@ def test_each_estimate_says_how_it_was_computed(rng):
     exact, rule = Estimate.exact(2.0), Estimate(3.0, 3e-12, 64, "rule")
     drawn = mc_estimate(lambda stream, m: stream.random(m), 100, rng)
     assert (exact.method, drawn.method) == ("exact", "mc")
-    assert merge_estimates([drawn, drawn]).method == "mc"
     for est in (exact, rule, drawn):
         assert est.scaled(-2.0).method == est.method
         assert power_estimate(est, 0.5).method == est.method

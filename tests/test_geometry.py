@@ -18,8 +18,11 @@ from igeolab.geometry import (SV_RELATIVE_CUTOFF, bp_exact_constant,
 # The package's lowest layers and the only package modules each may import:
 # geometry, the leaf of the exact numerics that every module imports, takes
 # nothing from the package, and grassmann takes only geometry, so a rule
-# never learns a density family.
-LAYERS = {"geometry": set(), "grassmann": {"geometry"}}
+# never learns a density family.  report and rng are leaves as well, and
+# sharpness, which needs no density model, takes only geometry and report,
+# so a sharpness-only config never compiles the density stack.
+LAYERS = {"geometry": set(), "grassmann": {"geometry"}, "report": set(),
+          "rng": set(), "sharpness": {"geometry", "report"}}
 
 
 def package_imports(tree):
