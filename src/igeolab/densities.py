@@ -740,7 +740,9 @@ class RadialGridDensity(_Sectioned):
         powers = edges ** k
         u = rng.random((len(edges), size))
         r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
-                            u) ** (1.0 / k)
+                            u)
+        if k > 1:
+            r **= 1.0 / k
         return _directions((len(edges), size), k, rng, r)
 
 
@@ -784,31 +786,31 @@ def _uniform_ball(dim: int, shape: tuple,
     directions scaled in place by _to_sphere."""
     g = rng.standard_normal(shape + (dim,))
     radii = (np.arange(shape[-1]) + rng.random(shape)) / shape[-1]
-    radii **= 1.0 / dim
+    if dim > 1:
+        radii **= 1.0 / dim
     return _to_sphere(g, radii)
 
 
 def _to_sphere(g: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """g (..., k) scaled in place to g / |g| times radii (...), row by
-    row, bit for bit as the broadcast division and product; a zero row
+    """g (..., k) scaled in place to g / |g| times radii (...) >= 0, row
+    by row, bit for bit as the broadcast division and product; a zero row
     stays zero.  One ROW_BLOCK of rows at a time, column by column.  At
-    k = 1 a block with every |g| in [1e-150, 1e150] takes copysign(1, g):
-    there g * g is a normal number, its root is exactly |g|, and g / |g|
-    is exactly +-1."""
+    k = 1, g / |g| is exactly +-1, so a block takes copysign(radii, g) in
+    one pass, at any |g|."""
     k = g.shape[-1]
     rows, radii = g.reshape(-1, k), radii.reshape(-1)
     for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start:start + ROW_BLOCK]
-        if k == 1 and 1e-150 <= (size := np.abs(block)).min() \
-                and size.max() <= 1e150:
-            np.copysign(1.0, block, out=block)
-        else:
-            norms = _row_norms(block)
-            norms[norms == 0.0] = 1.0
-            for j in range(k):
-                block[:, j] /= norms
+        block, scale = rows[start:start + ROW_BLOCK], \
+            radii[start:start + ROW_BLOCK]
+        if k == 1:
+            np.copysign(scale, block[:, 0], out=block[:, 0],
+                        where=block[:, 0] != 0.0)
+            continue
+        norms = _row_norms(block)
+        norms[norms == 0.0] = 1.0
         for j in range(k):
-            block[:, j] *= radii[start:start + ROW_BLOCK]
+            block[:, j] /= norms
+            block[:, j] *= scale
     return g
 
 

@@ -4,7 +4,8 @@ Covers the simplex moment (with and without the origin as a vertex) and
 the frame mean behind the Grassmannian and affine-Grassmannian averages of
 section norms and the section routes of the decomposition checks.
 Every estimator returns an Estimate and is bit-reproducible given the
-generator's seed path.  Where a cone moment has a closed form
+generator's seed path: its one mc_estimate draw fills the values block by
+block (_in_blocks).  Where a cone moment has a closed form
 (_exact_cone_moment, from each density's radial_moment), simplex_moment
 returns it as Estimate.exact and draws nothing.  Neither does a
 section-norm average of densities all rotation invariant about 0 over
@@ -136,9 +137,11 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
     p > -(n - q + 1) are required, and negative p attaches the tail share;
     without it the points span the simplex alone and 2 <= q <= n + 1,
     p >= 1 are required (one point spans no simplex; below p = 1 the
-    rearrangement machinery breaks down).  The points are drawn slot by
-    slot, one (m, n) array each, and _simplex_powers takes the volumes of
-    their tuples block by block.
+    rearrangement machinery breaks down).  The values are filled
+    _in_blocks of ROW_BLOCK tuples, each block drawing its q slots in list
+    order and measured by _simplex_powers, so only one block of points is
+    live; with a budget above ROW_BLOCK the block size is part of the
+    stream layout.
     With origin set and every f_i rotation invariant about 0 (see
     _exact_cone_moment) the mean is returned as Estimate.exact instead:
     nothing is drawn from rng and n_samples is unused.
@@ -157,11 +160,12 @@ def simplex_moment(f_list, p: float, origin: bool, n_samples: int,
         if exact is not None:
             return Estimate.exact(exact)
 
-    def draw(stream, m):
-        return _simplex_powers([f.sample(m, stream) for f in f_list],
+    def fill(stream, size):
+        return _simplex_powers([f.sample(size, stream) for f in f_list],
                                origin, p)
 
-    return mc_estimate(draw, n_samples, rng, keep_values=p < 0)
+    return mc_estimate(_in_blocks(fill, ROW_BLOCK), n_samples, rng,
+                       keep_values=p < 0)
 
 
 def _exact_cone_moment(f_list, p: float):
@@ -214,15 +218,23 @@ def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
                 rows: int) -> Estimate:
     """Monte Carlo mean of weight * integrand(bases, offsets, stream) over
     count frames drawn by frames(size, stream) -> (bases, offsets, weight),
-    in consecutive blocks of at most rows frames, with the tail share
-    attached.  A single block is its fill itself, not a copy of it.  With
-    several blocks the draws of frames and integrand (flat_frames,
-    section_points) interleave block by block, so there the block size is
-    part of the stream layout."""
+    _in_blocks of at most rows frames, with the tail share attached: the
+    draws of frames and integrand (flat_frames, section_points) interleave
+    block by block."""
 
     def fill(stream, size):
         bases, offsets, weight = frames(size, stream)
         return weight * integrand(bases, offsets, stream)
+
+    return mc_estimate(_in_blocks(fill, rows), count, rng, keep_values=True)
+
+
+def _in_blocks(fill, rows: int):
+    """draw(stream, m) for mc_estimate: the (m,) values of fill(stream,
+    size) over consecutive blocks of at most rows, so only one block of
+    draws is live.  A single block is its fill itself, not a copy of it.
+    Each block draws from the stream in turn, so with several blocks the
+    block size is part of the stream layout."""
 
     def draw(stream, m):
         if m <= rows:
@@ -232,7 +244,7 @@ def _frame_mean(frames, integrand, count: int, rng: np.random.Generator,
             out[start:start + rows] = fill(stream, min(rows, m - start))
         return out
 
-    return mc_estimate(draw, count, rng, keep_values=True)
+    return draw
 
 
 def _rule_covers(f_list, k: int, method, flats: bool) -> bool:

@@ -27,7 +27,8 @@ QUAD_NODES = 32
 # volumes, step-law draws and values) and of marginal_bound's fibers, and
 # subspaces times k per block of the sharpness hit tests (ROW_BLOCK // k
 # subspaces): a block of a few float64 columns stays in cache.
-# No kernel draws inside its blocks, so no draw depends on it.
+# simplex_moment draws its points in these blocks, so its draws above
+# ROW_BLOCK tuples depend on it; no other draw does.
 ROW_BLOCK = 1 << 13
 
 __all__ = [

@@ -98,10 +98,10 @@ def mc_estimate(draw: Callable[[np.random.Generator, int], np.ndarray],
                 keep_values: bool = False) -> Estimate:
     """Monte Carlo mean of one draw(rng, n_total) call.
 
-    The whole budget comes from rng in a single draw, so the estimate is
-    bit-reproducible given the generator's seed path.  With keep_values
-    the share of the total carried by the top 1% of contributions is
-    attached as tail_share.
+    The whole budget comes from rng in a single draw, which may fill its
+    values block by block, so the estimate is bit-reproducible given the
+    generator's seed path.  With keep_values the share of the total
+    carried by the top 1% of contributions is attached as tail_share.
     """
     if n_total < 2:
         raise ValueError("need at least 2 samples")

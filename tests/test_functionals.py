@@ -29,7 +29,7 @@ from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
 from igeolab.functionals import (ExponentSpec, affine_average_I,
                                  grassmann_average_I, powz, simplex_moment,
                                  _lp_norms, _norm_products)
-from igeolab.geometry import _tuple_volumes
+from igeolab.geometry import ROW_BLOCK, _tuple_volumes
 from igeolab.grassmann import flat_frames, subspace_frames
 from igeolab.rearrange import rearrangement
 from igeolab.report import (CheckReport, Estimate, mc_estimate,
@@ -168,16 +168,22 @@ def test_triangle_moment_disk(rng):
 
 
 def test_simplex_moment_draws_each_density_in_turn():
-    # one sample call of n_samples per density, in list order; without the
-    # origin the volumes are those of the edges from the first point
+    # blocks of ROW_BLOCK tuples, the last one shorter, each one sample
+    # call per density in list order; without the origin the volumes are
+    # those of the edges from the first point
     f, g = EllipsoidIndicator.ball(2), GaussianDensity.standard(2)
+    m = 2 * ROW_BLOCK + 5
     stream = np.random.default_rng(4)
-    est = simplex_moment([f, g, f], 1.5, False, 500, stream)
+    est = simplex_moment([f, g, f], 1.5, False, m, stream)
     ref = np.random.default_rng(4)
-    pts = np.stack([h.sample(500, ref) for h in (f, g, f)], axis=1)
-    vols = _tuple_volumes(pts[:, 1:] - pts[:, :1]) ** 1.5
-    assert est.value == pytest.approx(vols.mean(), rel=1e-12)
-    assert est.samples == 500 and est.tail_share is None
+    vols = []
+    for start in range(0, m, ROW_BLOCK):
+        size = min(ROW_BLOCK, m - start)
+        pts = np.stack([h.sample(size, ref) for h in (f, g, f)], axis=1)
+        vols.append(_tuple_volumes(pts[:, 1:] - pts[:, :1]) ** 1.5)
+    assert est.value == pytest.approx(np.concatenate(vols).mean(),
+                                      rel=1e-12)
+    assert est.samples == m and est.tail_share is None
     assert stream.random() == ref.random()
 
 
