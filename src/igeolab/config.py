@@ -415,7 +415,7 @@ def _flag(raw, v=None):
 def _method(raw, v):
     """A method name ('exact'), or a name and a point count (['mc', N])."""
     if isinstance(raw, list) and len(raw) == 2:
-        return raw[0], _number(raw[1], integer=True)
+        return raw[0], _int().parse(raw[1], v)
     return raw
 
 

@@ -550,6 +550,9 @@ class Step1D(DensityModel):
 
     def sample(self, size, rng):
         weights = self.heights * np.diff(self.edges)
+        total = weights.sum()
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"cannot sample from a density of mass {total}")
         return _piecewise_uniform(self.edges, weights, size, rng)[:, None]
 
     def power(self, p):
@@ -644,8 +647,8 @@ class ProductDensity(_Sectioned):
 
     def _section_points(self, sections, k, size, rng):
         _, _, t, heights = sections
-        u = rng.random((len(t), size))
-        return _step_quantiles(t, heights * np.diff(t, axis=1), u)[..., None]
+        return _piecewise_uniform(t, heights * np.diff(t, axis=1), size,
+                                  rng)[..., None]
 
     def rearrangement(self):
         """A centered radial step density, through the boxes the factors'
@@ -706,8 +709,11 @@ class RadialGridDensity(_Sectioned):
 
     def sample(self, size, rng):
         # shells are uniform in r^n: draw r^n in the shell, then take roots
-        r = _piecewise_uniform(self.edges ** self.n,
-                               self.heights * self.shell_volumes(), size, rng)
+        weights = self.heights * self.shell_volumes()
+        total = weights.sum()
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"cannot sample from a density of mass {total}")
+        r = _piecewise_uniform(self.edges ** self.n, weights, size, rng)
         r **= 1.0 / self.n
         return _directions((size,), self.n, rng, r)
 
@@ -735,12 +741,11 @@ class RadialGridDensity(_Sectioned):
         return masses, sups, edges, hit
 
     def _section_points(self, sections, k, size, rng):
-        # shells are uniform in r^k: invert the CDF of r^k, then take roots
+        # shells are uniform in r^k: draw r^k in the shell, then take roots
         _, _, edges, _ = sections
         powers = edges ** k
-        u = rng.random((len(edges), size))
-        r = _step_quantiles(powers, self.heights * np.diff(powers, axis=1),
-                            u)
+        r = _piecewise_uniform(powers, self.heights * np.diff(powers, axis=1),
+                               size, rng)
         if k > 1:
             r **= 1.0 / k
         return _directions((len(edges), size), k, rng, r)
@@ -855,7 +860,9 @@ def _bin_count(edges, x) -> np.ndarray:
     reused bool buffer, each edges[j] broadcasting to x's shape, so for
     increasing 1-d edges it is np.searchsorted(edges, x, side="right"),
     ties included, and NaN counts no edge.  Meant for the handful of edges
-    of a step density; a count is an index for take as it is."""
+    of a step density, or of one law per row: edges (m, s, 1) against x
+    (s, size) counts row i against its own column edges[:, i]; a count is
+    an index for take as it is."""
     count = np.zeros(np.shape(x), dtype=np.min_scalar_type(len(edges)))
     hit = np.empty(count.shape, dtype=bool)
     for edge in edges:
@@ -877,64 +884,36 @@ def _step_values(edges: np.ndarray, heights: np.ndarray,
     return out
 
 
-def _choose_bins(weights: np.ndarray, size: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """size bin indices drawn with probabilities proportional to weights,
-    the same indices, from the same one rng.random(size) call, as
-    rng.choice(weights.size, size, p=weights / weights.sum()): that is
-    what choice does with p, without its validation and binary search.
-    The indices come in _bin_count's narrow dtype, not as intp.
-    ValueError unless the weights sum to a positive finite total."""
-    total = weights.sum()
-    if not 0.0 < total < math.inf:
-        raise ValueError(f"cannot sample from a density of mass {total}")
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
-    return _bin_count(cdf[:-1], rng.random(size))
-
-
 def _piecewise_uniform(grid: np.ndarray, weights: np.ndarray, size: int,
                        rng: np.random.Generator) -> np.ndarray:
     """size draws of the law that spreads weights[j] evenly over [grid[j],
-    grid[j + 1]]: _choose_bins, then one rng.random(size) scaled and shifted
-    ROW_BLOCK rows at a time (a block's byte-wide bins widen inside take)."""
-    bins = _choose_bins(weights, size, rng)
-    widths = np.diff(grid)
-    x = rng.random(size)
-    for start in range(0, size, ROW_BLOCK):
+    grid[j + 1]], or, for grid (s, bins + 1) and weights (s, bins), size
+    draws (s, size) of each row's law.  The bins are the indices that
+    rng.choice(bins, size, p=row / row.sum()) draws from one rng.random
+    call, without its validation and binary search; one more rng.random
+    call places each point in its bin, ROW_BLOCK points at a time (one
+    law's byte-wide bins widen inside take).  A row of zero mass has a
+    NaN CDF, which counts no edge, so its points fall in its first bin."""
+    with np.errstate(invalid="ignore"):
+        cdf = np.cumsum(weights / weights.sum(axis=-1, keepdims=True),
+                        axis=-1)
+        cdf /= cdf[..., -1:]
+    if weights.ndim == 1:
+        bins = _bin_count(cdf[:-1], rng.random(size))
+    else:
+        # one column of inner edges per row, and a flat index per row
+        bins = _bin_count(cdf[:, :-1].T[..., None],
+                          rng.random((len(weights), size)))
+        bins = bins + np.arange(0, weights.size, weights.shape[1])[:, None]
+    widths = np.diff(grid).ravel()
+    lo = grid[..., :-1].ravel()
+    x = rng.random(bins.shape)
+    flat_x, flat_bins = x.reshape(-1), bins.reshape(-1)
+    for start in range(0, flat_x.size, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        x[block] *= widths.take(bins[block])
-        x[block] += grid.take(bins[block])
+        flat_x[block] *= widths.take(flat_bins[block])
+        flat_x[block] += lo.take(flat_bins[block])
     return x
-
-
-def _step_quantiles(edges: np.ndarray, weights: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    """Quantiles at u (s, size) of per-row piecewise-uniform laws: row i
-    spreads weights[i, j] evenly over [edges[i, j], edges[i, j + 1]].
-    Zero-weight bins are never hit; a row of zero weight gives the finite
-    point edges[i, -2]."""
-    s, bins = weights.shape
-    below = np.concatenate([np.zeros((s, 1)), np.cumsum(weights, axis=1)],
-                           axis=1)
-    target = u * below[:, -1:]
-    # the bin is the count of inner cumulative weights at or below target,
-    # capped at bins - 1; the row offsets widen it to intp
-    count = _bin_count(below[:, 1:-1].T[..., None], target)
-    rows = np.arange(s)[:, None]
-    w = np.take(weights, count + rows * bins)
-    idx = count + rows * (bins + 1)
-    frac = target - np.take(below, idx)
-    # a zero-weight bin is only hit at its own start (frac = 0 already)
-    np.divide(frac, w, out=frac, where=w > 0)
-    lo = np.take(edges, idx)
-    idx += 1
-    span = np.take(edges, idx)
-    span -= lo
-    frac.clip(0.0, 1.0, out=frac)
-    frac *= span
-    frac += lo
-    return frac
 
 
 class PushforwardDensity(DensityModel):

@@ -381,6 +381,8 @@ def check_section(fields):
     (GRINBERG, {"expect_equality": "1"}, "expect_equality"),
     (GRINBERG, {"method": '["mc", 1]'}, "method"),
     (GRINBERG, {"method": '["mc", 2.5]'}, "method"),
+    # the point count is a count, bounded as every other count
+    (GRINBERG, {"method": '["mc", 1e300]'}, "method"),
     (GRINBERG, {"method": '"bogus"'}, "method"),
     (GRINBERG, {"n_flatz": "9"}, "n_flatz"),
     (GRINBERG, {"check": '"bp_subspace"', "method": '"exact"'}, "method"),
@@ -417,7 +419,8 @@ def check_section(fields):
     # the window is the support radius, so there is no window to set
     (SCHNEIDER, {"R": "1.5"}, "R"),
 ], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
-        "string-flag", "int-flag", "mc-one", "mc-fraction", "unknown-method",
+        "string-flag", "int-flag", "mc-one", "mc-fraction", "mc-count-1e300",
+        "unknown-method",
         "unknown-field",
         "method-where-not-taken", "bp-subspace-direct-1",
         "bp-subspace-subspaces-1", "bp-flat-flats-1",

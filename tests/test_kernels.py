@@ -1,8 +1,9 @@
 """Bit-for-bit equivalence of the small kernels under the samplers.
 
 densities._bin_count stands in for np.searchsorted into a few bin edges,
-densities._choose_bins for Generator.choice with probabilities, and
-geometry._row_norms for np.linalg.norm along the last axis.  The point
+the bins of densities._piecewise_uniform for Generator.choice with
+probabilities (one law, or one per row), and geometry._row_norms for
+np.linalg.norm along the last axis.  The point
 kernels that work in blocks of geometry.ROW_BLOCK rows (simplex powers,
 unit vectors and ball points, product evaluation, Monte Carlo section
 windows) stand in for their whole-array forms, which are kept here as
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from igeolab.densities import ProductDensity, RadialGridDensity, Step1D, \
-    _bin_count, _choose_bins, _directions, _per_row, _step_quantiles, \
-    _step_values, _uniform_ball, affine_image, section_stats
+    _bin_count, _directions, _per_row, _piecewise_uniform, _step_values, \
+    _uniform_ball, affine_image, section_points, section_stats
 from igeolab.functionals import _simplex_powers, powz, simplex_moment
 from igeolab.geometry import ROW_BLOCK, SV_RELATIVE_CUTOFF, _row_norms, \
     _tuple_volumes, unit_ball_volume
@@ -88,7 +89,8 @@ def test_bin_count_is_byte_wide_up_to_255_edges(m, dtype, rng):
 
 
 def test_bin_count_per_row_edges(rng):
-    # the _step_quantiles form: row i compares against its own edges
+    # the many-law form of _piecewise_uniform: row i compares against its
+    # own column of edges
     edges = np.sort(rng.normal(size=(6, 4)), axis=1)
     x = np.concatenate([edges, rng.normal(size=(6, 50))], axis=1)
     got = _bin_count(edges.T[..., None], x)
@@ -126,22 +128,53 @@ def test_radial_eval_matches_searchsorted_lookup(rng):
     [1e-3, 1.0, 1e3, 0.0],
 ], ids=["zero-bins", "one-bin", "tiny-bin", "wide-range"])
 @pytest.mark.parametrize("size", [1, 10, 200_000])
-def test_choose_bins_is_generator_choice(weights, size):
+def test_many_law_sampler_replays_the_choice_draws(weights, size):
+    # rows: the case, an all-zero row and the case reversed and rescaled;
+    # each row's bins are choice over its p from that row's first uniforms
+    # (consecutive choice calls read the stream as one (s, size) draw),
+    # placed by its second ones.  The all-zero row gives finite points in
+    # its first bin, with no RuntimeWarning.
     weights = np.asarray(weights)
+    weights = np.stack([weights, 0.0 * weights, 2.5 * weights[::-1]])
+    widths = np.random.default_rng(1).uniform(0.5, 2.0,
+                                              (3, weights.shape[1] + 1))
+    grid = np.cumsum(widths, axis=1) - 3.0
     ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
-    got = _choose_bins(weights, size, ours)
-    expected = theirs.choice(weights.size, size=size,
-                             p=weights / weights.sum())
+    got = _piecewise_uniform(grid, weights, size, ours)
+    bins = np.zeros((3, size), dtype=int)
+    for row, w in zip(bins, weights):
+        if w.any():
+            row[:] = theirs.choice(w.size, size=size, p=w / w.sum())
+        else:
+            theirs.random(size)
+    lo = np.take_along_axis(grid, bins, axis=1)
+    hi = np.take_along_axis(grid, bins + 1, axis=1)
+    expected = lo + theirs.random((3, size)) * (hi - lo)
     assert np.array_equal(got, expected)
     assert ours.random() == theirs.random()
-    assert not np.any(weights[got] == 0.0)
+    assert not np.any(np.take_along_axis(weights, bins, axis=1)[[0, 2]]
+                      == 0.0)
+    assert np.all(np.isfinite(got[1]))
 
 
-def test_choose_bins_rejects_empty_and_infinite_mass(rng):
-    for weights in ([0.0, 0.0], [np.inf, 1.0], [1e308, 1e308]):
-        with pytest.raises(ValueError, match="cannot sample"), \
-                np.errstate(over="ignore"):
-            _choose_bins(np.array(weights), 5, rng)
+def test_step_samplers_reject_empty_and_infinite_mass():
+    # bins of widths 2 and 1 on the line, and radial shells of volumes 2
+    # and 1 in dimension one, weigh these heights into the weights
+    # [0, 0], [inf, 1] and [1e308, 1e308]
+    for heights, weights in (([0.0, 0.0], [0.0, 0.0]),
+                             ([1e308, 1.0], [np.inf, 1.0]),
+                             ([5e307, 1e308], [1e308, 1e308])):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(np.multiply(heights, [2.0, 1.0]), weights)
+        radial = RadialGridDensity(1, [0.0, 1.0, 1.5], heights)
+        assert radial.shell_volumes().tolist() == [2.0, 1.0]
+        for f in (Step1D([0.0, 2.0, 3.0], heights), radial):
+            rng = np.random.default_rng(2)
+            with pytest.raises(ValueError, match="cannot sample"), \
+                    np.errstate(over="ignore"):
+                f.sample(5, rng)
+            # raised before any draw
+            assert rng.random() == np.random.default_rng(2).random()
 
 
 def test_step_samplers_replay_the_choice_draws():
@@ -171,20 +204,6 @@ def test_radial_sampler_replays_the_choice_draws(n):
     g /= np.linalg.norm(g, axis=-1, keepdims=True)
     assert np.array_equal(got, g * r[:, None])
     assert ours.random() == theirs.random()
-
-
-def test_step_quantiles_skip_zero_weight_bins(rng):
-    edges = np.tile([0.0, 1.0, 2.0, 3.0, 4.0], (3, 1))
-    weights = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 2.0, 0.0],
-                        [0.5, 0.5, 0.5, 0.5]])
-    u = np.concatenate([np.array([[0.0, 0.5, 1.0 - 1e-16]] * 3),
-                        rng.random((3, 200))], axis=1)
-    q = _step_quantiles(edges, weights, u)
-    assert np.all((q[0] <= 1.0) | (q[0] >= 2.0) & (q[0] <= 3.0))
-    assert np.all((q[1] >= 2.0) & (q[1] <= 3.0))
-    assert np.all((q[2] >= 0.0) & (q[2] <= 4.0))
-    # a tie at a cumulative weight lands at the start of the next live bin
-    assert q[0, 1] == 2.0
 
 
 @pytest.mark.parametrize("lead", [(1,), (7,), (3, 5), (64, 2000)])
@@ -315,9 +334,11 @@ def reference_ball(dim, shape, rng):
 
 
 def reference_step_sample(f, size, rng):
-    """Step1D.sample on whole arrays: a bin, then a uniform inside it."""
+    """Step1D.sample on whole arrays: a bin by Generator.choice, then a
+    uniform inside it."""
     widths = np.diff(f.edges)
-    bins = _choose_bins(f.heights * widths, size, rng)
+    weights = f.heights * widths
+    bins = rng.choice(weights.size, size, p=weights / weights.sum())
     x = rng.random(size)
     x *= widths.take(bins)
     x += f.edges.take(bins)
@@ -325,9 +346,10 @@ def reference_step_sample(f, size, rng):
 
 
 def reference_radial_sample(f, size, rng):
-    """RadialGridDensity.sample on whole arrays: a shell, r^n uniform in
-    it, then a direction."""
-    shells = _choose_bins(f.heights * f.shell_volumes(), size, rng)
+    """RadialGridDensity.sample on whole arrays: a shell by
+    Generator.choice, r^n uniform in it, then a direction."""
+    weights = f.heights * f.shell_volumes()
+    shells = rng.choice(weights.size, size, p=weights / weights.sum())
     powers = f.edges ** f.n
     r = rng.random(size)
     r *= np.diff(powers).take(shells)
@@ -355,6 +377,52 @@ def test_step_law_samplers_match_the_whole_array_forms(law):
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         assert _same_bits(f.sample(size, ours), reference(f, size, theirs))
         assert ours.random() == theirs.random()
+
+
+# step-law section stacks: radial sections through a unit axis flat at four
+# distances, the last past the support, and product lines along one
+# direction at four offsets, the last missing the box
+RADIAL = RadialGridDensity(3, [0.0, 0.3, 0.7, 1.0, 1.6], [1.0, 0.0, 2.0, 0.5])
+PRODUCT = ProductDensity([Step1D.uniform(-1.0, 1.0, [1.0, 0.0, 2.0]),
+                          Step1D.uniform(-1.0, 1.0, [0.5, 1.5])])
+
+
+@pytest.mark.parametrize("f, k", [(RADIAL, 1), (RADIAL, 2), (PRODUCT, 1)],
+                         ids=["radial-lines", "radial-planes", "product"])
+def test_step_section_points_replay_the_choice_draws(f, k):
+    # each row's bin as choice over its p from the row's first uniforms,
+    # a uniform point in it from its second ones (r^k for a radial shell,
+    # then a direction); a zero-mass row draws in its first bin
+    size = 2000
+    if f is RADIAL:
+        bases = np.repeat(np.eye(3)[None, :, :k], 4, axis=0)
+        offsets = np.outer([0.0, 0.5, 1.2, 2.0], [0.0, 0.0, 1.0])
+    else:
+        bases = np.repeat(np.array([[[0.6], [0.8]]]), 4, axis=0)
+        offsets = np.outer([0.0, 0.3, -0.5, 3.0], [-0.8, 0.6])
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    masses, got = section_points(f, bases, offsets, size, ours)
+    assert masses[-1] == 0.0 and np.all(masses[:-1] > 0.0)
+    _, _, grid, heights = f._sections(bases, offsets)
+    if f is RADIAL:
+        grid, heights = grid ** k, f.heights
+    weights = heights * np.diff(grid, axis=1)
+    bins = np.zeros((4, size), dtype=int)
+    for row, w in zip(bins, weights):
+        if w.any():
+            row[:] = theirs.choice(w.size, size=size, p=w / w.sum())
+        else:
+            theirs.random(size)
+    lo = np.take_along_axis(grid, bins, axis=1)
+    x = lo + theirs.random((4, size)) \
+        * (np.take_along_axis(grid, bins + 1, axis=1) - lo)
+    if f is RADIAL:
+        x = reference_directions((4, size), k, theirs) \
+            * (x ** (1.0 / k) if k > 1 else x)[..., None]
+    else:
+        x = x[..., None]
+    assert np.array_equal(got, x)
+    assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

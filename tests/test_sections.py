@@ -23,9 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from igeolab.densities import (EllipsoidIndicator, GaussianDensity,
                                ProductDensity, RadialGridDensity, Step1D,
-                               TruncatedGaussian, _per_row, _step_quantiles,
-                               _uniform_ball, affine_image, section_points,
-                               section_stats)
+                               TruncatedGaussian, _per_row, _uniform_ball,
+                               affine_image, section_points, section_stats)
 from igeolab import functionals, verify
 from igeolab.config import load_config
 from igeolab.geometry import unit_ball_volume
@@ -269,41 +268,6 @@ def test_pushforward_sections_raise_before_drawing():
                            "exact sections of dimension 1"):
             route()
     assert rng.bit_generator.state == state
-
-
-def reference_step_quantiles(edges, weights, u):
-    """The (s, size, bins) comparison tensor and four take_along_axis
-    gathers that _step_quantiles replaced: its oracle, bit for bit."""
-    below = np.concatenate([np.zeros((len(weights), 1)),
-                            np.cumsum(weights, axis=1)], axis=1)
-    target = u * below[:, -1:]
-    idx = np.minimum((below[:, None, 1:] <= target[..., None]).sum(axis=-1),
-                     weights.shape[1] - 1)
-    w = np.take_along_axis(weights, idx, axis=1)
-    start = np.take_along_axis(below, idx, axis=1)
-    lo = np.take_along_axis(edges, idx, axis=1)
-    hi = np.take_along_axis(edges, idx + 1, axis=1)
-    frac = np.divide(target - start, w, out=np.zeros_like(target),
-                     where=w > 0)
-    return lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6),
-       size=st.integers(1, 50), bins=st.integers(1, 7))
-def test_step_quantiles_match_reference_exactly(seed, rows, size, bins):
-    rng = np.random.default_rng(seed)
-    edges = np.cumsum(rng.uniform(0.0, 1.0, (rows, bins + 1)), axis=1)
-    # zero-weight bins anywhere, an all-zero row, and u at both ends
-    weights = rng.uniform(0.0, 2.0, (rows, bins)) \
-        * (rng.random((rows, bins)) < 0.6)
-    weights[0] = 0.0
-    u = rng.random((rows, size))
-    u[:, 0] = 0.0
-    u[-1, -1] = np.nextafter(1.0, 0.0)
-    ours = _step_quantiles(edges, weights, u)
-    assert np.array_equal(ours, reference_step_quantiles(edges, weights, u))
-    assert np.all(ours[0] == edges[0, -2])    # finite, as documented
 
 
 @pytest.mark.parametrize("family", FAMILIES)
