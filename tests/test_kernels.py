@@ -121,6 +121,26 @@ def test_radial_eval_matches_searchsorted_lookup(rng):
                           _searchsorted_lookup(f.edges, f.heights, r))
 
 
+def choice_bins(weights, size, rng):
+    """Row i's size bins as rng.choice over its p draws them, the rows'
+    calls in order reading the stream as one (s, size) draw; an all-zero
+    row, which choice rejects, spends its uniforms on bin 0."""
+    bins = np.zeros((len(weights), size), dtype=int)
+    for row, w in zip(bins, weights):
+        if w.any():
+            row[:] = rng.choice(w.size, size=size, p=w / w.sum())
+        else:
+            rng.random(size)
+    return bins
+
+
+def place_in_bins(grid, bins, rng):
+    """A uniform point in each bin of row i of grid, from one more draw."""
+    lo = np.take_along_axis(grid, bins, axis=1)
+    hi = np.take_along_axis(grid, bins + 1, axis=1)
+    return lo + rng.random(bins.shape) * (hi - lo)
+
+
 @pytest.mark.parametrize("weights", [
     [0.0, 1.0, 0.0, 2.5, 0.0],
     [3.0],
@@ -129,11 +149,10 @@ def test_radial_eval_matches_searchsorted_lookup(rng):
 ], ids=["zero-bins", "one-bin", "tiny-bin", "wide-range"])
 @pytest.mark.parametrize("size", [1, 10, 200_000])
 def test_many_law_sampler_replays_the_choice_draws(weights, size):
-    # rows: the case, an all-zero row and the case reversed and rescaled;
-    # each row's bins are choice over its p from that row's first uniforms
-    # (consecutive choice calls read the stream as one (s, size) draw),
-    # placed by its second ones.  The all-zero row gives finite points in
-    # its first bin, with no RuntimeWarning.
+    # rows: the case, an all-zero row and the case reversed and rescaled,
+    # each choice over its p from its first uniforms, placed by its second
+    # ones; the all-zero row gives finite points in its first bin, with no
+    # RuntimeWarning
     weights = np.asarray(weights)
     weights = np.stack([weights, 0.0 * weights, 2.5 * weights[::-1]])
     widths = np.random.default_rng(1).uniform(0.5, 2.0,
@@ -141,16 +160,8 @@ def test_many_law_sampler_replays_the_choice_draws(weights, size):
     grid = np.cumsum(widths, axis=1) - 3.0
     ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
     got = _piecewise_uniform(grid, weights, size, ours)
-    bins = np.zeros((3, size), dtype=int)
-    for row, w in zip(bins, weights):
-        if w.any():
-            row[:] = theirs.choice(w.size, size=size, p=w / w.sum())
-        else:
-            theirs.random(size)
-    lo = np.take_along_axis(grid, bins, axis=1)
-    hi = np.take_along_axis(grid, bins + 1, axis=1)
-    expected = lo + theirs.random((3, size)) * (hi - lo)
-    assert np.array_equal(got, expected)
+    bins = choice_bins(weights, size, theirs)
+    assert np.array_equal(got, place_in_bins(grid, bins, theirs))
     assert ours.random() == theirs.random()
     assert not np.any(np.take_along_axis(weights, bins, axis=1)[[0, 2]]
                       == 0.0)
@@ -406,16 +417,8 @@ def test_step_section_points_replay_the_choice_draws(f, k):
     _, _, grid, heights = f._sections(bases, offsets)
     if f is RADIAL:
         grid, heights = grid ** k, f.heights
-    weights = heights * np.diff(grid, axis=1)
-    bins = np.zeros((4, size), dtype=int)
-    for row, w in zip(bins, weights):
-        if w.any():
-            row[:] = theirs.choice(w.size, size=size, p=w / w.sum())
-        else:
-            theirs.random(size)
-    lo = np.take_along_axis(grid, bins, axis=1)
-    x = lo + theirs.random((4, size)) \
-        * (np.take_along_axis(grid, bins + 1, axis=1) - lo)
+    bins = choice_bins(heights * np.diff(grid, axis=1), size, theirs)
+    x = place_in_bins(grid, bins, theirs)
     if f is RADIAL:
         x = reference_directions((4, size), k, theirs) \
             * (x ** (1.0 / k) if k > 1 else x)[..., None]
