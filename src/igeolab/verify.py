@@ -709,7 +709,9 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
     last one shorter; no statistic depends on the blocks.
 
     bases (m, n, k) holds the subspaces' orthonormal bases and ys
-    (m, n_x, n) draws of f for each.  The fibers of a subspace are the
+    (m, n_x, n) draws of f for each (marginal_bound_experiment's one draw
+    of n_x points per subspace, reshaped, and the adversarial row's draw
+    after it).  The fibers of a subspace are the
     flats spanned by its complement through the feet (the projections of
     its draws) and through the origin, n_x + 1 rows.  Returns (T, L1, r,
     T0): the Markov statistic T = (fiber mass)^n / (fiber sup)^k and the
@@ -738,41 +740,13 @@ def _fiber_statistics(f: DensityModel, bases: np.ndarray, ys: np.ndarray):
             t_vals[:, -1])
 
 
-def _quantiles(values: np.ndarray, qs) -> np.ndarray:
-    """np.quantile(values, qs), method "linear", bit for bit, without the
-    np.unique through which numpy's own version imports numpy.ma.
-
-    Like numpy it partitions at the index set {0, n - 1, lo, hi} (which
-    decides where tied -0.0 and 0.0 land), sends a virtual index
-    h = (n - 1) q at or past n - 1 to the last element with weight h + 1,
-    interpolates by numpy's lerp rule, and answers NaN for NaN input.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    n = arr.size
-    h = (n - 1) * np.asarray(qs, dtype=float)
-    lo = np.floor(h).astype(np.intp)
-    hi = lo + 1
-    top = h >= n - 1
-    lo[top] = hi[top] = -1
-    arr = np.partition(arr, sorted({0, n - 1, *lo, *hi} - {-1}))
-    if np.isnan(arr[-1]):
-        return np.full(h.shape, arr[-1])
-    a, b, t = arr[lo], arr[hi], h - lo
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-
-
-def _fit_quantile_constant(values: np.ndarray, s: float, kn: int) -> float:
-    """Smallest c with empirical frac(values > (c s)^kn) <= s^-kn."""
-    level = min(1.0 - s ** (-kn), 1.0)
-    q = float(_quantiles(values, [level])[0])
-    return max(q, 0.0) ** (1.0 / kn) / s
-
-
 def _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial):
     n = f.n
     _k_up_to(k, n - 1)
     _need(s > 1.0, "s", f"must be > 1, got {s}")
+    _need(2.0 * s ** (-k * n) <= 1.0, "s",
+          f"must have s^(kn) >= 2, so that the exceptional envelope "
+          f"2 s^-(kn) is at most 1, got {s} at kn = {k * n}")
     _need(t > 1.0, "t", f"must be > 1, got {t}")
     _at_least(2, n_subspaces=n_subspaces, n_x=n_x)
     _unit_mass(f)
@@ -789,46 +763,50 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
                               ) -> CheckReport:
     """Markov-set experiment for the marginal density bound.
 
-    Samples subspaces and projected points, computes the fiber statistic
-    (fiber mass)^n / (fiber sup)^k, and fits the smallest constants making
-    the two Markov filters work: c2 thresholds the per-subspace averages
-    and the origin statistic at (c2 s)^(kn) with exceptional fraction at
-    most 2 s^(-kn); off the bad sets the pointwise constant c1 and the
-    origin small-ball constant c3 are fitted.  Verdict: all fitted
+    Samples subspaces and projected points and computes the fiber statistic
+    (fiber mass)^n / (fiber sup)^k.  The two Markov filters, on the
+    per-subspace averages and on the origin statistic, share one threshold:
+    the larger of their (m - a)-th smallest statistics, m = n_subspaces
+    and a = floor(m s^-kn), so each filter lets at most a of its m
+    statistics exceed it and at most 2 s^(-kn) of the subspaces are
+    exceptional.  c2, with threshold = (c2 s)^(kn), is reported.  Off the
+    bad sets the pointwise constant c1 and the origin small-ball constant
+    c3 are fitted.  Verdict: all fitted
     constants at most 10 and the exceptional fractions inside their
     envelopes; an adversarial subspace, when supplied, must land in the
     exceptional set.
 
-    rng spawns n_subspaces + 1 streams: one per sampled subspace, for its
-    Haar draw and then its n_x points, and the last for the adversarial
-    subspace's n_x points.  The adversarial subspace, when supplied, is the
-    last row of the one stack whose fibers _fiber_statistics reads.
+    Everything is drawn from rng itself: the n_subspaces Haar bases, then
+    their n_x points each in one draw, then the adversarial subspace's n_x
+    points.  The adversarial subspace, when supplied, is the last row of
+    the one stack whose fibers _fiber_statistics reads.
     """
     _marginal_bound_rules(f, k, s, t, n_subspaces, n_x, adversarial)
     n = f.n
     kn = k * n
     sup_root = f.sup ** (1.0 / n)
-    streams = rng.spawn(n_subspaces + 1)
-    rows = [(haar_bases(n, k, 1, stream)[0], f.sample(n_x, stream))
-            for stream in streams[:-1]]
+    bases = haar_bases(n, k, n_subspaces, rng)
+    ys = f.sample(n_subspaces * n_x, rng).reshape(n_subspaces, n_x, n)
     if adversarial is not None:
-        rows.append((adversarial, f.sample(n_x, streams[-1])))
-    stats = _fiber_statistics(f, *map(np.stack, zip(*rows)))
+        bases = np.concatenate([bases, [adversarial]])
+        ys = np.concatenate([ys, [f.sample(n_x, rng)]])
+    stats = _fiber_statistics(f, bases, ys)
     t_all, l1_all, r_all, origin_stats = (v[:n_subspaces] for v in stats)
     averages = t_all.mean(axis=1)
 
-    c2 = max(_fit_quantile_constant(averages, s, kn),
-             _fit_quantile_constant(origin_stats, s, kn))
-    threshold = (c2 * s) ** kn
+    envelope = 2.0 * s ** (-kn)
+    top = n_subspaces - 1 - math.floor(n_subspaces * s ** (-kn))
+    threshold = float(np.partition([averages, origin_stats], top,
+                                   axis=1)[:, top].max())
+    c2 = threshold ** (1.0 / kn) / s
     bad = (averages > threshold) | (origin_stats > threshold)
     bad_frac = float(bad.mean())
-    envelope = 2.0 * s ** (-kn)
     bad_slack = 3.0 * math.sqrt(envelope * (1 - envelope) / n_subspaces)
 
     # pointwise bound off the per-subspace Markov sets; a threshold past
     # the float range is inf, which every point passes
     with np.errstate(over="ignore"):
-        point_threshold = np.float64(c2 * s * t) ** kn
+        point_threshold = threshold * np.float64(t) ** kn
     # (powers are taken after each max: x -> x^(1/k) / C is monotone)
     off = t_all[~bad] < point_threshold
     worst_b_frac = float((1.0 - off.mean(axis=1)).max(initial=0.0))
@@ -837,13 +815,17 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
           if l1_off.size else 0.0)
 
     # stronger small-ball at the origin on the subspaces passing the
-    # origin-statistic filter, fitted over a data-driven radius grid
+    # origin-statistic filter, fitted over a radius grid of order
+    # statistics of the positive radii (numpy's "lower" quantiles)
     radii = r_all[origin_stats <= threshold]
+    positive = radii[radii > 0]
     c3 = 0.0
     eps_grid = []
-    if radii.size:
-        qs = _quantiles(radii[radii > 0], [0.001, 0.01, 0.05, 0.2])
-        eps_grid = sorted(set(float(v) / math.sqrt(k) for v in qs if v > 0))
+    if positive.size:
+        ranks = [int(level * (positive.size - 1))
+                 for level in (0.001, 0.01, 0.05, 0.2)]
+        qs = np.partition(positive, ranks)[ranks]
+        eps_grid = sorted(set(float(v) / math.sqrt(k) for v in qs))
         fracs = (radii[..., None] <= np.array(eps_grid) * math.sqrt(k)) \
             .mean(axis=1).max(axis=0)
         c3 = max([c3] + [float(frac) ** (1.0 / k) / (eps * s * sup_root)

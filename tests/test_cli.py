@@ -463,7 +463,7 @@ def test_shipped_results_match_the_reference(tmp_path, name):
 
 def test_paper_core_run_never_imports_numpy_ma(tmp_path):
     # np.quantile would import it through np.unique; the marginal-bound
-    # check uses verify._quantiles instead
+    # check reads its order statistics with np.partition, which does not
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         runner.__file__)))
@@ -856,6 +856,12 @@ EXTREME = {
         'kind = "ellipsoid"\nn = 2\nradius = 0.5641895835477563',
         'check = "rearrangement_chain"\ndensities = ["d", "d"]\np = 400\n'
         'n_samples = 8', "p"),
+    # s^(kn) = 1.728 < 2 puts the exceptional envelope 2 s^-(kn) above 1,
+    # under whose binomial slack the check once took a negative square root
+    "marginal-envelope-above-1": (
+        'kind = "gaussian"\nn = 3',
+        'check = "marginal_bound"\ndensity = "d"\nk = 1\ns = 1.2\nt = 2.0\n'
+        'n_subspaces = 8\nn_x = 20', "s"),
     # exact measures far below 1e-16, under claimed bounds far above them
     "sharpness-50-1": (
         None, 'check = "gaussian_sharpness"\nn = 50\nk = 1\ns = 2.0\n'

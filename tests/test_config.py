@@ -915,6 +915,11 @@ RULES = {
         lambda r: verify.marginal_bound_experiment(UNIT, 1, 1.0, 2.0, 8, 20,
                                                    r),
         "s", MARGINAL, {"s": "1.0"}, "s"),
+    # s^(kn) = 1.44 < 2: the exceptional envelope 2 s^-(kn) would pass 1
+    "marginal-envelope-above-1": (
+        lambda r: verify.marginal_bound_experiment(UNIT, 1, 1.2, 2.0, 8, 20,
+                                                   r),
+        "s", MARGINAL, {"s": "1.2"}, "s"),
     "marginal-t-below-1": (
         lambda r: verify.marginal_bound_experiment(UNIT, 1, 2.0, 0.5, 8, 20,
                                                    r),
