@@ -8,10 +8,11 @@ generator's seed path: its one mc_estimate draw fills the values block by
 block (_in_blocks).  Where a cone moment has a closed form
 (_exact_cone_moment, from each density's radial_moment), simplex_moment
 returns it as Estimate.exact and draws nothing.  Neither does a
-section-norm average of densities all rotation invariant about 0 over
-subspaces, read on one frame as Estimate.exact, nor one that a rule
-covers (_rule_covers): its Estimate has method "rule", the rule's error
-as stderr and the frames of its last level as samples.
+section-norm average of densities all rotation invariant about 0, read
+over subspaces on one frame as Estimate.exact and over flats by a rule in
+the flat's distance to the origin (grassmann.radial_average), nor one
+that a rule covers (_rule_covers): a rule's Estimate has method "rule",
+the rule's error as stderr and the frames of its last level as samples.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ROW_BLOCK, _chi_moment, _tuple_volumes
-from .grassmann import RULE_START, flat_frames, rule_average, \
-    subspace_frames
+from .grassmann import RULE_START, flat_frames, radial_average, \
+    rule_average, subspace_frames
 from .densities import section_stats
 from .report import Estimate, ParameterError, mc_estimate
 
@@ -264,18 +265,27 @@ def _rule_covers(f_list, k: int, method, flats: bool) -> bool:
 def _average(f_list, spec: ExponentSpec, method, k: int, count: int, rng,
              R=None) -> Estimate:
     """The section-norm average of f_list over k-subspaces, or with R over
-    k-flats in the R-window: exact, on the first k axes, where sections
-    are exact and every density is rotation invariant about 0
-    (radial_moment(0) known); else rule_average where _rule_covers holds,
-    matched to the first slot's section_form; else the frame mean."""
+    k-flats in the R-window.  Where sections are exact and every density
+    is rotation invariant about 0 (radial_moment(0) known), the integrand
+    depends on a flat's distance to the origin alone: an average over
+    subspaces is exact, on the first k axes, and one over flats is
+    radial_average's rule in that distance.  Else rule_average where
+    _rule_covers holds, matched to the first slot's section_form; else
+    the frame mean."""
     n, flats = _common_dim(f_list), R is not None
     if len(spec) != len(f_list):
         raise ValueError("one (p, alpha) slot per density required")
     integrand = functools.partial(_norm_products, f_list, spec, method)
-    if method == "exact" and not flats \
+    if method == "exact" \
             and None not in [f.radial_moment(0.0) for f in f_list]:
-        return Estimate.exact(integrand(np.eye(n)[None, :, :k],
-                                        np.zeros((1, n)), None)[0])
+        if not flats:
+            return Estimate.exact(integrand(np.eye(n)[None, :, :k],
+                                            np.zeros((1, n)), None)[0])
+        # the integrand vanishes past the largest support
+        value, error, nodes = radial_average(
+            n, k, min(R, max(f.support_radius for f in f_list)),
+            lambda bases, offsets: integrand(bases, offsets, None))
+        return Estimate(value, error, nodes, "rule")
     if not _rule_covers(f_list, k, method, flats):
         frames = functools.partial(flat_frames, n, k, R) if flats \
             else functools.partial(subspace_frames, n, k)
@@ -313,10 +323,13 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
     flats outside it carry zero integrand only if every f_i vanishes there.
     Section norms are read as in grassmann_average_I: exact stats once per
     distinct (density, power) per stack of flats, MC draws slot by slot.
-    Where _rule_covers holds the flats are a rule's nodes on the
-    ellipsoid's support, converged level by level, and n_flats is unused;
-    the integrand is a multiple of (1 - rho^2)^(k A / 2) along each normal,
-    A the exponent sum (grassmann.rule_frames).
+    Exact sections of densities all rotation invariant about 0 take the
+    rule in the flats' distance rho to the origin (grassmann.radial_frames),
+    and where _rule_covers holds the flats are a rule's nodes on the
+    ellipsoid's support; either rule converges level by level, and
+    n_flats is unused.  On an ellipsoid the integrand is a multiple of
+    (1 - rho^2)^(k A / 2) along each normal, A the exponent sum
+    (grassmann.rule_frames).
     """
     _common_dim(f_list)
     for f in f_list:

@@ -101,9 +101,10 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
     eps * s_max / s_min where the Gram determinant a c - b^2 loses
     accuracy to cancellation.  r >= 3 goes through the SVD.
 
-    The squares of the Frobenius norm are summed in one order, row by row
-    as _square_sums sums each row, so the volumes are bitwise the same on
-    a contiguous stack and on a transposed view of one.
+    The squares of the Frobenius norm and of the minors are summed in one
+    order, left to right by _square_sums, so the volumes are bitwise the
+    same on a contiguous stack, on a transposed view of one and on any
+    slice of either.
     """
     x = np.asarray(x, dtype=float)
     q, n = x.shape[-2:]
@@ -129,7 +130,7 @@ def _tuple_volumes(x: np.ndarray) -> np.ndarray:
     else:
         i, j = np.triu_indices(rows.shape[-1], 1)
         minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
-        prod = np.sqrt(np.einsum("...m,...m->...", minors, minors))
+        prod = np.sqrt(_square_sums(minors))
     # s_min <= c s_max  <=>  s_min s_max <= c s_max^2, with s_max^2 the
     # larger root of s^4 - |x|_F^2 s^2 + prod^2
     top2 = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 ** 2 - 4.0 * prod ** 2,

@@ -39,7 +39,10 @@ nodes to that law, which leaves the rule a constant to integrate, and
 each node's frame comes from one Householder reflection (_complements), in
 any dimension.  For the hyperplanes meeting an ellipsoid a Gauss-Legendre
 rule in the offset along each normal covers the support interval, whose
-half-width the same form gives.  rule_average doubles a rule until it
+half-width the same form gives.  A flat average of densities rotation
+invariant about 0 depends on no direction: radial_frames reads it on
+flats along the first k axes, by Gauss-Legendre panels in their distance
+to the origin.  rule_average and radial_average double a rule until it
 agrees with itself at half the nodes to RULE_RTOL, relative.  The module
 imports only geometry from the package, so a rule never learns a density
 family: it is handed the form.
@@ -47,6 +50,7 @@ family: it is handed the form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -84,6 +88,8 @@ __all__ = [
     "flat_frames",
     "rule_frames",
     "rule_average",
+    "radial_frames",
+    "radial_average",
 ]
 
 
@@ -340,18 +346,60 @@ def _offset_rule(level: int, exponent: float):
     return np.cos(psi), w * (math.pi / 2) * np.sin(psi)
 
 
+def radial_frames(n: int, k: int, R: float, level: int):
+    """Deterministic frames (bases, offsets, weights) of a rule for the
+    invariant measure of the k-flats of R^n within R of the origin, on
+    integrands that depend on a flat's distance rho to the origin alone,
+    as section norms of densities rotation invariant about 0 do: the flats
+    along the first k axes through rho e_(k+1).
+
+    The flats within rho have measure kappa_(n-k) rho^(n-k), so rho takes
+    OFFSET_NODES Gauss-Legendre nodes on each of 2^level equal panels of
+    [0, R], weighted by its density (n-k) kappa_(n-k) rho^(n-k-1): the rule
+    is exact where that density times the integrand is a polynomial in rho
+    of degree below 2 OFFSET_NODES, as the ball's (1 - rho^2)^e is at a
+    small integer e in every codimension.  Each level halves the panels of
+    the one before.  One basis serves every offset: bases (1, n, k),
+    offsets (N, n), weights (N,), the shared layout of
+    densities.section_stats.
+    """
+    x, w = _gauss_legendre(OFFSET_NODES)
+    panels = 1 << level
+    width = R / panels
+    rho = width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0)).ravel()
+    offsets = np.zeros((len(rho), n))
+    offsets[:, k] = rho
+    weights = np.tile(0.5 * width * w, panels) \
+        * ((n - k) * unit_ball_volume(n - k) * rho ** (n - k - 1))
+    return np.eye(n)[None, :, :k], offsets, weights
+
+
 def rule_average(n: int, k: int, integrand, section_form, center=None,
                  exponent: float = 0.0) -> tuple[float, float, int]:
-    """The rule_frames average of integrand(bases, offsets), level by
-    level, until it agrees with the level before to RULE_RTOL relative or
-    the frames built for the next level, past the second, number more than
-    RULE_MAX_FRAMES.  Returns (value, error, nodes): the last level's
-    value, max(|its change from the level before|, RULE_RTOL |value|), and
-    its number of frames."""
+    """The rule_frames average of integrand(bases, offsets), converged
+    level by level (_converged)."""
+    return _converged(lambda level: rule_frames(
+        n, k, level, section_form, center, exponent), integrand)
+
+
+def radial_average(n: int, k: int, R: float,
+                   integrand) -> tuple[float, float, int]:
+    """The radial_frames average of integrand(bases, offsets), converged
+    level by level (_converged)."""
+    return _converged(functools.partial(radial_frames, n, k, R), integrand)
+
+
+def _converged(frames, integrand) -> tuple[float, float, int]:
+    """sum(weights * integrand(bases, offsets)) over the frames(level) ->
+    (bases, offsets, weights) of a rule, level by level, until it agrees
+    with the level before to RULE_RTOL relative or the frames built for
+    the next level, past the second, number more than RULE_MAX_FRAMES.
+    Returns (value, error, nodes): the last level's value, max(|its change
+    from the level before|, RULE_RTOL |value|), and its number of
+    frames."""
     value = None
     for level in itertools.count():
-        bases, offsets, weights = rule_frames(n, k, level, section_form,
-                                              center, exponent)
+        bases, offsets, weights = frames(level)
         if level >= 2 and len(weights) > RULE_MAX_FRAMES:
             break
         # numpy's pairwise sum, not a BLAS dot, whose order follows the

@@ -359,6 +359,47 @@ def test_flat_rule_offsets_integrate_the_power(exponent):
         assert abs(values[0] - want) <= 1e-14
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (5, 2)])
+def test_radial_rule_integrates_ball_powers_in_every_codimension(n, k):
+    # flats within R = 2 of the origin along the first k axes, weighted by
+    # the measure of their distance rho: sum(weights * g(rho)) against
+    # kappa_c R^c (c/2) B(c/2, e + 1), c = n - k, the integral of
+    # g = (1 - (rho/R)^2)^e, a polynomial of degree c - 1 + 2e <= 11 under
+    # the density, exact at every level
+    c, R = n - k, 2.0
+    for e in range(5):
+        want = unit_ball_volume(c) * R ** c * 0.5 * c * math.gamma(0.5 * c) \
+            * math.gamma(e + 1.0) / math.gamma(0.5 * c + e + 1.0)
+        for level in range(3):
+            bases, offsets, weights = grassmann.radial_frames(n, k, R, level)
+            assert bases.shape == (1, n, k)
+            assert offsets.shape == (grassmann.OFFSET_NODES << level, n)
+            assert np.abs(offsets @ bases[0]).max() == 0.0
+            rho = np.linalg.norm(offsets, axis=1)
+            assert 0.0 < rho.min() and rho.max() < R
+            got = weights @ (1.0 - (rho / R) ** 2) ** e
+            assert abs(got - want) <= 1e-14 * want, (e, level)
+
+
+def test_radial_average_reports_a_kink_it_cannot_resolve():
+    # a kink at rho = 0.7 inside a panel at every level: the rule stops at
+    # the frame cap, its error at 1e-9 relative, and reports its last
+    # change; without one the second level agrees with the first
+    def kink(bases, offsets):
+        return np.maximum(0.7 - np.linalg.norm(offsets, axis=1), 0.0)
+
+    value, error, nodes = grassmann.radial_average(2, 1, 1.0, kink)
+    assert nodes <= grassmann.RULE_MAX_FRAMES < 2 * nodes
+    assert abs(value - 0.49) <= 1e-8
+    assert error > grassmann.RULE_RTOL * value
+
+    value, error, nodes = grassmann.radial_average(
+        3, 1, 1.0, lambda bases, offsets: np.ones(len(offsets)))
+    assert abs(value - math.pi) <= 1e-15 * math.pi
+    assert error == grassmann.RULE_RTOL * value
+    assert nodes == 2 * grassmann.OFFSET_NODES
+
+
 def test_rule_average_stops_when_a_level_agrees_with_the_one_before():
     calls = []
 

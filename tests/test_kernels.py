@@ -301,6 +301,25 @@ def test_single_minor_volume_without_a_leading_axis(rng):
     assert _same_bits(got, [_tuple_volumes(x) for x in stack])
 
 
+def test_three_minor_volumes_do_not_depend_on_the_layout(rng):
+    # rows (1, 0, 1) and (0, 1, v) have squared minors 1, v^2 and 1, with
+    # (1 + v^2) + 1 != (1 + 1) + v^2: a sum of the minors whose order
+    # followed the memory layout would differ between the copies below
+    v = 1.625 * 2.0 ** -26
+    assert (1.0 + v * v) + 1.0 != (1.0 + 1.0) + v * v
+    tuple_ = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, v]])
+    stack = np.concatenate([tuple_[None], rng.normal(size=(40, 2, 3)),
+                            tuple_[None]])
+    want = _tuple_volumes(np.ascontiguousarray(stack))
+    assert want[0] == want[-1] == math.sqrt((1.0 + v * v) + 1.0) / 2.0
+    assert _same_bits(_tuple_volumes(np.asfortranarray(stack)), want)
+    assert _same_bits(_tuple_volumes(
+        np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)),
+        want)
+    for i in range(len(stack)):
+        assert _same_bits(_tuple_volumes(stack[i:i + 1]), want[i:i + 1]), i
+
+
 class StubGenerator:
     """A generator stand-in: standard_normal hands out the given values,
     then ordinary normals, and random uniforms; each call is logged."""

@@ -50,7 +50,7 @@ def axis_subspace(n, cols):
 
 def untouched(rng):
     """What a check changes in rng when it draws from it (the bit generator
-    state, whose Philox counter is an array) or spawns from it."""
+    state, whose four SFC64 words are an array) or spawns from it."""
     return (repr(rng.bit_generator.state),
             rng.bit_generator.seed_seq.n_children_spawned)
 
@@ -1092,6 +1092,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 RULE_ROWS = {
     "paper-core": {"linear invariance shear", "affine invariance shear shift",
                    "section ratio ellipsoid equality",
+                   "flat average ball",
                    "flat average shifted ellipsoid equality"},
     "negative-controls": {"wrong sum linear", "wrong sum affine"},
     "sharpness": {"sharpness 42 s15", "sharpness 42 s2"},
@@ -1209,7 +1210,7 @@ def test_shipped_rule_sides_stop_converged(shipped_reports):
                 (config, label, side)
             assert est["samples"] < grassmann.RULE_MAX_FRAMES, \
                 (config, label, side)
-    assert averages == 9
+    assert averages == 10
 
 
 def shipped_job(label, name="paper-core"):
@@ -1239,9 +1240,11 @@ def test_a_rule_with_one_perturbed_weight_fails_an_equality(monkeypatch):
     (None, None), ([0.3, -0.2, 0.1], 55.90572352596342)])
 def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     # the two k = 2 equality cases of the shipped suite: ball3 and
-    # ellipsoid3_shifted, against the closed-form right-hand side; the
-    # rule, matched to the ellipsoid's form, stops at its second level,
-    # 2 m^2 directions (m = 16) times OFFSET_NODES offsets
+    # ellipsoid3_shifted, against the closed-form right-hand side; each
+    # rule stops at its second level: the ball's rule in the offset
+    # radius at two panels of OFFSET_NODES nodes, the shifted ellipsoid's,
+    # matched to its form, at 2 m^2 directions (m = 16) times OFFSET_NODES
+    # offsets
     f = EllipsoidIndicator.ball(3) if center is None else \
         EllipsoidIndicator([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
                             [0.0, -0.1, 1.1]], center)
@@ -1249,7 +1252,7 @@ def test_flat_rule_meets_the_schneider_equality_cases(center, rhs):
     assert report.verdict == PASS
     assert abs(report.ratio - 1.0) <= 1e-10
     assert report.lhs.method == "rule"
-    assert report.lhs.samples == 3072
+    assert report.lhs.samples == (12 if center is None else 3072)
     assert report.rhs.method == "exact"
     if rhs is not None:
         assert report.rhs.value == pytest.approx(rhs, rel=1e-15)
@@ -1262,9 +1265,10 @@ ELLIPSOID_EQUALITIES = ("section ratio equality ball",
 
 
 def test_ellipsoid_masses_one_percent_high_fail_each_equality(monkeypatch):
-    # three of the four rows run on the rule route; with every ellipsoid
-    # section mass scaled by 1.01 their ratios read 1.0201, 1.0303, 1.0669
-    # and 1.0406
+    # none of the four rows draws: the first is read on one frame and the
+    # other three take a rule, so with every ellipsoid section mass scaled
+    # by 1.01 their ratios read 1.0201, 1.0303, 1.0406 and 1.0406 at any
+    # stream
     cfg = load_config(str(ROOT / "configs" / "paper-core.ini"))
     jobs = [(idx, job) for idx, job in enumerate(cfg.checks)
             if job.label in ELLIPSOID_EQUALITIES]
@@ -1280,6 +1284,36 @@ def test_ellipsoid_masses_one_percent_high_fail_each_equality(monkeypatch):
             report = CHECKS[job.name].run(job.kwargs,
                                           substream(cfg.seed, idx))
             assert report.verdict == verdict, (job.label, report.ratio)
+        monkeypatch.setattr(EllipsoidIndicator, "_sections", mutant)
+
+
+def test_flat_average_ball_is_exact_at_every_stream(monkeypatch):
+    # the ball's flat average is the radial rule's: the same value, within
+    # 1e-10 of the equality 16 pi / 3, whatever the stream, which the
+    # check leaves untouched, and a one-sided PASS that its rule error
+    # keeps from failing on the last bit; the 1% mass mutant FAILs it
+    job = shipped_job("flat average ball")
+    original = EllipsoidIndicator._sections
+
+    def mutant(self, bases, offsets):
+        masses, *rest = original(self, bases, offsets)
+        return (1.01 * masses, *rest)
+
+    for verdict in (PASS, FAIL):
+        values = set()
+        for seed in range(5):
+            stream = substream(seed, 9)
+            before = untouched(stream)
+            report = CHECKS[job.name].run(job.kwargs, stream)
+            assert untouched(stream) == before
+            assert report.verdict == verdict, (seed, report.ratio)
+            assert report.lhs.method == "rule"
+            values.add(report.lhs.value)
+        assert len(values) == 1
+        if verdict == PASS:
+            assert abs(report.ratio - 1.0) <= 1e-10
+            assert report.rhs.value == pytest.approx(16.0 * math.pi / 3.0,
+                                                     rel=1e-15)
         monkeypatch.setattr(EllipsoidIndicator, "_sections", mutant)
 
 
