@@ -72,6 +72,10 @@ def _cmd_run(args) -> int:
         print(f"cannot write results to {config.output_dir}: {exc}",
               file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 1
 
 
 def _read_rows(path):

@@ -336,8 +336,8 @@ def _number(raw, lo=None, hi=None, integer=False):
 
 
 def _int(default=_REQUIRED):
-    # counts must fit numpy's index type; MemoryError says the rest
-    return _Field(lambda raw, v: _number(raw, hi=np.iinfo(np.intp).max,
+    # a count's float64 array must be addressable; MemoryError says the rest
+    return _Field(lambda raw, v: _number(raw, hi=np.iinfo(np.intp).max // 8,
                                          integer=True), default)
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .config import CHECKS, RunConfig, report_name
-from .report import FAIL, INCONCLUSIVE
+from .report import PASS, FAIL, INCONCLUSIVE
 from .rng import substream
 
 __all__ = ["CSV_COLUMNS", "run_suite", "report_row"]
@@ -211,7 +211,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         "checks": manifest_checks,
         "totals": {
             "checks": len(manifest_checks),
-            "pass": sum(v == "pass" for v in verdicts),
+            "pass": sum(v == PASS for v in verdicts),
             "fail": sum(v == FAIL for v in verdicts),
             "inconclusive": sum(v == INCONCLUSIVE for v in verdicts),
             "wall_clock_s": total_wall,

@@ -1,11 +1,13 @@
 """Numerical experiments: identity, inequality, and invariance checks.
 
 Each function turns one statement into a reproducible experiment with an
-explicit decision rule and returns a CheckReport.  The statements come in
-linear/affine pairs, and each pair shares one driver (_decomposition_report,
-_invariance_report, _bound_report); a check states only its frame sampler,
-its ambient side and its parameters, and draws through simplex_moment or
-functionals' frame mean, unless a closed form covers its cone moment
+explicit decision rule and returns a CheckReport through the driver of its
+kind of verdict: _identity_report for the four identities (the two section
+decompositions and the two invariances), _bound_report for the two
+functional section inequalities, and _ceiling_report for the two fitted
+O(1) constants.  A check states only its frame sampler, its sides and its
+parameters, and draws through simplex_moment or functionals' frame mean,
+unless a closed form covers its cone moment
 (functionals._exact_cone_moment) or one frame or a rule its section-norm
 average (functionals._average).  Every rule on a check's parameters lives in
 one rules function beside it, which raises ParameterError naming the
@@ -15,10 +17,10 @@ draws no density, is sharpness.py's.  Conventions, fixed across the module:
 
 * one-sided inequalities pass at LHS <= RHS + 3 * stderr;
 * equality cases pass inside a band of max(2%, 3 * relative stderr);
-* identity checks (the two section decompositions and the two
-  invariances) pass when their ratio lies within 3 stderr of 1; a section
-  decomposition's route is scaled by the exact Blaschke-Petkantschin
-  constant, so its ratio is the fitted constant over the exact one;
+* identity checks pass when their ratio lies within 3 stderr of 1; a
+  section decomposition's route is scaled by the exact
+  Blaschke-Petkantschin constant, so its ratio is the fitted constant over
+  the exact one;
 * unspecified O(1) constants are fitted and compared against a ceiling of 10;
 * estimates whose top percentile carries half the total are flagged
   inconclusive rather than trusted.
@@ -72,12 +74,6 @@ __all__ = [
 ]
 
 
-def _equality_verdict(lhs: Estimate, rhs: Estimate) -> tuple[str, float]:
-    ratio = ratio_estimate(lhs, rhs)
-    band = max(EQUALITY_BAND, 3.0 * ratio.rel_stderr)
-    return (PASS if abs(ratio.value - 1.0) <= band else FAIL), band
-
-
 def _spec_params(spec: ExponentSpec) -> dict:
     return {"spec_p": ["inf" if math.isinf(p) else p for p in spec.p_list],
             "spec_alpha": list(spec.alpha_list)}
@@ -88,18 +84,44 @@ def _heavy_tailed(*ests: Estimate) -> bool:
                for e in ests)
 
 
-def _departure_verdict(num: Estimate, den: Estimate) -> tuple[str, Estimate]:
-    """Verdict of an identity num = den, and the ratio num/den it reads:
-    FAIL when the ratio is not finite or departs from 1 by more than 3
-    stderr, which a side that reads 0 does, INCONCLUSIVE when a side is
-    heavy-tailed or the ratio too noisy to see a departure, else PASS."""
-    ratio = ratio_estimate(num, den)
-    if not (math.isfinite(ratio.value)
-            and abs(ratio.value - 1.0) <= 3.0 * ratio.stderr):
-        return FAIL, ratio
-    if _heavy_tailed(num, den) or ratio.rel_stderr > NOISE_FLOOR:
-        return INCONCLUSIVE, ratio
-    return PASS, ratio
+def _identity_report(name: str, parameters: dict, lhs: Estimate,
+                     rhs: Estimate, **diagnostics) -> CheckReport:
+    """Verdict shared by the four identities lhs = rhs, on the signed
+    departure departure_z = (ratio - 1) / stderr of their ratio, 0 at a
+    ratio of exactly 1 and +-inf at a stderr of 0 or a ratio that is not
+    finite: FAIL past 3 (or NaN), which a side that reads 0 is,
+    INCONCLUSIVE when a side is heavy-tailed or the ratio too noisy to see
+    a departure, else PASS.  The check's own diagnostics ride along after
+    departure_z."""
+    ratio = ratio_estimate(lhs, rhs)
+    dev = ratio.value - 1.0
+    if math.isfinite(dev) and ratio.stderr != 0.0:
+        z = dev / ratio.stderr
+    else:
+        z = math.copysign(math.inf, dev) if dev else 0.0
+    if not abs(z) <= 3.0:
+        verdict = FAIL
+    elif _heavy_tailed(lhs, rhs) or ratio.rel_stderr > NOISE_FLOOR:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = PASS
+    return CheckReport(name=name, parameters=parameters, lhs=lhs, rhs=rhs,
+                       verdict=verdict,
+                       diagnostics={"departure_z": z, **diagnostics})
+
+
+def _ceiling_report(name: str, parameters: dict, constant: float,
+                    samples: int, ok: bool, diagnostics: dict) -> CheckReport:
+    """Verdict shared by the two fitted O(1) constants: lhs is the constant,
+    fitted from samples draws with no stderr, rhs the ceiling, so the ratio
+    is at most 1 exactly when the constant is at most CONSTANT_CEILING.
+    ok is the check's own verdict, which tests every constant it fits by
+    itself (a NaN one fails) and its other conditions."""
+    return CheckReport(
+        name=name, parameters=parameters,
+        lhs=Estimate(constant, 0.0, samples, "mc"),
+        rhs=Estimate.exact(CONSTANT_CEILING), verdict=PASS if ok else FAIL,
+        diagnostics=diagnostics)
 
 
 def _unit_mass(f: DensityModel):
@@ -235,34 +257,6 @@ def _section_route(f_list, frames, count, inner, exponent, origin,
         count, rng, max(1, DRAW_BLOCK // (len(f_list) * inner)))
 
 
-def _decomposition_report(name: str, parameters: dict, dims: tuple,
-                          ambient, route, rng) -> CheckReport:
-    """Verdict shared by the two section decompositions.
-
-    ambient and route each draw their whole budget from one child of rng;
-    rhs is the route times the exact Blaschke-Petkantschin constant of
-    dims = (n, k, q), decided against lhs by _departure_verdict.  The
-    fitted constant lhs / route and its distance to the exact one in its
-    stderr (exact_z, the verdict's statistic) ride along.
-    """
-    ambient_stream, route_stream = rng.spawn(2)
-    lhs = ambient(ambient_stream)
-    routed = route(route_stream)
-    exact = bp_exact_constant(*dims)
-    rhs = routed.scaled(exact)
-    verdict, _ = _departure_verdict(lhs, rhs)
-    fitted = ratio_estimate(lhs, routed)
-    return CheckReport(
-        name=name, parameters=parameters, lhs=lhs, rhs=rhs, verdict=verdict,
-        diagnostics={
-            "fitted_constant": fitted.value,
-            "fitted_stderr": fitted.stderr,
-            "exact_constant": exact,
-            "exact_z": ((fitted.value - exact) / fitted.stderr
-                        if fitted.stderr > 0 else math.inf),
-        })
-
-
 def _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner):
     _k_up_to(k, _common_dim(f_list) - 1)
     _need(p >= 0.0, "p", f"must be >= 0, got {p}")
@@ -290,19 +284,18 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
     _bp_subspace_rules(f_list, k, p, n_direct, n_subspaces, inner)
     n = f_list[0].n
     q = len(f_list)
-    mass = math.prod(f.mass for f in f_list)
-
-    def direct(stream):
-        return simplex_moment(f_list, p, True, n_direct, stream).scaled(mass)
-
-    def route(stream):
-        return _section_route(f_list, functools.partial(subspace_frames, n, k),
-                              n_subspaces, inner, p + (n - k), True, stream)
-
-    return _decomposition_report(
+    ambient, route = rng.spawn(2)
+    lhs = simplex_moment(f_list, p, True, n_direct, ambient).scaled(
+        math.prod(f.mass for f in f_list))
+    routed = _section_route(f_list, functools.partial(subspace_frames, n, k),
+                            n_subspaces, inner, p + (n - k), True, route)
+    exact = bp_exact_constant(n, k, q)
+    fitted = ratio_estimate(lhs, routed)
+    return _identity_report(
         "bp_subspace", {"n": n, "k": k, "q": q, "p": p, "n_direct": n_direct,
                         "n_subspaces": n_subspaces},
-        (n, k, q), direct, route, rng)
+        lhs, routed.scaled(exact), fitted_constant=fitted.value,
+        fitted_stderr=fitted.stderr, exact_constant=exact)
 
 
 def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
@@ -331,46 +324,31 @@ def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
     """
     _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
     n = f.n
-
-    def ambient(stream):
-        if p == 0.0:
-            return Estimate.exact(f.mass ** (k + 1))
-        return simplex_moment([f] * (k + 1), p, False, n_direct,
-                              stream).scaled(f.mass ** (k + 1))
-
-    frames = functools.partial(flat_frames, n, k, R)
-    return _decomposition_report(
+    ambient, route = rng.spawn(2)
+    lhs = Estimate.exact(f.mass ** (k + 1)) if p == 0.0 else simplex_moment(
+        [f] * (k + 1), p, False, n_direct, ambient).scaled(f.mass ** (k + 1))
+    routed = _section_route([f] * (k + 1),
+                            functools.partial(flat_frames, n, k, R), n_flats,
+                            inner, p + (n - k), False, route)
+    exact = bp_exact_constant(n, k, k)
+    fitted = ratio_estimate(lhs, routed)
+    return _identity_report(
         "bp_flat", {"n": n, "k": k, "q": k, "p": p, "R": R,
                     "n_direct": n_direct, "n_flats": n_flats},
-        (n, k, k), ambient,
-        lambda stream: _section_route([f] * (k + 1), frames, n_flats,
-                                      inner, p + (n - k), False, stream),
-        rng)
+        lhs, routed.scaled(exact), fitted_constant=fitted.value,
+        fitted_stderr=fitted.stderr, exact_constant=exact)
 
 
 # ---------------------------------------------------------------------------
 # Invariance of the section-norm averages.
 # ---------------------------------------------------------------------------
 
-def _invariance_report(name: str, parameters: dict, spec: ExponentSpec,
-                       invariant_sum: float, before: Estimate,
-                       after: Estimate, **extra) -> CheckReport:
-    """Verdict shared by the two invariance checks: _departure_verdict of
-    after against before, the averages after and before the map, each of
-    which says how it was computed (Estimate.method) and carries its tail
-    share."""
-    verdict, ratio = _departure_verdict(after, before)
-    dev = abs(ratio.value - 1.0)
-    return CheckReport(
-        name=name, parameters=parameters, lhs=after, rhs=before,
-        verdict=verdict,
-        diagnostics={"departure_sigma": (dev / ratio.stderr
-                                         if ratio.stderr > 0 else math.inf),
-                     "exponent_sum": spec.constraint_sum,
-                     "invariant_sum": float(invariant_sum),
-                     "sum_matches": abs(spec.constraint_sum - invariant_sum)
-                     <= 1e-10,
-                     **extra})
+def _sums(spec: ExponentSpec, invariant_sum: float) -> dict:
+    """The invariance checks' diagnostics on the exponent sum: it, the sum
+    that makes the average invariant, and whether they match."""
+    return {"exponent_sum": spec.constraint_sum,
+            "invariant_sum": float(invariant_sum),
+            "sum_matches": abs(spec.constraint_sum - invariant_sum) <= 1e-10}
 
 
 def _images(f_list, g) -> list:
@@ -453,7 +431,9 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     exponent sum a departure is expected and the verdict turns FAIL, which
     negative-control tests assert as detection power.  g is a matrix, or
     'shear' / 'rotation' drawn from child 0 of rng; the two averages draw
-    from children 1 and 2.
+    from children 1 and 2.  lhs is the average after the map and rhs the
+    one before it; each says how it was computed (Estimate.method) and
+    carries its tail share.
     """
     _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method)
     n = f_list[0].n
@@ -464,11 +444,11 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     images = _images(f_list, g)
     after = grassmann_average_I(images, spec, k, n_subspaces, streams[1],
                                 method)
-    return _invariance_report(
+    return _identity_report(
         "linear_invariance",
         {"n": n, "k": k, **_spec_params(spec), "n_subspaces": n_subspaces,
          "method": method},
-        spec, n, before, after)
+        after, before, **_sums(spec, n))
 
 
 def _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method):
@@ -512,11 +492,11 @@ def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, shift,
     r_after = max(R, max(f.support_radius for f in images))
     after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
                              method)
-    return _invariance_report(
+    return _identity_report(
         "affine_invariance",
         {"n": n, "k": k, **_spec_params(spec), "R": R, "n_flats": n_flats,
          "method": method},
-        spec, n + 1, before, after, windows=[r_before, r_after])
+        after, before, **_sums(spec, n + 1), windows=[r_before, r_after])
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +587,9 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
     non-failing verdict inconclusive.  lhs is the section-norm average, and
     says how it was computed (Estimate.method) and its tail share."""
     if expect_equality:
-        verdict, band = _equality_verdict(lhs, rhs)
+        ratio = ratio_estimate(lhs, rhs)
+        band = max(EQUALITY_BAND, 3.0 * ratio.rel_stderr)
+        verdict = PASS if abs(ratio.value - 1.0) <= band else FAIL
     else:
         verdict, band = _one_sided_verdict(lhs, rhs), None
     if verdict != FAIL and _heavy_tailed(lhs):
@@ -771,10 +753,11 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
     statistics exceed it and at most 2 s^(-kn) of the subspaces are
     exceptional.  c2, with threshold = (c2 s)^(kn), is reported.  Off the
     bad sets the pointwise constant c1 and the origin small-ball constant
-    c3 are fitted.  Verdict: all fitted
-    constants at most 10 and the exceptional fractions inside their
-    envelopes; an adversarial subspace, when supplied, must land in the
-    exceptional set.
+    c3 are fitted.  Verdict: each fitted constant at most 10 and the
+    exceptional fractions inside their envelopes; an adversarial subspace,
+    when supplied, must land in the exceptional set.  lhs is the largest
+    constant, rhs the ceiling 10 (_ceiling_report); the threshold and the
+    mean statistic are diagnostics.
 
     Everything is drawn from rng itself: the n_subspaces Haar bases, then
     their n_x points each in one draw, then the adversarial subspace's n_x
@@ -838,6 +821,7 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         "point_envelope": t ** (-kn),
         "eps_grid": eps_grid,
         "mean_statistic": float(averages.mean()),
+        "threshold": threshold,
     }
     ok = (c2 <= CONSTANT_CEILING and c1 <= CONSTANT_CEILING
           and c3 <= CONSTANT_CEILING
@@ -847,19 +831,12 @@ def marginal_bound_experiment(f: DensityModel, k: int, s: float, t: float,
         adv_avg = float(stats[0][-1].mean())
         detected = adv_avg > threshold or float(stats[3][-1]) > threshold
         diagnostics["adversarial_average"] = adv_avg
-        diagnostics["adversarial_threshold"] = threshold
         diagnostics["adversarial_detected"] = detected
         ok = ok and detected
-    lhs = Estimate(float(averages.mean()),
-                   float(averages.std(ddof=1) / math.sqrt(n_subspaces)),
-                   n_subspaces, "mc")
-    rhs = Estimate.exact(threshold)
-    return CheckReport(
-        name="marginal_bound",
-        parameters={"n": n, "k": k, "s": s, "t": t,
-                    "n_subspaces": n_subspaces, "n_x": n_x},
-        lhs=lhs, rhs=rhs, verdict=PASS if ok else FAIL,
-        diagnostics=diagnostics)
+    return _ceiling_report(
+        "marginal_bound", {"n": n, "k": k, "s": s, "t": t,
+                           "n_subspaces": n_subspaces, "n_x": n_x},
+        max(c1, c2, c3), n_subspaces, ok, diagnostics)
 
 
 def _perturbation_rules(f, k, E, eta, eps_grid, n_samples, n_candidates):
@@ -924,15 +901,10 @@ def perturbation_experiment(f: DensityModel, k: int, E: np.ndarray, eta: float,
     fitted = float(needed[best])
     dists = distances_to(E, candidates)
     success = float((needed <= CONSTANT_CEILING).mean())
-    return CheckReport(
-        name="perturbation",
-        parameters={"n": n, "k": k, "eta": eta, "eps_grid": eps_grid,
-                    "n_samples": n_samples, "n_candidates": n_candidates},
-        # fitted from the n_samples draws of f, with no stderr
-        lhs=Estimate(fitted, 0.0, n_samples, "mc"),
-        rhs=Estimate.exact(CONSTANT_CEILING),
-        verdict=PASS if fitted <= CONSTANT_CEILING else FAIL,
-        diagnostics={
+    return _ceiling_report(
+        "perturbation", {"n": n, "k": k, "eta": eta, "eps_grid": eps_grid,
+                         "n_samples": n_samples, "n_candidates": n_candidates},
+        fitted, n_samples, fitted <= CONSTANT_CEILING, {
             "fitted_constant": fitted,
             "best_candidate_distance": float(dists[best]),
             "success_fraction": success,

@@ -275,7 +275,7 @@ def test_invariance_and_detection(acceptance_log, rng):
             n_flats=12000, rng=rng)),
     ]
     passed = sum(r.verdict == PASS for _, r in jobs)
-    worst = max(r.diagnostics["departure_sigma"] for _, r in jobs)
+    worst = max(abs(r.diagnostics["departure_z"]) for _, r in jobs)
 
     control_linear = check_linear_invariance(
         [GaussianDensity.standard(2)], ExponentSpec([1.0], [1.0]), k=1,
@@ -284,8 +284,8 @@ def test_invariance_and_detection(acceptance_log, rng):
         [e2, e2], ExponentSpec([1.0, 1.0], [1.0, 1.0]), k=1,
         g=[[3.0, 0.3], [0.0, 1.0 / 3.0]], shift=[0.4, -0.2], R=2.0,
         n_flats=12000, rng=rng)
-    sig_l = control_linear.diagnostics["departure_sigma"]
-    sig_a = control_affine.diagnostics["departure_sigma"]
+    sig_l = abs(control_linear.diagnostics["departure_z"])
+    sig_a = abs(control_affine.diagnostics["departure_z"])
     detected = (control_linear.verdict == FAIL and sig_l > 5.0
                 and control_affine.verdict == FAIL and sig_a > 5.0)
     ok = passed == 6 and detected

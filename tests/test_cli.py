@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 import pytest
 
-from igeolab import config, runner
+from igeolab import config, runner, verify
 from igeolab.cli import main
 from igeolab.config import check_names, load_config
 from igeolab.densities import EllipsoidIndicator
@@ -670,6 +670,23 @@ def test_unwritable_output_dir_exits_one(tmp_path, monkeypatch, capsys):
     config = write_suite(tmp_path, PASS_BODY, out="afile/out")
     assert main(["run", "--config", config]) == 1
     assert "cannot write results to afile/out: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an "
+                                     "array with shape (100000000000,)", ""])
+def test_check_out_of_memory_exits_one(tmp_path, monkeypatch, capsys,
+                                       message):
+    # a budget too large for the memory, such as N = 1e11
+    # Monte Carlo section points, is one line and exit 1, not a traceback
+    def hungry(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "check_grinberg_functional", hungry)
+    assert main(["run", "--config", write_suite(tmp_path, PASS_BODY)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("out of memory" + (f": {message}" if message else "")
+                   + "\n")
 
 
 def test_list_checks_names_every_check(capsys):

@@ -376,6 +376,9 @@ def check_section(fields):
     # counts must fit numpy's index type
     (GRINBERG, {"n_subspaces": "1e30"}, "n_subspaces"),
     (GRINBERG, {"n_subspaces": "9223372036854775808"}, "n_subspaces"),
+    # ... and be a float64 array numpy can address
+    (GRINBERG, {"n_subspaces": "1152921504606846976"}, "n_subspaces"),
+    (GRINBERG, {"method": '["mc", 4000000000000000000]'}, "method"),
     (GRINBERG, {"p": "NaN"}, "p"),
     (GRINBERG, {"expect_equality": '"no"'}, "expect_equality"),
     (GRINBERG, {"expect_equality": "1"}, "expect_equality"),
@@ -418,7 +421,8 @@ def check_section(fields):
     (REARRANGEMENT, {"levels": "1000"}, "levels"),
     # the window is the support radius, so there is no window to set
     (SCHNEIDER, {"R": "1.5"}, "R"),
-], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one", "nan-p",
+], ids=["infinite-count", "count-1e30", "count-intp-max-plus-one",
+        "count-past-float64-array", "mc-count-4e18", "nan-p",
         "string-flag", "int-flag", "mc-one", "mc-fraction", "mc-count-1e300",
         "unknown-method",
         "unknown-field",

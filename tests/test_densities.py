@@ -1,4 +1,4 @@
-"""Density families: sections, marginals, superlevel sets, samplers, text IO.
+"""Density families: sections, marginals, superlevel sets, samplers.
 
 Closed-form oracles here were derived by hand (chord lengths, Gaussian
 section formulas, disk areas) and Monte Carlo cross-checks run at fixed

@@ -30,7 +30,7 @@ from igeolab.densities import section_stats
 from igeolab.geometry import unit_volume_radius, _row_norms
 from igeolab.grassmann import haar_bases
 from igeolab.report import FAIL, INCONCLUSIVE, PASS, Estimate, \
-    ParameterError, mc_estimate
+    ParameterError, mc_estimate, ratio_estimate
 from igeolab.rng import substream
 from igeolab.runner import run_suite
 from igeolab.sharpness import gaussian_sharpness_experiment
@@ -111,7 +111,7 @@ def test_bp_subspace_short_last_block(monkeypatch, rng):
     assert rep.rhs.samples == 20
     assert all(math.isfinite(v) for v in (rep.lhs.value, rep.rhs.value,
                                           rep.rhs.stderr, rep.ratio,
-                                          rep.diagnostics["exact_z"]))
+                                          rep.diagnostics["departure_z"]))
 
 
 def test_bp_flat_disk_mass_squared(rng):
@@ -166,7 +166,7 @@ def test_bp_fit_matches_exact_constant(check, family, rng):
     assert d["exact_constant"] == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert abs(d["fitted_constant"] - d["exact_constant"]) \
         <= 4.0 * d["fitted_stderr"]
-    assert d["exact_z"] == pytest.approx(
+    assert d["departure_z"] == pytest.approx(
         (d["fitted_constant"] - d["exact_constant"]) / d["fitted_stderr"])
     assert rep.ratio == pytest.approx(
         d["fitted_constant"] / d["exact_constant"], rel=1e-12)
@@ -229,7 +229,7 @@ def test_rotation_passes_even_with_wrong_sum(rng):
     rep = check_linear_invariance([g2], spec, 1, rot, 6_000, rng)
     assert rep.verdict == PASS
     assert rep.diagnostics["sum_matches"] is False
-    assert rep.diagnostics["departure_sigma"] < 3.0
+    assert abs(rep.diagnostics["departure_z"]) < 3.0
 
 
 def test_shear_with_wrong_sum_fails(rng):
@@ -238,7 +238,7 @@ def test_shear_with_wrong_sum_fails(rng):
     shear = np.array([[1.0, 0.9], [0.0, 1.0]])
     rep = check_linear_invariance([g2], spec, 1, shear, 6_000, rng)
     assert rep.verdict == FAIL
-    assert rep.diagnostics["departure_sigma"] > 5.0
+    assert abs(rep.diagnostics["departure_z"]) > 5.0
 
 
 def test_affine_invariance_shifted_ellipsoid(rng):
@@ -274,7 +274,7 @@ def test_affine_anisotropy_wrong_sum_fails(rng):
                                   stretch, np.array([0.4, -0.2]),
                                   R=2.0, n_flats=12_000, rng=rng)
     assert rep.verdict == FAIL
-    assert rep.diagnostics["departure_sigma"] > 5.0
+    assert abs(rep.diagnostics["departure_z"]) > 5.0
 
 
 @pytest.mark.parametrize("zero_side", ["after", "before"])
@@ -284,10 +284,75 @@ def test_invariance_fails_a_side_that_reads_zero(zero_side):
     sides = {"before": Estimate(79.2, 7.9e-11, 8, "rule"),
              "after": Estimate(79.2, 7.9e-11, 8, "rule")}
     sides[zero_side] = Estimate.exact(0.0)
-    rep = verify._invariance_report("affine_invariance", {},
-                                    ExponentSpec((1.0,), (4.0,)), 4.0,
-                                    sides["before"], sides["after"])
+    rep = verify._identity_report("affine_invariance", {}, sides["after"],
+                                  sides["before"])
     assert rep.verdict == FAIL
+
+
+# ---------------------------------------------------------------------------
+# the identity and ceiling drivers, on hand-built sides
+
+
+def identity(lhs, rhs=Estimate.exact(1.0), **diagnostics):
+    return verify._identity_report("identity", {}, lhs, rhs, **diagnostics)
+
+
+@pytest.mark.parametrize("value,verdict", [
+    (1.0301, FAIL), (0.9699, FAIL), (1.0299, PASS), (0.9701, PASS)])
+def test_identity_report_fails_past_three_stderr(value, verdict):
+    # against an exact rhs of 1 the ratio's stderr is lhs's, 1e-2, so the
+    # departure is 100 (value - 1), on either side of 1
+    rep = identity(Estimate(value, 1e-2, 100, "mc"))
+    assert rep.verdict == verdict
+    z = rep.diagnostics["departure_z"]
+    assert z == pytest.approx(100.0 * (value - 1.0), rel=1e-9)
+    assert math.copysign(1.0, z) == math.copysign(1.0, value - 1.0)
+
+
+@pytest.mark.parametrize("zero_side,z", [("lhs", -INF), ("rhs", INF)])
+def test_identity_report_fails_a_zero_side(zero_side, z):
+    # a zero lhs is the ratio 0 with stderr 0, a zero rhs the ratio inf
+    sides = {"lhs": Estimate(2.0, 0.1, 50, "mc"),
+             "rhs": Estimate(2.0, 0.1, 50, "mc")}
+    sides[zero_side] = Estimate.exact(0.0)
+    rep = identity(sides["lhs"], sides["rhs"])
+    assert rep.verdict == FAIL
+    assert rep.diagnostics["departure_z"] == z
+
+
+@pytest.mark.parametrize("lhs,verdict", [
+    (Estimate(1.01, 1e-2, 100, "mc", tail_share=0.5), INCONCLUSIVE),
+    (Estimate(1.01, 1e-2, 100, "mc", tail_share=0.49), PASS),
+    # relative stderr 0.3 / 1.1 > NOISE_FLOOR, a departure of 1/3
+    (Estimate(1.1, 0.3, 100, "mc"), INCONCLUSIVE),
+    # a departure past 3 stderr is a FAIL however heavy the tail
+    (Estimate(1.5, 1e-2, 100, "mc", tail_share=0.9), FAIL),
+])
+def test_identity_report_inconclusive_when_heavy_or_noisy(lhs, verdict):
+    assert identity(lhs).verdict == verdict
+    assert identity(Estimate.exact(1.0), lhs).verdict == verdict
+
+
+def test_identity_report_departure_at_ratio_one():
+    # exactly 1 is no departure even with stderr 0, and the check's own
+    # diagnostics follow departure_z
+    rep = identity(Estimate.exact(3.0), Estimate.exact(3.0), windows=[1.0])
+    assert rep.verdict == PASS
+    assert rep.diagnostics == {"departure_z": 0.0, "windows": [1.0]}
+    assert identity(Estimate(1.0, 0.1, 9, "mc")).diagnostics[
+        "departure_z"] == 0.0
+
+
+def test_ceiling_report_sides():
+    rep = verify._ceiling_report("ceiling", {"n": 2}, 2.5, 40, True,
+                                 {"c1": 2.5})
+    assert rep.lhs == Estimate(2.5, 0.0, 40, "mc")
+    assert rep.rhs == Estimate.exact(verify.CONSTANT_CEILING)
+    assert (rep.ratio, rep.verdict) == (0.25, PASS)
+    assert rep.diagnostics == {"c1": 2.5}
+    # the verdict is the check's, which tests more than this constant
+    assert verify._ceiling_report("ceiling", {}, 2.5, 40, False,
+                                  {}).verdict == FAIL
 
 
 FAR_SHIFT = """
@@ -625,6 +690,29 @@ def test_marginal_bound_round_ball(rng):
     assert d["c1"] <= 10.0 and d["c2"] <= 10.0 and d["c3"] <= 10.0
     assert d["bad_fraction"] <= d["bad_envelope"]
     assert d["worst_point_bad_fraction"] <= 2.0 ** -3 + 1e-12
+    # lhs is the largest constant, rhs the ceiling it must stay under
+    assert rep.lhs == Estimate(max(d["c1"], d["c2"], d["c3"]), 0.0, 40, "mc")
+    assert rep.rhs == Estimate.exact(10.0)
+    assert rep.ratio <= 1.0
+    assert d["c2"] == pytest.approx(d["threshold"] ** (1.0 / 3) / 2.0,
+                                    rel=1e-12)
+
+
+def test_marginal_bound_fails_a_nan_constant(monkeypatch, rng):
+    # NaN fiber masses make c1 NaN; each constant is tested by itself, so
+    # the verdict fails whatever max() makes of the NaN in lhs
+    fibers = verify._fiber_statistics
+
+    def poisoned(f, bases, ys):
+        t, l1, r, t0 = fibers(f, bases, ys)
+        return t, np.full_like(l1, np.nan), r, t0
+
+    monkeypatch.setattr(verify, "_fiber_statistics", poisoned)
+    ball = EllipsoidIndicator.ball(3, radius=unit_volume_radius(3))
+    rep = marginal_bound_experiment(ball, k=1, s=2.0, t=2.0, n_subspaces=40,
+                                    n_x=200, rng=rng)
+    assert math.isnan(rep.diagnostics["c1"])
+    assert rep.verdict == FAIL
 
 
 def test_marginal_bound_flags_skewed_direction(rng):
@@ -633,7 +721,7 @@ def test_marginal_bound_flags_skewed_direction(rng):
                                     n_x=200, rng=rng,
                                     adversarial=axis_subspace(3, [0]))
     assert rep.diagnostics["adversarial_detected"] is True
-    assert rep.diagnostics["adversarial_average"] > rep.diagnostics["adversarial_threshold"]
+    assert rep.diagnostics["adversarial_average"] > rep.diagnostics["threshold"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -700,6 +788,7 @@ def test_marginal_bound_fails_every_frame_on_the_first_axes(monkeypatch):
     report = run()
     assert report.verdict == FAIL
     assert report.diagnostics["c2"] > verify.CONSTANT_CEILING
+    assert report.lhs.value >= report.diagnostics["c2"] and report.ratio > 1.0
 
 
 def _fibers_one_subspace_at_a_time(f, rows):
@@ -1193,6 +1282,28 @@ def test_shipped_invariance_rows_meet_their_closed_forms(shipped_reports):
             assert report[side]["method"] == "rule", (label, side)
             assert report[side]["value"] == pytest.approx(want, rel=1e-13,
                                                           abs=0.0)
+
+
+IDENTITIES = {"bp_subspace", "bp_flat", "linear_invariance",
+              "affine_invariance"}
+
+
+def test_shipped_identity_departures(shipped_reports):
+    # departure_z is (ratio - 1) / stderr of the ratio wherever that stderr
+    # is positive and finite, and the verdict reads it
+    identities = 0
+    for (config, label), (name, report) in shipped_reports.items():
+        if name not in IDENTITIES:
+            continue
+        ratio = ratio_estimate(Estimate(**report["lhs"]),
+                               Estimate(**report["rhs"]))
+        z = report["diagnostics"]["departure_z"]
+        if 0.0 < ratio.stderr < INF:
+            identities += 1
+            assert z == pytest.approx((ratio.value - 1.0) / ratio.stderr,
+                                      rel=1e-12), (config, label)
+        assert (abs(z) > 3.0) == (report["verdict"] == FAIL), (config, label)
+    assert identities == 7
 
 
 def test_shipped_rule_sides_stop_converged(shipped_reports):
