@@ -14,10 +14,10 @@ by load_config, into the keyword arguments of its check function
 (CheckJob.kwargs) and handed to the check's rules function, both in the
 module that defines the check (verify.py, or sharpness.py).  A ParameterError
 from either is a ConfigError on the field the parameter came from.
-Running a check only calls it.  Nothing here draws: a named map or a
-'random' shift stays a name, and the invariance check draws it from its
-own generator.  The density families and the check modules are imported
-where they are first used, so a config loads only what it names.
+Running a check only calls it.  Nothing here draws: a named map stays a
+name, and the invariance check draws it from its own generator.  The
+density families and the check modules are imported where they are first
+used, so a config loads only what it names.
 """
 
 from __future__ import annotations
@@ -382,8 +382,8 @@ def _exponent_spec(raw, v):
 
 
 def _named(depth: int):
-    """Parser of a name, kept as given ('shear', 'random'), or an _array
-    of the depth (a map's matrix, a shift's vector)."""
+    """Parser of a name, kept as given for the check's rules ('shear'), or
+    an _array of the depth (a map's matrix, a shift's vector)."""
     array = _array(depth)
     return lambda raw, v: raw if isinstance(raw, str) else array(raw)
 
@@ -423,8 +423,7 @@ _DENSITY = _Field(_density, arg="f")
 _DENSITIES = _Field(_densities, arg="f_list")
 _SPEC_P = _Field(_powers, arg="spec")
 _SPEC_ALPHA = _Field(_exponent_spec, arg="spec")
-_MAP = _Field(_named(2), default="rotation", arg="g")
-_METHOD = _Field(_method, default="exact")
+_MAP = _Field(_named(2), arg="g")
 _EQUALITY = _Field(_flag, default=False)
 
 CHECKS: dict[str, _Check] = {
@@ -437,23 +436,22 @@ CHECKS: dict[str, _Check] = {
     "bp_flat": _Check(
         "simplex-moment decomposition over affine sections",
         "check_bp_flat",
-        {"density": _DENSITY, "k": _int(), "p": _real(0.0), "R": _real(),
-         "n_direct": _int(0), "n_flats": _int(), "inner": _int(256)},
+        {"density": _DENSITY, "k": _int(), "R": _real(), "n_flats": _int(),
+         "inner": _int(256)},
         "_bp_flat_rules"),
     "linear_invariance": _Check(
         "section-norm average under a volume-preserving linear map",
         "check_linear_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP, "n_subspaces": _int(),
-         "method": _METHOD},
+         "method": _Field(_method, default="exact")},
         "_linear_invariance_rules"),
     "affine_invariance": _Check(
         "section-norm flat average under a volume-preserving affine map",
         "check_affine_invariance",
         {"densities": _DENSITIES, "k": _int(), "spec_p": _SPEC_P,
          "spec_alpha": _SPEC_ALPHA, "map": _MAP,
-         "shift": _Field(_named(1), default="random"),
-         "R": _real(), "n_flats": _int(), "method": _METHOD},
+         "shift": _Field(_named(1)), "R": _real(), "n_flats": _int()},
         "_affine_invariance_rules"),
     "rearrangement_chain": _Check(
         "simplex functional vs rearranged and ball inputs",
@@ -466,14 +464,13 @@ CHECKS: dict[str, _Check] = {
         "L1/sup section-norm average inequality",
         "check_grinberg_functional",
         {"densities": _DENSITIES, "k": _int(), "p": _real(0.0),
-         "n_subspaces": _int(), "method": _METHOD,
-         "expect_equality": _EQUALITY},
+         "n_subspaces": _int(), "expect_equality": _EQUALITY},
         "_grinberg_rules"),
     "schneider_functional": _Check(
         "flat-average mass/sup inequality over a window of the support radius",
         "check_schneider_functional",
         {"density": _DENSITY, "k": _int(), "n_flats": _int(),
-         "method": _METHOD, "expect_equality": _EQUALITY},
+         "expect_equality": _EQUALITY},
         "_schneider_rules"),
     "marginal_bound": _Check(
         "Markov-set marginal bound with fitted constants",
@@ -600,7 +597,7 @@ def load_config(path: str, *, seed_override: int | None = None,
                 raise ConfigError(section, "section",
                                   "check sections need a label")
             name = items.pop("check", None)
-            if name not in CHECKS:
+            if not isinstance(name, str) or name not in CHECKS:
                 raise ConfigError(section, "check",
                                   f"unknown check {name!r}; known: "
                                   f"{', '.join(check_names())}")

@@ -313,16 +313,15 @@ def grassmann_average_I(f_list, spec: ExponentSpec, k: int, n_subspaces: int,
 
 
 def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
-                     n_flats: int, rng: np.random.Generator, method="exact"
-                     ) -> Estimate:
+                     n_flats: int, rng: np.random.Generator) -> Estimate:
     """Invariant-measure average over k-flats of the section-norm product.
 
     Flats are drawn uniformly among those within distance R of the origin
     and reweighted by the window mass, so the estimate targets the infinite
     invariant measure directly.  All supports must fit in the R-window:
     flats outside it carry zero integrand only if every f_i vanishes there.
-    Section norms are read as in grassmann_average_I: exact stats once per
-    distinct (density, power) per stack of flats, MC draws slot by slot.
+    Section norms are read exactly, once per distinct (density, power) per
+    stack of flats.
     Exact sections of densities all rotation invariant about 0 take the
     rule in the flats' distance rho to the origin (grassmann.radial_frames),
     and where _rule_covers holds the flats are a rule's nodes on the
@@ -336,4 +335,4 @@ def affine_average_I(f_list, spec: ExponentSpec, k: int, R: float,
         if f.support_radius > R + 1e-9:
             raise ValueError(
                 f"support radius {f.support_radius} exceeds the flat window R={R}")
-    return _average(f_list, spec, method, k, n_flats, rng, R)
+    return _average(f_list, spec, "exact", k, n_flats, rng, R)

@@ -148,11 +148,12 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     """Run every configured check and persist the artifacts.
 
     Returns the exit status: 0 all pass, 2 any fail, 3 any inconclusive
-    with no failures.  On KeyboardInterrupt the rows finished so far are
-    already on disk and the manifest is written with interrupted = true;
-    checks already running on the pool finish, and no queued one starts.
-    The malloc policy of the module docstring is set for this process
-    first.
+    with no failures.  On KeyboardInterrupt, or an exception from a check,
+    the rows finished so far are already on disk and the manifest is
+    written with interrupted = true, and with the exception's text as
+    error; checks already running on the pool finish, and no queued one
+    starts.  The exception is then raised again.  The malloc policy of the
+    module docstring is set for this process first.
     """
     out_dir = config.output_dir
     reports_dir = os.path.join(out_dir, "reports")
@@ -164,6 +165,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     manifest_checks = []
     verdicts = []
     interrupted = False
+    error = None
     total_started = time.perf_counter()
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", newline="") as handle:
@@ -200,6 +202,8 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
                     pool.shutdown(cancel_futures=True)
         except KeyboardInterrupt:
             interrupted = True
+        except Exception as exc:
+            interrupted, error = True, exc
     total_wall = time.perf_counter() - total_started
 
     manifest = {
@@ -207,6 +211,8 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         "config_hash": config.resolved_hash(),
         "seed": config.seed,
         "interrupted": interrupted,
+        "error": None if error is None else
+        type(error).__name__ + (f": {error}" if str(error) else ""),
         "environment": _environment(malloc),
         "checks": manifest_checks,
         "totals": {
@@ -220,6 +226,8 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
         json.dump(manifest, handle, indent=2, default=_json_default)
         handle.write("\n")
+    if error is not None:
+        raise error
     if interrupted:
         echo("interrupted; partial results flushed")
         return 130

@@ -36,7 +36,7 @@ import numpy as np
 from .geometry import ROW_BLOCK, bp_exact_constant, unit_ball_volume, \
     unit_volume_radius, _row_norms
 from .grassmann import flat_frames, subspace_frames, perturb_subspace, \
-    distances_to, haar_bases, _orthonormal, _orthonormalize
+    distances_to, haar_bases, _orthonormal
 from .densities import DensityModel, EllipsoidIndicator, affine_image, \
     section_points, section_stats, _volume_preserving
 from .functionals import ExponentSpec, affine_average_I, \
@@ -179,19 +179,17 @@ def _subspace_rule(E, n: int, k: int, param: str):
     _need(_orthonormal(E), param, "must be an array of orthonormal columns")
 
 
-def _name_or_array(value, names: tuple, shape: tuple, param: str):
-    """Rule: value is one of the names or a finite array of the shape."""
-    ok = value in names if isinstance(value, str) \
-        else np.shape(value) == shape and bool(np.isfinite(value).all())
-    _need(ok, param, f"must be {' or '.join(map(repr, names))} or a finite "
-          f"array of shape {shape}")
+def _finite(value, shape: tuple) -> bool:
+    """Whether value is a finite array of the shape."""
+    return np.shape(value) == shape and bool(np.isfinite(value).all())
 
 
 def _volume_map(a, n: int, param: str):
-    """Rule: the map a is 'shear', 'rotation' or a volume-preserving
-    n x n matrix."""
-    _name_or_array(a, ("shear", "rotation"), (n, n), param)
-    if not isinstance(a, str):
+    """Rule: the map a is 'shear' or a volume-preserving n x n matrix."""
+    named = isinstance(a, str)
+    _need(a == "shear" if named else _finite(a, (n, n)), param,
+          f"must be 'shear' or a finite array of shape {(n, n)}")
+    if not named:
         _volume_preserving(a, param)
 
 
@@ -298,43 +296,36 @@ def check_bp_subspace(f_list, k: int, p: float, n_direct: int,
         fitted_stderr=fitted.stderr, exact_constant=exact)
 
 
-def _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner):
+def _bp_flat_rules(f, k, n_flats, R, inner):
     _k_up_to(k, f.n - 1)
-    _need(p == 0.0 or p >= 1.0, "p", f"must be 0 or >= 1, got {p}")
     _need(0.0 <= R and f.support_radius <= R + 1e-9, "R", f"must cover "
           f"the support radius {f.support_radius:.4g}, got {R}")
     _window(R, f.n, k, "R")
-    _need(n_direct >= (2 if p else 0), "n_direct", "must be >= 0, and >= 2 "
-          f"with an offset exponent; got {n_direct}")
     _at_least(2, n_flats=n_flats)
     _at_least(1, inner=inner)
     _finite_side(lambda: f.mass ** (k + 1), "f")
     _readable([f], k, "f")
 
 
-def check_bp_flat(f: DensityModel, k: int, n_direct: int, n_flats: int,
-                  R: float, rng: np.random.Generator, p: float = 0.0,
-                  inner: int = 256) -> CheckReport:
+def check_bp_flat(f: DensityModel, k: int, n_flats: int, R: float,
+                  rng: np.random.Generator, inner: int = 256) -> CheckReport:
     """Flat-section decomposition with k+1 free vertices.
 
-    With zero offset the ambient side is the exact power mass^(k+1) and
-    the flat route must reproduce it through the |conv|^(n-k) weight and
-    the invariant flat measure; positive offsets exercise the weighted
-    version.  Constant handling as in check_bp_subspace.
+    The ambient side is the exact power mass^(k+1), and the flat route,
+    drawn from child 1 of rng.spawn(2), must reproduce it through the
+    |conv|^(n-k) weight and the invariant flat measure.  Constant handling
+    as in check_bp_subspace.
     """
-    _bp_flat_rules(f, k, n_direct, n_flats, R, p, inner)
+    _bp_flat_rules(f, k, n_flats, R, inner)
     n = f.n
-    ambient, route = rng.spawn(2)
-    lhs = Estimate.exact(f.mass ** (k + 1)) if p == 0.0 else simplex_moment(
-        [f] * (k + 1), p, False, n_direct, ambient).scaled(f.mass ** (k + 1))
+    lhs = Estimate.exact(f.mass ** (k + 1))
     routed = _section_route([f] * (k + 1),
                             functools.partial(flat_frames, n, k, R), n_flats,
-                            inner, p + (n - k), False, route)
+                            inner, n - k, False, rng.spawn(2)[1])
     exact = bp_exact_constant(n, k, k)
     fitted = ratio_estimate(lhs, routed)
     return _identity_report(
-        "bp_flat", {"n": n, "k": k, "q": k, "p": p, "R": R,
-                    "n_direct": n_direct, "n_flats": n_flats},
+        "bp_flat", {"n": n, "k": k, "q": k, "R": R, "n_flats": n_flats},
         lhs, routed.scaled(exact), fitted_constant=fitted.value,
         fitted_stderr=fitted.stderr, exact_constant=exact)
 
@@ -362,38 +353,27 @@ def _images(f_list, g) -> list:
     return [mapped[id(f)] for f in f_list]
 
 
-def _drawn_map(g, n: int, rng: np.random.Generator):
-    """The map (A, b) of g = (map, shift) drawn from rng: the map first, a
-    matrix, 'rotation' (Haar on SO(n)) or 'shear' (unit upper triangular,
-    off-diagonal entries of size 0.5 to 1.5, bounded away from zero so the
-    non-invariance controls keep their power), then a 'random' shift."""
-    a, shift = g
-    name = a if isinstance(a, str) else None
-    if name == "rotation":
-        a = _orthonormalize(rng.standard_normal((1, n, n)))[0]
-        if np.linalg.det(a) < 0:
-            a[:, 0] = -a[:, 0]
-    elif name == "shear":
+def _drawn_map(a, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrix of the map a, drawn from rng if a is 'shear': unit upper
+    triangular, off-diagonal entries of size 0.5 to 1.5, bounded away from
+    zero so the non-invariance controls keep their power."""
+    if isinstance(a, str):
         a = np.eye(n)
         iu = np.triu_indices(n, k=1)
         m = len(iu[0])
         a[iu] = rng.uniform(*SHEAR_ENTRIES, size=m) \
             * rng.choice([-1.0, 1.0], m)
-    if isinstance(shift, str):
-        shift = 0.5 * rng.normal(size=n)
-    return np.asarray(a, dtype=float), shift
+    return np.asarray(a, dtype=float)
 
 
 def _map_condition(a, n: int) -> float:
     """Condition number of the map a, or the largest of any map that
-    _drawn_map draws for its name: 1 for 'rotation'.  A 'shear' T is unit
-    upper triangular with entries at most c = SHEAR_ENTRIES[1] in size.
+    _drawn_map draws for 'shear'.  A 'shear' T is unit upper triangular
+    with entries at most c = SHEAR_ENTRIES[1] in size.
     With U strictly upper triangular and every entry c, |T| <= I + U and,
     through T's comparison matrix, |T^-1| <= (I - U)^-1 entrywise (Higham,
     Accuracy and Stability, Thm 8.12), so cond(T) <= |I + U|_F
     |(I - U)^-1|_F, which passes MAP_CONDITION_CAP from n = 18."""
-    if isinstance(a, str) and a == "rotation":
-        return 1.0
     with np.errstate(all="ignore"):
         if isinstance(a, str):
             u = np.triu(np.full((n, n), SHEAR_ENTRIES[1]), 1)
@@ -403,13 +383,12 @@ def _map_condition(a, n: int) -> float:
 
 
 def _stand_in(g, n: int):
-    """A map of the kind g names, whose images are of the families of
-    _drawn_map's, drawing nothing: the identity for 'rotation', a unit upper
-    triangular shear for 'shear', and a nonzero shift for 'random'."""
+    """The map g = (map, shift), drawing nothing: for 'shear' a unit upper
+    triangular matrix, whose images are of the families of _drawn_map's."""
     a, shift = g
     if isinstance(a, str):
-        a = np.eye(n) + np.triu(np.ones((n, n)), 1) * (a == "shear")
-    return a, np.ones(n) if isinstance(shift, str) else shift
+        a = np.eye(n) + np.triu(np.ones((n, n)), 1)
+    return a, shift
 
 
 def _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method):
@@ -430,15 +409,15 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
     The average is invariant when sum(alpha_i / p_i) = n; with any other
     exponent sum a departure is expected and the verdict turns FAIL, which
     negative-control tests assert as detection power.  g is a matrix, or
-    'shear' / 'rotation' drawn from child 0 of rng; the two averages draw
-    from children 1 and 2.  lhs is the average after the map and rhs the
-    one before it; each says how it was computed (Estimate.method) and
-    carries its tail share.
+    'shear' drawn from child 0 of rng; the two averages draw from children
+    1 and 2.  lhs is the average after the map and rhs the one before it;
+    each says how it was computed (Estimate.method) and carries its tail
+    share.
     """
     _linear_invariance_rules(f_list, spec, k, g, n_subspaces, method)
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
-    g = _drawn_map((g, None), n, maps)
+    g = _drawn_map(g, n, maps), None
     before = grassmann_average_I(f_list, spec, k, n_subspaces, streams[0],
                                  method)
     images = _images(f_list, g)
@@ -451,7 +430,7 @@ def check_linear_invariance(f_list, spec: ExponentSpec, k: int, g,
         after, before, **_sums(spec, n))
 
 
-def _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method):
+def _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats):
     n = _common_dim(f_list)
     _k_up_to(k, n - 1)
     _need(len(spec) == len(f_list), "spec", "needs one slot per density")
@@ -462,40 +441,38 @@ def _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method):
           "flat averages need bounded supports")
     _window(max(f.support_radius for f in f_list), n, k, "f_list")
     _volume_map(g, n, "g")
-    _name_or_array(shift, ("random",), (n,), "shift")
-    if not isinstance(shift, str):    # the window about the shifted images
-        _window(math.hypot(*shift) + max(f.support_radius for f in f_list),
-                n, k, "shift")
-    _readable(f_list, k, "method", method, (g, shift))
+    _need(_finite(shift, (n,)), "shift",
+          f"must be a finite array of shape {(n,)}")
+    # the window about the shifted images
+    _window(math.hypot(*shift) + max(f.support_radius for f in f_list), n, k,
+            "shift")
+    _readable(f_list, k, "f_list", g=(g, shift))
 
 
 def check_affine_invariance(f_list, spec: ExponentSpec, k: int, g, shift,
-                            R: float, n_flats: int, rng: np.random.Generator,
-                            method="exact") -> CheckReport:
+                            R: float, n_flats: int,
+                            rng: np.random.Generator) -> CheckReport:
     """Flat average of section norms before and after a volume-preserving
     affine map; invariance requires sum(alpha_i / p_i) = n + 1.
 
     Each side gets its own sampling window just covering its support, so
     translations do not force a common oversized window.  g is the map as
-    in check_linear_invariance, shift a vector or 'random' (normal with
-    scale 1/2); child 0 of rng draws the map, then the shift, and the two
-    averages draw from children 1 and 2.
+    in check_linear_invariance and shift a vector; child 0 of rng draws the
+    map, and the two averages draw from children 1 and 2.  Sections are
+    read exactly.
     """
-    _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats, method)
+    _affine_invariance_rules(f_list, spec, k, g, shift, R, n_flats)
     n = f_list[0].n
     maps, *streams = rng.spawn(3)
-    g = _drawn_map((g, shift), n, maps)
+    g = _drawn_map(g, n, maps), shift
     r_before = max(R, max(f.support_radius for f in f_list))
-    before = affine_average_I(f_list, spec, k, r_before, n_flats,
-                              streams[0], method)
+    before = affine_average_I(f_list, spec, k, r_before, n_flats, streams[0])
     images = _images(f_list, g)
     r_after = max(R, max(f.support_radius for f in images))
-    after = affine_average_I(images, spec, k, r_after, n_flats, streams[1],
-                             method)
+    after = affine_average_I(images, spec, k, r_after, n_flats, streams[1])
     return _identity_report(
         "affine_invariance",
-        {"n": n, "k": k, **_spec_params(spec), "R": R, "n_flats": n_flats,
-         "method": method},
+        {"n": n, "k": k, **_spec_params(spec), "R": R, "n_flats": n_flats},
         after, before, **_sums(spec, n + 1), windows=[r_before, r_after])
 
 
@@ -600,14 +577,14 @@ def _bound_report(name: str, parameters: dict, lhs: Estimate, rhs: Estimate,
                      "equality_band": band})
 
 
-def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
+def _grinberg_rules(f_list, k, p, n_subspaces, expect_equality):
     n = _common_dim(f_list)
     _k_up_to(k, n - 1)
     _need(0.0 <= p <= n - k, "p", f"must lie in [0, {n - k}], got {p}")
     _at_least(2, n_subspaces=n_subspaces)
     _need(len(f_list) <= k, "f_list", f"must hold at most k={k} densities")
     _positive_sup(f_list, "f_list")
-    _readable(f_list, k, "method", method)
+    _readable(f_list, k, "f_list")
     q = len(f_list)
 
     def side():
@@ -621,7 +598,7 @@ def _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality):
 
 
 def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
-                              rng: np.random.Generator, method="exact",
+                              rng: np.random.Generator,
                               expect_equality: bool = False) -> CheckReport:
     """Subspace average of L1-over-sup section-norm ratios against its
     closed-form bound.
@@ -630,28 +607,28 @@ def check_grinberg_functional(f_list, k: int, p: float, n_subspaces: int,
     k-dimensional sections is bounded by explicit ball-volume constants
     times the product of the global norms.  Equality mode tightens the
     verdict to the two-sided band (indicator-of-ball and common-ellipsoid
-    tuples).
+    tuples).  Sections are read exactly.
     """
-    rhs = _grinberg_rules(f_list, k, p, n_subspaces, method, expect_equality)
+    rhs = _grinberg_rules(f_list, k, p, n_subspaces, expect_equality)
     n = f_list[0].n
     q = len(f_list)
     doubled = [f for f in f_list for _ in range(2)]
     spec = ExponentSpec((1.0, math.inf) * q,
                         (1.0 + p / k, -p / k) * q)
-    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng, method)
+    lhs = grassmann_average_I(doubled, spec, k, n_subspaces, rng)
     return _bound_report(
         "grinberg_functional", {"n": n, "k": k, "q": q, "p": p,
-                                "n_subspaces": n_subspaces, "method": method},
+                                "n_subspaces": n_subspaces},
         lhs, Estimate.exact(rhs), expect_equality)
 
 
-def _schneider_rules(f, k, n_flats, method, expect_equality):
+def _schneider_rules(f, k, n_flats, expect_equality):
     _k_up_to(k, f.n - 1)
     _at_least(2, n_flats=n_flats)
     _need(np.isfinite(f.support_radius), "f", "needs a bounded support")
     n = f.n
     _window(f.support_radius, n, k, "f")
-    _readable([f], k, "method", method)
+    _readable([f], k, "f")
     return _finite_side(lambda: math.exp(
         (n + 1) * math.log(unit_ball_volume(k))
         + math.log(unit_ball_volume(n * (k + 1)))
@@ -660,7 +637,7 @@ def _schneider_rules(f, k, n_flats, method, expect_equality):
 
 
 def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
-                               rng: np.random.Generator, method="exact",
+                               rng: np.random.Generator,
                                expect_equality: bool = False) -> CheckReport:
     """Flat average of section mass powers over section sups against its
     closed-form bound.
@@ -668,16 +645,16 @@ def check_schneider_functional(f: DensityModel, k: int, n_flats: int,
     Integrates (integral of f over F)^(n+1) / ||f|_F||_inf^(n-k) over the
     invariant flat measure, drawn in a window of the support radius, and
     compares with the ball-volume constant times mass^(k+1).  Ball and
-    shifted-ellipsoid indicators sit in the equality case.
+    shifted-ellipsoid indicators sit in the equality case.  Sections are
+    read exactly.
     """
-    rhs = _schneider_rules(f, k, n_flats, method, expect_equality)
+    rhs = _schneider_rules(f, k, n_flats, expect_equality)
     n = f.n
     spec = ExponentSpec((1.0, math.inf), (float(n + 1), -float(n - k)))
-    lhs = affine_average_I([f, f], spec, k, f.support_radius, n_flats, rng,
-                           method)
+    lhs = affine_average_I([f, f], spec, k, f.support_radius, n_flats, rng)
     return _bound_report(
         "schneider_functional", {"n": n, "k": k, "R": f.support_radius,
-                                 "n_flats": n_flats, "method": method},
+                                 "n_flats": n_flats},
         lhs, Estimate.exact(rhs), expect_equality)
 
 

@@ -81,9 +81,10 @@ n_subspaces = 400
 expect_equality = true
 """
 
-# anisotropic density, sixth power, four subspaces: the ratio's noise
-# dwarfs the 25% relative-error floor and the verdict degrades honestly
-# (in R^4, where no deterministic rule covers the lines, so they are drawn)
+# anisotropic density, sixth power, four subspaces, a rotation that mixes
+# its longest and shortest axes: the ratio's noise dwarfs the 25%
+# relative-error floor and the verdict degrades honestly (in R^4, where no
+# deterministic rule covers the lines, so they are drawn)
 STARVED_BODY = """
 [run]
 seed = 1
@@ -101,12 +102,13 @@ densities = ["skew"]
 k = 1
 spec_p = [2.0]
 spec_alpha = [6.0]
-map = "rotation"
+map = [[0.6, -0.8, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0],
+       [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 n_subspaces = 4
 """
 
 
-# a named map, a named map with a random shift, and given arrays: every
+# a named map, a named map with a given shift, and given arrays: every
 # kind of map the invariance checks take, plus a given subspace
 INVARIANCE_BODY = """
 [run]
@@ -138,6 +140,8 @@ densities = ["ball"]
 k = 1
 spec_p = [1.0]
 spec_alpha = [3.0]
+map = "shear"
+shift = [0.3, -0.1]
 R = 2.0
 n_flats = 64
 
@@ -388,7 +392,7 @@ def test_interrupt_flushes_rows_and_starts_no_queued_check(tmp_path,
     assert run_suite(cfg, jobs=jobs, echo=echo) == 130
     assert 0 in started and set(started) <= set(range(jobs + 1))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["interrupted"] is True
+    assert manifest["interrupted"] is True and manifest["error"] is None
     assert [c["label"] for c in manifest["checks"]] == ["linear"]
     rows = read_rows(tmp_path / "out" / "results.csv")
     assert [r["check"] for r in rows] == ["linear_invariance"]
@@ -689,6 +693,38 @@ def test_check_out_of_memory_exits_one(tmp_path, monkeypatch, capsys,
                    + "\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_check_leaves_a_manifest_of_the_rows_before_it(
+        tmp_path, monkeypatch, capsys, jobs):
+    # the second check raises: the first row, its report and a manifest
+    # that says the run stopped and why are on disk, and the error still
+    # ends the run as one line and exit 1
+    def hungry(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "check_schneider_functional", hungry)
+    body = PASS_BODY + """
+[check flat]
+check = "schneider_functional"
+density = "ball"
+k = 1
+n_flats = 8
+"""
+    assert main(["run", "--config", write_suite(tmp_path, body),
+                 "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == \
+        "out of memory: Unable to allocate 745. GiB\n"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["interrupted"] is True
+    assert manifest["error"] == "MemoryError: Unable to allocate 745. GiB"
+    assert [c["label"] for c in manifest["checks"]] == ["round"]
+    assert manifest["totals"]["checks"] == 1
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    assert [r["check"] for r in rows] == ["grinberg_functional"]
+    assert os.listdir(tmp_path / "out" / "reports") == ["round.json"]
+
+
 def test_list_checks_names_every_check(capsys):
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out
@@ -767,14 +803,23 @@ def test_ini_syntax_error_prints_and_exits_one(tmp_path, capsys, body):
 
 def test_method_is_recorded(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    body = PASS_BODY.replace("expect_equality = true",
-                             'method = ["mc", 8]')
+    body = PASS_BODY + """
+[check sampled]
+check = "linear_invariance"
+densities = ["ball"]
+k = 1
+spec_p = [1.0]
+spec_alpha = [2.0]
+map = "shear"
+method = ["mc", 8]
+n_subspaces = 64
+"""
     main(["run", "--config", write_suite(tmp_path, body)])
-    extra = json.loads(read_rows(tmp_path / "out" / "results.csv")[0]
+    extra = json.loads(read_rows(tmp_path / "out" / "results.csv")[1]
                        ["extra-params"])
     assert extra["method"] == ["mc", 8]
     report = json.loads(
-        (tmp_path / "out" / "reports" / "round.json").read_text())
+        (tmp_path / "out" / "reports" / "sampled.json").read_text())
     assert report["parameters"]["method"] == ["mc", 8]
 
 
@@ -841,8 +886,8 @@ EXTREME = {
     "affine-window-1e200": (
         'kind = "ellipsoid"\nn = 3',
         'check = "affine_invariance"\ndensities = ["d"]\nk = 1\n'
-        'spec_p = [1.0]\nspec_alpha = [4.0]\nmap = "shear"\nR = 1e200\n'
-        'n_flats = 8', "R"),
+        'spec_p = [1.0]\nspec_alpha = [4.0]\nmap = "shear"\n'
+        'shift = [0.0, 0.0, 0.0]\nR = 1e200\nn_flats = 8', "R"),
     "bp-flat-window-1e200": (
         'kind = "ellipsoid"\nn = 2',
         'check = "bp_flat"\ndensity = "d"\nk = 1\nR = 1e200\nn_flats = 8',
@@ -1016,7 +1061,7 @@ def test_run_suite_never_parses(tmp_path, monkeypatch, jobs):
 
 def test_direct_invariance_calls_reproduce_config_rows(tmp_path):
     # the check at position i runs on substream(seed, i), and child 0 of it
-    # draws a named map (then a random shift) whoever calls the check
+    # draws a named map whoever calls the check
     cfg, csv_bytes = run_invariance_suite(tmp_path)
     ball = EllipsoidIndicator.ball(2)
     direct = [
@@ -1024,8 +1069,8 @@ def test_direct_invariance_calls_reproduce_config_rows(tmp_path):
             [ball], ExponentSpec((1.0,), (2.0,)), 1, "shear", 64,
             rng=substream(cfg.seed, 0))),
         ("affine", check_affine_invariance(
-            [ball], ExponentSpec((1.0,), (3.0,)), 1, "rotation", "random",
-            2.0, 64, rng=substream(cfg.seed, 1)))]
+            [ball], ExponentSpec((1.0,), (3.0,)), 1, "shear",
+            np.array([0.3, -0.1]), 2.0, 64, rng=substream(cfg.seed, 1)))]
     rows = csv_bytes.splitlines(keepends=True)
     for idx, (label, report) in enumerate(direct):
         line = io.StringIO()

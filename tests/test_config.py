@@ -5,6 +5,7 @@ bad config that dies twenty minutes into a run is the bug these tests
 pin down.
 """
 
+import configparser
 import inspect
 import json
 import math
@@ -264,7 +265,7 @@ def test_spec_p_accepts_inf_strings(tmp_path):
     spec_p = [1.0, "inf"]
     spec_alpha = [2.0, 5.0]
     k = 1
-    map = "rotation"
+    map = "shear"
     n_subspaces = 64
     """
     cfg = load_config(write_config(tmp_path, body))
@@ -300,7 +301,7 @@ PERTURBATION = {"check": '"perturbation"', "density": '"unit"', "k": "1",
                 "n_samples": "100"}
 AFFINE = {"check": '"affine_invariance"', "densities": '["ball"]', "k": "1",
           "spec_p": "[1.0]", "spec_alpha": "[3.0]", "map": '"shear"',
-          "R": "1.0", "n_flats": "8"}
+          "shift": "[0.0, 0.0]", "R": "1.0", "n_flats": "8"}
 REARRANGEMENT = {"check": '"rearrangement_chain"', "densities": '["unit"]',
                  "p": "1.0", "n_samples": "100"}
 SCHNEIDER = {"check": '"schneider_functional"', "density": '"ball"',
@@ -378,22 +379,37 @@ def check_section(fields):
     (GRINBERG, {"n_subspaces": "9223372036854775808"}, "n_subspaces"),
     # ... and be a float64 array numpy can address
     (GRINBERG, {"n_subspaces": "1152921504606846976"}, "n_subspaces"),
-    (GRINBERG, {"method": '["mc", 4000000000000000000]'}, "method"),
+    (LINEAR, {"method": '["mc", 4000000000000000000]'}, "method"),
     (GRINBERG, {"p": "NaN"}, "p"),
     (GRINBERG, {"expect_equality": '"no"'}, "expect_equality"),
     (GRINBERG, {"expect_equality": "1"}, "expect_equality"),
-    (GRINBERG, {"method": '["mc", 1]'}, "method"),
-    (GRINBERG, {"method": '["mc", 2.5]'}, "method"),
+    (LINEAR, {"method": '["mc", 1]'}, "method"),
+    (LINEAR, {"method": '["mc", 2.5]'}, "method"),
     # the point count is a count, bounded as every other count
-    (GRINBERG, {"method": '["mc", 1e300]'}, "method"),
-    (GRINBERG, {"method": '"bogus"'}, "method"),
+    (LINEAR, {"method": '["mc", 1e300]'}, "method"),
+    (LINEAR, {"method": '"bogus"'}, "method"),
     (GRINBERG, {"n_flatz": "9"}, "n_flatz"),
+    # a check name is a string, not a list or a map
+    (GRINBERG, {"check": '["grinberg_functional"]'}, "check"),
+    (GRINBERG, {"check": '{"name": "grinberg_functional"}'}, "check"),
     (GRINBERG, {"check": '"bp_subspace"', "method": '"exact"'}, "method"),
     # a budget is one Monte Carlo mean of >= 2 samples
     (BP_SUBSPACE, {"n_direct": "1"}, "n_direct"),
     (BP_SUBSPACE, {"n_subspaces": "1"}, "n_subspaces"),
     (BP_FLAT, {"n_flats": "1"}, "n_flats"),
-    (BP_FLAT, {"p": "1.0"}, "n_direct"),
+    # constants, not fields: bp_flat's ambient side is the exact mass^(k+1)
+    # (an offset exponent is refused on p itself), and three checks read
+    # exact sections only
+    (BP_FLAT, {"p": "1.0"}, "p"),
+    (BP_FLAT, {"n_direct": "8"}, "n_direct"),
+    (GRINBERG, {"method": '"exact"'}, "method"),
+    (SCHNEIDER, {"method": '"exact"'}, "method"),
+    (AFFINE, {"method": '"exact"'}, "method"),
+    # a rotation tests nothing that the Haar average does not hold by
+    # construction, and a shift is a vector
+    (AFFINE, {"map": '"rotation"'}, "map"),
+    (LINEAR, {"map": '"rotation"'}, "map"),
+    (AFFINE, {"shift": '"random"'}, "shift"),
     # affine_image's determinant tolerance, not a looser one
     (LINEAR, {"map": "[[1.0000000005, 0.0], [0.0, 1.0]]"}, "map"),
     (LINEAR, {"map": '"reflection"'}, "map"),
@@ -412,7 +428,6 @@ def check_section(fields):
     (PERTURBATION, {"subspace": "[]"}, "subspace"),
     # Monte Carlo section stats sample a window around a bounded support
     (LINEAR, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
-    (GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'}, "method"),
     # method "exact" needs closed-form sections of the density and its image
     (LINEAR, {"densities": '["box"]', "k": "2"}, "method"),
     (LINEAR, {"densities": '["trunc"]'}, "method"),
@@ -425,16 +440,18 @@ def check_section(fields):
         "count-past-float64-array", "mc-count-4e18", "nan-p",
         "string-flag", "int-flag", "mc-one", "mc-fraction", "mc-count-1e300",
         "unknown-method",
-        "unknown-field",
+        "unknown-field", "check-list", "check-map",
         "method-where-not-taken", "bp-subspace-direct-1",
         "bp-subspace-subspaces-1", "bp-flat-flats-1",
-        "bp-flat-offset-without-direct", "map-det-off-by-5e-10",
+        "bp-flat-offset-without-direct", "bp-flat-n-direct", "grinberg-method",
+        "schneider-method", "affine-method", "affine-rotation",
+        "linear-rotation", "affine-random-shift", "map-det-off-by-5e-10",
         "unknown-map-name", "eta-above-2", "adversarial-wrong-dim",
         "adversarial-bool-axis", "subspace-bool-axis", "map-bool-matrix",
         "subspace-bool-basis", "adversarial-bool-basis", "shift-bool-vector",
         "subspace-one-row",
         "subspace-no-axes",
-        "linear-mc-unbounded", "grinberg-mc-unbounded",
+        "linear-mc-unbounded",
         "linear-exact-product-plane", "linear-exact-truncated-shear",
         "bp-subspace-product-plane", "rearrangement-levels",
         "schneider-window-field"])
@@ -737,31 +754,22 @@ RULES = {
         "f_list", BP_SUBSPACE, {"densities": '["box"]', "k": "2"},
         "densities"),
     "bp-flat-zero-inner": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1.0, r, inner=0),
+        lambda r: verify.check_bp_flat(BALL, 1, 8, 1.0, r, inner=0),
         "inner", BP_FLAT, {"inner": "0"}, "inner"),
     "bp-flat-flats-1": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 1, 1.0, r, inner=4),
+        lambda r: verify.check_bp_flat(BALL, 1, 1, 1.0, r, inner=4),
         "n_flats", BP_FLAT, {"n_flats": "1"}, "n_flats"),
     "bp-flat-full-dimension": (
-        lambda r: verify.check_bp_flat(BALL, 2, 0, 8, 1.0, r, inner=4),
+        lambda r: verify.check_bp_flat(BALL, 2, 8, 1.0, r, inner=4),
         "k", BP_FLAT, {"k": "2"}, "k"),
-    "bp-flat-offset-at-full-dimension": (
-        lambda r: verify.check_bp_flat(BALL, 2, 8, 8, 1.0, r, 1.0, 4),
-        "k", BP_FLAT, {"k": "2", "p": "1.0", "n_direct": "8"}, "k"),
-    "bp-flat-offset-below-1": (
-        lambda r: verify.check_bp_flat(BALL, 1, 8, 8, 1.0, r, 0.5, 4),
-        "p", BP_FLAT, {"p": "0.5", "n_direct": "8"}, "p"),
-    "bp-flat-offset-without-direct": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1.0, r, 1.0, 4),
-        "n_direct", BP_FLAT, {"p": "1.0"}, "n_direct"),
     "bp-flat-window-inside-support": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 0.5, r, inner=4),
+        lambda r: verify.check_bp_flat(BALL, 1, 8, 0.5, r, inner=4),
         "R", BP_FLAT, {"R": "0.5"}, "R"),
     "bp-flat-window-past-float-range": (
-        lambda r: verify.check_bp_flat(BALL, 1, 0, 8, 1e200, r, inner=4),
+        lambda r: verify.check_bp_flat(BALL, 1, 8, 1e200, r, inner=4),
         "R", BP_FLAT, {"R": "1e200"}, "R"),
     "bp-flat-overflowing-mass-power": (
-        lambda r: verify.check_bp_flat(LOUD, 1, 0, 8, 1.0, r, inner=4),
+        lambda r: verify.check_bp_flat(LOUD, 1, 8, 1.0, r, inner=4),
         "f", BP_FLAT, {"density": '"loud"'}, "density"),
     "linear-k-at-n": (
         lambda r: verify.check_linear_invariance([BALL], SPEC, 2, "shear", 8,
@@ -800,6 +808,10 @@ RULES = {
         "f_list", LINEAR, {"densities": '["ball", "box"]',
                            "spec_p": "[1.0, 1.0]", "spec_alpha": "[1.0, 1.0]",
                            "method": '["mc", 8]'}, "densities"),
+    "linear-mc-one": (
+        lambda r: verify.check_linear_invariance([BALL], SPEC, 1, "shear", 8,
+                                                 r, ("mc", 1)),
+        "method", LINEAR, {"method": '["mc", 1]'}, "method"),
     "linear-mc-unbounded": (
         lambda r: verify.check_linear_invariance([GAUSS], SPEC, 1, "shear", 8,
                                                  r, ("mc", 8)),
@@ -807,31 +819,31 @@ RULES = {
         "method"),
     "affine-unbounded": (
         lambda r: verify.check_affine_invariance(
-            [GAUSS], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
+            [GAUSS], ExponentSpec((1.0,), (3.0,)), 1, "shear", np.zeros(2),
             1.0, 8, r),
         "f_list", AFFINE, {"densities": '["gauss"]'}, "densities"),
     "affine-negative-window": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", np.zeros(2),
             -1.0, 8, r),
         "R", AFFINE, {"R": "-1.0"}, "R"),
     "affine-window-past-float-range": (
         lambda r: verify.check_affine_invariance(
-            [BALL3], ExponentSpec((1.0,), (4.0,)), 1, "shear", "random",
+            [BALL3], ExponentSpec((1.0,), (4.0,)), 1, "shear", np.zeros(3),
             1e200, 8, r),
         "R", AFFINE, {"densities": '["ball3"]', "spec_alpha": "[4.0]",
-                      "R": "1e200"}, "R"),
+                      "shift": "[0.0, 0.0, 0.0]", "R": "1e200"}, "R"),
     "affine-support-window-past-float-range": (
         lambda r: verify.check_affine_invariance(
-            [FAR], ExponentSpec((1.0,), (5.0,)), 1, "shear", "random",
+            [FAR], ExponentSpec((1.0,), (5.0,)), 1, "shear", np.zeros(4),
             1.0, 8, r),
-        "f_list", AFFINE, {"densities": '["far"]', "spec_alpha": "[5.0]"},
-        "densities"),
+        "f_list", AFFINE, {"densities": '["far"]', "spec_alpha": "[5.0]",
+                           "shift": "[0.0, 0.0, 0.0, 0.0]"}, "densities"),
     "affine-unknown-shift": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "rotation", "none",
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", "none",
             1.0, 8, r),
-        "shift", AFFINE, {"map": '"rotation"', "shift": '"none"'}, "shift"),
+        "shift", AFFINE, {"shift": '"none"'}, "shift"),
     "affine-shift-wrong-length": (
         lambda r: verify.check_affine_invariance(
             [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", np.zeros(3),
@@ -839,7 +851,7 @@ RULES = {
         "shift", AFFINE, {"shift": "[0.0, 0.0, 0.0]"}, "shift"),
     "affine-one-flat": (
         lambda r: verify.check_affine_invariance(
-            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", "random",
+            [BALL], ExponentSpec((1.0,), (3.0,)), 1, "shear", np.zeros(2),
             1.0, 1, r),
         "n_flats", AFFINE, {"n_flats": "1"}, "n_flats"),
     "rearrangement-p-below-1": (
@@ -872,10 +884,6 @@ RULES = {
         lambda r: verify.check_rearrangement_monotonicity([TINY], 1.0, "cone",
                                                           100, r),
         "f_list", REARRANGEMENT, {"densities": '["tiny"]'}, "densities"),
-    "grinberg-mc-one": (
-        lambda r: verify.check_grinberg_functional([BALL], 1, 0.0, 64, r,
-                                                   ("mc", 1)),
-        "method", GRINBERG, {"method": '["mc", 1]'}, "method"),
     "grinberg-p-above-n-minus-k": (
         lambda r: verify.check_grinberg_functional([BALL], 1, 1.5, 64, r),
         "p", GRINBERG, {"p": "1.5"}, "p"),
@@ -887,11 +895,6 @@ RULES = {
         lambda r: verify.check_grinberg_functional([TINY], 1, 0.5, 64, r),
         "f_list", GRINBERG, {"densities": '["tiny"]', "p": "0.5"},
         "densities"),
-    "grinberg-mc-unbounded": (
-        lambda r: verify.check_grinberg_functional([GAUSS], 1, 0.0, 64, r,
-                                                   ("mc", 8)),
-        "method", GRINBERG, {"densities": '["gauss"]', "method": '["mc", 8]'},
-        "method"),
     "schneider-overflowing-side": (
         lambda r: verify.check_schneider_functional(LOUD, 1, 8, r),
         "f", SCHNEIDER, {"density": '"loud"'}, "density"),
@@ -1028,6 +1031,41 @@ def test_run_substreams_only_one(tmp_path, value):
         load_config(write_config(tmp_path, one.replace(
             "substreams = 1", f"substreams = {value}")))
     assert (err.value.section, err.value.field) == ("run", "substreams")
+
+
+# Optional check fields that every shipped row leaves at one value, each
+# with its entry in the deletion ledger of ROADMAP.md: bench/workloads pins
+# them, so they wait on the [benchmark] change that edits those files.
+PINNED_IN_BENCH = {
+    "bp_subspace.p": "one value in use (1b)",
+    "bp_subspace.inner": "one value in use (1b)",
+    "bp_flat.inner": "one value in use (1b)",
+    "grinberg_functional.p": "one value in use (1b)",
+    "marginal_bound.adversarial": "one value in use (1b)",
+    "perturbation.n_candidates": "perturbation's n_candidates field (1b)",
+}
+
+
+def test_optional_check_fields_take_two_values_in_the_suites():
+    # an option with only one value in use is a constant: every optional
+    # field reads two distinct effective values (given, or the default)
+    # over the rows of the shipped configs and the bench workloads
+    values = {}
+    for relpath in SHIPPED:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read(ROOT / relpath)
+        for section in parser.sections():
+            if not section.startswith("check "):
+                continue
+            row = {k: json.loads(v) for k, v in parser.items(section)}
+            name = row["check"]
+            for field_name, spec in config.CHECKS[name].fields.items():
+                if spec.default is not config._REQUIRED:
+                    values.setdefault(f"{name}.{field_name}", set()).add(
+                        json.dumps(row.get(field_name, spec.default)))
+    single = {key for key, seen in values.items() if len(seen) < 2}
+    assert single == set(PINNED_IN_BENCH)
 
 
 def test_hash_covers_density_specs(tmp_path):

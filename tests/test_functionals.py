@@ -384,16 +384,6 @@ def test_affine_average_chord_cubed(rng):
     assert abs(est.value - 3 * math.pi) <= 3.0 * est.stderr, est.value
 
 
-def test_affine_average_mc_route_agrees(rng):
-    b2 = EllipsoidIndicator.ball(2)
-    spec = ExponentSpec((1.0,), (3.0,))
-    exact = affine_average_I([b2], spec, 1, 1.5, 30_000, rng)
-    sampled = affine_average_I([b2], spec, 1, 1.5, 4_000, rng,
-                               method=("mc", 400))
-    gap = abs(exact.value - sampled.value)
-    assert gap <= 3.0 * math.hypot(exact.stderr, sampled.stderr) + 0.05 * exact.value
-
-
 def test_grassmann_average_mc_route_agrees(rng):
     box = ProductDensity([segment(), unit_interval(),
                           Step1D(np.array([-0.5, 0.0, 0.5]),
