@@ -47,8 +47,8 @@ def _parse_args(argv):
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the configured master seed")
     run_p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="checks run at once, on threads of this "
-                       "process (default 1)")
+                       help="checks run at once, on this process and "
+                       "forked copies of it (default 1)")
 
     table_p = sub.add_parser("table",
                              help="merge results.csv files into one table")

@@ -53,6 +53,9 @@ class ConfigError(ValueError):
         self.message = message
         super().__init__(f"[{section}] {field_name}: {message}")
 
+    def __reduce__(self):
+        return type(self), (self.section, self.field, self.message)
+
 
 @dataclass(frozen=True)
 class CheckJob:

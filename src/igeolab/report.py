@@ -41,6 +41,9 @@ class ParameterError(ValueError):
         self.param, self.message = param, message
         super().__init__(f"{param} {message}")
 
+    def __reduce__(self):
+        return type(self), (self.param, self.message)
+
 
 def _need(ok: bool, param: str, message: str):
     """A rule of a check: ParameterError(param, message) unless ok."""

@@ -9,12 +9,14 @@ the byte-identity of results.csv rests on (numpy elementwise arithmetic,
 the generator streams, and LAPACK where frames or determinants are
 factored).
 Per-check generators are derived from the master seed by the check's
-position, so results are independent of thread count and execution order.
-With jobs > 1 the checks run on a pool of threads in this process: their
-time goes into numpy kernels and generator fills, which release the GIL.
+position, so results are independent of worker count and execution order.
+With jobs > 1 the checks run on this process and up to jobs - 1 forked
+copies of it, not on threads: the checks spend their time in many small
+numpy calls, which threads of one process would run one at a time under
+the interpreter lock.  Where os.fork is missing the suite runs serially.
 
-run_suite sets one malloc policy for its whole process, which covers every
-pool thread: blocks below MMAP_THRESHOLD come from the heap,
+run_suite sets one malloc policy for its whole process before it forks,
+so every worker inherits it: blocks below MMAP_THRESHOLD come from the heap,
 not from a mapping of their own, and the heap goes back to the kernel only
 when more than TRIM_THRESHOLD lies free at its top.  Under glibc's
 default policy the checks' sample blocks of several MB go back to the
@@ -22,7 +24,8 @@ kernel when freed and are faulted in again at the next draw; the README
 gives the measured fault counts.  The policy moves no draw and no arithmetic, so
 results.csv does not depend on it; the manifest records it as
 environment.malloc and the minor page faults of the thread that ran each
-check as minor_faults.
+check as minor_faults, which in a worker's first check include the
+copy-on-write faults of the fork.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ import csv
 import ctypes
 import json
 import os
+import pickle
 import platform
+import select
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 try:
     import resource
@@ -116,9 +121,9 @@ def _set_malloc_policy():
 
 
 def _minor_faults():
-    """This thread's minor page faults so far, so that checks running side
-    by side keep their own counts; None where resource has no
-    RUSAGE_THREAD (off Linux)."""
+    """This thread's minor page faults so far, which leave out those of
+    the BLAS threads; None where resource has no RUSAGE_THREAD (off
+    Linux)."""
     who = getattr(resource, "RUSAGE_THREAD", None)
     if who is None:
         return None
@@ -136,6 +141,125 @@ def _execute(args):
     return report, wall, faults
 
 
+def _outcome(task):
+    """(True, what _execute returns) or (False, the exception it raised)."""
+    try:
+        return True, _execute(task)
+    except Exception as exc:
+        return False, exc
+
+
+def _read(fd, size) -> bytearray:
+    """size bytes from fd, fewer where it ends first."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data
+
+
+def _serve(tasks, todo, out, inherited):
+    """A forked worker: run each task whose index it takes from todo and
+    send (index, outcome) up out, pickled, after its length.  It keeps
+    SIGINT blocked, as it was forked, so that only the parent handles an
+    interrupt, and leaves only through os._exit, so it never flushes the
+    parent's open files."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        out = os.fdopen(out, "wb")
+        while token := os.read(todo, 4):
+            index = int.from_bytes(token, "little")
+            payload = pickle.dumps((index, _outcome(tasks[index])))
+            out.write(len(payload).to_bytes(4, "little") + payload)
+            out.flush()
+    finally:
+        os._exit(0)
+
+
+def _forked(tasks, workers):
+    """Run tasks on this process and workers - 1 forked workers; yield what
+    _execute returns for each in task order, or raise at its turn what a
+    task raised.
+
+    Task 0 is this process's first; every later index is taken from one
+    shared pipe by whichever process is free.  A task whose worker exits
+    before sending its outcome fails with an error naming its check.  On
+    leaving, the pipe is emptied, so no queued task starts, and every
+    worker is reaped once its running task is done.
+    """
+    todo, feed = os.pipe()
+    os.set_blocking(feed, False)
+    queued = b"".join(i.to_bytes(4, "little") for i in range(1, len(tasks)))
+    pipes, pids, outcomes = [], [], {}  # pipes: from the workers
+
+    def fill():
+        # indices that find no room in the pipe (past 16,384 on Linux)
+        # wait here for this process's next turn to take a task
+        nonlocal queued, feed
+        try:
+            queued = queued[os.write(feed, queued):]
+        except BlockingIOError:
+            pass
+        if not queued:
+            os.close(feed)
+            feed = None
+
+    def collect(timeout):
+        for fd in select.select(pipes, [], [], timeout)[0]:
+            size = int.from_bytes(_read(fd, 4), "little")
+            if size:
+                index, outcome = pickle.loads(_read(fd, size))
+                outcomes[index] = outcome
+            else:  # the worker has exited
+                pipes.remove(fd)
+                os.close(fd)
+
+    try:
+        fill()
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            pipes.append(read)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks, todo, write,
+                           [fd for fd in (feed, *pipes) if fd is not None])
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            pids.append(pid)
+        mine = 0
+        for i in range(len(tasks)):
+            while i not in outcomes:
+                if mine is not None:
+                    outcomes[mine] = _outcome(tasks[mine])
+                    if feed is not None:
+                        fill()
+                    token = os.read(todo, 4)
+                    mine = int.from_bytes(token, "little") if token else None
+                    collect(0)
+                elif pipes:
+                    collect(None)
+                else:  # a worker took it and exited
+                    outcomes[i] = False, RuntimeError(
+                        f"check {tasks[i][1].label!r}: its worker process "
+                        "exited before sending its outcome")
+            ok, value = outcomes.pop(i)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        if feed is not None:
+            os.close(feed)
+        while os.read(todo, 4096):
+            pass
+        for fd in (todo, *pipes):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def _exit_code(verdicts) -> int:
     if any(v == FAIL for v in verdicts):
         return 2
@@ -151,9 +275,10 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
     with no failures.  On KeyboardInterrupt, or an exception from a check,
     the rows finished so far are already on disk and the manifest is
     written with interrupted = true, and with the exception's text as
-    error; checks already running on the pool finish, and no queued one
-    starts.  The exception is then raised again.  The malloc policy of the
-    module docstring is set for this process first.
+    error; checks already running in workers finish, and no queued one
+    starts.  The exception is then raised again, and a worker that exits
+    in the middle of a check raises RuntimeError naming it.  The malloc
+    policy of the module docstring is set for this process first.
     """
     out_dir = config.output_dir
     reports_dir = os.path.join(out_dir, "reports")
@@ -173,11 +298,10 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
         writer.writeheader()
         handle.flush()
         try:
-            pool = ThreadPoolExecutor(min(jobs, len(tasks))) \
-                if jobs > 1 and len(tasks) > 1 else None
+            workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+            results = _forked(tasks, workers) if workers > 1 \
+                else (_execute(task) for task in tasks)
             try:
-                results = map(_execute, tasks) if pool is None \
-                    else pool.map(_execute, tasks)
                 for job, (report, wall, faults) in zip(config.checks,
                                                        results):
                     writer.writerow(report_row(job.label, report))
@@ -198,8 +322,7 @@ def run_suite(config: RunConfig, jobs: int = 1, echo=print) -> int:
                     echo(f"{report.verdict:>12}  {job.label}  "
                          f"(ratio {report.ratio:.6g}, {wall:.2f}s)")
             finally:
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
+                results.close()
         except KeyboardInterrupt:
             interrupted = True
         except Exception as exc:

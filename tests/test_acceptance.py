@@ -413,7 +413,7 @@ def test_marginal_bound_experiment(acceptance_log):
 def test_suite_determinism(acceptance_log, tmp_path):
     quiet = lambda *args, **kwargs: None
     outputs = {}
-    # the second pass runs on a pool of two threads
+    # the second pass runs on this process and one forked worker
     for name, jobs in (("first", 1), ("second", 2)):
         config = load_config("configs/paper-core.ini",
                              output_override=str(tmp_path / name))

@@ -10,7 +10,6 @@ import csv
 import ctypes
 import dataclasses
 import io
-import itertools
 import json
 import math
 import mmap
@@ -21,7 +20,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 import types
 import warnings
@@ -34,7 +32,7 @@ from igeolab.cli import main
 from igeolab.config import check_names, load_config
 from igeolab.densities import EllipsoidIndicator
 from igeolab.functionals import ExponentSpec
-from igeolab.report import FAIL, INCONCLUSIVE, PASS
+from igeolab.report import FAIL, INCONCLUSIVE, PASS, ParameterError
 from igeolab.rng import substream
 from igeolab.runner import CSV_COLUMNS, report_row, run_suite
 from igeolab.verify import check_affine_invariance, check_linear_invariance
@@ -310,8 +308,8 @@ def test_run_suite_sets_the_malloc_policy(tmp_path, monkeypatch):
 
 
 def test_pool_workers_set_the_malloc_policy(tmp_path, monkeypatch):
-    # the pool's threads share the process's policy: --jobs 2 sets it once,
-    # in this process, and no other process exists to set it
+    # --jobs 2 sets the policy once, in this process, before it forks: the
+    # worker inherits it and calls no mallopt
     log = tmp_path / "mallopt.log"
     recording_libc(monkeypatch, log)
     cfg = load_config(write_suite(tmp_path, FAIL_BODY,
@@ -322,28 +320,42 @@ def test_pool_workers_set_the_malloc_policy(tmp_path, monkeypatch):
                                (pid, -1, runner.TRIM_THRESHOLD)]
 
 
+def assert_no_child():
+    """Every process the run forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(path):
+    """Wait, up to 30 s, until another process has created path."""
+    deadline = time.monotonic() + 30
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.005)
+
+
 def test_minor_faults_are_per_check_under_jobs(tmp_path, monkeypatch):
-    # the first check to start waits while the second touches 8192 fresh
-    # pages: only the toucher's thread counts them
+    # this process's check waits while the worker's check touches 8192
+    # fresh pages: only the toucher's count has them
     if not hasattr(runner.resource, "RUSAGE_THREAD"):
         pytest.skip("resource has no RUSAGE_THREAD")
     pages, page = 8192, mmap.PAGESIZE
-    entered, touched = threading.Event(), threading.Event()
-    order = itertools.count()
+    entered, touched = tmp_path / "entered", tmp_path / "touched"
+    parent = os.getpid()
     grinberg = runner.CHECKS["grinberg_functional"]
 
     def run(kwargs, rng):
-        if next(order) == 0:
-            entered.set()
-            assert touched.wait(30)
+        if os.getpid() == parent:
+            entered.touch()
+            wait_for(touched)
         else:
-            assert entered.wait(30)
+            wait_for(entered)
             with mmap.mmap(-1, pages * page) as block:
                 if hasattr(mmap, "MADV_NOHUGEPAGE"):
                     block.madvise(mmap.MADV_NOHUGEPAGE)
                 for offset in range(0, pages * page, page):
                     block[offset] = 1
-            touched.set()
+            touched.touch()
         return grinberg.run(kwargs, rng)
 
     cfg = load_config(write_suite(tmp_path, FAIL_BODY,
@@ -368,14 +380,16 @@ def test_minor_faults_null_without_rusage_thread(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_interrupt_flushes_rows_and_starts_no_queued_check(tmp_path,
                                                            monkeypatch, jobs):
-    # every check but the first takes 0.2 s, so at --jobs 2 the first
-    # thread has moved on to check 2 when the interrupt lands after row 0;
-    # check 3 is still queued and must never start
-    started, echoed = [], []
+    # every check but the first takes 0.2 s, so at --jobs 2 this process
+    # has taken check 2 from the queue, and the worker is running check 1,
+    # when the interrupt lands after row 0; check 3 is still queued and must
+    # never start.  Each process logs the checks it starts to one file.
+    log, echoed = tmp_path / "started", []
     execute = runner._execute
 
     def slow(task):
-        started.append(task[0])
+        with open(log, "a") as handle:
+            handle.write(f"{task[0]}\n")
         if task[0]:
             time.sleep(0.2)
         return execute(task)
@@ -390,6 +404,8 @@ def test_interrupt_flushes_rows_and_starts_no_queued_check(tmp_path,
                                   out=str(tmp_path / "out")))
     assert len(cfg.checks) == 4
     assert run_suite(cfg, jobs=jobs, echo=echo) == 130
+    assert_no_child()
+    started = [int(line) for line in log.read_text().split()]
     assert 0 in started and set(started) <= set(range(jobs + 1))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["interrupted"] is True and manifest["error"] is None
@@ -467,14 +483,17 @@ def test_shipped_results_match_the_reference(tmp_path, name):
 
 def test_paper_core_run_never_imports_numpy_ma(tmp_path):
     # np.quantile would import it through np.unique; the marginal-bound
-    # check reads its order statistics with np.partition, which does not
+    # check reads its order statistics with np.partition, which does not.
+    # The runner forks its workers itself, with no executor module.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         runner.__file__)))
     script = ("import sys\n"
               "from igeolab.cli import main\n"
               "code = main(['run', '--config', sys.argv[1], '--jobs', '1'])\n"
-              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+              "for name in ('numpy.ma', 'concurrent.futures', "
+              "'multiprocessing'):\n"
+              "    assert name not in sys.modules, name + ' imported'\n"
               "sys.exit(code)\n")
     env = dict(os.environ, IGEOLAB_OUTPUT_DIR=str(tmp_path / "out"),
                PYTHONPATH=os.pathsep.join(
@@ -584,6 +603,12 @@ def test_parallel_run_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("IGEOLAB_OUTPUT_DIR", str(tmp_path / "par"))
     main(["run", "--config", config, "--jobs", "2"])
     assert (tmp_path / "par" / "results.csv").read_bytes() == serial
+    assert_no_child()
+
+    monkeypatch.setenv("IGEOLAB_OUTPUT_DIR", str(tmp_path / "nofork"))
+    monkeypatch.delattr(os, "fork")     # as on Windows: the run is serial
+    main(["run", "--config", config, "--jobs", "2"])
+    assert (tmp_path / "nofork" / "results.csv").read_bytes() == serial
 
 
 def test_seed_flag_overrides_stream(tmp_path, monkeypatch):
@@ -723,6 +748,88 @@ n_flats = 8
     rows = read_rows(tmp_path / "out" / "results.csv")
     assert [r["check"] for r in rows] == ["grinberg_functional"]
     assert os.listdir(tmp_path / "out" / "reports") == ["round.json"]
+    assert_no_child()
+
+
+def second_check_in_a_worker(tmp_path, monkeypatch, second):
+    """FAIL_BODY's suite, whose first check, run by this process, waits
+    until a forked worker has started the second, which calls second()."""
+    parent, started = os.getpid(), tmp_path / "started"
+    grinberg = runner.CHECKS["grinberg_functional"]
+
+    def run(kwargs, rng):
+        if os.getpid() == parent:
+            wait_for(started)
+        else:
+            started.touch()
+            second()
+        return grinberg.run(kwargs, rng)
+
+    cfg = load_config(write_suite(tmp_path, FAIL_BODY,
+                                  out=str(tmp_path / "out")))
+    monkeypatch.setitem(runner.CHECKS, "grinberg_functional",
+                        types.SimpleNamespace(run=run))
+    return cfg
+
+
+def test_more_workers_than_cores_run_each_check_once(tmp_path, monkeypatch):
+    # 16 checks on 5 processes, more than the cores of most test machines,
+    # all taking indices from one pipe: each check starts exactly once and
+    # the rows are the serial run's bytes
+    body = PASS_BODY.split("[check round]")[0] + "".join(f"""
+[check round {i}]
+check = "grinberg_functional"
+densities = ["ball"]
+k = 1
+p = 1.0
+n_subspaces = 64
+""" for i in range(16))
+    cfg = load_config(write_suite(tmp_path, body,
+                                  out=str(tmp_path / "serial")))
+    run_suite(cfg, echo=lambda line: None)
+    log, execute = tmp_path / "started", runner._execute
+
+    def logged(task):
+        with open(log, "a") as handle:
+            handle.write(f"{task[0]}\n")
+        return execute(task)
+
+    monkeypatch.setattr(runner, "_execute", logged)
+    pooled = dataclasses.replace(cfg, output_dir=str(tmp_path / "pooled"))
+    run_suite(pooled, jobs=5, echo=lambda line: None)
+    assert_no_child()
+    assert sorted(int(line) for line in log.read_text().split()) == \
+        list(range(16))
+    assert (tmp_path / "pooled" / "results.csv").read_bytes() == \
+        (tmp_path / "serial" / "results.csv").read_bytes()
+
+
+def test_a_worker_that_dies_fails_its_check(tmp_path, monkeypatch):
+    # the worker exits in the middle of the second check: the run stops
+    # there as if the check had raised, with an error naming it
+    cfg = second_check_in_a_worker(tmp_path, monkeypatch,
+                                   lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="'lopsided'"):
+        run_suite(cfg, jobs=2, echo=lambda line: None)
+    assert_no_child()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["interrupted"] is True
+    assert manifest["error"].startswith("RuntimeError: ")
+    assert "'lopsided'" in manifest["error"]
+    assert [c["label"] for c in manifest["checks"]] == ["round"]
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    assert [r["check"] for r in rows] == ["grinberg_functional"]
+
+
+def test_a_workers_parameter_error_keeps_its_param(tmp_path, monkeypatch):
+    def refuse():
+        raise ParameterError("k", "must be odd")
+
+    cfg = second_check_in_a_worker(tmp_path, monkeypatch, refuse)
+    with pytest.raises(ParameterError) as err:
+        run_suite(cfg, jobs=2, echo=lambda line: None)
+    assert (err.value.param, err.value.message) == ("k", "must be odd")
+    assert_no_child()
 
 
 def test_list_checks_names_every_check(capsys):
@@ -996,24 +1103,22 @@ def test_wide_supports_end_in_a_window_error(tmp_path, monkeypatch, capsys,
 
 
 def test_worker_count_capped_at_checks(tmp_path, monkeypatch):
-    # a stand-in pool records the size asked for and starts no thread
-    asked = []
+    # --jobs 64 on 2 checks forks once: this process and one worker
+    forks = []
+    fork = os.fork
 
-    class Pool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY),
                  "--jobs", "64"]) == 2
-    assert asked == [2]
+    assert len(forks) == 1
+    assert_no_child()
 
 
 def test_budget_below_two_exits_one(tmp_path, monkeypatch, capsys):
@@ -1119,16 +1224,17 @@ def test_non_positive_jobs_flag_is_a_usage_error(tmp_path, capsys, jobs):
 
 
 def run_with_jobs_env(tmp_path, monkeypatch, capsys, env):
-    # --jobs is the one way to ask for threads; the old IGEOLAB_JOBS
+    # --jobs is the one way to ask for workers; the old IGEOLAB_JOBS
     # variable is not read, whatever it holds
-    asked = []
-    monkeypatch.setattr(runner, "ThreadPoolExecutor",
-                        lambda max_workers: asked.append(max_workers))
+    def no_fork():
+        raise AssertionError("forked a worker at --jobs 1")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("IGEOLAB_JOBS", env)
+    # one worker: the suite runs in this process
     assert main(["run", "--config", write_suite(tmp_path, FAIL_BODY)]) == 2
     assert "IGEOLAB_JOBS" not in capsys.readouterr().err
-    assert asked == []      # one worker: the suite runs in process
 
 
 def test_jobs_default_to_one_whatever_the_environment(tmp_path,

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -276,6 +277,23 @@ def test_config_error_formatting():
     err = ConfigError("check foo", "R", "required")
     assert "[check foo]" in str(err)
     assert "R" in str(err)
+
+
+def test_config_error_survives_pickling():
+    # a check run by a forked worker sends its exception back pickled
+    err = pickle.loads(pickle.dumps(ConfigError("check foo", "R",
+                                                "required")))
+    assert type(err) is ConfigError
+    assert (err.section, err.field, err.message) == \
+        ("check foo", "R", "required")
+    assert str(err) == "[check foo] R: required"
+
+
+def test_parameter_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ParameterError("k", "must be >= 1")))
+    assert type(err) is ParameterError
+    assert (err.param, err.message) == ("k", "must be >= 1")
+    assert str(err) == "k must be >= 1"
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
